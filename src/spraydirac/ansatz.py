@@ -190,7 +190,8 @@ def assemble(S: SemiSpray, D_gens: Sequence[VectorField] | None, a: Ansatz,
 
 def solve(M: np.ndarray, rank_tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
     """Nullspace basis (columns) and the singular values that justify it."""
-    u, s, vt = np.linalg.svd(M, full_matrices=True)
+    # a wide M needs the full V^T: null_idx reaches past len(s)
+    _, s, vt = np.linalg.svd(M, full_matrices=M.shape[0] < M.shape[1])
     smax = s[0] if len(s) else 0.0
     ncols = M.shape[1]
     null_idx = [i for i in range(ncols)

@@ -140,13 +140,24 @@ def cmd_analyze(path: str, pf: ProblemFile, seed_arg: int | None) -> dict:
     return rep
 
 
-def _drift_batch(pf: ProblemFile, S, ctx, seed_arg: int | None) -> dict:
-    st = pf.integrate
-    T = st.t if st else 10.0
-    dt = st.dt if st else 1e-3
-    method = st.method if st else "rk4"
-    samples = st.samples if st else 10
-    batch_seed = _batch_seed(seed_arg, st.seed if st else None)
+def _trajectory_rows(traj) -> list:
+    """About 20 evenly strided rows of the trajectory, always ending at its last."""
+    stride = max(1, (len(traj.times) - 1) // 20)
+    rows = [[round(traj.times[k], 12)] + [round(v, 12) for v in traj.states[k]]
+            for k in range(0, len(traj.times), stride)]
+    if (len(traj.times) - 1) % stride:
+        rows.append([round(traj.times[-1], 12)]
+                    + [round(v, 12) for v in traj.states[-1]])
+    return rows
+
+
+def _sampled_runs(pf: ProblemFile, S, ctx, T: float, dt: float, method: str,
+                  samples: int, batch_seed: int, dump: bool = False):
+    """Integrate from seeded starting points and measure the drift of H.
+
+    Returns one report entry per start and the largest drift (0.0 without
+    H).  `dump` adds the accepted step count and the strided trajectory.
+    """
     cfg = SampleConfig(box=(-2.0, 2.0), seed=batch_seed)
     pts = sample_points(ctx, cfg, S.singular_loci, count=samples)
     steps = int(round(T / dt))
@@ -157,13 +168,25 @@ def _drift_batch(pf: ProblemFile, S, ctx, seed_arg: int | None) -> dict:
         drift = conservation_drift(traj, pf.H, ctx) if pf.H is not None else None
         if drift is not None:
             worst = max(worst, drift)
-        runs.append({
-            "initial": [round(v, 12) for v in (*p.x, *p.y)],
-            "t_final": round(traj.times[-1], 12),
-            "aborted": traj.aborted,
-            "abort_reason": traj.abort_reason,
-            "drift": drift,
-        })
+        run = {"initial": [round(v, 12) for v in (*p.x, *p.y)]}
+        if dump:
+            run["accepted_steps"] = len(traj.times) - 1
+        run.update(t_final=round(traj.times[-1], 12), aborted=traj.aborted,
+                   abort_reason=traj.abort_reason, drift=drift)
+        if dump:
+            run["trajectory"] = _trajectory_rows(traj)
+        runs.append(run)
+    return runs, worst
+
+
+def _drift_batch(pf: ProblemFile, S, ctx, seed_arg: int | None) -> dict:
+    st = pf.integrate
+    T = st.t if st else 10.0
+    dt = st.dt if st else 1e-3
+    method = st.method if st else "rk4"
+    samples = st.samples if st else 10
+    batch_seed = _batch_seed(seed_arg, st.seed if st else None)
+    runs, worst = _sampled_runs(pf, S, ctx, T, dt, method, samples, batch_seed)
     return {
         "method": method, "t": T, "dt": dt, "samples": samples,
         "batch_seed": batch_seed, "runs": runs, "max_drift": worst,
@@ -257,31 +280,8 @@ def cmd_integrate(path: str, pf: ProblemFile, seed_arg: int | None) -> dict:
     rep = _base_report("integrate", path, pf, _verdict_seed(seed_arg))
     if pf.H is not None:
         rep["H"] = format_expr(simplify(pf.H))
-    steps = int(round(st.t / st.dt))
-    cfg = SampleConfig(box=(-2.0, 2.0), seed=batch_seed)
-    pts = sample_points(ctx, cfg, S.singular_loci, count=st.samples)
-    dumps = []
-    worst = 0.0
-    for p in pts:
-        traj = integrate_sode(S, p, st.dt, steps, method=st.method, ctx=ctx)
-        drift = conservation_drift(traj, pf.H, ctx) if pf.H is not None else None
-        if drift is not None:
-            worst = max(worst, drift)
-        stride = max(1, (len(traj.times) - 1) // 20)
-        rows = [[round(traj.times[k], 12)] + [round(v, 12) for v in traj.states[k]]
-                for k in range(0, len(traj.times), stride)]
-        if (len(traj.times) - 1) % stride:
-            rows.append([round(traj.times[-1], 12)]
-                        + [round(v, 12) for v in traj.states[-1]])
-        dumps.append({
-            "initial": [round(v, 12) for v in (*p.x, *p.y)],
-            "accepted_steps": len(traj.times) - 1,
-            "t_final": round(traj.times[-1], 12),
-            "aborted": traj.aborted,
-            "abort_reason": traj.abort_reason,
-            "drift": drift,
-            "trajectory": rows,
-        })
+    dumps, worst = _sampled_runs(pf, S, ctx, st.t, st.dt, st.method,
+                                 st.samples, batch_seed, dump=True)
     rep["integration"] = {"method": st.method, "t": st.t, "dt": st.dt,
                           "samples": st.samples, "batch_seed": batch_seed}
     rep["trajectories"] = dumps

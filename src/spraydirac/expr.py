@@ -36,7 +36,7 @@ __all__ = [
     "Tri", "Context", "Point", "SampleConfig",
     "parse", "simplify", "diff", "evaluate", "is_zero", "format_expr",
     "as_expr", "const", "var", "sum_exprs", "tri_all", "sample_points",
-    "compile_exprs", "opaque_assignments",
+    "compile_exprs", "compile_rk4_step", "opaque_assignments",
 ]
 
 BUILTIN_FUNCTIONS = ("sin", "cos", "exp", "ln", "sqrt")
@@ -623,11 +623,17 @@ def _iroot(v: int, q: int) -> int | None:
         return None
     if v in (0, 1):
         return v
-    r = round(v ** (1.0 / q))
-    for cand in (r - 1, r, r + 1):
-        if cand >= 0 and cand ** q == v:
-            return cand
-    return None
+    if q >= v.bit_length():
+        return None     # 1 < v < 2**q, so 1 < root < 2
+    # Newton's method on integers, falling from 2**ceil(bits/q) >= root
+    # to floor(root); exact however large v is
+    r = 1 << -(-v.bit_length() // q)
+    while True:
+        nxt = ((q - 1) * r + v // r ** (q - 1)) // q
+        if nxt >= r:
+            break
+        r = nxt
+    return r if r ** q == v else None
 
 
 def _frac_pow_exact(c: Fraction, r: Fraction):
@@ -1407,14 +1413,8 @@ def _sqrt(v: float) -> float:
     return math.sqrt(v)
 
 
-def compile_exprs(exprs: Sequence[Expr], ctx: Context) -> Callable[[np.ndarray, Mapping[str, float]], tuple]:
-    """Compile expressions into one fast callable (state_array, params) -> tuple.
-
-    Opaque functions must have bound bodies; their needed derivatives are
-    compiled once up front.  Raised float errors (ZeroDivisionError and
-    friends) are translated back into EvalDomainError by the wrapper.
-    """
-    n = ctx.dim
+def _opaque_table(exprs: Sequence[Expr], ctx: Context) -> dict:
+    """Compiled bodies of the opaque-function derivatives the expressions apply."""
     apps: set = set()
     for e in exprs:
         _collect_funcapps(e, apps)
@@ -1430,7 +1430,24 @@ def compile_exprs(exprs: Sequence[Expr], ctx: Context) -> Callable[[np.ndarray, 
         inner_ctx = Context(1, params=dict(ctx.params))
         inner = compile_exprs([simplify(body)], inner_ctx)
         fn_table[key] = (lambda f: (lambda t, p: f((t, 0.0), p)[0]))(inner)
+    return fn_table
 
+
+def _exec_def(lines: list[str], name: str, **names) -> Callable:
+    ns: dict = {"math": math, "_fpow": _fpow, "_ln": _ln, "_sqrt": _sqrt, **names}
+    exec("\n".join(lines), ns)
+    return ns[name]
+
+
+def compile_exprs(exprs: Sequence[Expr], ctx: Context) -> Callable[[np.ndarray, Mapping[str, float]], tuple]:
+    """Compile expressions into one fast callable (state_array, params) -> tuple.
+
+    Opaque functions must have bound bodies; their needed derivatives are
+    compiled once up front.  Raised float errors (ZeroDivisionError and
+    friends) are translated back into EvalDomainError by the wrapper.
+    """
+    n = ctx.dim
+    fn_table = _opaque_table(exprs, ctx)
     lines = ["def _compiled(_z, _p, _fn):"]
     for i in range(1, n + 1):
         lines.append(f"    _v_x{i} = _z[{i - 1}]")
@@ -1438,9 +1455,7 @@ def compile_exprs(exprs: Sequence[Expr], ctx: Context) -> Callable[[np.ndarray, 
         lines.append(f"    _v_y{a} = _z[{n + a - 1}]")
     body = ", ".join(_py_src(simplify(e), ctx) for e in exprs)
     lines.append(f"    return ({body},)")
-    ns: dict = {"math": math, "_fpow": _fpow, "_ln": _ln, "_sqrt": _sqrt}
-    exec("\n".join(lines), ns)
-    raw = ns["_compiled"]
+    raw = _exec_def(lines, "_compiled")
 
     def call(z: np.ndarray, params: Mapping[str, float] | None = None) -> tuple:
         try:
@@ -1457,3 +1472,57 @@ def compile_exprs(exprs: Sequence[Expr], ctx: Context) -> Callable[[np.ndarray, 
         return out
 
     return call
+
+
+def compile_rk4_step(G: Sequence[Expr], loci: Sequence[Expr], ctx: Context,
+                     dt: float) -> Callable[[tuple, Mapping], tuple | None]:
+    """Compile one classic RK4 step of z' = (y, -2G(z)) on a tuple of floats.
+
+    step(z, params) returns (z_next, locus values at z_next).  The four
+    stages k = (y, -2.0*G), the stage states z + (0.5*dt)*k and z + dt*k3 and
+    the update z + (dt/6.0)*(((k1 + 2.0*k2) + 2.0*k3) + k4) are done in the
+    order numpy does them elementwise, so z_next is bit for bit the array
+    step's.  Parameters enter exactly as given (Fractions stay exact).
+
+    It returns None when plain floats cannot finish the step: where numpy
+    scalars give inf or nan, floats raise (division by zero, overflow, a math
+    domain error), and the caller must redo the step on arrays to get the
+    array step's outcome.  Every stage value enters z_next with a positive
+    weight, so a non-finite G at any stage leaves z_next non-finite; that
+    one check, and one on the locus values, stand in for the per-stage
+    checks of compile_exprs and also return None.
+    """
+    n = ctx.dim
+    if len(G) != n:
+        # coordinates would not line up with the array step's: always use it
+        return lambda z, params: None
+    fn_table = _opaque_table((*G, *loci), ctx)
+    g_src = [_py_src(simplify(e), ctx) for e in G]
+    state = ([f"_v_x{i}" for i in range(1, n + 1)]
+             + [f"_v_y{a}" for a in range(1, n + 1)])
+    base = [f"_s{j}" for j in range(2 * n)]
+    body = [f"{', '.join(base)}, = _z", f"{', '.join(state)}, = _z"]
+    for s in range(1, 5):
+        if s > 1:
+            h = "_dt" if s == 4 else "_h"
+            body += [f"{v} = {b} + {h}*_k{s - 1}_{j}"
+                     for j, (v, b) in enumerate(zip(state, base))]
+        body += [f"_k{s}_{j} = {state[n + j]}" for j in range(n)]
+        body += [f"_k{s}_{n + a} = -2.0*{src}" for a, src in enumerate(g_src)]
+    body += [f"{v} = {b} + _d6*(((_k1_{j} + 2.0*_k2_{j}) + 2.0*_k3_{j}) + _k4_{j})"
+             for j, (v, b) in enumerate(zip(state, base))]
+    # a non-finite term makes the sum non-finite; a sum that merely
+    # overflows only sends the step to the array path
+    body.append(f"if not _isfinite({' + '.join(state)}): return None")
+    locs = [f"_l{j}" for j in range(len(loci))]
+    body += [f"{v} = {_py_src(simplify(e), ctx)}" for v, e in zip(locs, loci)]
+    if locs:
+        body.append(f"if not _isfinite({' + '.join(locs)}): return None")
+    body.append(f"return ({', '.join(state)},), ({''.join(v + ',' for v in locs)})")
+    lines = (["def _step(_z, _p):", "    try:"]
+             + [f"        {line}" for line in body]
+             + ["    except (ArithmeticError, ValueError, LookupError, EvalDomainError):",
+                "        return None"])
+    return _exec_def(lines, "_step", _fn=fn_table, _h=0.5 * dt, _dt=dt,
+                     _d6=dt / 6.0, _isfinite=math.isfinite,
+                     EvalDomainError=EvalDomainError)

@@ -22,8 +22,8 @@ from .errors import (
 )
 from .expr import (
     Context, Expr, Point, SampleConfig, Tri, ZERO,
-    compile_exprs, evaluate, evaluate_with_magnitude, is_zero,
-    opaque_assignments, sample_points, simplify, tri_all,
+    compile_exprs, compile_rk4_step, evaluate, evaluate_with_magnitude,
+    is_zero, opaque_assignments, sample_points, simplify, tri_all,
 )
 from .forms import TwoForm, d_scalar, exterior_derivative_2, interior_product
 from .geometry import (
@@ -125,6 +125,14 @@ def _spray_field_numeric(S: SemiSpray, ctx: Context):
     return f, guard, loci
 
 
+def _rk4_array_step(f, z: np.ndarray, params: dict, dt: float) -> np.ndarray:
+    k1 = f(z, params)
+    k2 = f(z + 0.5 * dt * k1, params)
+    k3 = f(z + 0.5 * dt * k2, params)
+    k4 = f(z + dt * k3, params)
+    return z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 def integrate_sode(S: SemiSpray, p0: Point, dt: float, steps: int,
                    method: str = "rk4", ctx: Context | None = None,
                    rtol: float = 1e-9, atol: float = 1e-12) -> Trajectory:
@@ -134,6 +142,11 @@ def integrate_sode(S: SemiSpray, p0: Point, dt: float, steps: int,
     one delegates to scipy's embedded 4(5) pair.  Hitting a declared
     singular locus or producing a non-finite state stops the run early and
     returns the partial trajectory with the abort flag set.
+
+    rk4 runs one generated step on plain floats (compile_rk4_step), with
+    parameters kept exact.  A step that floats cannot finish (they raise
+    where numpy gives inf or nan) is redone on arrays with the same field
+    rk45 uses, so trajectories and abort reasons are the array step's.
     """
     if dt <= 0:
         raise ValidationError("step size must be positive")
@@ -150,35 +163,34 @@ def integrate_sode(S: SemiSpray, p0: Point, dt: float, steps: int,
     if method == "rk45":
         return _integrate_rk45(S, f, guard, loci, z0, params, dt, steps, rtol, atol)
 
+    step = compile_rk4_step(S.G, S.singular_loci, ctx, dt)
+    z = tuple(z0.tolist())
     times = [0.0]
-    states = [z0.copy()]
-    z = z0.copy()
-    locus_signs = np.sign(loci(z0, params))
+    states = [z]
+    # the initial values clear the guard, so none is zero, and no accepted
+    # step changes a sign: comparing with the start is the sign-change test
+    below = [v < 0 for v in loci(z0, params)]
     aborted = False
     reason = None
     for k in range(steps):
-        try:
-            k1 = f(z, params)
-            k2 = f(z + 0.5 * dt * k1, params)
-            k3 = f(z + 0.5 * dt * k2, params)
-            k4 = f(z + dt * k3, params)
-        except EvalDomainError as exc:
-            aborted, reason = True, f"evaluation failed: {exc}"
-            break
-        z_next = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(z_next)):
-            aborted, reason = True, "state became non-finite"
-            break
-        vals = loci(z_next, params)
-        signs = np.sign(vals)
-        if (min((abs(v) for v in vals), default=np.inf) <= LOCUS_GUARD
-                or np.any(signs * locus_signs < 0)):
+        out = step(z, params)
+        if out is None:
+            try:
+                z_arr = _rk4_array_step(f, np.array(z), params, dt)
+            except EvalDomainError as exc:
+                aborted, reason = True, f"evaluation failed: {exc}"
+                break
+            if not np.all(np.isfinite(z_arr)):
+                aborted, reason = True, "state became non-finite"
+                break
+            out = tuple(z_arr.tolist()), loci(z_arr, params)
+        z, vals = out
+        if vals and (min(map(abs, vals)) <= LOCUS_GUARD
+                     or [v < 0 for v in vals] != below):
             aborted, reason = True, "state entered a singular locus"
             break
-        locus_signs = signs
-        z = z_next
         times.append((k + 1) * dt)
-        states.append(z.copy())
+        states.append(z)
     return Trajectory(S.n, np.array(times), np.array(states), "rk4", dt,
                       params, aborted, reason)
 

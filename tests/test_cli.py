@@ -103,6 +103,15 @@ def test_numeric_domain_failures_exit_3(tmp_path, capsys):
     assert "numeric-domain error" in err
 
 
+def test_huge_exact_root_verifies(tmp_path, capsys):
+    f = tmp_path / "hugeroot.sdp"
+    f.write_text("dim = 1\nH = (10^400)^1/2\n"
+                 "integrate t=0.1 dt=0.01 method=rk4 seed=1 samples=1\n")
+    rc, out, err = _run(capsys, ["verify", str(f)])
+    assert rc == 0, err
+    assert "H: 1" + "0" * 200 + "\n" in out
+
+
 def test_unexpected_exceptions_exit_4(capsys, monkeypatch):
     def boom(path, pf, seed):
         raise RuntimeError("wired to fail")

@@ -1,13 +1,14 @@
 """Expression kernel: grammar, canonical form, calculus, zero testing."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from spraydirac.errors import EvalDomainError, ParseError
 from spraydirac.expr import (
-    Const, Context, Point, SampleConfig, Tri, Var, diff, evaluate,
+    Const, Context, Point, SampleConfig, Tri, Var, _iroot, diff, evaluate,
     format_expr, is_zero, parse, simplify,
 )
 
@@ -186,3 +187,13 @@ def test_constant_folding():
                     Point((0.0, 0.0), (0.0, 0.0), {}), CTX2) \
         == pytest.approx(math.sqrt(2))
     assert simplify(parse("0*x1 + y1", CTX2)) == Var("y", 1)
+
+
+def test_exact_roots_of_huge_integers():
+    # 10^400 is past the float range: a float root would overflow
+    assert simplify(parse("(10^400)^1/2", CTX2)) == Const(10 ** 200)
+    assert simplify(parse("(8/27)^2/3", CTX2)) == Const(Fraction(4, 9))
+    big = 3 ** 500 + 1
+    assert _iroot(big ** 7, 7) == big
+    assert _iroot(big ** 7 + 1, 7) is None
+    assert _iroot(2, 10 ** 9) is None

@@ -1,20 +1,27 @@
 """Flow invariants, the annihilation residual, and trajectory checks."""
 
+from fractions import Fraction
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from spraydirac.errors import (
-    DistributionMembershipError, SingularLocusError, ValidationError,
+    DistributionMembershipError, EvalDomainError, SingularLocusError,
+    ValidationError,
 )
 from spraydirac.expr import (
-    ONE, ZERO, Const, Context, Point, SampleConfig, Tri, parse, simplify,
+    ONE, ZERO, Const, Context, Point, SampleConfig, Tri, compile_exprs, parse,
+    sample_points, simplify,
 )
 from spraydirac.forms import TwoForm
+from spraydirac import motion
 from spraydirac.geometry import SemiSpray, berwald_frame
 from spraydirac.motion import (
     conservation_drift, hamiltonian_certificate, integrate_sode,
-    is_constant_of_motion, residual,
+    LOCUS_GUARD, is_constant_of_motion, residual,
 )
+from spraydirac.problemfile import load_problem_file, parse_problem_file
 
 
 CTX2 = Context(dim=2)
@@ -248,3 +255,124 @@ def test_certificate_with_constant_energy_is_trivial_but_green():
                                   CTX2, POS_CFG)
     assert rep.trivial
     assert rep.overall == "yes"
+
+
+# -- the generated float step against the array RK4 loop it replaced --------
+
+def _array_rk4(S, p0, dt, steps, ctx):
+    """The numpy RK4 loop integrate_sode ran before its generated float step."""
+    gfun = compile_exprs(S.G, ctx)
+    loci_fun = compile_exprs(S.singular_loci, ctx) if S.singular_loci else None
+    n = S.n
+
+    def f(z, params):
+        out = np.empty(2 * n)
+        out[:n] = z[n:]
+        out[n:] = [-2.0 * gi for gi in gfun(z, params)]
+        return out
+
+    def loci(z, params):
+        return loci_fun(z, params) if loci_fun is not None else ()
+
+    params = dict(ctx.params)
+    params.update(p0.params)
+    z = np.concatenate([np.asarray(p0.x, float), np.asarray(p0.y, float)])
+    times, states = [0.0], [z.copy()]
+    locus_signs = np.sign(loci(z, params))
+    for k in range(steps):
+        try:
+            k1 = f(z, params)
+            k2 = f(z + 0.5 * dt * k1, params)
+            k3 = f(z + 0.5 * dt * k2, params)
+            k4 = f(z + dt * k3, params)
+        except EvalDomainError as exc:
+            return times, states, True, f"evaluation failed: {exc}"
+        z_next = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.all(np.isfinite(z_next)):
+            return times, states, True, "state became non-finite"
+        vals = loci(z_next, params)
+        signs = np.sign(vals)
+        if (min((abs(v) for v in vals), default=np.inf) <= LOCUS_GUARD
+                or np.any(signs * locus_signs < 0)):
+            return times, states, True, "state entered a singular locus"
+        locus_signs = signs
+        z = z_next
+        times.append((k + 1) * dt)
+        states.append(z.copy())
+    return times, states, False, None
+
+
+def _assert_matches_array_loop(S, p0, dt, steps, ctx):
+    traj = integrate_sode(S, p0, dt, steps, "rk4", ctx)
+    times, states, aborted, reason = _array_rk4(S, p0, dt, steps, ctx)
+    assert np.array_equal(traj.times, np.array(times))
+    assert np.array_equal(traj.states, np.array(states))
+    assert (traj.aborted, traj.abort_reason) == (aborted, reason)
+    return traj
+
+
+PROBLEMS = Path(__file__).resolve().parents[1] / "demos" / "problems"
+
+
+@pytest.mark.parametrize("name", ["ex2", "ex3", "ex4"])
+def test_float_step_matches_array_loop_on_demos(name):
+    pf = load_problem_file(str(PROBLEMS / f"{name}.sdp"))
+    S, ctx = pf.semispray(), pf.context
+    cfg = SampleConfig(box=(-2.0, 2.0), seed=pf.integrate.seed)
+    for p in sample_points(ctx, cfg, S.singular_loci, count=3):
+        _assert_matches_array_loop(S, p, pf.integrate.dt, 150, ctx)
+
+
+def test_float_step_matches_array_loop_on_opaque_profile():
+    pf = parse_problem_file(
+        "dim = 2\nparam g = fn(exp(-x1^2) + x1/3)\n"
+        "spray G1 = g'(x1)*y1*y2 + g(x2)\nspray G2 = g''(x2)*y1^2\n")
+    S, ctx = pf.semispray(), pf.context
+    _assert_matches_array_loop(S, Point((0.3, -0.2), (0.5, 0.7)), 0.01, 200, ctx)
+
+
+def test_float_step_keeps_parameters_exact():
+    # 3*(1/10) is 0.3 exactly; the float 3*0.1 is 0.30000000000000004
+    ctx = Context(dim=2, params={"A": Fraction(1, 10)})
+    S = SemiSpray(2, (parse("3*A*sin(x1)", ctx), parse("A", ctx)))
+    traj = _assert_matches_array_loop(S, Point((0.4, 1.1), (0.2, -0.3)),
+                                      0.01, 300, ctx)
+    assert not traj.aborted
+    ctx3, S3 = _semispray3(Fraction(3, 10))
+    _assert_matches_array_loop(S3, Point((0.2, -0.4, 1.0), (0.3, 0.1, 1.0)),
+                               0.01, 100, ctx3)
+
+
+def test_float_step_matches_array_loop_at_locus_crossing():
+    ctx, S = _semispray3(0.3)
+    p0 = Point((0.0, 0.0, 0.0), (0.0, 0.0, 1.0), params={"A": 0.3})
+    traj = _assert_matches_array_loop(S, p0, 0.01, 400, ctx)
+    assert traj.abort_reason == "state entered a singular locus"
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_float_step_matches_array_loop_on_blowup():
+    traj = _assert_matches_array_loop(_spray2(), Point((0.0, 0.0), (1.0, -1.0)),
+                                      0.01, 200, CTX2)
+    assert traj.aborted
+
+
+@pytest.mark.filterwarnings("ignore:divide by zero")
+def test_float_step_falls_back_on_zero_denominator_mid_stage(monkeypatch):
+    array_steps = []
+    array_step = motion._rk4_array_step
+    monkeypatch.setattr(motion, "_rk4_array_step",
+                        lambda *a: array_steps.append(1) or array_step(*a))
+    # the second stage lands on y1 = 1 exactly: floats raise, numpy gives inf
+    ctx = Context(dim=1)
+    S = SemiSpray(1, (parse("1/(y1 - 1)", ctx),))
+    traj = _assert_matches_array_loop(S, Point((0.0,), (0.5,)), 0.25, 40, ctx)
+    assert traj.abort_reason == "evaluation failed: non-finite value in compiled evaluation"
+    assert len(array_steps) == 1
+    # here numpy's inf turns into exp(-inf) = 0: the array step finishes and
+    # the run goes on with the float step
+    array_steps.clear()
+    S = SemiSpray(1, (parse("exp(-1/(x1 - 1)^2)", ctx),))
+    traj = _assert_matches_array_loop(S, Point((0.5,), (4.0,)), 0.25, 40, ctx)
+    assert not traj.aborted
+    assert len(array_steps) == 1
