@@ -19,18 +19,21 @@ import numpy as np
 
 from .errors import ValidationError
 from .expr import (
-    Const, Context, Expr, Mul, Point, SampleConfig, Tri, Var, ZERO,
+    DEFAULT_SEED, Const, Context, Expr, Mul, Point, SampleConfig, Var, ZERO,
     evaluate, format_expr, sample_points, simplify, sum_exprs,
 )
 from .forms import TwoForm, d_scalar, format_two_form, interior_product
-from .geometry import SemiSpray, VectorField, berwald_frame, is_spray
-from .motion import MotionReport, _check_S_in_span, hamiltonian_certificate, residual
+from .geometry import SemiSpray, VectorField
+from .motion import MotionReport, _flow_distribution, hamiltonian_certificate, residual
 
 __all__ = [
     "Ansatz", "CandidateSolution", "SearchResult",
     "monomial_dictionary", "constant_two_form_dictionary",
     "assemble", "solve", "search",
 ]
+
+# Singular values at or below this fraction of the largest span the nullspace.
+RANK_TOL = 1e-8
 
 
 def monomial_dictionary(n: int, degree: int) -> list[Expr]:
@@ -63,7 +66,7 @@ class Ansatz:
     omega_dictionary: list[TwoForm] | None = None
     points: int = 0
     box: float = 2.0
-    seed: int = 20260823
+    seed: int = DEFAULT_SEED
 
     def __post_init__(self):
         # None means "use the default dictionary"; [] for omega means "no
@@ -143,25 +146,13 @@ class SearchResult:
                            / max(np.linalg.norm(v), 1e-300))
 
 
-def _frame_fields(S: SemiSpray, D_gens, ctx: Context, cfg: SampleConfig):
-    if D_gens is not None:
-        return list(D_gens)
-    if is_spray(S, ctx, cfg) is not Tri.PROVEN_ZERO:
-        raise ValidationError(
-            "no distribution given and the coefficients are not "
-            "2-homogeneous; supply generators containing the flow field")
-    return list(berwald_frame(S).horizontal)
-
-
 def assemble(S: SemiSpray, D_gens: Sequence[VectorField] | None, a: Ansatz,
-             ctx: Context, cfg: SampleConfig | None = None
-             ) -> tuple[np.ndarray, list[Point]]:
+             ctx: Context) -> tuple[np.ndarray, list[Point]]:
     """Collocation matrix: one row per (point, generator), one column per
     dictionary coefficient.  Rows are grouped by point and each group is
     scaled to unit max entry so no point dominates the factorization."""
-    cfg = cfg or SampleConfig(points=a.points, box=(-a.box, a.box), seed=a.seed)
-    gens = _frame_fields(S, D_gens, ctx, cfg)
-    _check_S_in_span(S, gens, ctx, cfg, S.singular_loci)
+    cfg = SampleConfig(points=a.points, box=(-a.box, a.box), seed=a.seed)
+    gens = _flow_distribution(S, D_gens, ctx, cfg)
     Svec = S.vector_field()
 
     # column expressions: rho contribution of each unknown on each generator
@@ -188,14 +179,14 @@ def assemble(S: SemiSpray, D_gens: Sequence[VectorField] | None, a: Ansatz,
     return M, pts
 
 
-def solve(M: np.ndarray, rank_tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
+def solve(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Nullspace basis (columns) and the singular values that justify it."""
     # a wide M needs the full V^T: null_idx reaches past len(s)
     _, s, vt = np.linalg.svd(M, full_matrices=M.shape[0] < M.shape[1])
     smax = s[0] if len(s) else 0.0
     ncols = M.shape[1]
     null_idx = [i for i in range(ncols)
-                if i >= len(s) or s[i] <= rank_tol * max(smax, 1e-300)]
+                if i >= len(s) or s[i] <= RANK_TOL * max(smax, 1e-300)]
     if smax == 0.0:
         null_idx = list(range(ncols))
     basis = vt.T[:, null_idx] if null_idx else np.zeros((ncols, 0))
@@ -264,9 +255,7 @@ def _canonical_directions(basis: np.ndarray) -> list[np.ndarray]:
 
 
 def search(S: SemiSpray, D_gens: Sequence[VectorField] | None, a: Ansatz,
-           ctx: Context, cfg: SampleConfig | None = None,
-           rank_tol: float = 1e-8, with_certificates: bool = True
-           ) -> SearchResult:
+           ctx: Context, with_certificates: bool = True) -> SearchResult:
     """assemble, factor, decode, then keep only what re-verifies.
 
     Trivial directions (numerically constant H) are counted and dropped;
@@ -274,8 +263,8 @@ def search(S: SemiSpray, D_gens: Sequence[VectorField] | None, a: Ansatz,
     check are counted as rejected.  Verification always happens at fresh
     sample points, never the collocation points themselves.
     """
-    M, pts = assemble(S, D_gens, a, ctx, cfg)
-    basis, svals = solve(M, rank_tol)
+    M, pts = assemble(S, D_gens, a, ctx)
+    basis, svals = solve(M)
     verify_cfg = SampleConfig(points=50, box=(-a.box, a.box), seed=a.seed + 101)
     dh_cfg = SampleConfig(points=20, box=(-a.box, a.box), seed=a.seed + 202)
     dh_pts = sample_points(ctx, dh_cfg, S.singular_loci, count=20)

@@ -19,8 +19,8 @@ from .errors import (
     EvalDomainError, InternalError, ParseError, SprayDiracError,
     ValidationError,
 )
-from .expr import SampleConfig, format_expr, sample_points, simplify
-from .forms import BERWALD, TwoForm, basis_label
+from .expr import DEFAULT_SEED, SampleConfig, format_expr, sample_points, simplify
+from .forms import BERWALD, TwoForm, format_coefficient, format_two_form
 from .geometry import (
     berwald_frame, connection_coefficients, curvature, is_flat, is_semispray,
     is_spray,
@@ -28,8 +28,6 @@ from .geometry import (
 from .motion import conservation_drift, hamiltonian_certificate, integrate_sode
 from .ansatz import Ansatz, search
 from .problemfile import ProblemFile, load_problem_file
-
-DEFAULT_SEED = 20260823
 
 
 def _verdict_seed(seed_arg: int | None) -> int:
@@ -60,23 +58,6 @@ def _fmt_section(s) -> str:
     return f"field {_fmt_field(s.X)} form {_fmt_oneform(s.alpha)}"
 
 
-def _fmt_coeff(e) -> str:
-    t = format_expr(simplify(e))
-    return f"({t})" if any(c in t[1:] for c in "+-") or t.startswith("-") else t
-
-
-def _fmt_two_form(w: TwoForm) -> str:
-    items = sorted(w.items())
-    if not items:
-        return "0"
-    parts = []
-    for (i, j), c in items:
-        pair = f"{basis_label(w.n, w.basis, i)}^{basis_label(w.n, w.basis, j)}"
-        coeff = _fmt_coeff(c)
-        parts.append(pair if coeff == "1" else f"{coeff}*{pair}")
-    return " + ".join(parts)
-
-
 def _coframe_text(n: int, N) -> list[str]:
     out = []
     for a in range(n):
@@ -84,7 +65,7 @@ def _coframe_text(n: int, N) -> list[str]:
         for i in range(n):
             c = simplify(N[a][i])
             if format_expr(c) != "0":
-                s += f" + {_fmt_coeff(c)}*dx{i + 1}"
+                s += f" + {format_coefficient(c)}*dx{i + 1}"
         out.append(s)
     return out
 
@@ -203,7 +184,7 @@ def cmd_verify(path: str, pf: ProblemFile, seed_arg: int | None) -> dict:
     omega = _prepared_omega(pf, S)
     rep = _base_report("verify", path, pf, seed)
     rep["H"] = format_expr(simplify(pf.H))
-    rep["omega"] = _fmt_two_form(omega)
+    rep["omega"] = format_two_form(omega)
     rep["distribution"] = ([_fmt_field(X) for X in pf.dist]
                           if pf.dist else "berwald-horizontal (default)")
     cert = hamiltonian_certificate(S, omega, pf.H, pf.dist, pf.ann, ctx, cfg)
@@ -263,7 +244,7 @@ def cmd_search(path: str, pf: ProblemFile, seed_arg: int | None) -> dict:
     }
     rep["candidates"] = [{
         "H": format_expr(simplify(c.H)),
-        "omega": _fmt_two_form(c.omega),
+        "omega": format_two_form(c.omega),
         "verified": c.verified,
         "certificate": c.certificate.overall if c.certificate else "not-evaluated",
     } for c in res.candidates]

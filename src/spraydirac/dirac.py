@@ -23,7 +23,7 @@ from .errors import (
     RankDeficientError, SingularLocusError, ValidationError,
 )
 from .expr import (
-    Add, Const, Context, Expr, Mul, Neg, Point, SampleConfig, Tri, ZERO,
+    DEFAULT_SEED, Add, Const, Context, Expr, Mul, Neg, Point, SampleConfig, Tri, ZERO,
     evaluate, evaluate_with_magnitude, is_zero, opaque_assignments,
     sample_points, simplify, sum_exprs,
 )
@@ -37,6 +37,14 @@ __all__ = [
 ]
 
 HALF = Const(Fraction(1, 2))
+# Relative tolerance of the pointwise rank, isotropy, membership and
+# annihilation tests.
+POINTWISE_TOL = 1e-9
+
+
+def _default_opaque(exprs: Sequence[Expr], p: Point, ctx: Context) -> dict:
+    """Opaque-function values at p drawn from a fresh DEFAULT_SEED stream."""
+    return opaque_assignments(exprs, p, ctx, np.random.default_rng(DEFAULT_SEED))
 
 
 @dataclass(frozen=True)
@@ -96,7 +104,7 @@ def courant_bracket(a: Section, b: Section) -> Section:
 
 
 def jacobi_anomaly(a1: Section, a2: Section, a3: Section, p: Point,
-                   ctx: Context, opaque=None) -> tuple[np.ndarray, np.ndarray]:
+                   ctx: Context) -> tuple[np.ndarray, np.ndarray]:
     """Both sides of the bracket-Jacobi defect identity, evaluated at p.
 
     The cyclic double bracket equals the exact one-form d T with
@@ -115,9 +123,7 @@ def jacobi_anomaly(a1: Section, a2: Section, a3: Section, p: Point,
     for s in lhs_sections:
         all_exprs.extend(s.components())
     all_exprs.extend(rhs_form.dx + rhs_form.dy)
-    if opaque is None:
-        rng = np.random.default_rng(SampleConfig().seed)
-        opaque = opaque_assignments(all_exprs, p, ctx, rng)
+    opaque = _default_opaque(all_exprs, p, ctx)
     lhs = np.zeros(4 * n)
     for s in lhs_sections:
         lhs += s.evaluate(p, ctx, opaque)
@@ -177,8 +183,7 @@ class AlmostDirac:
         """Rows are evaluated generators; auto-annihilator rows appended
         when the structure was built from a distribution alone."""
         if opaque is None:
-            rng = np.random.default_rng(SampleConfig().seed)
-            opaque = opaque_assignments(self.all_exprs(), p, ctx, rng)
+            opaque = _default_opaque(self.all_exprs(), p, ctx)
         rows = [g.evaluate(p, ctx, opaque) for g in self.generators]
         if self.auto_annihilator:
             vec_rows = np.array([r[: 2 * self.n] for r in rows
@@ -190,20 +195,19 @@ class AlmostDirac:
         return np.array(rows)
 
 
-def _matrix_rank(M: np.ndarray, tol: float) -> int:
+def _matrix_rank(M: np.ndarray) -> int:
     if M.size == 0:
         return 0
     scale = max(1.0, float(np.max(np.abs(M))))
     s = scipy.linalg.svdvals(M)
-    return int(np.sum(s > tol * scale))
+    return int(np.sum(s > POINTWISE_TOL * scale))
 
 
 def from_distribution(D_gens: Sequence[VectorField],
                       ann_gens: Sequence[OneForm] | None,
                       ctx: Context,
                       cfg: SampleConfig | None = None,
-                      loci: Sequence[Expr] = (),
-                      tol: float = 1e-9) -> AlmostDirac:
+                      loci: Sequence[Expr] = ()) -> AlmostDirac:
     """Build the structure spanned by (X_i, 0) and (0, eta_j).
 
     Annihilation eta_j(X_i) = 0 is checked symbolically first, falling back
@@ -234,9 +238,9 @@ def from_distribution(D_gens: Sequence[VectorField],
                 continue
             worst = None
             for p in pts:
-                opaque = opaque_assignments((resid,), p, ctx, rng, cfg)
+                opaque = opaque_assignments((resid,), p, ctx, rng)
                 val, mag = evaluate_with_magnitude(resid, p, ctx, opaque)
-                if abs(val) > tol * max(1.0, mag):
+                if abs(val) > POINTWISE_TOL * max(1.0, mag):
                     worst = (p, val)
                     break
             if worst is not None:
@@ -257,17 +261,17 @@ def from_distribution(D_gens: Sequence[VectorField],
     for eta in etas:
         all_comps.extend(eta.component(i) for i in range(2 * n))
     for p in pts:
-        opaque = opaque_assignments(all_comps, p, ctx, rng, cfg)
+        opaque = opaque_assignments(all_comps, p, ctx, rng)
         D_mat = np.array([[evaluate(X.component(i), p, ctx, opaque)
                            for i in range(2 * n)] for X in D_gens])
-        if _matrix_rank(D_mat, tol) < k:
+        if _matrix_rank(D_mat) < k:
             raise RankDeficientError(
                 f"distribution generators dependent at a sampled point "
                 f"(rank < {k})")
         if etas:
             A_mat = np.array([[evaluate(eta.component(i), p, ctx, opaque)
                                for i in range(2 * n)] for eta in etas])
-            ann_rank = max(ann_rank, _matrix_rank(A_mat, tol))
+            ann_rank = max(ann_rank, _matrix_rank(A_mat))
 
     deficit = 0 if auto else (2 * n - k) - ann_rank
     if deficit < 0:
@@ -293,27 +297,24 @@ def gauge_transform(L: AlmostDirac, omega: TwoForm) -> AlmostDirac:
         gauge_of=L, gauge_form=omega)
 
 
-def is_isotropic_at(L: AlmostDirac, p: Point, ctx: Context,
-                    tol: float = 1e-9, opaque=None) -> bool:
+def is_isotropic_at(L: AlmostDirac, p: Point, ctx: Context) -> bool:
     L._guard_locus(p, ctx)
-    B = L.generator_matrix(p, ctx, opaque)
+    B = L.generator_matrix(p, ctx)
     n = L.n
     V, W = B[:, : 2 * n], B[:, 2 * n:]
     gram = V @ W.T + W @ V.T
     scale = max(1.0, float(np.max(np.sum(B * B, axis=1))))
-    return bool(np.max(np.abs(gram)) <= tol * scale)
+    return bool(np.max(np.abs(gram)) <= POINTWISE_TOL * scale)
 
 
-def is_maximal_at(L: AlmostDirac, p: Point, ctx: Context,
-                  tol: float = 1e-9, opaque=None) -> bool:
+def is_maximal_at(L: AlmostDirac, p: Point, ctx: Context) -> bool:
     L._guard_locus(p, ctx)
-    B = L.generator_matrix(p, ctx, opaque)
-    return _matrix_rank(B, tol) == 2 * L.n
+    B = L.generator_matrix(p, ctx)
+    return _matrix_rank(B) == 2 * L.n
 
 
 def involutivity_residual(L: AlmostDirac, p: Point, ctx: Context,
-                          tol: float = 1e-9, require_maximal: bool = True,
-                          opaque=None) -> float:
+                          require_maximal: bool = True) -> float:
     """Largest norm of a generator bracket's component outside span(L_p).
 
     Zero residual at p is the pointwise closure condition.  With
@@ -323,15 +324,13 @@ def involutivity_residual(L: AlmostDirac, p: Point, ctx: Context,
     """
     L._guard_locus(p, ctx)
     g = len(L.generators)
-    if opaque is None:
-        exprs = L.all_exprs()
-        for i in range(g):
-            for j in range(i + 1, g):
-                exprs.extend(L.bracket(i, j).components())
-        rng = np.random.default_rng(SampleConfig().seed)
-        opaque = opaque_assignments(exprs, p, ctx, rng)
+    exprs = L.all_exprs()
+    for i in range(g):
+        for j in range(i + 1, g):
+            exprs.extend(L.bracket(i, j).components())
+    opaque = _default_opaque(exprs, p, ctx)
     B = L.generator_matrix(p, ctx, opaque)
-    rank = _matrix_rank(B, tol)
+    rank = _matrix_rank(B)
     if rank < 2 * L.n and require_maximal:
         raise RankDeficientError(
             f"evaluated span has rank {rank} < {2 * L.n} at the given point")
@@ -345,8 +344,7 @@ def involutivity_residual(L: AlmostDirac, p: Point, ctx: Context,
     return worst
 
 
-def kernel_at(L: AlmostDirac, p: Point, ctx: Context,
-              tol: float = 1e-9) -> list[np.ndarray]:
+def kernel_at(L: AlmostDirac, p: Point, ctx: Context) -> list[np.ndarray]:
     """Orthonormal basis of the vectors v with (v, 0) in the evaluated span."""
     L._guard_locus(p, ctx)
     B = L.generator_matrix(p, ctx)
@@ -357,15 +355,15 @@ def kernel_at(L: AlmostDirac, p: Point, ctx: Context,
         return []
     candidates = (V.T @ null).T
     scale = max(1.0, float(np.max(np.abs(B))))
-    keep = candidates[np.linalg.norm(candidates, axis=1) > tol * scale]
+    keep = candidates[np.linalg.norm(candidates, axis=1) > POINTWISE_TOL * scale]
     if keep.size == 0:
         return []
     _, s, vt = np.linalg.svd(keep, full_matrices=False)
-    return [vt[i] for i in range(len(s)) if s[i] > tol * scale]
+    return [vt[i] for i in range(len(s)) if s[i] > POINTWISE_TOL * scale]
 
 
 def leaf_two_form_at(L: AlmostDirac, p: Point, Xv: np.ndarray, Yv: np.ndarray,
-                     ctx: Context, tol: float = 1e-9) -> float:
+                     ctx: Context) -> float:
     """omega(Xv, Yv) = alpha(Yv) for any alpha with (Xv, alpha) in the span.
 
     Well-definedness across the solution set is asserted by recomputing
@@ -379,7 +377,7 @@ def leaf_two_form_at(L: AlmostDirac, p: Point, Xv: np.ndarray, Yv: np.ndarray,
     Yv = np.asarray(Yv, dtype=float)
     for v, name in ((Xv, "first"), (Yv, "second")):
         sol, *_ = np.linalg.lstsq(V.T, v, rcond=None)
-        if np.linalg.norm(V.T @ sol - v) > tol * max(1.0, np.linalg.norm(v)):
+        if np.linalg.norm(V.T @ sol - v) > POINTWISE_TOL * max(1.0, np.linalg.norm(v)):
             raise DistributionMembershipError(
                 f"{name} argument is outside the characteristic distribution")
     c, *_ = np.linalg.lstsq(V.T, Xv, rcond=None)
@@ -389,7 +387,7 @@ def leaf_two_form_at(L: AlmostDirac, p: Point, Xv: np.ndarray, Yv: np.ndarray,
     if null.shape[1]:
         alpha2 = W.T @ (c + null[:, 0])
         value2 = float(alpha2 @ Yv)
-        if abs(value2 - value) > max(tol, 1e-9 * max(1.0, abs(value))):
+        if abs(value2 - value) > POINTWISE_TOL * max(1.0, abs(value)):
             raise InternalError(
                 "leaf two-form value depends on the solution choice; "
                 "the structure is not isotropic over these arguments")

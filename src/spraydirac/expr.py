@@ -25,7 +25,7 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -35,7 +35,7 @@ __all__ = [
     "Expr", "Const", "Var", "Param", "Call", "FuncApp", "Neg", "Add", "Mul", "Div", "Pow",
     "Tri", "Context", "Point", "SampleConfig",
     "parse", "simplify", "diff", "evaluate", "is_zero", "format_expr",
-    "as_expr", "const", "var", "sum_exprs", "tri_all", "sample_points",
+    "as_expr", "sum_exprs", "tri_all", "sample_points",
     "compile_exprs", "compile_rk4_step", "opaque_assignments",
 ]
 
@@ -310,14 +310,6 @@ def sum_exprs(parts) -> Expr:
     return Add(parts)
 
 
-def const(v) -> Const:
-    return Const(v)
-
-
-def var(axis: str, index: int) -> Var:
-    return Var(axis, index)
-
-
 # ---------------------------------------------------------------------------
 # declaration context and evaluation points
 
@@ -368,10 +360,6 @@ class Context:
             self._deriv_cache[key] = e
         return self._deriv_cache[key]
 
-    def coordinates(self) -> list[Var]:
-        n = self.dim
-        return [Var("x", i) for i in range(1, n + 1)] + [Var("y", a) for a in range(1, n + 1)]
-
 
 @dataclass
 class Point:
@@ -390,15 +378,6 @@ class Point:
     @property
     def n(self) -> int:
         return len(self.x)
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.x + self.y, dtype=float)
-
-    @classmethod
-    def from_array(cls, z: np.ndarray, params: dict[str, float] | None = None) -> "Point":
-        z = np.asarray(z, dtype=float)
-        n = z.size // 2
-        return cls(tuple(z[:n]), tuple(z[n:]), dict(params or {}))
 
 
 # ---------------------------------------------------------------------------
@@ -884,11 +863,6 @@ def simplify(e: Expr) -> Expr:
     return _emit(_nf(e))
 
 
-def is_zero_expr(e: Expr) -> bool:
-    """Structural test: does e canonicalize to the constant 0."""
-    return not _nf(e)
-
-
 # ---------------------------------------------------------------------------
 # differentiation
 
@@ -1055,24 +1029,29 @@ def evaluate_with_magnitude(e: Expr, p: Point, ctx: Context | None = None,
 # ---------------------------------------------------------------------------
 # sampling and the tri-state zero test
 
+# Seed of every sampler, search and integration batch given none.
+DEFAULT_SEED = 20260823
+# Draws closer than this to a declared singular locus (measured by the locus
+# expression's value) are rejected and redrawn.
+SAMPLE_LOCUS_GUARD = 0.5
+# is_zero's nonzero threshold, relative to the sample's term magnitude.
+ZERO_TOL = 1e-9
+# Fewest draws a sampler spends before it gives up.
+SAMPLE_MAX_TRIES = 400
+
 
 @dataclass
 class SampleConfig:
     """Controls for numeric sampling.
 
     box is the closed interval used for every coordinate and for unbound
-    scalar parameters; coord_boxes overrides it per coordinate name.  Points
-    closer than locus_guard to a declared singular locus (measured by the
-    locus expression's value) are rejected and redrawn.
+    scalar parameters; coord_boxes overrides it per coordinate name.
     """
 
     points: int = 32
     box: tuple[float, float] = (-2.0, 2.0)
     coord_boxes: dict[str, tuple[float, float]] = field(default_factory=dict)
-    locus_guard: float = 0.5
-    tol: float = 1e-9
-    seed: int = 20260823
-    max_tries: int = 400
+    seed: int = DEFAULT_SEED
 
 
 def _draw_point(ctx: Context, rng: np.random.Generator, cfg: SampleConfig) -> Point:
@@ -1089,6 +1068,23 @@ def _draw_point(ctx: Context, rng: np.random.Generator, cfg: SampleConfig) -> Po
     return Point(x, y, params)
 
 
+def _clear_draws(ctx: Context, cfg: SampleConfig, loci: Sequence[Expr],
+                 rng: np.random.Generator, limit: int) -> Iterator[Point]:
+    """Make up to `limit` draws; yield each one that keeps clear of the loci.
+
+    Drawing is lazy, so whatever a consumer takes from rng between two
+    points stays interleaved with the draws.
+    """
+    for _ in range(limit):
+        p = _draw_point(ctx, rng, cfg)
+        try:
+            near = any(abs(evaluate(g, p, ctx)) < SAMPLE_LOCUS_GUARD for g in loci)
+        except EvalDomainError:
+            near = True
+        if not near:
+            yield p
+
+
 def sample_points(ctx: Context, cfg: SampleConfig | None = None,
                   loci: Sequence[Expr] = (), count: int | None = None,
                   rng: np.random.Generator | None = None) -> list[Point]:
@@ -1096,23 +1092,9 @@ def sample_points(ctx: Context, cfg: SampleConfig | None = None,
     cfg = cfg or SampleConfig()
     rng = rng or np.random.default_rng(cfg.seed)
     want = count if count is not None else cfg.points
-    out: list[Point] = []
-    tries = 0
-    limit = max(cfg.max_tries, 10 * want)
-    while len(out) < want and tries < limit:
-        tries += 1
-        p = _draw_point(ctx, rng, cfg)
-        ok = True
-        for g in loci:
-            try:
-                if abs(evaluate(g, p, ctx)) < cfg.locus_guard:
-                    ok = False
-                    break
-            except EvalDomainError:
-                ok = False
-                break
-        if ok:
-            out.append(p)
+    limit = max(SAMPLE_MAX_TRIES, 10 * want)
+    # zip stops without another draw once range(want) runs out
+    out = [p for _, p in zip(range(want), _clear_draws(ctx, cfg, loci, rng, limit))]
     if len(out) < want:
         raise ValidationError(
             f"could not draw {want} sample points clear of the singular loci "
@@ -1139,8 +1121,7 @@ def _collect_funcapps(e: Expr, found: set) -> None:
 
 
 def opaque_assignments(exprs: Sequence[Expr], p: Point, ctx: Context,
-                       rng: np.random.Generator,
-                       cfg: "SampleConfig | None" = None) -> dict:
+                       rng: np.random.Generator) -> dict:
     """Sample values for unbound opaque-function applications at one point.
 
     Each distinct (name, order, argument value) gets an independent draw, so
@@ -1166,11 +1147,6 @@ def opaque_assignments(exprs: Sequence[Expr], p: Point, ctx: Context,
             mag = float(rng.uniform(0.25, 2.0))
             out[key] = mag if rng.uniform() < 0.5 else -mag
     return out
-
-
-def _opaque_values(e: Expr, p: Point, ctx: Context,
-                   rng: np.random.Generator, cfg: SampleConfig) -> dict:
-    return opaque_assignments((e,), p, ctx, rng, cfg)
 
 
 def _nf_expand_sums(nf: _NF) -> _NF:
@@ -1224,25 +1200,19 @@ def is_zero(e: Expr, ctx: Context, cfg: SampleConfig | None = None,
     cfg = cfg or SampleConfig()
     rng = np.random.default_rng(cfg.seed)
     s = _emit(nf)
+    draws = _clear_draws(ctx, cfg, loci, rng, max(SAMPLE_MAX_TRIES, 4 * cfg.points))
     good = 0
-    for _ in range(max(cfg.max_tries, 4 * cfg.points)):
-        if good >= cfg.points:
+    while good < cfg.points:
+        p = next(draws, None)
+        if p is None:
             break
-        p = _draw_point(ctx, rng, cfg)
         try:
-            skip = False
-            for g in loci:
-                if abs(evaluate(g, p, ctx)) < cfg.locus_guard:
-                    skip = True
-                    break
-            if skip:
-                continue
-            opaque = _opaque_values(s, p, ctx, rng, cfg)
+            opaque = opaque_assignments((s,), p, ctx, rng)
             v, mag = evaluate_with_magnitude(s, p, ctx, opaque)
         except EvalDomainError:
             continue
         good += 1
-        if abs(v) > cfg.tol * max(1.0, mag):
+        if abs(v) > ZERO_TOL * max(1.0, mag):
             return Tri.PROVEN_NONZERO
     return Tri.UNKNOWN
 

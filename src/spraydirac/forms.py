@@ -19,7 +19,7 @@ import numpy as np
 from .errors import ValidationError
 from .expr import (
     Add, Context, Expr, Mul, Neg, Point, Var, ZERO, ONE,
-    as_expr, diff, evaluate, simplify, sum_exprs,
+    as_expr, diff, evaluate, format_expr, simplify, sum_exprs,
 )
 from .geometry import OneForm, VectorField
 
@@ -27,7 +27,8 @@ __all__ = [
     "TwoForm", "ThreeForm", "COORD", "BERWALD",
     "flat_var", "basis_label", "d_scalar", "wedge",
     "exterior_derivative_1", "exterior_derivative_2",
-    "interior_product", "lie_derivative", "format_two_form",
+    "interior_product", "lie_derivative", "format_coefficient",
+    "format_two_form",
 ]
 
 COORD = "coord"
@@ -305,23 +306,21 @@ def lie_derivative(X: VectorField, alpha: OneForm) -> OneForm:
     return first + second
 
 
+def format_coefficient(e: Expr) -> str:
+    """Canonical text of e, parenthesized when it holds a + or a -."""
+    t = format_expr(simplify(e))
+    return f"({t})" if any(c in t[1:] for c in "+-") or t.startswith("-") else t
+
+
 def format_two_form(omega: TwoForm) -> str:
-    from .expr import format_expr
-    if omega.is_structurally_zero():
-        return "0"
+    """Report text: `coeff*dxi^dyj` terms joined by ' + ', or '0'.
+
+    Every coefficient goes through format_coefficient, so a negative one
+    reads `(-2)*dx1^dy1`; a unit coefficient is left out.
+    """
     parts = []
-    for (i, j), w in omega.items():
-        head = basis_label(omega.n, omega.basis, i) + "^" + basis_label(omega.n, omega.basis, j)
-        ws = format_expr(w)
-        if ws == "1":
-            parts.append(head)
-        elif ws == "-1":
-            parts.append("-" + head)
-        else:
-            if ("+" in ws[1:]) or ("-" in ws[1:]):
-                ws = "(" + ws + ")"
-            parts.append(ws + "*" + head)
-    text = parts[0]
-    for p in parts[1:]:
-        text += (" - " + p[1:]) if p.startswith("-") else (" + " + p)
-    return text
+    for (i, j), c in omega.items():
+        pair = f"{basis_label(omega.n, omega.basis, i)}^{basis_label(omega.n, omega.basis, j)}"
+        coeff = format_coefficient(c)
+        parts.append(pair if coeff == "1" else f"{coeff}*{pair}")
+    return " + ".join(parts) or "0"

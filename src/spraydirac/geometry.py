@@ -14,12 +14,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
 from .errors import InternalError, ValidationError
 from .expr import (
-    Add, Const, Context, Expr, Mul, Neg, Point, SampleConfig, Tri, Var, ZERO,
-    as_expr, diff, evaluate, is_zero, simplify, sum_exprs, tri_all,
+    Add, Const, Context, Expr, Mul, Neg, SampleConfig, Tri, Var, ZERO,
+    as_expr, diff, is_zero, simplify, sum_exprs, tri_all,
 )
 
 __all__ = [
@@ -91,10 +89,6 @@ class VectorField:
         return VectorField(self.n, tuple(simplify(c) for c in self.base),
                            tuple(simplify(c) for c in self.fiber))
 
-    def evaluate(self, p: Point, ctx: Context) -> np.ndarray:
-        vals = [evaluate(c, p, ctx) for c in self.base + self.fiber]
-        return np.array(vals, dtype=float)
-
 
 @dataclass(frozen=True)
 class OneForm:
@@ -141,10 +135,6 @@ class OneForm:
     def simplified(self) -> "OneForm":
         return OneForm(self.n, tuple(simplify(c) for c in self.dx),
                        tuple(simplify(c) for c in self.dy))
-
-    def evaluate(self, p: Point, ctx: Context) -> np.ndarray:
-        vals = [evaluate(c, p, ctx) for c in self.dx + self.dy]
-        return np.array(vals, dtype=float)
 
 
 def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
@@ -295,11 +285,10 @@ class CurvatureTensor:
                 for j in range(i + 1, self.n)]
 
 
-def curvature(S: SemiSpray, frame: BerwaldFrame | None = None,
-              cross_check: bool = True) -> CurvatureTensor:
+def curvature(S: SemiSpray, frame: BerwaldFrame | None = None) -> CurvatureTensor:
     """R^a_ij = delta_j(N^a_i) - delta_i(N^a_j).
 
-    With cross_check on, the horizontal Lie brackets are recomputed
+    As a cross-check the horizontal Lie brackets are recomputed
     independently and must match sum_a R^a_ij d/dy_a exactly; a mismatch
     raises InternalError since the two routes are the same identity.
     """
@@ -317,17 +306,16 @@ def curvature(S: SemiSpray, frame: BerwaldFrame | None = None,
                     R[a][i][j] = simplify(term)
                 else:
                     R[a][i][j] = simplify(Neg(R[a][j][i]))
-    if cross_check:
-        for i in range(n):
-            for j in range(i + 1, n):
-                br = lie_bracket(fr.horizontal[i], fr.horizontal[j])
-                for k in range(n):
-                    if br.base[k] != ZERO:
-                        raise InternalError("horizontal bracket grew a base component")
-                for a in range(n):
-                    if simplify(Add((br.fiber[a], Neg(R[a][i][j])))) != ZERO:
-                        raise InternalError(
-                            f"curvature component ({a},{i},{j}) disagrees with the bracket")
+    for i in range(n):
+        for j in range(i + 1, n):
+            br = lie_bracket(fr.horizontal[i], fr.horizontal[j])
+            for k in range(n):
+                if br.base[k] != ZERO:
+                    raise InternalError("horizontal bracket grew a base component")
+            for a in range(n):
+                if simplify(Add((br.fiber[a], Neg(R[a][i][j])))) != ZERO:
+                    raise InternalError(
+                        f"curvature component ({a},{i},{j}) disagrees with the bracket")
     return CurvatureTensor(n, tuple(tuple(tuple(row) for row in plane) for plane in R))
 
 

@@ -30,7 +30,7 @@ from .geometry import (
     OneForm, SemiSpray, VectorField, berwald_frame, is_flat, is_spray,
     lie_bracket, span_membership,
 )
-from .dirac import AlmostDirac, from_distribution, gauge_transform
+from .dirac import POINTWISE_TOL, AlmostDirac, from_distribution, gauge_transform
 
 __all__ = [
     "MotionReport", "Trajectory", "residual", "is_constant_of_motion",
@@ -42,6 +42,9 @@ __all__ = [
 # close to zero; small enough to keep the usable trajectory long, large
 # enough that coefficient evaluation stays finite.
 LOCUS_GUARD = 1e-3
+# Relative and absolute error tolerances of the adaptive rk45 integrator.
+RK45_RTOL = 1e-9
+RK45_ATOL = 1e-12
 
 
 @dataclass
@@ -85,14 +88,6 @@ class Trajectory:
         if len(self.times) > 1 and not np.all(np.diff(self.times) > 0):
             raise ValidationError("trajectory times must strictly increase")
 
-    def point(self, i: int) -> Point:
-        row = self.states[i]
-        return Point(tuple(row[: self.n]), tuple(row[self.n:]), dict(self.params))
-
-    def points(self):
-        for i in range(len(self.times)):
-            yield self.point(i)
-
 
 def is_constant_of_motion(S: SemiSpray, H: Expr, ctx: Context,
                           cfg: SampleConfig | None = None) -> Tri:
@@ -134,8 +129,7 @@ def _rk4_array_step(f, z: np.ndarray, params: dict, dt: float) -> np.ndarray:
 
 
 def integrate_sode(S: SemiSpray, p0: Point, dt: float, steps: int,
-                   method: str = "rk4", ctx: Context | None = None,
-                   rtol: float = 1e-9, atol: float = 1e-12) -> Trajectory:
+                   method: str = "rk4", ctx: Context | None = None) -> Trajectory:
     """March the first-order system from p0.
 
     The fixed-step method is the classic fourth-order scheme; the adaptive
@@ -161,7 +155,7 @@ def integrate_sode(S: SemiSpray, p0: Point, dt: float, steps: int,
         raise SingularLocusError("initial state lies on or near a singular locus")
 
     if method == "rk45":
-        return _integrate_rk45(S, f, guard, loci, z0, params, dt, steps, rtol, atol)
+        return _integrate_rk45(S, f, guard, loci, z0, params, dt, steps)
 
     step = compile_rk4_step(S.G, S.singular_loci, ctx, dt)
     z = tuple(z0.tolist())
@@ -195,7 +189,7 @@ def integrate_sode(S: SemiSpray, p0: Point, dt: float, steps: int,
                       params, aborted, reason)
 
 
-def _integrate_rk45(S, f, guard, loci, z0, params, dt, steps, rtol, atol) -> Trajectory:
+def _integrate_rk45(S, f, guard, loci, z0, params, dt, steps) -> Trajectory:
     T = dt * steps
     aborted = False
     reason = None
@@ -214,7 +208,7 @@ def _integrate_rk45(S, f, guard, loci, z0, params, dt, steps, rtol, atol) -> Tra
         ev.direction = 0
         events.append(ev)
     try:
-        sol = solve_ivp(rhs, (0.0, T), z0, method="RK45", rtol=rtol, atol=atol,
+        sol = solve_ivp(rhs, (0.0, T), z0, method="RK45", rtol=RK45_RTOL, atol=RK45_ATOL,
                         events=events, max_step=max(dt, T / 50.0))
     except EvalDomainError as exc:
         return Trajectory(S.n, np.array([0.0]), np.array([z0]), "rk45", dt,
@@ -245,25 +239,40 @@ def conservation_drift(traj: Trajectory, H: Expr, ctx: Context) -> float:
     return float(np.max(np.abs(vals - vals[0])))
 
 
-def _check_S_in_span(S: SemiSpray, D_gens: Sequence[VectorField], ctx: Context,
-                     cfg: SampleConfig, loci, tol: float = 1e-9) -> None:
+def _flow_distribution(S: SemiSpray, D_gens: Sequence[VectorField] | None,
+                       ctx: Context, cfg: SampleConfig) -> list[VectorField]:
+    """The generators to test on, after checking that S lies in their span.
+
+    With no distribution given the horizontal frame of S is used, which is
+    legitimate only when S is a spray; otherwise the caller must supply
+    generators whose span contains S.
+    """
+    if D_gens is None:
+        if is_spray(S, ctx, cfg) is not Tri.PROVEN_ZERO:
+            raise ValidationError(
+                "no distribution given and the coefficients are not "
+                "2-homogeneous; supply generators containing the flow field")
+        D_gens = berwald_frame(S).horizontal
+    D_gens = list(D_gens)
     rng = np.random.default_rng(cfg.seed)
-    pts = sample_points(ctx, cfg, loci, count=max(8, cfg.points // 4), rng=rng)
+    pts = sample_points(ctx, cfg, S.singular_loci, count=max(8, cfg.points // 4),
+                        rng=rng)
     Svec = S.vector_field()
     comps = [Svec.component(i) for i in range(2 * S.n)]
     for X in D_gens:
         comps.extend(X.component(i) for i in range(2 * S.n))
     for p in pts:
-        opaque = opaque_assignments(comps, p, ctx, rng, cfg)
+        opaque = opaque_assignments(comps, p, ctx, rng)
         rows = np.array([[evaluate(X.component(i), p, ctx, opaque)
                           for i in range(2 * S.n)] for X in D_gens])
         target = np.array([evaluate(c, p, ctx, opaque) for c in comps[: 2 * S.n]])
         sol, *_ = np.linalg.lstsq(rows.T, target, rcond=None)
         gap = np.linalg.norm(rows.T @ sol - target)
-        if gap > tol * max(1.0, np.linalg.norm(target)):
+        if gap > POINTWISE_TOL * max(1.0, np.linalg.norm(target)):
             raise DistributionMembershipError(
                 f"flow field leaves the span of the distribution "
                 f"(gap {gap:.3e} at a sampled point)")
+    return D_gens
 
 
 def residual(S: SemiSpray, omega: TwoForm, H: Expr,
@@ -271,21 +280,11 @@ def residual(S: SemiSpray, omega: TwoForm, H: Expr,
              cfg: SampleConfig | None = None) -> MotionReport:
     """Annihilation test: does dH - i_S omega vanish on the distribution.
 
-    With no distribution given the horizontal frame of S is used, which is
-    legitimate only when S is a spray; otherwise the caller must supply
-    generators whose span contains S.
+    D_gens None means the horizontal frame of S (see _flow_distribution).
     """
     cfg = cfg or SampleConfig()
     loci = S.singular_loci
-    if D_gens is None:
-        if is_spray(S, ctx, cfg) is not Tri.PROVEN_ZERO:
-            raise ValidationError(
-                "no distribution given and the coefficients are not "
-                "2-homogeneous; supply generators containing the flow field")
-        D_gens = list(berwald_frame(S).horizontal)
-    else:
-        D_gens = list(D_gens)
-    _check_S_in_span(S, D_gens, ctx, cfg, loci)
+    D_gens = _flow_distribution(S, D_gens, ctx, cfg)
 
     omega = omega.to_coordinates()
     rho_form = (d_scalar(H, S.n)
@@ -297,7 +296,7 @@ def residual(S: SemiSpray, omega: TwoForm, H: Expr,
     pts = sample_points(ctx, cfg, loci, count=max(8, cfg.points // 2), rng=rng)
     worst = 0.0
     for p in pts:
-        opaque = opaque_assignments(comps, p, ctx, rng, cfg)
+        opaque = opaque_assignments(comps, p, ctx, rng)
         for c in comps:
             val, mag = evaluate_with_magnitude(c, p, ctx, opaque)
             worst = max(worst, abs(val) / max(1.0, mag))

@@ -73,15 +73,17 @@ def _strip(line: str) -> str:
     return line.strip()
 
 
-def _number(text: str, ln: int):
+def _number(text: str, ln: int) -> Fraction:
+    """The exact value of a finite literal that fits in a double."""
     try:
-        return Fraction(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
+        value = Fraction(text)
+        float(value)
+    except (ValueError, ZeroDivisionError):
         raise ParseError(f"bad numeric literal {text!r}", line=ln) from None
+    except OverflowError:
+        raise ParseError(f"numeric literal {text!r} does not fit in a double",
+                         line=ln) from None
+    return value
 
 
 def _expr(text: str, ctx: Context, ln: int) -> Expr:

@@ -35,8 +35,6 @@ def normalize(value):
         return int(value)
     if isinstance(value, Fraction):
         return str(value)
-    if isinstance(value, float) and value == int(value) and abs(value) < 1e15:
-        return value
     return value
 
 

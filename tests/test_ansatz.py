@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from spraydirac.ansatz import (
-    Ansatz, constant_two_form_dictionary, monomial_dictionary, search,
+    Ansatz, CandidateSolution, constant_two_form_dictionary,
+    monomial_dictionary, search,
 )
 from spraydirac.errors import ValidationError
 from spraydirac.expr import ZERO, Context, parse, simplify
-from spraydirac.forms import TwoForm
+from spraydirac.forms import TwoForm, format_two_form
 from spraydirac.geometry import SemiSpray, VectorField
 
 
@@ -182,3 +183,12 @@ def test_generic_coefficients_admit_no_linear_invariant():
     result = search(S, [S.vector_field()], a, ctx, with_certificates=False)
     assert result.trivial_dropped == 1
     assert result.candidates == []
+
+
+def test_describe_prints_omega_like_the_report():
+    omega = (TwoForm.single(2, 0, 2, -2)
+             + TwoForm.single(2, 1, 3, parse("x1 + y1", CTX2)))
+    cand = CandidateSolution(np.zeros(1), np.zeros(2), parse("y1*y2", CTX2),
+                             omega, np.zeros(3))
+    assert format_two_form(omega) == "(-2)*dx1^dy1 + (x1 + y1)*dx2^dy2"
+    assert cand.describe() == "H = y1*y2 ; omega = " + format_two_form(omega)

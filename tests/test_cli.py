@@ -1,9 +1,13 @@
 """Command-line driver: exit codes, determinism, output formats."""
 
 import json
+import math
 from pathlib import Path
 
+import pytest
+
 from spraydirac import cli
+from spraydirac import report as rpt
 
 
 PROBLEMS = Path(__file__).resolve().parents[1] / "demos" / "problems"
@@ -94,6 +98,30 @@ def test_missing_sections_exit_2(tmp_path, capsys):
     assert rc == 2
 
 
+_PARAM_1E400 = ("dim = 1\nparam A = 1e400\nspray G1 = A*y1^2\nH = y1\n"
+                "integrate t=0.1 dt=0.01 method=rk4 seed=1 samples=1\n")
+_T_1E400 = "dim = 1\nH = y1\nintegrate t=1e400 dt=0.01 method=rk4 seed=1 samples=1\n"
+_BOX_1E400 = "dim = 1\nH = y1\nansatz degree=1 points=0 box=1e400 seed=1\n"
+
+
+@pytest.mark.parametrize("command, text, line", [
+    pytest.param("verify", _PARAM_1E400, 2, id="param-1e400"),
+    pytest.param("analyze", _T_1E400, 3, id="integrate-t-1e400-analyze"),
+    pytest.param("integrate", _T_1E400, 3, id="integrate-t-1e400-integrate"),
+    pytest.param("search", _BOX_1E400, 3, id="ansatz-box-1e400-search"),
+    pytest.param("dirac-check", _BOX_1E400, 3, id="ansatz-box-1e400-dirac-check"),
+    pytest.param("integrate", _T_1E400.replace("1e400", "nan"), 3, id="integrate-t-nan"),
+    pytest.param("analyze", "dim = 1\nparam A = 1/0\nspray G1 = A*y1^2\n", 2,
+                 id="param-1-over-0"),
+])
+def test_out_of_range_literals_exit_1(tmp_path, capsys, command, text, line):
+    f = tmp_path / "literal.sdp"
+    f.write_text(text)
+    rc, _, err = _run(capsys, [command, str(f)])
+    assert rc == 1, err
+    assert "parse error" in err and f"(line {line})" in err
+
+
 def test_numeric_domain_failures_exit_3(tmp_path, capsys):
     f = tmp_path / "logenergy.sdp"
     f.write_text("dim = 1\nH = ln(y1)\n"
@@ -119,6 +147,12 @@ def test_unexpected_exceptions_exit_4(capsys, monkeypatch):
     rc, _, err = _run(capsys, ["analyze", EX1])
     assert rc == 4
     assert "internal error" in err
+
+
+def test_normalize_passes_non_finite_floats_through():
+    out = rpt.normalize({"inf": float("inf"), "vals": (float("nan"), -float("inf"))})
+    assert out["inf"] == float("inf")
+    assert math.isnan(out["vals"][0]) and out["vals"][1] == -float("inf")
 
 
 def _strip_timing(text: str) -> str:

@@ -133,7 +133,11 @@ def test_exterior_derivative_of_function_coefficient():
 
 def test_two_form_printing():
     omega = TwoForm.single(2, 0, 2, 1) + TwoForm.single(2, 1, 3, parse("-2*y2", CTX2))
-    text = format_two_form(omega)
-    assert "dx1^dy1" in text
-    assert "dx2^dy2" in text
+    assert format_two_form(omega) == "dx1^dy1 + (-2*y2)*dx2^dy2"
     assert format_two_form(TwoForm.zero(2)) == "0"
+    assert format_two_form(TwoForm.single(2, 0, 2, -2)) == "(-2)*dx1^dy1"
+    mixed = (TwoForm.single(2, 0, 2, -1)
+             + TwoForm.single(2, 1, 3, parse("x1 + y1", CTX2)))
+    assert format_two_form(mixed) == "(-1)*dx1^dy1 + (x1 + y1)*dx2^dy2"
+    adapted = TwoForm.single(2, 0, 3, parse("3*x1", CTX2), basis=BERWALD)
+    assert format_two_form(adapted) == "3*x1*dx1^del2"

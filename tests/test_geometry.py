@@ -195,7 +195,7 @@ def test_flat_verdicts():
 def test_horizontal_bracket_matches_curvature_numerically():
     S = _semispray3()
     fr = berwald_frame(S)
-    R = curvature(S, fr, cross_check=False)
+    R = curvature(S, fr)
     rng = np.random.default_rng(3)
     for _ in range(10):
         x = rng.uniform(-2.0, 2.0, size=3)
