@@ -41,7 +41,7 @@ print("  adapted coframe slot 2:",
 R = curvature(S)
 print(f"\n== curvature ==\n  all components zero: "
       f"{all(c == parse('0', ctx) for c in R.flat_components())}")
-print(f"  flat verdict: {is_flat(S, ctx, cfg).value}")
+print(f"  flat verdict: {is_flat(R, S.singular_loci, ctx, cfg).value}")
 
 print("\n== invariants along the flow ==")
 invariants = [

@@ -32,9 +32,8 @@ print(f"gradient-free directions dropped: {result.trivial_dropped}")
 
 print("\ncandidates:")
 for c in result.candidates:
-    cert = c.certificate.overall if c.certificate else "-"
     print(f"  H = {format_expr(c.H):14s} omega = "
-          f"{format_two_form(c.omega):22s} certificate: {cert}")
+          f"{format_two_form(c.omega):22s} certificate: {c.certificate.overall}")
 
 # the total kinetic energy is a combination of the reported pairs; its
 # coefficient vector projects onto the nullspace with no residual

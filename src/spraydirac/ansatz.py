@@ -5,7 +5,9 @@ two-form over constant coordinate-basis generators.  The annihilation
 condition (dH - i_S omega)(e_j) = 0 is linear in those coefficients, so
 collocating it at sampled points builds a matrix whose nullspace holds
 every candidate pair expressible in the dictionaries.  Candidates are then
-re-verified symbolically, never trusted from the numerics alone.
+re-verified at fresh points: kept when the residual is proven zero
+symbolically, or else when its largest sampled value there is 1e-9 or less,
+which is numeric evidence, not a proof.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .expr import (
 )
 from .forms import TwoForm, d_scalar, format_two_form, interior_product
 from .geometry import SemiSpray, VectorField
-from .motion import MotionReport, _flow_distribution, hamiltonian_certificate, residual
+from .motion import MotionReport, _flow_distribution, hamiltonian_certificate
 
 __all__ = [
     "Ansatz", "CandidateSolution", "SearchResult",
@@ -34,6 +36,8 @@ __all__ = [
 
 # Singular values at or below this fraction of the largest span the nullspace.
 RANK_TOL = 1e-8
+# Largest denominator a nullspace direction may snap to as a rational vector.
+SNAP_MAX_DEN = 24
 
 
 def monomial_dictionary(n: int, degree: int) -> list[Expr]:
@@ -108,19 +112,14 @@ class Ansatz:
 class CandidateSolution:
     """One nullspace direction, decoded and re-verified."""
 
-    h_coeffs: np.ndarray
-    omega_coeffs: np.ndarray
     H: Expr
     omega: TwoForm
-    singular_values: np.ndarray
-    report: MotionReport | None = None
-    certificate: MotionReport | None = None
+    certificate: MotionReport
 
     @property
     def verified(self) -> bool:
-        return self.report is not None and (
-            self.report.residual_all_zero
-            or self.report.numeric_max_residual <= 1e-9)
+        return (self.certificate.residual_all_zero
+                or self.certificate.numeric_max_residual <= 1e-9)
 
     def describe(self) -> str:
         return "H = " + format_expr(self.H) + " ; omega = " + format_two_form(self.omega)
@@ -193,7 +192,7 @@ def solve(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return basis, s
 
 
-def _snap_vector(v: np.ndarray, max_den: int = 24) -> np.ndarray | None:
+def _snap_vector(v: np.ndarray) -> np.ndarray | None:
     """Try to read the direction as a rational vector with small entries."""
     scale = np.max(np.abs(v))
     if scale == 0:
@@ -201,7 +200,7 @@ def _snap_vector(v: np.ndarray, max_den: int = 24) -> np.ndarray | None:
     ratios = v / scale
     snapped = np.empty_like(v)
     for i, r in enumerate(ratios):
-        fr = Fraction(float(r)).limit_denominator(max_den)
+        fr = Fraction(float(r)).limit_denominator(SNAP_MAX_DEN)
         if abs(float(fr) - r) > 1e-6:
             return None
         snapped[i] = float(fr)
@@ -255,13 +254,13 @@ def _canonical_directions(basis: np.ndarray) -> list[np.ndarray]:
 
 
 def search(S: SemiSpray, D_gens: Sequence[VectorField] | None, a: Ansatz,
-           ctx: Context, with_certificates: bool = True) -> SearchResult:
+           ctx: Context) -> SearchResult:
     """assemble, factor, decode, then keep only what re-verifies.
 
     Trivial directions (numerically constant H) are counted and dropped;
-    directions whose decoded pair fails the symbolic-or-numeric residual
-    check are counted as rejected.  Verification always happens at fresh
-    sample points, never the collocation points themselves.
+    every other direction gets one certificate, and those whose residual
+    check (symbolic, or numeric to 1e-9) fails are counted as rejected.
+    Verification happens at fresh sample points, never the collocation ones.
     """
     M, pts = assemble(S, D_gens, a, ctx)
     basis, svals = solve(M)
@@ -286,11 +285,8 @@ def search(S: SemiSpray, D_gens: Sequence[VectorField] | None, a: Ansatz,
         if dh_norm < 1e-10:
             trivial += 1
             continue
-        rep = residual(S, omega, H, D_gens, ctx, verify_cfg)
-        cand = CandidateSolution(
-            h_coeffs=use[: len(a.H_dictionary)].copy(),
-            omega_coeffs=use[len(a.H_dictionary):].copy(),
-            H=H, omega=omega, singular_values=svals, report=rep)
+        cert = hamiltonian_certificate(S, omega, H, D_gens, None, ctx, verify_cfg)
+        cand = CandidateSolution(H, omega, cert)
         if not cand.verified:
             rejected += 1
             continue
@@ -298,8 +294,5 @@ def search(S: SemiSpray, D_gens: Sequence[VectorField] | None, a: Ansatz,
         if key in seen:
             continue
         seen.add(key)
-        if with_certificates:
-            cand.certificate = hamiltonian_certificate(
-                S, omega, H, D_gens, None, ctx, verify_cfg)
         candidates.append(cand)
     return SearchResult(candidates, basis, svals, trivial, rejected, a)

@@ -70,6 +70,12 @@ def _coframe_text(n: int, N) -> list[str]:
     return out
 
 
+def _nonzero_texts(named: dict) -> dict:
+    """The simplified text of each nonzero entry, or {"all": "0"}."""
+    texts = {k: format_expr(simplify(e)) for k, e in named.items()}
+    return {k: t for k, t in texts.items() if t != "0"} or {"all": "0"}
+
+
 def _prepared_omega(pf: ProblemFile, S) -> TwoForm:
     w = pf.omega if pf.omega is not None else TwoForm.zero(pf.n)
     if w.basis == BERWALD and w.N is None:
@@ -98,26 +104,19 @@ def cmd_analyze(path: str, pf: ProblemFile, seed_arg: int | None) -> dict:
     rep = _base_report("analyze", path, pf, seed)
     rep["semispray"] = is_semispray(S.vector_field(), ctx, cfg, S.singular_loci).value
     rep["is_spray"] = is_spray(S, ctx, cfg).value
-    N = connection_coefficients(S)
-    rep["connection"] = {
-        f"N[{a + 1}][{i + 1}]": format_expr(simplify(N[a][i]))
-        for a in range(pf.n) for i in range(pf.n)
-        if format_expr(simplify(N[a][i])) != "0"} or {"all": "0"}
     frame = berwald_frame(S)
+    rep["connection"] = _nonzero_texts({
+        f"N[{a + 1}][{i + 1}]": frame.N[a][i]
+        for a in range(pf.n) for i in range(pf.n)})
     rep["frame"] = {
         "horizontal": [_fmt_field(h) for h in frame.horizontal],
-        "coframe": _coframe_text(pf.n, N),
+        "coframe": _coframe_text(pf.n, frame.N),
     }
     R = curvature(S, frame)
-    nonzero = {}
-    for a in range(pf.n):
-        for i in range(pf.n):
-            for j in range(i + 1, pf.n):
-                c = simplify(R.component(a, i, j))
-                if format_expr(c) != "0":
-                    nonzero[f"R[{a + 1}][{i + 1},{j + 1}]"] = format_expr(c)
-    rep["curvature"] = nonzero or {"all": "0"}
-    rep["flat"] = is_flat(S, ctx, cfg).value
+    rep["curvature"] = _nonzero_texts({
+        f"R[{a + 1}][{i + 1},{j + 1}]": R.component(a, i, j)
+        for a in range(pf.n) for i in range(pf.n) for j in range(i + 1, pf.n)})
+    rep["flat"] = is_flat(R, S.singular_loci, ctx, cfg).value
     return rep
 
 
@@ -202,8 +201,8 @@ def cmd_verify(path: str, pf: ProblemFile, seed_arg: int | None) -> dict:
     rep["certificate"] = {
         "residual_zero": all(v.value == "proven_zero"
                              for v in cert.residual_verdicts),
-        "d_integrable": cert.d_integrable.value if cert.d_integrable else "not-evaluated",
-        "omega_closed": cert.omega_closed.value if cert.omega_closed else "not-evaluated",
+        "d_integrable": cert.d_integrable.value,
+        "omega_closed": cert.omega_closed.value,
         "overall": cert.overall,
     }
     if cert.structure is not None:
@@ -246,7 +245,7 @@ def cmd_search(path: str, pf: ProblemFile, seed_arg: int | None) -> dict:
         "H": format_expr(simplify(c.H)),
         "omega": format_two_form(c.omega),
         "verified": c.verified,
-        "certificate": c.certificate.overall if c.certificate else "not-evaluated",
+        "certificate": c.certificate.overall,
     } for c in res.candidates]
     return rep
 

@@ -500,9 +500,11 @@ class _Parser:
     def base(self) -> Expr:
         t = self.next()
         if t.kind == "num":
-            if t.text.isdigit():
-                return Const(Fraction(int(t.text)))
-            return Const(float(t.text))
+            value = float(t.text)
+            if not math.isfinite(value):
+                raise ParseError(f"numeric literal {t.text!r} does not fit in a double",
+                                 position=t.pos)
+            return Const(Fraction(int(t.text)) if t.text.isdigit() else value)
         if t.kind == "op" and t.text == "-":
             return Neg(self.factor())
         if t.kind == "op" and t.text == "(":
@@ -1414,7 +1416,7 @@ def compile_exprs(exprs: Sequence[Expr], ctx: Context) -> Callable[[np.ndarray, 
 
     Opaque functions must have bound bodies; their needed derivatives are
     compiled once up front.  Raised float errors (ZeroDivisionError and
-    friends) are translated back into EvalDomainError by the wrapper.
+    friends, and math's ValueError) become EvalDomainError in the wrapper.
     """
     n = ctx.dim
     fn_table = _opaque_table(exprs, ctx)
@@ -1434,6 +1436,8 @@ def compile_exprs(exprs: Sequence[Expr], ctx: Context) -> Callable[[np.ndarray, 
             raise EvalDomainError("division by zero") from exc
         except OverflowError as exc:
             raise EvalDomainError("overflow") from exc
+        except ValueError as exc:
+            raise EvalDomainError(str(exc)) from exc
         except KeyError as exc:
             raise UnboundParameterError(f"parameter {exc.args[0]!r} has no bound value") from exc
         for v in out:

@@ -131,12 +131,11 @@ class TwoForm:
         return TwoForm(self.n, {k: Mul((c, e)) for k, e in self.comps.items()},
                        self.basis, self.N)
 
-    def to_coordinates(self, N=None) -> "TwoForm":
+    def to_coordinates(self) -> "TwoForm":
         """Rewrite over dx, dy by expanding each adapted fiber coframe slot."""
         if self.basis == COORD:
             return self
-        NN = N if N is not None else self.N
-        if NN is None:
+        if self.N is None:
             raise ValidationError("adapted-basis form has no connection to expand with")
         n = self.n
 
@@ -146,7 +145,7 @@ class TwoForm:
             a = k - n
             out: list[tuple[int, Expr]] = [(k, ONE)]
             for i in range(n):
-                e = as_expr(NN[a][i])
+                e = as_expr(self.N[a][i])
                 if e != ZERO:
                     out.append((i, e))
             return out

@@ -209,8 +209,7 @@ def connection_coefficients(S: SemiSpray) -> tuple[tuple[Expr, ...], ...]:
     )
 
 
-def spray_from_connection(N: Sequence[Sequence[Expr]], n: int,
-                          singular_loci: Sequence[Expr] = ()) -> SemiSpray:
+def spray_from_connection(N: Sequence[Sequence[Expr]], n: int) -> SemiSpray:
     """Rebuild coefficients as half the fiber contraction of the connection.
 
     For connections that came from a spray this inverts
@@ -319,10 +318,10 @@ def curvature(S: SemiSpray, frame: BerwaldFrame | None = None) -> CurvatureTenso
     return CurvatureTensor(n, tuple(tuple(tuple(row) for row in plane) for plane in R))
 
 
-def is_flat(S: SemiSpray, ctx: Context, cfg: SampleConfig | None = None) -> Tri:
-    """Are all curvature components zero (horizontal distribution integrable)."""
-    cur = curvature(S)
-    return tri_all(is_zero(c, ctx, cfg, S.singular_loci) for c in cur.flat_components())
+def is_flat(R: CurvatureTensor, loci: Sequence[Expr], ctx: Context,
+            cfg: SampleConfig | None = None) -> Tri:
+    """Is R zero (horizontal distribution integrable); samples avoid `loci`."""
+    return tri_all(is_zero(c, ctx, cfg, loci) for c in R.flat_components())
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from .expr import (
 )
 from .forms import TwoForm, d_scalar, exterior_derivative_2, interior_product
 from .geometry import (
-    OneForm, SemiSpray, VectorField, berwald_frame, is_flat, is_spray,
+    OneForm, SemiSpray, VectorField, berwald_frame, curvature, is_flat, is_spray,
     lie_bracket, span_membership,
 )
 from .dirac import POINTWISE_TOL, AlmostDirac, from_distribution, gauge_transform
@@ -318,7 +318,7 @@ def _distribution_integrable(S: SemiSpray, D_gens: Sequence[VectorField] | None,
     """Closure of generator brackets inside the span, or flatness when the
     distribution is the horizontal one."""
     if D_gens is None:
-        return is_flat(S, ctx, cfg)
+        return is_flat(curvature(S), S.singular_loci, ctx, cfg)
     verdicts = []
     for i in range(len(D_gens)):
         for j in range(i + 1, len(D_gens)):

@@ -8,6 +8,7 @@ the order directives appear in the file.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -74,10 +75,14 @@ def _strip(line: str) -> str:
 
 
 def _number(text: str, ln: int) -> Fraction:
-    """The exact value of a finite literal that fits in a double."""
+    """The exact value of a literal that fits in a double (finite, nonzero unless
+    zero); float() reads it first, as Fraction expands 10**exp exactly."""
     try:
-        value = Fraction(text)
-        float(value)
+        approx = float(text if "/" not in text else Fraction(text))
+        if not math.isfinite(approx) or (
+                approx == 0 and Fraction(text.lower().partition("e")[0])):
+            raise OverflowError
+        value = Fraction(text) if approx else Fraction(0)
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"bad numeric literal {text!r}", line=ln) from None
     except OverflowError:

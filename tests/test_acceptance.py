@@ -18,7 +18,8 @@ from spraydirac.forms import (
     TwoForm, d_scalar, exterior_derivative_1, exterior_derivative_2,
 )
 from spraydirac.geometry import (
-    OneForm, SemiSpray, VectorField, berwald_frame, is_flat, is_spray,
+    OneForm, SemiSpray, VectorField, berwald_frame, curvature, is_flat,
+    is_spray,
 )
 from spraydirac.motion import (
     conservation_drift, hamiltonian_certificate, integrate_sode,
@@ -120,7 +121,7 @@ def test_criterion_3_flat_decay_spray_invariants():
         S = _decay2()
         cfg = SampleConfig(coord_boxes={"y1": (0.5, 2.0), "y2": (0.5, 2.0)})
         assert is_spray(S, CTX2, cfg) is Tri.PROVEN_ZERO
-        assert is_flat(S, CTX2, cfg) is Tri.PROVEN_ZERO
+        assert is_flat(curvature(S), S.singular_loci, CTX2, cfg) is Tri.PROVEN_ZERO
         invariants = [parse(t, CTX2) for t in (
             "y1",
             "-(2*y2*x1 - y1)/(y1*y2)",
@@ -148,7 +149,7 @@ def test_criterion_4_search_recovers_kinetic_energy():
         D = tuple(VectorField.coordinate(2, axis, k + 1)
                   for axis in ("x", "y") for k in range(2))
         a = Ansatz(2, degree=2)
-        result = search(S, D, a, ctx, with_certificates=False)
+        result = search(S, D, a, ctx)
 
         v = np.zeros(a.unknowns)
         v[a.h_index(parse("y1^2", ctx))] = 0.5

@@ -81,7 +81,7 @@ def test_free_motion_full_tangent_search():
 def test_projection_locates_known_pairs():
     S = _free2()
     a = Ansatz(2, degree=2)
-    result = search(S, _full_tangent(2), a, CTX2, with_certificates=False)
+    result = search(S, _full_tangent(2), a, CTX2)
     v = np.zeros(a.unknowns)
     v[a.h_index(parse("y1^2", CTX2))] = 0.5
     v[a.omega_index(0, 2)] = 1.0
@@ -99,7 +99,7 @@ def test_bound_parameter_coefficients_snap_to_rationals():
     a = Ansatz(3,
                H_dictionary=[parse("x3", ctx), parse("y3^2", ctx)],
                omega_dictionary=[TwoForm.single(3, 2, 5, 1)])
-    result = search(S, [S.vector_field()], a, ctx, with_certificates=False)
+    result = search(S, [S.vector_field()], a, ctx)
     assert result.trivial_dropped == 1
     assert len(result.candidates) == 1
     cand = result.candidates[0]
@@ -133,8 +133,8 @@ def test_duplicate_dictionary_entries_only_grow_the_nullspace():
                      H_dictionary=[parse("x3", ctx), parse("y3^2", ctx),
                                    parse("y3^2", ctx)],
                      omega_dictionary=[TwoForm.single(3, 2, 5, 1)])
-    r1 = search(S, [S.vector_field()], base, ctx, with_certificates=False)
-    r2 = search(S, [S.vector_field()], doubled, ctx, with_certificates=False)
+    r1 = search(S, [S.vector_field()], base, ctx)
+    r2 = search(S, [S.vector_field()], doubled, ctx)
     assert r2.nullspace.shape[1] == r1.nullspace.shape[1] + 1
     assert ({c.describe() for c in r1.candidates}
             == {c.describe() for c in r2.candidates})
@@ -148,7 +148,7 @@ def test_result_stable_under_more_collocation_points():
                    H_dictionary=[parse("x3", ctx), parse("y3^2", ctx)],
                    omega_dictionary=[TwoForm.single(3, 2, 5, 1)],
                    points=pts)
-        r = search(S, [S.vector_field()], a, ctx, with_certificates=False)
+        r = search(S, [S.vector_field()], a, ctx)
         descrs.append((r.nullspace.shape[1], {c.describe() for c in r.candidates}))
     assert descrs[0] == descrs[1]
 
@@ -161,7 +161,7 @@ def test_result_stable_under_box_rescaling():
                    H_dictionary=[parse("x3", ctx), parse("y3^2", ctx)],
                    omega_dictionary=[TwoForm.single(3, 2, 5, 1)],
                    box=box)
-        r = search(S, [S.vector_field()], a, ctx, with_certificates=False)
+        r = search(S, [S.vector_field()], a, ctx)
         descrs.append({c.describe() for c in r.candidates})
     assert descrs[0] == descrs[1]
 
@@ -170,7 +170,7 @@ def test_constant_only_dictionary_is_all_trivial():
     ctx = Context(dim=1)
     S = SemiSpray(1, (ZERO,))
     a = Ansatz(1, H_dictionary=[parse("1", ctx)], omega_dictionary=[])
-    result = search(S, None, a, ctx, with_certificates=False)
+    result = search(S, None, a, ctx)
     assert result.nullspace.shape == (1, 1)
     assert result.trivial_dropped == 1
     assert result.candidates == []
@@ -180,7 +180,7 @@ def test_generic_coefficients_admit_no_linear_invariant():
     ctx = Context(dim=2)
     S = SemiSpray(2, (parse("x2^2", ctx), parse("x1^2", ctx)))
     a = Ansatz(2, degree=1, omega_dictionary=[])
-    result = search(S, [S.vector_field()], a, ctx, with_certificates=False)
+    result = search(S, [S.vector_field()], a, ctx)
     assert result.trivial_dropped == 1
     assert result.candidates == []
 
@@ -188,7 +188,7 @@ def test_generic_coefficients_admit_no_linear_invariant():
 def test_describe_prints_omega_like_the_report():
     omega = (TwoForm.single(2, 0, 2, -2)
              + TwoForm.single(2, 1, 3, parse("x1 + y1", CTX2)))
-    cand = CandidateSolution(np.zeros(1), np.zeros(2), parse("y1*y2", CTX2),
-                             omega, np.zeros(3))
+    # describe reads only H and omega
+    cand = CandidateSolution(parse("y1*y2", CTX2), omega, certificate=None)
     assert format_two_form(omega) == "(-2)*dx1^dy1 + (x1 + y1)*dx2^dy2"
     assert cand.describe() == "H = y1*y2 ; omega = " + format_two_form(omega)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 from pathlib import Path
 
 import pytest
@@ -49,6 +50,40 @@ def test_verify_flags_nonintegrable_distribution(capsys):
     assert "omega_closed: proven_zero" in out
     assert "overall: no" in out
     assert "ann_rank_deficit: 1" in out
+
+
+def _count_calls(monkeypatch, func) -> list:
+    """Wrap func in every spraydirac module that binds it; the returned list
+    grows by one entry per call, whichever binding the caller used."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return func(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("spraydirac") and getattr(mod, func.__name__, None) is func:
+            monkeypatch.setattr(mod, func.__name__, counted)
+    return calls
+
+
+def test_analyze_builds_the_curvature_once(capsys, monkeypatch):
+    from spraydirac import geometry
+    calls = _count_calls(monkeypatch, geometry.curvature)
+    rc, out, _ = _run(capsys, ["analyze", EX1])
+    assert rc == 0 and "flat: proven_zero" in out
+    assert len(calls) == 1
+
+
+def test_search_computes_one_residual_per_kept_candidate(capsys, monkeypatch):
+    from spraydirac import motion
+    calls = _count_calls(monkeypatch, motion.residual)
+    rc, out, _ = _run(capsys, ["search", EX4, "--json"])
+    assert rc == 0
+    rep = json.loads(out)
+    assert rep["nullspace"]["rejected"] == 0
+    assert len(rep["candidates"]) == 3
+    assert len(calls) == 3
 
 
 def test_search_finds_quadratic_invariants(capsys):
@@ -102,6 +137,10 @@ _PARAM_1E400 = ("dim = 1\nparam A = 1e400\nspray G1 = A*y1^2\nH = y1\n"
                 "integrate t=0.1 dt=0.01 method=rk4 seed=1 samples=1\n")
 _T_1E400 = "dim = 1\nH = y1\nintegrate t=1e400 dt=0.01 method=rk4 seed=1 samples=1\n"
 _BOX_1E400 = "dim = 1\nH = y1\nansatz degree=1 points=0 box=1e400 seed=1\n"
+_SPRAY_1E400 = ("dim = 1\nspray G1 = 1e400*y1^2\n"
+                "integrate t=1 dt=0.1 method=rk4 seed=1 samples=1\n")
+_H_401_DIGITS = ("dim = 1\nH = 1" + "0" * 400 + "*y1^2\n"
+                 "integrate t=0.1 dt=0.01 method=rk4 seed=1 samples=1\n")
 
 
 @pytest.mark.parametrize("command, text, line", [
@@ -113,6 +152,13 @@ _BOX_1E400 = "dim = 1\nH = y1\nansatz degree=1 points=0 box=1e400 seed=1\n"
     pytest.param("integrate", _T_1E400.replace("1e400", "nan"), 3, id="integrate-t-nan"),
     pytest.param("analyze", "dim = 1\nparam A = 1/0\nspray G1 = A*y1^2\n", 2,
                  id="param-1-over-0"),
+    pytest.param("integrate", _SPRAY_1E400, 2, id="spray-1e400-integrate"),
+    pytest.param("analyze", _SPRAY_1E400, 2, id="spray-1e400-analyze"),
+    pytest.param("verify", _H_401_DIGITS, 2, id="H-401-digit-integer"),
+    pytest.param("analyze", _SPRAY_1E400.replace("1e400", "1e999999999"), 2,
+                 id="spray-huge-exponent"),
+    pytest.param("analyze", "dim = 1\nparam A = 1e-999999999\nspray G1 = A*y1^2\n", 2,
+                 id="param-underflow"),
 ])
 def test_out_of_range_literals_exit_1(tmp_path, capsys, command, text, line):
     f = tmp_path / "literal.sdp"
@@ -120,6 +166,28 @@ def test_out_of_range_literals_exit_1(tmp_path, capsys, command, text, line):
     rc, _, err = _run(capsys, [command, str(f)])
     assert rc == 1, err
     assert "parse error" in err and f"(line {line})" in err
+
+
+def test_huge_exponents_on_zero_and_in_expressions_parse_at_once(tmp_path, capsys):
+    # a zero literal is zero whatever its exponent; an expression literal
+    # that underflows is the double 0.0
+    f = tmp_path / "exponents.sdp"
+    f.write_text("dim = 1\nparam A = 0e999999999\nspray G1 = (A + 1e-999999999)*y1^2\n")
+    rc, out, err = _run(capsys, ["analyze", str(f)])
+    assert rc == 0, err
+    assert "flat: proven_zero" in out
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_blow_up_into_a_math_domain_error_aborts_the_trajectory(tmp_path, capsys):
+    # numpy turns y1^2 into inf on the array fallback, and sin(inf) raises
+    f = tmp_path / "sinblowup.sdp"
+    f.write_text("dim = 1\nspray G1 = -y1^3 + sin(y1^2)\n"
+                 "integrate t=2 dt=0.01 method=rk4 seed=1 samples=2\n")
+    rc, out, err = _run(capsys, ["integrate", str(f), "--json"])
+    assert rc == 0, err
+    runs = json.loads(out)["trajectories"]
+    assert [r["abort_reason"] for r in runs] == ["evaluation failed: math domain error"] * 2
 
 
 def test_numeric_domain_failures_exit_3(tmp_path, capsys):

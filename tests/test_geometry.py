@@ -188,8 +188,9 @@ def test_curvature_antisymmetry_and_flat_list():
 
 
 def test_flat_verdicts():
-    assert is_flat(_spray2(), CTX2) is Tri.PROVEN_ZERO
-    assert is_flat(_semispray3(), CTX3) is Tri.PROVEN_NONZERO
+    for S, ctx, verdict in ((_spray2(), CTX2, Tri.PROVEN_ZERO),
+                            (_semispray3(), CTX3, Tri.PROVEN_NONZERO)):
+        assert is_flat(curvature(S), S.singular_loci, ctx) is verdict
 
 
 def test_horizontal_bracket_matches_curvature_numerically():
