@@ -19,7 +19,9 @@ from .errors import (
     EvalDomainError, InternalError, ParseError, SprayDiracError,
     ValidationError,
 )
-from .expr import DEFAULT_SEED, SampleConfig, format_expr, sample_points, simplify
+from .expr import (
+    DEFAULT_SEED, SampleConfig, clear_caches, format_expr, sample_points, simplify,
+)
 from .forms import BERWALD, TwoForm, format_coefficient, format_two_form
 from .geometry import (
     berwald_frame, connection_coefficients, curvature, is_flat, is_semispray,
@@ -342,6 +344,9 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as e:  # noqa: BLE001 -- exit-code contract wants 4 here
         print(f"internal error: {e!r}", file=sys.stderr)
         return 4
+    finally:
+        # the kernel memo lives for one command
+        clear_caches()
 
     rep["timing_ms"] = round((time.perf_counter() - t0) * 1e3, 1)
     rep = rpt.normalize(rep)

@@ -36,7 +36,7 @@ __all__ = [
     "Tri", "Context", "Point", "SampleConfig",
     "parse", "simplify", "diff", "evaluate", "is_zero", "format_expr",
     "as_expr", "sum_exprs", "tri_all", "sample_points",
-    "compile_exprs", "compile_rk4_step", "opaque_assignments",
+    "compile_exprs", "compile_rk4_step", "opaque_assignments", "clear_caches",
 ]
 
 BUILTIN_FUNCTIONS = ("sin", "cos", "exp", "ln", "sqrt")
@@ -71,7 +71,12 @@ def tri_all(verdicts: Iterable[Tri]) -> Tri:
 
 
 class Expr:
-    """Immutable expression node. Subclasses set _key in __init__."""
+    """Immutable expression node. Subclasses set _key in __init__.
+
+    Equality and hashing are structural (on _key), and the memo of _nf,
+    simplify and diff keys on them.  The normal-form dicts that _nf memoises
+    are shared by every caller and must never be mutated.
+    """
 
     __slots__ = ("_key", "_hash")
 
@@ -809,7 +814,31 @@ def _atom(base: Expr) -> _NF:
     return {((base, Fraction(1)),): Fraction(1)}
 
 
+# Per-command memo: _nf, simplify and diff are pure functions of their
+# structurally hashed inputs, so each distinct input is computed once until
+# clear_caches() empties the tables; cli.main does so after every command,
+# which bounds the memo by one problem file.
+_NF_MEMO: dict[Expr, _NF] = {}
+_SIMPLIFY_MEMO: dict[Expr, Expr] = {}
+_DIFF_MEMO: dict[tuple[Expr, Var], Expr] = {}
+
+
+def clear_caches() -> None:
+    """Forget every memoised normal form, simplification and derivative."""
+    _NF_MEMO.clear()
+    _SIMPLIFY_MEMO.clear()
+    _DIFF_MEMO.clear()
+
+
 def _nf(e: Expr) -> _NF:
+    """Normal form of e, memoised: the dict is shared, so never mutate it."""
+    nf = _NF_MEMO.get(e)
+    if nf is None:
+        nf = _NF_MEMO[e] = _build_nf(e)
+    return nf
+
+
+def _build_nf(e: Expr) -> _NF:
     if isinstance(e, Const):
         return {} if e.value == 0 else {(): e.value}
     if isinstance(e, (Var, Param)):
@@ -861,8 +890,17 @@ def _emit(nf: _NF) -> Expr:
 
 
 def simplify(e: Expr) -> Expr:
-    """Rewrite into the canonical form. Idempotent and deterministic."""
-    return _emit(_nf(e))
+    """Rewrite into the canonical form; deterministic, memoised per input.
+
+    Not idempotent on every rational tree: simplify(x1/(x1 + x2)^-1) is
+    x1*(x1 + x2), which a second call expands (the strict xfail
+    test_simplify_is_idempotent_on_rationals), so no result is memoised as
+    its own simplification.
+    """
+    s = _SIMPLIFY_MEMO.get(e)
+    if s is None:
+        s = _SIMPLIFY_MEMO[e] = _emit(_nf(e))
+    return s
 
 
 # ---------------------------------------------------------------------------
@@ -870,8 +908,11 @@ def simplify(e: Expr) -> Expr:
 
 
 def diff(e: Expr, v: Var) -> Expr:
-    """Partial derivative with respect to a coordinate, canonicalized."""
-    return simplify(_diff(simplify(e), v))
+    """Partial derivative with respect to a coordinate, canonicalized; memoised."""
+    d = _DIFF_MEMO.get((e, v))
+    if d is None:
+        d = _DIFF_MEMO[e, v] = simplify(_diff(simplify(e), v))
+    return d
 
 
 def _diff(e: Expr, v: Var) -> Expr:
@@ -1306,7 +1347,12 @@ def _fmt_term(e: Expr) -> tuple[int, str]:
 
 
 def format_expr(e: Expr) -> str:
-    """Deterministic text form; canonical trees re-parse to themselves."""
+    """Deterministic text form.
+
+    Canonical trees do not always re-parse to themselves: (x1^2)/2 prints as
+    x1^2/2, which parse reads as x1^(2/2) (the strict xfail
+    test_printed_canonical_form_parses_back).
+    """
     if isinstance(e, Add):
         sign, head = _fmt_term(e.children[0])
         out = ("-" if sign < 0 else "") + head

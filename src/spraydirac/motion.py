@@ -169,15 +169,17 @@ def integrate_sode(S: SemiSpray, p0: Point, dt: float, steps: int,
     for k in range(steps):
         out = step(z, params)
         if out is None:
-            try:
-                z_arr = _rk4_array_step(f, np.array(z), params, dt)
-            except EvalDomainError as exc:
-                aborted, reason = True, f"evaluation failed: {exc}"
-                break
-            if not np.all(np.isfinite(z_arr)):
-                aborted, reason = True, "state became non-finite"
-                break
-            out = tuple(z_arr.tolist()), loci(z_arr, params)
+            # numpy warns where floats raised; the abort reason says it
+            with np.errstate(all="ignore"):
+                try:
+                    z_arr = _rk4_array_step(f, np.array(z), params, dt)
+                except EvalDomainError as exc:
+                    aborted, reason = True, f"evaluation failed: {exc}"
+                    break
+                if not np.all(np.isfinite(z_arr)):
+                    aborted, reason = True, "state became non-finite"
+                    break
+                out = tuple(z_arr.tolist()), loci(z_arr, params)
         z, vals = out
         if vals and (min(map(abs, vals)) <= LOCUS_GUARD
                      or [v < 0 for v in vals] != below):

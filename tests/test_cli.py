@@ -3,11 +3,12 @@
 import json
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
-from spraydirac import cli
+from spraydirac import cli, expr
 from spraydirac import report as rpt
 
 
@@ -178,14 +179,18 @@ def test_huge_exponents_on_zero_and_in_expressions_parse_at_once(tmp_path, capsy
     assert "flat: proven_zero" in out
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_blow_up_into_a_math_domain_error_aborts_the_trajectory(tmp_path, capsys):
-    # numpy turns y1^2 into inf on the array fallback, and sin(inf) raises
+    # numpy turns y1^2 into inf on the array fallback, and sin(inf) raises;
+    # the abort reason reports it, so numpy's overflow warning stays quiet
     f = tmp_path / "sinblowup.sdp"
     f.write_text("dim = 1\nspray G1 = -y1^3 + sin(y1^2)\n"
                  "integrate t=2 dt=0.01 method=rk4 seed=1 samples=2\n")
-    rc, out, err = _run(capsys, ["integrate", str(f), "--json"])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, out, err = _run(capsys, ["integrate", str(f), "--json"])
     assert rc == 0, err
+    assert err == ""
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
     runs = json.loads(out)["trajectories"]
     assert [r["abort_reason"] for r in runs] == ["evaluation failed: math domain error"] * 2
 
@@ -215,6 +220,34 @@ def test_unexpected_exceptions_exit_4(capsys, monkeypatch):
     rc, _, err = _run(capsys, ["analyze", EX1])
     assert rc == 4
     assert "internal error" in err
+
+
+def _memo_sizes() -> tuple:
+    return len(expr._NF_MEMO), len(expr._SIMPLIFY_MEMO), len(expr._DIFF_MEMO)
+
+
+@pytest.mark.parametrize("text, command, code", [
+    ("dim = 1\nspray G1 = y1^2\n", "analyze", 0),
+    ("dim = 1\nspray G1 = y1^\n", "analyze", 1),
+    ("dim = 1\nspray G1 = y1^2\n", "dirac-check", 2),
+    ("dim = 1\nH = ln(y1)\nintegrate t=0.1 dt=0.01 method=rk4 seed=1 samples=4\n",
+     "verify", 3),
+    ("dim = 1\nspray G1 = y1^2\n", "analyze", 4),
+], ids=["ok", "parse", "validation", "numeric-domain", "internal"])
+def test_main_empties_the_kernel_memo_on_every_exit(tmp_path, capsys, monkeypatch,
+                                                    text, command, code):
+    if code == 4:
+        def boom(*args):
+            raise RuntimeError("wired to fail after the curvature")
+        monkeypatch.setattr(cli, "is_flat", boom)
+    f = tmp_path / "p.sdp"
+    f.write_text(text)
+    x1 = expr.Var("x", 1)
+    expr.diff(x1 * x1, x1)      # fills all three tables
+    assert all(_memo_sizes())
+    rc, _, _ = _run(capsys, [command, str(f)])
+    assert rc == code
+    assert _memo_sizes() == (0, 0, 0)
 
 
 def test_normalize_passes_non_finite_floats_through():

@@ -2,17 +2,20 @@
 
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
+from spraydirac import cli, expr  # noqa: E402
 from spraydirac.errors import EvalDomainError, ParseError, ValidationError  # noqa: E402
 from spraydirac.expr import (  # noqa: E402
-    Add, Const, Context, Div, Mul, Neg, Pow, Var, format_expr, parse, simplify,
+    Add, Const, Context, Div, Mul, Neg, Pow, Var, clear_caches, diff,
+    format_expr, parse, simplify,
 )
-from spraydirac.problemfile import parse_problem_file  # noqa: E402
+from spraydirac.problemfile import load_problem_file, parse_problem_file  # noqa: E402
 
 
 CTX2 = Context(dim=2)
@@ -46,6 +49,7 @@ RATIONALS = st.recursive(ATOMS, _rational_nodes, max_leaves=8)
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
 
 X1, X2 = Var("x", 1), Var("x", 2)
+EX4 = str(Path(__file__).resolve().parents[1] / "demos" / "problems" / "ex4.sdp")
 
 
 def _canonical(e):
@@ -85,6 +89,31 @@ def test_simplify_is_idempotent_on_rationals(e):
 def test_printed_canonical_form_parses_back(e):
     s = _canonical(e)
     assert simplify(parse(format_expr(s), CTX2)) == s
+
+
+@PROPERTY
+@given(st.one_of(POLYNOMIALS, RATIONALS),
+       st.sampled_from([X1, X2, Var("y", 1), Var("y", 2)]))
+def test_memoised_kernel_agrees_with_a_cold_one(e, v):
+    # warm: the tables still hold the previous example's entries
+    warm = _canonical(e), diff(e, v)
+    clear_caches()
+    cold = simplify(e), diff(e, v)
+    assert warm == cold
+
+
+def test_no_command_mutates_a_memoised_normal_form():
+    clear_caches()
+    for command in (cli.cmd_analyze, cli.cmd_verify, cli.cmd_search):
+        command(EX4, load_problem_file(EX4), None)
+    memo = dict(expr._NF_MEMO)
+    assert memo
+    clear_caches()
+    for e, nf in memo.items():
+        fresh = expr._nf(e)
+        assert fresh == nf, format_expr(e)
+        assert [type(c) for c in fresh.values()] == [type(c) for c in nf.values()]
+    clear_caches()
 
 
 # Signed decimals with exponents (including ones far outside a double),
