@@ -26,7 +26,7 @@ from .expr import (
 )
 from .forms import TwoForm, d_scalar, format_two_form, interior_product
 from .geometry import SemiSpray, VectorField
-from .motion import MotionReport, _flow_distribution, hamiltonian_certificate
+from .motion import MotionReport, _certifier, _flow_distribution
 
 __all__ = [
     "Ansatz", "CandidateSolution", "SearchResult",
@@ -261,12 +261,15 @@ def search(S: SemiSpray, D_gens: Sequence[VectorField] | None, a: Ansatz,
     every other direction gets one certificate, and those whose residual
     check (symbolic, or numeric to 1e-9) fails are counted as rejected.
     Verification happens at fresh sample points, never the collocation ones.
+    The certificate parts that do not depend on the candidate are built
+    once per search.
     """
     M, pts = assemble(S, D_gens, a, ctx)
     basis, svals = solve(M)
     verify_cfg = SampleConfig(points=50, box=(-a.box, a.box), seed=a.seed + 101)
     dh_cfg = SampleConfig(points=20, box=(-a.box, a.box), seed=a.seed + 202)
     dh_pts = sample_points(ctx, dh_cfg, S.singular_loci, count=20)
+    certify = _certifier(S, D_gens, None, ctx, verify_cfg)
 
     candidates: list[CandidateSolution] = []
     seen: set[str] = set()
@@ -285,7 +288,7 @@ def search(S: SemiSpray, D_gens: Sequence[VectorField] | None, a: Ansatz,
         if dh_norm < 1e-10:
             trivial += 1
             continue
-        cert = hamiltonian_certificate(S, omega, H, D_gens, None, ctx, verify_cfg)
+        cert = certify(omega, H)
         cand = CandidateSolution(H, omega, cert)
         if not cand.verified:
             rejected += 1

@@ -289,11 +289,11 @@ def cmd_dirac_check(path: str, pf: ProblemFile, seed_arg: int | None) -> dict:
         "generators": [_fmt_section(s) for s in L.generators],
     }
     pts = sample_points(ctx, SampleConfig(seed=seed), pf.singular_loci, count=20)
-    iso = sum(1 for p in pts if is_isotropic_at(L, p, ctx))
-    maxl = sum(1 for p in pts if is_maximal_at(L, p, ctx))
-    resid = max(involutivity_residual(L, p, ctx, require_maximal=False)
-                for p in pts)
-    kdim = len(kernel_at(L, pts[0], ctx))
+    Bs = [L.generator_matrix(p, ctx) for p in pts]
+    iso = sum(1 for B in Bs if is_isotropic_at(B))
+    maxl = sum(1 for B in Bs if is_maximal_at(B))
+    resid = max(involutivity_residual(L, p, ctx) for p in pts)
+    kdim = len(kernel_at(Bs[0]))
     rep["pointwise"] = {
         "points": len(pts),
         "isotropic": f"{iso}/{len(pts)}",

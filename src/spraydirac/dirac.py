@@ -5,12 +5,14 @@ A section here is an element (X, alpha) of the direct sum of the tangent
 and cotangent bundles.  The symmetric pairing is beta(X) + alpha(Y), with
 no 1/2 factor; the antisymmetrized bracket keeps its usual 1/2 on the
 exact correction term.  Structures are handled through finite generating
-families, checked pointwise: isotropy and rank at sampled points, bracket
-closure as a numeric residual against the evaluated span.
+families, checked pointwise on one evaluation per point (the generator
+matrix): isotropy, rank, kernel and leaf two-form, and bracket closure as a
+numeric residual against the evaluated span, whatever its rank.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -24,7 +26,7 @@ from .errors import (
 )
 from .expr import (
     DEFAULT_SEED, Add, Const, Context, Expr, Mul, Neg, Point, SampleConfig, Tri, ZERO,
-    evaluate, evaluate_with_magnitude, is_zero, opaque_assignments,
+    evaluate, evaluate_with_magnitude, is_zero, opaque_apps, opaque_assignments,
     sample_points, simplify, sum_exprs,
 )
 from .forms import TwoForm, d_scalar, interior_product, lie_derivative
@@ -42,9 +44,9 @@ HALF = Const(Fraction(1, 2))
 POINTWISE_TOL = 1e-9
 
 
-def _default_opaque(exprs: Sequence[Expr], p: Point, ctx: Context) -> dict:
+def _default_opaque(apps: Sequence[Expr], p: Point, ctx: Context) -> dict:
     """Opaque-function values at p drawn from a fresh DEFAULT_SEED stream."""
-    return opaque_assignments(exprs, p, ctx, np.random.default_rng(DEFAULT_SEED))
+    return opaque_assignments(apps, p, ctx, np.random.default_rng(DEFAULT_SEED))
 
 
 @dataclass(frozen=True)
@@ -77,7 +79,7 @@ class Section:
         return ([self.X.component(k) for k in range(2 * self.n)]
                 + [self.alpha.component(k) for k in range(2 * self.n)])
 
-    def evaluate(self, p: Point, ctx: Context, opaque=None) -> np.ndarray:
+    def evaluate(self, p: Point, ctx: Context, opaque: dict) -> np.ndarray:
         return np.array([evaluate(c, p, ctx, opaque) for c in self.components()])
 
     def is_structurally_zero(self) -> bool:
@@ -123,7 +125,7 @@ def jacobi_anomaly(a1: Section, a2: Section, a3: Section, p: Point,
     for s in lhs_sections:
         all_exprs.extend(s.components())
     all_exprs.extend(rhs_form.dx + rhs_form.dy)
-    opaque = _default_opaque(all_exprs, p, ctx)
+    opaque = _default_opaque(opaque_apps(all_exprs, ctx), p, ctx)
     lhs = np.zeros(4 * n)
     for s in lhs_sections:
         lhs += s.evaluate(p, ctx, opaque)
@@ -153,7 +155,7 @@ class AlmostDirac:
     dist_rank: int | None = None
     gauge_of: "AlmostDirac | None" = None
     gauge_form: TwoForm | None = None
-    _brackets: dict = field(default_factory=dict, repr=False, compare=False)
+    _memo: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         self.generators = tuple(g.simplified() for g in self.generators)
@@ -162,11 +164,11 @@ class AlmostDirac:
                 raise ValidationError("generator dimension mismatch")
 
     def bracket(self, i: int, j: int) -> Section:
-        key = (i, j)
-        if key not in self._brackets:
-            self._brackets[key] = courant_bracket(
+        key = ("bracket", i, j)
+        if key not in self._memo:
+            self._memo[key] = courant_bracket(
                 self.generators[i], self.generators[j]).simplified()
-        return self._brackets[key]
+        return self._memo[key]
 
     def all_exprs(self) -> list[Expr]:
         out: list[Expr] = []
@@ -174,16 +176,29 @@ class AlmostDirac:
             out.extend(g.components())
         return out
 
-    def _guard_locus(self, p: Point, ctx: Context) -> None:
+    def _pairs(self):
+        return itertools.combinations(range(len(self.generators)), 2)
+
+    def _apps(self, ctx: Context, with_brackets: bool) -> tuple:
+        """opaque_apps of the generators, and with_brackets of their brackets
+        too, once per context (the entry holds ctx, so its id stays unique)."""
+        key = ("apps", id(ctx), with_brackets)
+        if key not in self._memo:
+            exprs = self.all_exprs()
+            for i, j in self._pairs() if with_brackets else ():
+                exprs.extend(self.bracket(i, j).components())
+            self._memo[key] = (ctx, opaque_apps(exprs, ctx))
+        return self._memo[key][1]
+
+    def generator_matrix(self, p: Point, ctx: Context, opaque=None) -> np.ndarray:
+        """The structure evaluated at p, one row per generator plus any
+        auto-annihilator rows; raises SingularLocusError on a declared
+        locus.  Opaque values default to a DEFAULT_SEED draw."""
         for locus in self.singular_loci:
             if abs(evaluate(locus, p, ctx)) <= 1e-9:
                 raise SingularLocusError("point lies on a declared singular locus")
-
-    def generator_matrix(self, p: Point, ctx: Context, opaque=None) -> np.ndarray:
-        """Rows are evaluated generators; auto-annihilator rows appended
-        when the structure was built from a distribution alone."""
         if opaque is None:
-            opaque = _default_opaque(self.all_exprs(), p, ctx)
+            opaque = _default_opaque(self._apps(ctx, False), p, ctx)
         rows = [g.evaluate(p, ctx, opaque) for g in self.generators]
         if self.auto_annihilator:
             vec_rows = np.array([r[: 2 * self.n] for r in rows
@@ -192,7 +207,7 @@ class AlmostDirac:
                 null = scipy.linalg.null_space(vec_rows)
                 for q in range(null.shape[1]):
                     rows.append(np.concatenate([np.zeros(2 * self.n), null[:, q]]))
-        return np.array(rows)
+        return np.array(rows).reshape(-1, 4 * self.n)
 
 
 def _matrix_rank(M: np.ndarray) -> int:
@@ -236,17 +251,14 @@ def from_distribution(D_gens: Sequence[VectorField],
             verdict = is_zero(resid, ctx, cfg, loci)
             if verdict is Tri.PROVEN_ZERO:
                 continue
-            worst = None
+            apps = opaque_apps((resid,), ctx)
             for p in pts:
-                opaque = opaque_assignments((resid,), p, ctx, rng)
+                opaque = opaque_assignments(apps, p, ctx, rng)
                 val, mag = evaluate_with_magnitude(resid, p, ctx, opaque)
                 if abs(val) > POINTWISE_TOL * max(1.0, mag):
-                    worst = (p, val)
-                    break
-            if worst is not None:
-                raise AnnihilatorMismatchError(
-                    "annihilator does not vanish on the distribution: "
-                    f"value {worst[1]:.3e} at a sampled point", witness=worst[0])
+                    raise AnnihilatorMismatchError(
+                        "annihilator does not vanish on the distribution: "
+                        f"value {val:.3e} at a sampled point", witness=p)
             if verdict is Tri.PROVEN_NONZERO:
                 # sampling disagreed with the symbolic verdict; be loud
                 raise AnnihilatorMismatchError(
@@ -260,8 +272,9 @@ def from_distribution(D_gens: Sequence[VectorField],
         all_comps.extend(X.component(i) for i in range(2 * n))
     for eta in etas:
         all_comps.extend(eta.component(i) for i in range(2 * n))
+    apps = opaque_apps(all_comps, ctx)
     for p in pts:
-        opaque = opaque_assignments(all_comps, p, ctx, rng)
+        opaque = opaque_assignments(apps, p, ctx, rng)
         D_mat = np.array([[evaluate(X.component(i), p, ctx, opaque)
                            for i in range(2 * n)] for X in D_gens])
         if _matrix_rank(D_mat) < k:
@@ -297,58 +310,41 @@ def gauge_transform(L: AlmostDirac, omega: TwoForm) -> AlmostDirac:
         gauge_of=L, gauge_form=omega)
 
 
-def is_isotropic_at(L: AlmostDirac, p: Point, ctx: Context) -> bool:
-    L._guard_locus(p, ctx)
-    B = L.generator_matrix(p, ctx)
-    n = L.n
+def is_isotropic_at(B: np.ndarray) -> bool:
+    """Whether the pairing vanishes on the rows of B, a generator_matrix."""
+    n = B.shape[1] // 4
     V, W = B[:, : 2 * n], B[:, 2 * n:]
     gram = V @ W.T + W @ V.T
     scale = max(1.0, float(np.max(np.sum(B * B, axis=1))))
     return bool(np.max(np.abs(gram)) <= POINTWISE_TOL * scale)
 
 
-def is_maximal_at(L: AlmostDirac, p: Point, ctx: Context) -> bool:
-    L._guard_locus(p, ctx)
-    B = L.generator_matrix(p, ctx)
-    return _matrix_rank(B) == 2 * L.n
+def is_maximal_at(B: np.ndarray) -> bool:
+    """Whether the rows of B, a generator_matrix, span 2n dimensions."""
+    return _matrix_rank(B) == B.shape[1] // 2
 
 
-def involutivity_residual(L: AlmostDirac, p: Point, ctx: Context,
-                          require_maximal: bool = True) -> float:
+def involutivity_residual(L: AlmostDirac, p: Point, ctx: Context) -> float:
     """Largest norm of a generator bracket's component outside span(L_p).
 
-    Zero residual at p is the pointwise closure condition.  With
-    require_maximal the evaluated span must have full rank 2n; passing
-    False permits measuring the residual against a deficient span, which
-    only ever overestimates closure failure.
+    Zero residual at p is the pointwise closure condition.  It is measured
+    against the evaluated span whatever its rank, which only ever
+    overestimates closure failure.  Generators and brackets share one
+    opaque draw, so the matrix is built here, apart from the default one.
     """
-    L._guard_locus(p, ctx)
-    g = len(L.generators)
-    exprs = L.all_exprs()
-    for i in range(g):
-        for j in range(i + 1, g):
-            exprs.extend(L.bracket(i, j).components())
-    opaque = _default_opaque(exprs, p, ctx)
+    opaque = _default_opaque(L._apps(ctx, True), p, ctx)
     B = L.generator_matrix(p, ctx, opaque)
-    rank = _matrix_rank(B)
-    if rank < 2 * L.n and require_maximal:
-        raise RankDeficientError(
-            f"evaluated span has rank {rank} < {2 * L.n} at the given point")
     worst = 0.0
-    for i in range(g):
-        for j in range(i + 1, g):
-            u = L.bracket(i, j).evaluate(p, ctx, opaque)
-            sol, *_ = np.linalg.lstsq(B.T, u, rcond=None)
-            resid = u - B.T @ sol
-            worst = max(worst, float(np.linalg.norm(resid)))
+    for i, j in L._pairs():
+        u = L.bracket(i, j).evaluate(p, ctx, opaque)
+        sol, *_ = np.linalg.lstsq(B.T, u, rcond=None)
+        worst = max(worst, float(np.linalg.norm(u - B.T @ sol)))
     return worst
 
 
-def kernel_at(L: AlmostDirac, p: Point, ctx: Context) -> list[np.ndarray]:
-    """Orthonormal basis of the vectors v with (v, 0) in the evaluated span."""
-    L._guard_locus(p, ctx)
-    B = L.generator_matrix(p, ctx)
-    n = L.n
+def kernel_at(B: np.ndarray) -> list[np.ndarray]:
+    """Orthonormal basis of the v with (v, 0) in the row span of B."""
+    n = B.shape[1] // 4
     V, W = B[:, : 2 * n], B[:, 2 * n:]
     null = scipy.linalg.null_space(W.T)
     if null.shape[1] == 0:
@@ -362,16 +358,13 @@ def kernel_at(L: AlmostDirac, p: Point, ctx: Context) -> list[np.ndarray]:
     return [vt[i] for i in range(len(s)) if s[i] > POINTWISE_TOL * scale]
 
 
-def leaf_two_form_at(L: AlmostDirac, p: Point, Xv: np.ndarray, Yv: np.ndarray,
-                     ctx: Context) -> float:
-    """omega(Xv, Yv) = alpha(Yv) for any alpha with (Xv, alpha) in the span.
+def leaf_two_form_at(B: np.ndarray, Xv: np.ndarray, Yv: np.ndarray) -> float:
+    """omega(Xv, Yv) = alpha(Yv) for any (Xv, alpha) in the row span of B.
 
     Well-definedness across the solution set is asserted by recomputing
     with a second solution whenever one exists.
     """
-    L._guard_locus(p, ctx)
-    B = L.generator_matrix(p, ctx)
-    n = L.n
+    n = B.shape[1] // 4
     V, W = B[:, : 2 * n], B[:, 2 * n:]
     Xv = np.asarray(Xv, dtype=float)
     Yv = np.asarray(Yv, dtype=float)

@@ -35,8 +35,8 @@ __all__ = [
     "Expr", "Const", "Var", "Param", "Call", "FuncApp", "Neg", "Add", "Mul", "Div", "Pow",
     "Tri", "Context", "Point", "SampleConfig",
     "parse", "simplify", "diff", "evaluate", "is_zero", "format_expr",
-    "as_expr", "sum_exprs", "tri_all", "sample_points",
-    "compile_exprs", "compile_rk4_step", "opaque_assignments", "clear_caches",
+    "as_expr", "sum_exprs", "tri_all", "sample_points", "clear_caches",
+    "compile_exprs", "compile_rk4_step", "opaque_apps", "opaque_assignments",
 ]
 
 BUILTIN_FUNCTIONS = ("sin", "cos", "exp", "ln", "sqrt")
@@ -1145,42 +1145,47 @@ def sample_points(ctx: Context, cfg: SampleConfig | None = None,
     return out
 
 
-def _collect_funcapps(e: Expr, found: set) -> None:
-    if isinstance(e, FuncApp):
-        found.add(e)
-        _collect_funcapps(e.arg, found)
-    elif isinstance(e, (Neg,)):
-        _collect_funcapps(e.child, found)
-    elif isinstance(e, (Add, Mul)):
-        for c in e.children:
-            _collect_funcapps(c, found)
-    elif isinstance(e, Div):
-        _collect_funcapps(e.num, found)
-        _collect_funcapps(e.den, found)
-    elif isinstance(e, Pow):
-        _collect_funcapps(e.base, found)
-    elif isinstance(e, Call):
-        _collect_funcapps(e.arg, found)
+def _funcapps(exprs: Iterable[Expr]) -> set:
+    """Every opaque-function application in exprs, nested ones included."""
+    found: set = set()
+    todo = list(exprs)
+    while todo:
+        e = todo.pop()
+        if isinstance(e, FuncApp):
+            found.add(e)
+        if isinstance(e, (FuncApp, Call)):
+            todo.append(e.arg)
+        elif isinstance(e, (Add, Mul)):
+            todo.extend(e.children)
+        elif isinstance(e, Neg):
+            todo.append(e.child)
+        elif isinstance(e, Div):
+            todo += (e.num, e.den)
+        elif isinstance(e, Pow):
+            todo.append(e.base)
+    return found
 
 
-def opaque_assignments(exprs: Sequence[Expr], p: Point, ctx: Context,
+def opaque_apps(exprs: Sequence[Expr], ctx: Context) -> tuple[FuncApp, ...]:
+    """The applications in exprs of opaque functions without a bound body in
+    ctx, in draw order: collect once, then call opaque_assignments per point."""
+    unbound = (a for a in _funcapps(exprs) if ctx.func_derivative(a.fname, a.order) is None)
+    return tuple(sorted(unbound, key=lambda a: a.sortkey()))
+
+
+def opaque_assignments(apps: Sequence[FuncApp], p: Point, ctx: Context,
                        rng: np.random.Generator) -> dict:
-    """Sample values for unbound opaque-function applications at one point.
+    """Sample values at one point for applications collected by opaque_apps.
 
     Each distinct (name, order, argument value) gets an independent draw, so
     a verdict of nonzero means nonzero for some admissible choice of the
     formal functions.  Draws avoid a band around zero so that expressions
     like f'(x1)*x2 are not accidentally annihilated by the sample itself.
-    One assignment dict covers every expression passed in, keeping the
-    sampled functions consistent across a whole matrix of components.
+    One assignment dict covers every expression the applications came from,
+    keeping the sampled functions consistent across a matrix of components.
     """
-    apps: set = set()
-    for e in exprs:
-        _collect_funcapps(e, apps)
     out: dict = {}
-    for app in sorted(apps, key=lambda a: a.sortkey()):
-        if ctx.func_derivative(app.fname, app.order) is not None:
-            continue
+    for app in apps:
         try:
             a = evaluate(app.arg, p, ctx, out)
         except EvalDomainError:
@@ -1244,13 +1249,17 @@ def is_zero(e: Expr, ctx: Context, cfg: SampleConfig | None = None,
     rng = np.random.default_rng(cfg.seed)
     s = _emit(nf)
     draws = _clear_draws(ctx, cfg, loci, rng, max(SAMPLE_MAX_TRIES, 4 * cfg.points))
+    apps = None
     good = 0
     while good < cfg.points:
         p = next(draws, None)
         if p is None:
             break
         try:
-            opaque = opaque_assignments((s,), p, ctx, rng)
+            # inside the try: a bound body whose derivative fails rejects each draw
+            if apps is None:
+                apps = opaque_apps((s,), ctx)
+            opaque = opaque_assignments(apps, p, ctx, rng)
             v, mag = evaluate_with_magnitude(s, p, ctx, opaque)
         except EvalDomainError:
             continue
@@ -1433,11 +1442,8 @@ def _sqrt(v: float) -> float:
 
 def _opaque_table(exprs: Sequence[Expr], ctx: Context) -> dict:
     """Compiled bodies of the opaque-function derivatives the expressions apply."""
-    apps: set = set()
-    for e in exprs:
-        _collect_funcapps(e, apps)
     fn_table: dict[tuple[str, int], Callable[[float], float]] = {}
-    for app in apps:
+    for app in _funcapps(exprs):
         key = (app.fname, app.order)
         if key in fn_table:
             continue

@@ -10,6 +10,7 @@ numeric confirmation integrates the flow and watches H drift.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -23,7 +24,7 @@ from .errors import (
 from .expr import (
     Context, Expr, Point, SampleConfig, Tri, ZERO,
     compile_exprs, compile_rk4_step, evaluate, evaluate_with_magnitude,
-    is_zero, opaque_assignments, sample_points, simplify, tri_all,
+    is_zero, opaque_apps, opaque_assignments, sample_points, simplify, tri_all,
 )
 from .forms import TwoForm, d_scalar, exterior_derivative_2, interior_product
 from .geometry import (
@@ -141,6 +142,8 @@ def integrate_sode(S: SemiSpray, p0: Point, dt: float, steps: int,
     parameters kept exact.  A step that floats cannot finish (they raise
     where numpy gives inf or nan) is redone on arrays with the same field
     rk45 uses, so trajectories and abort reasons are the array step's.
+    A locus value that fails to evaluate there (say, one that overflows)
+    aborts only this trajectory, with an "evaluation failed" reason.
     """
     if dt <= 0:
         raise ValidationError("step size must be positive")
@@ -173,13 +176,14 @@ def integrate_sode(S: SemiSpray, p0: Point, dt: float, steps: int,
             with np.errstate(all="ignore"):
                 try:
                     z_arr = _rk4_array_step(f, np.array(z), params, dt)
+                    if np.all(np.isfinite(z_arr)):
+                        out = tuple(z_arr.tolist()), loci(z_arr, params)
                 except EvalDomainError as exc:
                     aborted, reason = True, f"evaluation failed: {exc}"
                     break
-                if not np.all(np.isfinite(z_arr)):
-                    aborted, reason = True, "state became non-finite"
-                    break
-                out = tuple(z_arr.tolist()), loci(z_arr, params)
+            if out is None:
+                aborted, reason = True, "state became non-finite"
+                break
         z, vals = out
         if vals and (min(map(abs, vals)) <= LOCUS_GUARD
                      or [v < 0 for v in vals] != below):
@@ -210,8 +214,10 @@ def _integrate_rk45(S, f, guard, loci, z0, params, dt, steps) -> Trajectory:
         ev.direction = 0
         events.append(ev)
     try:
-        sol = solve_ivp(rhs, (0.0, T), z0, method="RK45", rtol=RK45_RTOL, atol=RK45_ATOL,
-                        events=events, max_step=max(dt, T / 50.0))
+        # numpy warns where the field overflows; the abort reason says it
+        with np.errstate(all="ignore"):
+            sol = solve_ivp(rhs, (0.0, T), z0, method="RK45", rtol=RK45_RTOL,
+                            atol=RK45_ATOL, events=events, max_step=max(dt, T / 50.0))
     except EvalDomainError as exc:
         return Trajectory(S.n, np.array([0.0]), np.array([z0]), "rk45", dt,
                           params, True, f"evaluation failed: {exc}")
@@ -263,8 +269,9 @@ def _flow_distribution(S: SemiSpray, D_gens: Sequence[VectorField] | None,
     comps = [Svec.component(i) for i in range(2 * S.n)]
     for X in D_gens:
         comps.extend(X.component(i) for i in range(2 * S.n))
+    apps = opaque_apps(comps, ctx)
     for p in pts:
-        opaque = opaque_assignments(comps, p, ctx, rng)
+        opaque = opaque_assignments(apps, p, ctx, rng)
         rows = np.array([[evaluate(X.component(i), p, ctx, opaque)
                           for i in range(2 * S.n)] for X in D_gens])
         target = np.array([evaluate(c, p, ctx, opaque) for c in comps[: 2 * S.n]])
@@ -297,8 +304,9 @@ def residual(S: SemiSpray, omega: TwoForm, H: Expr,
     rng = np.random.default_rng(cfg.seed + 1)
     pts = sample_points(ctx, cfg, loci, count=max(8, cfg.points // 2), rng=rng)
     worst = 0.0
+    apps = opaque_apps(comps, ctx)
     for p in pts:
-        opaque = opaque_assignments(comps, p, ctx, rng)
+        opaque = opaque_assignments(apps, p, ctx, rng)
         for c in comps:
             val, mag = evaluate_with_magnitude(c, p, ctx, opaque)
             worst = max(worst, abs(val) / max(1.0, mag))
@@ -343,30 +351,53 @@ def hamiltonian_certificate(S: SemiSpray, omega: TwoForm, H: Expr,
     """
     ctx = ctx or Context(dim=S.n)
     cfg = cfg or SampleConfig()
-    report = residual(S, omega, H, D_gens, ctx, cfg)
-    report.d_integrable = _distribution_integrable(S, D_gens, ctx, cfg)
-    closed_comps = exterior_derivative_2(omega).components()
-    report.omega_closed = tri_all(
-        is_zero(c, ctx, cfg, S.singular_loci) for c in closed_comps)
+    return _certifier(S, D_gens, ann_gens, ctx, cfg)(omega, H)
 
-    if D_gens is None:
-        frame = berwald_frame(S)
-        base_dist = list(frame.horizontal)
-        base_ann = list(frame.dy_adapted) if ann_gens is None else list(ann_gens)
-    else:
-        base_dist = list(D_gens)
-        base_ann = list(ann_gens) if ann_gens is not None else None
-    try:
-        L = from_distribution(base_dist, base_ann, ctx, cfg, S.singular_loci)
-        report.structure = gauge_transform(L, omega)
-    except (ValidationError, DistributionMembershipError):
-        report.structure = None
 
-    all_green = (report.residual_all_zero
-                 and report.d_integrable is Tri.PROVEN_ZERO
-                 and report.omega_closed is Tri.PROVEN_ZERO)
-    any_red = (any(v is Tri.PROVEN_NONZERO for v in report.residual_verdicts)
-               or report.d_integrable is Tri.PROVEN_NONZERO
-               or report.omega_closed is Tri.PROVEN_NONZERO)
-    report.overall = "yes" if all_green else ("no" if any_red else "unknown")
-    return report
+def _certifier(S: SemiSpray, D_gens: Sequence[VectorField] | None,
+               ann_gens: Sequence[OneForm] | None, ctx: Context,
+               cfg: SampleConfig):
+    """hamiltonian_certificate as a function of (omega, H).  The parts that
+    do not depend on them, the integrability verdict and the ungauged
+    structure, are built at their step of the first certificate and reused."""
+
+    @functools.cache
+    def d_integrable() -> Tri:
+        return _distribution_integrable(S, D_gens, ctx, cfg)
+
+    @functools.cache
+    def base_structure() -> AlmostDirac | None:
+        if D_gens is None:
+            frame = berwald_frame(S)
+            base_dist = list(frame.horizontal)
+            base_ann = list(frame.dy_adapted) if ann_gens is None else list(ann_gens)
+        else:
+            base_dist = list(D_gens)
+            base_ann = list(ann_gens) if ann_gens is not None else None
+        try:
+            return from_distribution(base_dist, base_ann, ctx, cfg, S.singular_loci)
+        except (ValidationError, DistributionMembershipError):
+            return None
+
+    def certify(omega: TwoForm, H: Expr) -> MotionReport:
+        report = residual(S, omega, H, D_gens, ctx, cfg)
+        report.d_integrable = d_integrable()
+        closed_comps = exterior_derivative_2(omega).components()
+        report.omega_closed = tri_all(
+            is_zero(c, ctx, cfg, S.singular_loci) for c in closed_comps)
+        L = base_structure()
+        try:
+            report.structure = gauge_transform(L, omega) if L is not None else None
+        except (ValidationError, DistributionMembershipError):
+            report.structure = None
+
+        all_green = (report.residual_all_zero
+                     and report.d_integrable is Tri.PROVEN_ZERO
+                     and report.omega_closed is Tri.PROVEN_ZERO)
+        any_red = (any(v is Tri.PROVEN_NONZERO for v in report.residual_verdicts)
+                   or report.d_integrable is Tri.PROVEN_NONZERO
+                   or report.omega_closed is Tri.PROVEN_NONZERO)
+        report.overall = "yes" if all_green else ("no" if any_red else "unknown")
+        return report
+
+    return certify

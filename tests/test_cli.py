@@ -87,6 +87,30 @@ def test_search_computes_one_residual_per_kept_candidate(capsys, monkeypatch):
     assert len(calls) == 3
 
 
+def test_search_builds_the_candidate_independent_parts_once(capsys, monkeypatch):
+    from spraydirac import dirac, motion
+    integrable = _count_calls(monkeypatch, motion._distribution_integrable)
+    structures = _count_calls(monkeypatch, dirac.from_distribution)
+    rc, out, _ = _run(capsys, ["search", EX4])
+    assert rc == 0 and out.count("certificate: yes") == 3
+    assert (len(integrable), len(structures)) == (1, 1)
+
+
+def test_dirac_check_builds_at_most_two_matrices_per_point(capsys, monkeypatch):
+    from spraydirac.dirac import AlmostDirac
+    calls = []
+    build = AlmostDirac.generator_matrix
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return build(self, *args, **kwargs)
+
+    monkeypatch.setattr(AlmostDirac, "generator_matrix", counted)
+    rc, out, _ = _run(capsys, ["dirac-check", EX4])
+    assert rc == 0 and "points: 20" in out
+    assert len(calls) <= 40
+
+
 def test_search_finds_quadratic_invariants(capsys):
     rc, out, _ = _run(capsys, ["search", EX4])
     assert rc == 0
@@ -193,6 +217,37 @@ def test_blow_up_into_a_math_domain_error_aborts_the_trajectory(tmp_path, capsys
     assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
     runs = json.loads(out)["trajectories"]
     assert [r["abort_reason"] for r in runs] == ["evaluation failed: math domain error"] * 2
+
+
+OVERFLOWING_LOCUS = ("dim = 1\nexclude x1^400 + 1\n"
+                     "integrate t=10 dt=0.01 method={} seed=1 samples=2\n")
+
+
+@pytest.mark.parametrize("command, extra", [("integrate", ""), ("verify", "H = y1\n")],
+                         ids=["integrate", "verify"])
+def test_an_overflowing_locus_aborts_only_its_trajectory(tmp_path, capsys, command, extra):
+    # |x1| grows past 5.9, where x1^400 overflows a double on the rk4 array step
+    f = tmp_path / "overflow.sdp"
+    f.write_text(OVERFLOWING_LOCUS.format("rk4") + extra)
+    rc, out, err = _run(capsys, [command, str(f), "--json"])
+    assert rc == 0, err
+    assert err == ""
+    rep = json.loads(out)
+    runs = rep["trajectories"] if command == "integrate" else rep["drift"]["runs"]
+    assert [r["abort_reason"] for r in runs] == [
+        "evaluation failed: non-finite value in compiled evaluation"] * 2
+
+
+def test_an_overflowing_locus_under_rk45_keeps_stderr_empty(tmp_path, capsys):
+    f = tmp_path / "overflow45.sdp"
+    f.write_text(OVERFLOWING_LOCUS.format("rk45"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, out, err = _run(capsys, ["integrate", str(f), "--json"])
+    assert rc == 0, err
+    assert err == ""
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert all(r["aborted"] for r in json.loads(out)["trajectories"])
 
 
 def test_numeric_domain_failures_exit_3(tmp_path, capsys):

@@ -107,10 +107,10 @@ def test_diagonal_graph_is_dirac():
             assert L.bracket(i, j).is_structurally_zero()
     rng = np.random.default_rng(2)
     for p in _random_points(rng, 8):
-        assert is_isotropic_at(L, p, CTX2)
-        assert is_maximal_at(L, p, CTX2)
+        assert is_isotropic_at(L.generator_matrix(p, CTX2))
+        assert is_maximal_at(L.generator_matrix(p, CTX2))
         assert involutivity_residual(L, p, CTX2) <= 1e-8
-        assert kernel_at(L, p, CTX2) == []
+        assert kernel_at(L.generator_matrix(p, CTX2)) == []
 
 
 def test_jacobi_defect_vanishes_on_constant_sections():
@@ -135,7 +135,7 @@ def test_gauge_transform_inverts_and_preserves_isotropy():
     for p in _random_points(rng, 8):
         # the pairing shift omega(X,Y) + omega(Y,X) cancels for any omega,
         # closed or not
-        assert is_isotropic_at(moved, p, CTX2)
+        assert is_isotropic_at(moved.generator_matrix(p, CTX2))
     assert moved.gauge_of is L
 
 
@@ -155,8 +155,8 @@ def test_from_distribution_with_full_annihilator():
     assert not L.auto_annihilator
     pts = _sample(CTX2, cfg, S.singular_loci, 10)
     for p in pts:
-        assert is_isotropic_at(L, p, CTX2)
-        assert is_maximal_at(L, p, CTX2)
+        assert is_isotropic_at(L.generator_matrix(p, CTX2))
+        assert is_maximal_at(L.generator_matrix(p, CTX2))
         assert involutivity_residual(L, p, CTX2) <= 1e-8
 
 
@@ -173,7 +173,7 @@ def test_from_distribution_with_bound_function_coefficients():
                           loci=S.singular_loci)
     assert L.ann_rank_deficit == 0
     for p in _sample(ctx, cfg, S.singular_loci, 8):
-        assert is_isotropic_at(L, p, ctx)
+        assert is_isotropic_at(L.generator_matrix(p, ctx))
 
 
 def _thrust_structure_3d():
@@ -197,10 +197,9 @@ def test_from_distribution_records_annihilator_deficit():
     pts = _sample(CTX3, cfg, S.singular_loci, 10)
     worst = 0.0
     for p in pts:
-        assert is_isotropic_at(L, p, CTX3)
-        assert not is_maximal_at(L, p, CTX3)
-        worst = max(worst, involutivity_residual(L, p, CTX3,
-                                                 require_maximal=False))
+        assert is_isotropic_at(L.generator_matrix(p, CTX3))
+        assert not is_maximal_at(L.generator_matrix(p, CTX3))
+        worst = max(worst, involutivity_residual(L, p, CTX3))
     # the distribution genuinely fails to close
     assert worst > 1e-4
 
@@ -242,15 +241,17 @@ def test_leaf_two_form_away_from_the_fold():
     p = Point((0.3, -1.1), (2.0, 0.7))
     ex1 = np.array([1.0, 0, 0, 0])
     ex2 = np.array([0, 1.0, 0, 0])
-    assert leaf_two_form_at(L, p, ex1, ex2, CTX2) == pytest.approx(2.0, abs=1e-12)
-    assert leaf_two_form_at(L, p, ex2, ex1, CTX2) == pytest.approx(-2.0, abs=1e-12)
-    assert kernel_at(L, p, CTX2) == []
+    assert (leaf_two_form_at(L.generator_matrix(p, CTX2), ex1, ex2)
+            == pytest.approx(2.0, abs=1e-12))
+    assert (leaf_two_form_at(L.generator_matrix(p, CTX2), ex2, ex1)
+            == pytest.approx(-2.0, abs=1e-12))
+    assert kernel_at(L.generator_matrix(p, CTX2)) == []
 
 
 def test_kernel_jumps_on_the_fold():
     L = _folded_structure()
     p = Point((0.3, -1.1), (0.0, 0.7))
-    basis = kernel_at(L, p, CTX2)
+    basis = kernel_at(L.generator_matrix(p, CTX2))
     assert len(basis) == 2
     for v in basis:
         # kernel directions stay inside the base block
@@ -262,7 +263,8 @@ def test_leaf_arguments_must_lie_in_the_distribution():
     p = Point((0.3, -1.1), (2.0, 0.7))
     vertical = np.array([0, 0, 1.0, 0])
     with pytest.raises(DistributionMembershipError):
-        leaf_two_form_at(L, p, vertical, np.array([1.0, 0, 0, 0]), CTX2)
+        leaf_two_form_at(L.generator_matrix(p, CTX2), vertical,
+                         np.array([1.0, 0, 0, 0]))
 
 
 def test_gauge_by_closed_form_keeps_closure():

@@ -1,0 +1,238 @@
+"""The pointwise structure tests on one generator matrix per point agree bit
+for bit with evaluating the structure once per test, and the opaque draw
+over pre-collected applications agrees with one that walks the trees."""
+
+import numpy as np
+import pytest
+import scipy.linalg
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from spraydirac.dirac import (  # noqa: E402
+    POINTWISE_TOL, AlmostDirac, Section, involutivity_residual, is_isotropic_at,
+    is_maximal_at, kernel_at, leaf_two_form_at,
+)
+from spraydirac.expr import (  # noqa: E402
+    DEFAULT_SEED, ZERO, Add, Call, Context, Div, FuncApp, Mul, Neg, Point, Pow,
+    evaluate, opaque_apps, opaque_assignments, parse, simplify,
+)
+from spraydirac.errors import (  # noqa: E402
+    DistributionMembershipError, EvalDomainError, InternalError,
+)
+from spraydirac.geometry import OneForm, VectorField  # noqa: E402
+
+
+# f has no body, so only sampled values evaluate it; g has one
+CTX = Context(dim=2)
+CTX.declare_function("f")
+CTX.declare_function("g", parse("x1^2 + 1", Context(1)))
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
+
+TERMS = ["1", "x1", "x2", "y1", "y2", "x1*y2", "y1^2", "f(x1)", "y2*f(x2)",
+         "f(y1)*x1", "f'(x1)", "g(x2)*y1", "f(g(x1))"]
+COMPONENTS = st.one_of(
+    st.just(ZERO),
+    st.tuples(st.integers(-2, 2), st.sampled_from(TERMS)).map(
+        lambda t: simplify(parse(f"{t[0]}*{t[1]}", CTX))),
+)
+SECTIONS = st.lists(COMPONENTS, min_size=8, max_size=8).map(
+    lambda c: Section(VectorField(2, tuple(c[0:2]), tuple(c[2:4])),
+                      OneForm(2, tuple(c[4:6]), tuple(c[6:8]))))
+STRUCTURES = st.tuples(st.lists(SECTIONS, min_size=1, max_size=4), st.booleans()).map(
+    lambda t: AlmostDirac(n=2, generators=tuple(t[0]), auto_annihilator=t[1]))
+COORDS = st.floats(-2.0, 2.0, allow_nan=False)
+POINTS = st.tuples(COORDS, COORDS, COORDS, COORDS).map(
+    lambda v: Point(v[:2], v[2:]))
+
+
+# -- the per-test evaluation the pointwise tests replaced ---------------------
+
+def _old_collect(e, found):
+    if isinstance(e, FuncApp):
+        found.add(e)
+        _old_collect(e.arg, found)
+    elif isinstance(e, Neg):
+        _old_collect(e.child, found)
+    elif isinstance(e, (Add, Mul)):
+        for c in e.children:
+            _old_collect(c, found)
+    elif isinstance(e, Div):
+        _old_collect(e.num, found)
+        _old_collect(e.den, found)
+    elif isinstance(e, Pow):
+        _old_collect(e.base, found)
+    elif isinstance(e, Call):
+        _old_collect(e.arg, found)
+
+
+def _old_opaque_assignments(exprs, p, ctx, rng):
+    apps = set()
+    for e in exprs:
+        _old_collect(e, apps)
+    out = {}
+    for app in sorted(apps, key=lambda a: a.sortkey()):
+        if ctx.func_derivative(app.fname, app.order) is not None:
+            continue
+        try:
+            a = evaluate(app.arg, p, ctx, out)
+        except EvalDomainError:
+            continue
+        key = (app.fname, app.order, round(a, 9))
+        if key not in out:
+            mag = float(rng.uniform(0.25, 2.0))
+            out[key] = mag if rng.uniform() < 0.5 else -mag
+    return out
+
+
+def _old_default_opaque(exprs, p, ctx):
+    return _old_opaque_assignments(exprs, p, ctx, np.random.default_rng(DEFAULT_SEED))
+
+
+def _old_generator_matrix(L, p, ctx, opaque=None):
+    if opaque is None:
+        opaque = _old_default_opaque(L.all_exprs(), p, ctx)
+    rows = [g.evaluate(p, ctx, opaque) for g in L.generators]
+    if L.auto_annihilator:
+        vec_rows = np.array([r[: 2 * L.n] for r in rows
+                             if np.linalg.norm(r[2 * L.n:]) <= 1e-12])
+        if vec_rows.size:
+            null = scipy.linalg.null_space(vec_rows)
+            for q in range(null.shape[1]):
+                rows.append(np.concatenate([np.zeros(2 * L.n), null[:, q]]))
+    return np.array(rows)
+
+
+def _old_rank(M):
+    scale = max(1.0, float(np.max(np.abs(M))))
+    return int(np.sum(scipy.linalg.svdvals(M) > POINTWISE_TOL * scale))
+
+
+def _old_is_isotropic_at(L, p, ctx):
+    B = _old_generator_matrix(L, p, ctx)
+    V, W = B[:, : 2 * L.n], B[:, 2 * L.n:]
+    gram = V @ W.T + W @ V.T
+    scale = max(1.0, float(np.max(np.sum(B * B, axis=1))))
+    return bool(np.max(np.abs(gram)) <= POINTWISE_TOL * scale)
+
+
+def _old_is_maximal_at(L, p, ctx):
+    return _old_rank(_old_generator_matrix(L, p, ctx)) == 2 * L.n
+
+
+def _old_involutivity_residual(L, p, ctx):
+    g = len(L.generators)
+    exprs = L.all_exprs()
+    for i in range(g):
+        for j in range(i + 1, g):
+            exprs.extend(L.bracket(i, j).components())
+    opaque = _old_default_opaque(exprs, p, ctx)
+    B = _old_generator_matrix(L, p, ctx, opaque)
+    worst = 0.0
+    for i in range(g):
+        for j in range(i + 1, g):
+            u = L.bracket(i, j).evaluate(p, ctx, opaque)
+            sol, *_ = np.linalg.lstsq(B.T, u, rcond=None)
+            worst = max(worst, float(np.linalg.norm(u - B.T @ sol)))
+    return worst
+
+
+def _old_kernel_at(L, p, ctx):
+    B = _old_generator_matrix(L, p, ctx)
+    V, W = B[:, : 2 * L.n], B[:, 2 * L.n:]
+    null = scipy.linalg.null_space(W.T)
+    if null.shape[1] == 0:
+        return []
+    candidates = (V.T @ null).T
+    scale = max(1.0, float(np.max(np.abs(B))))
+    keep = candidates[np.linalg.norm(candidates, axis=1) > POINTWISE_TOL * scale]
+    if keep.size == 0:
+        return []
+    _, s, vt = np.linalg.svd(keep, full_matrices=False)
+    return [vt[i] for i in range(len(s)) if s[i] > POINTWISE_TOL * scale]
+
+
+def _old_leaf_two_form_at(L, p, Xv, Yv, ctx):
+    B = _old_generator_matrix(L, p, ctx)
+    V, W = B[:, : 2 * L.n], B[:, 2 * L.n:]
+    for v, name in ((Xv, "first"), (Yv, "second")):
+        sol, *_ = np.linalg.lstsq(V.T, v, rcond=None)
+        if np.linalg.norm(V.T @ sol - v) > POINTWISE_TOL * max(1.0, np.linalg.norm(v)):
+            raise DistributionMembershipError(
+                f"{name} argument is outside the characteristic distribution")
+    c, *_ = np.linalg.lstsq(V.T, Xv, rcond=None)
+    alpha = W.T @ c
+    value = float(alpha @ Yv)
+    null = scipy.linalg.null_space(V.T)
+    if null.shape[1]:
+        alpha2 = W.T @ (c + null[:, 0])
+        value2 = float(alpha2 @ Yv)
+        if abs(value2 - value) > POINTWISE_TOL * max(1.0, abs(value)):
+            raise InternalError(
+                "leaf two-form value depends on the solution choice; "
+                "the structure is not isotropic over these arguments")
+    return value
+
+
+def _outcome(fn, *args):
+    """The value, or the type and text of what was raised."""
+    try:
+        return "value", fn(*args)
+    except Exception as exc:  # noqa: BLE001 -- compared, not handled
+        return type(exc), str(exc)
+
+
+# -- properties ---------------------------------------------------------------
+
+@PROPERTY
+@given(STRUCTURES, POINTS)
+def test_one_matrix_per_point_gives_the_per_test_results(L, p):
+    old = (_old_is_isotropic_at(L, p, CTX), _old_is_maximal_at(L, p, CTX),
+           _old_kernel_at(L, p, CTX), _old_involutivity_residual(L, p, CTX))
+    B = L.generator_matrix(p, CTX)
+    assert np.array_equal(B, _old_generator_matrix(L, p, CTX))
+    assert is_isotropic_at(B) is old[0]
+    assert is_maximal_at(B) is old[1]
+    new_kernel = kernel_at(B)
+    assert len(new_kernel) == len(old[2])
+    assert all(np.array_equal(u, v) for u, v in zip(new_kernel, old[2]))
+    assert involutivity_residual(L, p, CTX) == old[3]
+    # the first row's vector part lies in the distribution; a fixed
+    # vector often does not, which exercises the membership error
+    Xv, Yv = B[0, :4], np.array([1.0, 0.5, -0.25, 2.0])
+    assert (_outcome(leaf_two_form_at, B, Xv, Yv)
+            == _outcome(_old_leaf_two_form_at, L, p, Xv, Yv, CTX))
+
+
+def test_brackets_of_formal_functions_add_applications():
+    # d/dx1 paired with f(x1) dx2: the bracket differentiates f
+    L = AlmostDirac(n=2, generators=(
+        Section(VectorField.coordinate(2, "x", 1), OneForm.zero(2)),
+        Section(VectorField.zero(2), OneForm(2, (ZERO, parse("f(x1)", CTX)),
+                                             (ZERO, ZERO))),
+    ))
+    gens_only = opaque_apps(L.all_exprs(), CTX)
+    with_brackets = opaque_apps(L.all_exprs() + L.bracket(0, 1).components(), CTX)
+    assert [a.order for a in gens_only] == [0]
+    assert [a.order for a in with_brackets] == [0, 1]
+    p = Point((0.3, -0.7), (1.1, 0.4))
+    assert involutivity_residual(L, p, CTX) == _old_involutivity_residual(L, p, CTX)
+
+
+EXPRS = st.lists(st.sampled_from(TERMS + ["f(f(x1))", "f(x1 + f(x2))", "g(f(y2))",
+                                          "f(ln(x1))", "f''(y1*y2)"]),
+                 min_size=1, max_size=5).map(
+    lambda ts: [parse(t, CTX) for t in ts])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(EXPRS, POINTS, st.integers(0, 2**32 - 1))
+def test_drawing_over_collected_applications_matches_the_tree_walk(exprs, p, seed):
+    new_rng, old_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    new = _outcome(opaque_assignments, opaque_apps(exprs, CTX), p, CTX, new_rng)
+    old = _outcome(_old_opaque_assignments, exprs, p, CTX, old_rng)
+    assert new == old
+    # the same number of draws was taken from the stream
+    assert new_rng.random() == old_rng.random()
+
