@@ -44,7 +44,7 @@ print(f"  overall: {rep.overall}")
 print("\n== how badly the family fails to close ==")
 L = rep.structure.gauge_of
 for p in sample_points(ctx, cfg, S.singular_loci, count=3):
-    res = involutivity_residual(L, p, ctx)
+    res = involutivity_residual(L, p, ctx, L.generator_matrix(p, ctx))
     print(f"  residual {res:.4f} at y3 = {p.y[2]:+.3f}")
 
 print("\n== drift, including runs that hit the singular slice ==")

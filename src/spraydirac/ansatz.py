@@ -22,7 +22,7 @@ import numpy as np
 from .errors import ValidationError
 from .expr import (
     DEFAULT_SEED, Const, Context, Expr, Mul, Point, SampleConfig, Var, ZERO,
-    evaluate, format_expr, sample_points, simplify, sum_exprs,
+    compile_evaluate, format_expr, sample_points, simplify, sum_exprs,
 )
 from .forms import TwoForm, d_scalar, format_two_form, interior_product
 from .geometry import SemiSpray, VectorField
@@ -165,12 +165,10 @@ def assemble(S: SemiSpray, D_gens: Sequence[VectorField] | None, a: Ansatz,
 
     pts = sample_points(ctx, cfg, S.singular_loci, count=a.points)
     g = len(gens)
+    evaluation = compile_evaluate([e for exprs in col_exprs for e in exprs], ctx)
     M = np.zeros((a.points * g, a.unknowns))
     for pi, p in enumerate(pts):
-        block = np.empty((g, a.unknowns))
-        for ci, exprs in enumerate(col_exprs):
-            for gi, e in enumerate(exprs):
-                block[gi, ci] = evaluate(e, p, ctx)
+        block = np.reshape(evaluation(p), (a.unknowns, g)).T
         peak = np.max(np.abs(block))
         if peak > 0:
             block /= peak
@@ -281,10 +279,10 @@ def search(S: SemiSpray, D_gens: Sequence[VectorField] | None, a: Ansatz,
         use = snapped if snapped is not None else v
         H, omega = _decode(a, use, exact=snapped is not None)
         dH = d_scalar(H, a.n)
+        dh = compile_evaluate([dH.component(k) for k in range(2 * a.n)], ctx)
         dh_norm = 0.0
         for p in dh_pts:
-            row = [evaluate(dH.component(k), p, ctx) for k in range(2 * a.n)]
-            dh_norm = max(dh_norm, float(np.linalg.norm(row)))
+            dh_norm = max(dh_norm, float(np.linalg.norm(dh(p))))
         if dh_norm < 1e-10:
             trivial += 1
             continue

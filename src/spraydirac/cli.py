@@ -292,7 +292,7 @@ def cmd_dirac_check(path: str, pf: ProblemFile, seed_arg: int | None) -> dict:
     Bs = [L.generator_matrix(p, ctx) for p in pts]
     iso = sum(1 for B in Bs if is_isotropic_at(B))
     maxl = sum(1 for B in Bs if is_maximal_at(B))
-    resid = max(involutivity_residual(L, p, ctx) for p in pts)
+    resid = max(involutivity_residual(L, p, ctx, B) for p, B in zip(pts, Bs))
     kdim = len(kernel_at(Bs[0]))
     rep["pointwise"] = {
         "points": len(pts),

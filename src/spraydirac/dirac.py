@@ -26,8 +26,8 @@ from .errors import (
 )
 from .expr import (
     DEFAULT_SEED, Add, Const, Context, Expr, Mul, Neg, Point, SampleConfig, Tri, ZERO,
-    evaluate, evaluate_with_magnitude, is_zero, opaque_apps, opaque_assignments,
-    sample_points, simplify, sum_exprs,
+    compile_evaluate, compile_evaluate_with_magnitude, evaluate, is_zero, opaque_apps,
+    opaque_assignments, sample_points, simplify, sum_exprs,
 )
 from .forms import TwoForm, d_scalar, interior_product, lie_derivative
 from .geometry import OneForm, VectorField, lie_bracket
@@ -44,8 +44,11 @@ HALF = Const(Fraction(1, 2))
 POINTWISE_TOL = 1e-9
 
 
-def _default_opaque(apps: Sequence[Expr], p: Point, ctx: Context) -> dict:
-    """Opaque-function values at p drawn from a fresh DEFAULT_SEED stream."""
+def _default_opaque(apps: Sequence[Expr], p: Point, ctx: Context) -> dict | None:
+    """Opaque-function values at p drawn from a fresh DEFAULT_SEED stream,
+    or None when there is nothing to draw."""
+    if not apps:
+        return None
     return opaque_assignments(apps, p, ctx, np.random.default_rng(DEFAULT_SEED))
 
 
@@ -78,9 +81,6 @@ class Section:
     def components(self) -> list[Expr]:
         return ([self.X.component(k) for k in range(2 * self.n)]
                 + [self.alpha.component(k) for k in range(2 * self.n)])
-
-    def evaluate(self, p: Point, ctx: Context, opaque: dict) -> np.ndarray:
-        return np.array([evaluate(c, p, ctx, opaque) for c in self.components()])
 
     def is_structurally_zero(self) -> bool:
         return all(c == ZERO for c in self.components())
@@ -126,13 +126,11 @@ def jacobi_anomaly(a1: Section, a2: Section, a3: Section, p: Point,
         all_exprs.extend(s.components())
     all_exprs.extend(rhs_form.dx + rhs_form.dy)
     opaque = _default_opaque(opaque_apps(all_exprs, ctx), p, ctx)
+    vals = np.array([evaluate(e, p, ctx, opaque) for e in all_exprs])
     lhs = np.zeros(4 * n)
-    for s in lhs_sections:
-        lhs += s.evaluate(p, ctx, opaque)
-    rhs = np.concatenate([
-        np.zeros(2 * n),
-        [evaluate(rhs_form.component(k), p, ctx, opaque) for k in range(2 * n)],
-    ])
+    for row in vals[:12 * n].reshape(3, 4 * n):
+        lhs += row
+    rhs = np.concatenate([np.zeros(2 * n), vals[12 * n:]])
     return lhs, rhs
 
 
@@ -190,6 +188,18 @@ class AlmostDirac:
             self._memo[key] = (ctx, opaque_apps(exprs, ctx))
         return self._memo[key][1]
 
+    def _rows(self, ctx: Context, brackets: bool):
+        """compile_evaluate of the generators' components or, with brackets,
+        of the generator brackets', once per context (as _apps)."""
+        key = ("rows", id(ctx), brackets)
+        if key not in self._memo:
+            if brackets:
+                exprs = [c for i, j in self._pairs() for c in self.bracket(i, j).components()]
+            else:
+                exprs = self.all_exprs()
+            self._memo[key] = (ctx, compile_evaluate(exprs, ctx))
+        return self._memo[key][1]
+
     def generator_matrix(self, p: Point, ctx: Context, opaque=None) -> np.ndarray:
         """The structure evaluated at p, one row per generator plus any
         auto-annihilator rows; raises SingularLocusError on a declared
@@ -199,7 +209,8 @@ class AlmostDirac:
                 raise SingularLocusError("point lies on a declared singular locus")
         if opaque is None:
             opaque = _default_opaque(self._apps(ctx, False), p, ctx)
-        rows = [g.evaluate(p, ctx, opaque) for g in self.generators]
+        rows = list(np.reshape(self._rows(ctx, False)(p, opaque),
+                               (len(self.generators), 4 * self.n)))
         if self.auto_annihilator:
             vec_rows = np.array([r[: 2 * self.n] for r in rows
                                  if np.linalg.norm(r[2 * self.n:]) <= 1e-12])
@@ -252,9 +263,9 @@ def from_distribution(D_gens: Sequence[VectorField],
             if verdict is Tri.PROVEN_ZERO:
                 continue
             apps = opaque_apps((resid,), ctx)
+            evaluation = compile_evaluate_with_magnitude((resid,), ctx)
             for p in pts:
-                opaque = opaque_assignments(apps, p, ctx, rng)
-                val, mag = evaluate_with_magnitude(resid, p, ctx, opaque)
+                (val, mag), = evaluation(p, opaque_assignments(apps, p, ctx, rng))
                 if abs(val) > POINTWISE_TOL * max(1.0, mag):
                     raise AnnihilatorMismatchError(
                         "annihilator does not vanish on the distribution: "
@@ -267,23 +278,20 @@ def from_distribution(D_gens: Sequence[VectorField],
 
     k = len(D_gens)
     ann_rank = 0
-    all_comps: list[Expr] = []
-    for X in D_gens:
-        all_comps.extend(X.component(i) for i in range(2 * n))
-    for eta in etas:
-        all_comps.extend(eta.component(i) for i in range(2 * n))
-    apps = opaque_apps(all_comps, ctx)
+    d_comps = [X.component(i) for X in D_gens for i in range(2 * n)]
+    a_comps = [eta.component(i) for eta in etas for i in range(2 * n)]
+    apps = opaque_apps(d_comps + a_comps, ctx)
+    # two evaluations: a rank-deficient D raises before the etas are evaluated
+    d_rows = compile_evaluate(d_comps, ctx)
+    a_rows = compile_evaluate(a_comps, ctx) if etas else None
     for p in pts:
         opaque = opaque_assignments(apps, p, ctx, rng)
-        D_mat = np.array([[evaluate(X.component(i), p, ctx, opaque)
-                           for i in range(2 * n)] for X in D_gens])
-        if _matrix_rank(D_mat) < k:
+        if _matrix_rank(np.reshape(d_rows(p, opaque), (k, 2 * n))) < k:
             raise RankDeficientError(
                 f"distribution generators dependent at a sampled point "
                 f"(rank < {k})")
         if etas:
-            A_mat = np.array([[evaluate(eta.component(i), p, ctx, opaque)
-                               for i in range(2 * n)] for eta in etas])
+            A_mat = np.reshape(a_rows(p, opaque), (len(etas), 2 * n))
             ann_rank = max(ann_rank, _matrix_rank(A_mat))
 
     deficit = 0 if auto else (2 * n - k) - ann_rank
@@ -324,19 +332,23 @@ def is_maximal_at(B: np.ndarray) -> bool:
     return _matrix_rank(B) == B.shape[1] // 2
 
 
-def involutivity_residual(L: AlmostDirac, p: Point, ctx: Context) -> float:
+def involutivity_residual(L: AlmostDirac, p: Point, ctx: Context,
+                          B: np.ndarray) -> float:
     """Largest norm of a generator bracket's component outside span(L_p).
 
-    Zero residual at p is the pointwise closure condition.  It is measured
-    against the evaluated span whatever its rank, which only ever
-    overestimates closure failure.  Generators and brackets share one
-    opaque draw, so the matrix is built here, apart from the default one.
+    B is L.generator_matrix(p, ctx).  Zero residual at p is the pointwise
+    closure condition.  It is measured against the evaluated span whatever
+    its rank, which only ever overestimates closure failure.  Generators
+    and brackets share one opaque draw, so where they apply an opaque
+    function without a body, B is rebuilt here on that draw.
     """
-    opaque = _default_opaque(L._apps(ctx, True), p, ctx)
-    B = L.generator_matrix(p, ctx, opaque)
+    apps = L._apps(ctx, True)
+    opaque = _default_opaque(apps, p, ctx)
+    if apps:
+        B = L.generator_matrix(p, ctx, opaque)
+    brackets = np.reshape(L._rows(ctx, True)(p, opaque), (-1, 4 * L.n))
     worst = 0.0
-    for i, j in L._pairs():
-        u = L.bracket(i, j).evaluate(p, ctx, opaque)
+    for u in brackets:
         sol, *_ = np.linalg.lstsq(B.T, u, rcond=None)
         worst = max(worst, float(np.linalg.norm(u - B.T @ sol)))
     return worst

@@ -36,7 +36,8 @@ __all__ = [
     "Tri", "Context", "Point", "SampleConfig",
     "parse", "simplify", "diff", "evaluate", "is_zero", "format_expr",
     "as_expr", "sum_exprs", "tri_all", "sample_points", "clear_caches",
-    "compile_exprs", "compile_rk4_step", "opaque_apps", "opaque_assignments",
+    "compile_exprs", "compile_rk4_step", "compile_evaluate",
+    "compile_evaluate_with_magnitude", "opaque_apps", "opaque_assignments",
 ]
 
 BUILTIN_FUNCTIONS = ("sin", "cos", "exp", "ln", "sqrt")
@@ -821,13 +822,18 @@ def _atom(base: Expr) -> _NF:
 _NF_MEMO: dict[Expr, _NF] = {}
 _SIMPLIFY_MEMO: dict[Expr, Expr] = {}
 _DIFF_MEMO: dict[tuple[Expr, Var], Expr] = {}
+# compiled evaluations, keyed on the expressions and the context; each entry
+# holds its context, so the id in the key stays unique
+_EVALUATION_MEMO: dict[tuple, tuple] = {}
 
 
 def clear_caches() -> None:
-    """Forget every memoised normal form, simplification and derivative."""
+    """Forget every memoised normal form, simplification, derivative and
+    compiled evaluation."""
     _NF_MEMO.clear()
     _SIMPLIFY_MEMO.clear()
     _DIFF_MEMO.clear()
+    _EVALUATION_MEMO.clear()
 
 
 def _nf(e: Expr) -> _NF:
@@ -1098,17 +1104,19 @@ class SampleConfig:
 
 
 def _draw_point(ctx: Context, rng: np.random.Generator, cfg: SampleConfig) -> Point:
-    def draw(name: str) -> float:
-        lo, hi = cfg.coord_boxes.get(name, cfg.box)
-        return float(rng.uniform(lo, hi))
-
+    """One rng.random call per point: the coordinates, then the unbound
+    parameters in ctx.params order, each u mapped to lo + (hi - lo) * u,
+    which is the stream of one rng.uniform(lo, hi) call per value."""
     n = ctx.dim
-    x = tuple(draw(f"x{i}") for i in range(1, n + 1))
-    y = tuple(draw(f"y{a}") for a in range(1, n + 1))
-    params = {}
-    for name, bound in ctx.params.items():
-        params[name] = float(bound) if bound is not None else float(rng.uniform(*cfg.box))
-    return Point(x, y, params)
+    names = [f"x{i}" for i in range(1, n + 1)] + [f"y{a}" for a in range(1, n + 1)]
+    boxes = [cfg.coord_boxes.get(name, cfg.box) for name in names]
+    boxes += [cfg.box for bound in ctx.params.values() if bound is None]
+    vals = [float(lo) + (float(hi) - float(lo)) * u
+            for (lo, hi), u in zip(boxes, rng.random(len(boxes)).tolist())]
+    free = iter(vals[2 * n:])
+    params = {name: float(bound) if bound is not None else next(free)
+              for name, bound in ctx.params.items()}
+    return Point(vals[:n], vals[n:2 * n], params)
 
 
 def _clear_draws(ctx: Context, cfg: SampleConfig, loci: Sequence[Expr],
@@ -1168,9 +1176,19 @@ def _funcapps(exprs: Iterable[Expr]) -> set:
 
 def opaque_apps(exprs: Sequence[Expr], ctx: Context) -> tuple[FuncApp, ...]:
     """The applications in exprs of opaque functions without a bound body in
-    ctx, in draw order: collect once, then call opaque_assignments per point."""
-    unbound = (a for a in _funcapps(exprs) if ctx.func_derivative(a.fname, a.order) is None)
-    return tuple(sorted(unbound, key=lambda a: a.sortkey()))
+    ctx, in draw order: collect once, then call opaque_assignments per point.
+
+    The order is by sortkey, except that an application comes after every
+    one nested in its argument, whose value it needs.
+    """
+    unbound = {a for a in _funcapps(exprs) if ctx.func_derivative(a.fname, a.order) is None}
+    pending = sorted(unbound, key=lambda a: a.sortkey())
+    inner = {a: _funcapps((a.arg,)) & unbound for a in pending}
+    out: list[FuncApp] = []
+    while pending:   # an innermost pending application is always ready
+        ready = next(i for i, a in enumerate(pending) if inner[a] <= set(out))
+        out.append(pending.pop(ready))
+    return tuple(out)
 
 
 def opaque_assignments(apps: Sequence[FuncApp], p: Point, ctx: Context,
@@ -1552,3 +1570,199 @@ def compile_rk4_step(G: Sequence[Expr], loci: Sequence[Expr], ctx: Context,
     return _exec_def(lines, "_step", _fn=fn_table, _h=0.5 * dt, _dt=dt,
                      _d6=dt / 6.0, _isfinite=math.isfinite,
                      EvalDomainError=EvalDomainError)
+
+
+# ---------------------------------------------------------------------------
+# compiled evaluation: evaluate's semantics as straight-line Python
+
+
+def _out_of_range(name: str, p: Point):
+    raise EvalDomainError(f"coordinate {name} out of range for point of dimension {p.n}")
+
+
+def _first_non_finite(values: tuple, msgs: tuple) -> None:
+    for v, msg in zip(values, msgs):
+        if not math.isfinite(v):
+            raise EvalDomainError(msg)
+
+
+_EVAL_NAMES = {
+    "_E": EvalDomainError, "_U": UnboundParameterError, "_rp": _resolve_param,
+    "_oor": _out_of_range, "_first_non_finite": _first_non_finite, "_NO_OPAQUE": {},
+    "_fsum": math.fsum, "_isf": math.isfinite, "_pow": math.pow, "_round": round,
+    "_float": float, "sin": math.sin, "cos": math.cos, "exp": math.exp,
+    "ln": math.log, "sqrt": math.sqrt,
+}
+# the guard evaluate puts on a builtin's argument
+_CALL_GUARDS = {"ln": ("<=", "ln of a nonpositive value"),
+                "sqrt": ("<", "sqrt of a negative value")}
+
+
+class _EvalEmitter:
+    """Writes the body of a function (_pt, _op) that computes what
+    evaluate(e, _pt, ctx, _op) computes, value for value and error for error.
+
+    Each distinct node (and guard) gets one statement, where evaluate first
+    computes it: a node's value depends only on the point, so only its first
+    occurrence can raise.  A bound function body is inlined in a frame where
+    x1 is the argument's value and y1 is 0.0.  Compiling costs more than
+    running at the tens of points a sampling loop takes, if statements most,
+    so the finiteness checks of statements that cannot raise wait for the
+    next one that can and are made as one test of their sum (finite only if
+    every float term is), and a product leaves out evaluate's leading 1.0.
+    """
+
+    def __init__(self, ctx: Context | None):
+        self.ctx = ctx
+        self.lines: list[str] = []
+        self.names: dict = {"_ctx": ctx}
+        self.seen: dict = {}
+        self.guards: set = set()
+        self.pending: list[tuple[str, str]] = []
+
+    def bind(self, value) -> str:
+        name = f"_c{len(self.names)}"
+        self.names[name] = value
+        return name
+
+    def emit(self, *lines: str, raises: bool = True) -> None:
+        if raises and self.pending:
+            ts = [t for t, _ in self.pending]
+            msgs = self.bind(tuple(f"{what} produced a non-finite value"
+                                   for _, what in self.pending))
+            self.lines.append(f"if not _isf({' + '.join(ts)}): "
+                              f"_first_non_finite(({', '.join(ts)},), {msgs})")
+            self.pending.clear()
+        self.lines += lines
+
+    def new(self, src: str, raises: bool = True, check: str = "",
+            exc: str = "", msg: str = "") -> str:
+        """A temporary set to src; with exc, one whose error becomes msg's."""
+        t = f"t{len(self.lines)}"
+        if exc:
+            self.emit(f"try: {t} = {src}", f"except {exc} as e: {self.raise_(msg)} from e")
+        else:
+            self.emit(f"{t} = {src}", raises=raises)
+        if check:
+            self.pending.append((t, check))
+        return t
+
+    def raise_(self, msg: str, exc: str = "_E") -> str:
+        return f"raise {exc}({self.bind(msg)})"
+
+    def guard(self, v: str, op: str, msg: str) -> None:
+        if (v, op) not in self.guards:
+            self.guards.add((v, op))
+            self.emit(f"if {v} {op} 0.0: {self.raise_(msg)}")
+
+    def operand(self, e: Expr, frame: str | None = None) -> str:
+        key = (None if isinstance(e, (Const, Param)) else frame, e)
+        if key not in self.seen:
+            self.seen[key] = self._node(e, frame)
+        return self.seen[key]
+
+    def _node(self, e: Expr, frame: str | None) -> str:
+        if isinstance(e, Const):
+            try:
+                v = float(e.value)
+            except OverflowError:
+                return self.new(f"_float({self.bind(e.value)})")
+            return f"({v!r})" if math.isfinite(v) else self.bind(v)
+        if isinstance(e, Var):
+            if frame is None:
+                self.emit(f"{e.name} = _{e.axis}[{e.index - 1}] if {e.index} <= _n "
+                          f"else _oor({e.name!r}, _pt)")
+                return e.name
+            if e.index == 1:
+                return frame if e.axis == "x" else "0.0"
+            self.emit(self.raise_(f"coordinate {e.name} out of range for point of dimension 1"))
+            return "None"   # never runs
+        if isinstance(e, Param):
+            return self.new(f"_rp({e.name!r}, _pt, _ctx)")
+        if isinstance(e, Neg):
+            return f"(-{self.operand(e.child, frame)})"
+        if isinstance(e, Add):
+            terms = ", ".join(self.operand(c, frame) for c in e.children)
+            return self.new(f"_fsum(({terms},))", check="sum")
+        if isinstance(e, Mul):
+            factors = " * ".join(self.operand(c, frame) for c in e.children)
+            return self.new(factors, raises=False, check="product")
+        if isinstance(e, Div):
+            den = self.operand(e.den, frame)
+            self.guard(den, "==", "division by zero")
+            return self.new(f"{self.operand(e.num, frame)} / {den}", raises=False,
+                            check="quotient")
+        if isinstance(e, Pow):
+            b, r = self.operand(e.base, frame), e.exponent
+            if r.denominator == 1:
+                if r < 0:
+                    self.guard(b, "==", "zero raised to a negative power")
+                return self.new(f"{b} ** {int(r)}", check="power", exc="OverflowError",
+                                msg="overflow in power")
+            self.guard(b, "<", "fractional power of a negative base")
+            if r < 0:
+                self.guard(b, "==", "zero raised to a negative power")
+            return self.new(f"_pow({b}, {float(r)!r})", check="power",
+                            exc="(ValueError, OverflowError)", msg="domain error in power")
+        if isinstance(e, Call):
+            a = self.operand(e.arg, frame)
+            if e.fname in _CALL_GUARDS:
+                self.guard(a, *_CALL_GUARDS[e.fname])
+            return self.new(f"{e.fname}({a})", check="exp" if e.fname == "exp" else "",
+                            exc="OverflowError", msg=f"overflow in {e.fname}")
+        if isinstance(e, FuncApp):
+            a = self.operand(e.arg, frame)
+            try:
+                body = self.ctx and self.ctx.func_derivative(e.fname, e.order)
+            except Exception:  # noqa: BLE001 -- the generated code raises it again, here
+                self.emit(f"_ctx.func_derivative({e.fname!r}, {e.order})")
+                return "None"
+            if body is not None:
+                return self.operand(body, a)
+            t = f"t{len(self.lines)}"
+            msg = f"opaque function {e.fname!r} has no bound body"
+            self.emit(f"try: {t} = _op[({e.fname!r}, {e.order}, _round({a}, 9))]",
+                      f"except KeyError: {self.raise_(msg, '_U')} from None")
+            return t
+        raise TypeError(f"cannot evaluate {e!r}")
+
+
+def _compiled_evaluation(exprs: Sequence[Expr], ctx: Context | None,
+                         magnitude: bool) -> Callable:
+    exprs = tuple(exprs)
+    decls = tuple((k, d.body) for k, d in ctx.funcs.items()) if ctx is not None else ()
+    key = (exprs, id(ctx), decls, magnitude)
+    if key not in _EVALUATION_MEMO:
+        em = _EvalEmitter(ctx)
+        outs = []
+        for e in exprs:
+            if magnitude and isinstance(e, Add):
+                # as evaluate_with_magnitude: no finiteness check on this sum
+                terms = ", ".join(em.operand(c) for c in e.children)
+                outs.append(f"({em.new(f'_fsum(({terms},))')}, "
+                            f"{em.new(f'_fsum(map(abs, ({terms},)))')})")
+            elif magnitude:
+                outs.append(f"({em.operand(e)}, abs({em.operand(e)}))")
+            else:
+                outs.append(em.operand(e))
+        em.emit(f"return ({''.join(f'{s}, ' for s in outs)})")
+        lines = ["def _evaluation(_pt, _op=None):", " _x, _y, _n = _pt.x, _pt.y, len(_pt.x)",
+                 " if _op is None: _op = _NO_OPAQUE", *(f" {line}" for line in em.lines)]
+        fn = _exec_def(lines, "_evaluation", **_EVAL_NAMES, **em.names)
+        _EVALUATION_MEMO[key] = (ctx, fn)
+    return _EVALUATION_MEMO[key][1]
+
+
+def compile_evaluate(exprs: Sequence[Expr], ctx: Context | None) -> Callable[..., tuple]:
+    """One function (p, opaque=None) -> tuple of what evaluate(e, p, ctx,
+    opaque) gives for each e, bit for bit, or the first error it raises, for
+    an opaque table of floats (what opaque_assignments draws).  Memoised
+    until clear_caches(); evaluate is the reference it is tested on.
+    """
+    return _compiled_evaluation(exprs, ctx, False)
+
+
+def compile_evaluate_with_magnitude(exprs: Sequence[Expr],
+                                    ctx: Context | None) -> Callable[..., tuple]:
+    """compile_evaluate with evaluate_with_magnitude's (value, magnitude)."""
+    return _compiled_evaluation(exprs, ctx, True)

@@ -23,8 +23,9 @@ from .errors import (
 )
 from .expr import (
     Context, Expr, Point, SampleConfig, Tri, ZERO,
-    compile_exprs, compile_rk4_step, evaluate, evaluate_with_magnitude,
-    is_zero, opaque_apps, opaque_assignments, sample_points, simplify, tri_all,
+    compile_evaluate, compile_evaluate_with_magnitude, compile_exprs,
+    compile_rk4_step, is_zero, opaque_apps, opaque_assignments, sample_points,
+    simplify, tri_all,
 )
 from .forms import TwoForm, d_scalar, exterior_derivative_2, interior_product
 from .geometry import (
@@ -265,16 +266,18 @@ def _flow_distribution(S: SemiSpray, D_gens: Sequence[VectorField] | None,
     rng = np.random.default_rng(cfg.seed)
     pts = sample_points(ctx, cfg, S.singular_loci, count=max(8, cfg.points // 4),
                         rng=rng)
+    m = 2 * S.n
+    # the generators' rows on their own: from_distribution compiles the same
+    d_comps = [X.component(i) for X in D_gens for i in range(m)]
     Svec = S.vector_field()
-    comps = [Svec.component(i) for i in range(2 * S.n)]
-    for X in D_gens:
-        comps.extend(X.component(i) for i in range(2 * S.n))
-    apps = opaque_apps(comps, ctx)
+    s_comps = [Svec.component(i) for i in range(m)]
+    apps = opaque_apps(d_comps + s_comps, ctx)
+    d_rows, s_row = compile_evaluate(d_comps, ctx), compile_evaluate(s_comps, ctx)
     for p in pts:
         opaque = opaque_assignments(apps, p, ctx, rng)
-        rows = np.array([[evaluate(X.component(i), p, ctx, opaque)
-                          for i in range(2 * S.n)] for X in D_gens])
-        target = np.array([evaluate(c, p, ctx, opaque) for c in comps[: 2 * S.n]])
+        vals = d_rows(p, opaque)
+        rows = np.array([vals[j:j + m] for j in range(0, len(vals), m)])
+        target = np.array(s_row(p, opaque))
         sol, *_ = np.linalg.lstsq(rows.T, target, rcond=None)
         gap = np.linalg.norm(rows.T @ sol - target)
         if gap > POINTWISE_TOL * max(1.0, np.linalg.norm(target)):
@@ -292,9 +295,13 @@ def residual(S: SemiSpray, omega: TwoForm, H: Expr,
     D_gens None means the horizontal frame of S (see _flow_distribution).
     """
     cfg = cfg or SampleConfig()
-    loci = S.singular_loci
-    D_gens = _flow_distribution(S, D_gens, ctx, cfg)
+    return _residual(S, omega, H, _flow_distribution(S, D_gens, ctx, cfg), ctx, cfg)
 
+
+def _residual(S: SemiSpray, omega: TwoForm, H: Expr, D_gens: list[VectorField],
+              ctx: Context, cfg: SampleConfig) -> MotionReport:
+    """residual on generators that _flow_distribution has returned."""
+    loci = S.singular_loci
     omega = omega.to_coordinates()
     rho_form = (d_scalar(H, S.n)
                 + interior_product(S.vector_field(), omega).scaled(-1))
@@ -305,10 +312,9 @@ def residual(S: SemiSpray, omega: TwoForm, H: Expr,
     pts = sample_points(ctx, cfg, loci, count=max(8, cfg.points // 2), rng=rng)
     worst = 0.0
     apps = opaque_apps(comps, ctx)
+    evaluation = compile_evaluate_with_magnitude(comps, ctx)
     for p in pts:
-        opaque = opaque_assignments(apps, p, ctx, rng)
-        for c in comps:
-            val, mag = evaluate_with_magnitude(c, p, ctx, opaque)
+        for val, mag in evaluation(p, opaque_assignments(apps, p, ctx, rng)):
             worst = max(worst, abs(val) / max(1.0, mag))
 
     dH = d_scalar(H, S.n)
@@ -358,8 +364,13 @@ def _certifier(S: SemiSpray, D_gens: Sequence[VectorField] | None,
                ann_gens: Sequence[OneForm] | None, ctx: Context,
                cfg: SampleConfig):
     """hamiltonian_certificate as a function of (omega, H).  The parts that
-    do not depend on them, the integrability verdict and the ungauged
-    structure, are built at their step of the first certificate and reused."""
+    do not depend on them, the checked generators, the integrability verdict
+    and the ungauged structure, are built at their step of the first
+    certificate and reused."""
+
+    @functools.cache
+    def flow_gens() -> list[VectorField]:
+        return _flow_distribution(S, D_gens, ctx, cfg)
 
     @functools.cache
     def d_integrable() -> Tri:
@@ -380,7 +391,7 @@ def _certifier(S: SemiSpray, D_gens: Sequence[VectorField] | None,
             return None
 
     def certify(omega: TwoForm, H: Expr) -> MotionReport:
-        report = residual(S, omega, H, D_gens, ctx, cfg)
+        report = _residual(S, omega, H, flow_gens(), ctx, cfg)
         report.d_integrable = d_integrable()
         closed_comps = exterior_derivative_2(omega).components()
         report.omega_closed = tri_all(

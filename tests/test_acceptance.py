@@ -299,7 +299,7 @@ def test_criterion_8_split_verdict_on_nonintegrable_distribution():
         L = from_distribution(D, ann, ctx, cfg, loci=S.singular_loci)
         rng = np.random.default_rng(12)
         for p in _guarded_states(rng, 5):
-            res = involutivity_residual(L, p, ctx)
+            res = involutivity_residual(L, p, ctx, L.generator_matrix(p, ctx))
             assert res > 1e-4
         assert is_constant_of_motion(S, H, ctx, cfg) is Tri.PROVEN_ZERO
 

@@ -78,7 +78,9 @@ def test_analyze_builds_the_curvature_once(capsys, monkeypatch):
 
 def test_search_computes_one_residual_per_kept_candidate(capsys, monkeypatch):
     from spraydirac import motion
-    calls = _count_calls(monkeypatch, motion.residual)
+    # the certificates share one checked distribution, so they call the
+    # residual core that motion.residual wraps
+    calls = _count_calls(monkeypatch, motion._residual)
     rc, out, _ = _run(capsys, ["search", EX4, "--json"])
     assert rc == 0
     rep = json.loads(out)
@@ -91,9 +93,12 @@ def test_search_builds_the_candidate_independent_parts_once(capsys, monkeypatch)
     from spraydirac import dirac, motion
     integrable = _count_calls(monkeypatch, motion._distribution_integrable)
     structures = _count_calls(monkeypatch, dirac.from_distribution)
+    flows = _count_calls(monkeypatch, motion._flow_distribution)
     rc, out, _ = _run(capsys, ["search", EX4])
     assert rc == 0 and out.count("certificate: yes") == 3
     assert (len(integrable), len(structures)) == (1, 1)
+    # once for the collocation, with its own sampling, once for the certificates
+    assert len(flows) == 2
 
 
 def test_dirac_check_builds_at_most_two_matrices_per_point(capsys, monkeypatch):
@@ -109,6 +114,23 @@ def test_dirac_check_builds_at_most_two_matrices_per_point(capsys, monkeypatch):
     rc, out, _ = _run(capsys, ["dirac-check", EX4])
     assert rc == 0 and "points: 20" in out
     assert len(calls) <= 40
+
+
+@pytest.mark.parametrize("path", [EX3, EX4], ids=["ex3", "ex4"])
+def test_dirac_check_builds_one_matrix_per_point(capsys, monkeypatch, path):
+    # no formal function without a body: involutivity uses the shared matrix
+    from spraydirac.dirac import AlmostDirac
+    calls = []
+    build = AlmostDirac.generator_matrix
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return build(self, *args, **kwargs)
+
+    monkeypatch.setattr(AlmostDirac, "generator_matrix", counted)
+    rc, out, _ = _run(capsys, ["dirac-check", path])
+    assert rc == 0 and "points: 20" in out
+    assert len(calls) == 20
 
 
 def test_search_finds_quadratic_invariants(capsys):

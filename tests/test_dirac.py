@@ -107,9 +107,10 @@ def test_diagonal_graph_is_dirac():
             assert L.bracket(i, j).is_structurally_zero()
     rng = np.random.default_rng(2)
     for p in _random_points(rng, 8):
-        assert is_isotropic_at(L.generator_matrix(p, CTX2))
-        assert is_maximal_at(L.generator_matrix(p, CTX2))
-        assert involutivity_residual(L, p, CTX2) <= 1e-8
+        B = L.generator_matrix(p, CTX2)
+        assert is_isotropic_at(B)
+        assert is_maximal_at(B)
+        assert involutivity_residual(L, p, CTX2, B) <= 1e-8
         assert kernel_at(L.generator_matrix(p, CTX2)) == []
 
 
@@ -155,9 +156,10 @@ def test_from_distribution_with_full_annihilator():
     assert not L.auto_annihilator
     pts = _sample(CTX2, cfg, S.singular_loci, 10)
     for p in pts:
-        assert is_isotropic_at(L.generator_matrix(p, CTX2))
-        assert is_maximal_at(L.generator_matrix(p, CTX2))
-        assert involutivity_residual(L, p, CTX2) <= 1e-8
+        B = L.generator_matrix(p, CTX2)
+        assert is_isotropic_at(B)
+        assert is_maximal_at(B)
+        assert involutivity_residual(L, p, CTX2, B) <= 1e-8
 
 
 def test_from_distribution_with_bound_function_coefficients():
@@ -197,9 +199,10 @@ def test_from_distribution_records_annihilator_deficit():
     pts = _sample(CTX3, cfg, S.singular_loci, 10)
     worst = 0.0
     for p in pts:
-        assert is_isotropic_at(L.generator_matrix(p, CTX3))
-        assert not is_maximal_at(L.generator_matrix(p, CTX3))
-        worst = max(worst, involutivity_residual(L, p, CTX3))
+        B = L.generator_matrix(p, CTX3)
+        assert is_isotropic_at(B)
+        assert not is_maximal_at(B)
+        worst = max(worst, involutivity_residual(L, p, CTX3, B))
     # the distribution genuinely fails to close
     assert worst > 1e-4
 
@@ -272,7 +275,8 @@ def test_gauge_by_closed_form_keeps_closure():
     omega = TwoForm.single(2, 0, 2, 1) + TwoForm.single(2, 1, 3, 1)
     moved = gauge_transform(L, omega)
     for p in _sample(CTX2, cfg, S.singular_loci, 20):
-        assert involutivity_residual(moved, p, CTX2) <= 1e-8
+        B = moved.generator_matrix(p, CTX2)
+        assert involutivity_residual(moved, p, CTX2, B) <= 1e-8
 
 
 def _sample(ctx, cfg, loci, count):

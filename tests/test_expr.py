@@ -8,8 +8,8 @@ import pytest
 
 from spraydirac.errors import EvalDomainError, ParseError
 from spraydirac.expr import (
-    Const, Context, Point, SampleConfig, Tri, Var, _iroot, diff, evaluate,
-    format_expr, is_zero, parse, simplify,
+    Const, Context, Point, SampleConfig, Tri, Var, _draw_point, _iroot, diff,
+    evaluate, format_expr, is_zero, opaque_apps, parse, simplify,
 )
 
 
@@ -179,6 +179,37 @@ def test_is_zero_is_deterministic_per_seed():
     assert all(is_zero(e, CTX2, SampleConfig(seed=99)) is first for _ in range(3))
     # identically zero numerically but not structurally: never "nonzero"
     assert first is not Tri.PROVEN_NONZERO
+
+
+def test_nested_formal_functions_are_drawn_inside_out():
+    ctx = Context(dim=1)
+    ctx.declare_function("f")
+    ctx.declare_function("h")
+    for text in ("f(h(x1))", "h(f(x1))"):
+        e = parse(text, ctx)
+        assert is_zero(e, ctx) is Tri.PROVEN_NONZERO
+        apps = opaque_apps((e,), ctx)
+        assert [format_expr(a) for a in apps] == [text[2:-1], text]
+    # where sortkey order already puts the inner one first, it is kept
+    e = parse("f(f(x1)) + f(x1 + f(x2)) + h(x1)", Context(dim=2, funcs=ctx.funcs))
+    apps = opaque_apps((e,), ctx)
+    assert list(apps) == sorted(apps, key=lambda a: a.sortkey())
+
+
+@pytest.mark.parametrize("seed", [0, 1, 20260823])
+def test_a_point_is_drawn_as_the_scalar_uniform_stream(seed):
+    ctx = Context(dim=3, params={"A": 0.5, "B": None, "C": None})
+    cfg = SampleConfig(box=(-1.5, 2.5), coord_boxes={"x2": (0.25, 0.75), "y3": (-9.0, -8.0)})
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(50):
+        p = _draw_point(ctx, rng, cfg)
+        x = [float(ref.uniform(*cfg.coord_boxes.get(f"x{i}", cfg.box))) for i in (1, 2, 3)]
+        y = [float(ref.uniform(*cfg.coord_boxes.get(f"y{i}", cfg.box))) for i in (1, 2, 3)]
+        params = {"A": 0.5, "B": float(ref.uniform(*cfg.box)),
+                  "C": float(ref.uniform(*cfg.box))}
+        assert (p.x, p.y, p.params) == (tuple(x), tuple(y), params)
+        assert list(p.params) == ["A", "B", "C"]
+    assert rng.random() == ref.random()
 
 
 def test_constant_folding():

@@ -86,6 +86,10 @@ def _old_opaque_assignments(exprs, p, ctx, rng):
     return out
 
 
+def _old_section_values(s, p, ctx, opaque):
+    return np.array([evaluate(c, p, ctx, opaque) for c in s.components()])
+
+
 def _old_default_opaque(exprs, p, ctx):
     return _old_opaque_assignments(exprs, p, ctx, np.random.default_rng(DEFAULT_SEED))
 
@@ -93,7 +97,7 @@ def _old_default_opaque(exprs, p, ctx):
 def _old_generator_matrix(L, p, ctx, opaque=None):
     if opaque is None:
         opaque = _old_default_opaque(L.all_exprs(), p, ctx)
-    rows = [g.evaluate(p, ctx, opaque) for g in L.generators]
+    rows = [_old_section_values(g, p, ctx, opaque) for g in L.generators]
     if L.auto_annihilator:
         vec_rows = np.array([r[: 2 * L.n] for r in rows
                              if np.linalg.norm(r[2 * L.n:]) <= 1e-12])
@@ -132,7 +136,7 @@ def _old_involutivity_residual(L, p, ctx):
     worst = 0.0
     for i in range(g):
         for j in range(i + 1, g):
-            u = L.bracket(i, j).evaluate(p, ctx, opaque)
+            u = _old_section_values(L.bracket(i, j), p, ctx, opaque)
             sol, *_ = np.linalg.lstsq(B.T, u, rcond=None)
             worst = max(worst, float(np.linalg.norm(u - B.T @ sol)))
     return worst
@@ -197,7 +201,7 @@ def test_one_matrix_per_point_gives_the_per_test_results(L, p):
     new_kernel = kernel_at(B)
     assert len(new_kernel) == len(old[2])
     assert all(np.array_equal(u, v) for u, v in zip(new_kernel, old[2]))
-    assert involutivity_residual(L, p, CTX) == old[3]
+    assert involutivity_residual(L, p, CTX, B) == old[3]
     # the first row's vector part lies in the distribution; a fixed
     # vector often does not, which exercises the membership error
     Xv, Yv = B[0, :4], np.array([1.0, 0.5, -0.25, 2.0])
@@ -217,7 +221,8 @@ def test_brackets_of_formal_functions_add_applications():
     assert [a.order for a in gens_only] == [0]
     assert [a.order for a in with_brackets] == [0, 1]
     p = Point((0.3, -0.7), (1.1, 0.4))
-    assert involutivity_residual(L, p, CTX) == _old_involutivity_residual(L, p, CTX)
+    assert (involutivity_residual(L, p, CTX, L.generator_matrix(p, CTX))
+            == _old_involutivity_residual(L, p, CTX))
 
 
 EXPRS = st.lists(st.sampled_from(TERMS + ["f(f(x1))", "f(x1 + f(x2))", "g(f(y2))",
