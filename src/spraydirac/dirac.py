@@ -26,8 +26,8 @@ from .errors import (
 )
 from .expr import (
     DEFAULT_SEED, Add, Const, Context, Expr, Mul, Neg, Point, SampleConfig, Tri, ZERO,
-    compile_evaluate, compile_evaluate_with_magnitude, evaluate, is_zero, opaque_apps,
-    opaque_assignments, sample_points, simplify, sum_exprs,
+    compile_evaluate, compile_evaluate_with_magnitude, context_key, evaluate, is_zero,
+    opaque_apps, opaque_assignments, sample_points, simplify, sum_exprs,
 )
 from .forms import TwoForm, d_scalar, interior_product, lie_derivative
 from .geometry import OneForm, VectorField, lie_bracket
@@ -179,8 +179,8 @@ class AlmostDirac:
 
     def _apps(self, ctx: Context, with_brackets: bool) -> tuple:
         """opaque_apps of the generators, and with_brackets of their brackets
-        too, once per context (the entry holds ctx, so its id stays unique)."""
-        key = ("apps", id(ctx), with_brackets)
+        too, once per context and declarations (the entry holds ctx)."""
+        key = ("apps", context_key(ctx), with_brackets)
         if key not in self._memo:
             exprs = self.all_exprs()
             for i, j in self._pairs() if with_brackets else ():
@@ -191,7 +191,7 @@ class AlmostDirac:
     def _rows(self, ctx: Context, brackets: bool):
         """compile_evaluate of the generators' components or, with brackets,
         of the generator brackets', once per context (as _apps)."""
-        key = ("rows", id(ctx), brackets)
+        key = ("rows", context_key(ctx), brackets)
         if key not in self._memo:
             if brackets:
                 exprs = [c for i, j in self._pairs() for c in self.bracket(i, j).components()]

@@ -348,23 +348,25 @@ class Context:
         for name in list(self.params) + list(self.funcs):
             if _COORD_RE.match(name) or name in BUILTIN_FUNCTIONS:
                 raise ValidationError(f"parameter name {name!r} is reserved")
-        self._deriv_cache: dict[tuple[str, int], Expr] = {}
 
     def declare_function(self, name: str, body: Expr | None = None) -> None:
         self.funcs[name] = FunctionDecl(name, body)
 
     def func_derivative(self, name: str, order: int) -> Expr | None:
-        """order-th derivative of a bound function body, or None if unbound."""
+        """order-th derivative of a bound function body, or None if unbound;
+        diff's memo keeps each derivative."""
         decl = self.funcs.get(name)
         if decl is None or decl.body is None:
             return None
-        key = (name, order)
-        if key not in self._deriv_cache:
-            e = decl.body
-            for _ in range(order):
-                e = diff(e, Var("x", 1))
-            self._deriv_cache[key] = e
-        return self._deriv_cache[key]
+        e = decl.body
+        for _ in range(order):
+            e = diff(e, Var("x", 1))
+        return e
+
+
+def context_key(ctx: Context | None) -> tuple:
+    """id(ctx) and its function declarations, for memo entries that hold ctx."""
+    return id(ctx), ctx and tuple((k, d.body) for k, d in ctx.funcs.items())
 
 
 @dataclass
@@ -990,7 +992,10 @@ def evaluate(e: Expr, p: Point, ctx: Context | None = None,
     sampled values keyed by (name, order, rounded argument).
     """
     if isinstance(e, Const):
-        return float(e.value)
+        try:
+            return float(e.value)
+        except OverflowError as exc:
+            raise EvalDomainError("constant out of double range") from exc
     if isinstance(e, Var):
         seq = p.x if e.axis == "x" else p.y
         if e.index > len(seq):
@@ -1408,35 +1413,50 @@ def format_expr(e: Expr) -> str:
 # compilation to plain Python for hot loops
 
 
-def _py_src(e: Expr, ctx: Context | None) -> str:
+def _py_src(e: Expr, ctx: Context, depth: int) -> str:
+    """Source of e on floats or numpy scalars, parameters as given.  A bound
+    function body is inlined as evaluate applies it, at depth + 1: its x1 is
+    the argument's value, computed once into _a{depth + 1}, and its y1 is 0.0."""
     if isinstance(e, Const):
         v = e.value
         if isinstance(v, Fraction):
             return f"({v.numerator}/{v.denominator})" if v.denominator != 1 else f"({v.numerator})"
         return f"({v!r})"
     if isinstance(e, Var):
-        return f"_v_{e.axis}{e.index}"
+        if not depth:
+            return f"_v_{e.axis}{e.index}"
+        if e.index == 1:
+            return f"_a{depth}" if e.axis == "x" else "0.0"
+        raise EvalDomainError(f"coordinate {e.name} out of range for point of dimension 1")
     if isinstance(e, Param):
         return f"_p[{e.name!r}]"
     if isinstance(e, Neg):
-        return f"(-{_py_src(e.child, ctx)})"
+        return f"(-{_py_src(e.child, ctx, depth)})"
     if isinstance(e, Add):
-        return "(" + "+".join(_py_src(c, ctx) for c in e.children) + ")"
+        return "(" + "+".join(_py_src(c, ctx, depth) for c in e.children) + ")"
     if isinstance(e, Mul):
-        return "(" + "*".join(_py_src(c, ctx) for c in e.children) + ")"
+        return "(" + "*".join(_py_src(c, ctx, depth) for c in e.children) + ")"
     if isinstance(e, Div):
-        return f"({_py_src(e.num, ctx)}/{_py_src(e.den, ctx)})"
+        return f"({_py_src(e.num, ctx, depth)}/{_py_src(e.den, ctx, depth)})"
     if isinstance(e, Pow):
         r = e.exponent
         if r.denominator == 1:
-            return f"({_py_src(e.base, ctx)}**({int(r)}))"
-        return f"_fpow({_py_src(e.base, ctx)}, {float(r)!r})"
+            return f"({_py_src(e.base, ctx, depth)}**({int(r)}))"
+        return f"_fpow({_py_src(e.base, ctx, depth)}, {float(r)!r})"
     if isinstance(e, Call):
         fn = {"sin": "math.sin", "cos": "math.cos", "exp": "math.exp",
               "ln": "_ln", "sqrt": "_sqrt"}[e.fname]
-        return f"{fn}({_py_src(e.arg, ctx)})"
+        return f"{fn}({_py_src(e.arg, ctx, depth)})"
     if isinstance(e, FuncApp):
-        return f"_fn[({e.fname!r}, {e.order})]({_py_src(e.arg, ctx)}, _p)"
+        body = ctx.func_derivative(e.fname, e.order)
+        if body is None:
+            raise UnboundParameterError(
+                f"opaque function {e.fname!r} needs a bound body to compile")
+        # the body's value must be finite, as evaluate's is; simplifying it
+        # twice (simplify is not idempotent on every rational tree) keeps the
+        # floats that integrations have always produced
+        inner = _py_src(simplify(simplify(body)), ctx, depth + 1)
+        return f"_fin((_a{depth + 1} := {_py_src(e.arg, ctx, depth)}, {inner})[1])"
     raise TypeError(f"cannot compile {e!r}")
 
 
@@ -1458,50 +1478,34 @@ def _sqrt(v: float) -> float:
     return math.sqrt(v)
 
 
-def _opaque_table(exprs: Sequence[Expr], ctx: Context) -> dict:
-    """Compiled bodies of the opaque-function derivatives the expressions apply."""
-    fn_table: dict[tuple[str, int], Callable[[float], float]] = {}
-    for app in _funcapps(exprs):
-        key = (app.fname, app.order)
-        if key in fn_table:
-            continue
-        body = ctx.func_derivative(app.fname, app.order)
-        if body is None:
-            raise UnboundParameterError(
-                f"opaque function {app.fname!r} needs a bound body to compile")
-        inner_ctx = Context(1, params=dict(ctx.params))
-        inner = compile_exprs([simplify(body)], inner_ctx)
-        fn_table[key] = (lambda f: (lambda t, p: f((t, 0.0), p)[0]))(inner)
-    return fn_table
+def _fin(v: float) -> float:
+    if not math.isfinite(v):
+        raise EvalDomainError("non-finite value in compiled evaluation")
+    return v
 
 
-def _exec_def(lines: list[str], name: str, **names) -> Callable:
-    ns: dict = {"math": math, "_fpow": _fpow, "_ln": _ln, "_sqrt": _sqrt, **names}
+def _exec_def(lines: list[str], **names) -> dict:
+    """The namespace of the generated definitions, once run."""
+    ns = {"math": math, "_fpow": _fpow, "_ln": _ln, "_sqrt": _sqrt, "_fin": _fin, **names}
     exec("\n".join(lines), ns)
-    return ns[name]
+    return ns
 
 
-def compile_exprs(exprs: Sequence[Expr], ctx: Context) -> Callable[[np.ndarray, Mapping[str, float]], tuple]:
-    """Compile expressions into one fast callable (state_array, params) -> tuple.
+def _def_lines(name: str, srcs: Sequence[str], n: int) -> list[str]:
+    """def name(_z, _p) giving the tuple of srcs at a state of dimension n."""
+    return ([f"def {name}(_z, _p):"]
+            + [f"    _v_x{i} = _z[{i - 1}]" for i in range(1, n + 1)]
+            + [f"    _v_y{a} = _z[{n + a - 1}]" for a in range(1, n + 1)]
+            + [f"    return ({''.join(s + ', ' for s in srcs)})"])
 
-    Opaque functions must have bound bodies; their needed derivatives are
-    compiled once up front.  Raised float errors (ZeroDivisionError and
-    friends, and math's ValueError) become EvalDomainError in the wrapper.
-    """
-    n = ctx.dim
-    fn_table = _opaque_table(exprs, ctx)
-    lines = ["def _compiled(_z, _p, _fn):"]
-    for i in range(1, n + 1):
-        lines.append(f"    _v_x{i} = _z[{i - 1}]")
-    for a in range(1, n + 1):
-        lines.append(f"    _v_y{a} = _z[{n + a - 1}]")
-    body = ", ".join(_py_src(simplify(e), ctx) for e in exprs)
-    lines.append(f"    return ({body},)")
-    raw = _exec_def(lines, "_compiled")
+
+def _checked(raw: Callable) -> Callable[[np.ndarray, Mapping[str, float] | None], tuple]:
+    """raw(z, params), its float errors raised as EvalDomainError and its
+    values checked finite."""
 
     def call(z: np.ndarray, params: Mapping[str, float] | None = None) -> tuple:
         try:
-            out = raw(z, params or {}, fn_table)
+            out = raw(z, params or {})
         except ZeroDivisionError as exc:
             raise EvalDomainError("division by zero") from exc
         except OverflowError as exc:
@@ -1511,16 +1515,26 @@ def compile_exprs(exprs: Sequence[Expr], ctx: Context) -> Callable[[np.ndarray, 
         except KeyError as exc:
             raise UnboundParameterError(f"parameter {exc.args[0]!r} has no bound value") from exc
         for v in out:
-            if not math.isfinite(v):
-                raise EvalDomainError("non-finite value in compiled evaluation")
+            _fin(v)
         return out
 
     return call
 
 
+def compile_exprs(exprs: Sequence[Expr], ctx: Context) -> Callable[[np.ndarray, Mapping[str, float]], tuple]:
+    """Compile expressions into one fast callable (state_array, params) -> tuple.
+    Raised float errors become EvalDomainError and a non-finite value is
+    refused.  Bound function bodies are inlined; applying a function without
+    one raises UnboundParameterError here."""
+    srcs = [_py_src(simplify(e), ctx, 0) for e in exprs]
+    return _checked(_exec_def(_def_lines("_compiled", srcs, ctx.dim))["_compiled"])
+
+
 def compile_rk4_step(G: Sequence[Expr], loci: Sequence[Expr], ctx: Context,
-                     dt: float) -> Callable[[tuple, Mapping], tuple | None]:
-    """Compile one classic RK4 step of z' = (y, -2G(z)) on a tuple of floats.
+                     dt: float) -> tuple[Callable, Callable, Callable]:
+    """One classic RK4 step of z' = (y, -2G(z)) on a tuple of floats, and the
+    array field and locus values of the array step and rk45, as one
+    generated module: (step, field, locus_values).
 
     step(z, params) returns (z_next, locus values at z_next).  The four
     stages k = (y, -2.0*G), the stage states z + (0.5*dt)*k and z + dt*k3 and
@@ -1534,14 +1548,12 @@ def compile_rk4_step(G: Sequence[Expr], loci: Sequence[Expr], ctx: Context,
     array step's outcome.  Every stage value enters z_next with a positive
     weight, so a non-finite G at any stage leaves z_next non-finite; that
     one check, and one on the locus values, stand in for the per-stage
-    checks of compile_exprs and also return None.
+    checks of field and also return None.  field(z, params), the array z',
+    and locus_values(z, params) raise as compile_exprs does.
     """
     n = ctx.dim
-    if len(G) != n:
-        # coordinates would not line up with the array step's: always use it
-        return lambda z, params: None
-    fn_table = _opaque_table((*G, *loci), ctx)
-    g_src = [_py_src(simplify(e), ctx) for e in G]
+    g_src = [_py_src(simplify(e), ctx, 0) for e in G]
+    l_src = [_py_src(simplify(e), ctx, 0) for e in loci]
     state = ([f"_v_x{i}" for i in range(1, n + 1)]
              + [f"_v_y{a}" for a in range(1, n + 1)])
     base = [f"_s{j}" for j in range(2 * n)]
@@ -1559,17 +1571,26 @@ def compile_rk4_step(G: Sequence[Expr], loci: Sequence[Expr], ctx: Context,
     # overflows only sends the step to the array path
     body.append(f"if not _isfinite({' + '.join(state)}): return None")
     locs = [f"_l{j}" for j in range(len(loci))]
-    body += [f"{v} = {_py_src(simplify(e), ctx)}" for v, e in zip(locs, loci)]
+    body += [f"{v} = {src}" for v, src in zip(locs, l_src)]
     if locs:
         body.append(f"if not _isfinite({' + '.join(locs)}): return None")
     body.append(f"return ({', '.join(state)},), ({''.join(v + ',' for v in locs)})")
     lines = (["def _step(_z, _p):", "    try:"]
              + [f"        {line}" for line in body]
              + ["    except (ArithmeticError, ValueError, LookupError, EvalDomainError):",
-                "        return None"])
-    return _exec_def(lines, "_step", _fn=fn_table, _h=0.5 * dt, _dt=dt,
-                     _d6=dt / 6.0, _isfinite=math.isfinite,
-                     EvalDomainError=EvalDomainError)
+                "        return None"]
+             + _def_lines("_g", g_src, n) + _def_lines("_loci", l_src, n))
+    ns = _exec_def(lines, _h=0.5 * dt, _dt=dt, _d6=dt / 6.0, _isfinite=math.isfinite,
+                   EvalDomainError=EvalDomainError)
+    g = _checked(ns["_g"])
+
+    def field(z: np.ndarray, params: Mapping) -> np.ndarray:
+        out = np.empty(2 * n)
+        out[:n] = z[n:]
+        out[n:] = [-2.0 * gi for gi in g(z, params)]
+        return out
+
+    return ns["_step"], field, _checked(ns["_loci"])
 
 
 # ---------------------------------------------------------------------------
@@ -1590,8 +1611,7 @@ _EVAL_NAMES = {
     "_E": EvalDomainError, "_U": UnboundParameterError, "_rp": _resolve_param,
     "_oor": _out_of_range, "_first_non_finite": _first_non_finite, "_NO_OPAQUE": {},
     "_fsum": math.fsum, "_isf": math.isfinite, "_pow": math.pow, "_round": round,
-    "_float": float, "sin": math.sin, "cos": math.cos, "exp": math.exp,
-    "ln": math.log, "sqrt": math.sqrt,
+    "sin": math.sin, "cos": math.cos, "exp": math.exp, "ln": math.log, "sqrt": math.sqrt,
 }
 # the guard evaluate puts on a builtin's argument
 _CALL_GUARDS = {"ln": ("<=", "ln of a nonpositive value"),
@@ -1666,7 +1686,8 @@ class _EvalEmitter:
             try:
                 v = float(e.value)
             except OverflowError:
-                return self.new(f"_float({self.bind(e.value)})")
+                self.emit(self.raise_("constant out of double range"))
+                return "None"   # never runs
             return f"({v!r})" if math.isfinite(v) else self.bind(v)
         if isinstance(e, Var):
             if frame is None:
@@ -1730,8 +1751,7 @@ class _EvalEmitter:
 def _compiled_evaluation(exprs: Sequence[Expr], ctx: Context | None,
                          magnitude: bool) -> Callable:
     exprs = tuple(exprs)
-    decls = tuple((k, d.body) for k, d in ctx.funcs.items()) if ctx is not None else ()
-    key = (exprs, id(ctx), decls, magnitude)
+    key = (exprs, context_key(ctx), magnitude)
     if key not in _EVALUATION_MEMO:
         em = _EvalEmitter(ctx)
         outs = []
@@ -1748,7 +1768,7 @@ def _compiled_evaluation(exprs: Sequence[Expr], ctx: Context | None,
         em.emit(f"return ({''.join(f'{s}, ' for s in outs)})")
         lines = ["def _evaluation(_pt, _op=None):", " _x, _y, _n = _pt.x, _pt.y, len(_pt.x)",
                  " if _op is None: _op = _NO_OPAQUE", *(f" {line}" for line in em.lines)]
-        fn = _exec_def(lines, "_evaluation", **_EVAL_NAMES, **em.names)
+        fn = _exec_def(lines, **_EVAL_NAMES, **em.names)["_evaluation"]
         _EVALUATION_MEMO[key] = (ctx, fn)
     return _EVALUATION_MEMO[key][1]
 

@@ -97,31 +97,6 @@ def is_constant_of_motion(S: SemiSpray, H: Expr, ctx: Context,
     return is_zero(S.vector_field()(H), ctx, cfg, S.singular_loci)
 
 
-def _spray_field_numeric(S: SemiSpray, ctx: Context):
-    """Compile z -> (y, -2G(z)) plus the singular-locus values."""
-    gfun = compile_exprs(S.G, ctx)
-    loci_fun = compile_exprs(S.singular_loci, ctx) if S.singular_loci else None
-    n = S.n
-
-    def f(z: np.ndarray, params: dict) -> np.ndarray:
-        g = gfun(z, params)
-        out = np.empty(2 * n)
-        out[:n] = z[n:]
-        out[n:] = [-2.0 * gi for gi in g]
-        return out
-
-    def loci(z: np.ndarray, params: dict) -> tuple:
-        if loci_fun is None:
-            return ()
-        return loci_fun(z, params)
-
-    def guard(z: np.ndarray, params: dict) -> float:
-        vals = loci(z, params)
-        return min((abs(v) for v in vals), default=np.inf)
-
-    return f, guard, loci
-
-
 def _rk4_array_step(f, z: np.ndarray, params: dict, dt: float) -> np.ndarray:
     k1 = f(z, params)
     k2 = f(z + 0.5 * dt * k1, params)
@@ -139,10 +114,11 @@ def integrate_sode(S: SemiSpray, p0: Point, dt: float, steps: int,
     singular locus or producing a non-finite state stops the run early and
     returns the partial trajectory with the abort flag set.
 
-    rk4 runs one generated step on plain floats (compile_rk4_step), with
-    parameters kept exact.  A step that floats cannot finish (they raise
-    where numpy gives inf or nan) is redone on arrays with the same field
-    rk45 uses, so trajectories and abort reasons are the array step's.
+    Both methods run on one generated module (compile_rk4_step).  rk4 runs
+    its step on plain floats, with parameters kept exact.  A step that
+    floats cannot finish (they raise where numpy gives inf or nan) is redone
+    on arrays with the field rk45 uses, so trajectories and abort reasons
+    are the array step's.
     A locus value that fails to evaluate there (say, one that overflows)
     aborts only this trajectory, with an "evaluation failed" reason.
     """
@@ -151,17 +127,16 @@ def integrate_sode(S: SemiSpray, p0: Point, dt: float, steps: int,
     if method not in ("rk4", "rk45"):
         raise ValidationError(f"unknown integration method {method!r}")
     ctx = ctx or Context(dim=S.n)
-    f, guard, loci = _spray_field_numeric(S, ctx)
+    step, f, loci = compile_rk4_step(S.G, S.singular_loci, ctx, dt)
     params = dict(ctx.params)
     params.update(p0.params)
     z0 = np.concatenate([np.asarray(p0.x, float), np.asarray(p0.y, float)])
-    if guard(z0, params) <= LOCUS_GUARD:
+    if min(map(abs, loci(z0, params)), default=np.inf) <= LOCUS_GUARD:
         raise SingularLocusError("initial state lies on or near a singular locus")
 
     if method == "rk45":
-        return _integrate_rk45(S, f, guard, loci, z0, params, dt, steps)
+        return _integrate_rk45(S, f, loci, z0, params, dt, steps)
 
-    step = compile_rk4_step(S.G, S.singular_loci, ctx, dt)
     z = tuple(z0.tolist())
     times = [0.0]
     states = [z]
@@ -196,7 +171,7 @@ def integrate_sode(S: SemiSpray, p0: Point, dt: float, steps: int,
                       params, aborted, reason)
 
 
-def _integrate_rk45(S, f, guard, loci, z0, params, dt, steps) -> Trajectory:
+def _integrate_rk45(S, f, loci, z0, params, dt, steps) -> Trajectory:
     T = dt * steps
     aborted = False
     reason = None
@@ -229,7 +204,8 @@ def _integrate_rk45(S, f, guard, loci, z0, params, dt, steps) -> Trajectory:
     elif sol.status < 0:
         aborted, reason = True, f"integrator failure: {sol.message}"
     bad = [i for i, row in enumerate(states)
-           if not np.all(np.isfinite(row)) or guard(row, params) <= LOCUS_GUARD]
+           if not np.all(np.isfinite(row))
+           or min(map(abs, loci(row, params)), default=np.inf) <= LOCUS_GUARD]
     if bad:
         cut = bad[0]
         times, states = times[:cut], states[:cut]
@@ -244,8 +220,10 @@ def _integrate_rk45(S, f, guard, loci, z0, params, dt, steps) -> Trajectory:
 def conservation_drift(traj: Trajectory, H: Expr, ctx: Context) -> float:
     """Max deviation of H along the trajectory from its initial value."""
     hfun = compile_exprs((H,), ctx)
-    vals = np.array([hfun(row, traj.params)[0] for row in traj.states])
-    return float(np.max(np.abs(vals - vals[0])))
+    # numpy scalars warn where floats raise; hfun's check reports it
+    with np.errstate(all="ignore"):
+        vals = np.array([hfun(row, traj.params)[0] for row in traj.states])
+        return float(np.max(np.abs(vals - vals[0])))
 
 
 def _flow_distribution(S: SemiSpray, D_gens: Sequence[VectorField] | None,

@@ -281,6 +281,47 @@ def test_numeric_domain_failures_exit_3(tmp_path, capsys):
     assert "numeric-domain error" in err
 
 
+# constants past the double range, which d(H) and S(H) reach from H; the
+# drift of the last one overflows numpy scalars
+HUGE_CONSTANTS = {
+    "dim1": ("dim = 1\nspray G1 = y1^2\nH = 10^308*y1\n", "constant out of double range"),
+    "dim2": ("dim = 2\nspray G1 = y1^2\nspray G2 = y2^2\nH = 10^308*y1 + 10^308*y2\n",
+             "constant out of double range"),
+    "drift": ("dim = 2\nH = 10^308*y1 + 10^308*y2\n",
+              "non-finite value in compiled evaluation"),
+}
+
+
+@pytest.mark.parametrize("name", HUGE_CONSTANTS)
+def test_constants_out_of_double_range_exit_3(tmp_path, capsys, name):
+    text, message = HUGE_CONSTANTS[name]
+    f = tmp_path / "huge.sdp"
+    f.write_text(text)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, _, err = _run(capsys, ["verify", str(f)])
+    assert rc == 3
+    assert err == f"numeric-domain error: {message}\n"
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
+
+CHAINED_BODIES = ("dim = 1\nparam f = fn(x1^2 + 1)\nparam g = fn(f(x1) + 1)\n"
+                  "spray G1 = g(x1)*y1^2*(1/10)\nH = y1\n"
+                  "integrate t=0.5 dt=0.01 method={} seed=1 samples=2\n")
+
+
+@pytest.mark.parametrize("command", ["integrate", "verify"])
+@pytest.mark.parametrize("method", ["rk4", "rk45"])
+def test_chained_function_bodies_integrate(tmp_path, capsys, command, method):
+    f = tmp_path / "chained.sdp"
+    f.write_text(CHAINED_BODIES.format(method))
+    rc, out, err = _run(capsys, [command, str(f), "--json"])
+    assert rc == 0, err
+    rep = json.loads(out)
+    runs = rep["trajectories"] if command == "integrate" else rep["drift"]["runs"]
+    assert len(runs) == 2 and not any(r["aborted"] for r in runs)
+
+
 def test_huge_exact_root_verifies(tmp_path, capsys):
     f = tmp_path / "hugeroot.sdp"
     f.write_text("dim = 1\nH = (10^400)^1/2\n"

@@ -1,0 +1,218 @@
+"""compile_exprs inlines bound function bodies: it gives what compiling each
+body on its own gave, bit for bit or error for error, and chained bodies
+compile."""
+
+import math
+import struct
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from spraydirac.errors import EvalDomainError, UnboundParameterError  # noqa: E402
+from spraydirac.expr import (  # noqa: E402
+    Add, Call, Const, Context, Div, FuncApp, Mul, Neg, Param, Point, Pow, Var,
+    _fpow, _funcapps, _ln, _sqrt, compile_exprs, evaluate, parse, simplify,
+)
+
+
+# -- the body-table compile: every body compiled on its own ------------------
+
+def _table_src(e, ctx):
+    if isinstance(e, Const):
+        v = e.value
+        if isinstance(v, Fraction):
+            return f"({v.numerator}/{v.denominator})" if v.denominator != 1 else f"({v.numerator})"
+        return f"({v!r})"
+    if isinstance(e, Var):
+        return f"_v_{e.axis}{e.index}"
+    if isinstance(e, Param):
+        return f"_p[{e.name!r}]"
+    if isinstance(e, Neg):
+        return f"(-{_table_src(e.child, ctx)})"
+    if isinstance(e, Add):
+        return "(" + "+".join(_table_src(c, ctx) for c in e.children) + ")"
+    if isinstance(e, Mul):
+        return "(" + "*".join(_table_src(c, ctx) for c in e.children) + ")"
+    if isinstance(e, Div):
+        return f"({_table_src(e.num, ctx)}/{_table_src(e.den, ctx)})"
+    if isinstance(e, Pow):
+        r = e.exponent
+        if r.denominator == 1:
+            return f"({_table_src(e.base, ctx)}**({int(r)}))"
+        return f"_fpow({_table_src(e.base, ctx)}, {float(r)!r})"
+    if isinstance(e, Call):
+        fn = {"sin": "math.sin", "cos": "math.cos", "exp": "math.exp",
+              "ln": "_ln", "sqrt": "_sqrt"}[e.fname]
+        return f"{fn}({_table_src(e.arg, ctx)})"
+    if isinstance(e, FuncApp):
+        return f"_fn[({e.fname!r}, {e.order})]({_table_src(e.arg, ctx)}, _p)"
+    raise TypeError(f"cannot compile {e!r}")
+
+
+def _body_table(exprs, ctx):
+    fn_table = {}
+    for app in _funcapps(exprs):
+        key = (app.fname, app.order)
+        if key in fn_table:
+            continue
+        body = ctx.func_derivative(app.fname, app.order)
+        if body is None:
+            raise UnboundParameterError(
+                f"opaque function {app.fname!r} needs a bound body to compile")
+        inner = _table_compile([simplify(body)], Context(1, params=dict(ctx.params)))
+        fn_table[key] = (lambda f: (lambda t, p: f((t, 0.0), p)[0]))(inner)
+    return fn_table
+
+
+def _table_compile(exprs, ctx):
+    n = ctx.dim
+    fn_table = _body_table(exprs, ctx)
+    lines = ["def _compiled(_z, _p, _fn):"]
+    lines += [f"    _v_x{i} = _z[{i - 1}]" for i in range(1, n + 1)]
+    lines += [f"    _v_y{a} = _z[{n + a - 1}]" for a in range(1, n + 1)]
+    lines.append(f"    return ({', '.join(_table_src(simplify(e), ctx) for e in exprs)},)")
+    ns = {"math": math, "_fpow": _fpow, "_ln": _ln, "_sqrt": _sqrt}
+    exec("\n".join(lines), ns)
+    raw = ns["_compiled"]
+
+    def call(z, params=None):
+        try:
+            out = raw(z, params or {}, fn_table)
+        except ZeroDivisionError as exc:
+            raise EvalDomainError("division by zero") from exc
+        except OverflowError as exc:
+            raise EvalDomainError("overflow") from exc
+        except ValueError as exc:
+            raise EvalDomainError(str(exc)) from exc
+        except KeyError as exc:
+            raise UnboundParameterError(f"parameter {exc.args[0]!r} has no bound value") from exc
+        for v in out:
+            if not math.isfinite(v):
+                raise EvalDomainError("non-finite value in compiled evaluation")
+        return out
+
+    return call
+
+
+# -- generated bodies and expressions -----------------------------------------
+
+X1, X2, Y1, Y2 = Var("x", 1), Var("x", 2), Var("y", 1), Var("y", 2)
+# A is exact, B is a float some points leave out, C is never given
+PARAMS = [Param("A"), Param("B"), Param("C")]
+CONSTS = st.one_of(
+    st.fractions(min_value=-3, max_value=3, max_denominator=4).map(Const),
+    st.sampled_from([Const(0.5), Const(-2.5), Const(1e300), Const(Fraction(10 ** 400, 3))]),
+)
+EXPONENTS = st.sampled_from([Fraction(k) for k in range(-3, 4)]
+                            + [Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2)])
+
+
+def _nodes(children, apps=False):
+    terms = st.lists(children, min_size=2, max_size=3).map(tuple)
+    out = [
+        terms.map(Add), terms.map(Mul), children.map(Neg),
+        st.tuples(children, children).map(lambda t: Div(*t)),
+        st.tuples(children, EXPONENTS).map(lambda t: Pow(*t)),
+        st.tuples(st.sampled_from(["sin", "exp", "ln", "sqrt"]), children).map(
+            lambda t: Call(*t)),
+    ]
+    if apps:
+        out.append(st.tuples(st.sampled_from(["f", "g"]), st.integers(0, 2), children).map(
+            lambda t: FuncApp(*t)))
+    return st.one_of(*out)
+
+
+BODIES = st.recursive(st.one_of(st.sampled_from([X1, X1, Y1, *PARAMS]), CONSTS),
+                      _nodes, max_leaves=5)
+TREES = st.recursive(st.one_of(st.sampled_from([X1, X2, Y1, Y2, *PARAMS[:2]]), CONSTS),
+                     lambda c: _nodes(c, apps=True), max_leaves=6)
+# most expressions apply f or g at the top, where simplify keeps them
+APPS = st.tuples(st.sampled_from(["f", "g"]), st.integers(0, 2), TREES).map(
+    lambda t: FuncApp(*t))
+EXPRS = st.lists(st.one_of(TREES, APPS), min_size=1, max_size=3)
+COORDS = st.one_of(st.floats(-3.0, 3.0, allow_nan=False),
+                   st.sampled_from([0.0, 1.0, -1.0, 1e5]))
+STATES = st.tuples(COORDS, COORDS, COORDS, COORDS)
+
+
+def _bits(v):
+    if isinstance(v, tuple):
+        return tuple(_bits(u) for u in v)
+    return struct.pack("<d", v) if isinstance(v, float) else v
+
+
+def _outcome(fn, *args):
+    try:
+        return "value", _bits(fn(*args))
+    except Exception as exc:  # noqa: BLE001 -- compared, not handled
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(BODIES, BODIES, EXPRS, STATES, st.booleans())
+def test_inlined_bodies_match_the_body_table(f_body, g_body, trees, z, with_b):
+    ctx = Context(dim=2, params={"A": Fraction(3, 7), "B": None, "C": None})
+    ctx.declare_function("f", f_body)
+    ctx.declare_function("g", g_body)
+    params = {"A": Fraction(3, 7), **({"B": 0.75} if with_b else {})}
+    old = _outcome(_table_compile, trees, ctx)
+    new = _outcome(compile_exprs, trees, ctx)
+    assert (old[0] == "value") == (new[0] == "value")
+    if old[0] != "value":
+        assert new == old
+        return
+    old, new = _table_compile(trees, ctx), compile_exprs(trees, ctx)
+    # numpy scalars warn where floats raise; the values are compared
+    with np.errstate(all="ignore"):
+        for state in (z, np.array(z)):
+            assert _outcome(new, state, params) == _outcome(old, state, params)
+
+
+# bodies a random draw seldom makes: one whose value overflows where the
+# expression around it would hide that, and one that simplify changes twice
+# (the outcome at x1 = 1e5)
+HAND_PICKED = [("10^300*x1^2", "y1^2/(1 + f(x1))", EvalDomainError),
+               ("x1/(x1 + 1/3)^-1 + y1", "f(x2) + f'(x1)*y1 - f(x1)", "value")]
+
+
+@pytest.mark.parametrize("body, text, at_1e5", HAND_PICKED)
+def test_hand_picked_bodies_match_the_body_table(body, text, at_1e5):
+    ctx = Context(dim=2)
+    ctx.declare_function("f", parse(body, Context(1)))
+    e = parse(text, ctx)
+    old, new = _table_compile((e,), ctx), compile_exprs((e,), ctx)
+    with np.errstate(all="ignore"):
+        for x in [*np.linspace(-2.0, 2.0, 41), 1e5, 1e200]:
+            for state in ((x, 0.3, 0.7, -1.1), np.array([x, 0.3, 0.7, -1.1])):
+                assert _outcome(new, state) == _outcome(old, state)
+    assert _outcome(new, (1e5, 0.0, 1.0, 0.0))[0] == at_1e5
+
+
+def test_chained_bodies_compile_as_evaluate_applies_them():
+    ctx = Context(dim=1)
+    body_ctx = Context(1, funcs=ctx.funcs)
+    ctx.declare_function("f", parse("x1^2 + 1", body_ctx))
+    ctx.declare_function("g", parse("f(x1) + 1", body_ctx))
+    e = parse("g(x1)", ctx)
+    fn = compile_exprs((e,), ctx)
+    for x in (0.0, 0.7, -3.25, 1e100):
+        assert fn((x, 0.5)) == (evaluate(e, Point((x,), (0.5,)), ctx),)
+    # numpy overflows f's x1^2 to inf where a float raises
+    with np.errstate(all="ignore"), pytest.raises(
+            EvalDomainError, match="non-finite value in compiled evaluation"):
+        fn(np.array([1e200, 0.5]))
+    with pytest.raises(EvalDomainError, match="overflow"):
+        fn((1e200, 0.5))
+
+
+def test_an_application_without_a_body_is_refused_when_compiling():
+    ctx = Context(dim=1)
+    ctx.declare_function("f")
+    with pytest.raises(UnboundParameterError, match="'f' needs a bound body"):
+        compile_exprs((parse("y1 + f(x1)", ctx),), ctx)
+    # simplify cancels this one, so there is nothing to refuse
+    assert compile_exprs((parse("y1 + f(x1) - f(x1)", ctx),), ctx)((0.0, 2.0)) == (2.0,)

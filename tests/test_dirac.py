@@ -12,7 +12,7 @@ from spraydirac.errors import (
     AnnihilatorMismatchError, DistributionMembershipError, RankDeficientError,
 )
 from spraydirac.expr import (
-    ONE, ZERO, Context, Point, SampleConfig, parse, simplify,
+    ONE, ZERO, Context, Point, SampleConfig, clear_caches, parse, simplify,
 )
 from spraydirac.forms import TwoForm
 from spraydirac.geometry import (
@@ -51,6 +51,20 @@ def _random_section(rng) -> Section:
 def _random_points(rng, count=5):
     return [Point(tuple(rng.uniform(-1.5, 1.5, 2)), tuple(rng.uniform(-1.5, 1.5, 2)))
             for _ in range(count)]
+
+
+def test_a_structure_follows_a_body_bound_after_its_first_matrix():
+    ctx = Context(dim=1)
+    ctx.declare_function("f")
+    X = VectorField(1, (parse("f(x1)", ctx),), (ZERO,))
+    L = AlmostDirac(1, (Section(X, OneForm(1, (ZERO,), (ZERO,))),))
+    p = Point((3.0,), (0.0,))
+    drawn = L.generator_matrix(p, ctx)[0, 0]
+    assert drawn != 9.0
+    ctx.declare_function("f", parse("x1^2", Context(dim=1)))
+    assert L.generator_matrix(p, ctx)[0, 0] == 9.0
+    clear_caches()
+    assert L.generator_matrix(p, ctx)[0, 0] == 9.0
 
 
 def test_pairing_is_symmetric():

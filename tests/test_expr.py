@@ -8,8 +8,8 @@ import pytest
 
 from spraydirac.errors import EvalDomainError, ParseError
 from spraydirac.expr import (
-    Const, Context, Point, SampleConfig, Tri, Var, _draw_point, _iroot, diff,
-    evaluate, format_expr, is_zero, opaque_apps, parse, simplify,
+    Const, Context, Point, SampleConfig, Tri, Var, _draw_point, _iroot, compile_evaluate,
+    compile_exprs, diff, evaluate, format_expr, is_zero, opaque_apps, parse, simplify,
 )
 
 
@@ -102,6 +102,16 @@ def test_evaluate_uses_bound_params_and_functions():
     p = Point((3.0,), (0.0,), {})
     assert evaluate(parse("f(x1)", ctx2), p, ctx2) == 10.0
     assert evaluate(parse("f'(x1)", ctx2), p, ctx2) == 6.0
+
+
+def test_a_redeclared_function_is_evaluated_with_its_new_body():
+    ctx = Context(dim=1)
+    ctx.declare_function("f", parse("x1^2", Context(dim=1)))
+    e, p = parse("f(x1) + f'(x1)", ctx), Point((3.0,), (0.0,))
+    assert evaluate(e, p, ctx) == compile_evaluate((e,), ctx)(p)[0] == 15.0
+    ctx.declare_function("f", parse("x1^3", Context(dim=1)))
+    assert evaluate(e, p, ctx) == compile_evaluate((e,), ctx)(p)[0] == 54.0
+    assert compile_exprs((e,), ctx)((3.0, 0.0)) == (54.0,)
 
 
 DIFF_CASES = [

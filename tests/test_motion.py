@@ -15,7 +15,7 @@ from spraydirac.expr import (
     sample_points, simplify,
 )
 from spraydirac.forms import TwoForm
-from spraydirac import motion
+from spraydirac import expr, motion
 from spraydirac.geometry import SemiSpray, berwald_frame
 from spraydirac.motion import (
     conservation_drift, hamiltonian_certificate, integrate_sode,
@@ -376,3 +376,28 @@ def test_float_step_falls_back_on_zero_denominator_mid_stage(monkeypatch):
     traj = _assert_matches_array_loop(S, Point((0.5,), (4.0,)), 0.25, 40, ctx)
     assert not traj.aborted
     assert len(array_steps) == 1
+
+
+# -- one generated module per integration -------------------------------------
+
+def test_an_overflowing_body_aborts_both_methods():
+    # f(1e5) is inf: read unchecked, y1^2/(1 + f) would be 0 and the run go on
+    pf = parse_problem_file("dim = 1\nparam f = fn(10^300*x1^2)\n"
+                            "spray G1 = y1^2/(1 + f(x1))\n")
+    for method in ("rk4", "rk45"):
+        traj = integrate_sode(pf.semispray(), Point((1e5,), (1.0,)), 0.01, 20, method,
+                              pf.context)
+        assert traj.abort_reason == "evaluation failed: non-finite value in compiled evaluation"
+
+
+@pytest.mark.parametrize("method", ["rk4", "rk45"])
+def test_an_integration_runs_one_generated_module(method, monkeypatch):
+    execs = []
+    exec_def = expr._exec_def
+    monkeypatch.setattr(expr, "_exec_def", lambda *a, **k: execs.append(1) or exec_def(*a, **k))
+    pf = parse_problem_file("dim = 1\nparam f = fn(x1^2 + 1)\nexclude x1 - 5\n"
+                            "spray G1 = f(x1)*y1^2*(1/10)\n")
+    traj = integrate_sode(pf.semispray(), Point((0.5,), (1.0,)), 0.01, 50, method,
+                          pf.context)
+    assert not traj.aborted
+    assert len(execs) == 1
