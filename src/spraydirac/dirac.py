@@ -25,9 +25,9 @@ from .errors import (
     RankDeficientError, SingularLocusError, ValidationError,
 )
 from .expr import (
-    DEFAULT_SEED, Add, Const, Context, Expr, Mul, Neg, Point, SampleConfig, Tri, ZERO,
+    Add, Const, Context, Expr, Mul, Neg, Point, SampleConfig, Tri, ZERO,
     compile_evaluate, compile_evaluate_with_magnitude, context_key, evaluate, is_zero,
-    opaque_apps, opaque_assignments, sample_points, simplify, sum_exprs,
+    sample_points, simplify, sum_exprs,
 )
 from .forms import TwoForm, d_scalar, interior_product, lie_derivative
 from .geometry import OneForm, VectorField, lie_bracket
@@ -42,14 +42,6 @@ HALF = Const(Fraction(1, 2))
 # Relative tolerance of the pointwise rank, isotropy, membership and
 # annihilation tests.
 POINTWISE_TOL = 1e-9
-
-
-def _default_opaque(apps: Sequence[Expr], p: Point, ctx: Context) -> dict | None:
-    """Opaque-function values at p drawn from a fresh DEFAULT_SEED stream,
-    or None when there is nothing to draw."""
-    if not apps:
-        return None
-    return opaque_assignments(apps, p, ctx, np.random.default_rng(DEFAULT_SEED))
 
 
 @dataclass(frozen=True)
@@ -125,8 +117,7 @@ def jacobi_anomaly(a1: Section, a2: Section, a3: Section, p: Point,
     for s in lhs_sections:
         all_exprs.extend(s.components())
     all_exprs.extend(rhs_form.dx + rhs_form.dy)
-    opaque = _default_opaque(opaque_apps(all_exprs, ctx), p, ctx)
-    vals = np.array([evaluate(e, p, ctx, opaque) for e in all_exprs])
+    vals = np.array([evaluate(e, p, ctx) for e in all_exprs])
     lhs = np.zeros(4 * n)
     for row in vals[:12 * n].reshape(3, 4 * n):
         lhs += row
@@ -177,20 +168,10 @@ class AlmostDirac:
     def _pairs(self):
         return itertools.combinations(range(len(self.generators)), 2)
 
-    def _apps(self, ctx: Context, with_brackets: bool) -> tuple:
-        """opaque_apps of the generators, and with_brackets of their brackets
-        too, once per context and declarations (the entry holds ctx)."""
-        key = ("apps", context_key(ctx), with_brackets)
-        if key not in self._memo:
-            exprs = self.all_exprs()
-            for i, j in self._pairs() if with_brackets else ():
-                exprs.extend(self.bracket(i, j).components())
-            self._memo[key] = (ctx, opaque_apps(exprs, ctx))
-        return self._memo[key][1]
-
     def _rows(self, ctx: Context, brackets: bool):
         """compile_evaluate of the generators' components or, with brackets,
-        of the generator brackets', once per context (as _apps)."""
+        of the generator brackets', once per context and declarations (the
+        entry holds ctx)."""
         key = ("rows", context_key(ctx), brackets)
         if key not in self._memo:
             if brackets:
@@ -200,16 +181,14 @@ class AlmostDirac:
             self._memo[key] = (ctx, compile_evaluate(exprs, ctx))
         return self._memo[key][1]
 
-    def generator_matrix(self, p: Point, ctx: Context, opaque=None) -> np.ndarray:
+    def generator_matrix(self, p: Point, ctx: Context) -> np.ndarray:
         """The structure evaluated at p, one row per generator plus any
         auto-annihilator rows; raises SingularLocusError on a declared
-        locus.  Opaque values default to a DEFAULT_SEED draw."""
+        locus."""
         for locus in self.singular_loci:
             if abs(evaluate(locus, p, ctx)) <= 1e-9:
                 raise SingularLocusError("point lies on a declared singular locus")
-        if opaque is None:
-            opaque = _default_opaque(self._apps(ctx, False), p, ctx)
-        rows = list(np.reshape(self._rows(ctx, False)(p, opaque),
+        rows = list(np.reshape(self._rows(ctx, False)(p),
                                (len(self.generators), 4 * self.n)))
         if self.auto_annihilator:
             vec_rows = np.array([r[: 2 * self.n] for r in rows
@@ -253,8 +232,7 @@ def from_distribution(D_gens: Sequence[VectorField],
         if eta.n != n:
             raise ValidationError("annihilator generator dimension mismatch")
     cfg = cfg or SampleConfig()
-    rng = np.random.default_rng(cfg.seed)
-    pts = sample_points(ctx, cfg, loci, count=max(8, cfg.points // 2), rng=rng)
+    pts = sample_points(ctx, cfg, loci, count=max(8, cfg.points // 2))
 
     for eta in etas:
         for X in D_gens:
@@ -262,10 +240,9 @@ def from_distribution(D_gens: Sequence[VectorField],
             verdict = is_zero(resid, ctx, cfg, loci)
             if verdict is Tri.PROVEN_ZERO:
                 continue
-            apps = opaque_apps((resid,), ctx)
             evaluation = compile_evaluate_with_magnitude((resid,), ctx)
             for p in pts:
-                (val, mag), = evaluation(p, opaque_assignments(apps, p, ctx, rng))
+                (val, mag), = evaluation(p)
                 if abs(val) > POINTWISE_TOL * max(1.0, mag):
                     raise AnnihilatorMismatchError(
                         "annihilator does not vanish on the distribution: "
@@ -280,18 +257,16 @@ def from_distribution(D_gens: Sequence[VectorField],
     ann_rank = 0
     d_comps = [X.component(i) for X in D_gens for i in range(2 * n)]
     a_comps = [eta.component(i) for eta in etas for i in range(2 * n)]
-    apps = opaque_apps(d_comps + a_comps, ctx)
     # two evaluations: a rank-deficient D raises before the etas are evaluated
     d_rows = compile_evaluate(d_comps, ctx)
     a_rows = compile_evaluate(a_comps, ctx) if etas else None
     for p in pts:
-        opaque = opaque_assignments(apps, p, ctx, rng)
-        if _matrix_rank(np.reshape(d_rows(p, opaque), (k, 2 * n))) < k:
+        if _matrix_rank(np.reshape(d_rows(p), (k, 2 * n))) < k:
             raise RankDeficientError(
                 f"distribution generators dependent at a sampled point "
                 f"(rank < {k})")
         if etas:
-            A_mat = np.reshape(a_rows(p, opaque), (len(etas), 2 * n))
+            A_mat = np.reshape(a_rows(p), (len(etas), 2 * n))
             ann_rank = max(ann_rank, _matrix_rank(A_mat))
 
     deficit = 0 if auto else (2 * n - k) - ann_rank
@@ -338,15 +313,9 @@ def involutivity_residual(L: AlmostDirac, p: Point, ctx: Context,
 
     B is L.generator_matrix(p, ctx).  Zero residual at p is the pointwise
     closure condition.  It is measured against the evaluated span whatever
-    its rank, which only ever overestimates closure failure.  Generators
-    and brackets share one opaque draw, so where they apply an opaque
-    function without a body, B is rebuilt here on that draw.
+    its rank, which only ever overestimates closure failure.
     """
-    apps = L._apps(ctx, True)
-    opaque = _default_opaque(apps, p, ctx)
-    if apps:
-        B = L.generator_matrix(p, ctx, opaque)
-    brackets = np.reshape(L._rows(ctx, True)(p, opaque), (-1, 4 * L.n))
+    brackets = np.reshape(L._rows(ctx, True)(p), (-1, 4 * L.n))
     worst = 0.0
     for u in brackets:
         sol, *_ = np.linalg.lstsq(B.T, u, rcond=None)

@@ -49,7 +49,8 @@ class EvalDomainError(SprayDiracError):
 
 
 class UnboundParameterError(EvalDomainError):
-    """Evaluation reached a parameter or opaque function with no bound value."""
+    """Evaluation reached a parameter with no bound value, or a compile for
+    the integrator reached an opaque function without a body."""
 
 
 class SingularLocusError(EvalDomainError):

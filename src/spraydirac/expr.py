@@ -20,6 +20,7 @@ to the numeric sampler behind the tri-state ``is_zero``.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import re
 from dataclasses import dataclass, field
@@ -37,7 +38,7 @@ __all__ = [
     "parse", "simplify", "diff", "evaluate", "is_zero", "format_expr",
     "as_expr", "sum_exprs", "tri_all", "sample_points", "clear_caches",
     "compile_exprs", "compile_rk4_step", "compile_evaluate",
-    "compile_evaluate_with_magnitude", "opaque_apps", "opaque_assignments",
+    "compile_evaluate_with_magnitude", "formal_value", "opaque_assignments",
 ]
 
 BUILTIN_FUNCTIONS = ("sin", "cos", "exp", "ln", "sqrt")
@@ -154,7 +155,11 @@ class Const(Expr):
 
     def sortkey(self) -> tuple:
         tag = 0 if isinstance(self.value, Fraction) else 1
-        return (0, float(self.value), tag, str(self.value))
+        try:
+            v = float(self.value)
+        except OverflowError:   # a rational past the double range sorts as +-inf
+            v = math.inf if self.value > 0 else -math.inf
+        return (0, v, tag, str(self.value))
 
 
 ZERO = Const(0)
@@ -335,7 +340,7 @@ class Context:
     Scalar parameters may carry a bound numeric value (used by samplers and
     as an evaluation fallback).  Opaque functions may carry a concrete body,
     written in terms of the formal argument x1; without one they stay formal
-    and can only be evaluated by the sampling machinery.
+    and evaluate to formal_value.
     """
 
     dim: int
@@ -587,6 +592,17 @@ def _cadd(a, b):
     return float(a) + float(b)
 
 
+def _cpow(c, k):
+    """c**k for a Fraction c and an int k, or a float c and an exponent k that
+    is whole or has c > 0; a float overflows to +-inf, as a float product does."""
+    if isinstance(c, Fraction):
+        return c ** k
+    try:
+        return float(c) ** float(k)
+    except OverflowError:
+        return -math.inf if c < 0 and k % 2 else math.inf
+
+
 def _cinv(a):
     if isinstance(a, Fraction):
         return Fraction(a.denominator, a.numerator)
@@ -663,7 +679,7 @@ def _normalize_pairs(pairs: dict, coeff):
                     continue
             else:
                 if v > 0 or exp.denominator == 1:
-                    coeff = _cmul(coeff, float(v) ** float(exp))
+                    coeff = _cmul(coeff, _cpow(v, exp))
                     continue
         kept.append((base, exp))
     kept.sort(key=lambda be: be[0].sortkey())
@@ -742,8 +758,7 @@ def _nf_pow(nf: _NF, r: Fraction) -> _NF:
         if len(nf) == 1:
             (mono, c), = nf.items()
             pairs = {base: exp * k for base, exp in mono}
-            cc = c ** k if isinstance(c, Fraction) else float(c) ** k
-            m, cc = _normalize_pairs(pairs, cc)
+            m, cc = _normalize_pairs(pairs, _cpow(c, k))
             return {m: cc}
         if k <= _EXPAND_CAP:
             out = {(): Fraction(1)}
@@ -758,8 +773,7 @@ def _nf_pow(nf: _NF, r: Fraction) -> _NF:
             return out
         c, unit = _content_split(nf)
         base = _emit(unit)
-        cc = c ** k if isinstance(c, Fraction) else float(c) ** k
-        return {((base, Fraction(k)),): cc}
+        return {((base, Fraction(k)),): _cpow(c, k)}
     # fractional exponent
     if len(nf) == 1:
         (mono, c), = nf.items()
@@ -983,13 +997,29 @@ def _check_finite(v: float, what: str) -> float:
     return v
 
 
-def evaluate(e: Expr, p: Point, ctx: Context | None = None,
-             opaque: Mapping[tuple, float] | None = None) -> float:
+def formal_value(name: str, order: int, a: float) -> float:
+    """The value of name's order-th derivative at a, for a function without
+    a body.
+
+    It depends on (name, order, a rounded to 9 decimals) alone, through
+    blake2b rather than hash(), which PYTHONHASHSEED changes; so a formal
+    function is one function, and a point fixes every value an expression
+    takes there.  Distinct keys get independent-looking values, so a nonzero
+    sample means nonzero for some admissible choice of the formal functions.
+    Each lies in [0.25, 2) in magnitude, with either sign, so that a sample
+    does not annihilate an expression like f'(x1)*x2 by itself.
+    """
+    key = repr((name, order, round(float(a), 9) + 0.0))    # + 0.0: -0.0 is 0.0
+    h = int.from_bytes(hashlib.blake2b(key.encode(), digest_size=8).digest(), "little")
+    mag = 0.25 + 1.75 * ((h >> 11) * 2.0 ** -53)
+    return -mag if h & 1 else mag
+
+
+def evaluate(e: Expr, p: Point, ctx: Context | None = None) -> float:
     """Evaluate at a point in IEEE double precision.
 
     Domain violations raise EvalDomainError instead of returning nan or inf.
-    Opaque functions need a bound body in ctx, unless `opaque` supplies
-    sampled values keyed by (name, order, rounded argument).
+    An opaque function without a bound body in ctx takes its formal_value.
     """
     if isinstance(e, Const):
         try:
@@ -1004,21 +1034,21 @@ def evaluate(e: Expr, p: Point, ctx: Context | None = None,
     if isinstance(e, Param):
         return _resolve_param(e.name, p, ctx)
     if isinstance(e, Neg):
-        return -evaluate(e.child, p, ctx, opaque)
+        return -evaluate(e.child, p, ctx)
     if isinstance(e, Add):
-        return _check_finite(math.fsum(evaluate(c, p, ctx, opaque) for c in e.children), "sum")
+        return _check_finite(math.fsum(evaluate(c, p, ctx) for c in e.children), "sum")
     if isinstance(e, Mul):
         out = 1.0
         for c in e.children:
-            out *= evaluate(c, p, ctx, opaque)
+            out *= evaluate(c, p, ctx)
         return _check_finite(out, "product")
     if isinstance(e, Div):
-        den = evaluate(e.den, p, ctx, opaque)
+        den = evaluate(e.den, p, ctx)
         if den == 0.0:
             raise EvalDomainError("division by zero")
-        return _check_finite(evaluate(e.num, p, ctx, opaque) / den, "quotient")
+        return _check_finite(evaluate(e.num, p, ctx) / den, "quotient")
     if isinstance(e, Pow):
-        b = evaluate(e.base, p, ctx, opaque)
+        b = evaluate(e.base, p, ctx)
         r = e.exponent
         if r.denominator == 1:
             k = int(r)
@@ -1037,7 +1067,7 @@ def evaluate(e: Expr, p: Point, ctx: Context | None = None,
         except (ValueError, OverflowError) as exc:
             raise EvalDomainError("domain error in power") from exc
     if isinstance(e, Call):
-        a = evaluate(e.arg, p, ctx, opaque)
+        a = evaluate(e.arg, p, ctx)
         try:
             if e.fname == "sin":
                 return math.sin(a)
@@ -1055,28 +1085,25 @@ def evaluate(e: Expr, p: Point, ctx: Context | None = None,
                 return math.sqrt(a)
         except OverflowError as exc:
             raise EvalDomainError(f"overflow in {e.fname}") from exc
+        except ValueError as exc:   # sin or cos of an infinity
+            raise EvalDomainError(f"domain error in {e.fname}") from exc
         raise ValidationError(f"cannot evaluate {e.fname!r}")
     if isinstance(e, FuncApp):
-        a = evaluate(e.arg, p, ctx, opaque)
+        a = evaluate(e.arg, p, ctx)
         body = ctx.func_derivative(e.fname, e.order) if ctx is not None else None
-        if body is not None:
-            inner = Point((a,), (0.0,), dict(p.params))
-            return evaluate(body, inner, ctx, opaque)
-        if opaque is not None:
-            key = (e.fname, e.order, round(a, 9))
-            if key in opaque:
-                return opaque[key]
-        raise UnboundParameterError(f"opaque function {e.fname!r} has no bound body")
+        if body is None:
+            return formal_value(e.fname, e.order, a)
+        return evaluate(body, Point((a,), (0.0,), dict(p.params)), ctx)
     raise TypeError(f"cannot evaluate {e!r}")
 
 
-def evaluate_with_magnitude(e: Expr, p: Point, ctx: Context | None = None,
-                            opaque: Mapping[tuple, float] | None = None) -> tuple[float, float]:
+def evaluate_with_magnitude(e: Expr, p: Point,
+                            ctx: Context | None = None) -> tuple[float, float]:
     """Value plus a cancellation scale (sum of |term| over top-level terms)."""
     if isinstance(e, Add):
-        vals = [evaluate(c, p, ctx, opaque) for c in e.children]
+        vals = [evaluate(c, p, ctx) for c in e.children]
         return math.fsum(vals), math.fsum(abs(v) for v in vals)
-    v = evaluate(e, p, ctx, opaque)
+    v = evaluate(e, p, ctx)
     return v, abs(v)
 
 
@@ -1127,10 +1154,7 @@ def _draw_point(ctx: Context, rng: np.random.Generator, cfg: SampleConfig) -> Po
 def _clear_draws(ctx: Context, cfg: SampleConfig, loci: Sequence[Expr],
                  rng: np.random.Generator, limit: int) -> Iterator[Point]:
     """Make up to `limit` draws; yield each one that keeps clear of the loci.
-
-    Drawing is lazy, so whatever a consumer takes from rng between two
-    points stays interleaved with the draws.
-    """
+    Drawing is lazy, so a consumer that stops early draws no more."""
     for _ in range(limit):
         p = _draw_point(ctx, rng, cfg)
         try:
@@ -1142,15 +1166,15 @@ def _clear_draws(ctx: Context, cfg: SampleConfig, loci: Sequence[Expr],
 
 
 def sample_points(ctx: Context, cfg: SampleConfig | None = None,
-                  loci: Sequence[Expr] = (), count: int | None = None,
-                  rng: np.random.Generator | None = None) -> list[Point]:
-    """Draw points from the box, rejecting any too close to a singular locus."""
+                  loci: Sequence[Expr] = (), count: int | None = None) -> list[Point]:
+    """Draw points from the box with a cfg.seed stream, rejecting any too
+    close to a singular locus."""
     cfg = cfg or SampleConfig()
-    rng = rng or np.random.default_rng(cfg.seed)
     want = count if count is not None else cfg.points
     limit = max(SAMPLE_MAX_TRIES, 10 * want)
+    draws = _clear_draws(ctx, cfg, loci, np.random.default_rng(cfg.seed), limit)
     # zip stops without another draw once range(want) runs out
-    out = [p for _, p in zip(range(want), _clear_draws(ctx, cfg, loci, rng, limit))]
+    out = [p for _, p in zip(range(want), draws)]
     if len(out) < want:
         raise ValidationError(
             f"could not draw {want} sample points clear of the singular loci "
@@ -1158,65 +1182,19 @@ def sample_points(ctx: Context, cfg: SampleConfig | None = None,
     return out
 
 
-def _funcapps(exprs: Iterable[Expr]) -> set:
-    """Every opaque-function application in exprs, nested ones included."""
-    found: set = set()
-    todo = list(exprs)
-    while todo:
-        e = todo.pop()
-        if isinstance(e, FuncApp):
-            found.add(e)
-        if isinstance(e, (FuncApp, Call)):
-            todo.append(e.arg)
-        elif isinstance(e, (Add, Mul)):
-            todo.extend(e.children)
-        elif isinstance(e, Neg):
-            todo.append(e.child)
-        elif isinstance(e, Div):
-            todo += (e.num, e.den)
-        elif isinstance(e, Pow):
-            todo.append(e.base)
-    return found
-
-
-def opaque_apps(exprs: Sequence[Expr], ctx: Context) -> tuple[FuncApp, ...]:
-    """The applications in exprs of opaque functions without a bound body in
-    ctx, in draw order: collect once, then call opaque_assignments per point.
-
-    The order is by sortkey, except that an application comes after every
-    one nested in its argument, whose value it needs.
-    """
-    unbound = {a for a in _funcapps(exprs) if ctx.func_derivative(a.fname, a.order) is None}
-    pending = sorted(unbound, key=lambda a: a.sortkey())
-    inner = {a: _funcapps((a.arg,)) & unbound for a in pending}
-    out: list[FuncApp] = []
-    while pending:   # an innermost pending application is always ready
-        ready = next(i for i, a in enumerate(pending) if inner[a] <= set(out))
-        out.append(pending.pop(ready))
-    return tuple(out)
-
-
-def opaque_assignments(apps: Sequence[FuncApp], p: Point, ctx: Context,
-                       rng: np.random.Generator) -> dict:
-    """Sample values at one point for applications collected by opaque_apps.
-
-    Each distinct (name, order, argument value) gets an independent draw, so
-    a verdict of nonzero means nonzero for some admissible choice of the
-    formal functions.  Draws avoid a band around zero so that expressions
-    like f'(x1)*x2 are not accidentally annihilated by the sample itself.
-    One assignment dict covers every expression the applications came from,
-    keeping the sampled functions consistent across a matrix of components.
+def opaque_assignments(apps: Sequence[FuncApp], p: Point, ctx: Context) -> dict:
+    """formal_value of each application in apps at p, keyed by (name, order,
+    rounded argument); an application whose argument fails to evaluate is
+    left out.  Nothing in the package calls it: evaluate applies
+    formal_value itself, so a point alone reproduces a sampled verdict.
     """
     out: dict = {}
     for app in apps:
         try:
-            a = evaluate(app.arg, p, ctx, out)
+            a = evaluate(app.arg, p, ctx)
         except EvalDomainError:
             continue
-        key = (app.fname, app.order, round(a, 9))
-        if key not in out:
-            mag = float(rng.uniform(0.25, 2.0))
-            out[key] = mag if rng.uniform() < 0.5 else -mag
+        out[app.fname, app.order, round(a, 9)] = formal_value(app.fname, app.order, a)
     return out
 
 
@@ -1269,21 +1247,16 @@ def is_zero(e: Expr, ctx: Context, cfg: SampleConfig | None = None,
     if not _cleared_denominators(nf):
         return Tri.PROVEN_ZERO
     cfg = cfg or SampleConfig()
-    rng = np.random.default_rng(cfg.seed)
     s = _emit(nf)
-    draws = _clear_draws(ctx, cfg, loci, rng, max(SAMPLE_MAX_TRIES, 4 * cfg.points))
-    apps = None
+    draws = _clear_draws(ctx, cfg, loci, np.random.default_rng(cfg.seed),
+                         max(SAMPLE_MAX_TRIES, 4 * cfg.points))
     good = 0
     while good < cfg.points:
         p = next(draws, None)
         if p is None:
             break
         try:
-            # inside the try: a bound body whose derivative fails rejects each draw
-            if apps is None:
-                apps = opaque_apps((s,), ctx)
-            opaque = opaque_assignments(apps, p, ctx, rng)
-            v, mag = evaluate_with_magnitude(s, p, ctx, opaque)
+            v, mag = evaluate_with_magnitude(s, p, ctx)
         except EvalDomainError:
             continue
         good += 1
@@ -1485,8 +1458,10 @@ def _fin(v: float) -> float:
 
 
 def _exec_def(lines: list[str], **names) -> dict:
-    """The namespace of the generated definitions, once run."""
-    ns = {"math": math, "_fpow": _fpow, "_ln": _ln, "_sqrt": _sqrt, "_fin": _fin, **names}
+    """The namespace of the generated definitions, once run; inf and nan name
+    the non-finite constants that _py_src prints with repr."""
+    ns = {"math": math, "inf": math.inf, "nan": math.nan,
+          "_fpow": _fpow, "_ln": _ln, "_sqrt": _sqrt, "_fin": _fin, **names}
     exec("\n".join(lines), ns)
     return ns
 
@@ -1608,9 +1583,9 @@ def _first_non_finite(values: tuple, msgs: tuple) -> None:
 
 
 _EVAL_NAMES = {
-    "_E": EvalDomainError, "_U": UnboundParameterError, "_rp": _resolve_param,
-    "_oor": _out_of_range, "_first_non_finite": _first_non_finite, "_NO_OPAQUE": {},
-    "_fsum": math.fsum, "_isf": math.isfinite, "_pow": math.pow, "_round": round,
+    "_E": EvalDomainError, "_rp": _resolve_param, "_fv": formal_value,
+    "_oor": _out_of_range, "_first_non_finite": _first_non_finite,
+    "_fsum": math.fsum, "_isf": math.isfinite, "_pow": math.pow,
     "sin": math.sin, "cos": math.cos, "exp": math.exp, "ln": math.log, "sqrt": math.sqrt,
 }
 # the guard evaluate puts on a builtin's argument
@@ -1619,8 +1594,8 @@ _CALL_GUARDS = {"ln": ("<=", "ln of a nonpositive value"),
 
 
 class _EvalEmitter:
-    """Writes the body of a function (_pt, _op) that computes what
-    evaluate(e, _pt, ctx, _op) computes, value for value and error for error.
+    """Writes the body of a function (_pt) that computes what
+    evaluate(e, _pt, ctx) computes, value for value and error for error.
 
     Each distinct node (and guard) gets one statement, where evaluate first
     computes it: a node's value depends only on the point, so only its first
@@ -1667,8 +1642,8 @@ class _EvalEmitter:
             self.pending.append((t, check))
         return t
 
-    def raise_(self, msg: str, exc: str = "_E") -> str:
-        return f"raise {exc}({self.bind(msg)})"
+    def raise_(self, msg: str) -> str:
+        return f"raise _E({self.bind(msg)})"
 
     def guard(self, v: str, op: str, msg: str) -> None:
         if (v, op) not in self.guards:
@@ -1729,6 +1704,9 @@ class _EvalEmitter:
             a = self.operand(e.arg, frame)
             if e.fname in _CALL_GUARDS:
                 self.guard(a, *_CALL_GUARDS[e.fname])
+            if e.fname in ("sin", "cos"):   # of an infinity
+                return self.new(f"{e.fname}({a})", exc="ValueError",
+                                msg=f"domain error in {e.fname}")
             return self.new(f"{e.fname}({a})", check="exp" if e.fname == "exp" else "",
                             exc="OverflowError", msg=f"overflow in {e.fname}")
         if isinstance(e, FuncApp):
@@ -1740,11 +1718,7 @@ class _EvalEmitter:
                 return "None"
             if body is not None:
                 return self.operand(body, a)
-            t = f"t{len(self.lines)}"
-            msg = f"opaque function {e.fname!r} has no bound body"
-            self.emit(f"try: {t} = _op[({e.fname!r}, {e.order}, _round({a}, 9))]",
-                      f"except KeyError: {self.raise_(msg, '_U')} from None")
-            return t
+            return self.new(f"_fv({e.fname!r}, {e.order}, {a})", raises=False)
         raise TypeError(f"cannot evaluate {e!r}")
 
 
@@ -1766,23 +1740,22 @@ def _compiled_evaluation(exprs: Sequence[Expr], ctx: Context | None,
             else:
                 outs.append(em.operand(e))
         em.emit(f"return ({''.join(f'{s}, ' for s in outs)})")
-        lines = ["def _evaluation(_pt, _op=None):", " _x, _y, _n = _pt.x, _pt.y, len(_pt.x)",
-                 " if _op is None: _op = _NO_OPAQUE", *(f" {line}" for line in em.lines)]
+        lines = ["def _evaluation(_pt):", " _x, _y, _n = _pt.x, _pt.y, len(_pt.x)",
+                 *(f" {line}" for line in em.lines)]
         fn = _exec_def(lines, **_EVAL_NAMES, **em.names)["_evaluation"]
         _EVALUATION_MEMO[key] = (ctx, fn)
     return _EVALUATION_MEMO[key][1]
 
 
-def compile_evaluate(exprs: Sequence[Expr], ctx: Context | None) -> Callable[..., tuple]:
-    """One function (p, opaque=None) -> tuple of what evaluate(e, p, ctx,
-    opaque) gives for each e, bit for bit, or the first error it raises, for
-    an opaque table of floats (what opaque_assignments draws).  Memoised
-    until clear_caches(); evaluate is the reference it is tested on.
+def compile_evaluate(exprs: Sequence[Expr], ctx: Context | None) -> Callable[[Point], tuple]:
+    """One function (p) -> tuple of what evaluate(e, p, ctx) gives for each
+    e, bit for bit, or the first error it raises.  Memoised until
+    clear_caches(); evaluate is the reference it is tested on.
     """
     return _compiled_evaluation(exprs, ctx, False)
 
 
 def compile_evaluate_with_magnitude(exprs: Sequence[Expr],
-                                    ctx: Context | None) -> Callable[..., tuple]:
+                                    ctx: Context | None) -> Callable[[Point], tuple]:
     """compile_evaluate with evaluate_with_magnitude's (value, magnitude)."""
     return _compiled_evaluation(exprs, ctx, True)

@@ -11,7 +11,7 @@ numeric confirmation integrates the flow and watches H drift.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -24,8 +24,7 @@ from .errors import (
 from .expr import (
     Context, Expr, Point, SampleConfig, Tri, ZERO,
     compile_evaluate, compile_evaluate_with_magnitude, compile_exprs,
-    compile_rk4_step, is_zero, opaque_apps, opaque_assignments, sample_points,
-    simplify, tri_all,
+    compile_rk4_step, is_zero, sample_points, simplify, tri_all,
 )
 from .forms import TwoForm, d_scalar, exterior_derivative_2, interior_product
 from .geometry import (
@@ -241,21 +240,17 @@ def _flow_distribution(S: SemiSpray, D_gens: Sequence[VectorField] | None,
                 "2-homogeneous; supply generators containing the flow field")
         D_gens = berwald_frame(S).horizontal
     D_gens = list(D_gens)
-    rng = np.random.default_rng(cfg.seed)
-    pts = sample_points(ctx, cfg, S.singular_loci, count=max(8, cfg.points // 4),
-                        rng=rng)
+    pts = sample_points(ctx, cfg, S.singular_loci, count=max(8, cfg.points // 4))
     m = 2 * S.n
     # the generators' rows on their own: from_distribution compiles the same
     d_comps = [X.component(i) for X in D_gens for i in range(m)]
     Svec = S.vector_field()
     s_comps = [Svec.component(i) for i in range(m)]
-    apps = opaque_apps(d_comps + s_comps, ctx)
     d_rows, s_row = compile_evaluate(d_comps, ctx), compile_evaluate(s_comps, ctx)
     for p in pts:
-        opaque = opaque_assignments(apps, p, ctx, rng)
-        vals = d_rows(p, opaque)
+        vals = d_rows(p)
         rows = np.array([vals[j:j + m] for j in range(0, len(vals), m)])
-        target = np.array(s_row(p, opaque))
+        target = np.array(s_row(p))
         sol, *_ = np.linalg.lstsq(rows.T, target, rcond=None)
         gap = np.linalg.norm(rows.T @ sol - target)
         if gap > POINTWISE_TOL * max(1.0, np.linalg.norm(target)):
@@ -286,13 +281,12 @@ def _residual(S: SemiSpray, omega: TwoForm, H: Expr, D_gens: list[VectorField],
     comps = tuple(simplify(rho_form(X)) for X in D_gens)
     verdicts = tuple(is_zero(c, ctx, cfg, loci) for c in comps)
 
-    rng = np.random.default_rng(cfg.seed + 1)
-    pts = sample_points(ctx, cfg, loci, count=max(8, cfg.points // 2), rng=rng)
+    pts = sample_points(ctx, replace(cfg, seed=cfg.seed + 1), loci,
+                        count=max(8, cfg.points // 2))
     worst = 0.0
-    apps = opaque_apps(comps, ctx)
     evaluation = compile_evaluate_with_magnitude(comps, ctx)
     for p in pts:
-        for val, mag in evaluation(p, opaque_assignments(apps, p, ctx, rng)):
+        for val, mag in evaluation(p):
             worst = max(worst, abs(val) / max(1.0, mag))
 
     dH = d_scalar(H, S.n)

@@ -305,6 +305,51 @@ def test_constants_out_of_double_range_exit_3(tmp_path, capsys, name):
     assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
+# folded non-finite constants (1e300*1e300 is inf) and exact constants past
+# the double range, each of which once exited 4
+FOLDED = "dim = 1\nspray G1 = {}\n{}integrate t=0.1 dt=0.01 method=rk4 seed=1 samples=2\n"
+OUT_OF_RANGE_FILES = {
+    "inf-product": ("integrate", FOLDED.format("1e300*1e300*y1^2", ""), 0, ""),
+    "sin-inf": ("integrate", FOLDED.format("sin(1e300*1e300)*y1^2", ""), 0, ""),
+    "fractional-pow": ("analyze", FOLDED.format("(1e300)^3/2*y1^2", ""), 0, ""),
+    "sin-verify": ("verify", FOLDED.format("y1^2", "H = y1 + sin(1e300*1e300)*x1\n"), 3,
+                   "domain error in sin"),
+    "rational-analyze": ("analyze", "dim = 1\nspray G1 = (10^401/(3))^1/2*x1*y1^2\n", 0, ""),
+    "rational-verify": ("verify", FOLDED.format("y1^2", "H = (10^401/(3))^1/2*y1\n"), 3,
+                        "constant out of double range"),
+}
+
+
+@pytest.mark.parametrize("name", OUT_OF_RANGE_FILES)
+def test_constants_folded_out_of_range_exit_0_or_3(tmp_path, capsys, name):
+    command, text, code, message = OUT_OF_RANGE_FILES[name]
+    f = tmp_path / "folded.sdp"
+    f.write_text(text)
+    rc, out, err = _run(capsys, [command, str(f), "--json"])
+    assert rc == code, err
+    if code == 3:
+        assert err == f"numeric-domain error: {message}\n"
+    elif command == "integrate":
+        reasons = {t["abort_reason"] for t in json.loads(out)["trajectories"]}
+        assert len(reasons) == 1 and reasons.pop().startswith("evaluation failed: ")
+
+
+def test_an_overflowing_power_folds_as_the_product_does(tmp_path, capsys):
+    reports = []
+    for factor in ("1e300*1e300", "(1e300)^2"):
+        f = tmp_path / "p.sdp"
+        f.write_text(FOLDED.format(f"{factor}*y1^2", ""))
+        for command in ("analyze", "integrate"):
+            rc, out, _ = _run(capsys, [command, str(f), "--json"])
+            rep = json.loads(out)
+            for key in ("sha256", "timing_ms"):   # of the input file, of the run
+                rep.pop(key, None)
+            reports.append((rc, rep))
+    assert reports[:2] == reports[2:]
+    assert [rc for rc, _ in reports] == [0, 0, 0, 0]
+    assert reports[0][1]["spray"]["G1"] == "inf*y1^2"
+
+
 CHAINED_BODIES = ("dim = 1\nparam f = fn(x1^2 + 1)\nparam g = fn(f(x1) + 1)\n"
                   "spray G1 = g(x1)*y1^2*(1/10)\nH = y1\n"
                   "integrate t=0.5 dt=0.01 method={} seed=1 samples=2\n")

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from spraydirac.errors import EvalDomainError, UnboundParameterError  # noqa: E402
 from spraydirac.expr import (  # noqa: E402
     Add, Call, Const, Context, Div, FuncApp, Mul, Neg, Param, Point, Pow, Var,
-    _fpow, _funcapps, _ln, _sqrt, compile_exprs, evaluate, parse, simplify,
+    _fpow, _ln, _sqrt, compile_exprs, evaluate, parse, simplify,
 )
 
 
@@ -53,6 +53,27 @@ def _table_src(e, ctx):
     raise TypeError(f"cannot compile {e!r}")
 
 
+def _funcapps(exprs):
+    """Every opaque-function application in exprs, nested ones included."""
+    found = set()
+    todo = list(exprs)
+    while todo:
+        e = todo.pop()
+        if isinstance(e, FuncApp):
+            found.add(e)
+        if isinstance(e, (FuncApp, Call)):
+            todo.append(e.arg)
+        elif isinstance(e, (Add, Mul)):
+            todo.extend(e.children)
+        elif isinstance(e, Neg):
+            todo.append(e.child)
+        elif isinstance(e, Div):
+            todo += (e.num, e.den)
+        elif isinstance(e, Pow):
+            todo.append(e.base)
+    return found
+
+
 def _body_table(exprs, ctx):
     fn_table = {}
     for app in _funcapps(exprs):
@@ -75,7 +96,9 @@ def _table_compile(exprs, ctx):
     lines += [f"    _v_x{i} = _z[{i - 1}]" for i in range(1, n + 1)]
     lines += [f"    _v_y{a} = _z[{n + a - 1}]" for a in range(1, n + 1)]
     lines.append(f"    return ({', '.join(_table_src(simplify(e), ctx) for e in exprs)},)")
-    ns = {"math": math, "_fpow": _fpow, "_ln": _ln, "_sqrt": _sqrt}
+    # inf and nan name a folded non-finite constant, printed with repr
+    ns = {"math": math, "inf": math.inf, "nan": math.nan,
+          "_fpow": _fpow, "_ln": _ln, "_sqrt": _sqrt}
     exec("\n".join(lines), ns)
     raw = ns["_compiled"]
 

@@ -5,7 +5,6 @@ import math
 import struct
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -15,13 +14,13 @@ from spraydirac.errors import EvalDomainError  # noqa: E402
 from spraydirac.expr import (  # noqa: E402
     Add, Call, Const, Context, Div, FuncApp, Mul, Neg, Param, Point, Pow, Var,
     clear_caches, compile_evaluate, compile_evaluate_with_magnitude, evaluate,
-    evaluate_with_magnitude, opaque_apps, opaque_assignments, parse,
+    evaluate_with_magnitude, formal_value, parse,
 )
 
 X1, X2 = Var("x", 1), Var("x", 2)
 
 # A is bound in the context, B only by some points, C by nothing.  f has no
-# body; g has one; h's body divides by zero, and so does computing h'.
+# body, so it takes its formal values; g has one; h's body divides by zero, and so does computing h'.
 CTX = Context(dim=2, params={"A": Fraction(3, 7), "B": None, "C": None})
 CTX.declare_function("f")
 CTX.declare_function("g", parse("x1^2 - 1/x1 + y1", Context(1)))
@@ -65,8 +64,6 @@ POINTS = st.one_of(
     # a point of dimension 1: x2 and y2 are out of range
     st.tuples(COORDS, COORDS).map(lambda v: Point(v[:1], v[1:])),
 )
-# no table, or a drawn one, or a drawn one that misses some applications
-TABLES = st.sampled_from(["none", "drawn", "partial"])
 
 
 def _bits(v):
@@ -83,44 +80,29 @@ def _outcome(fn, *args):
         return type(exc), str(exc)
 
 
-def _table(exprs, p, kind, seed):
-    if kind == "none":
-        return None
-    try:
-        table = opaque_assignments(opaque_apps(exprs, CTX), p, CTX,
-                                   np.random.default_rng(seed))
-    except Exception:  # noqa: BLE001 -- a table is optional
-        return None
-    if kind == "partial":
-        table = dict(list(table.items())[::2])
-    return table
-
-
-def _reference(exprs, p, opaque, one):
+def _reference(exprs, p, one):
     """evaluate (or evaluate_with_magnitude) over exprs in order."""
-    return tuple(one(e, p, CTX, opaque) for e in exprs)
+    return tuple(one(e, p, CTX) for e in exprs)
 
 
 @PROPERTY
-@given(st.lists(TREES, min_size=1, max_size=3), POINTS, TABLES, st.integers(0, 99))
-def test_compiled_evaluation_matches_evaluate(trees, p, kind, seed):
+@given(st.lists(TREES, min_size=1, max_size=3), POINTS)
+def test_compiled_evaluation_matches_evaluate(trees, p):
     # repeated subtrees: the compiled code computes a shared node once
     exprs = trees + [Add((trees[0], trees[-1])), Mul((trees[-1], trees[0]))]
-    opaque = _table(exprs, p, kind, seed)
-    expected = _outcome(_reference, exprs, p, opaque, evaluate)
-    assert _outcome(compile_evaluate(exprs, CTX), p, opaque) == expected
+    expected = _outcome(_reference, exprs, p, evaluate)
+    assert _outcome(compile_evaluate(exprs, CTX), p) == expected
     for e in exprs:
-        assert (_outcome(compile_evaluate((e,), CTX), p, opaque)
-                == _outcome(_reference, (e,), p, opaque, evaluate))
+        assert (_outcome(compile_evaluate((e,), CTX), p)
+                == _outcome(_reference, (e,), p, evaluate))
 
 
 @PROPERTY
-@given(st.lists(TREES, min_size=1, max_size=3), POINTS, TABLES, st.integers(0, 99))
-def test_magnitude_mode_matches_evaluate_with_magnitude(trees, p, kind, seed):
+@given(st.lists(TREES, min_size=1, max_size=3), POINTS)
+def test_magnitude_mode_matches_evaluate_with_magnitude(trees, p):
     exprs = trees + [Add(tuple(trees) + (Const(1),))]
-    opaque = _table(exprs, p, kind, seed)
-    assert (_outcome(compile_evaluate_with_magnitude(exprs, CTX), p, opaque)
-            == _outcome(_reference, exprs, p, opaque, evaluate_with_magnitude))
+    assert (_outcome(compile_evaluate_with_magnitude(exprs, CTX), p)
+            == _outcome(_reference, exprs, p, evaluate_with_magnitude))
 
 
 BIG = Mul((X1, Const(1e300)))     # inf at x1 = 1e10
@@ -155,9 +137,9 @@ def test_errors_come_in_evaluate_order(e, x):
     p = Point((x, 3.0), (1.0, 1.0))
     for exprs in ((e,), (Mul((X2, X2)), e)):
         assert (_outcome(compile_evaluate(exprs, CTX), p)
-                == _outcome(_reference, exprs, p, None, evaluate))
+                == _outcome(_reference, exprs, p, evaluate))
         assert (_outcome(compile_evaluate_with_magnitude(exprs, CTX), p)
-                == _outcome(_reference, exprs, p, None, evaluate_with_magnitude))
+                == _outcome(_reference, exprs, p, evaluate_with_magnitude))
 
 
 def test_the_top_level_sum_of_magnitude_mode_is_not_checked():
@@ -185,7 +167,6 @@ def test_a_redeclared_body_is_compiled_afresh():
     ctx.declare_function("k")
     e = parse("k(x1)", ctx)
     p = Point((0.5,), (0.0,))
-    with pytest.raises(Exception, match="no bound body"):
-        compile_evaluate((e,), ctx)(p)
+    assert compile_evaluate((e,), ctx)(p) == (formal_value("k", 0, 0.5),)
     ctx.declare_function("k", parse("x1 + 1", Context(1)))
     assert compile_evaluate((e,), ctx)(p) == (evaluate(e, p, ctx),) == (1.5,)

@@ -9,7 +9,7 @@ import pytest
 from spraydirac.errors import EvalDomainError, ParseError
 from spraydirac.expr import (
     Const, Context, Point, SampleConfig, Tri, Var, _draw_point, _iroot, compile_evaluate,
-    compile_exprs, diff, evaluate, format_expr, is_zero, opaque_apps, parse, simplify,
+    compile_exprs, diff, evaluate, format_expr, is_zero, parse, simplify,
 )
 
 
@@ -198,12 +198,6 @@ def test_nested_formal_functions_are_drawn_inside_out():
     for text in ("f(h(x1))", "h(f(x1))"):
         e = parse(text, ctx)
         assert is_zero(e, ctx) is Tri.PROVEN_NONZERO
-        apps = opaque_apps((e,), ctx)
-        assert [format_expr(a) for a in apps] == [text[2:-1], text]
-    # where sortkey order already puts the inner one first, it is kept
-    e = parse("f(f(x1)) + f(x1 + f(x2)) + h(x1)", Context(dim=2, funcs=ctx.funcs))
-    apps = opaque_apps((e,), ctx)
-    assert list(apps) == sorted(apps, key=lambda a: a.sortkey())
 
 
 @pytest.mark.parametrize("seed", [0, 1, 20260823])

@@ -1,6 +1,5 @@
 """The pointwise structure tests on one generator matrix per point agree bit
-for bit with evaluating the structure once per test, and the opaque draw
-over pre-collected applications agrees with one that walks the trees."""
+for bit with evaluating the structure once per test."""
 
 import numpy as np
 import pytest
@@ -14,16 +13,15 @@ from spraydirac.dirac import (  # noqa: E402
     is_maximal_at, kernel_at, leaf_two_form_at,
 )
 from spraydirac.expr import (  # noqa: E402
-    DEFAULT_SEED, ZERO, Add, Call, Context, Div, FuncApp, Mul, Neg, Point, Pow,
-    evaluate, opaque_apps, opaque_assignments, parse, simplify,
+    ZERO, Context, Point, evaluate, parse, simplify,
 )
 from spraydirac.errors import (  # noqa: E402
-    DistributionMembershipError, EvalDomainError, InternalError,
+    DistributionMembershipError, InternalError,
 )
 from spraydirac.geometry import OneForm, VectorField  # noqa: E402
 
 
-# f has no body, so only sampled values evaluate it; g has one
+# f has no body, so it takes its formal values; g has one
 CTX = Context(dim=2)
 CTX.declare_function("f")
 CTX.declare_function("g", parse("x1^2 + 1", Context(1)))
@@ -49,55 +47,12 @@ POINTS = st.tuples(COORDS, COORDS, COORDS, COORDS).map(
 
 # -- the per-test evaluation the pointwise tests replaced ---------------------
 
-def _old_collect(e, found):
-    if isinstance(e, FuncApp):
-        found.add(e)
-        _old_collect(e.arg, found)
-    elif isinstance(e, Neg):
-        _old_collect(e.child, found)
-    elif isinstance(e, (Add, Mul)):
-        for c in e.children:
-            _old_collect(c, found)
-    elif isinstance(e, Div):
-        _old_collect(e.num, found)
-        _old_collect(e.den, found)
-    elif isinstance(e, Pow):
-        _old_collect(e.base, found)
-    elif isinstance(e, Call):
-        _old_collect(e.arg, found)
+def _old_section_values(s, p, ctx):
+    return np.array([evaluate(c, p, ctx) for c in s.components()])
 
 
-def _old_opaque_assignments(exprs, p, ctx, rng):
-    apps = set()
-    for e in exprs:
-        _old_collect(e, apps)
-    out = {}
-    for app in sorted(apps, key=lambda a: a.sortkey()):
-        if ctx.func_derivative(app.fname, app.order) is not None:
-            continue
-        try:
-            a = evaluate(app.arg, p, ctx, out)
-        except EvalDomainError:
-            continue
-        key = (app.fname, app.order, round(a, 9))
-        if key not in out:
-            mag = float(rng.uniform(0.25, 2.0))
-            out[key] = mag if rng.uniform() < 0.5 else -mag
-    return out
-
-
-def _old_section_values(s, p, ctx, opaque):
-    return np.array([evaluate(c, p, ctx, opaque) for c in s.components()])
-
-
-def _old_default_opaque(exprs, p, ctx):
-    return _old_opaque_assignments(exprs, p, ctx, np.random.default_rng(DEFAULT_SEED))
-
-
-def _old_generator_matrix(L, p, ctx, opaque=None):
-    if opaque is None:
-        opaque = _old_default_opaque(L.all_exprs(), p, ctx)
-    rows = [_old_section_values(g, p, ctx, opaque) for g in L.generators]
+def _old_generator_matrix(L, p, ctx):
+    rows = [_old_section_values(g, p, ctx) for g in L.generators]
     if L.auto_annihilator:
         vec_rows = np.array([r[: 2 * L.n] for r in rows
                              if np.linalg.norm(r[2 * L.n:]) <= 1e-12])
@@ -127,16 +82,11 @@ def _old_is_maximal_at(L, p, ctx):
 
 def _old_involutivity_residual(L, p, ctx):
     g = len(L.generators)
-    exprs = L.all_exprs()
-    for i in range(g):
-        for j in range(i + 1, g):
-            exprs.extend(L.bracket(i, j).components())
-    opaque = _old_default_opaque(exprs, p, ctx)
-    B = _old_generator_matrix(L, p, ctx, opaque)
+    B = _old_generator_matrix(L, p, ctx)
     worst = 0.0
     for i in range(g):
         for j in range(i + 1, g):
-            u = _old_section_values(L.bracket(i, j), p, ctx, opaque)
+            u = _old_section_values(L.bracket(i, j), p, ctx)
             sol, *_ = np.linalg.lstsq(B.T, u, rcond=None)
             worst = max(worst, float(np.linalg.norm(u - B.T @ sol)))
     return worst
@@ -216,28 +166,6 @@ def test_brackets_of_formal_functions_add_applications():
         Section(VectorField.zero(2), OneForm(2, (ZERO, parse("f(x1)", CTX)),
                                              (ZERO, ZERO))),
     ))
-    gens_only = opaque_apps(L.all_exprs(), CTX)
-    with_brackets = opaque_apps(L.all_exprs() + L.bracket(0, 1).components(), CTX)
-    assert [a.order for a in gens_only] == [0]
-    assert [a.order for a in with_brackets] == [0, 1]
     p = Point((0.3, -0.7), (1.1, 0.4))
     assert (involutivity_residual(L, p, CTX, L.generator_matrix(p, CTX))
             == _old_involutivity_residual(L, p, CTX))
-
-
-EXPRS = st.lists(st.sampled_from(TERMS + ["f(f(x1))", "f(x1 + f(x2))", "g(f(y2))",
-                                          "f(ln(x1))", "f''(y1*y2)"]),
-                 min_size=1, max_size=5).map(
-    lambda ts: [parse(t, CTX) for t in ts])
-
-
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(EXPRS, POINTS, st.integers(0, 2**32 - 1))
-def test_drawing_over_collected_applications_matches_the_tree_walk(exprs, p, seed):
-    new_rng, old_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    new = _outcome(opaque_assignments, opaque_apps(exprs, CTX), p, CTX, new_rng)
-    old = _outcome(_old_opaque_assignments, exprs, p, CTX, old_rng)
-    assert new == old
-    # the same number of draws was taken from the stream
-    assert new_rng.random() == old_rng.random()
-
