@@ -190,35 +190,29 @@ def solve(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return basis, s
 
 
-def _snap_vector(v: np.ndarray) -> np.ndarray | None:
+def _snap_vector(v: np.ndarray) -> list[Fraction] | None:
     """Try to read the direction as a rational vector with small entries."""
     scale = np.max(np.abs(v))
     if scale == 0:
         return None
-    ratios = v / scale
-    snapped = np.empty_like(v)
-    for i, r in enumerate(ratios):
+    snapped = []
+    for r in v / scale:
         fr = Fraction(float(r)).limit_denominator(SNAP_MAX_DEN)
         if abs(float(fr) - r) > 1e-6:
             return None
-        snapped[i] = float(fr)
+        snapped.append(fr)
     return snapped
 
 
-def _decode(a: Ansatz, v: np.ndarray, exact: bool) -> tuple[Expr, TwoForm]:
+def _decode(a: Ansatz, v: Sequence[Fraction | float]) -> tuple[Expr, TwoForm]:
     hn = len(a.H_dictionary)
-
-    def lift(c: float):
-        # snapped vectors carry small exact rationals; keep floats otherwise
-        return Const(Fraction(c).limit_denominator(64)) if exact else Const(float(c))
-
-    h_terms = [Mul((lift(c), phi))
-               for c, phi in zip(v[:hn], a.H_dictionary) if abs(c) > 1e-13]
+    h_terms = [Mul((Const(c), phi))
+               for c, phi in zip(v[:hn], a.H_dictionary) if abs(float(c)) > 1e-13]
     H = simplify(sum_exprs(h_terms))
     omega = TwoForm.zero(a.n)
     for c, w in zip(v[hn:], a.omega_dictionary):
-        if abs(c) > 1e-13:
-            omega = omega + w.scaled(lift(c))
+        if abs(float(c)) > 1e-13:
+            omega = omega + w.scaled(Const(c))
     return H, omega
 
 
@@ -267,7 +261,7 @@ def search(S: SemiSpray, D_gens: Sequence[VectorField] | None, a: Ansatz,
     verify_cfg = SampleConfig(points=50, box=(-a.box, a.box), seed=a.seed + 101)
     dh_cfg = SampleConfig(points=20, box=(-a.box, a.box), seed=a.seed + 202)
     dh_pts = sample_points(ctx, dh_cfg, S.singular_loci, count=20)
-    certify = _certifier(S, D_gens, None, ctx, verify_cfg)
+    certify = _certifier(S, D_gens, ctx, verify_cfg)
 
     candidates: list[CandidateSolution] = []
     seen: set[str] = set()
@@ -275,9 +269,8 @@ def search(S: SemiSpray, D_gens: Sequence[VectorField] | None, a: Ansatz,
     rejected = 0
     for direction in _canonical_directions(basis):
         v = _normalize_direction(direction)
-        snapped = _snap_vector(v)
-        use = snapped if snapped is not None else v
-        H, omega = _decode(a, use, exact=snapped is not None)
+        # a snapped direction stays exact, any other stays in floats
+        H, omega = _decode(a, _snap_vector(v) or v.tolist())
         dH = d_scalar(H, a.n)
         dh = compile_evaluate([dH.component(k) for k in range(2 * a.n)], ctx)
         dh_norm = 0.0

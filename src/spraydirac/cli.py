@@ -7,6 +7,7 @@ Exit codes: 0 success (whatever the mathematical verdicts), 1 parse error,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 
@@ -122,14 +123,20 @@ def cmd_analyze(path: str, pf: ProblemFile, seed_arg: int | None) -> dict:
     return rep
 
 
+def _round12(v):
+    """round(v, 12), or v itself where numpy's v * 1e12 would overflow: a
+    float that large has no fractional digits."""
+    return v if math.isinf(float(v) * 1e12) and math.isfinite(v) else round(v, 12)
+
+
 def _trajectory_rows(traj) -> list:
     """About 20 evenly strided rows of the trajectory, always ending at its last."""
     stride = max(1, (len(traj.times) - 1) // 20)
-    rows = [[round(traj.times[k], 12)] + [round(v, 12) for v in traj.states[k]]
+    rows = [[_round12(traj.times[k])] + [_round12(v) for v in traj.states[k]]
             for k in range(0, len(traj.times), stride)]
     if (len(traj.times) - 1) % stride:
-        rows.append([round(traj.times[-1], 12)]
-                    + [round(v, 12) for v in traj.states[-1]])
+        rows.append([_round12(traj.times[-1])]
+                    + [_round12(v) for v in traj.states[-1]])
     return rows
 
 
@@ -150,10 +157,10 @@ def _sampled_runs(pf: ProblemFile, S, ctx, T: float, dt: float, method: str,
         drift = conservation_drift(traj, pf.H, ctx) if pf.H is not None else None
         if drift is not None:
             worst = max(worst, drift)
-        run = {"initial": [round(v, 12) for v in (*p.x, *p.y)]}
+        run = {"initial": [_round12(v) for v in (*p.x, *p.y)]}
         if dump:
             run["accepted_steps"] = len(traj.times) - 1
-        run.update(t_final=round(traj.times[-1], 12), aborted=traj.aborted,
+        run.update(t_final=_round12(traj.times[-1]), aborted=traj.aborted,
                    abort_reason=traj.abort_reason, drift=drift)
         if dump:
             run["trajectory"] = _trajectory_rows(traj)
@@ -327,6 +334,8 @@ def main(argv: list[str] | None = None) -> int:
 
     t0 = time.perf_counter()
     try:
+        if args.seed is not None and args.seed < 0:
+            raise ValidationError("--seed must be a non-negative integer")
         pf = load_problem_file(args.file)
         rep = _COMMANDS[args.command](args.file, pf, args.seed)
     except ParseError as e:

@@ -43,6 +43,10 @@ __all__ = [
 
 BUILTIN_FUNCTIONS = ("sin", "cos", "exp", "ln", "sqrt")
 
+# Most bits in the numerator or denominator of an exact constant: below the
+# 4300 decimal digits past which Python refuses to print an int.
+MAX_EXACT_BITS = 14_000
+
 _COORD_RE = re.compile(r"^([xy])([1-9][0-9]*)$")
 
 
@@ -149,7 +153,10 @@ class Const(Expr):
             raise TypeError(f"bad constant {value!r}")
         object.__setattr__(self, "value", value)
         if isinstance(value, Fraction):
-            self._set_key(("const", "q", value.numerator, value.denominator))
+            num, den = value.numerator, value.denominator
+            if num.bit_length() > MAX_EXACT_BITS or den.bit_length() > MAX_EXACT_BITS:
+                raise EvalDomainError("exact constant too large")
+            self._set_key(("const", "q", num, den))
         else:
             self._set_key(("const", "f", repr(value)))
 
@@ -160,6 +167,14 @@ class Const(Expr):
         except OverflowError:   # a rational past the double range sorts as +-inf
             v = math.inf if self.value > 0 else -math.inf
         return (0, v, tag, str(self.value))
+
+
+def _exact_pow(c: Fraction, k: int) -> Fraction:
+    """c**k, refused before it is built when it must pass MAX_EXACT_BITS."""
+    bits = max(c.numerator.bit_length(), c.denominator.bit_length())
+    if (bits - 1) * abs(k) >= MAX_EXACT_BITS:
+        raise EvalDomainError("exact constant too large")
+    return c ** k
 
 
 ZERO = Const(0)
@@ -500,15 +515,17 @@ class _Parser:
         t = self.next()
         if t.kind != "num" or not t.text.isdigit():
             raise ParseError("exponent must be an integer or rational", position=t.pos)
-        num = int(t.text)
-        den = 1
+        num, den = t.text, "1"
         if (self.peek().kind == "op" and self.peek().text == "/"
                 and self.peek(1).kind == "num" and self.peek(1).text.isdigit()):
             self.next()
-            den = int(self.next().text)
-            if den == 0:
-                raise ParseError("zero denominator in exponent", position=t.pos)
-        return Fraction(sign * num, den)
+            den = self.next().text
+        try:
+            return Fraction(sign * int(num), int(den))
+        except ZeroDivisionError:
+            raise ParseError("zero denominator in exponent", position=t.pos) from None
+        except ValueError:   # past Python's int conversion limit
+            raise ParseError("exponent has too many digits", position=t.pos) from None
 
     def base(self) -> Expr:
         t = self.next()
@@ -596,7 +613,7 @@ def _cpow(c, k):
     """c**k for a Fraction c and an int k, or a float c and an exponent k that
     is whole or has c > 0; a float overflows to +-inf, as a float product does."""
     if isinstance(c, Fraction):
-        return c ** k
+        return _exact_pow(c, k)
     try:
         return float(c) ** float(k)
     except OverflowError:
@@ -644,12 +661,9 @@ def _iroot(v: int, q: int) -> int | None:
 def _frac_pow_exact(c: Fraction, r: Fraction):
     """c**r as an exact Fraction, or None when no exact value exists."""
     if r.denominator == 1:
-        k = int(r)
-        if k >= 0:
-            return c ** k
-        if c == 0:
+        if c == 0 and r < 0:
             raise EvalDomainError("zero raised to a negative power")
-        return Fraction(c.denominator, c.numerator) ** (-k)
+        return _exact_pow(c, int(r))
     sign = 1
     num, den = c.numerator, c.denominator
     if num < 0:
@@ -853,10 +867,16 @@ def clear_caches() -> None:
 
 
 def _nf(e: Expr) -> _NF:
-    """Normal form of e, memoised: the dict is shared, so never mutate it."""
+    """Normal form of e, memoised: the dict is shared, so never mutate it.
+    No pair is left that _distributes names; each pass makes such bases smaller.
+    Only products, quotients, powers and roots of normal forms can make one."""
     nf = _NF_MEMO.get(e)
     if nf is None:
-        nf = _NF_MEMO[e] = _build_nf(e)
+        nf = _build_nf(e)
+        while (isinstance(e, (Mul, Div, Pow, Call))
+               and any(_distributes(b, r) for mono in nf for b, r in mono)):
+            nf = _nf_expand_sums(nf)
+        _NF_MEMO[e] = nf
     return nf
 
 
@@ -914,10 +934,9 @@ def _emit(nf: _NF) -> Expr:
 def simplify(e: Expr) -> Expr:
     """Rewrite into the canonical form; deterministic, memoised per input.
 
-    Not idempotent on every rational tree: simplify(x1/(x1 + x2)^-1) is
-    x1*(x1 + x2), which a second call expands (the strict xfail
-    test_simplify_is_idempotent_on_rationals), so no result is memoised as
-    its own simplification.
+    A projection on exact trees: simplify(simplify(e)) == simplify(e) when
+    every constant is a Fraction.  A float coefficient may still move on a
+    second call, so no result is memoised as its own simplification.
     """
     s = _SIMPLIFY_MEMO.get(e)
     if s is None:
@@ -1198,14 +1217,26 @@ def opaque_assignments(apps: Sequence[FuncApp], p: Point, ctx: Context) -> dict:
     return out
 
 
+def _distributes(base: Expr, exp: Fraction) -> bool:
+    """Whether _nf_pow(_nf(base), exp) rewrites the pair: a product or power at
+    an integer power, or a sum at one up to _EXPAND_CAP or not led by exact 1."""
+    if not isinstance(base, (Add, Mul, Pow)) or exp.denominator != 1:
+        return False
+    if not isinstance(base, Add) or 0 < exp <= _EXPAND_CAP:
+        return True
+    # _emit puts the leading term first, and its coefficient first in it
+    lead = base.children[0].children[0] if isinstance(base.children[0], Mul) else base.children[0]
+    return isinstance(lead, Const) and isinstance(lead.value, Fraction) and lead.value != 1
+
+
 def _nf_expand_sums(nf: _NF) -> _NF:
-    """Distribute sum-bases held atomically with small positive integer powers."""
+    """Replace each pair that _distributes names by the normal form of its power."""
     out: _NF = {}
     for mono, c in nf.items():
         atoms = []
         parts = []
         for base, exp in mono:
-            if isinstance(base, (Add, Mul)) and exp.denominator == 1 and 0 < exp <= _EXPAND_CAP:
+            if _distributes(base, exp):
                 parts.append(_nf_pow(_nf(base), exp))
             else:
                 atoms.append((base, exp))
@@ -1417,7 +1448,7 @@ def _py_src(e: Expr, ctx: Context, depth: int) -> str:
             return f"({_py_src(e.base, ctx, depth)}**({int(r)}))"
         return f"_fpow({_py_src(e.base, ctx, depth)}, {float(r)!r})"
     if isinstance(e, Call):
-        fn = {"sin": "math.sin", "cos": "math.cos", "exp": "math.exp",
+        fn = {"sin": "_sin", "cos": "_cos", "exp": "math.exp",
               "ln": "_ln", "sqrt": "_sqrt"}[e.fname]
         return f"{fn}({_py_src(e.arg, ctx, depth)})"
     if isinstance(e, FuncApp):
@@ -1425,10 +1456,8 @@ def _py_src(e: Expr, ctx: Context, depth: int) -> str:
         if body is None:
             raise UnboundParameterError(
                 f"opaque function {e.fname!r} needs a bound body to compile")
-        # the body's value must be finite, as evaluate's is; simplifying it
-        # twice (simplify is not idempotent on every rational tree) keeps the
-        # floats that integrations have always produced
-        inner = _py_src(simplify(simplify(body)), ctx, depth + 1)
+        # the body's value must be finite, as evaluate's is
+        inner = _py_src(simplify(body), ctx, depth + 1)
         return f"_fin((_a{depth + 1} := {_py_src(e.arg, ctx, depth)}, {inner})[1])"
     raise TypeError(f"cannot compile {e!r}")
 
@@ -1437,6 +1466,18 @@ def _fpow(b: float, r: float) -> float:
     if b < 0.0:
         raise EvalDomainError("fractional power of a negative base")
     return math.pow(b, r)
+
+
+def _sin(v: float) -> float:
+    if math.isinf(v):
+        raise EvalDomainError("domain error in sin")
+    return math.sin(v)
+
+
+def _cos(v: float) -> float:
+    if math.isinf(v):
+        raise EvalDomainError("domain error in cos")
+    return math.cos(v)
 
 
 def _ln(v: float) -> float:
@@ -1461,7 +1502,8 @@ def _exec_def(lines: list[str], **names) -> dict:
     """The namespace of the generated definitions, once run; inf and nan name
     the non-finite constants that _py_src prints with repr."""
     ns = {"math": math, "inf": math.inf, "nan": math.nan,
-          "_fpow": _fpow, "_ln": _ln, "_sqrt": _sqrt, "_fin": _fin, **names}
+          "_fpow": _fpow, "_sin": _sin, "_cos": _cos, "_ln": _ln, "_sqrt": _sqrt,
+          "_fin": _fin, **names}
     exec("\n".join(lines), ns)
     return ns
 

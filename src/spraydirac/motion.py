@@ -10,6 +10,7 @@ numeric confirmation integrates the flow and watches H drift.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -52,7 +53,6 @@ RK45_ATOL = 1e-12
 class MotionReport:
     """Outcome of the annihilation test and, optionally, the certificate."""
 
-    residual_form: OneForm
     residual_components: tuple[Expr, ...]
     residual_verdicts: tuple[Tri, ...]
     numeric_max_residual: float
@@ -292,7 +292,6 @@ def _residual(S: SemiSpray, omega: TwoForm, H: Expr, D_gens: list[VectorField],
     dH = d_scalar(H, S.n)
     trivial = all(dH.component(k) == ZERO for k in range(2 * S.n))
     return MotionReport(
-        residual_form=rho_form.simplified(),
         residual_components=comps,
         residual_verdicts=verdicts,
         numeric_max_residual=worst,
@@ -324,21 +323,30 @@ def hamiltonian_certificate(S: SemiSpray, omega: TwoForm, H: Expr,
 
     The verdict is yes only when the residual vanishes on the distribution,
     the distribution is integrable (flat, in the horizontal default), and
-    the two-form is closed.  The emitted structure is the distribution's
-    span-with-annihilator gauged by the two-form, whatever the verdict.
+    the two-form is closed.  The emitted structure, built after the verdict,
+    is the distribution's span-with-annihilator gauged by the two-form,
+    whatever the verdict.  search's certificates verify candidates only and
+    carry no structure.
     """
     ctx = ctx or Context(dim=S.n)
     cfg = cfg or SampleConfig()
-    return _certifier(S, D_gens, ann_gens, ctx, cfg)(omega, H)
+    report = _certifier(S, D_gens, ctx, cfg)(omega, H)
+    if D_gens is None:
+        frame = berwald_frame(S)
+        D_gens = frame.horizontal
+        ann_gens = frame.dy_adapted if ann_gens is None else ann_gens
+    with contextlib.suppress(ValidationError):
+        L = from_distribution(D_gens, ann_gens, ctx, cfg, S.singular_loci)
+        report.structure = gauge_transform(L, omega)
+    return report
 
 
 def _certifier(S: SemiSpray, D_gens: Sequence[VectorField] | None,
-               ann_gens: Sequence[OneForm] | None, ctx: Context,
-               cfg: SampleConfig):
-    """hamiltonian_certificate as a function of (omega, H).  The parts that
-    do not depend on them, the checked generators, the integrability verdict
-    and the ungauged structure, are built at their step of the first
-    certificate and reused."""
+               ctx: Context, cfg: SampleConfig):
+    """The verdict of hamiltonian_certificate as a function of (omega, H).
+    The parts that do not depend on them, the checked generators and the
+    integrability verdict, are built at their step of the first certificate
+    and reused."""
 
     @functools.cache
     def flow_gens() -> list[VectorField]:
@@ -348,31 +356,12 @@ def _certifier(S: SemiSpray, D_gens: Sequence[VectorField] | None,
     def d_integrable() -> Tri:
         return _distribution_integrable(S, D_gens, ctx, cfg)
 
-    @functools.cache
-    def base_structure() -> AlmostDirac | None:
-        if D_gens is None:
-            frame = berwald_frame(S)
-            base_dist = list(frame.horizontal)
-            base_ann = list(frame.dy_adapted) if ann_gens is None else list(ann_gens)
-        else:
-            base_dist = list(D_gens)
-            base_ann = list(ann_gens) if ann_gens is not None else None
-        try:
-            return from_distribution(base_dist, base_ann, ctx, cfg, S.singular_loci)
-        except (ValidationError, DistributionMembershipError):
-            return None
-
     def certify(omega: TwoForm, H: Expr) -> MotionReport:
         report = _residual(S, omega, H, flow_gens(), ctx, cfg)
         report.d_integrable = d_integrable()
         closed_comps = exterior_derivative_2(omega).components()
         report.omega_closed = tri_all(
             is_zero(c, ctx, cfg, S.singular_loci) for c in closed_comps)
-        L = base_structure()
-        try:
-            report.structure = gauge_transform(L, omega) if L is not None else None
-        except (ValidationError, DistributionMembershipError):
-            report.structure = None
 
         all_green = (report.residual_all_zero
                      and report.d_integrable is Tri.PROVEN_ZERO

@@ -91,6 +91,14 @@ def _number(text: str, ln: int) -> Fraction:
     return value
 
 
+def _integer(text: str, what: str, ln: int) -> int:
+    try:
+        return int(text)
+    except ValueError:   # past Python's int conversion limit, or not decimal
+        raise ParseError(f"{what} is too long or not a decimal integer",
+                         line=ln) from None
+
+
 def _expr(text: str, ctx: Context, ln: int) -> Expr:
     try:
         return parse(text, ctx)
@@ -148,7 +156,7 @@ def _kv_pairs(body: str, required: dict[str, str], what: str, ln: int) -> dict:
         if kind == "int":
             if not re.fullmatch(r"[+-]?[0-9]+", v):
                 raise ParseError(f"{what} {k} must be an integer, got {v!r}", line=ln)
-            out[k] = int(v)
+            out[k] = _integer(v, f"{what} {k}", ln)
         elif kind == "real":
             out[k] = float(_number(v, ln))
         else:
@@ -172,7 +180,7 @@ def parse_problem_file(text: str) -> ProblemFile:
                 raise ParseError(f"unexpected text {lhs!r} before '='", line=ln)
             if dim is not None:
                 raise ParseError("duplicate dim", line=ln)
-            if not rhs.isdigit() or int(rhs) < 1:
+            if not rhs.isdigit() or _integer(rhs, "dim", ln) < 1:
                 raise ParseError(f"dim must be a positive integer, got {rhs!r}", line=ln)
             dim = int(rhs)
         elif head == "param":
@@ -288,17 +296,20 @@ def parse_problem_file(text: str) -> ProblemFile:
             if kv["method"] not in ("rk4", "rk45"):
                 raise ParseError(f"method must be rk4 or rk45, got {kv['method']!r}",
                                  line=ln)
-            if kv["dt"] <= 0 or kv["t"] <= 0 or kv["samples"] < 1:
-                raise ParseError("integrate needs t > 0, dt > 0, samples >= 1",
+            if kv["dt"] <= 0 or kv["t"] <= 0 or kv["samples"] < 1 or kv["seed"] < 0:
+                raise ParseError("integrate needs t > 0, dt > 0, samples >= 1, seed >= 0",
                                  line=ln)
+            if not math.isfinite(kv["t"] / kv["dt"]):
+                raise ParseError("integrate needs a finite step count t/dt", line=ln)
             integrate = IntegrateSettings(**kv)
         elif head == "ansatz":
             if ansatz is not None:
                 raise ParseError("duplicate ansatz settings", line=ln)
             kv = _kv_pairs(body, {"degree": "int", "points": "int",
                                   "box": "real", "seed": "int"}, "ansatz", ln)
-            if kv["degree"] < 0 or kv["box"] <= 0:
-                raise ParseError("ansatz needs degree >= 0 and box > 0", line=ln)
+            if kv["degree"] < 0 or kv["box"] <= 0 or kv["seed"] < 0:
+                raise ParseError("ansatz needs degree >= 0, box > 0 and seed >= 0",
+                                 line=ln)
             ansatz = AnsatzSettings(**kv)
         else:
             raise ParseError(f"unknown directive {head!r}", line=ln)

@@ -96,7 +96,7 @@ def test_search_builds_the_candidate_independent_parts_once(capsys, monkeypatch)
     flows = _count_calls(monkeypatch, motion._flow_distribution)
     rc, out, _ = _run(capsys, ["search", EX4])
     assert rc == 0 and out.count("certificate: yes") == 3
-    assert (len(integrable), len(structures)) == (1, 1)
+    assert (len(integrable), len(structures)) == (1, 0)
     # once for the collocation, with its own sampling, once for the certificates
     assert len(flows) == 2
 
@@ -238,7 +238,7 @@ def test_blow_up_into_a_math_domain_error_aborts_the_trajectory(tmp_path, capsys
     assert err == ""
     assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
     runs = json.loads(out)["trajectories"]
-    assert [r["abort_reason"] for r in runs] == ["evaluation failed: math domain error"] * 2
+    assert [r["abort_reason"] for r in runs] == ["evaluation failed: domain error in sin"] * 2
 
 
 OVERFLOWING_LOCUS = ("dim = 1\nexclude x1^400 + 1\n"
@@ -317,6 +317,15 @@ OUT_OF_RANGE_FILES = {
     "rational-analyze": ("analyze", "dim = 1\nspray G1 = (10^401/(3))^1/2*x1*y1^2\n", 0, ""),
     "rational-verify": ("verify", FOLDED.format("y1^2", "H = (10^401/(3))^1/2*y1\n"), 3,
                         "constant out of double range"),
+    # exact constants past expr.MAX_EXACT_BITS, and a root of one below it
+    "exact-power": ("analyze", FOLDED.format("3^9100*y1^2", ""), 3, "exact constant too large"),
+    "huge-exact-power": ("analyze", FOLDED.format("3^10000000*y1^2", ""), 3,
+                         "exact constant too large"),
+    "exact-power-in-H": ("verify", FOLDED.format("y1^2", "H = 2^100000*y1\n"), 3,
+                         "exact constant too large"),
+    "exact-product-in-H": ("verify", FOLDED.format(
+        "y1^2", "H = " + "*".join(["7" * 301] * 15) + "*y1\n"), 3, "exact constant too large"),
+    "large-exact-root": ("verify", FOLDED.format("y1^2", "H = (10^400)^1/2*y1\n"), 0, ""),
 }
 
 
@@ -451,3 +460,55 @@ def test_seed_flag_overrides_file_and_default(capsys):
     rc, out, _ = _run(capsys, ["analyze", EX1, "--seed", "123"])
     assert rc == 0
     assert "seed: 123" in out
+
+
+# inputs that once exited 4, each with the exit code of its error family
+EDGE_FILE = "dim = 1\nspray G1 = {}\n{}"
+SHORT_RUN = "integrate t=0.1 dt=0.01 method=rk4 seed={} samples=1\n"
+EDGE_INPUTS = {
+    "negative-seed-option": ("verify", EX3, ["--seed", "-1"], 2,
+                             "validation error: --seed must be a non-negative integer"),
+    "negative-integrate-seed": ("integrate", EDGE_FILE.format("y1^2", SHORT_RUN.format(-5)), [],
+                                1, "parse error: integrate needs t > 0, dt > 0, samples >= 1, "
+                                   "seed >= 0 (line 3)"),
+    "negative-ansatz-seed": ("search", EDGE_FILE.format(
+        "y1^2", "ansatz degree=1 points=0 box=1 seed=-1\n"), [], 1,
+        "parse error: ansatz needs degree >= 0, box > 0 and seed >= 0 (line 3)"),
+    "infinite-step-count": ("integrate", EDGE_FILE.format(
+        "y1^2", "integrate t=1e300 dt=1e-300 method=rk4 seed=1 samples=1\n"), [], 1,
+        "parse error: integrate needs a finite step count t/dt (line 3)"),
+    "long-seed": ("integrate", EDGE_FILE.format("y1^2", SHORT_RUN.format("9" * 5000)), [], 1,
+                  "parse error: integrate seed is too long or not a decimal integer (line 3)"),
+    "long-dim": ("analyze", "dim = " + "9" * 5000 + "\n", [], 1,
+                 "parse error: dim is too long or not a decimal integer (line 1)"),
+    "long-exponent": ("analyze", EDGE_FILE.format("y1^" + "9" * 5000, ""), [], 1,
+                      "parse error: in expression 'y1^" + "9" * 5000 + "': exponent has "
+                      "too many digits (at offset 3) (line 2)"),
+}
+
+
+@pytest.mark.parametrize("name", EDGE_INPUTS)
+def test_edge_inputs_exit_with_their_family_code(tmp_path, capsys, name):
+    command, text, extra, code, message = EDGE_INPUTS[name]
+    if text.endswith(".sdp"):
+        path = text
+    else:
+        path = tmp_path / "edge.sdp"
+        path.write_text(text)
+    rc, _, err = _run(capsys, [command, str(path), *extra])
+    assert (rc, err) == (code, message + "\n")
+
+
+def test_an_overflowing_trajectory_row_prints_the_float(tmp_path, capsys):
+    # numpy rounds a float64 as v * 1e12, which overflows past about 1.8e296
+    f = tmp_path / "fast.sdp"
+    f.write_text("dim = 1\nspray G1 = -343*y1\n"
+                 "integrate t=1 dt=0.001 method=rk4 seed=1 samples=1\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, out, err = _run(capsys, ["integrate", str(f), "--json"])
+    assert (rc, err) == (0, "")
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    last = json.loads(out)["trajectories"][0]["trajectory"][-1]
+    assert last[0] == 1.0 and all(math.isfinite(v) for v in last)
+    assert last[2] == 7.407833446314124e+297
