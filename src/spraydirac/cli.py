@@ -11,6 +11,8 @@ import math
 import sys
 import time
 
+import numpy as np
+
 from . import report as rpt
 from .dirac import (
     from_distribution, gauge_transform, involutivity_residual,
@@ -31,6 +33,10 @@ from .geometry import (
 from .motion import conservation_drift, hamiltonian_certificate, integrate_sode
 from .ansatz import Ansatz, search
 from .problemfile import ProblemFile, load_problem_file
+
+
+# integrator steps per command (steps x samples), far above any real problem
+MAX_TOTAL_STEPS = 1_000_000
 
 
 def _verdict_seed(seed_arg: int | None) -> int:
@@ -130,14 +136,14 @@ def _round12(v):
 
 
 def _trajectory_rows(traj) -> list:
-    """About 20 evenly strided rows of the trajectory, always ending at its last."""
-    stride = max(1, (len(traj.times) - 1) // 20)
-    rows = [[_round12(traj.times[k])] + [_round12(v) for v in traj.states[k]]
-            for k in range(0, len(traj.times), stride)]
-    if (len(traj.times) - 1) % stride:
-        rows.append([_round12(traj.times[-1])]
-                    + [_round12(v) for v in traj.states[-1]])
-    return rows
+    """About 20 evenly strided rows of the trajectory, always ending at its
+    last, rounded as one array: _round12 of each value."""
+    last = len(traj.times) - 1
+    stride = max(1, last // 20)
+    ks = [*range(0, last + 1, stride), *([last] if last % stride else [])]
+    M = np.column_stack([traj.times[ks], traj.states[ks]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.where(np.isinf(M * 1e12) & np.isfinite(M), M, np.round(M, 12)).tolist()
 
 
 def _sampled_runs(pf: ProblemFile, S, ctx, T: float, dt: float, method: str,
@@ -147,9 +153,12 @@ def _sampled_runs(pf: ProblemFile, S, ctx, T: float, dt: float, method: str,
     Returns one report entry per start and the largest drift (0.0 without
     H).  `dump` adds the accepted step count and the strided trajectory.
     """
+    steps = int(round(T / dt))
+    if max(steps, 1) * samples > MAX_TOTAL_STEPS:
+        raise ValidationError(f"{steps} steps x {samples} samples exceeds the bound "
+                              f"MAX_TOTAL_STEPS = {MAX_TOTAL_STEPS}")
     cfg = SampleConfig(box=(-2.0, 2.0), seed=batch_seed)
     pts = sample_points(ctx, cfg, S.singular_loci, count=samples)
-    steps = int(round(T / dt))
     runs = []
     worst = 0.0
     for p in pts:

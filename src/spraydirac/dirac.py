@@ -22,7 +22,7 @@ import scipy.linalg
 
 from .errors import (
     AnnihilatorMismatchError, DistributionMembershipError, InternalError,
-    RankDeficientError, SingularLocusError, ValidationError,
+    NotIsotropicError, RankDeficientError, SingularLocusError, ValidationError,
 )
 from .expr import (
     Add, Const, Context, Expr, Mul, Neg, Point, SampleConfig, Tri, ZERO,
@@ -342,8 +342,9 @@ def kernel_at(B: np.ndarray) -> list[np.ndarray]:
 def leaf_two_form_at(B: np.ndarray, Xv: np.ndarray, Yv: np.ndarray) -> float:
     """omega(Xv, Yv) = alpha(Yv) for any (Xv, alpha) in the row span of B.
 
-    Well-definedness across the solution set is asserted by recomputing
-    with a second solution whenever one exists.
+    Well-definedness across the solution set is checked by recomputing
+    with a second solution whenever one exists; a value that depends on the
+    choice raises NotIsotropicError.
     """
     n = B.shape[1] // 4
     V, W = B[:, : 2 * n], B[:, 2 * n:]
@@ -362,7 +363,7 @@ def leaf_two_form_at(B: np.ndarray, Xv: np.ndarray, Yv: np.ndarray) -> float:
         alpha2 = W.T @ (c + null[:, 0])
         value2 = float(alpha2 @ Yv)
         if abs(value2 - value) > POINTWISE_TOL * max(1.0, abs(value)):
-            raise InternalError(
+            raise NotIsotropicError(
                 "leaf two-form value depends on the solution choice; "
                 "the structure is not isotropic over these arguments")
     return value

@@ -852,18 +852,27 @@ def _atom(base: Expr) -> _NF:
 _NF_MEMO: dict[Expr, _NF] = {}
 _SIMPLIFY_MEMO: dict[Expr, Expr] = {}
 _DIFF_MEMO: dict[tuple[Expr, Var], Expr] = {}
-# compiled evaluations, keyed on the expressions and the context; each entry
-# holds its context, so the id in the key stays unique
-_EVALUATION_MEMO: dict[tuple, tuple] = {}
+# generated modules (compile_exprs, compile_rk4_step, compiled evaluations),
+# keyed on what they are built from and the context; each entry holds its
+# context, so the id in the key stays unique
+_COMPILE_MEMO: dict[tuple, tuple] = {}
 
 
 def clear_caches() -> None:
     """Forget every memoised normal form, simplification, derivative and
-    compiled evaluation."""
+    generated module."""
     _NF_MEMO.clear()
     _SIMPLIFY_MEMO.clear()
     _DIFF_MEMO.clear()
-    _EVALUATION_MEMO.clear()
+    _COMPILE_MEMO.clear()
+
+
+def _memo_compile(key: tuple, ctx: Context | None, build: Callable):
+    """build(), memoised under key and context_key(ctx) until clear_caches()."""
+    key = (*key, context_key(ctx))
+    if key not in _COMPILE_MEMO:
+        _COMPILE_MEMO[key] = (ctx, build())
+    return _COMPILE_MEMO[key][1]
 
 
 def _nf(e: Expr) -> _NF:
@@ -1518,7 +1527,7 @@ def _def_lines(name: str, srcs: Sequence[str], n: int) -> list[str]:
 
 def _checked(raw: Callable) -> Callable[[np.ndarray, Mapping[str, float] | None], tuple]:
     """raw(z, params), its float errors raised as EvalDomainError and its
-    values checked finite."""
+    values checked finite; the result keeps raw as its .raw."""
 
     def call(z: np.ndarray, params: Mapping[str, float] | None = None) -> tuple:
         try:
@@ -1535,16 +1544,23 @@ def _checked(raw: Callable) -> Callable[[np.ndarray, Mapping[str, float] | None]
             _fin(v)
         return out
 
+    call.raw = raw
     return call
 
 
 def compile_exprs(exprs: Sequence[Expr], ctx: Context) -> Callable[[np.ndarray, Mapping[str, float]], tuple]:
     """Compile expressions into one fast callable (state_array, params) -> tuple.
     Raised float errors become EvalDomainError and a non-finite value is
-    refused.  Bound function bodies are inlined; applying a function without
-    one raises UnboundParameterError here."""
-    srcs = [_py_src(simplify(e), ctx, 0) for e in exprs]
-    return _checked(_exec_def(_def_lines("_compiled", srcs, ctx.dim))["_compiled"])
+    refused; .raw is the function without those checks.  Bound function
+    bodies are inlined; applying a function without one raises
+    UnboundParameterError here.  Memoised until clear_caches()."""
+    exprs = tuple(exprs)
+
+    def build():
+        srcs = [_py_src(simplify(e), ctx, 0) for e in exprs]
+        return _checked(_exec_def(_def_lines("_compiled", srcs, ctx.dim))["_compiled"])
+
+    return _memo_compile(("exprs", exprs), ctx, build)
 
 
 def compile_rk4_step(G: Sequence[Expr], loci: Sequence[Expr], ctx: Context,
@@ -1566,8 +1582,15 @@ def compile_rk4_step(G: Sequence[Expr], loci: Sequence[Expr], ctx: Context,
     weight, so a non-finite G at any stage leaves z_next non-finite; that
     one check, and one on the locus values, stand in for the per-stage
     checks of field and also return None.  field(z, params), the array z',
-    and locus_values(z, params) raise as compile_exprs does.
+    and locus_values(z, params) raise as compile_exprs does.  Memoised until
+    clear_caches().
     """
+    G, loci = tuple(G), tuple(loci)
+    return _memo_compile(("rk4", G, loci, dt), ctx,
+                         lambda: _rk4_module(G, loci, ctx, dt))
+
+
+def _rk4_module(G: tuple, loci: tuple, ctx: Context, dt: float) -> tuple:
     n = ctx.dim
     g_src = [_py_src(simplify(e), ctx, 0) for e in G]
     l_src = [_py_src(simplify(e), ctx, 0) for e in loci]
@@ -1767,8 +1790,8 @@ class _EvalEmitter:
 def _compiled_evaluation(exprs: Sequence[Expr], ctx: Context | None,
                          magnitude: bool) -> Callable:
     exprs = tuple(exprs)
-    key = (exprs, context_key(ctx), magnitude)
-    if key not in _EVALUATION_MEMO:
+
+    def build():
         em = _EvalEmitter(ctx)
         outs = []
         for e in exprs:
@@ -1784,9 +1807,9 @@ def _compiled_evaluation(exprs: Sequence[Expr], ctx: Context | None,
         em.emit(f"return ({''.join(f'{s}, ' for s in outs)})")
         lines = ["def _evaluation(_pt):", " _x, _y, _n = _pt.x, _pt.y, len(_pt.x)",
                  *(f" {line}" for line in em.lines)]
-        fn = _exec_def(lines, **_EVAL_NAMES, **em.names)["_evaluation"]
-        _EVALUATION_MEMO[key] = (ctx, fn)
-    return _EVALUATION_MEMO[key][1]
+        return _exec_def(lines, **_EVAL_NAMES, **em.names)["_evaluation"]
+
+    return _memo_compile(("evaluation", exprs, magnitude), ctx, build)
 
 
 def compile_evaluate(exprs: Sequence[Expr], ctx: Context | None) -> Callable[[Point], tuple]:

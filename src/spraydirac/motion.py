@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -217,8 +218,15 @@ def _integrate_rk45(S, f, loci, z0, params, dt, steps) -> Trajectory:
 
 
 def conservation_drift(traj: Trajectory, H: Expr, ctx: Context) -> float:
-    """Max deviation of H along the trajectory from its initial value."""
+    """Max deviation of H along the trajectory from its initial value, on
+    plain floats, or on numpy rows where floats raise or give a non-finite H."""
     hfun = compile_exprs((H,), ctx)
+    with contextlib.suppress(ArithmeticError, ValueError, LookupError, TypeError,
+                             EvalDomainError):
+        vals = [hfun.raw(row, traj.params or {})[0] for row in traj.states.tolist()]
+        # a non-finite value makes the sum non-finite
+        if math.isfinite(sum(vals)):
+            return float(max(abs(v - vals[0]) for v in vals))
     # numpy scalars warn where floats raise; hfun's check reports it
     with np.errstate(all="ignore"):
         vals = np.array([hfun(row, traj.params)[0] for row in traj.states])

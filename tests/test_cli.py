@@ -395,7 +395,8 @@ def test_unexpected_exceptions_exit_4(capsys, monkeypatch):
 
 
 def _memo_sizes() -> tuple:
-    return len(expr._NF_MEMO), len(expr._SIMPLIFY_MEMO), len(expr._DIFF_MEMO)
+    return (len(expr._NF_MEMO), len(expr._SIMPLIFY_MEMO), len(expr._DIFF_MEMO),
+            len(expr._COMPILE_MEMO))
 
 
 @pytest.mark.parametrize("text, command, code", [
@@ -415,11 +416,26 @@ def test_main_empties_the_kernel_memo_on_every_exit(tmp_path, capsys, monkeypatc
     f = tmp_path / "p.sdp"
     f.write_text(text)
     x1 = expr.Var("x", 1)
-    expr.diff(x1 * x1, x1)      # fills all three tables
+    expr.diff(x1 * x1, x1)      # fills the kernel tables
+    expr.compile_exprs((x1,), expr.Context(dim=1))
     assert all(_memo_sizes())
     rc, _, _ = _run(capsys, [command, str(f)])
     assert rc == code
-    assert _memo_sizes() == (0, 0, 0)
+    assert _memo_sizes() == (0, 0, 0, 0)
+
+
+def test_integrate_compiles_the_step_and_h_once(tmp_path, capsys, monkeypatch):
+    heads = []
+    exec_def = expr._exec_def
+    monkeypatch.setattr(expr, "_exec_def",
+                        lambda lines, **names: heads.append(lines[0]) or exec_def(lines, **names))
+    f = tmp_path / "p.sdp"
+    f.write_text("dim = 1\nparam f = fn(x1^2 + 1)\nexclude x1 - 5\n"
+                 "spray G1 = f(x1)*y1^2*(1/10)\nH = f(x1)*y1\n"
+                 "integrate t=0.5 dt=0.01 method=rk4 seed=1 samples=3\n")
+    rc, out, _ = _run(capsys, ["integrate", str(f)])
+    assert rc == 0 and out.count("aborted: false") == 3
+    assert heads == ["def _step(_z, _p):", "def _compiled(_z, _p):"]
 
 
 def test_normalize_passes_non_finite_floats_through():
@@ -477,6 +493,14 @@ EDGE_INPUTS = {
     "infinite-step-count": ("integrate", EDGE_FILE.format(
         "y1^2", "integrate t=1e300 dt=1e-300 method=rk4 seed=1 samples=1\n"), [], 1,
         "parse error: integrate needs a finite step count t/dt (line 3)"),
+    "too-many-steps": ("integrate", EDGE_FILE.format(
+        "y1^2", "integrate t=1e6 dt=1e-6 method=rk4 seed=1 samples=1\n"), [], 2,
+        "validation error: 1000000000000 steps x 1 samples exceeds the bound "
+        "MAX_TOTAL_STEPS = 1000000"),
+    "too-many-samples": ("verify", EDGE_FILE.format(
+        "y1^2", "H = y1\nintegrate t=1 dt=0.01 method=rk4 seed=1 samples=100000000\n"), [], 2,
+        "validation error: 100 steps x 100000000 samples exceeds the bound "
+        "MAX_TOTAL_STEPS = 1000000"),
     "long-seed": ("integrate", EDGE_FILE.format("y1^2", SHORT_RUN.format("9" * 5000)), [], 1,
                   "parse error: integrate seed is too long or not a decimal integer (line 3)"),
     "long-dim": ("analyze", "dim = " + "9" * 5000 + "\n", [], 1,

@@ -196,8 +196,8 @@ def test_inlined_bodies_match_the_body_table(f_body, g_body, trees, z, with_b):
 
 
 # bodies a random draw seldom makes: one whose value overflows where the
-# expression around it would hide that, and one that simplify changes twice
-# (the outcome at x1 = 1e5)
+# expression around it would hide that, and one with a sum at a negative
+# power (the outcome at x1 = 1e5)
 HAND_PICKED = [("10^300*x1^2", "y1^2/(1 + f(x1))", EvalDomainError),
                ("x1/(x1 + 1/3)^-1 + y1", "f(x2) + f'(x1)*y1 - f(x1)", "value")]
 

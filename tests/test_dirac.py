@@ -9,7 +9,8 @@ from spraydirac.dirac import (
     jacobi_anomaly, kernel_at, leaf_two_form_at, pairing,
 )
 from spraydirac.errors import (
-    AnnihilatorMismatchError, DistributionMembershipError, RankDeficientError,
+    AnnihilatorMismatchError, DistributionMembershipError, NotIsotropicError,
+    RankDeficientError, ValidationError,
 )
 from spraydirac.expr import (
     ONE, ZERO, Context, Point, SampleConfig, clear_caches, parse, simplify,
@@ -282,6 +283,15 @@ def test_leaf_arguments_must_lie_in_the_distribution():
     with pytest.raises(DistributionMembershipError):
         leaf_two_form_at(L.generator_matrix(p, CTX2), vertical,
                          np.array([1.0, 0, 0, 0]))
+
+
+def test_a_leaf_value_that_depends_on_the_solution_is_an_input_error():
+    # (d/dx1, 0) and (d/dx1, dy1) both carry d/dx1 but pair to 1: the value
+    # at (d/dx1, d/dy1) depends on which of them is used
+    B = np.array([[1.0, 0, 0, 0], [0, 1.0, 0, 0], [1.0, 0, 0, 1.0]])
+    with pytest.raises(NotIsotropicError, match="not isotropic") as info:
+        leaf_two_form_at(B, np.array([1.0, 0]), np.array([0, 1.0]))
+    assert isinstance(info.value, ValidationError)
 
 
 def test_gauge_by_closed_form_keeps_closure():

@@ -1,0 +1,108 @@
+"""conservation_drift runs H on plain floats and falls back to numpy rows: it
+gives what evaluating H on numpy rows gives, bit for bit or error for error."""
+
+import struct
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
+
+from spraydirac import motion  # noqa: E402
+from spraydirac.errors import EvalDomainError  # noqa: E402
+from spraydirac.expr import (  # noqa: E402
+    Add, Call, Const, Context, Div, Mul, Neg, Param, Pow, Var, compile_exprs, parse,
+)
+from spraydirac.motion import Trajectory, conservation_drift  # noqa: E402
+
+
+def _numpy_rows_drift(traj, H, ctx):
+    """The drift as H on each numpy row of the trajectory."""
+    hfun = compile_exprs((H,), ctx)
+    with np.errstate(all="ignore"):
+        vals = np.array([hfun(row, traj.params)[0] for row in traj.states])
+        return float(np.max(np.abs(vals - vals[0])))
+
+
+def _outcome(fn, *args):
+    try:
+        return "value", struct.pack("<d", fn(*args))
+    except Exception as exc:  # noqa: BLE001 -- compared, not handled
+        return type(exc), str(exc)
+
+
+X1, Y1 = Var("x", 1), Var("y", 1)
+# A is exact, B a float, C declared without a value, D not in the params
+PARAMS = {"A": Fraction(3, 7), "B": 0.75, "C": None}
+LEAVES = st.sampled_from([X1, Y1, X1, Y1, Param("A"), Param("B"), Param("C"), Param("D"),
+                          Const(0), Const(Fraction(1, 3)), Const(2.5), Const(1e300)])
+# overflowing powers (x1^400), division by zero, exp overflow, ln and sqrt
+# of negative values
+EXPONENTS = st.sampled_from([Fraction(k) for k in (-2, -1, 2, 3, 400)] + [Fraction(1, 2)])
+
+
+def _nodes(children):
+    terms = st.lists(children, min_size=2, max_size=3).map(tuple)
+    return st.one_of(
+        terms.map(Add), terms.map(Mul), children.map(Neg),
+        st.tuples(children, children).map(lambda t: Div(*t)),
+        st.tuples(children, EXPONENTS).map(lambda t: Pow(*t)),
+        st.tuples(st.sampled_from(["exp", "ln", "sqrt", "sin"]), children).map(
+            lambda t: Call(*t)),
+    )
+
+
+H_TREES = st.recursive(LEAVES, _nodes, max_leaves=6)
+COORDS = st.one_of(st.floats(-3.0, 3.0), st.sampled_from([0.0, -0.0, -1.0, 800.0, 1e200]))
+STATES = st.lists(st.tuples(COORDS, COORDS), min_size=1, max_size=8)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(H_TREES, STATES)
+@example(Div(Y1, X1), [(1.0, 1.0), (0.0, 1.0)])
+@example(Pow(X1, Fraction(400)), [(0.5, 1.0), (800.0, 1.0)])
+@example(Call("exp", X1), [(0.5, 1.0), (800.0, 1.0)])
+@example(Call("ln", X1), [(0.5, 1.0), (-1.0, 1.0)])
+@example(Call("sqrt", X1), [(0.5, 1.0), (-1.0, 1.0)])
+@example(Mul((Param("D"), X1)), [(0.5, 1.0)])
+@example(Mul((Param("C"), X1)), [(0.5, 1.0)])
+@example(Add((Mul((Param("A"), X1)), Param("A"))), [(0.5, 1.0), (1.5, -2.0)])
+@example(Mul((Const(1e300), X1, X1)), [(0.5, 1.0), (1e200, 1.0)])
+def test_float_drift_matches_numpy_rows(H, states):
+    ctx = Context(dim=1, params=dict(PARAMS))
+    traj = Trajectory(1, 0.1 * np.arange(len(states)), np.array(states), "rk4", 0.1,
+                      dict(PARAMS))
+    assert _outcome(conservation_drift, traj, H, ctx) == _outcome(_numpy_rows_drift,
+                                                                  traj, H, ctx)
+
+
+def _checked_calls(monkeypatch) -> list:
+    """Each call of the checked function of H, the numpy-row path."""
+    calls = []
+
+    def counted_compile(exprs, ctx):
+        hfun = compile_exprs(exprs, ctx)
+
+        def checked(*args):
+            calls.append(1)
+            return hfun(*args)
+
+        checked.raw = hfun.raw
+        return checked
+
+    monkeypatch.setattr(motion, "compile_exprs", counted_compile)
+    return calls
+
+
+def test_numpy_rows_run_only_where_floats_fail(monkeypatch):
+    calls = _checked_calls(monkeypatch)
+    ctx = Context(dim=1)
+    traj = Trajectory(1, [0.0, 0.1, 0.2], [[1.0, 2.0], [0.5, 2.5], [0.0, 3.0]], "rk4", 0.1, {})
+    assert conservation_drift(traj, parse("x1*y1^2", ctx), ctx) == 4.0
+    assert calls == []
+    # numpy divides by zero to inf, which the check refuses
+    with pytest.raises(EvalDomainError, match="non-finite value"):
+        conservation_drift(traj, parse("y1/x1", ctx), ctx)
+    assert len(calls) == 3

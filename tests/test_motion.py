@@ -401,3 +401,28 @@ def test_an_integration_runs_one_generated_module(method, monkeypatch):
                           pf.context)
     assert not traj.aborted
     assert len(execs) == 1
+
+
+def test_a_redeclared_body_is_compiled_afresh(monkeypatch):
+    execs = []
+    exec_def = expr._exec_def
+    monkeypatch.setattr(expr, "_exec_def", lambda *a, **k: execs.append(1) or exec_def(*a, **k))
+
+    def flow(ctx):
+        S = SemiSpray(1, (parse("f(x1)*y1^2*(1/10)", ctx),))
+        traj = integrate_sode(S, Point((0.5,), (1.0,)), 0.01, 30, "rk4", ctx)
+        return traj, conservation_drift(traj, parse("f(x1)*y1", ctx), ctx)
+
+    ctx = Context(dim=1)
+    ctx.declare_function("f", parse("x1^2 + 1", Context(1)))
+    first = flow(ctx)
+    assert flow(ctx)[1] == first[1]
+    assert len(execs) == 2      # the step module and H, each once
+    ctx.declare_function("f", parse("x1^3 + 2", Context(1)))
+    second = flow(ctx)
+    assert len(execs) == 4
+    fresh = Context(dim=1)
+    fresh.declare_function("f", parse("x1^3 + 2", Context(1)))
+    expected = flow(fresh)
+    assert np.array_equal(second[0].states, expected[0].states)
+    assert second[1] == expected[1] != first[1]

@@ -16,7 +16,7 @@ from spraydirac.expr import (  # noqa: E402
     ZERO, Context, Point, evaluate, parse, simplify,
 )
 from spraydirac.errors import (  # noqa: E402
-    DistributionMembershipError, InternalError,
+    DistributionMembershipError, NotIsotropicError,
 )
 from spraydirac.geometry import OneForm, VectorField  # noqa: E402
 
@@ -123,7 +123,7 @@ def _old_leaf_two_form_at(L, p, Xv, Yv, ctx):
         alpha2 = W.T @ (c + null[:, 0])
         value2 = float(alpha2 @ Yv)
         if abs(value2 - value) > POINTWISE_TOL * max(1.0, abs(value)):
-            raise InternalError(
+            raise NotIsotropicError(
                 "leaf two-form value depends on the solution choice; "
                 "the structure is not isotropic over these arguments")
     return value

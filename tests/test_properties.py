@@ -1,12 +1,17 @@
-"""Generated-input invariants of the expression kernel and the file parser."""
+"""Generated-input invariants of the expression kernel, the file parser and
+the trajectory rows of a report."""
 
 import contextlib
 import io
 import math
+import struct
 import tempfile
+from datetime import timedelta
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -210,7 +215,7 @@ def _edited(demo: str, lines) -> str:
     return "\n".join(out) + "\n"
 
 
-@settings(max_examples=30, deadline=None, derandomize=True)
+@settings(max_examples=30, deadline=timedelta(seconds=10), derandomize=True)
 @given(st.sampled_from(DEMOS), st.sampled_from(STEPS), st.sampled_from(["rk4", "rk45"]),
        st.sampled_from(SEEDS), st.lists(EDITS, max_size=2),
        st.sampled_from(["analyze", "verify", "integrate"]),
@@ -235,6 +240,10 @@ def _edited(demo: str, lines) -> str:
 @example("free.sdp", "t=1 dt=0.001", "rk4", "1", ["spray G1 = -343*y1"], "integrate", None)
 @example("free.sdp", "t=1 dt=0.001", "rk4", "1", ["spray G1 = sin(1e300*1e300)*y1^2"],
          "integrate", None)
+@example("free.sdp", "t=1e6 dt=1e-6", "rk4", "1", ["spray G1 = y1^2"], "integrate", None)
+@example("free.sdp", "t=0.01 dt=0.01", "rk4", "1",
+         ["spray G1 = y1^2", "integrate t=1 dt=0.01 method=rk4 seed=1 samples=100000000"],
+         "integrate", None)
 def test_no_problem_file_exits_4(demo, steps, method, seed, edits, command, seed_arg):
     text = _edited(demo, [f"integrate {steps} method={method} seed={seed} samples=1", *edits])
     with tempfile.TemporaryDirectory() as tmp:
@@ -246,3 +255,40 @@ def test_no_problem_file_exits_4(demo, steps, method, seed, edits, command, seed
             rc = cli.main(argv)
     assert rc in (0, 1, 2, 3), err.getvalue()
     assert "internal error" not in err.getvalue()
+
+
+# -- trajectory rows ----------------------------------------------------------
+
+# the largest double, subnormals, values whose v * 1e12 overflows (past about
+# 1.8e296), values near 1e-12, and halves of 1e-12 where round breaks a tie
+EXTREME_FLOATS = st.one_of(
+    st.floats(allow_nan=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e296,
+                     1.8e296, 1.79e308, 1.7976931348623157e308, 1e-12, 5e-13]),
+    st.floats(1e296, 1.79e308).flatmap(lambda v: st.sampled_from([v, -v])),
+    st.floats(-1e-11, 1e-11),
+    st.integers(-10 ** 9, 10 ** 9).map(lambda k: (k + 0.5) / 1e12).flatmap(
+        lambda v: st.sampled_from([v, math.nextafter(v, -math.inf),
+                                   math.nextafter(v, math.inf)])),
+)
+TRAJECTORIES = st.integers(1, 3).flatmap(lambda dim: st.lists(
+    st.lists(EXTREME_FLOATS, min_size=dim + 1, max_size=dim + 1),
+    min_size=1, max_size=60))
+
+
+def _rows_by_element(traj) -> list:
+    """The rows of cli._trajectory_rows, each value rounded on its own."""
+    last = len(traj.times) - 1
+    stride = max(1, last // 20)
+    ks = list(range(0, last + 1, stride)) + ([last] if last % stride else [])
+    return [[cli._round12(v) for v in (traj.times[k], *traj.states[k])] for k in ks]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(TRAJECTORIES)
+def test_trajectory_rows_round_as_round12_does_on_each_value(rows):
+    M = np.array(rows)
+    traj = SimpleNamespace(times=M[:, 0], states=M[:, 1:])
+    bits = [[struct.pack("<d", float(v)) for v in row] for row in cli._trajectory_rows(traj)]
+    assert bits == [[struct.pack("<d", float(v)) for v in row]
+                    for row in _rows_by_element(traj)]
