@@ -9,8 +9,8 @@ bracket, structures) < motion (residuals, certificates, integration)
 
 from .errors import (
     AnnihilatorMismatchError, DistributionMembershipError, EvalDomainError,
-    InternalError, NotIsotropicError, ParseError, RankDeficientError,
-    SingularLocusError, SprayDiracError, UnboundParameterError, ValidationError,
+    NotIsotropicError, ParseError, RankDeficientError, SingularLocusError,
+    SprayDiracError, UnboundParameterError, ValidationError,
 )
 from .expr import (
     Context, Expr, Point, SampleConfig, Tri, diff, evaluate, format_expr,

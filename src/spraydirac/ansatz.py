@@ -13,6 +13,7 @@ which is numeric evidence, not a proof.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -38,6 +39,8 @@ __all__ = [
 RANK_TOL = 1e-8
 # Largest denominator a nullspace direction may snap to as a rational vector.
 SNAP_MAX_DEN = 24
+# Largest collocation matrix (points x unknowns) a search may build.
+MAX_COLLOCATION_CELLS = 1_000_000
 
 
 def monomial_dictionary(n: int, degree: int) -> list[Expr]:
@@ -74,20 +77,32 @@ class Ansatz:
 
     def __post_init__(self):
         # None means "use the default dictionary"; [] for omega means "no
-        # two-form unknowns at all", which the H-only search mode needs
-        if self.H_dictionary is None:
-            self.H_dictionary = monomial_dictionary(self.n, self.degree)
-        if self.omega_dictionary is None:
-            self.omega_dictionary = constant_two_form_dictionary(self.n)
-        if not self.H_dictionary:
+        # two-form unknowns at all", which the H-only search mode needs.
+        # Both bounds are checked on the dictionary sizes, before any
+        # dictionary is built.
+        if self.H_dictionary is None and self.degree < 0:
+            raise ValidationError("dictionary degree must be nonnegative")
+        n_H = (math.comb(2 * self.n + self.degree, self.degree)
+               if self.H_dictionary is None else len(self.H_dictionary))
+        if n_H == 0:
             raise ValidationError("empty candidate dictionary")
-        unknowns = self.unknowns
+        n_omega = (self.n * (2 * self.n - 1)
+                   if self.omega_dictionary is None else len(self.omega_dictionary))
+        unknowns = n_H + n_omega
         if self.points == 0:
             self.points = 3 * unknowns + 5
         if self.points < 3 * unknowns:
             raise ValidationError(
                 f"{self.points} collocation points cannot pin down "
                 f"{unknowns} unknowns; need at least {3 * unknowns}")
+        if self.points * unknowns > MAX_COLLOCATION_CELLS:
+            raise ValidationError(
+                f"{self.points} collocation points x {unknowns} unknowns "
+                f"exceeds the bound MAX_COLLOCATION_CELLS = {MAX_COLLOCATION_CELLS}")
+        if self.H_dictionary is None:
+            self.H_dictionary = monomial_dictionary(self.n, self.degree)
+        if self.omega_dictionary is None:
+            self.omega_dictionary = constant_two_form_dictionary(self.n)
 
     @property
     def unknowns(self) -> int:

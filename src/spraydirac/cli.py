@@ -1,7 +1,8 @@
 """Batch front-end: parse a problem file, run one command, emit a report.
 
 Exit codes: 0 success (whatever the mathematical verdicts), 1 parse error,
-2 validation error, 3 numeric-domain error, 4 internal error.
+2 validation error, 3 numeric-domain error, 4 internal error (an unexpected
+exception, always a bug).
 """
 
 from __future__ import annotations
@@ -19,8 +20,7 @@ from .dirac import (
     is_isotropic_at, is_maximal_at, kernel_at,
 )
 from .errors import (
-    EvalDomainError, InternalError, ParseError, SprayDiracError,
-    ValidationError,
+    EvalDomainError, ParseError, SprayDiracError, ValidationError,
 )
 from .expr import (
     DEFAULT_SEED, SampleConfig, clear_caches, format_expr, sample_points, simplify,
@@ -356,7 +356,7 @@ def main(argv: list[str] | None = None) -> int:
     except EvalDomainError as e:
         print(f"numeric-domain error: {e}", file=sys.stderr)
         return 3
-    except (InternalError, SprayDiracError) as e:
+    except SprayDiracError as e:
         print(f"internal error: {e}", file=sys.stderr)
         return 4
     except Exception as e:  # noqa: BLE001 -- exit-code contract wants 4 here

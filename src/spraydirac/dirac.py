@@ -21,8 +21,8 @@ import numpy as np
 import scipy.linalg
 
 from .errors import (
-    AnnihilatorMismatchError, DistributionMembershipError, InternalError,
-    NotIsotropicError, RankDeficientError, SingularLocusError, ValidationError,
+    AnnihilatorMismatchError, DistributionMembershipError, NotIsotropicError,
+    RankDeficientError, SingularLocusError, ValidationError,
 )
 from .expr import (
     Add, Const, Context, Expr, Mul, Neg, Point, SampleConfig, Tri, ZERO,
@@ -218,7 +218,8 @@ def from_distribution(D_gens: Sequence[VectorField],
     Annihilation eta_j(X_i) = 0 is checked symbolically first, falling back
     to sampled evaluation; a provable violation is reported with a witness
     point.  Generator independence and annihilator rank are measured at
-    sampled points; a short annihilator family is recorded as a deficit.
+    sampled points; a short annihilator family is recorded as a deficit, and
+    one whose rank exceeds the complement dimension 2n - k is rejected.
     """
     if not D_gens:
         raise ValidationError("need at least one distribution generator")
@@ -271,7 +272,9 @@ def from_distribution(D_gens: Sequence[VectorField],
 
     deficit = 0 if auto else (2 * n - k) - ann_rank
     if deficit < 0:
-        raise InternalError("annihilator rank exceeds complement dimension")
+        raise AnnihilatorMismatchError(
+            f"annihilator family has sampled rank {ann_rank}, more than the "
+            f"complement dimension 2n - k = {2 * n - k}")
     gens = [Section.of_field(X) for X in D_gens]
     gens += [Section.of_form(eta) for eta in etas]
     return AlmostDirac(

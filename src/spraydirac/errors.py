@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the package.
 
 The CLI maps these onto exit codes, so new error types should subclass
-one of the four families below rather than Exception directly.
+one of the three families below rather than Exception directly:
+ParseError (exit 1), ValidationError (exit 2), EvalDomainError (exit 3).
 """
 
 
@@ -59,7 +60,3 @@ class UnboundParameterError(EvalDomainError):
 
 class SingularLocusError(EvalDomainError):
     """A requested point sits on (or too close to) a declared singular locus."""
-
-
-class InternalError(SprayDiracError):
-    """An internal consistency check failed. Always a bug."""

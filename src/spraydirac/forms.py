@@ -14,12 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
-import numpy as np
-
 from .errors import ValidationError
 from .expr import (
-    Add, Context, Expr, Mul, Neg, Point, Var, ZERO, ONE,
-    as_expr, diff, evaluate, format_expr, simplify, sum_exprs,
+    Add, Expr, Mul, Neg, Var, ZERO, ONE,
+    as_expr, diff, format_expr, simplify, sum_exprs,
 )
 from .geometry import OneForm, VectorField
 
@@ -166,17 +164,6 @@ class TwoForm:
             yi, yj = Y.component(i), Y.component(j)
             parts.append(Mul((w, Add((Mul((xi, yj)), Neg(Mul((xj, yi))))))))
         return simplify(sum_exprs(parts))
-
-    def evaluate_matrix(self, p: Point, ctx: Context) -> np.ndarray:
-        """Full antisymmetric matrix of the coordinate-basis components at p."""
-        form = self.to_coordinates()
-        m = 2 * self.n
-        M = np.zeros((m, m))
-        for (i, j), w in form.comps.items():
-            v = evaluate(w, p, ctx)
-            M[i, j] = v
-            M[j, i] = -v
-        return M
 
 
 @dataclass(frozen=True, eq=False)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import InternalError, ValidationError
+from .errors import ValidationError
 from .expr import (
     Add, Const, Context, Expr, Mul, Neg, SampleConfig, Tri, Var, ZERO,
     as_expr, diff, is_zero, simplify, sum_exprs, tri_all,
@@ -235,10 +235,6 @@ class BerwaldFrame:
     dx: tuple[OneForm, ...]
     dy_adapted: tuple[OneForm, ...]       # dy_a + N^a_i dx_i
 
-    def horizontal_derivative(self, f: Expr, i: int) -> Expr:
-        """Apply delta/delta x_i (0-based) to a scalar."""
-        return self.horizontal[i](f)
-
 
 def berwald_frame(S: SemiSpray) -> BerwaldFrame:
     n = S.n
@@ -287,34 +283,19 @@ class CurvatureTensor:
 def curvature(S: SemiSpray, frame: BerwaldFrame | None = None) -> CurvatureTensor:
     """R^a_ij = delta_j(N^a_i) - delta_i(N^a_j).
 
-    As a cross-check the horizontal Lie brackets are recomputed
-    independently and must match sum_a R^a_ij d/dy_a exactly; a mismatch
-    raises InternalError since the two routes are the same identity.
+    This is the fiber part of [delta_i, delta_j], whose base part vanishes.
+    A tier-1 property in tests/test_properties.py checks that identity
+    against lie_bracket on generated semisprays, so no call recomputes it.
     """
     fr = frame or berwald_frame(S)
     n = S.n
     R = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
     for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            for a in range(n):
-                if j > i:
-                    term = Add((fr.horizontal_derivative(fr.N[a][i], j),
-                                Neg(fr.horizontal_derivative(fr.N[a][j], i))))
-                    R[a][i][j] = simplify(term)
-                else:
-                    R[a][i][j] = simplify(Neg(R[a][j][i]))
-    for i in range(n):
         for j in range(i + 1, n):
-            br = lie_bracket(fr.horizontal[i], fr.horizontal[j])
-            for k in range(n):
-                if br.base[k] != ZERO:
-                    raise InternalError("horizontal bracket grew a base component")
             for a in range(n):
-                if simplify(Add((br.fiber[a], Neg(R[a][i][j])))) != ZERO:
-                    raise InternalError(
-                        f"curvature component ({a},{i},{j}) disagrees with the bracket")
+                R[a][i][j] = simplify(Add((fr.horizontal[j](fr.N[a][i]),
+                                           Neg(fr.horizontal[i](fr.N[a][j])))))
+                R[a][j][i] = simplify(Neg(R[a][i][j]))
     return CurvatureTensor(n, tuple(tuple(tuple(row) for row in plane) for plane in R))
 
 

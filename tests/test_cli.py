@@ -478,7 +478,8 @@ def test_seed_flag_overrides_file_and_default(capsys):
     assert "seed: 123" in out
 
 
-# inputs that once exited 4, each with the exit code of its error family
+# inputs that once exited 4 or ran without bound, each with the exit code
+# of its error family
 EDGE_FILE = "dim = 1\nspray G1 = {}\n{}"
 SHORT_RUN = "integrate t=0.1 dt=0.01 method=rk4 seed={} samples=1\n"
 EDGE_INPUTS = {
@@ -508,6 +509,15 @@ EDGE_INPUTS = {
     "long-exponent": ("analyze", EDGE_FILE.format("y1^" + "9" * 5000, ""), [], 1,
                       "parse error: in expression 'y1^" + "9" * 5000 + "': exponent has "
                       "too many digits (at offset 3) (line 2)"),
+    # A2 passes the annihilation test at 1e-9 but adds a second rank
+    "over-rank-annihilators": ("dirac-check", EDGE_FILE.format(
+        "y1^2", "dist X1 = (1/1000; 0)\nann A1 = (0; 1)\nann A2 = (1/10000000; 0)\n"), [], 2,
+        "validation error: annihilator family has sampled rank 2, more than the "
+        "complement dimension 2n - k = 1"),
+    "huge-ansatz-degree": ("search", EDGE_FILE.format(
+        "y1^2", "ansatz degree=400 points=0 box=2 seed=1\n"), [], 2,
+        "validation error: 241811 collocation points x 80602 unknowns exceeds the bound "
+        "MAX_COLLOCATION_CELLS = 1000000"),
 }
 
 

@@ -73,6 +73,25 @@ def test_interior_product_of_second_order_field():
     assert simplify(pulled.dx[2]) == simplify(parse("4*A", CTX3))
     assert all(simplify(c) == ZERO for c in pulled.dy[:2])
     assert simplify(pulled.dy[2]) == simplify(parse("2*y3", CTX3))
+    # omega(X, Y) = (i_X omega)(Y) = x^T M y, M the antisymmetric component matrix
+    omega = omega + TwoForm.single(3, 0, 1, parse("x1", CTX3))
+    rng = np.random.default_rng(17)
+    for _ in range(5):
+        p = Point(tuple(rng.uniform(-2, 2, 3)), tuple(rng.uniform(-2, 2, 3)),
+                  params={"A": 1.0})
+        M = np.zeros((6, 6))
+        for (i, j), w in omega.items():
+            M[i, j] = evaluate(w, p, CTX3)
+            M[j, i] = -M[i, j]
+        xv = rng.uniform(-1, 1, 6)
+        yv = rng.uniform(-1, 1, 6)
+        X = VectorField(3, tuple(Const(v) for v in xv[:3]),
+                        tuple(Const(v) for v in xv[3:]))
+        Y = VectorField(3, tuple(Const(v) for v in yv[:3]),
+                        tuple(Const(v) for v in yv[3:]))
+        expected = pytest.approx(float(xv @ M @ yv), abs=1e-12)
+        assert evaluate(omega(X, Y), p, CTX3) == expected
+        assert evaluate(interior_product(X, omega)(Y), p, CTX3) == expected
 
 
 def test_lie_derivative_of_coframe_along_vertical():
@@ -94,25 +113,6 @@ def test_wedge_products():
     assert dict(flipped.items()) == {(0, 2): Const(-1)}
     scaled = wedge(dx2.scaled(parse("x1", CTX2)), dy1)
     assert dict(scaled.items()) == {(1, 2): parse("x1", CTX2)}
-
-
-def test_evaluate_matrix_agrees_with_call():
-    omega = (TwoForm.single(3, 2, 5, 2)
-             + TwoForm.single(3, 0, 1, parse("x1", CTX3)))
-    rng = np.random.default_rng(17)
-    for _ in range(5):
-        p = Point(tuple(rng.uniform(-2, 2, 3)), tuple(rng.uniform(-2, 2, 3)),
-                  params={"A": 1.0})
-        M = omega.evaluate_matrix(p, CTX3)
-        assert np.allclose(M, -M.T, atol=1e-13)
-        xv = rng.uniform(-1, 1, 6)
-        yv = rng.uniform(-1, 1, 6)
-        X = VectorField(3, tuple(Const(v) for v in xv[:3]),
-                        tuple(Const(v) for v in xv[3:]))
-        Y = VectorField(3, tuple(Const(v) for v in yv[:3]),
-                        tuple(Const(v) for v in yv[3:]))
-        direct = evaluate(omega(X, Y), p, CTX3)
-        assert direct == pytest.approx(float(xv @ M @ yv), abs=1e-12)
 
 
 def test_berwald_rewrite_uses_connection():

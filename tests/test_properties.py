@@ -1,5 +1,5 @@
-"""Generated-input invariants of the expression kernel, the file parser and
-the trajectory rows of a report."""
+"""Generated-input invariants of the expression kernel, the curvature, the
+file parser and the trajectory rows of a report."""
 
 import contextlib
 import io
@@ -20,8 +20,11 @@ from hypothesis import assume, example, given, settings, strategies as st  # noq
 from spraydirac import cli, expr  # noqa: E402
 from spraydirac.errors import EvalDomainError, ParseError, ValidationError  # noqa: E402
 from spraydirac.expr import (  # noqa: E402
-    BUILTIN_FUNCTIONS, Add, Call, Const, Context, Div, Mul, Neg, Pow, Var,
-    clear_caches, diff, format_expr, parse, simplify,
+    BUILTIN_FUNCTIONS, ZERO, Add, Call, Const, Context, Div, FuncApp, Mul, Neg,
+    Param, Pow, Var, clear_caches, diff, format_expr, parse, simplify,
+)
+from spraydirac.geometry import (  # noqa: E402
+    SemiSpray, berwald_frame, curvature, lie_bracket,
 )
 from spraydirac.problemfile import load_problem_file, parse_problem_file  # noqa: E402
 
@@ -151,6 +154,57 @@ def test_no_command_mutates_a_memoised_normal_form():
     clear_caches()
 
 
+# -- curvature ----------------------------------------------------------------
+
+# Semisprays of dim 2-3 with polynomial or rational coefficients over the
+# coordinates, a parameter, the builtins, a function f with a body and a
+# function g without one.  A body only supplies numbers, so both stay opaque
+# FuncApp atoms to simplify and diff.
+CURVATURE_CTX = Context(dim=3, params={"A": 0.7})
+CURVATURE_CTX.declare_function("f", parse("x1^2 + 1", Context(dim=1)))
+CURVATURE_CTX.declare_function("g")
+
+
+def _semisprays(n):
+    coords = [Var(axis, i) for axis in "xy" for i in range(1, n + 1)]
+    atoms = st.one_of(
+        st.sampled_from(coords + [Param("A")]),
+        st.fractions(min_value=-3, max_value=3, max_denominator=3).map(Const),
+        st.builds(Call, st.sampled_from(BUILTIN_FUNCTIONS), st.sampled_from(coords)),
+        st.builds(FuncApp, st.sampled_from(["f", "g"]), st.integers(0, 1),
+                  st.sampled_from(coords)),
+    )
+    coefficient = st.one_of(st.recursive(atoms, _polynomial_nodes, max_leaves=5),
+                            st.recursive(atoms, _rational_nodes, max_leaves=5))
+    # a fiber factor keeps most connections N = dG/dy away from zero
+    fibered = st.builds(lambda c, y: Mul((c, y)), coefficient, st.sampled_from(coords[n:]))
+    return st.lists(st.one_of(coefficient, fibered), min_size=n, max_size=n).map(
+        lambda G: SemiSpray(n, tuple(G)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from([2, 3]).flatmap(_semisprays))
+@example(SemiSpray(3, tuple(parse(t, CURVATURE_CTX) for t in ("A*y1/y3", "A*y2/y3", "A"))))
+@example(SemiSpray(2, tuple(parse(t, CURVATURE_CTX)
+                            for t in ("(y1^2)*g'(x1)/(2*g(x1))", "f(x2)*y1*y2"))))
+def test_curvature_is_the_fiber_part_of_the_horizontal_bracket(S):
+    """[delta_i, delta_j] = sum_a R^a_ij d/dy_a, exactly after simplify."""
+    try:
+        fr = berwald_frame(S)
+        R = curvature(S, fr).R
+        brackets = {(i, j): lie_bracket(fr.horizontal[i], fr.horizontal[j])
+                    for i in range(S.n) for j in range(i + 1, S.n)}
+        residuals = {(a, i, j): simplify(Add((br.fiber[a], Neg(R[a][i][j]))))
+                     for (i, j), br in brackets.items() for a in range(S.n)}
+    except EvalDomainError:
+        # a denominator that simplifies to zero: outside the domain
+        assume(False)
+    for (i, j), br in brackets.items():
+        assert br.base == (ZERO,) * S.n, (i, j)
+    for key, residual in residuals.items():
+        assert residual == ZERO, (key, format_expr(residual))
+
+
 # Signed decimals with exponents (including ones far outside a double),
 # ratios (including /0), and free text over the characters literals use.
 LITERALS = st.one_of(
@@ -181,12 +235,15 @@ def test_numeric_literals_parse_to_finite_doubles_or_fail_cleanly(text, file):
 
 
 # Edge values of the problem-file format: negative and huge seeds, step
-# counts t/dt past a double, exact constants past Python's int-to-text limit
-# and the sine of an overflowing constant.
+# counts t/dt past a double, exact constants past Python's int-to-text limit,
+# the sine of an overflowing constant and collocation plans past the bound.
 DEMOS = [p.name for p in sorted(Path(EX4).parent.glob("*.sdp"))]
 STEPS = ["t=0.01 dt=0.01", "t=1 dt=0.001", "t=1e300 dt=1e-300", "t=1e308 dt=1e-308",
          "t=1e-300 dt=1e300", "t=1.7e308 dt=1e308", "t=1e-300 dt=1e-300"]
 SEEDS = ["0", "1", "-1", "-5", str(2**64 + 1), "9" * 5000]
+# collocation sizes far past ansatz.MAX_COLLOCATION_CELLS, and small ones
+DEGREES = ["0", "1", "400", str(10 ** 9)]
+POINTS = ["0", "1", "40", str(10 ** 9)]
 CONSTANTS = ["1", "-343", "3^9100", "2^100000", "3^10000000", "(10^400)^1/2",
              "*".join(["7" * 301] * 15), "sin(1e300*1e300)", "(1e300)^2"]
 EDITS = st.one_of(
@@ -194,6 +251,8 @@ EDITS = st.one_of(
     st.builds("spray G1 = {}*y1".format, st.sampled_from(CONSTANTS)),
     st.builds("H = {}*y1".format, st.sampled_from(CONSTANTS)),
     st.builds("ansatz degree=1 points=0 box=1 seed={}".format, st.sampled_from(SEEDS)),
+    st.builds("ansatz degree={} points={} box=1 seed=1".format,
+              st.sampled_from(DEGREES), st.sampled_from(POINTS)),
 )
 
 
@@ -218,7 +277,7 @@ def _edited(demo: str, lines) -> str:
 @settings(max_examples=30, deadline=timedelta(seconds=10), derandomize=True)
 @given(st.sampled_from(DEMOS), st.sampled_from(STEPS), st.sampled_from(["rk4", "rk45"]),
        st.sampled_from(SEEDS), st.lists(EDITS, max_size=2),
-       st.sampled_from(["analyze", "verify", "integrate"]),
+       st.sampled_from(["analyze", "verify", "integrate", "search"]),
        st.sampled_from([None, "-1", "3"]))
 @example("ex3.sdp", "t=0.01 dt=0.01", "rk4", "1", [], "verify", "-1")
 @example("ex4.sdp", "t=0.01 dt=0.01", "rk4", "1", [], "search", "-1")
@@ -244,6 +303,10 @@ def _edited(demo: str, lines) -> str:
 @example("free.sdp", "t=0.01 dt=0.01", "rk4", "1",
          ["spray G1 = y1^2", "integrate t=1 dt=0.01 method=rk4 seed=1 samples=100000000"],
          "integrate", None)
+@example("free.sdp", "t=0.01 dt=0.01", "rk4", "1",
+         ["spray G1 = y1^2", "ansatz degree=400 points=0 box=2 seed=1"], "search", None)
+@example("ex4.sdp", "t=0.01 dt=0.01", "rk4", "1",
+         ["ansatz degree=1 points=1000000000 box=1 seed=1"], "search", None)
 def test_no_problem_file_exits_4(demo, steps, method, seed, edits, command, seed_arg):
     text = _edited(demo, [f"integrate {steps} method={method} seed={seed} samples=1", *edits])
     with tempfile.TemporaryDirectory() as tmp:
