@@ -170,12 +170,14 @@ class AlmostDirac:
 
     def _rows(self, ctx: Context, brackets: bool):
         """compile_evaluate of the generators' components or, with brackets,
-        of the generator brackets', once per context and declarations (the
+        of the generator brackets' that are not structurally zero (a zero
+        bracket lies in every span), once per context and declarations (the
         entry holds ctx)."""
         key = ("rows", context_key(ctx), brackets)
         if key not in self._memo:
             if brackets:
-                exprs = [c for i, j in self._pairs() for c in self.bracket(i, j).components()]
+                exprs = [c for b in itertools.starmap(self.bracket, self._pairs())
+                         if not b.is_structurally_zero() for c in b.components()]
             else:
                 exprs = self.all_exprs()
             self._memo[key] = (ctx, compile_evaluate(exprs, ctx))

@@ -848,7 +848,12 @@ def _atom(base: Expr) -> _NF:
 # Per-command memo: _nf, simplify and diff are pure functions of their
 # structurally hashed inputs, so each distinct input is computed once until
 # clear_caches() empties the tables; cli.main does so after every command,
-# which bounds the memo by one problem file.
+# which bounds the memo by one problem file.  simplify also seeds _NF_MEMO
+# with the normal form of its result s when every coefficient is a Fraction
+# and every base a Var or Param: then a cold _nf(s) builds the same dict,
+# item for item in _emit's sorted order (the order _nf_mul adds float
+# partners in), so a sum of canonical results is not normalised again.
+# Other results are left to a cold build, which need not agree.
 _NF_MEMO: dict[Expr, _NF] = {}
 _SIMPLIFY_MEMO: dict[Expr, Expr] = {}
 _DIFF_MEMO: dict[tuple[Expr, Var], Expr] = {}
@@ -932,10 +937,17 @@ def _emit_term(mono: _Mono, coeff) -> Expr:
     return Mul((Const(coeff), *factors))
 
 
+def _sorted_items(nf: _NF) -> list:
+    return sorted(nf.items(), key=lambda mc: _mono_sortkey(mc[0]))
+
+
 def _emit(nf: _NF) -> Expr:
-    if not nf:
+    return _emit_sorted(_sorted_items(nf))
+
+
+def _emit_sorted(items: list) -> Expr:
+    if not items:
         return ZERO
-    items = sorted(nf.items(), key=lambda mc: _mono_sortkey(mc[0]))
     terms = [_emit_term(m, c) for m, c in items]
     return terms[0] if len(terms) == 1 else Add(tuple(terms))
 
@@ -949,7 +961,12 @@ def simplify(e: Expr) -> Expr:
     """
     s = _SIMPLIFY_MEMO.get(e)
     if s is None:
-        s = _SIMPLIFY_MEMO[e] = _emit(_nf(e))
+        items = _sorted_items(_nf(e))
+        s = _SIMPLIFY_MEMO[e] = _emit_sorted(items)
+        if s not in _NF_MEMO and all(
+                isinstance(c, Fraction) and all(isinstance(b, (Var, Param)) for b, _ in m)
+                for m, c in items):
+            _NF_MEMO[s] = dict(items)
     return s
 
 

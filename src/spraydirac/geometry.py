@@ -62,13 +62,11 @@ class VectorField:
         return self.base[flat] if flat < self.n else self.fiber[flat - self.n]
 
     def __call__(self, f: Expr) -> Expr:
-        """Directional derivative X(f)."""
-        parts = []
-        for i, c in enumerate(self.base, start=1):
-            parts.append(Mul((c, diff(f, Var("x", i)))))
-        for a, c in enumerate(self.fiber, start=1):
-            parts.append(Mul((c, diff(f, Var("y", a)))))
-        return simplify(Add(tuple(parts)))
+        """Directional derivative X(f); a zero component takes no derivative."""
+        coords = [Var(axis, i) for axis in "xy" for i in range(1, self.n + 1)]
+        parts = [Mul((c, diff(f, v)))
+                 for c, v in zip(self.base + self.fiber, coords) if c != ZERO]
+        return simplify(sum_exprs(parts))
 
     def __add__(self, other: "VectorField") -> "VectorField":
         return VectorField(

@@ -86,6 +86,7 @@ def _canonical(e):
 @given(POLYNOMIALS)
 def test_simplify_is_idempotent_on_polynomials(e):
     s = _canonical(e)
+    clear_caches()   # a seeded _nf(s) would answer the second call
     assert simplify(s) == s
 
 
@@ -94,6 +95,7 @@ def test_simplify_is_idempotent_on_polynomials(e):
 @example(Div(X1, Pow(Add((X1, X2)), -1)))   # x1*(x1 + x2), then x1*x2 + x1^2
 def test_simplify_is_idempotent_on_rationals(e):
     s = _canonical(e)
+    clear_caches()   # a seeded _nf(s) would answer the second call
     assert simplify(s) == s
 
 
@@ -113,7 +115,30 @@ def test_simplify_is_idempotent_on_rationals(e):
 @example(parse("sin(x1/(x1 + x2)^-1)", CTX2))
 def test_simplify_is_a_projection_on_exact_trees(e):
     s = _canonical(e)
+    clear_caches()   # a seeded _nf(s) would answer the second call
     assert simplify(s) == s
+
+
+@PROPERTY
+@given(st.one_of(POLYNOMIALS, RATIONALS, EXACT))
+@example(Mul((X1, Add((X2, Const(0.5))))))             # a float coefficient
+@example(Mul((Add((X1, Const(1))), Call("sin", X2))))  # a base that is not a Var
+@example(Add((X2, X1, Const(Fraction(3, 2)))))
+def test_simplify_seeds_what_a_cold_rebuild_gives(e):
+    clear_caches()
+    try:
+        nf = expr._nf(e)
+    except EvalDomainError:
+        assume(False)
+    before = set(expr._NF_MEMO)
+    s = simplify(e)
+    seeded = {k: v for k, v in expr._NF_MEMO.items() if k not in before}
+    exact = all(isinstance(c, Fraction) and all(isinstance(b, (Var, Param)) for b, _ in m)
+                for m, c in nf.items())
+    assert list(seeded) == ([s] if exact and s not in before else [])
+    clear_caches()
+    for key, entry in seeded.items():
+        assert list(entry.items()) == list(expr._nf(key).items())
 
 
 @pytest.mark.xfail(strict=True, reason=(
