@@ -18,7 +18,6 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     AnnihilatorMismatchError, DistributionMembershipError, NotIsotropicError,
@@ -196,7 +195,7 @@ class AlmostDirac:
             vec_rows = np.array([r[: 2 * self.n] for r in rows
                                  if np.linalg.norm(r[2 * self.n:]) <= 1e-12])
             if vec_rows.size:
-                null = scipy.linalg.null_space(vec_rows)
+                null = _null_space(vec_rows)
                 for q in range(null.shape[1]):
                     rows.append(np.concatenate([np.zeros(2 * self.n), null[:, q]]))
         return np.array(rows).reshape(-1, 4 * self.n)
@@ -206,8 +205,19 @@ def _matrix_rank(M: np.ndarray) -> int:
     if M.size == 0:
         return 0
     scale = max(1.0, float(np.max(np.abs(M))))
-    s = scipy.linalg.svdvals(M)
+    s = np.linalg.svd(np.asarray_chkfinite(M), compute_uv=False)
     return int(np.sum(s > POINTWISE_TOL * scale))
+
+
+def _null_space(A: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the null space of A, as columns: what
+    scipy.linalg.null_space gives, on numpy's gesdd."""
+    u, s, vh = np.linalg.svd(np.asarray_chkfinite(A), full_matrices=True)
+    M, N = u.shape[0], vh.shape[1]
+    rcond = np.finfo(s.dtype).eps * max(M, N)
+    tol = np.amax(s, initial=0.) * rcond
+    num = np.sum(s > tol, dtype=int)
+    return vh[num:, :].T
 
 
 def from_distribution(D_gens: Sequence[VectorField],
@@ -332,7 +342,7 @@ def kernel_at(B: np.ndarray) -> list[np.ndarray]:
     """Orthonormal basis of the v with (v, 0) in the row span of B."""
     n = B.shape[1] // 4
     V, W = B[:, : 2 * n], B[:, 2 * n:]
-    null = scipy.linalg.null_space(W.T)
+    null = _null_space(W.T)
     if null.shape[1] == 0:
         return []
     candidates = (V.T @ null).T
@@ -363,7 +373,7 @@ def leaf_two_form_at(B: np.ndarray, Xv: np.ndarray, Yv: np.ndarray) -> float:
     c, *_ = np.linalg.lstsq(V.T, Xv, rcond=None)
     alpha = W.T @ c
     value = float(alpha @ Yv)
-    null = scipy.linalg.null_space(V.T)
+    null = _null_space(V.T)
     if null.shape[1]:
         alpha2 = W.T @ (c + null[:, 0])
         value2 = float(alpha2 @ Yv)

@@ -626,6 +626,12 @@ def _cinv(a):
     return 1.0 / a
 
 
+def _term(mono: _Mono, coeff) -> _NF:
+    """The normal form coeff*mono; a power that underflowed to 0.0 leaves
+    no term, as _acc drops a zero sum."""
+    return {mono: coeff} if coeff != 0 else {}
+
+
 def _acc(nf: _NF, mono: _Mono, coeff) -> None:
     cur = nf.get(mono)
     if cur is None:
@@ -772,8 +778,7 @@ def _nf_pow(nf: _NF, r: Fraction) -> _NF:
         if len(nf) == 1:
             (mono, c), = nf.items()
             pairs = {base: exp * k for base, exp in mono}
-            m, cc = _normalize_pairs(pairs, _cpow(c, k))
-            return {m: cc}
+            return _term(*_normalize_pairs(pairs, _cpow(c, k)))
         if k <= _EXPAND_CAP:
             out = {(): Fraction(1)}
             b = nf
@@ -787,13 +792,12 @@ def _nf_pow(nf: _NF, r: Fraction) -> _NF:
             return out
         c, unit = _content_split(nf)
         base = _emit(unit)
-        return {((base, Fraction(k)),): _cpow(c, k)}
+        return _term(((base, Fraction(k)),), _cpow(c, k))
     # fractional exponent
     if len(nf) == 1:
         (mono, c), = nf.items()
         if not mono:
-            m, cc = _normalize_pairs({Const(c): r}, Fraction(1))
-            return {m: cc}
+            return _term(*_normalize_pairs({Const(c): r}, Fraction(1)))
         if c < 0:
             # keep the sign inside an atomic base; splitting it is unsound
             base = _emit({mono: c})
@@ -809,8 +813,7 @@ def _nf_pow(nf: _NF, r: Fraction) -> _NF:
             _pairs_add(pairs, _emit({mono: Fraction(1)}), r)
         if c != 1:
             _pairs_add(pairs, Const(c), r)
-        m, cc = _normalize_pairs(pairs, Fraction(1))
-        return {m: cc}
+        return _term(*_normalize_pairs(pairs, Fraction(1)))
     c, unit = _content_split(nf)
     mag = abs(c)
     if mag != c:
@@ -820,8 +823,7 @@ def _nf_pow(nf: _NF, r: Fraction) -> _NF:
     _pairs_add(pairs, base, r)
     if mag != 1:
         _pairs_add(pairs, Const(mag), r)
-    m, cc = _normalize_pairs(pairs, Fraction(1))
-    return {m: cc}
+    return _term(*_normalize_pairs(pairs, Fraction(1)))
 
 
 def _fold_call(fname: str, arg: Expr) -> Expr | None:

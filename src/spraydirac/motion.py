@@ -17,8 +17,8 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
+from . import rk45
 from .errors import (
     DistributionMembershipError, EvalDomainError, SingularLocusError,
     ValidationError,
@@ -110,7 +110,8 @@ def integrate_sode(S: SemiSpray, p0: Point, dt: float, steps: int,
     """March the first-order system from p0.
 
     The fixed-step method is the classic fourth-order scheme; the adaptive
-    one delegates to scipy's embedded 4(5) pair.  Hitting a declared
+    one is the Dormand-Prince 5(4) pair of rk45, a bit-for-bit port of
+    scipy's solve_ivp(method="RK45") with its event roots.  Hitting a declared
     singular locus or producing a non-finite state stops the run early and
     returns the partial trajectory with the abort flag set.
 
@@ -179,21 +180,18 @@ def _integrate_rk45(S, f, loci, z0, params, dt, steps) -> Trajectory:
     def rhs(t, z):
         return f(z, params)
 
-    # One terminal event per locus on its signed value: a sign change is
+    # A terminal event on each locus's signed value: a sign change is
     # root-findable, unlike the |value| - guard dip, which a coarse step
     # can hop over entirely.
-    events = []
-    for idx in range(len(S.singular_loci)):
-        def ev(t, z, idx=idx):
-            return loci(z, params)[idx]
-        ev.terminal = True
-        ev.direction = 0
-        events.append(ev)
+    def events(t, z):
+        return loci(z, params)
+
     try:
         # numpy warns where the field overflows; the abort reason says it
         with np.errstate(all="ignore"):
-            sol = solve_ivp(rhs, (0.0, T), z0, method="RK45", rtol=RK45_RTOL,
-                            atol=RK45_ATOL, events=events, max_step=max(dt, T / 50.0))
+            sol = rk45.solve_ivp(rhs, (0.0, T), z0, RK45_RTOL, RK45_ATOL,
+                                 max(dt, T / 50.0),
+                                 events if S.singular_loci else None)
     except EvalDomainError as exc:
         return Trajectory(S.n, np.array([0.0]), np.array([z0]), "rk45", dt,
                           params, True, f"evaluation failed: {exc}")

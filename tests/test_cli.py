@@ -2,6 +2,8 @@
 
 import json
 import math
+import os
+import subprocess
 import sys
 import warnings
 from pathlib import Path
@@ -18,6 +20,19 @@ EX1 = str(PROBLEMS / "ex1.sdp")
 EX3 = str(PROBLEMS / "ex3.sdp")
 EX4 = str(PROBLEMS / "ex4.sdp")
 FREE = str(PROBLEMS / "free.sdp")
+
+
+# Runs each argv through cli.main in one interpreter, then prints the exit
+# codes and every loaded module whose name starts with scipy.
+NO_SCIPY_SCRIPT = """
+import contextlib, io, json, sys
+from spraydirac import cli
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(cli.main(argv))
+print(json.dumps([codes, sorted(m for m in sys.modules if m.startswith("scipy"))]))
+"""
 
 
 def _run(capsys, argv):
@@ -518,6 +533,10 @@ EDGE_INPUTS = {
         "y1^2", "ansatz degree=400 points=0 box=2 seed=1\n"), [], 2,
         "validation error: 241811 collocation points x 80602 unknowns exceeds the bound "
         "MAX_COLLOCATION_CELLS = 1000000"),
+    # (1e-200)^2 underflows to 0.0, so the denominator has no term left
+    "underflowing-power": ("analyze", EDGE_FILE.format("y1^2/(1e-200*x1)^2", ""), [], 3,
+                           "numeric-domain error: division by an expression that "
+                           "simplifies to zero"),
 }
 
 
@@ -546,3 +565,18 @@ def test_an_overflowing_trajectory_row_prints_the_float(tmp_path, capsys):
     last = json.loads(out)["trajectories"][0]["trajectory"][-1]
     assert last[0] == 1.0 and all(math.isfinite(v) for v in last)
     assert last[2] == 7.407833446314124e+297
+
+
+def test_no_command_loads_scipy(tmp_path):
+    # ex1 integrated by rk45 runs the integrator with a terminal event per
+    # locus; ex4 has no ann lines, so dirac-check completes its annihilator
+    # with null spaces
+    rk45 = tmp_path / "ex1_rk45.sdp"
+    rk45.write_text(Path(EX1).read_text().replace("method=rk4", "method=rk45"))
+    runs = [["analyze", EX1], ["verify", EX3], ["search", EX4],
+            ["integrate", str(rk45)], ["dirac-check", EX4], ["dirac-check", EX3]]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT, json.dumps(runs)], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert json.loads(out) == [[0] * len(runs), []]

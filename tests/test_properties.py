@@ -332,6 +332,8 @@ def _edited(demo: str, lines) -> str:
          ["spray G1 = y1^2", "ansatz degree=400 points=0 box=2 seed=1"], "search", None)
 @example("ex4.sdp", "t=0.01 dt=0.01", "rk4", "1",
          ["ansatz degree=1 points=1000000000 box=1 seed=1"], "search", None)
+@example("free.sdp", "t=0.01 dt=0.01", "rk4", "1", ["spray G1 = y1^2/(1e-200*x1)^2"],
+         "analyze", None)
 def test_no_problem_file_exits_4(demo, steps, method, seed, edits, command, seed_arg):
     text = _edited(demo, [f"integrate {steps} method={method} seed={seed} samples=1", *edits])
     with tempfile.TemporaryDirectory() as tmp:
