@@ -211,8 +211,10 @@ def _snap_vector(v: np.ndarray) -> list[Fraction] | None:
     if scale == 0:
         return None
     snapped = []
-    for r in v / scale:
-        fr = Fraction(float(r)).limit_denominator(SNAP_MAX_DEN)
+    for r in (v / scale).tolist():
+        # limit_denominator gives 0 for any |r| < 1/48, and the test below
+        # keeps it for |r| <= 1e-6: most entries are 0.0 or round-off
+        fr = Fraction(0) if abs(r) <= 1e-6 else Fraction(r).limit_denominator(SNAP_MAX_DEN)
         if abs(float(fr) - r) > 1e-6:
             return None
         snapped.append(fr)

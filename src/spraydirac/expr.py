@@ -719,9 +719,10 @@ def _mono_mul(m1: _Mono, m2: _Mono, c):
 
 
 def _nf_scale(nf: _NF, c) -> _NF:
+    """c*nf without the products that underflowed to 0.0, as _term drops them."""
     if c == 0:
         return {}
-    return {m: _cmul(v, c) for m, v in nf.items()}
+    return {m: p for m, v in nf.items() if (p := _cmul(v, c)) != 0}
 
 
 def _nf_add(a: _NF, b: _NF) -> _NF:
@@ -863,15 +864,20 @@ _DIFF_MEMO: dict[tuple[Expr, Var], Expr] = {}
 # keyed on what they are built from and the context; each entry holds its
 # context, so the id in the key stays unique
 _COMPILE_MEMO: dict[tuple, tuple] = {}
+# sampler streams, keyed on all a stream depends on (_clear_draws); each
+# entry is [ctx, rng, rows drawn but not yet tested, tested draws (a Point,
+# or None where the loci rejected it)] and holds its context, as above
+_DRAW_MEMO: dict[tuple, list] = {}
 
 
 def clear_caches() -> None:
-    """Forget every memoised normal form, simplification, derivative and
-    generated module."""
+    """Forget every memoised normal form, simplification, derivative,
+    generated module and sampler stream."""
     _NF_MEMO.clear()
     _SIMPLIFY_MEMO.clear()
     _DIFF_MEMO.clear()
     _COMPILE_MEMO.clear()
+    _DRAW_MEMO.clear()
 
 
 def _memo_compile(key: tuple, ctx: Context | None, build: Callable):
@@ -1182,34 +1188,54 @@ class SampleConfig:
     seed: int = DEFAULT_SEED
 
 
-def _draw_point(ctx: Context, rng: np.random.Generator, cfg: SampleConfig) -> Point:
-    """One rng.random call per point: the coordinates, then the unbound
-    parameters in ctx.params order, each u mapped to lo + (hi - lo) * u,
-    which is the stream of one rng.uniform(lo, hi) call per value."""
-    n = ctx.dim
-    names = [f"x{i}" for i in range(1, n + 1)] + [f"y{a}" for a in range(1, n + 1)]
-    boxes = [cfg.coord_boxes.get(name, cfg.box) for name in names]
-    boxes += [cfg.box for bound in ctx.params.values() if bound is None]
-    vals = [float(lo) + (float(hi) - float(lo)) * u
-            for (lo, hi), u in zip(boxes, rng.random(len(boxes)).tolist())]
-    free = iter(vals[2 * n:])
-    params = {name: float(bound) if bound is not None else next(free)
-              for name, bound in ctx.params.items()}
-    return Point(vals[:n], vals[n:2 * n], params)
-
-
 def _clear_draws(ctx: Context, cfg: SampleConfig, loci: Sequence[Expr],
-                 rng: np.random.Generator, limit: int) -> Iterator[Point]:
-    """Make up to `limit` draws; yield each one that keeps clear of the loci.
-    Drawing is lazy, so a consumer that stops early draws no more."""
-    for _ in range(limit):
-        p = _draw_point(ctx, rng, cfg)
-        try:
-            near = any(abs(evaluate(g, p, ctx)) < SAMPLE_LOCUS_GUARD for g in loci)
-        except EvalDomainError:
-            near = True
-        if not near:
-            yield p
+                 limit: int, want: int) -> Iterator[Point]:
+    """Yield each of the first `limit` draws of the cfg.seed stream that keeps
+    clear of the loci.  A draw is one row of rng.random((k, width)): the
+    coordinates, then the unbound parameters in ctx.params order, each u
+    mapped to lo + (hi - lo) * u, which is the stream of one
+    rng.uniform(lo, hi) call per value.  Rows come in batches of what is
+    still wanted (at least 8) and each is tested only when reached; the
+    tested draws stay in _DRAW_MEMO, so every call on a stream takes a prefix
+    of them.  An error other than EvalDomainError drops the stream, so the
+    next call raises it again."""
+    n, params, loci = ctx.dim, tuple(ctx.params.items()), tuple(loci)
+    key = (context_key(ctx), params, cfg.seed, tuple(cfg.box),
+           tuple((k, tuple(b)) for k, b in sorted(cfg.coord_boxes.items())), loci)
+    if key not in _DRAW_MEMO:
+        _DRAW_MEMO[key] = [ctx, np.random.default_rng(cfg.seed), [], []]
+    _, rng, rows, tested = _DRAW_MEMO[key]
+    got = 0
+    for i in range(limit):
+        if i == len(tested):
+            try:
+                if not rows:
+                    boxes = [cfg.coord_boxes.get(f"{axis}{j}", cfg.box)
+                             for axis in "xy" for j in range(1, n + 1)]
+                    boxes += [cfg.box for _, bound in params if bound is None]
+                    lo = np.array([float(a) for a, _ in boxes])
+                    span = np.array([float(b) - float(a) for a, b in boxes])
+                    u = rng.random((min(limit - i, max(want - got, 8)), len(boxes)))
+                    # a box past the double range gives inf and nan quietly,
+                    # as the Python floats of one draw per call did
+                    with np.errstate(all="ignore"):
+                        rows[:] = (lo + span * u).tolist()[::-1]
+                row = rows.pop()
+                free = iter(row[2 * n:])
+                p = Point(row[:n], row[n:2 * n], {
+                    name: float(bound) if bound is not None else next(free)
+                    for name, bound in params})
+                try:
+                    near = any(abs(evaluate(g, p, ctx)) < SAMPLE_LOCUS_GUARD for g in loci)
+                except EvalDomainError:
+                    near = True
+            except BaseException:
+                _DRAW_MEMO.pop(key, None)
+                raise
+            tested.append(None if near else p)
+        if tested[i] is not None:
+            got += 1
+            yield tested[i]
 
 
 def sample_points(ctx: Context, cfg: SampleConfig | None = None,
@@ -1219,7 +1245,7 @@ def sample_points(ctx: Context, cfg: SampleConfig | None = None,
     cfg = cfg or SampleConfig()
     want = count if count is not None else cfg.points
     limit = max(SAMPLE_MAX_TRIES, 10 * want)
-    draws = _clear_draws(ctx, cfg, loci, np.random.default_rng(cfg.seed), limit)
+    draws = _clear_draws(ctx, cfg, loci, limit, want)
     # zip stops without another draw once range(want) runs out
     out = [p for _, p in zip(range(want), draws)]
     if len(out) < want:
@@ -1307,8 +1333,7 @@ def is_zero(e: Expr, ctx: Context, cfg: SampleConfig | None = None,
         return Tri.PROVEN_ZERO
     cfg = cfg or SampleConfig()
     s = _emit(nf)
-    draws = _clear_draws(ctx, cfg, loci, np.random.default_rng(cfg.seed),
-                         max(SAMPLE_MAX_TRIES, 4 * cfg.points))
+    draws = _clear_draws(ctx, cfg, loci, max(SAMPLE_MAX_TRIES, 4 * cfg.points), cfg.points)
     good = 0
     while good < cfg.points:
         p = next(draws, None)

@@ -240,6 +240,15 @@ def test_huge_exponents_on_zero_and_in_expressions_parse_at_once(tmp_path, capsy
     assert "flat: proven_zero" in out
 
 
+def test_a_term_that_underflows_in_a_sum_base_is_dropped(tmp_path, capsys):
+    # 1e-200/1e200 underflows to 0.0 when the sum is scaled to lead with 1
+    f = tmp_path / "underflow.sdp"
+    f.write_text("dim = 2\nspray G1 = y1^2/(1e200*x1 + 1e-200*x2)\n")
+    rc, out, err = _run(capsys, ["analyze", str(f)])
+    assert rc == 0, err
+    assert "  G1: 1e-200*y1^2/x1\n" in out
+
+
 def test_blow_up_into_a_math_domain_error_aborts_the_trajectory(tmp_path, capsys):
     # numpy turns y1^2 into inf on the array fallback, and sin(inf) raises;
     # the abort reason reports it, so numpy's overflow warning stays quiet

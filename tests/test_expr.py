@@ -8,7 +8,8 @@ import pytest
 
 from spraydirac.errors import EvalDomainError, ParseError
 from spraydirac.expr import (
-    Const, Context, Point, SampleConfig, Tri, Var, _draw_point, _iroot, compile_evaluate,
+    Const, Context, Point, SampleConfig, Tri, Var, _clear_draws, _iroot, clear_caches,
+    compile_evaluate,
     compile_exprs, diff, evaluate, format_expr, is_zero, parse, simplify,
 )
 
@@ -203,17 +204,27 @@ def test_nested_formal_functions_are_drawn_inside_out():
 @pytest.mark.parametrize("seed", [0, 1, 20260823])
 def test_a_point_is_drawn_as_the_scalar_uniform_stream(seed):
     ctx = Context(dim=3, params={"A": 0.5, "B": None, "C": None})
-    cfg = SampleConfig(box=(-1.5, 2.5), coord_boxes={"x2": (0.25, 0.75), "y3": (-9.0, -8.0)})
-    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-    for _ in range(50):
-        p = _draw_point(ctx, rng, cfg)
+    cfg = SampleConfig(box=(-1.5, 2.5), coord_boxes={"x2": (0.25, 0.75), "y3": (-9.0, -8.0)},
+                       seed=seed)
+    ref = np.random.default_rng(seed)
+    clear_caches()
+    # want=1 draws rows 8 at a time, so the 50 draws cross six batch boundaries
+    points = list(_clear_draws(ctx, cfg, (), 50, 1))
+    assert len(points) == 50
+    for p in points:
         x = [float(ref.uniform(*cfg.coord_boxes.get(f"x{i}", cfg.box))) for i in (1, 2, 3)]
         y = [float(ref.uniform(*cfg.coord_boxes.get(f"y{i}", cfg.box))) for i in (1, 2, 3)]
         params = {"A": 0.5, "B": float(ref.uniform(*cfg.box)),
                   "C": float(ref.uniform(*cfg.box))}
         assert (p.x, p.y, p.params) == (tuple(x), tuple(y), params)
         assert list(p.params) == ["A", "B", "C"]
-    assert rng.random() == ref.random()
+    # a longer limit continues the memoised stream where the batches stopped
+    more = list(_clear_draws(ctx, cfg, (), 60, 60))
+    assert more[:50] == points
+    for p in more[50:]:
+        assert p.x[0] == float(ref.uniform(*cfg.box))
+        ref.random(7)     # the rest of the row
+    clear_caches()
 
 
 def test_constant_folding():
@@ -222,6 +233,12 @@ def test_constant_folding():
                     Point((0.0, 0.0), (0.0, 0.0), {}), CTX2) \
         == pytest.approx(math.sqrt(2))
     assert simplify(parse("0*x1 + y1", CTX2)) == Var("y", 1)
+
+
+def test_a_product_that_underflows_leaves_no_term():
+    # scaling the sum by 1/1e200 takes 1e-200*x2 to 0.0*x2
+    assert format_expr(simplify(parse("1/(1e200*x1 + 1e-200*x2)", CTX2))) == "1e-200/x1"
+    assert format_expr(simplify(parse("(1e200*x1 + 1e-200*x2)^50", CTX2))) == "inf*x1^50"
 
 
 def test_exact_roots_of_huge_integers():

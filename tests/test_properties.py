@@ -17,7 +17,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
-from spraydirac import cli, expr  # noqa: E402
+from spraydirac import ansatz, cli, expr  # noqa: E402
 from spraydirac.errors import EvalDomainError, ParseError, ValidationError  # noqa: E402
 from spraydirac.expr import (  # noqa: E402
     BUILTIN_FUNCTIONS, ZERO, Add, Call, Const, Context, Div, FuncApp, Mul, Neg,
@@ -177,6 +177,87 @@ def test_no_command_mutates_a_memoised_normal_form():
         assert fresh == nf, format_expr(e)
         assert [type(c) for c in fresh.values()] == [type(c) for c in nf.values()]
     clear_caches()
+
+
+# float constants whose products and quotients underflow or overflow
+EXTREME = st.recursive(
+    st.one_of(ATOMS, st.sampled_from([1e200, 1e-200, 1e300, 1e-300, 1e-160, 5e-324]).map(Const)),
+    _rational_nodes, max_leaves=8)
+
+
+def _consts(e):
+    """Every Const node in the tree e."""
+    if isinstance(e, Const):
+        yield e
+    children = (e.children if isinstance(e, (Add, Mul)) else (e.child,) if isinstance(e, Neg)
+                else (e.base,) if isinstance(e, Pow) else (e.num, e.den) if isinstance(e, Div)
+                else (e.arg,) if isinstance(e, (Call, FuncApp)) else ())
+    for child in children:
+        yield from _consts(child)
+
+
+@PROPERTY
+@given(st.one_of(EXTREME, EXACT))
+@example(Div(Const(1), Add((Mul((Const(1e200), X1)), Mul((Const(1e-200), X2))))))
+@example(Pow(Add((Mul((Const(1e200), X1)), Mul((Const(1e-200), X2)))), 50))
+@example(Pow(Mul((Const(1e-200), X1)), 2))
+def test_no_coefficient_of_a_normal_form_is_zero(e):
+    # a zero coefficient anywhere, inside an atomic sum base too, is a term
+    # the normal form should have dropped
+    s = _canonical(e)
+    assert all(c != 0 for c in expr._nf(e).values())
+    if s != ZERO:
+        assert all(c.value != 0 for c in _consts(s)), format_expr(s)
+
+
+def _snap_by_fractions(v):
+    """ansatz._snap_vector with every entry through limit_denominator."""
+    scale = np.max(np.abs(v))
+    if scale == 0:
+        return None
+    snapped = []
+    for r in v / scale:
+        fr = Fraction(float(r)).limit_denominator(ansatz.SNAP_MAX_DEN)
+        if abs(float(fr) - r) > 1e-6:
+            return None
+        snapped.append(fr)
+    return snapped
+
+
+def _around(x):
+    return [x, math.nextafter(x, -math.inf), math.nextafter(x, math.inf)]
+
+
+# entries past and on the shortcut's 1e-6 bound and limit_denominator's
+# 1/48 bound to 0, the subnormals, zeros, and plain small rationals
+SNAP_ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, 0.5,
+                     -1 / 3, 0.25 + 1e-9]
+                    + [s * x for x in _around(1e-6) + _around(1 / 48) for s in (1, -1)]),
+    st.floats(-1, 1),
+)
+
+
+@PROPERTY
+@given(st.lists(SNAP_ENTRIES, min_size=1, max_size=6), st.sampled_from([1.0, -1.0, 2.5, None]))
+@example([1e-6, math.nextafter(1e-6, 1)], 1.0)
+@example([math.nextafter(1 / 48, 0), 1 / 48], 1.0)
+def test_snapping_a_zero_entry_matches_limit_denominator(entries, lead):
+    v = np.array(entries if lead is None else [lead, *entries])
+    assert ansatz._snap_vector(v) == _snap_by_fractions(v)
+    # entry by entry: beside a leading 1.0 each keeps its value
+    for r in entries:
+        one = np.array([1.0, r])
+        assert ansatz._snap_vector(one) == _snap_by_fractions(one)
+
+
+def test_snapping_nan_raises_as_limit_denominator_does():
+    v = np.array([1.0, math.nan])
+    with pytest.raises(ValueError) as fast:
+        ansatz._snap_vector(v)
+    with pytest.raises(ValueError) as slow:
+        _snap_by_fractions(v)
+    assert str(fast.value) == str(slow.value)
 
 
 # -- curvature ----------------------------------------------------------------
