@@ -359,6 +359,10 @@ def main(argv: list[str] | None = None) -> int:
     except SprayDiracError as e:
         print(f"internal error: {e}", file=sys.stderr)
         return 4
+    except MemoryError:
+        print("validation error: out of memory: the problem needs more memory "
+              "than the process can allocate", file=sys.stderr)
+        return 2
     except Exception as e:  # noqa: BLE001 -- exit-code contract wants 4 here
         print(f"internal error: {e!r}", file=sys.stderr)
         return 4

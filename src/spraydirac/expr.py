@@ -46,6 +46,12 @@ BUILTIN_FUNCTIONS = ("sin", "cos", "exp", "ln", "sqrt")
 # Most bits in the numerator or denominator of an exact constant: below the
 # 4300 decimal digits past which Python refuses to print an int.
 MAX_EXACT_BITS = 14_000
+# Deepest nesting of an expression: a parenthesis, a function argument, a
+# unary minus and each further operand of a product or quotient go one level
+# down, and an applied function body counts as deep as its tree.  Far above
+# what a problem needs; at this depth simplify, diff and both compilers stay
+# inside Python's recursion and parenthesis limits.
+MAX_NESTING = 50
 
 _COORD_RE = re.compile(r"^([xy])([1-9][0-9]*)$")
 
@@ -346,6 +352,7 @@ class FunctionDecl:
 
     name: str
     body: Expr | None = None
+    nesting: int = 0   # the depth of body's tree, see _nesting
 
 
 @dataclass
@@ -370,7 +377,8 @@ class Context:
                 raise ValidationError(f"parameter name {name!r} is reserved")
 
     def declare_function(self, name: str, body: Expr | None = None) -> None:
-        self.funcs[name] = FunctionDecl(name, body)
+        self.funcs[name] = FunctionDecl(
+            name, body, 0 if body is None else _nesting(body, self))
 
     def func_derivative(self, name: str, order: int) -> Expr | None:
         """order-th derivative of a bound function body, or None if unbound;
@@ -442,6 +450,23 @@ def _tokenize(text: str) -> list[_Token]:
     return out
 
 
+def _nesting(e: Expr, ctx: Context) -> int:
+    """The depth of e's tree, an applied body counted beside its argument as
+    compile_exprs inlines it; walked without recursion."""
+    deepest, todo = 0, [(e, 1)]
+    while todo:
+        node, d = todo.pop()
+        deepest = max(deepest, d)
+        if isinstance(node, FuncApp) and node.fname in ctx.funcs:
+            deepest = max(deepest, d + ctx.funcs[node.fname].nesting)
+        kids = (node.children if isinstance(node, (Add, Mul)) else (node.num, node.den)
+                if isinstance(node, Div) else (node.child,) if isinstance(node, Neg)
+                else (node.base,) if isinstance(node, Pow)
+                else (node.arg,) if isinstance(node, (Call, FuncApp)) else ())
+        todo += [(k, d + 1) for k in kids]
+    return deepest
+
+
 class _Parser:
     """Recursive-descent parser for the expression grammar.
 
@@ -460,6 +485,7 @@ class _Parser:
         self.ctx = ctx
         self.toks = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self, ahead: int = 0) -> _Token:
         j = min(self.i + ahead, len(self.toks) - 1)
@@ -493,17 +519,28 @@ class _Parser:
 
     def term(self) -> Expr:
         e = self.factor()
+        depth = self.depth
         while self.peek().kind == "op" and self.peek().text in "*/":
             op = self.next().text
+            self.depth += 1   # the chain nests to the left
             rhs = self.factor()
             e = Mul((e, rhs)) if op == "*" else Div(e, rhs)
+        self.depth = depth
         return e
 
+    def check_depth(self, depth: int) -> None:
+        if depth > MAX_NESTING:
+            raise ParseError(f"expression nested deeper than {MAX_NESTING} levels",
+                             position=self.peek().pos)
+
     def factor(self) -> Expr:
+        self.depth += 1
+        self.check_depth(self.depth)
         e = self.base()
         if self.peek().kind == "op" and self.peek().text == "^":
             self.next()
             e = Pow(e, self.signed_rational())
+        self.depth -= 1
         return e
 
     def signed_rational(self) -> Fraction:
@@ -566,6 +603,8 @@ class _Parser:
             self.expect_op(")")
             return Call(name, arg)
         if name in self.ctx.funcs:
+            # the body is inlined beside the argument
+            self.check_depth(self.depth + self.ctx.funcs[name].nesting)
             self.expect_op("(")
             arg = self.expr()
             self.expect_op(")")
@@ -746,10 +785,15 @@ def _mono_sortkey(m: _Mono) -> tuple:
 
 
 def _content_split(nf: _NF):
-    """Split off the leading coefficient so the remaining sum leads with 1."""
+    """Split off the leading coefficient so the remaining sum leads with 1.
+    Where the inverse of that coefficient overflows (a subnormal lead) or is
+    0.0 (an infinite one), the sum stays as it is, with content 1."""
     lead = min(nf, key=_mono_sortkey)
     c = nf[lead]
-    return c, _nf_scale(nf, _cinv(c))
+    inv = _cinv(c)
+    if isinstance(inv, float) and not 0.0 < abs(inv) < math.inf:
+        return Fraction(1), nf
+    return c, _nf_scale(nf, inv)
 
 
 def _nf_invert(nf: _NF) -> _NF:
@@ -1571,11 +1615,24 @@ def _def_lines(name: str, srcs: Sequence[str], n: int) -> list[str]:
 
 def _checked(raw: Callable) -> Callable[[np.ndarray, Mapping[str, float] | None], tuple]:
     """raw(z, params), its float errors raised as EvalDomainError and its
-    values checked finite; the result keeps raw as its .raw."""
+    values checked finite; the result keeps raw as its .raw.
+
+    An ndarray z runs on plain floats (z.tolist()) first, which give numpy's
+    finite values bit for bit; where floats raise or give a non-finite value,
+    the ndarray itself is the exact fallback (its values, errors, messages)."""
 
     def call(z: np.ndarray, params: Mapping[str, float] | None = None) -> tuple:
+        params = params or {}
+        if isinstance(z, np.ndarray):
+            try:
+                out = raw(z.tolist(), params)
+                # a non-finite value makes the sum non-finite
+                if math.isfinite(sum(out)):
+                    return out
+            except (ArithmeticError, ValueError, LookupError, TypeError, EvalDomainError):
+                pass   # the ndarray run below decides
         try:
-            out = raw(z, params or {})
+            out = raw(z, params)
         except ZeroDivisionError as exc:
             raise EvalDomainError("division by zero") from exc
         except OverflowError as exc:
@@ -1608,12 +1665,14 @@ def compile_exprs(exprs: Sequence[Expr], ctx: Context) -> Callable[[np.ndarray, 
 
 
 def compile_rk4_step(G: Sequence[Expr], loci: Sequence[Expr], ctx: Context,
-                     dt: float) -> tuple[Callable, Callable, Callable]:
-    """One classic RK4 step of z' = (y, -2G(z)) on a tuple of floats, and the
-    array field and locus values of the array step and rk45, as one
-    generated module: (step, field, locus_values).
+                     dt: float, guard: float) -> tuple[Callable, Callable, Callable]:
+    """One classic RK4 step of z' = (y, -2G(z)) on a tuple of floats, with
+    the singular-locus test, and the array field and locus values of the
+    array step and rk45, as one generated module: (step, field, locus_values).
 
-    step(z, params) returns (z_next, locus values at z_next).  The four
+    step(z, params, below) returns z_next, or () when z_next entered a
+    singular locus: some locus value l has abs(l) <= guard, or its sign
+    (l < 0) differs from below, the tuple of the start's signs.  The four
     stages k = (y, -2.0*G), the stage states z + (0.5*dt)*k and z + dt*k3 and
     the update z + (dt/6.0)*(((k1 + 2.0*k2) + 2.0*k3) + k4) are done in the
     order numpy does them elementwise, so z_next is bit for bit the array
@@ -1626,15 +1685,16 @@ def compile_rk4_step(G: Sequence[Expr], loci: Sequence[Expr], ctx: Context,
     weight, so a non-finite G at any stage leaves z_next non-finite; that
     one check, and one on the locus values, stand in for the per-stage
     checks of field and also return None.  field(z, params), the array z',
-    and locus_values(z, params) raise as compile_exprs does.  Memoised until
-    clear_caches().
+    and locus_values(z, params) are compiled as compile_exprs compiles, so
+    they too run on floats first and on the ndarray where floats cannot
+    finish.  Memoised until clear_caches().
     """
     G, loci = tuple(G), tuple(loci)
-    return _memo_compile(("rk4", G, loci, dt), ctx,
-                         lambda: _rk4_module(G, loci, ctx, dt))
+    return _memo_compile(("rk4", G, loci, dt, guard), ctx,
+                         lambda: _rk4_module(G, loci, ctx, dt, guard))
 
 
-def _rk4_module(G: tuple, loci: tuple, ctx: Context, dt: float) -> tuple:
+def _rk4_module(G: tuple, loci: tuple, ctx: Context, dt: float, guard: float) -> tuple:
     n = ctx.dim
     g_src = [_py_src(simplify(e), ctx, 0) for e in G]
     l_src = [_py_src(simplify(e), ctx, 0) for e in loci]
@@ -1658,14 +1718,17 @@ def _rk4_module(G: tuple, loci: tuple, ctx: Context, dt: float) -> tuple:
     body += [f"{v} = {src}" for v, src in zip(locs, l_src)]
     if locs:
         body.append(f"if not _isfinite({' + '.join(locs)}): return None")
-    body.append(f"return ({', '.join(state)},), ({''.join(v + ',' for v in locs)})")
-    lines = (["def _step(_z, _p):", "    try:"]
+        near = " or ".join(f"abs({v}) <= _guard" for v in locs)
+        signs = "".join(f"{v} < 0, " for v in locs)
+        body.append(f"if {near} or ({signs}) != _below: return ()")
+    body.append(f"return ({', '.join(state)},)")
+    lines = (["def _step(_z, _p, _below):", "    try:"]
              + [f"        {line}" for line in body]
              + ["    except (ArithmeticError, ValueError, LookupError, EvalDomainError):",
                 "        return None"]
              + _def_lines("_g", g_src, n) + _def_lines("_loci", l_src, n))
-    ns = _exec_def(lines, _h=0.5 * dt, _dt=dt, _d6=dt / 6.0, _isfinite=math.isfinite,
-                   EvalDomainError=EvalDomainError)
+    ns = _exec_def(lines, _h=0.5 * dt, _dt=dt, _d6=dt / 6.0, _guard=guard,
+                   _isfinite=math.isfinite, EvalDomainError=EvalDomainError)
     g = _checked(ns["_g"])
 
     def field(z: np.ndarray, params: Mapping) -> np.ndarray:

@@ -116,10 +116,10 @@ def integrate_sode(S: SemiSpray, p0: Point, dt: float, steps: int,
     returns the partial trajectory with the abort flag set.
 
     Both methods run on one generated module (compile_rk4_step).  rk4 runs
-    its step on plain floats, with parameters kept exact.  A step that
-    floats cannot finish (they raise where numpy gives inf or nan) is redone
-    on arrays with the field rk45 uses, so trajectories and abort reasons
-    are the array step's.
+    its step and locus test on plain floats, with parameters kept exact.  A
+    step that floats cannot finish (they raise where numpy gives inf or nan)
+    is redone on arrays with the field rk45 uses (floats first there too),
+    so trajectories and abort reasons are the array step's.
     A locus value that fails to evaluate there (say, one that overflows)
     aborts only this trajectory, with an "evaluation failed" reason.
     """
@@ -128,11 +128,12 @@ def integrate_sode(S: SemiSpray, p0: Point, dt: float, steps: int,
     if method not in ("rk4", "rk45"):
         raise ValidationError(f"unknown integration method {method!r}")
     ctx = ctx or Context(dim=S.n)
-    step, f, loci = compile_rk4_step(S.G, S.singular_loci, ctx, dt)
+    step, f, loci = compile_rk4_step(S.G, S.singular_loci, ctx, dt, LOCUS_GUARD)
     params = dict(ctx.params)
     params.update(p0.params)
     z0 = np.concatenate([np.asarray(p0.x, float), np.asarray(p0.y, float)])
-    if min(map(abs, loci(z0, params)), default=np.inf) <= LOCUS_GUARD:
+    vals = loci(z0, params)
+    if min(map(abs, vals), default=np.inf) <= LOCUS_GUARD:
         raise SingularLocusError("initial state lies on or near a singular locus")
 
     if method == "rk45":
@@ -143,29 +144,31 @@ def integrate_sode(S: SemiSpray, p0: Point, dt: float, steps: int,
     states = [z]
     # the initial values clear the guard, so none is zero, and no accepted
     # step changes a sign: comparing with the start is the sign-change test
-    below = [v < 0 for v in loci(z0, params)]
+    below = tuple(v < 0 for v in vals)
     aborted = False
     reason = None
     for k in range(steps):
-        out = step(z, params)
-        if out is None:
+        z_next = step(z, params, below)
+        if z_next is None:
             # numpy warns where floats raised; the abort reason says it
             with np.errstate(all="ignore"):
                 try:
                     z_arr = _rk4_array_step(f, np.array(z), params, dt)
                     if np.all(np.isfinite(z_arr)):
-                        out = tuple(z_arr.tolist()), loci(z_arr, params)
+                        vals = loci(z_arr, params)
+                        entered = vals and (min(map(abs, vals)) <= LOCUS_GUARD
+                                            or tuple(v < 0 for v in vals) != below)
+                        z_next = () if entered else tuple(z_arr.tolist())
                 except EvalDomainError as exc:
                     aborted, reason = True, f"evaluation failed: {exc}"
                     break
-            if out is None:
+            if z_next is None:
                 aborted, reason = True, "state became non-finite"
                 break
-        z, vals = out
-        if vals and (min(map(abs, vals)) <= LOCUS_GUARD
-                     or [v < 0 for v in vals] != below):
+        if not z_next:
             aborted, reason = True, "state entered a singular locus"
             break
+        z = z_next
         times.append((k + 1) * dt)
         states.append(z)
     return Trajectory(S.n, np.array(times), np.array(states), "rk4", dt,
@@ -201,9 +204,9 @@ def _integrate_rk45(S, f, loci, z0, params, dt, steps) -> Trajectory:
         aborted, reason = True, "state entered a singular locus"
     elif sol.status < 0:
         aborted, reason = True, f"integrator failure: {sol.message}"
-    bad = [i for i, row in enumerate(states)
-           if not np.all(np.isfinite(row))
-           or min(map(abs, loci(row, params)), default=np.inf) <= LOCUS_GUARD]
+    finite = np.isfinite(states).all(axis=1).tolist()
+    bad = [i for i, (ok, row) in enumerate(zip(finite, states))
+           if not ok or min(map(abs, loci(row, params)), default=np.inf) <= LOCUS_GUARD]
     if bad:
         cut = bad[0]
         times, states = times[:cut], states[:cut]

@@ -24,6 +24,10 @@ __all__ = [
 ]
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+# Largest dim a file may declare: the symbolic work grows with a high power
+# of dim (analyze of a bare dim = 16 takes about half a second, dim = 32
+# about five); every benchmark problem has dim <= 4.
+MAX_DIM = 16
 _PAIR_RE = re.compile(r"^(dx|dy|del)([0-9]+)\^(dx|dy|del)([0-9]+)$")
 _ALLOWED_PAIRS = {("dx", "dx"), ("dx", "dy"), ("dy", "dy"),
                   ("dx", "del"), ("del", "del")}
@@ -183,6 +187,8 @@ def parse_problem_file(text: str) -> ProblemFile:
             if not rhs.isdigit() or _integer(rhs, "dim", ln) < 1:
                 raise ParseError(f"dim must be a positive integer, got {rhs!r}", line=ln)
             dim = int(rhs)
+            if dim > MAX_DIM:
+                raise ParseError(f"dim {dim} exceeds the bound MAX_DIM = {MAX_DIM}", line=ln)
         elif head == "param":
             body = s[len("param"):].strip()
             name, rhs = _split_eq(body, ln, "param")

@@ -5,11 +5,12 @@ A port of scipy 1.17.1's ``solve_ivp(method="RK45")`` limited to what
 no ``t_eval`` and no dense output, and events that are all terminal with
 direction 0.  The tableau, the step (``rk_step``), the initial step, the
 step-size control, the dense output of the last step and solve_ivp's event
-loop are written with the same numpy calls in the same order, so the
-accepted times and states, the status and the message are scipy's bit for
-bit.  Event roots are found by Brent's method (Brent, Algorithms for
-Minimization without Derivatives, 1973) as scipy.optimize.brentq runs it,
-ported from its C algorithm onto Python floats, which are the same doubles.
+loop are written with the same BLAS reductions and IEEE operations in the
+same order (scalars as Python floats, the same doubles), so the accepted
+times and states, the status and the message are scipy's bit for bit.  Event
+roots are found by Brent's method (Brent, Algorithms for Minimization
+without Derivatives, 1973) as scipy.optimize.brentq runs it, ported from its
+C algorithm onto Python floats.
 
 Dormand and Prince, "A family of embedded Runge-Kutta formulae", J. Comput.
 Appl. Math. 6 (1980); the dense output uses Shampine's optimum c_6, Math.
@@ -75,16 +76,20 @@ class IvpResult(NamedTuple):
     message: str
 
 
+# each stage s after the first: s, its row of A and its node
+_STAGES = [(s, A[s, :s], float(C[s])) for s in range(1, len(C))]
+
+
 def _norm(x: np.ndarray) -> float:
-    """RMS norm."""
-    return np.linalg.norm(x) / x.size ** 0.5
+    """RMS norm, by np.linalg.norm's route for a 1-D array."""
+    return math.sqrt(x.dot(x)) / x.size ** 0.5
 
 
 def _rk_step(fun, t, y, f, h, K):
     """One step of the pair; K receives the stages, its last row f_new."""
     K[0] = f
-    for s, (a, c) in enumerate(zip(A[1:], C[1:]), start=1):
-        dy = np.dot(K[:s].T, a[:s]) * h
+    for s, a, c in _STAGES:
+        dy = np.dot(K[:s].T, a) * h
         K[s] = fun(t + c * h, y + dy)
 
     y_new = y + h * np.dot(K[:-1].T, B)
@@ -104,7 +109,8 @@ def _select_initial_step(fun, t0, y0, t_bound, max_step, f0, direction, rtol, at
 
     scale = atol + np.abs(y0) * rtol
     d0 = _norm(y0 / scale)
-    d1 = _norm(f0 / scale)
+    # a numpy scalar: where d1 overflows, h0 is 0 and d2 divides to inf
+    d1 = np.float64(_norm(f0 / scale))
     if d0 < 1e-5 or d1 < 1e-5:
         h0 = 1e-6
     else:
@@ -165,11 +171,11 @@ def solve_ivp(fun: Callable, t_span: tuple[float, float], y0: np.ndarray,
     def f(t, y):
         return np.asarray(fun(t, y), dtype=float)
 
-    direction = np.sign(tf - t0) if tf != t0 else 1
+    direction = float(np.sign(tf - t0)) if tf != t0 else 1
     atol = np.asarray(atol)
     t, y = t0, y0
     f_cur = f(t, y)
-    h_abs = _select_initial_step(f, t, y, tf, max_step, f_cur, direction, rtol, atol)
+    h_abs = float(_select_initial_step(f, t, y, tf, max_step, f_cur, direction, rtol, atol))
     K = np.empty((7, y.size), dtype=y.dtype)
 
     ts, ys = [t0], [y0]
@@ -181,7 +187,7 @@ def solve_ivp(fun: Callable, t_span: tuple[float, float], y0: np.ndarray,
         if t == tf:
             status = 0
         else:
-            min_step = 10 * np.abs(np.nextafter(t, direction * np.inf) - t)
+            min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
             if h_abs > max_step:
                 h_abs = max_step
             elif h_abs < min_step:
@@ -199,7 +205,7 @@ def solve_ivp(fun: Callable, t_span: tuple[float, float], y0: np.ndarray,
                 if direction * (t_new - tf) > 0:
                     t_new = tf
                 h = t_new - t
-                h_abs = np.abs(h)
+                h_abs = abs(h)
 
                 y_new, f_new = _rk_step(f, t, y, f_cur, h, K)
                 scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
@@ -226,11 +232,10 @@ def solve_ivp(fun: Callable, t_span: tuple[float, float], y0: np.ndarray,
 
         if events is not None:
             g_new = events(t, y)
-            g_arr, g_new_arr = np.asarray(g), np.asarray(g_new)
-            up = (g_arr <= 0) & (g_new_arr >= 0)
-            down = (g_arr >= 0) & (g_new_arr <= 0)
-            active = np.nonzero(up | down)[0]
-            if active.size > 0:
+            # the events whose value went up to or down to zero
+            active = [i for i, (a, b) in enumerate(zip(g, g_new))
+                      if (a <= 0 and b >= 0) or (a >= 0 and b <= 0)]
+            if active:
                 sol = _dense_output(t_old, t, y_old, y, K)
                 roots = np.asarray([_event_root(events, sol, i, t_old, t)
                                     for i in active])

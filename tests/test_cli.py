@@ -459,7 +459,37 @@ def test_integrate_compiles_the_step_and_h_once(tmp_path, capsys, monkeypatch):
                  "integrate t=0.5 dt=0.01 method=rk4 seed=1 samples=3\n")
     rc, out, _ = _run(capsys, ["integrate", str(f)])
     assert rc == 0 and out.count("aborted: false") == 3
-    assert heads == ["def _step(_z, _p):", "def _compiled(_z, _p):"]
+    assert heads == ["def _step(_z, _p, _below):", "def _compiled(_z, _p):"]
+
+
+def test_a_subnormal_lead_of_a_denominator_stays_unscaled(tmp_path, capsys):
+    # 1/5e-324 overflows: scaling the sum by it used to make inf terms
+    f = tmp_path / "p.sdp"
+    f.write_text("dim = 1\nspray G1 = y1^2/(x1 + 5e-324)\n")
+    rc, out, err = _run(capsys, ["analyze", str(f)])
+    assert rc == 0, err
+    assert "G1: y1^2/(5e-324 + x1)" in out
+
+
+def test_running_out_of_memory_is_a_validation_error(tmp_path, capsys, monkeypatch):
+    def exhausted(*args):
+        raise MemoryError
+    monkeypatch.setitem(cli._COMMANDS, "analyze", exhausted)
+    rc, _, err = _run(capsys, ["analyze", EX1])
+    assert rc == 2
+    assert err.startswith("validation error: out of memory")
+
+
+def test_the_largest_dim_is_analyzed_and_a_larger_one_refused(tmp_path, capsys):
+    from spraydirac.problemfile import MAX_DIM
+    f = tmp_path / "p.sdp"
+    f.write_text(f"dim = {MAX_DIM}\n")
+    rc, out, _ = _run(capsys, ["analyze", str(f)])
+    assert rc == 0 and "flat: proven_zero" in out
+    f.write_text(f"dim = {MAX_DIM + 1}\n")
+    rc, _, err = _run(capsys, ["analyze", str(f)])
+    assert rc == 1
+    assert f"exceeds the bound MAX_DIM = {MAX_DIM} (line 1)" in err
 
 
 def test_normalize_passes_non_finite_floats_through():

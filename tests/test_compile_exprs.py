@@ -10,13 +10,15 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from spraydirac.errors import EvalDomainError, UnboundParameterError  # noqa: E402
 from spraydirac.expr import (  # noqa: E402
     Add, Call, Const, Context, Div, FuncApp, Mul, Neg, Param, Point, Pow, Var,
     _fpow, _ln, _sqrt, compile_exprs, evaluate, parse, simplify,
 )
+
+from ndarray_eval import on_ndarray  # noqa: E402
 
 
 # -- the body-table compile: every body compiled on its own ------------------
@@ -193,6 +195,43 @@ def test_inlined_bodies_match_the_body_table(f_body, g_body, trees, z, with_b):
     with np.errstate(all="ignore"):
         for state in (z, np.array(z)):
             assert _outcome(new, state, params) == _outcome(old, state, params)
+
+
+# -- floats first, the ndarray where floats cannot finish ---------------------
+
+# zeros to divide by, powers that overflow a double, subnormals
+EDGE_COORDS = st.one_of(st.floats(-3.0, 3.0, allow_nan=False),
+                        st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e5, 1e160, 1e300, 5e-324]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(BODIES, BODIES, EXPRS, st.tuples(*[EDGE_COORDS] * 4), st.booleans(), st.booleans())
+@example(X1, X1, [Div(Y1, X1)], (0.0, 1.0, 1.0, 1.0), True, True)   # division by zero
+@example(X1, X1, [Pow(X1, Fraction(3))], (1e160, 1.0, 1.0, 1.0), True, True)   # ** overflows
+@example(X1, X1, [Call("ln", X1), Y1], (-1.0, 1.0, 1.0, 1.0), True, True)   # out of the domain
+@example(X1, X1, [Add((PARAMS[2], X1))], (1.0, 1.0, 1.0, 1.0), True, True)   # C is unbound
+@example(X1, X1, [Mul((Const(3), PARAMS[0], X1))], (0.1, 1.0, 1.0, 1.0), True, False)
+def test_floats_first_give_the_ndarray_outcome(f_body, g_body, trees, z, exact_a, with_b):
+    ctx = Context(dim=2, params={"A": Fraction(3, 7), "B": None, "C": None})
+    ctx.declare_function("f", f_body)
+    ctx.declare_function("g", g_body)
+    if _outcome(compile_exprs, trees, ctx)[0] != "value":
+        return
+    fn = compile_exprs(trees, ctx)
+    params = {"A": Fraction(3, 7) if exact_a else 3 / 7, **({"B": 0.75} if with_b else {})}
+    # numpy scalars warn where floats raise; the outcomes are compared
+    with np.errstate(all="ignore"):
+        assert _outcome(fn, np.array(z), params) == _outcome(on_ndarray(fn), np.array(z), params)
+
+
+def test_an_ndarray_state_gives_python_floats():
+    ctx = Context(dim=2)
+    fn = compile_exprs((parse("x1*y2 + sin(x2)", ctx), parse("y1^2/x1", ctx)), ctx)
+    assert [type(v) for v in fn(np.array([0.5, 1.5, -2.0, 3.0]))] == [float, float]
+    # at x1 = 0 floats raise and numpy scalars give inf: the ndarray decides
+    with np.errstate(all="ignore"), pytest.raises(
+            EvalDomainError, match="non-finite value in compiled evaluation"):
+        fn(np.array([0.0, 1.5, -2.0, 3.0]))
 
 
 # bodies a random draw seldom makes: one whose value overflows where the

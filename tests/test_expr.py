@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from spraydirac.errors import EvalDomainError, ParseError
+from spraydirac import expr
 from spraydirac.expr import (
-    Const, Context, Point, SampleConfig, Tri, Var, _clear_draws, _iroot, clear_caches,
-    compile_evaluate,
-    compile_exprs, diff, evaluate, format_expr, is_zero, parse, simplify,
+    MAX_NESTING, Const, Context, Point, SampleConfig, Tri, Var, _clear_draws, _iroot,
+    clear_caches, compile_evaluate, compile_evaluate_with_magnitude, compile_exprs,
+    compile_rk4_step, diff, evaluate, format_expr, is_zero, parse, simplify,
 )
 
 
@@ -249,3 +250,56 @@ def test_exact_roots_of_huge_integers():
     assert _iroot(big ** 7, 7) == big
     assert _iroot(big ** 7 + 1, 7) is None
     assert _iroot(2, 10 ** 9) is None
+
+
+# -- the nesting bound ----------------------------------------------------------
+
+_DEEPEST = MAX_NESTING - 1   # levels inside the outermost one
+NESTED = {
+    "parentheses": "(" * _DEEPEST + "y1" + ")" * _DEEPEST + "^2",
+    "minus signs": "-" * _DEEPEST + "y1^2",
+    "calls": "sin(" * _DEEPEST + "x1" + ")" * _DEEPEST,
+    "a product": "y1^2" + "*x1" * _DEEPEST,
+    "a quotient": "y1^2" + "/(x1 + 2)" * (_DEEPEST - 1),
+    # a sum and a root at each level: the tree is twice as deep as the text
+    "roots": "(" * _DEEPEST + "x1 + 2" + ")^1/2 + 1" * _DEEPEST,
+    "mixed": "(" + "(-(" * (_DEEPEST // 3) + "x1 + 2" + ")^1/2 + 1)*x1" * (_DEEPEST // 3) + ")",
+}
+
+
+@pytest.mark.parametrize("text", NESTED.values(), ids=NESTED.keys())
+def test_the_deepest_expressions_stay_inside_the_recursion_limit(text):
+    ctx = Context(dim=1)
+    e = parse(text, ctx)
+    s = simplify(e)
+    for v in (Var("x", 1), Var("y", 1)):
+        diff(e, v)
+        simplify(diff(s, v))
+    expr._nf(e)
+    compile_exprs((e, s), ctx)
+    compile_rk4_step((e,), (s,), ctx, 0.01, 1e-3)
+    compile_evaluate((e, s), ctx)
+    compile_evaluate_with_magnitude((e, s), ctx)
+    format_expr(e)
+    format_expr(s)
+    clear_caches()
+    # one level more is refused
+    deeper = "(" + text + ")" if text[0] != "-" else "-" + text
+    with pytest.raises(ParseError, match=f"nested deeper than {MAX_NESTING} levels"):
+        parse(deeper, ctx)
+
+
+def test_an_applied_body_counts_as_deep_as_it_nests():
+    ctx = Context(dim=1)
+    ctx.declare_function("f", parse("sin(" * 20 + "x1" + ")" * 20, Context(1)))
+    assert ctx.funcs["f"].nesting == 21
+    # f(x1) inside 29 factors: 29 + 21 levels
+    e = parse("(" * 28 + "f(x1)" + ")" * 28, ctx)
+    compile_exprs((e,), ctx)
+    with pytest.raises(ParseError, match="nested deeper"):
+        parse("(" * 29 + "f(x1)" + ")" * 29, ctx)
+    # chained bodies add up: g inlines f beside each of its arguments
+    ctx.declare_function("g", parse("f(f(x1))", Context(1, funcs=dict(ctx.funcs))))
+    assert ctx.funcs["g"].nesting == 23
+    with pytest.raises(ParseError, match="nested deeper"):
+        parse("(" * 27 + "g(x1)" + ")" * 27, ctx)

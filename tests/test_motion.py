@@ -23,6 +23,8 @@ from spraydirac.motion import (
 )
 from spraydirac.problemfile import load_problem_file, parse_problem_file
 
+from ndarray_eval import on_ndarray
+
 
 CTX2 = Context(dim=2)
 POS_CFG = SampleConfig(coord_boxes={"y1": (0.5, 2.0), "y2": (0.5, 2.0)})
@@ -260,9 +262,10 @@ def test_certificate_with_constant_energy_is_trivial_but_green():
 # -- the generated float step against the array RK4 loop it replaced --------
 
 def _array_rk4(S, p0, dt, steps, ctx):
-    """The numpy RK4 loop integrate_sode ran before its generated float step."""
-    gfun = compile_exprs(S.G, ctx)
-    loci_fun = compile_exprs(S.singular_loci, ctx) if S.singular_loci else None
+    """The numpy RK4 loop integrate_sode ran before its generated float step,
+    its field and locus values on numpy scalars."""
+    gfun = on_ndarray(compile_exprs(S.G, ctx))
+    loci_fun = on_ndarray(compile_exprs(S.singular_loci, ctx)) if S.singular_loci else None
     n = S.n
 
     def f(z, params):
@@ -341,6 +344,26 @@ def test_float_step_keeps_parameters_exact():
     ctx3, S3 = _semispray3(Fraction(3, 10))
     _assert_matches_array_loop(S3, Point((0.2, -0.4, 1.0), (0.3, 0.1, 1.0)),
                                0.01, 100, ctx3)
+
+
+@pytest.mark.parametrize("y", [(0.7, 1.3), (-0.7, 1.3), (0.7, -1.3), (-0.7, -1.3)])
+def test_float_step_matches_array_loop_on_each_side_of_two_loci(y):
+    # ex1: the loci y1 and y2, neither reached from any side
+    pf = load_problem_file(str(PROBLEMS / "ex1.sdp"))
+    S, ctx = pf.semispray(), pf.context
+    traj = _assert_matches_array_loop(S, Point((0.2, -0.4), y), pf.integrate.dt, 400, ctx)
+    assert not traj.aborted
+
+
+def test_float_step_matches_array_loop_across_one_of_two_loci():
+    # y1 falls at unit rate: the step from 0.0055 to -0.0045 changes its
+    # sign without coming within the guard
+    pf = parse_problem_file("dim = 2\nspray G1 = 1/2\nspray G2 = y2^2\n"
+                            "exclude y1\nexclude y2\n")
+    S, ctx = pf.semispray(), pf.context
+    traj = _assert_matches_array_loop(S, Point((0.0, 0.0), (0.5055, 1.0)), 0.01, 100, ctx)
+    assert traj.abort_reason == "state entered a singular locus"
+    assert len(traj.times) == 51 and traj.states[-1][2] > LOCUS_GUARD
 
 
 def test_float_step_matches_array_loop_at_locus_crossing():

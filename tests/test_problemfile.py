@@ -121,6 +121,10 @@ def test_mixed_fiber_bases_rejected():
     ("dim = 2\ndist X1 = (1, 0, 0; 0, 0, 0)\n", 2),
     ("dim = 2\ndist X1 = 1, 0; 0, 0\n", 2),
     ("dim = 2\nparam 2bad = 1\n", 2),
+    ("dim = 17\n", 1),
+    ("dim = 1\nH = " + "(" * 60 + "y1" + ")" * 60 + "\n", 2),
+    ("dim = 1\nparam f = fn(" + "sin(" * 40 + "x1" + ")" * 40 + ")\n"
+     "H = " + "(" * 10 + "f(x1)" + ")" * 10 + "\n", 3),
 ])
 def test_parse_errors_carry_line_numbers(text, line):
     with pytest.raises(ParseError) as err:

@@ -201,6 +201,9 @@ def _consts(e):
 @example(Div(Const(1), Add((Mul((Const(1e200), X1)), Mul((Const(1e-200), X2))))))
 @example(Pow(Add((Mul((Const(1e200), X1)), Mul((Const(1e-200), X2)))), 50))
 @example(Pow(Mul((Const(1e-200), X1)), 2))
+# leads whose inverse overflows or is 0.0
+@example(Div(Pow(Var("y", 1), 2), Add((X1, Const(5e-324)))))
+@example(Div(X2, Add((Mul((Const(1e300), Const(1e300), X1)), X2))))
 def test_no_coefficient_of_a_normal_form_is_zero(e):
     # a zero coefficient anywhere, inside an atomic sum base too, is a term
     # the normal form should have dropped
@@ -208,6 +211,9 @@ def test_no_coefficient_of_a_normal_form_is_zero(e):
     assert all(c != 0 for c in expr._nf(e).values())
     if s != ZERO:
         assert all(c.value != 0 for c in _consts(s)), format_expr(s)
+    # nor does a canonical form hold a term that cannot be normalised again
+    clear_caches()
+    simplify(s)
 
 
 def _snap_by_fractions(v):
@@ -359,6 +365,11 @@ EDITS = st.one_of(
     st.builds("ansatz degree=1 points=0 box=1 seed={}".format, st.sampled_from(SEEDS)),
     st.builds("ansatz degree={} points={} box=1 seed=1".format,
               st.sampled_from(DEGREES), st.sampled_from(POINTS)),
+    # nesting at, just past and far past expr.MAX_NESTING, and dims around
+    # problemfile.MAX_DIM
+    st.builds(lambda d: "spray G1 = " + "(" * d + "y1" + ")" * d + "^2",
+              st.sampled_from([49, 50, 300])),
+    st.builds("dim = {}".format, st.sampled_from(["16", "17", "60"])),
 )
 
 
@@ -415,6 +426,14 @@ def _edited(demo: str, lines) -> str:
          ["ansatz degree=1 points=1000000000 box=1 seed=1"], "search", None)
 @example("free.sdp", "t=0.01 dt=0.01", "rk4", "1", ["spray G1 = y1^2/(1e-200*x1)^2"],
          "analyze", None)
+# nesting past the parser's recursion, and a dim whose analyze runs for minutes
+@example("free.sdp", "t=0.01 dt=0.01", "rk4", "1",
+         ["spray G1 = " + "(" * 300 + "y1" + ")" * 300 + "^2"], "analyze", None)
+@example("free.sdp", "t=0.01 dt=0.01", "rk4", "1",
+         ["spray G1 = y1^2*" + "sin(x1*" * 400 + "x1" + ")" * 400], "analyze", None)
+@example("free.sdp", "t=0.01 dt=0.01", "rk4", "1",
+         ["spray G1 = y1^2" + "*x1" * 1000], "integrate", None)
+@example("free.sdp", "t=0.01 dt=0.01", "rk4", "1", ["dim = 60"], "analyze", None)
 def test_no_problem_file_exits_4(demo, steps, method, seed, edits, command, seed_arg):
     text = _edited(demo, [f"integrate {steps} method={method} seed={seed} samples=1", *edits])
     with tempfile.TemporaryDirectory() as tmp:
