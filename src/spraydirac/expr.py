@@ -348,11 +348,12 @@ def sum_exprs(parts) -> Expr:
 
 @dataclass
 class FunctionDecl:
-    """An opaque unary function. body, when given, is an Expr in x1 alone."""
+    """An opaque unary function. body, unless None, is an Expr in x1 alone."""
 
     name: str
-    body: Expr | None = None
-    nesting: int = 0   # the depth of body's tree, see _nesting
+    body: Expr | None
+    # the depth of body's tree (see _nesting), set by Context.declare_function
+    nesting: int = field(init=False, default=0)
 
 
 @dataclass
@@ -377,8 +378,10 @@ class Context:
                 raise ValidationError(f"parameter name {name!r} is reserved")
 
     def declare_function(self, name: str, body: Expr | None = None) -> None:
-        self.funcs[name] = FunctionDecl(
-            name, body, 0 if body is None else _nesting(body, self))
+        decl = FunctionDecl(name, body)
+        if body is not None:
+            decl.nesting = _nesting(body, self)
+        self.funcs[name] = decl
 
     def func_derivative(self, name: str, order: int) -> Expr | None:
         """order-th derivative of a bound function body, or None if unbound;
@@ -1212,6 +1215,10 @@ DEFAULT_SEED = 20260823
 # Draws closer than this to a declared singular locus (measured by the locus
 # expression's value) are rejected and redrawn.
 SAMPLE_LOCUS_GUARD = 0.5
+# Integration aborts when a declared singular-locus expression gets this
+# close to zero; small enough to keep the usable trajectory long, large
+# enough that coefficient evaluation stays finite.
+LOCUS_GUARD = 1e-3
 # is_zero's nonzero threshold, relative to the sample's term magnitude.
 ZERO_TOL = 1e-9
 # Fewest draws a sampler spends before it gives up.
@@ -1613,6 +1620,11 @@ def _def_lines(name: str, srcs: Sequence[str], n: int) -> list[str]:
             + [f"    return ({''.join(s + ', ' for s in srcs)})"])
 
 
+# What a plain-float run raises where numpy scalars give inf or nan (or
+# fail their own way): the ndarray run is then the exact outcome.
+FLOAT_FALLBACK_ERRORS = (ArithmeticError, ValueError, LookupError, TypeError, EvalDomainError)
+
+
 def _checked(raw: Callable) -> Callable[[np.ndarray, Mapping[str, float] | None], tuple]:
     """raw(z, params), its float errors raised as EvalDomainError and its
     values checked finite; the result keeps raw as its .raw.
@@ -1629,7 +1641,7 @@ def _checked(raw: Callable) -> Callable[[np.ndarray, Mapping[str, float] | None]
                 # a non-finite value makes the sum non-finite
                 if math.isfinite(sum(out)):
                     return out
-            except (ArithmeticError, ValueError, LookupError, TypeError, EvalDomainError):
+            except FLOAT_FALLBACK_ERRORS:
                 pass   # the ndarray run below decides
         try:
             out = raw(z, params)
@@ -1665,13 +1677,13 @@ def compile_exprs(exprs: Sequence[Expr], ctx: Context) -> Callable[[np.ndarray, 
 
 
 def compile_rk4_step(G: Sequence[Expr], loci: Sequence[Expr], ctx: Context,
-                     dt: float, guard: float) -> tuple[Callable, Callable, Callable]:
+                     dt: float) -> tuple[Callable, Callable, Callable]:
     """One classic RK4 step of z' = (y, -2G(z)) on a tuple of floats, with
     the singular-locus test, and the array field and locus values of the
     array step and rk45, as one generated module: (step, field, locus_values).
 
     step(z, params, below) returns z_next, or () when z_next entered a
-    singular locus: some locus value l has abs(l) <= guard, or its sign
+    singular locus: some locus value l has abs(l) <= LOCUS_GUARD, or its sign
     (l < 0) differs from below, the tuple of the start's signs.  The four
     stages k = (y, -2.0*G), the stage states z + (0.5*dt)*k and z + dt*k3 and
     the update z + (dt/6.0)*(((k1 + 2.0*k2) + 2.0*k3) + k4) are done in the
@@ -1679,9 +1691,9 @@ def compile_rk4_step(G: Sequence[Expr], loci: Sequence[Expr], ctx: Context,
     step's.  Parameters enter exactly as given (Fractions stay exact).
 
     It returns None when plain floats cannot finish the step: where numpy
-    scalars give inf or nan, floats raise (division by zero, overflow, a math
-    domain error), and the caller must redo the step on arrays to get the
-    array step's outcome.  Every stage value enters z_next with a positive
+    scalars give inf or nan, floats raise (one of FLOAT_FALLBACK_ERRORS: a
+    division by zero, an overflow, a math domain error), and the caller must
+    redo the step on arrays to get the array step's outcome.  Every stage value enters z_next with a positive
     weight, so a non-finite G at any stage leaves z_next non-finite; that
     one check, and one on the locus values, stand in for the per-stage
     checks of field and also return None.  field(z, params), the array z',
@@ -1690,11 +1702,11 @@ def compile_rk4_step(G: Sequence[Expr], loci: Sequence[Expr], ctx: Context,
     finish.  Memoised until clear_caches().
     """
     G, loci = tuple(G), tuple(loci)
-    return _memo_compile(("rk4", G, loci, dt, guard), ctx,
-                         lambda: _rk4_module(G, loci, ctx, dt, guard))
+    return _memo_compile(("rk4", G, loci, dt), ctx,
+                         lambda: _rk4_module(G, loci, ctx, dt))
 
 
-def _rk4_module(G: tuple, loci: tuple, ctx: Context, dt: float, guard: float) -> tuple:
+def _rk4_module(G: tuple, loci: tuple, ctx: Context, dt: float) -> tuple:
     n = ctx.dim
     g_src = [_py_src(simplify(e), ctx, 0) for e in G]
     l_src = [_py_src(simplify(e), ctx, 0) for e in loci]
@@ -1724,11 +1736,10 @@ def _rk4_module(G: tuple, loci: tuple, ctx: Context, dt: float, guard: float) ->
     body.append(f"return ({', '.join(state)},)")
     lines = (["def _step(_z, _p, _below):", "    try:"]
              + [f"        {line}" for line in body]
-             + ["    except (ArithmeticError, ValueError, LookupError, EvalDomainError):",
-                "        return None"]
+             + ["    except _fallback:", "        return None"]
              + _def_lines("_g", g_src, n) + _def_lines("_loci", l_src, n))
-    ns = _exec_def(lines, _h=0.5 * dt, _dt=dt, _d6=dt / 6.0, _guard=guard,
-                   _isfinite=math.isfinite, EvalDomainError=EvalDomainError)
+    ns = _exec_def(lines, _h=0.5 * dt, _dt=dt, _d6=dt / 6.0, _guard=LOCUS_GUARD,
+                   _isfinite=math.isfinite, _fallback=FLOAT_FALLBACK_ERRORS)
     g = _checked(ns["_g"])
 
     def field(z: np.ndarray, params: Mapping) -> np.ndarray:

@@ -24,7 +24,7 @@ from .errors import (
     ValidationError,
 )
 from .expr import (
-    Context, Expr, Point, SampleConfig, Tri, ZERO,
+    FLOAT_FALLBACK_ERRORS, LOCUS_GUARD, Context, Expr, Point, SampleConfig, Tri, ZERO,
     compile_evaluate, compile_evaluate_with_magnitude, compile_exprs,
     compile_rk4_step, is_zero, sample_points, simplify, tri_all,
 )
@@ -41,10 +41,6 @@ __all__ = [
     "LOCUS_GUARD",
 ]
 
-# Integration aborts when a declared singular-locus expression gets this
-# close to zero; small enough to keep the usable trajectory long, large
-# enough that coefficient evaluation stays finite.
-LOCUS_GUARD = 1e-3
 # Relative and absolute error tolerances of the adaptive rk45 integrator.
 RK45_RTOL = 1e-9
 RK45_ATOL = 1e-12
@@ -128,7 +124,7 @@ def integrate_sode(S: SemiSpray, p0: Point, dt: float, steps: int,
     if method not in ("rk4", "rk45"):
         raise ValidationError(f"unknown integration method {method!r}")
     ctx = ctx or Context(dim=S.n)
-    step, f, loci = compile_rk4_step(S.G, S.singular_loci, ctx, dt, LOCUS_GUARD)
+    step, f, loci = compile_rk4_step(S.G, S.singular_loci, ctx, dt)
     params = dict(ctx.params)
     params.update(p0.params)
     z0 = np.concatenate([np.asarray(p0.x, float), np.asarray(p0.y, float)])
@@ -222,8 +218,7 @@ def conservation_drift(traj: Trajectory, H: Expr, ctx: Context) -> float:
     """Max deviation of H along the trajectory from its initial value, on
     plain floats, or on numpy rows where floats raise or give a non-finite H."""
     hfun = compile_exprs((H,), ctx)
-    with contextlib.suppress(ArithmeticError, ValueError, LookupError, TypeError,
-                             EvalDomainError):
+    with contextlib.suppress(*FLOAT_FALLBACK_ERRORS):
         vals = [hfun.raw(row, traj.params or {})[0] for row in traj.states.tolist()]
         # a non-finite value makes the sum non-finite
         if math.isfinite(sum(vals)):

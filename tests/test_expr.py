@@ -277,7 +277,7 @@ def test_the_deepest_expressions_stay_inside_the_recursion_limit(text):
         simplify(diff(s, v))
     expr._nf(e)
     compile_exprs((e, s), ctx)
-    compile_rk4_step((e,), (s,), ctx, 0.01, 1e-3)
+    compile_rk4_step((e,), (s,), ctx, 0.01)
     compile_evaluate((e, s), ctx)
     compile_evaluate_with_magnitude((e, s), ctx)
     format_expr(e)
