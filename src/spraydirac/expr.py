@@ -20,8 +20,10 @@ to the numeric sampler behind the tri-state ``is_zero``.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
+import operator
 import re
 from dataclasses import dataclass, field
 from enum import Enum
@@ -1521,6 +1523,18 @@ def format_expr(e: Expr) -> str:
 # compilation to plain Python for hot loops
 
 
+# A sum of more terms is compiled as a reduce: CPython's compiler recurses
+# once per operand of a + chain and overflows at a few thousand.
+_WIDE_SUM = 256
+
+
+def _plus(terms: Sequence[str]) -> str:
+    """Source of the sum of terms, added left to right."""
+    if len(terms) > _WIDE_SUM:
+        return f"_reduce(_add, ({', '.join(terms)}))"
+    return "(" + "+".join(terms) + ")"
+
+
 def _py_src(e: Expr, ctx: Context, depth: int) -> str:
     """Source of e on floats or numpy scalars, parameters as given.  A bound
     function body is inlined as evaluate applies it, at depth + 1: its x1 is
@@ -1541,7 +1555,7 @@ def _py_src(e: Expr, ctx: Context, depth: int) -> str:
     if isinstance(e, Neg):
         return f"(-{_py_src(e.child, ctx, depth)})"
     if isinstance(e, Add):
-        return "(" + "+".join(_py_src(c, ctx, depth) for c in e.children) + ")"
+        return _plus([_py_src(c, ctx, depth) for c in e.children])
     if isinstance(e, Mul):
         return "(" + "*".join(_py_src(c, ctx, depth) for c in e.children) + ")"
     if isinstance(e, Div):
@@ -1607,7 +1621,7 @@ def _exec_def(lines: list[str], **names) -> dict:
     the non-finite constants that _py_src prints with repr."""
     ns = {"math": math, "inf": math.inf, "nan": math.nan,
           "_fpow": _fpow, "_sin": _sin, "_cos": _cos, "_ln": _ln, "_sqrt": _sqrt,
-          "_fin": _fin, **names}
+          "_fin": _fin, "_reduce": functools.reduce, "_add": operator.add, **names}
     exec("\n".join(lines), ns)
     return ns
 
@@ -1620,8 +1634,9 @@ def _def_lines(name: str, srcs: Sequence[str], n: int) -> list[str]:
             + [f"    return ({''.join(s + ', ' for s in srcs)})"])
 
 
-# What a plain-float run raises where numpy scalars give inf or nan (or
-# fail their own way): the ndarray run is then the exact outcome.
+# What a plain-float run raises where its exact path decides the outcome:
+# the ndarray run where numpy scalars give inf or nan (or fail their own
+# way), evaluate where one of its guards raises.
 FLOAT_FALLBACK_ERRORS = (ArithmeticError, ValueError, LookupError, TypeError, EvalDomainError)
 
 
@@ -1725,11 +1740,11 @@ def _rk4_module(G: tuple, loci: tuple, ctx: Context, dt: float) -> tuple:
              for j, (v, b) in enumerate(zip(state, base))]
     # a non-finite term makes the sum non-finite; a sum that merely
     # overflows only sends the step to the array path
-    body.append(f"if not _isfinite({' + '.join(state)}): return None")
+    body.append(f"if not _isfinite({_plus(state)}): return None")
     locs = [f"_l{j}" for j in range(len(loci))]
     body += [f"{v} = {src}" for v, src in zip(locs, l_src)]
     if locs:
-        body.append(f"if not _isfinite({' + '.join(locs)}): return None")
+        body.append(f"if not _isfinite({_plus(locs)}): return None")
         near = " or ".join(f"abs({v}) <= _guard" for v in locs)
         signs = "".join(f"{v} < 0, " for v in locs)
         body.append(f"if {near} or ({signs}) != _below: return ()")
@@ -1752,42 +1767,38 @@ def _rk4_module(G: tuple, loci: tuple, ctx: Context, dt: float) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# compiled evaluation: evaluate's semantics as straight-line Python
+# compiled evaluation: a fast path, with evaluate deciding every failure
 
 
-def _out_of_range(name: str, p: Point):
-    raise EvalDomainError(f"coordinate {name} out of range for point of dimension {p.n}")
+class _Raises(Exception):
+    """evaluate raises at every point: the compiled evaluation is evaluate."""
 
 
-def _first_non_finite(values: tuple, msgs: tuple) -> None:
-    for v, msg in zip(values, msgs):
-        if not math.isfinite(v):
-            raise EvalDomainError(msg)
+def _double(v) -> float:
+    try:
+        return float(v)
+    except OverflowError:
+        raise _Raises from None
 
 
 _EVAL_NAMES = {
-    "_E": EvalDomainError, "_rp": _resolve_param, "_fv": formal_value,
-    "_oor": _out_of_range, "_first_non_finite": _first_non_finite,
-    "_fsum": math.fsum, "_isf": math.isfinite, "_pow": math.pow,
+    "_rp": _resolve_param, "_fv": formal_value, "_fsum": math.fsum,
+    "_isf": math.isfinite, "_sum": sum, "_fallback": FLOAT_FALLBACK_ERRORS,
     "sin": math.sin, "cos": math.cos, "exp": math.exp, "ln": math.log, "sqrt": math.sqrt,
 }
-# the guard evaluate puts on a builtin's argument
-_CALL_GUARDS = {"ln": ("<=", "ln of a nonpositive value"),
-                "sqrt": ("<", "sqrt of a negative value")}
 
 
 class _EvalEmitter:
-    """Writes the body of a function (_pt) that computes what
-    evaluate(e, _pt, ctx) computes, value for value and error for error.
+    """Writes the statements of a function (_pt) that computes what
+    evaluate(e, _pt, ctx) computes, bit for bit, wherever evaluate returns.
 
-    Each distinct node (and guard) gets one statement, where evaluate first
-    computes it: a node's value depends only on the point, so only its first
-    occurrence can raise.  A bound function body is inlined in a frame where
-    x1 is the argument's value and y1 is 0.0.  Compiling costs more than
-    running at the tens of points a sampling loop takes, if statements most,
-    so the finiteness checks of statements that cannot raise wait for the
-    next one that can and are made as one test of their sum (finite only if
-    every float term is), and a product leaves out evaluate's leading 1.0.
+    Each distinct node gets one statement with evaluate's own operation on
+    floats, which raises one of FLOAT_FALLBACK_ERRORS where evaluate's guards
+    raise; the values evaluate checks finite are listed in .checked, for one
+    test at the end.  Where that raises or fails, the function returns what
+    evaluate gives, so evaluate decides every failure.  A node where evaluate
+    surely raises raises _Raises here.  A bound function body is inlined in a
+    frame where x1 is the argument's value and y1 is 0.0.
     """
 
     def __init__(self, ctx: Context | None):
@@ -1795,43 +1806,19 @@ class _EvalEmitter:
         self.lines: list[str] = []
         self.names: dict = {"_ctx": ctx}
         self.seen: dict = {}
-        self.guards: set = set()
-        self.pending: list[tuple[str, str]] = []
+        self.checked: list[str] = []
 
     def bind(self, value) -> str:
         name = f"_c{len(self.names)}"
         self.names[name] = value
         return name
 
-    def emit(self, *lines: str, raises: bool = True) -> None:
-        if raises and self.pending:
-            ts = [t for t, _ in self.pending]
-            msgs = self.bind(tuple(f"{what} produced a non-finite value"
-                                   for _, what in self.pending))
-            self.lines.append(f"if not _isf({' + '.join(ts)}): "
-                              f"_first_non_finite(({', '.join(ts)},), {msgs})")
-            self.pending.clear()
-        self.lines += lines
-
-    def new(self, src: str, raises: bool = True, check: str = "",
-            exc: str = "", msg: str = "") -> str:
-        """A temporary set to src; with exc, one whose error becomes msg's."""
+    def new(self, src: str, checked: bool = False) -> str:
         t = f"t{len(self.lines)}"
-        if exc:
-            self.emit(f"try: {t} = {src}", f"except {exc} as e: {self.raise_(msg)} from e")
-        else:
-            self.emit(f"{t} = {src}", raises=raises)
-        if check:
-            self.pending.append((t, check))
+        self.lines.append(f"{t} = {src}")
+        if checked:
+            self.checked.append(t)
         return t
-
-    def raise_(self, msg: str) -> str:
-        return f"raise _E({self.bind(msg)})"
-
-    def guard(self, v: str, op: str, msg: str) -> None:
-        if (v, op) not in self.guards:
-            self.guards.add((v, op))
-            self.emit(f"if {v} {op} 0.0: {self.raise_(msg)}")
 
     def operand(self, e: Expr, frame: str | None = None) -> str:
         key = (None if isinstance(e, (Const, Param)) else frame, e)
@@ -1841,99 +1828,88 @@ class _EvalEmitter:
 
     def _node(self, e: Expr, frame: str | None) -> str:
         if isinstance(e, Const):
-            try:
-                v = float(e.value)
-            except OverflowError:
-                self.emit(self.raise_("constant out of double range"))
-                return "None"   # never runs
+            v = _double(e.value)
             return f"({v!r})" if math.isfinite(v) else self.bind(v)
         if isinstance(e, Var):
-            if frame is None:
-                self.emit(f"{e.name} = _{e.axis}[{e.index - 1}] if {e.index} <= _n "
-                          f"else _oor({e.name!r}, _pt)")
-                return e.name
-            if e.index == 1:
-                return frame if e.axis == "x" else "0.0"
-            self.emit(self.raise_(f"coordinate {e.name} out of range for point of dimension 1"))
-            return "None"   # never runs
+            if frame is None:   # an IndexError past the point's dimension
+                return self.new(f"_{e.axis}[{e.index - 1}]")
+            if e.index != 1:    # out of range for the body's point
+                raise _Raises
+            return frame if e.axis == "x" else "0.0"
         if isinstance(e, Param):
             return self.new(f"_rp({e.name!r}, _pt, _ctx)")
         if isinstance(e, Neg):
             return f"(-{self.operand(e.child, frame)})"
         if isinstance(e, Add):
             terms = ", ".join(self.operand(c, frame) for c in e.children)
-            return self.new(f"_fsum(({terms},))", check="sum")
+            return self.new(f"_fsum(({terms},))", checked=True)
         if isinstance(e, Mul):
-            factors = " * ".join(self.operand(c, frame) for c in e.children)
-            return self.new(factors, raises=False, check="product")
+            return self.new(" * ".join(self.operand(c, frame) for c in e.children), checked=True)
         if isinstance(e, Div):
-            den = self.operand(e.den, frame)
-            self.guard(den, "==", "division by zero")
-            return self.new(f"{self.operand(e.num, frame)} / {den}", raises=False,
-                            check="quotient")
+            return self.new(f"{self.operand(e.num, frame)} / {self.operand(e.den, frame)}",
+                            checked=True)
         if isinstance(e, Pow):
             b, r = self.operand(e.base, frame), e.exponent
             if r.denominator == 1:
-                if r < 0:
-                    self.guard(b, "==", "zero raised to a negative power")
-                return self.new(f"{b} ** {int(r)}", check="power", exc="OverflowError",
-                                msg="overflow in power")
-            self.guard(b, "<", "fractional power of a negative base")
-            if r < 0:
-                self.guard(b, "==", "zero raised to a negative power")
-            return self.new(f"_pow({b}, {float(r)!r})", check="power",
-                            exc="(ValueError, OverflowError)", msg="domain error in power")
-        if isinstance(e, Call):
-            a = self.operand(e.arg, frame)
-            if e.fname in _CALL_GUARDS:
-                self.guard(a, *_CALL_GUARDS[e.fname])
-            if e.fname in ("sin", "cos"):   # of an infinity
-                return self.new(f"{e.fname}({a})", exc="ValueError",
-                                msg=f"domain error in {e.fname}")
-            return self.new(f"{e.fname}({a})", check="exp" if e.fname == "exp" else "",
-                            exc="OverflowError", msg=f"overflow in {e.fname}")
+                return self.new(f"{b} ** {int(r)}", checked=True)
+            # math.pow(-inf, -0.5) is 0.0, where evaluate raises
+            return self.new(f"_fpow({b}, {_double(r)!r})", checked=True)
+        if isinstance(e, Call) and e.fname in BUILTIN_FUNCTIONS:
+            return self.new(f"{e.fname}({self.operand(e.arg, frame)})",
+                            checked=e.fname == "exp")
         if isinstance(e, FuncApp):
             a = self.operand(e.arg, frame)
             try:
                 body = self.ctx and self.ctx.func_derivative(e.fname, e.order)
-            except Exception:  # noqa: BLE001 -- the generated code raises it again, here
-                self.emit(f"_ctx.func_derivative({e.fname!r}, {e.order})")
-                return "None"
+            except Exception:  # noqa: BLE001 -- evaluate raises it again
+                raise _Raises from None
             if body is not None:
                 return self.operand(body, a)
-            return self.new(f"_fv({e.fname!r}, {e.order}, {a})", raises=False)
-        raise TypeError(f"cannot evaluate {e!r}")
+            return self.new(f"_fv({e.fname!r}, {e.order}, {a})")
+        raise _Raises
 
 
 def _compiled_evaluation(exprs: Sequence[Expr], ctx: Context | None,
                          magnitude: bool) -> Callable:
     exprs = tuple(exprs)
+    one = evaluate_with_magnitude if magnitude else evaluate
+
+    def exact(p: Point) -> tuple:
+        return tuple(one(e, p, ctx) for e in exprs)
 
     def build():
         em = _EvalEmitter(ctx)
         outs = []
-        for e in exprs:
-            if magnitude and isinstance(e, Add):
-                # as evaluate_with_magnitude: no finiteness check on this sum
-                terms = ", ".join(em.operand(c) for c in e.children)
-                outs.append(f"({em.new(f'_fsum(({terms},))')}, "
-                            f"{em.new(f'_fsum(map(abs, ({terms},)))')})")
-            elif magnitude:
-                outs.append(f"({em.operand(e)}, abs({em.operand(e)}))")
-            else:
-                outs.append(em.operand(e))
-        em.emit(f"return ({''.join(f'{s}, ' for s in outs)})")
-        lines = ["def _evaluation(_pt):", " _x, _y, _n = _pt.x, _pt.y, len(_pt.x)",
-                 *(f" {line}" for line in em.lines)]
-        return _exec_def(lines, **_EVAL_NAMES, **em.names)["_evaluation"]
+        try:
+            for e in exprs:
+                if magnitude and isinstance(e, Add):
+                    # as evaluate_with_magnitude: no finiteness check on this sum
+                    terms = ", ".join(em.operand(c) for c in e.children)
+                    outs.append(f"({em.new(f'_fsum(({terms},))')}, "
+                                f"{em.new(f'_fsum(map(abs, ({terms},)))')})")
+                elif magnitude:
+                    outs.append(f"({em.operand(e)}, abs({em.operand(e)}))")
+                else:
+                    outs.append(em.operand(e))
+        except _Raises:
+            return exact
+        # a flat sum: finite only if every term is (a + chain of thousands
+        # of terms does not compile)
+        test = f"_isf(_sum(({''.join(t + ', ' for t in em.checked)})))"
+        lines = ["def _evaluation(_pt):", " try:", "  _x, _y = _pt.x, _pt.y",
+                 *(f"  {line}" for line in em.lines),
+                 f"  if {test}: return ({''.join(f'{s}, ' for s in outs)})",
+                 " except _fallback:", "  pass", " return _exact(_pt)"]
+        return _exec_def(lines, **_EVAL_NAMES, **em.names, _exact=exact)["_evaluation"]
 
     return _memo_compile(("evaluation", exprs, magnitude), ctx, build)
 
 
 def compile_evaluate(exprs: Sequence[Expr], ctx: Context | None) -> Callable[[Point], tuple]:
     """One function (p) -> tuple of what evaluate(e, p, ctx) gives for each
-    e, bit for bit, or the first error it raises.  Memoised until
-    clear_caches(); evaluate is the reference it is tested on.
+    e, bit for bit, or the first error it raises: a generated fast path for
+    the points where evaluate returns, and evaluate itself at the others.
+    Memoised until clear_caches().
     """
     return _compiled_evaluation(exprs, ctx, False)
 

@@ -41,11 +41,6 @@ __all__ = [
     "LOCUS_GUARD",
 ]
 
-# Relative and absolute error tolerances of the adaptive rk45 integrator.
-RK45_RTOL = 1e-9
-RK45_ATOL = 1e-12
-
-
 @dataclass
 class MotionReport:
     """Outcome of the annihilation test and, optionally, the certificate."""
@@ -109,7 +104,8 @@ def integrate_sode(S: SemiSpray, p0: Point, dt: float, steps: int,
     one is the Dormand-Prince 5(4) pair of rk45, a bit-for-bit port of
     scipy's solve_ivp(method="RK45") with its event roots.  Hitting a declared
     singular locus or producing a non-finite state stops the run early and
-    returns the partial trajectory with the abort flag set.
+    returns the partial trajectory with the abort flag set.  A non-finite
+    start or a negative step count is a ValidationError.
 
     Both methods run on one generated module (compile_rk4_step).  rk4 runs
     its step and locus test on plain floats, with parameters kept exact.  A
@@ -121,6 +117,8 @@ def integrate_sode(S: SemiSpray, p0: Point, dt: float, steps: int,
     """
     if dt <= 0:
         raise ValidationError("step size must be positive")
+    if steps < 0:
+        raise ValidationError("step count must be nonnegative")
     if method not in ("rk4", "rk45"):
         raise ValidationError(f"unknown integration method {method!r}")
     ctx = ctx or Context(dim=S.n)
@@ -128,6 +126,8 @@ def integrate_sode(S: SemiSpray, p0: Point, dt: float, steps: int,
     params = dict(ctx.params)
     params.update(p0.params)
     z0 = np.concatenate([np.asarray(p0.x, float), np.asarray(p0.y, float)])
+    if not np.isfinite(z0).all():
+        raise ValidationError("initial state must be finite")
     vals = loci(z0, params)
     if min(map(abs, vals), default=np.inf) <= LOCUS_GUARD:
         raise SingularLocusError("initial state lies on or near a singular locus")
@@ -175,22 +175,15 @@ def _integrate_rk45(S, f, loci, z0, params, dt, steps) -> Trajectory:
     T = dt * steps
     aborted = False
     reason = None
-
-    def rhs(t, z):
-        return f(z, params)
-
     # A terminal event on each locus's signed value: a sign change is
     # root-findable, unlike the |value| - guard dip, which a coarse step
     # can hop over entirely.
-    def events(t, z):
-        return loci(z, params)
-
+    events = functools.partial(loci, params=params) if S.singular_loci else None
     try:
         # numpy warns where the field overflows; the abort reason says it
         with np.errstate(all="ignore"):
-            sol = rk45.solve_ivp(rhs, (0.0, T), z0, RK45_RTOL, RK45_ATOL,
-                                 max(dt, T / 50.0),
-                                 events if S.singular_loci else None)
+            sol = rk45.solve_ivp(functools.partial(f, params=params), T, z0,
+                                 max(dt, T / 50.0), events)
     except EvalDomainError as exc:
         return Trajectory(S.n, np.array([0.0]), np.array([z0]), "rk45", dt,
                           params, True, f"evaluation failed: {exc}")
@@ -207,9 +200,8 @@ def _integrate_rk45(S, f, loci, z0, params, dt, steps) -> Trajectory:
         cut = bad[0]
         times, states = times[:cut], states[:cut]
         aborted, reason = True, "state entered a singular locus"
-    keep = np.concatenate([[True], np.diff(times) > 0]) if len(times) else [True]
-    if not len(times):
-        times, states = np.array([0.0]), np.array([z0])
+    # row 0 is z0, which is finite and clear of the loci, so no cut drops it
+    keep = np.concatenate([[True], np.diff(times) > 0])
     return Trajectory(S.n, times[keep], states[keep], "rk45", dt, params,
                       aborted, reason)
 

@@ -1,16 +1,19 @@
 """The Dormand-Prince 5(4) pair with terminal events, as scipy runs it.
 
 A port of scipy 1.17.1's ``solve_ivp(method="RK45")`` limited to what
-``motion._integrate_rk45`` asks of it: scalar tolerances, a ``max_step``,
-no ``t_eval`` and no dense output, and events that are all terminal with
-direction 0.  The tableau, the step (``rk_step``), the initial step, the
-step-size control, the dense output of the last step and solve_ivp's event
-loop are written with the same BLAS reductions and IEEE operations in the
-same order (scalars as Python floats, the same doubles), so the accepted
-times and states, the status and the message are scipy's bit for bit.  Event
-roots are found by Brent's method (Brent, Algorithms for Minimization
-without Derivatives, 1973) as scipy.optimize.brentq runs it, ported from its
-C algorithm onto Python floats.
+``motion._integrate_rk45`` asks of it: an autonomous system run forward
+from t = 0 with the fixed tolerances RTOL and ATOL and a ``max_step``, no
+``t_eval`` and no dense output, and events that are all terminal with
+direction 0.  It checks none of its inputs: motion passes a finite start,
+a horizon tf >= 0 and a positive max_step.  The tableau, the step
+(``rk_step``), the initial step, the step-size control, the dense output of
+the last step and solve_ivp's event loop are written with the same BLAS
+reductions and IEEE operations in the same order (scalars as Python floats,
+the same doubles), so the accepted times and states, the status and the
+message are scipy's bit for bit.  Event roots are found by Brent's method
+(Brent, Algorithms for Minimization without Derivatives, 1973) as
+scipy.optimize.brentq runs it, ported from its C algorithm onto Python
+floats, with the tolerances solve_ivp gives it (BRENT_TOL).
 
 Dormand and Prince, "A family of embedded Runge-Kutta formulae", J. Comput.
 Appl. Math. 6 (1980); the dense output uses Shampine's optimum c_6, Math.
@@ -20,13 +23,16 @@ Comp. 46 (1986).
 from __future__ import annotations
 
 import math
+import sys
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 __all__ = ["IvpResult", "solve_ivp", "brentq"]
 
-EPS = np.finfo(float).eps
+# Relative and absolute error tolerances of a step.
+RTOL = 1e-9
+ATOL = 1e-12
 
 # Multiply steps computed from asymptotic behaviour of errors by this.
 SAFETY = 0.9
@@ -34,6 +40,7 @@ MIN_FACTOR = 0.2  # Minimum allowed decrease in a step size.
 MAX_FACTOR = 10  # Maximum allowed increase in a step size.
 ERROR_EXPONENT = -1 / (4 + 1)  # the error estimator is of order 4
 BRENT_MAXITER = 100
+BRENT_TOL = 4 * sys.float_info.epsilon   # brentq's xtol and rtol
 
 C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
 A = np.array([
@@ -76,8 +83,8 @@ class IvpResult(NamedTuple):
     message: str
 
 
-# each stage s after the first: s, its row of A and its node
-_STAGES = [(s, A[s, :s], float(C[s])) for s in range(1, len(C))]
+# each stage s after the first: s and its row of A
+_STAGES = [(s, A[s, :s]) for s in range(1, len(C))]
 
 
 def _norm(x: np.ndarray) -> float:
@@ -85,29 +92,28 @@ def _norm(x: np.ndarray) -> float:
     return math.sqrt(x.dot(x)) / x.size ** 0.5
 
 
-def _rk_step(fun, t, y, f, h, K):
+def _rk_step(fun, y, f, h, K):
     """One step of the pair; K receives the stages, its last row f_new."""
     K[0] = f
-    for s, a, c in _STAGES:
+    for s, a in _STAGES:
         dy = np.dot(K[:s].T, a) * h
-        K[s] = fun(t + c * h, y + dy)
+        K[s] = fun(y + dy)
 
     y_new = y + h * np.dot(K[:-1].T, B)
-    f_new = fun(t + h, y_new)
+    f_new = fun(y_new)
 
     K[-1] = f_new
 
     return y_new, f_new
 
 
-def _select_initial_step(fun, t0, y0, t_bound, max_step, f0, direction, rtol, atol):
+def _select_initial_step(fun, y0, interval_length, max_step, f0):
     """Hairer, Norsett and Wanner's starting step, for an error estimator of
     order 4."""
-    interval_length = abs(t_bound - t0)
     if interval_length == 0.0:
         return 0.0
 
-    scale = atol + np.abs(y0) * rtol
+    scale = ATOL + np.abs(y0) * RTOL
     d0 = _norm(y0 / scale)
     # a numpy scalar: where d1 overflows, h0 is 0 and d2 divides to inf
     d1 = np.float64(_norm(f0 / scale))
@@ -117,8 +123,8 @@ def _select_initial_step(fun, t0, y0, t_bound, max_step, f0, direction, rtol, at
         h0 = 0.01 * d0 / d1
     h0 = min(h0, interval_length)
 
-    y1 = y0 + h0 * direction * f0
-    f1 = fun(t0 + h0 * direction, y1)
+    y1 = y0 + h0 * f0
+    f1 = fun(y1)
     d2 = _norm((f1 - f0) / scale) / h0
 
     if d1 <= 1e-15 and d2 <= 1e-15:
@@ -147,39 +153,25 @@ def _dense_output(t_old, t, y_old, y, K) -> Callable:
 
 
 def _event_root(events, sol, index, t_old, t) -> float:
-    return brentq(lambda s: events(s, sol(s))[index], t_old, t,
-                  4 * EPS, 4 * EPS, BRENT_MAXITER)
+    return brentq(lambda s: events(sol(s))[index], t_old, t)
 
 
-def solve_ivp(fun: Callable, t_span: tuple[float, float], y0: np.ndarray,
-              rtol: float, atol: float, max_step: float,
+def solve_ivp(fun: Callable, tf: float, y0: np.ndarray, max_step: float,
               events: Callable | None) -> IvpResult:
-    """Integrate y' = fun(t, y) over t_span from y0 with the RK45 pair.
+    """Integrate y' = fun(y) from y0 at t = 0 to tf >= 0 with the RK45 pair.
 
-    events(t, y), when given, returns the values of the event functions;
-    each is terminal, and a sign change of any of them ends the run at its
-    first root (found on the step's interpolant).  rtol must be at least
-    100 * EPS, as scipy would otherwise raise it.
+    y0 is a finite float array and max_step is positive.  events(y), when
+    given, returns the values of the event functions; each is terminal, and
+    a sign change of any of them ends the run at its first root (found on
+    the step's interpolant).
     """
-    t0, tf = map(float, t_span)
-    y0 = np.asarray(y0).astype(float, copy=False)
-    if not np.isfinite(y0).all():
-        raise ValueError("All components of the initial state `y0` must be finite.")
-    if max_step <= 0:
-        raise ValueError("`max_step` must be positive.")
+    t, y = 0.0, y0
+    f_cur = fun(y)
+    h_abs = float(_select_initial_step(fun, y, tf, max_step, f_cur))
+    K = np.empty((7, y.size))
 
-    def f(t, y):
-        return np.asarray(fun(t, y), dtype=float)
-
-    direction = float(np.sign(tf - t0)) if tf != t0 else 1
-    atol = np.asarray(atol)
-    t, y = t0, y0
-    f_cur = f(t, y)
-    h_abs = float(_select_initial_step(f, t, y, tf, max_step, f_cur, direction, rtol, atol))
-    K = np.empty((7, y.size), dtype=y.dtype)
-
-    ts, ys = [t0], [y0]
-    g = None if events is None else events(t0, y0)
+    ts, ys = [t], [y]
+    g = None if events is None else events(y)
     status = None
     message = None
     while status is None:
@@ -187,7 +179,7 @@ def solve_ivp(fun: Callable, t_span: tuple[float, float], y0: np.ndarray,
         if t == tf:
             status = 0
         else:
-            min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
+            min_step = 10 * abs(math.nextafter(t, math.inf) - t)
             if h_abs > max_step:
                 h_abs = max_step
             elif h_abs < min_step:
@@ -200,15 +192,14 @@ def solve_ivp(fun: Callable, t_span: tuple[float, float], y0: np.ndarray,
                     message = TOO_SMALL_STEP
                     break
 
-                h = h_abs * direction
-                t_new = t + h
-                if direction * (t_new - tf) > 0:
+                t_new = t + h_abs
+                if t_new > tf:
                     t_new = tf
                 h = t_new - t
                 h_abs = abs(h)
 
-                y_new, f_new = _rk_step(f, t, y, f_cur, h, K)
-                scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+                y_new, f_new = _rk_step(fun, y, f_cur, h, K)
+                scale = ATOL + np.maximum(np.abs(y), np.abs(y_new)) * RTOL
                 error_norm = _norm(np.dot(K.T, E) * h / scale)
 
                 if error_norm < 1:
@@ -227,21 +218,18 @@ def solve_ivp(fun: Callable, t_span: tuple[float, float], y0: np.ndarray,
                 status = -1
                 break
             t, y, f_cur = t_new, y_new, f_new
-            if direction * (t - tf) >= 0:
+            if t >= tf:
                 status = 0
 
         if events is not None:
-            g_new = events(t, y)
+            g_new = events(y)
             # the events whose value went up to or down to zero
             active = [i for i, (a, b) in enumerate(zip(g, g_new))
                       if (a <= 0 and b >= 0) or (a >= 0 and b <= 0)]
             if active:
                 sol = _dense_output(t_old, t, y_old, y, K)
-                roots = np.asarray([_event_root(events, sol, i, t_old, t)
-                                    for i in active])
-                order = np.argsort(roots) if t > t_old else np.argsort(-roots)
                 status = 1
-                t = roots[order][0]
+                t = min(_event_root(events, sol, i, t_old, t) for i in active)
                 y = sol(t)
             g = g_new
 
@@ -265,16 +253,11 @@ def _cdiv(a: float, b: float) -> float:
     return math.inf if _signbit(a) == _signbit(b) else -math.inf
 
 
-def brentq(f: Callable[[float], float], a: float, b: float, xtol: float,
-           rtol: float, maxiter: int) -> float:
+def brentq(f: Callable[[float], float], a: float, b: float) -> float:
     """A root of f in [a, b] by Brent's method, as scipy.optimize.brentq
-    finds it: the same points, in the same order, and the same errors (a
-    ValueError for f(a), f(b) of one sign or a NaN value, a RuntimeError
-    after maxiter iterations)."""
-    if xtol <= 0:
-        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
-    if rtol < 4 * EPS:
-        raise ValueError(f"rtol too small ({rtol:g} < {4 * EPS:g})")
+    finds it with xtol = rtol = BRENT_TOL: the same points, in the same
+    order, and the same errors (a ValueError for f(a), f(b) of one sign or a
+    NaN value, a RuntimeError after BRENT_MAXITER iterations)."""
 
     def value(x: float) -> float:
         fx = f(x)
@@ -283,7 +266,6 @@ def brentq(f: Callable[[float], float], a: float, b: float, xtol: float,
                              "solver cannot continue.")
         return float(fx)
 
-    xtol, rtol = float(xtol), float(rtol)
     xpre, xcur = float(a), float(b)
     xblk = fblk = spre = scur = 0.0
     fpre = value(xpre)
@@ -295,7 +277,7 @@ def brentq(f: Callable[[float], float], a: float, b: float, xtol: float,
     if _signbit(fpre) == _signbit(fcur):
         raise ValueError("f(a) and f(b) must have different signs")
 
-    for _ in range(maxiter):
+    for _ in range(BRENT_MAXITER):
         if fpre != 0 and fcur != 0 and _signbit(fpre) != _signbit(fcur):
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
@@ -303,7 +285,7 @@ def brentq(f: Callable[[float], float], a: float, b: float, xtol: float,
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
 
-        delta = (xtol + rtol * abs(xcur)) / 2
+        delta = (BRENT_TOL + BRENT_TOL * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0 or abs(sbis) < delta:
             return xcur
@@ -332,4 +314,4 @@ def brentq(f: Callable[[float], float], a: float, b: float, xtol: float,
         else:
             xcur += delta if sbis > 0 else -delta
         fcur = value(xcur)
-    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+    raise RuntimeError(f"Failed to converge after {BRENT_MAXITER} iterations.")

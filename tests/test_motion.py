@@ -1,5 +1,6 @@
 """Flow invariants, the annihilation residual, and trajectory checks."""
 
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -190,6 +191,21 @@ def test_initial_point_on_locus_rejected():
     S = _spray2()
     with pytest.raises(SingularLocusError):
         integrate_sode(S, Point((0.0, 0.0), (1.0, 0.0)), 0.01, 10, "rk4", CTX2)
+
+
+@pytest.mark.parametrize("method", ["rk4", "rk45"])
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_a_non_finite_start_is_refused(method, bad):
+    S = _spray2()
+    for p0 in (Point((bad, 0.0), (1.0, 1.0)), Point((0.0, 0.0), (1.0, bad))):
+        with pytest.raises(ValidationError, match="initial state must be finite"):
+            integrate_sode(S, p0, 0.01, 10, method, CTX2)
+
+
+@pytest.mark.parametrize("method", ["rk4", "rk45"])
+def test_a_negative_step_count_is_refused(method):
+    with pytest.raises(ValidationError, match="step count"):
+        integrate_sode(_spray2(), Point((0.0, 0.0), (1.0, 1.0)), 0.01, -1, method, CTX2)
 
 
 @pytest.mark.filterwarnings("ignore:overflow")

@@ -358,6 +358,8 @@ DEGREES = ["0", "1", "400", str(10 ** 9)]
 POINTS = ["0", "1", "40", str(10 ** 9)]
 CONSTANTS = ["1", "-343", "3^9100", "2^100000", "3^10000000", "(10^400)^1/2",
              "*".join(["7" * 301] * 15), "sin(1e300*1e300)", "(1e300)^2"]
+WIDE_SUM = "(" + " + ".join(f"x1^{k}" for k in range(1, 10001)) + ")"
+MANY_LOCI = "\n".join(f"exclude x1 - {k}" for k in range(10, 10010))
 EDITS = st.one_of(
     st.builds("spray G1 = {}*y1^2".format, st.sampled_from(CONSTANTS)),
     st.builds("spray G1 = {}*y1".format, st.sampled_from(CONSTANTS)),
@@ -434,6 +436,14 @@ def _edited(demo: str, lines) -> str:
 @example("free.sdp", "t=0.01 dt=0.01", "rk4", "1",
          ["spray G1 = y1^2" + "*x1" * 1000], "integrate", None)
 @example("free.sdp", "t=0.01 dt=0.01", "rk4", "1", ["dim = 60"], "analyze", None)
+# sums of 10,000 terms, and 10,000 loci whose values the rk4 step adds up: a
+# + chain this long overflows CPython's compiler even at the raised
+# recursion limit that hypothesis runs a test under
+@example("free.sdp", "t=0.01 dt=0.01", "rk4", "1", ["H = " + WIDE_SUM + "*y1"], "integrate",
+         None)
+@example("free.sdp", "t=0.01 dt=0.01", "rk4", "1", ["spray G1 = " + WIDE_SUM], "integrate",
+         None)
+@example("free.sdp", "t=0.01 dt=0.01", "rk4", "1", [MANY_LOCI], "integrate", None)
 def test_no_problem_file_exits_4(demo, steps, method, seed, edits, command, seed_arg):
     text = _edited(demo, [f"integrate {steps} method={method} seed={seed} samples=1", *edits])
     with tempfile.TemporaryDirectory() as tmp:

@@ -7,6 +7,7 @@ comparison is to a relative tolerance.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,7 +24,6 @@ from spraydirac.dirac import POINTWISE_TOL, _matrix_rank, _null_space  # noqa: E
 RECORDED = scipy.__version__ == "1.17.1"
 # the SVD bits also depend on the LAPACK that numpy links
 RECORDED_SVD = RECORDED and np.__version__ == "2.4.6"
-EPS = np.finfo(float).eps
 
 COEFF = st.floats(-2, 2, allow_nan=False)
 
@@ -48,21 +48,21 @@ def systems(draw):
 
 
 def _solve_both(fun, T, z0, dt, events):
-    """(t, y, status, message) or the exception, from scipy and from the port."""
+    """(t, y, status, message) or the exception, from scipy and from the port,
+    for the autonomous fun(z) and events(z)."""
     scipy_events = []
-    for i in range(len(events(0.0, z0)) if events else 0):
+    for i in range(len(events(z0)) if events else 0):
         def ev(t, z, i=i):
-            return events(t, z)[i]
+            return events(z)[i]
         ev.terminal = True
         ev.direction = 0
         scipy_events.append(ev)
     out = []
     for solve in (
-            lambda: scipy_solve_ivp(fun, (0.0, T), z0, method="RK45", rtol=1e-9,
-                                    atol=1e-12, events=scipy_events,
+            lambda: scipy_solve_ivp(lambda t, z: fun(z), (0.0, T), z0, method="RK45",
+                                    rtol=rk45.RTOL, atol=rk45.ATOL, events=scipy_events,
                                     max_step=max(dt, T / 50.0)),
-            lambda: rk45.solve_ivp(fun, (0.0, T), z0, 1e-9, 1e-12, max(dt, T / 50.0),
-                                   events)):
+            lambda: rk45.solve_ivp(fun, T, z0, max(dt, T / 50.0), events)):
         try:
             sol = solve()
             out.append((sol.t, sol.y, sol.status, sol.message))
@@ -90,10 +90,10 @@ def _assert_same_run(ours, theirs):
 def test_rk45_port_runs_as_solve_ivp(system):
     W, c, z0, ev, T, dt = system
 
-    def fun(t, z):
+    def fun(z):
         return W @ z + c * np.sin(z)
 
-    def events(t, z):
+    def events(z):
         return tuple(ev[:, :-1] @ z + ev[:, -1])
 
     theirs, ours = _solve_both(fun, T, z0, dt, events if len(ev) else None)
@@ -104,7 +104,7 @@ def test_rk45_port_runs_as_solve_ivp(system):
 def test_a_blow_up_fails_with_scipy_message(z0):
     # x'' = 3 x^2 blows up before t = 3: the step falls below the spacing of
     # the floats near the pole, and both end with status -1
-    def fun(t, z):
+    def fun(z):
         return np.array([z[1], 3.0 * z[0] ** 2])
 
     with np.errstate(all="ignore"):
@@ -121,7 +121,8 @@ def test_the_step_interpolant_is_scipy_dense_output(system):
     def fun(t, z):
         return W @ z + c * np.sin(z)
 
-    solver = ScipyRK45(fun, 0.0, z0, max(T, 1.0), rtol=1e-9, atol=1e-12, max_step=dt)
+    solver = ScipyRK45(fun, 0.0, z0, max(T, 1.0), rtol=rk45.RTOL, atol=rk45.ATOL,
+                       max_step=dt)
     for _ in range(3):
         solver.step()
         theirs = solver.dense_output()
@@ -134,11 +135,11 @@ def test_the_step_interpolant_is_scipy_dense_output(system):
 
 
 def test_a_terminal_event_ends_on_the_root_of_its_sign_change():
-    def fun(t, z):
+    def fun(z):
         return np.array([z[1], -z[0]])
 
     # the first two change sign in the same step, the second one first
-    def events(t, z):
+    def events(z):
         return (z[0] - 0.4999, z[0] - 0.5, z[1] + 2.0)
 
     theirs, ours = _solve_both(fun, 5.0, np.array([1.0, 0.0]), 0.01, events)
@@ -167,12 +168,18 @@ FUNCTIONS = st.one_of(
 )
 
 
-def _brent_both(f, a, b, xtol, rtol, maxiter):
-    """For scipy and the port: the points f was called at, and the root or
-    the exception."""
+def _brent_both(f, a, b, maxiter):
+    """For scipy and the port, with maxiter iterations: the points f was
+    called at, and the root or the exception."""
+
+    def ours(g):
+        with mock.patch.object(rk45, "BRENT_MAXITER", maxiter):
+            return rk45.brentq(g, a, b)
+
     out = []
-    for solve in (lambda g: scipy_brentq(g, a, b, xtol=xtol, rtol=rtol, maxiter=maxiter),
-                  lambda g: rk45.brentq(g, a, b, xtol, rtol, maxiter)):
+    for solve in (lambda g: scipy_brentq(g, a, b, xtol=rk45.BRENT_TOL, rtol=rk45.BRENT_TOL,
+                                         maxiter=maxiter),
+                  ours):
         calls = []
 
         def g(x):
@@ -187,19 +194,18 @@ def _brent_both(f, a, b, xtol, rtol, maxiter):
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
-@given(FUNCTIONS, st.floats(-3, 0), st.floats(0, 3),
-       st.sampled_from([(4 * EPS, 4 * EPS), (1e-6, 4 * EPS), (1e-3, 1e-6)]),
-       st.sampled_from([3, 10, 100]))
-@example(lambda x: x - 0.3, 0.3, 1.0, (4 * EPS, 4 * EPS), 100)
-@example(lambda x: 1e-200, -1.0, 1.0, (4 * EPS, 4 * EPS), 100)
-def test_brent_port_runs_as_scipy_brentq(f, a, b, tols, maxiter):
-    (their_calls, theirs), (our_calls, ours) = _brent_both(f, a, b, *tols, maxiter)
+@given(FUNCTIONS, st.floats(-3, 0), st.floats(0, 3), st.sampled_from([3, 10, 100]))
+@example(lambda x: x - 0.3, 0.3, 1.0, 100)
+@example(lambda x: 1e-200, -1.0, 1.0, 100)
+def test_brent_port_runs_as_scipy_brentq(f, a, b, maxiter):
+    (their_calls, theirs), (our_calls, ours) = _brent_both(f, a, b, maxiter)
     if RECORDED:
         assert [x.hex() for x in our_calls] == [float(x).hex() for x in their_calls]
         assert ours == theirs
     elif theirs[0] == "root":
         assert ours[0] == "root"
-        assert ours[1] == pytest.approx(theirs[1], abs=4 * (tols[0] + tols[1] * abs(theirs[1])))
+        assert ours[1] == pytest.approx(theirs[1],
+                                        abs=4 * rk45.BRENT_TOL * (1 + abs(theirs[1])))
     else:
         assert ours[0] is theirs[0]
 

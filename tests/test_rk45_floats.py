@@ -12,13 +12,13 @@ def test_an_overflowing_first_norm_starts_as_in_scipy():
 
     # f0/scale overflows the norm d1 of the initial-step guess: its h0 is 0,
     # and d2 = norm/h0 must be inf, not a ZeroDivisionError
-    def fun(t, z):
+    def fun(z):
         return np.array([z[1], -1e200])
 
     z0 = np.array([0.0, 1.0])
     with np.errstate(all="ignore"):
-        want = sp.solve_ivp(fun, (0.0, 1.0), z0, method="RK45", rtol=1e-9, atol=1e-12,
-                            max_step=0.02)
-        got = rk45.solve_ivp(fun, (0.0, 1.0), z0, 1e-9, 1e-12, 0.02, None)
+        want = sp.solve_ivp(lambda t, z: fun(z), (0.0, 1.0), z0, method="RK45",
+                            rtol=rk45.RTOL, atol=rk45.ATOL, max_step=0.02)
+        got = rk45.solve_ivp(fun, 1.0, z0, 0.02, None)
     assert (got.status, got.message) == (want.status, want.message)
     assert np.array_equal(got.t, want.t) and np.array_equal(got.y, want.y)
