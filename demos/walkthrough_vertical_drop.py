@@ -43,8 +43,9 @@ print(f"  overall: {rep.overall}")
 
 print("\n== how badly the family fails to close ==")
 L = rep.structure.gauge_of
-for p in sample_points(ctx, cfg, S.singular_loci, count=3):
-    res = involutivity_residual(L, p, ctx, L.generator_matrix(p, ctx))
+pts = sample_points(ctx, cfg, S.singular_loci, count=3)
+for p, B in zip(pts, L.generator_matrices(pts, ctx)):
+    res = involutivity_residual(L, [p], ctx, [B])
     print(f"  residual {res:.4f} at y3 = {p.y[2]:+.3f}")
 
 print("\n== drift, including runs that hit the singular slice ==")

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import ValidationError
 from .expr import (
     DEFAULT_SEED, Const, Context, Expr, Mul, Point, SampleConfig, Var, ZERO,
-    compile_evaluate, format_expr, sample_points, simplify, sum_exprs,
+    evaluate_points, format_expr, sample_points, simplify, sum_exprs,
 )
 from .forms import TwoForm, d_scalar, format_two_form, interior_product
 from .geometry import SemiSpray, VectorField
@@ -180,10 +180,10 @@ def assemble(S: SemiSpray, D_gens: Sequence[VectorField] | None, a: Ansatz,
 
     pts = sample_points(ctx, cfg, S.singular_loci, count=a.points)
     g = len(gens)
-    evaluation = compile_evaluate([e for exprs in col_exprs for e in exprs], ctx)
+    cols = [e for exprs in col_exprs for e in exprs]
     M = np.zeros((a.points * g, a.unknowns))
-    for pi, p in enumerate(pts):
-        block = np.reshape(evaluation(p), (a.unknowns, g)).T
+    for pi, values in enumerate(evaluate_points(cols, pts, ctx)):
+        block = np.reshape(values, (a.unknowns, g)).T
         peak = np.max(np.abs(block))
         if peak > 0:
             block /= peak
@@ -289,10 +289,9 @@ def search(S: SemiSpray, D_gens: Sequence[VectorField] | None, a: Ansatz,
         # a snapped direction stays exact, any other stays in floats
         H, omega = _decode(a, _snap_vector(v) or v.tolist())
         dH = d_scalar(H, a.n)
-        dh = compile_evaluate([dH.component(k) for k in range(2 * a.n)], ctx)
         dh_norm = 0.0
-        for p in dh_pts:
-            dh_norm = max(dh_norm, float(np.linalg.norm(dh(p))))
+        for values in evaluate_points([dH.component(k) for k in range(2 * a.n)], dh_pts, ctx):
+            dh_norm = max(dh_norm, float(np.linalg.norm(values)))
         if dh_norm < 1e-10:
             trivial += 1
             continue

@@ -305,10 +305,10 @@ def cmd_dirac_check(path: str, pf: ProblemFile, seed_arg: int | None) -> dict:
         "generators": [_fmt_section(s) for s in L.generators],
     }
     pts = sample_points(ctx, SampleConfig(seed=seed), pf.singular_loci, count=20)
-    Bs = [L.generator_matrix(p, ctx) for p in pts]
+    Bs = list(L.generator_matrices(pts, ctx))
     iso = sum(1 for B in Bs if is_isotropic_at(B))
     maxl = sum(1 for B in Bs if is_maximal_at(B))
-    resid = max(involutivity_residual(L, p, ctx, B) for p, B in zip(pts, Bs))
+    resid = involutivity_residual(L, pts, ctx, Bs)
     kdim = len(kernel_at(Bs[0]))
     rep["pointwise"] = {
         "points": len(pts),

@@ -5,9 +5,10 @@ A section here is an element (X, alpha) of the direct sum of the tangent
 and cotangent bundles.  The symmetric pairing is beta(X) + alpha(Y), with
 no 1/2 factor; the antisymmetrized bracket keeps its usual 1/2 on the
 exact correction term.  Structures are handled through finite generating
-families, checked pointwise on one evaluation per point (the generator
-matrix): isotropy, rank, kernel and leaf two-form, and bracket closure as a
-numeric residual against the evaluated span, whatever its rank.
+families, checked pointwise on the generator matrix at each point (each
+matrix entry evaluated over all the points in one pass): isotropy, rank,
+kernel and leaf two-form, and bracket closure as a numeric residual against
+the evaluated span, whatever its rank.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -25,8 +26,8 @@ from .errors import (
 )
 from .expr import (
     Add, Const, Context, Expr, Mul, Neg, Point, SampleConfig, Tri, ZERO,
-    compile_evaluate, compile_evaluate_with_magnitude, context_key, evaluate, is_zero,
-    sample_points, simplify, sum_exprs,
+    evaluate, evaluate_points, evaluate_points_with_magnitude, is_zero, sample_points,
+    simplify, sum_exprs,
 )
 from .forms import TwoForm, d_scalar, interior_product, lie_derivative
 from .geometry import OneForm, VectorField, lie_bracket
@@ -167,38 +168,33 @@ class AlmostDirac:
     def _pairs(self):
         return itertools.combinations(range(len(self.generators)), 2)
 
-    def _rows(self, ctx: Context, brackets: bool):
-        """compile_evaluate of the generators' components or, with brackets,
-        of the generator brackets' that are not structurally zero (a zero
-        bracket lies in every span), once per context and declarations (the
-        entry holds ctx)."""
-        key = ("rows", context_key(ctx), brackets)
-        if key not in self._memo:
-            if brackets:
-                exprs = [c for b in itertools.starmap(self.bracket, self._pairs())
-                         if not b.is_structurally_zero() for c in b.components()]
-            else:
-                exprs = self.all_exprs()
-            self._memo[key] = (ctx, compile_evaluate(exprs, ctx))
-        return self._memo[key][1]
+    def bracket_exprs(self) -> list[Expr]:
+        """The components of the generator brackets that are not
+        structurally zero (a zero bracket lies in every span)."""
+        if "brackets" not in self._memo:
+            self._memo["brackets"] = [
+                c for b in itertools.starmap(self.bracket, self._pairs())
+                if not b.is_structurally_zero() for c in b.components()]
+        return self._memo["brackets"]
 
-    def generator_matrix(self, p: Point, ctx: Context) -> np.ndarray:
-        """The structure evaluated at p, one row per generator plus any
-        auto-annihilator rows; raises SingularLocusError on a declared
-        locus."""
-        for locus in self.singular_loci:
-            if abs(evaluate(locus, p, ctx)) <= 1e-9:
-                raise SingularLocusError("point lies on a declared singular locus")
-        rows = list(np.reshape(self._rows(ctx, False)(p),
-                               (len(self.generators), 4 * self.n)))
-        if self.auto_annihilator:
-            vec_rows = np.array([r[: 2 * self.n] for r in rows
-                                 if np.linalg.norm(r[2 * self.n:]) <= 1e-12])
-            if vec_rows.size:
-                null = _null_space(vec_rows)
-                for q in range(null.shape[1]):
-                    rows.append(np.concatenate([np.zeros(2 * self.n), null[:, q]]))
-        return np.array(rows).reshape(-1, 4 * self.n)
+    def generator_matrices(self, points: Sequence[Point], ctx: Context) -> Iterator[np.ndarray]:
+        """The structure evaluated at each point in turn, one row per
+        generator plus any auto-annihilator rows; raises SingularLocusError
+        at the first point on a declared locus."""
+        values = evaluate_points(self.all_exprs(), points, ctx)
+        for p in points:
+            for locus in self.singular_loci:
+                if abs(evaluate(locus, p, ctx)) <= 1e-9:
+                    raise SingularLocusError("point lies on a declared singular locus")
+            rows = list(np.reshape(next(values), (len(self.generators), 4 * self.n)))
+            if self.auto_annihilator:
+                vec_rows = np.array([r[: 2 * self.n] for r in rows
+                                     if np.linalg.norm(r[2 * self.n:]) <= 1e-12])
+                if vec_rows.size:
+                    null = _null_space(vec_rows)
+                    for q in range(null.shape[1]):
+                        rows.append(np.concatenate([np.zeros(2 * self.n), null[:, q]]))
+            yield np.array(rows).reshape(-1, 4 * self.n)
 
 
 def _matrix_rank(M: np.ndarray) -> int:
@@ -253,9 +249,7 @@ def from_distribution(D_gens: Sequence[VectorField],
             verdict = is_zero(resid, ctx, cfg, loci)
             if verdict is Tri.PROVEN_ZERO:
                 continue
-            evaluation = compile_evaluate_with_magnitude((resid,), ctx)
-            for p in pts:
-                (val, mag), = evaluation(p)
+            for p, ((val, mag),) in zip(pts, evaluate_points_with_magnitude((resid,), pts, ctx)):
                 if abs(val) > POINTWISE_TOL * max(1.0, mag):
                     raise AnnihilatorMismatchError(
                         "annihilator does not vanish on the distribution: "
@@ -271,15 +265,14 @@ def from_distribution(D_gens: Sequence[VectorField],
     d_comps = [X.component(i) for X in D_gens for i in range(2 * n)]
     a_comps = [eta.component(i) for eta in etas for i in range(2 * n)]
     # two evaluations: a rank-deficient D raises before the etas are evaluated
-    d_rows = compile_evaluate(d_comps, ctx)
-    a_rows = compile_evaluate(a_comps, ctx) if etas else None
-    for p in pts:
-        if _matrix_rank(np.reshape(d_rows(p), (k, 2 * n))) < k:
+    a_rows = evaluate_points(a_comps, pts, ctx)
+    for d in evaluate_points(d_comps, pts, ctx):
+        if _matrix_rank(np.reshape(d, (k, 2 * n))) < k:
             raise RankDeficientError(
                 f"distribution generators dependent at a sampled point "
                 f"(rank < {k})")
         if etas:
-            A_mat = np.reshape(a_rows(p), (len(etas), 2 * n))
+            A_mat = np.reshape(next(a_rows), (len(etas), 2 * n))
             ann_rank = max(ann_rank, _matrix_rank(A_mat))
 
     deficit = 0 if auto else (2 * n - k) - ann_rank
@@ -322,19 +315,20 @@ def is_maximal_at(B: np.ndarray) -> bool:
     return _matrix_rank(B) == B.shape[1] // 2
 
 
-def involutivity_residual(L: AlmostDirac, p: Point, ctx: Context,
-                          B: np.ndarray) -> float:
-    """Largest norm of a generator bracket's component outside span(L_p).
+def involutivity_residual(L: AlmostDirac, points: Sequence[Point], ctx: Context,
+                          Bs: Sequence[np.ndarray]) -> float:
+    """Largest norm of a generator bracket's component outside span(L_p),
+    over the points p.
 
-    B is L.generator_matrix(p, ctx).  Zero residual at p is the pointwise
-    closure condition.  It is measured against the evaluated span whatever
-    its rank, which only ever overestimates closure failure.
+    Bs holds L.generator_matrices(points, ctx).  Zero residual at p is the
+    pointwise closure condition.  It is measured against the evaluated span
+    whatever its rank, which only ever overestimates closure failure.
     """
-    brackets = np.reshape(L._rows(ctx, True)(p), (-1, 4 * L.n))
     worst = 0.0
-    for u in brackets:
-        sol, *_ = np.linalg.lstsq(B.T, u, rcond=None)
-        worst = max(worst, float(np.linalg.norm(u - B.T @ sol)))
+    for B, values in zip(Bs, evaluate_points(L.bracket_exprs(), points, ctx)):
+        for u in np.reshape(values, (-1, 4 * L.n)):
+            sol, *_ = np.linalg.lstsq(B.T, u, rcond=None)
+            worst = max(worst, float(np.linalg.norm(u - B.T @ sol)))
     return worst
 
 

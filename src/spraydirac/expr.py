@@ -39,8 +39,8 @@ __all__ = [
     "Tri", "Context", "Point", "SampleConfig",
     "parse", "simplify", "diff", "evaluate", "is_zero", "format_expr",
     "as_expr", "sum_exprs", "tri_all", "sample_points", "clear_caches",
-    "compile_exprs", "compile_rk4_step", "compile_evaluate",
-    "compile_evaluate_with_magnitude", "formal_value", "opaque_assignments",
+    "compile_exprs", "compile_rk4_step", "evaluate_points",
+    "evaluate_points_with_magnitude", "formal_value", "opaque_assignments",
 ]
 
 BUILTIN_FUNCTIONS = ("sin", "cos", "exp", "ln", "sqrt")
@@ -909,9 +909,9 @@ def _atom(base: Expr) -> _NF:
 _NF_MEMO: dict[Expr, _NF] = {}
 _SIMPLIFY_MEMO: dict[Expr, Expr] = {}
 _DIFF_MEMO: dict[tuple[Expr, Var], Expr] = {}
-# generated modules (compile_exprs, compile_rk4_step, compiled evaluations),
-# keyed on what they are built from and the context; each entry holds its
-# context, so the id in the key stays unique
+# generated modules (compile_exprs, compile_rk4_step), keyed on what they
+# are built from and the context; each entry holds its context, so the id in
+# the key stays unique
 _COMPILE_MEMO: dict[tuple, tuple] = {}
 # sampler streams, keyed on all a stream depends on (_clear_draws); each
 # entry is [ctx, rng, rows drawn but not yet tested, tested draws (a Point,
@@ -1767,154 +1767,148 @@ def _rk4_module(G: tuple, loci: tuple, ctx: Context, dt: float) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# compiled evaluation: a fast path, with evaluate deciding every failure
+# evaluation over a list of points: a columnar pass, with evaluate deciding
+# every failure
 
 
-class _Raises(Exception):
-    """evaluate raises at every point: the compiled evaluation is evaluate."""
+class _Fallback(Exception):
+    """The columnar pass cannot finish: evaluate decides at every point."""
 
 
 def _double(v) -> float:
     try:
         return float(v)
-    except OverflowError:
-        raise _Raises from None
+    except OverflowError:   # evaluate refuses the constant at every point
+        raise _Fallback from None
 
 
-_EVAL_NAMES = {
-    "_rp": _resolve_param, "_fv": formal_value, "_fsum": math.fsum,
-    "_isf": math.isfinite, "_sum": sum, "_fallback": FLOAT_FALLBACK_ERRORS,
-    "sin": math.sin, "cos": math.cos, "exp": math.exp, "ln": math.log, "sqrt": math.sqrt,
-}
+def _finite(col: list) -> list:
+    # a non-finite value makes the sum non-finite
+    if not math.isfinite(sum(col)):
+        raise _Fallback
+    return col
 
 
-class _EvalEmitter:
-    """Writes the statements of a function (_pt) that computes what
-    evaluate(e, _pt, ctx) computes, bit for bit, wherever evaluate returns.
+_MATH = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "ln": math.log, "sqrt": math.sqrt}
 
-    Each distinct node gets one statement with evaluate's own operation on
-    floats, which raises one of FLOAT_FALLBACK_ERRORS where evaluate's guards
-    raise; the values evaluate checks finite are listed in .checked, for one
-    test at the end.  Where that raises or fails, the function returns what
-    evaluate gives, so evaluate decides every failure.  A node where evaluate
-    surely raises raises _Raises here.  A bound function body is inlined in a
-    frame where x1 is the argument's value and y1 is 0.0.
+
+class _Columns:
+    """What evaluate(e, p, ctx) computes at each of some points, bit for bit,
+    wherever evaluate returns at all of them, as one column (a list with a
+    value per point) per distinct node.
+
+    Each node is computed once, over every point, with evaluate's own float
+    operation, which raises one of FLOAT_FALLBACK_ERRORS where evaluate's
+    guards raise; every value evaluate checks finite is tested once per
+    column, and a node evaluate refuses at every point raises _Fallback.  A
+    bound function body is computed in a frame where x1 is the argument's
+    column and y1 is 0.0; a frame is the key of its argument's column.
     """
 
-    def __init__(self, ctx: Context | None):
-        self.ctx = ctx
-        self.lines: list[str] = []
-        self.names: dict = {"_ctx": ctx}
+    def __init__(self, points: Sequence[Point], ctx: Context | None):
+        self.points, self.ctx = points, ctx
         self.seen: dict = {}
-        self.checked: list[str] = []
 
-    def bind(self, value) -> str:
-        name = f"_c{len(self.names)}"
-        self.names[name] = value
-        return name
-
-    def new(self, src: str, checked: bool = False) -> str:
-        t = f"t{len(self.lines)}"
-        self.lines.append(f"{t} = {src}")
-        if checked:
-            self.checked.append(t)
-        return t
-
-    def operand(self, e: Expr, frame: str | None = None) -> str:
+    def key(self, e: Expr, frame: tuple | None) -> tuple:
+        """The key of e's column, computed on first use; constants and
+        parameters are the same in every frame."""
         key = (None if isinstance(e, (Const, Param)) else frame, e)
         if key not in self.seen:
             self.seen[key] = self._node(e, frame)
-        return self.seen[key]
+        return key
 
-    def _node(self, e: Expr, frame: str | None) -> str:
+    def column(self, e: Expr, frame: tuple | None = None) -> list:
+        return self.seen[self.key(e, frame)]
+
+    def _node(self, e: Expr, frame: tuple | None) -> list:
+        n = len(self.points)
         if isinstance(e, Const):
-            v = _double(e.value)
-            return f"({v!r})" if math.isfinite(v) else self.bind(v)
+            return [_double(e.value)] * n
         if isinstance(e, Var):
-            if frame is None:   # an IndexError past the point's dimension
-                return self.new(f"_{e.axis}[{e.index - 1}]")
+            if frame is None:   # an IndexError past a point's dimension
+                return [(p.x if e.axis == "x" else p.y)[e.index - 1] for p in self.points]
             if e.index != 1:    # out of range for the body's point
-                raise _Raises
-            return frame if e.axis == "x" else "0.0"
+                raise _Fallback
+            return self.seen[frame] if e.axis == "x" else [0.0] * n
         if isinstance(e, Param):
-            return self.new(f"_rp({e.name!r}, _pt, _ctx)")
+            return [_resolve_param(e.name, p, self.ctx) for p in self.points]
         if isinstance(e, Neg):
-            return f"(-{self.operand(e.child, frame)})"
+            return list(map(operator.neg, self.column(e.child, frame)))
         if isinstance(e, Add):
-            terms = ", ".join(self.operand(c, frame) for c in e.children)
-            return self.new(f"_fsum(({terms},))", checked=True)
+            terms = zip(*[self.column(c, frame) for c in e.children])
+            return _finite(list(map(math.fsum, terms)))
         if isinstance(e, Mul):
-            return self.new(" * ".join(self.operand(c, frame) for c in e.children), checked=True)
+            out, *rest = [self.column(c, frame) for c in e.children]
+            for col in rest:    # left to right, as evaluate multiplies
+                out = list(map(operator.mul, out, col))
+            return _finite(out)
         if isinstance(e, Div):
-            return self.new(f"{self.operand(e.num, frame)} / {self.operand(e.den, frame)}",
-                            checked=True)
+            return _finite(list(map(operator.truediv, self.column(e.num, frame),
+                                    self.column(e.den, frame))))
         if isinstance(e, Pow):
-            b, r = self.operand(e.base, frame), e.exponent
+            b, r = self.column(e.base, frame), e.exponent
             if r.denominator == 1:
-                return self.new(f"{b} ** {int(r)}", checked=True)
+                k = int(r)
+                return _finite([v ** k for v in b])
             # math.pow(-inf, -0.5) is 0.0, where evaluate raises
-            return self.new(f"_fpow({b}, {_double(r)!r})", checked=True)
-        if isinstance(e, Call) and e.fname in BUILTIN_FUNCTIONS:
-            return self.new(f"{e.fname}({self.operand(e.arg, frame)})",
-                            checked=e.fname == "exp")
+            rf = _double(r)
+            return _finite([_fpow(v, rf) for v in b])
+        if isinstance(e, Call):   # a KeyError for a name that is no builtin
+            col = list(map(_MATH[e.fname], self.column(e.arg, frame)))
+            return _finite(col) if e.fname == "exp" else col
         if isinstance(e, FuncApp):
-            a = self.operand(e.arg, frame)
+            a = self.key(e.arg, frame)
             try:
                 body = self.ctx and self.ctx.func_derivative(e.fname, e.order)
             except Exception:  # noqa: BLE001 -- evaluate raises it again
-                raise _Raises from None
+                raise _Fallback from None
             if body is not None:
-                return self.operand(body, a)
-            return self.new(f"_fv({e.fname!r}, {e.order}, {a})")
-        raise _Raises
+                return self.column(body, a)
+            return [formal_value(e.fname, e.order, v) for v in self.seen[a]]
+        raise _Fallback
 
-
-def _compiled_evaluation(exprs: Sequence[Expr], ctx: Context | None,
-                         magnitude: bool) -> Callable:
-    exprs = tuple(exprs)
-    one = evaluate_with_magnitude if magnitude else evaluate
-
-    def exact(p: Point) -> tuple:
-        return tuple(one(e, p, ctx) for e in exprs)
-
-    def build():
-        em = _EvalEmitter(ctx)
+    def rows(self, exprs: tuple, magnitude: bool) -> list[tuple]:
+        """One tuple per point: evaluate's value of each e, or
+        evaluate_with_magnitude's (value, magnitude)."""
         outs = []
-        try:
-            for e in exprs:
-                if magnitude and isinstance(e, Add):
-                    # as evaluate_with_magnitude: no finiteness check on this sum
-                    terms = ", ".join(em.operand(c) for c in e.children)
-                    outs.append(f"({em.new(f'_fsum(({terms},))')}, "
-                                f"{em.new(f'_fsum(map(abs, ({terms},)))')})")
-                elif magnitude:
-                    outs.append(f"({em.operand(e)}, abs({em.operand(e)}))")
-                else:
-                    outs.append(em.operand(e))
-        except _Raises:
-            return exact
-        # a flat sum: finite only if every term is (a + chain of thousands
-        # of terms does not compile)
-        test = f"_isf(_sum(({''.join(t + ', ' for t in em.checked)})))"
-        lines = ["def _evaluation(_pt):", " try:", "  _x, _y = _pt.x, _pt.y",
-                 *(f"  {line}" for line in em.lines),
-                 f"  if {test}: return ({''.join(f'{s}, ' for s in outs)})",
-                 " except _fallback:", "  pass", " return _exact(_pt)"]
-        return _exec_def(lines, **_EVAL_NAMES, **em.names, _exact=exact)["_evaluation"]
-
-    return _memo_compile(("evaluation", exprs, magnitude), ctx, build)
+        for e in exprs:
+            if magnitude and isinstance(e, Add):
+                # as evaluate_with_magnitude: no finiteness check on this sum
+                terms = list(zip(*(self.column(c) for c in e.children)))
+                outs.append(list(zip(map(math.fsum, terms),
+                                     [math.fsum(map(abs, t)) for t in terms])))
+            elif magnitude:
+                col = self.column(e)
+                outs.append(list(zip(col, map(abs, col))))
+            else:
+                outs.append(self.column(e))
+        return list(zip(*outs)) if outs else [()] * len(self.points)
 
 
-def compile_evaluate(exprs: Sequence[Expr], ctx: Context | None) -> Callable[[Point], tuple]:
-    """One function (p) -> tuple of what evaluate(e, p, ctx) gives for each
-    e, bit for bit, or the first error it raises: a generated fast path for
-    the points where evaluate returns, and evaluate itself at the others.
-    Memoised until clear_caches().
+def _evaluations(exprs: Sequence[Expr], points: Sequence[Point], ctx: Context | None,
+                 magnitude: bool) -> Iterator[tuple]:
+    exprs, points = tuple(exprs), list(points)
+    try:
+        rows = _Columns(points, ctx).rows(exprs, magnitude)
+    except (_Fallback, *FLOAT_FALLBACK_ERRORS):
+        one = evaluate_with_magnitude if magnitude else evaluate
+        rows = (tuple(one(e, p, ctx) for e in exprs) for p in points)
+    yield from rows
+
+
+def evaluate_points(exprs: Sequence[Expr], points: Sequence[Point],
+                    ctx: Context | None) -> Iterator[tuple]:
+    """For each point in order, the tuple of what evaluate(e, p, ctx) gives
+    for each e, bit for bit, or the first error it raises, yielded lazily:
+    one columnar pass over all the points where evaluate returns at every
+    one, and evaluate itself, point by point, where the pass cannot finish.
+    Nothing runs before the first tuple is asked for, so an error a caller
+    raises at an earlier point comes first.
     """
-    return _compiled_evaluation(exprs, ctx, False)
+    return _evaluations(exprs, points, ctx, False)
 
 
-def compile_evaluate_with_magnitude(exprs: Sequence[Expr],
-                                    ctx: Context | None) -> Callable[[Point], tuple]:
-    """compile_evaluate with evaluate_with_magnitude's (value, magnitude)."""
-    return _compiled_evaluation(exprs, ctx, True)
+def evaluate_points_with_magnitude(exprs: Sequence[Expr], points: Sequence[Point],
+                                   ctx: Context | None) -> Iterator[tuple]:
+    """evaluate_points with evaluate_with_magnitude's (value, magnitude)."""
+    return _evaluations(exprs, points, ctx, True)

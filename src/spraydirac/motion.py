@@ -25,8 +25,8 @@ from .errors import (
 )
 from .expr import (
     FLOAT_FALLBACK_ERRORS, LOCUS_GUARD, Context, Expr, Point, SampleConfig, Tri, ZERO,
-    compile_evaluate, compile_evaluate_with_magnitude, compile_exprs,
-    compile_rk4_step, is_zero, sample_points, simplify, tri_all,
+    compile_exprs, compile_rk4_step, evaluate_points, evaluate_points_with_magnitude,
+    is_zero, sample_points, simplify, tri_all,
 )
 from .forms import TwoForm, d_scalar, exterior_derivative_2, interior_product
 from .geometry import (
@@ -238,15 +238,13 @@ def _flow_distribution(S: SemiSpray, D_gens: Sequence[VectorField] | None,
     D_gens = list(D_gens)
     pts = sample_points(ctx, cfg, S.singular_loci, count=max(8, cfg.points // 4))
     m = 2 * S.n
-    # the generators' rows on their own: from_distribution compiles the same
     d_comps = [X.component(i) for X in D_gens for i in range(m)]
     Svec = S.vector_field()
     s_comps = [Svec.component(i) for i in range(m)]
-    d_rows, s_row = compile_evaluate(d_comps, ctx), compile_evaluate(s_comps, ctx)
-    for p in pts:
-        vals = d_rows(p)
+    for vals, s_vals in zip(evaluate_points(d_comps, pts, ctx),
+                            evaluate_points(s_comps, pts, ctx)):
         rows = np.array([vals[j:j + m] for j in range(0, len(vals), m)])
-        target = np.array(s_row(p))
+        target = np.array(s_vals)
         sol, *_ = np.linalg.lstsq(rows.T, target, rcond=None)
         gap = np.linalg.norm(rows.T @ sol - target)
         if gap > POINTWISE_TOL * max(1.0, np.linalg.norm(target)):
@@ -280,9 +278,8 @@ def _residual(S: SemiSpray, omega: TwoForm, H: Expr, D_gens: list[VectorField],
     pts = sample_points(ctx, replace(cfg, seed=cfg.seed + 1), loci,
                         count=max(8, cfg.points // 2))
     worst = 0.0
-    evaluation = compile_evaluate_with_magnitude(comps, ctx)
-    for p in pts:
-        for val, mag in evaluation(p):
+    for values in evaluate_points_with_magnitude(comps, pts, ctx):
+        for val, mag in values:
             worst = max(worst, abs(val) / max(1.0, mag))
 
     dH = d_scalar(H, S.n)

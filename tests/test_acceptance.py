@@ -179,7 +179,7 @@ def test_criterion_4_search_recovers_kinetic_energy():
         rng = np.random.default_rng(4)
         for _ in range(5):
             p = Point(tuple(rng.uniform(-2, 2, 2)), tuple(rng.uniform(-2, 2, 2)))
-            got = cert.structure.generator_matrix(p, ctx)
+            got = next(cert.structure.generator_matrices([p], ctx))
             stacked = np.vstack([got, diag])
             assert np.linalg.matrix_rank(got, tol=1e-9) == 4
             assert np.linalg.matrix_rank(stacked, tol=1e-9) == 4
@@ -234,7 +234,7 @@ def test_criterion_5_bracket_algebra_property_suite():
             for u, w in zip(g.components(), h.components()):
                 assert simplify(u - w) == ZERO
         for p in pts:
-            assert is_isotropic_at(moved.generator_matrix(p, CTX2))
+            assert is_isotropic_at(next(moved.generator_matrices([p], CTX2)))
 
         for t in ("x1*y2 + sin(x2)", "exp(x1)*y1^2"):
             assert exterior_derivative_1(
@@ -260,12 +260,12 @@ def test_criterion_6_degenerate_leaf_form():
         )
         L = AlmostDirac(n=2, generators=gens)
         p_high = Point((0.3, -1.1), (2.0, 0.7))
-        value = leaf_two_form_at(L.generator_matrix(p_high, CTX2),
+        value = leaf_two_form_at(next(L.generator_matrices([p_high], CTX2)),
                                  np.array([1.0, 0, 0, 0]),
                                  np.array([0, 1.0, 0, 0]))
         assert value == pytest.approx(2.0, abs=1e-12)
         p_fold = Point((0.3, -1.1), (0.0, 0.7))
-        assert len(kernel_at(L.generator_matrix(p_fold, CTX2))) >= 2
+        assert len(kernel_at(next(L.generator_matrices([p_fold], CTX2)))) >= 2
 
     _gate(6, body)
 
@@ -298,9 +298,9 @@ def test_criterion_8_split_verdict_on_nonintegrable_distribution():
         )
         L = from_distribution(D, ann, ctx, cfg, loci=S.singular_loci)
         rng = np.random.default_rng(12)
-        for p in _guarded_states(rng, 5):
-            res = involutivity_residual(L, p, ctx, L.generator_matrix(p, ctx))
-            assert res > 1e-4
+        pts = list(_guarded_states(rng, 5))
+        for p, B in zip(pts, L.generator_matrices(pts, ctx)):
+            assert involutivity_residual(L, [p], ctx, [B]) > 1e-4
         assert is_constant_of_motion(S, H, ctx, cfg) is Tri.PROVEN_ZERO
 
     _gate(8, body)

@@ -116,36 +116,48 @@ def test_search_builds_the_candidate_independent_parts_once(capsys, monkeypatch)
     assert len(flows) == 2
 
 
-def test_dirac_check_builds_at_most_two_matrices_per_point(capsys, monkeypatch):
+def _count_matrices(monkeypatch) -> list:
+    """One entry per generator matrix that AlmostDirac builds."""
     from spraydirac.dirac import AlmostDirac
-    calls = []
-    build = AlmostDirac.generator_matrix
+    built = []
+    build = AlmostDirac.generator_matrices
 
     def counted(self, *args, **kwargs):
-        calls.append(1)
-        return build(self, *args, **kwargs)
+        for B in build(self, *args, **kwargs):
+            built.append(1)
+            yield B
 
-    monkeypatch.setattr(AlmostDirac, "generator_matrix", counted)
+    monkeypatch.setattr(AlmostDirac, "generator_matrices", counted)
+    return built
+
+
+def test_dirac_check_builds_at_most_two_matrices_per_point(capsys, monkeypatch):
+    built = _count_matrices(monkeypatch)
     rc, out, _ = _run(capsys, ["dirac-check", EX4])
     assert rc == 0 and "points: 20" in out
-    assert len(calls) <= 40
+    assert len(built) <= 40
 
 
 @pytest.mark.parametrize("path", [EX3, EX4], ids=["ex3", "ex4"])
 def test_dirac_check_builds_one_matrix_per_point(capsys, monkeypatch, path):
     # no formal function without a body: involutivity uses the shared matrix
-    from spraydirac.dirac import AlmostDirac
-    calls = []
-    build = AlmostDirac.generator_matrix
-
-    def counted(self, *args, **kwargs):
-        calls.append(1)
-        return build(self, *args, **kwargs)
-
-    monkeypatch.setattr(AlmostDirac, "generator_matrix", counted)
+    built = _count_matrices(monkeypatch)
     rc, out, _ = _run(capsys, ["dirac-check", path])
     assert rc == 0 and "points: 20" in out
-    assert len(calls) == 20
+    assert len(built) == 20
+
+
+@pytest.mark.parametrize("argv", [["dirac-check", EX3], ["dirac-check", EX4], ["search", EX4]],
+                         ids=["dirac-check-ex3", "dirac-check-ex4", "search-ex4"])
+def test_sampled_evaluations_generate_no_code(capsys, monkeypatch, argv):
+    # the generator, bracket, annihilator and collocation rows are evaluated
+    # over their points without a generated module
+    execs = []
+    exec_def = expr._exec_def
+    monkeypatch.setattr(expr, "_exec_def", lambda *a, **k: execs.append(1) or exec_def(*a, **k))
+    rc, _, _ = _run(capsys, argv)
+    assert rc == 0
+    assert execs == []
 
 
 def test_search_finds_quadratic_invariants(capsys):

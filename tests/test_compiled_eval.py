@@ -1,5 +1,6 @@
-"""The compiled evaluator gives what evaluate and evaluate_with_magnitude
-give, bit for bit, or raises what they raise first, type and text."""
+"""evaluate_points gives, point by point, what evaluate and
+evaluate_with_magnitude give, bit for bit, or raises what they raise first,
+type and text, after the tuples of the points before."""
 
 import math
 import struct
@@ -10,10 +11,11 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from spraydirac import expr  # noqa: E402
 from spraydirac.errors import EvalDomainError  # noqa: E402
 from spraydirac.expr import (  # noqa: E402
     Add, Call, Const, Context, Div, FuncApp, Mul, Neg, Param, Point, Pow, Var,
-    clear_caches, compile_evaluate, compile_evaluate_with_magnitude, evaluate,
+    clear_caches, evaluate, evaluate_points, evaluate_points_with_magnitude,
     evaluate_with_magnitude, formal_value, parse,
 )
 
@@ -73,36 +75,62 @@ def _bits(v):
     return struct.pack("<d", v) if isinstance(v, float) else v
 
 
-def _outcome(fn, *args):
+def _outcomes(rows):
+    """The tuples yielded, by their bits, then the type and text of what was
+    raised, if anything."""
+    out = []
     try:
-        return "value", _bits(fn(*args))
+        for row in rows:
+            out.append(_bits(row))
     except Exception as exc:  # noqa: BLE001 -- compared, not handled
-        return type(exc), str(exc)
+        out.append((type(exc), str(exc)))
+    return out
 
 
-def _reference(exprs, p, one):
-    """evaluate (or evaluate_with_magnitude) over exprs in order."""
-    return tuple(one(e, p, CTX) for e in exprs)
+def _reference(exprs, points, one):
+    """evaluate (or evaluate_with_magnitude) over exprs, point by point."""
+    for p in points:
+        yield tuple(one(e, p, CTX) for e in exprs)
+
+
+def _check(exprs, points):
+    """Both modes against their oracles."""
+    assert (_outcomes(evaluate_points(exprs, points, CTX))
+            == _outcomes(_reference(exprs, points, evaluate)))
+    assert (_outcomes(evaluate_points_with_magnitude(exprs, points, CTX))
+            == _outcomes(_reference(exprs, points, evaluate_with_magnitude)))
+
+
+@PROPERTY
+@given(st.lists(TREES, min_size=1, max_size=3), st.lists(POINTS, max_size=6))
+def test_point_lists_match_evaluate_point_by_point(trees, points):
+    # coordinates of 0.0 divide by zero and leave domains at some points,
+    # B is bound at some points only, and x2 is out of range at a point of
+    # dimension 1
+    exprs = trees + [Add((trees[0], trees[-1])), Mul((trees[-1], trees[0]))]
+    _check(exprs, points)
+    for e in exprs:
+        _check((e,), points)
 
 
 @PROPERTY
 @given(st.lists(TREES, min_size=1, max_size=3), POINTS)
 def test_compiled_evaluation_matches_evaluate(trees, p):
-    # repeated subtrees: the compiled code computes a shared node once
+    # repeated subtrees: the pass computes a shared node once
     exprs = trees + [Add((trees[0], trees[-1])), Mul((trees[-1], trees[0]))]
-    expected = _outcome(_reference, exprs, p, evaluate)
-    assert _outcome(compile_evaluate(exprs, CTX), p) == expected
+    expected = _outcomes(_reference(exprs, [p], evaluate))
+    assert _outcomes(evaluate_points(exprs, [p], CTX)) == expected
     for e in exprs:
-        assert (_outcome(compile_evaluate((e,), CTX), p)
-                == _outcome(_reference, (e,), p, evaluate))
+        assert (_outcomes(evaluate_points((e,), [p], CTX))
+                == _outcomes(_reference((e,), [p], evaluate)))
 
 
 @PROPERTY
 @given(st.lists(TREES, min_size=1, max_size=3), POINTS)
 def test_magnitude_mode_matches_evaluate_with_magnitude(trees, p):
     exprs = trees + [Add(tuple(trees) + (Const(1),))]
-    assert (_outcome(compile_evaluate_with_magnitude(exprs, CTX), p)
-            == _outcome(_reference, exprs, p, evaluate_with_magnitude))
+    assert (_outcomes(evaluate_points_with_magnitude(exprs, [p], CTX))
+            == _outcomes(_reference(exprs, [p], evaluate_with_magnitude)))
 
 
 BIG = Mul((X1, Const(1e300)))     # inf at x1 = 1e10
@@ -136,30 +164,41 @@ ORDERED = [
 def test_errors_come_in_evaluate_order(e, x):
     p = Point((x, 3.0), (1.0, 1.0))
     for exprs in ((e,), (Mul((X2, X2)), e)):
-        assert (_outcome(compile_evaluate(exprs, CTX), p)
-                == _outcome(_reference, exprs, p, evaluate))
-        assert (_outcome(compile_evaluate_with_magnitude(exprs, CTX), p)
-                == _outcome(_reference, exprs, p, evaluate_with_magnitude))
+        _check(exprs, [p])
+        # the points before a failing one are yielded first
+        _check(exprs, [Point((1.5, 3.0), (1.0, 1.0)), p, Point((2.5, 3.0), (1.0, 1.0))])
 
 
 def test_the_top_level_sum_of_magnitude_mode_is_not_checked():
     p = Point((0.0,), (0.0,))
     e = Add((Const(1.0), Const(math.inf)))
     with pytest.raises(EvalDomainError, match="sum produced a non-finite value"):
-        compile_evaluate((e,), None)(p)
-    assert (compile_evaluate_with_magnitude((e,), None)(p)
-            == (evaluate_with_magnitude(e, p),) == ((math.inf, math.inf),))
+        list(evaluate_points((e,), [p], None))
+    assert (list(evaluate_points_with_magnitude((e,), [p], None))
+            == [(evaluate_with_magnitude(e, p),)] == [((math.inf, math.inf),)])
 
 
-def test_compiled_callables_are_memoised_until_clear_caches():
-    exprs = (parse("x1*y2 + g(x2)", CTX), parse("f(x1)/y1", CTX))
-    first = compile_evaluate(exprs, CTX)
-    assert compile_evaluate(list(exprs), CTX) is first
-    assert compile_evaluate_with_magnitude(exprs, CTX) is not first
-    other = Context(dim=2, params=dict(CTX.params), funcs=dict(CTX.funcs))
-    assert compile_evaluate(exprs, other) is not first
+def test_nothing_runs_before_the_first_tuple_and_nothing_is_kept(monkeypatch):
+    passes = []
+
+    def counted(points, ctx, _real=expr._Columns):
+        passes.append(len(points))
+        return _real(points, ctx)
+
+    monkeypatch.setattr(expr, "_Columns", counted)
     clear_caches()
-    assert compile_evaluate(exprs, CTX) is not first
+    exprs = (parse("x1*y2 + g(x2)", CTX), parse("f(x1)/y1", CTX))
+    points = [Point((0.5 * k, 1.0), (1.0, -0.5 * k)) for k in range(1, 5)]
+    rows = evaluate_points(exprs, points, CTX)
+    assert passes == []
+    assert next(rows) == tuple(evaluate(e, points[0], CTX) for e in exprs)
+    assert passes == [4]
+    assert list(rows) == [tuple(evaluate(e, p, CTX) for e in exprs) for p in points[1:]]
+    # one pass over all the points, and no compiled function or memo entry
+    assert passes == [4]
+    assert expr._COMPILE_MEMO == {}
+    assert list(evaluate_points((), points, CTX)) == [()] * 4
+    assert list(evaluate_points(exprs, [], CTX)) == []
 
 
 def test_a_redeclared_body_is_compiled_afresh():
@@ -167,6 +206,6 @@ def test_a_redeclared_body_is_compiled_afresh():
     ctx.declare_function("k")
     e = parse("k(x1)", ctx)
     p = Point((0.5,), (0.0,))
-    assert compile_evaluate((e,), ctx)(p) == (formal_value("k", 0, 0.5),)
+    assert list(evaluate_points((e,), [p], ctx)) == [(formal_value("k", 0, 0.5),)]
     ctx.declare_function("k", parse("x1 + 1", Context(1)))
-    assert compile_evaluate((e,), ctx)(p) == (evaluate(e, p, ctx),) == (1.5,)
+    assert list(evaluate_points((e,), [p], ctx)) == [(evaluate(e, p, ctx),)] == [(1.5,)]

@@ -60,12 +60,12 @@ def test_a_structure_follows_a_body_bound_after_its_first_matrix():
     X = VectorField(1, (parse("f(x1)", ctx),), (ZERO,))
     L = AlmostDirac(1, (Section(X, OneForm(1, (ZERO,), (ZERO,))),))
     p = Point((3.0,), (0.0,))
-    drawn = L.generator_matrix(p, ctx)[0, 0]
+    drawn = next(L.generator_matrices([p], ctx))[0, 0]
     assert drawn != 9.0
     ctx.declare_function("f", parse("x1^2", Context(dim=1)))
-    assert L.generator_matrix(p, ctx)[0, 0] == 9.0
+    assert next(L.generator_matrices([p], ctx))[0, 0] == 9.0
     clear_caches()
-    assert L.generator_matrix(p, ctx)[0, 0] == 9.0
+    assert next(L.generator_matrices([p], ctx))[0, 0] == 9.0
 
 
 def test_pairing_is_symmetric():
@@ -121,12 +121,13 @@ def test_diagonal_graph_is_dirac():
         for j in range(i + 1, 4):
             assert L.bracket(i, j).is_structurally_zero()
     rng = np.random.default_rng(2)
-    for p in _random_points(rng, 8):
-        B = L.generator_matrix(p, CTX2)
+    pts = _random_points(rng, 8)
+    Bs = list(L.generator_matrices(pts, CTX2))
+    for B in Bs:
         assert is_isotropic_at(B)
         assert is_maximal_at(B)
-        assert involutivity_residual(L, p, CTX2, B) <= 1e-8
-        assert kernel_at(L.generator_matrix(p, CTX2)) == []
+        assert kernel_at(B) == []
+    assert involutivity_residual(L, pts, CTX2, Bs) <= 1e-8
 
 
 def test_jacobi_defect_vanishes_on_constant_sections():
@@ -148,10 +149,10 @@ def test_gauge_transform_inverts_and_preserves_isotropy():
         for u, v in zip(g.components(), h.components()):
             assert simplify(u - v) == ZERO
     rng = np.random.default_rng(31)
-    for p in _random_points(rng, 8):
+    for B in moved.generator_matrices(_random_points(rng, 8), CTX2):
         # the pairing shift omega(X,Y) + omega(Y,X) cancels for any omega,
         # closed or not
-        assert is_isotropic_at(moved.generator_matrix(p, CTX2))
+        assert is_isotropic_at(B)
     assert moved.gauge_of is L
 
 
@@ -170,11 +171,11 @@ def test_from_distribution_with_full_annihilator():
     assert L.dist_rank == 2
     assert not L.auto_annihilator
     pts = _sample(CTX2, cfg, S.singular_loci, 10)
-    for p in pts:
-        B = L.generator_matrix(p, CTX2)
+    Bs = list(L.generator_matrices(pts, CTX2))
+    for B in Bs:
         assert is_isotropic_at(B)
         assert is_maximal_at(B)
-        assert involutivity_residual(L, p, CTX2, B) <= 1e-8
+    assert involutivity_residual(L, pts, CTX2, Bs) <= 1e-8
 
 
 def test_from_distribution_with_bound_function_coefficients():
@@ -189,8 +190,8 @@ def test_from_distribution_with_bound_function_coefficients():
                           (fr.dy_adapted[0], eta2), ctx, cfg,
                           loci=S.singular_loci)
     assert L.ann_rank_deficit == 0
-    for p in _sample(ctx, cfg, S.singular_loci, 8):
-        assert is_isotropic_at(L.generator_matrix(p, ctx))
+    for B in L.generator_matrices(_sample(ctx, cfg, S.singular_loci, 8), ctx):
+        assert is_isotropic_at(B)
 
 
 def _thrust_structure_3d():
@@ -212,14 +213,12 @@ def test_from_distribution_records_annihilator_deficit():
     assert L.ann_rank_deficit == 1
     assert L.dist_rank == 3
     pts = _sample(CTX3, cfg, S.singular_loci, 10)
-    worst = 0.0
-    for p in pts:
-        B = L.generator_matrix(p, CTX3)
+    Bs = list(L.generator_matrices(pts, CTX3))
+    for B in Bs:
         assert is_isotropic_at(B)
         assert not is_maximal_at(B)
-        worst = max(worst, involutivity_residual(L, p, CTX3, B))
     # the distribution genuinely fails to close
-    assert worst > 1e-4
+    assert involutivity_residual(L, pts, CTX3, Bs) > 1e-4
 
 
 def test_annihilator_mismatch_carries_a_witness():
@@ -259,17 +258,17 @@ def test_leaf_two_form_away_from_the_fold():
     p = Point((0.3, -1.1), (2.0, 0.7))
     ex1 = np.array([1.0, 0, 0, 0])
     ex2 = np.array([0, 1.0, 0, 0])
-    assert (leaf_two_form_at(L.generator_matrix(p, CTX2), ex1, ex2)
+    assert (leaf_two_form_at(next(L.generator_matrices([p], CTX2)), ex1, ex2)
             == pytest.approx(2.0, abs=1e-12))
-    assert (leaf_two_form_at(L.generator_matrix(p, CTX2), ex2, ex1)
+    assert (leaf_two_form_at(next(L.generator_matrices([p], CTX2)), ex2, ex1)
             == pytest.approx(-2.0, abs=1e-12))
-    assert kernel_at(L.generator_matrix(p, CTX2)) == []
+    assert kernel_at(next(L.generator_matrices([p], CTX2))) == []
 
 
 def test_kernel_jumps_on_the_fold():
     L = _folded_structure()
     p = Point((0.3, -1.1), (0.0, 0.7))
-    basis = kernel_at(L.generator_matrix(p, CTX2))
+    basis = kernel_at(next(L.generator_matrices([p], CTX2)))
     assert len(basis) == 2
     for v in basis:
         # kernel directions stay inside the base block
@@ -281,7 +280,7 @@ def test_leaf_arguments_must_lie_in_the_distribution():
     p = Point((0.3, -1.1), (2.0, 0.7))
     vertical = np.array([0, 0, 1.0, 0])
     with pytest.raises(DistributionMembershipError):
-        leaf_two_form_at(L.generator_matrix(p, CTX2), vertical,
+        leaf_two_form_at(next(L.generator_matrices([p], CTX2)), vertical,
                          np.array([1.0, 0, 0, 0]))
 
 
@@ -298,9 +297,8 @@ def test_gauge_by_closed_form_keeps_closure():
     S, fr, cfg, L = _horizontal_structure()
     omega = TwoForm.single(2, 0, 2, 1) + TwoForm.single(2, 1, 3, 1)
     moved = gauge_transform(L, omega)
-    for p in _sample(CTX2, cfg, S.singular_loci, 20):
-        B = moved.generator_matrix(p, CTX2)
-        assert involutivity_residual(moved, p, CTX2, B) <= 1e-8
+    pts = _sample(CTX2, cfg, S.singular_loci, 20)
+    assert involutivity_residual(moved, pts, CTX2, list(moved.generator_matrices(pts, CTX2))) <= 1e-8
 
 
 def _sample(ctx, cfg, loci, count):

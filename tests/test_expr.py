@@ -10,8 +10,9 @@ from spraydirac.errors import EvalDomainError, ParseError
 from spraydirac import expr
 from spraydirac.expr import (
     MAX_NESTING, Const, Context, Point, SampleConfig, Tri, Var, _clear_draws, _iroot,
-    clear_caches, compile_evaluate, compile_evaluate_with_magnitude, compile_exprs,
-    compile_rk4_step, diff, evaluate, format_expr, is_zero, parse, simplify,
+    clear_caches, compile_exprs, compile_rk4_step, diff, evaluate,
+    evaluate_points, evaluate_points_with_magnitude, evaluate_with_magnitude,
+    format_expr, is_zero, parse, simplify,
 )
 
 
@@ -110,9 +111,9 @@ def test_a_redeclared_function_is_evaluated_with_its_new_body():
     ctx = Context(dim=1)
     ctx.declare_function("f", parse("x1^2", Context(dim=1)))
     e, p = parse("f(x1) + f'(x1)", ctx), Point((3.0,), (0.0,))
-    assert evaluate(e, p, ctx) == compile_evaluate((e,), ctx)(p)[0] == 15.0
+    assert [(evaluate(e, p, ctx),)] == list(evaluate_points((e,), [p], ctx)) == [(15.0,)]
     ctx.declare_function("f", parse("x1^3", Context(dim=1)))
-    assert evaluate(e, p, ctx) == compile_evaluate((e,), ctx)(p)[0] == 54.0
+    assert [(evaluate(e, p, ctx),)] == list(evaluate_points((e,), [p], ctx)) == [(54.0,)]
     assert compile_exprs((e,), ctx)((3.0, 0.0)) == (54.0,)
 
 
@@ -267,6 +268,13 @@ NESTED = {
 }
 
 
+def _value_or_error(fn):
+    try:
+        return fn()
+    except EvalDomainError as exc:
+        return type(exc), str(exc)
+
+
 @pytest.mark.parametrize("text", NESTED.values(), ids=NESTED.keys())
 def test_the_deepest_expressions_stay_inside_the_recursion_limit(text):
     ctx = Context(dim=1)
@@ -278,8 +286,13 @@ def test_the_deepest_expressions_stay_inside_the_recursion_limit(text):
     expr._nf(e)
     compile_exprs((e, s), ctx)
     compile_rk4_step((e,), (s,), ctx, 0.01)
-    compile_evaluate((e, s), ctx)
-    compile_evaluate_with_magnitude((e, s), ctx)
+    p = Point((0.5,), (0.75,))
+    for batch, one in ((evaluate_points, evaluate),
+                       (evaluate_points_with_magnitude, evaluate_with_magnitude)):
+        # "mixed" takes a root of a negative value, at a node the pass
+        # reaches at its full depth
+        assert (_value_or_error(lambda: list(batch((e, s), [p], ctx)))
+                == _value_or_error(lambda: [(one(e, p, ctx), one(s, p, ctx))]))
     format_expr(e)
     format_expr(s)
     clear_caches()

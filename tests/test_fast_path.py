@@ -1,5 +1,5 @@
-"""The compiled evaluator's fast path serves the points where evaluate
-returns: evaluate runs only where the fast path cannot finish."""
+"""evaluate_points' columnar pass serves the point lists where evaluate
+returns: evaluate runs only where the pass cannot finish."""
 
 from pathlib import Path
 
@@ -15,8 +15,7 @@ EX4 = Path(__file__).resolve().parents[1] / "demos" / "problems" / "ex4.sdp"
 
 @pytest.fixture
 def fallbacks(monkeypatch):
-    """The names of the evaluate and evaluate_with_magnitude calls made,
-    with compiled functions built afresh so that they call the counters."""
+    """The names of the evaluate and evaluate_with_magnitude calls made."""
     expr.clear_caches()
     calls = []
     for name in ("evaluate", "evaluate_with_magnitude"):
@@ -29,28 +28,31 @@ def fallbacks(monkeypatch):
 
 
 def test_the_fast_path_serves_the_ex4_collocation_points(fallbacks, monkeypatch):
-    compiled = []
+    batches = []
 
-    def spy(exprs, ctx):
-        compiled.append((tuple(exprs), ctx))
-        return expr.compile_evaluate(exprs, ctx)
+    def spy(exprs, points, ctx):
+        batches.append((tuple(exprs), tuple(points), ctx))
+        return expr.evaluate_points(exprs, points, ctx)
 
-    monkeypatch.setattr(ansatz, "compile_evaluate", spy)
+    monkeypatch.setattr(ansatz, "evaluate_points", spy)
     pf = load_problem_file(str(EX4))
     st = pf.ansatz
     a = ansatz.Ansatz(n=pf.n, degree=st.degree, points=st.points, box=st.box, seed=st.seed)
     _, pts = ansatz.assemble(pf.semispray(), pf.dist, a, pf.context)
-    (cols, ctx), = compiled
-    evaluation = expr.compile_evaluate(cols, ctx)
+    (cols, points, ctx), = batches
+    assert points == tuple(pts)
 
     fallbacks.clear()
-    values = [evaluation(p) for p in pts]
+    values = list(expr.evaluate_points(cols, pts, ctx))
     assert fallbacks == []
     assert values == [tuple(expr.evaluate(e, p, ctx) for e in cols) for p in pts]
 
-    # a column that divides by zero at x1 = 0
-    divided = expr.compile_evaluate(cols + (Div(cols[0], Var("x", 1)),), ctx)
+    # a column that divides by zero at x1 = 0: the point before it is served
+    # first, then evaluate raises at it
+    divided = expr.evaluate_points(cols + (Div(cols[0], Var("x", 1)),),
+                                   [pts[0], Point((0.0, 1.0), (1.0, 1.0))], ctx)
     fallbacks.clear()
-    with pytest.raises(EvalDomainError, match="^division by zero$"):
-        divided(Point((0.0, 1.0), (1.0, 1.0)))
+    assert next(divided)[:-1] == values[0]
     assert "evaluate" in fallbacks
+    with pytest.raises(EvalDomainError, match="^division by zero$"):
+        next(divided)

@@ -12,7 +12,7 @@ import pytest
 from spraydirac.ansatz import Ansatz, search
 from spraydirac.dirac import AlmostDirac, Section
 from spraydirac.expr import (
-    ZERO, Context, Point, SampleConfig, compile_evaluate, evaluate, formal_value,
+    ZERO, Context, Point, SampleConfig, evaluate, evaluate_points, formal_value,
     parse, sample_points, simplify,
 )
 from spraydirac.geometry import OneForm, SemiSpray, VectorField
@@ -61,7 +61,7 @@ def test_every_evaluation_sees_one_value_of_a_formal_function():
     p = Point((0.3, -0.7), (1.1, 0.4))
     v = formal_value("f", 0, 0.3)
     assert evaluate(f, p, ctx) == v
-    assert compile_evaluate((f,), ctx)(p) == (v,)
+    assert list(evaluate_points((f,), [p], ctx)) == [(v,)]
     # [d/dx2, x2*f(x1) d/dx1] = f(x1) d/dx1, and (0, f(x1) dx2) holds f itself
     L = AlmostDirac(n=2, generators=(
         Section.of_field(VectorField.coordinate(2, "x", 2)),
@@ -69,10 +69,10 @@ def test_every_evaluation_sees_one_value_of_a_formal_function():
                                      (ZERO, ZERO))),
         Section.of_form(OneForm(2, (ZERO, f), (ZERO, ZERO))),
     ))
-    B = L.generator_matrix(p, ctx)
+    B = next(L.generator_matrices([p], ctx))
     assert B[1, 0] == -0.7 * v
     assert B[2, 5] == v
-    brackets = np.reshape(L._rows(ctx, True)(p), (-1, 8))
+    brackets = np.reshape(next(evaluate_points(L.bracket_exprs(), [p], ctx)), (-1, 8))
     assert brackets[0, 0] == v
 
 

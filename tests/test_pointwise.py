@@ -144,14 +144,14 @@ def _outcome(fn, *args):
 def test_one_matrix_per_point_gives_the_per_test_results(L, p):
     old = (_old_is_isotropic_at(L, p, CTX), _old_is_maximal_at(L, p, CTX),
            _old_kernel_at(L, p, CTX), _old_involutivity_residual(L, p, CTX))
-    B = L.generator_matrix(p, CTX)
+    B = next(L.generator_matrices([p], CTX))
     assert np.array_equal(B, _old_generator_matrix(L, p, CTX))
     assert is_isotropic_at(B) is old[0]
     assert is_maximal_at(B) is old[1]
     new_kernel = kernel_at(B)
     assert len(new_kernel) == len(old[2])
     assert all(np.array_equal(u, v) for u, v in zip(new_kernel, old[2]))
-    assert involutivity_residual(L, p, CTX, B) == old[3]
+    assert involutivity_residual(L, [p], CTX, [B]) == old[3]
     # the first row's vector part lies in the distribution; a fixed
     # vector often does not, which exercises the membership error
     Xv, Yv = B[0, :4], np.array([1.0, 0.5, -0.25, 2.0])
@@ -167,5 +167,5 @@ def test_brackets_of_formal_functions_add_applications():
                                              (ZERO, ZERO))),
     ))
     p = Point((0.3, -0.7), (1.1, 0.4))
-    assert (involutivity_residual(L, p, CTX, L.generator_matrix(p, CTX))
+    assert (involutivity_residual(L, [p], CTX, list(L.generator_matrices([p], CTX)))
             == _old_involutivity_residual(L, p, CTX))

@@ -5,6 +5,7 @@ import contextlib
 import io
 import math
 import struct
+import sys
 import tempfile
 from datetime import timedelta
 from fractions import Fraction
@@ -380,6 +381,11 @@ def _key(line: str) -> str:
     return " ".join(words[:2]) if words[0] == "spray" else words[0]
 
 
+# the limit a command runs under from the shell: hypothesis raises it while
+# a test runs, which would hide a RecursionError the CLI meets
+DEFAULT_RECURSION_LIMIT = sys.getrecursionlimit()
+
+
 def _edited(demo: str, lines) -> str:
     """The demo file with each line in place of the first of its kind, or
     appended when the file has none."""
@@ -451,8 +457,13 @@ def test_no_problem_file_exits_4(demo, steps, method, seed, edits, command, seed
         path.write_text(text)
         argv = [command, str(path)] + (["--seed", seed_arg] if seed_arg else [])
         err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            rc = cli.main(argv)
+        raised = sys.getrecursionlimit()
+        sys.setrecursionlimit(DEFAULT_RECURSION_LIMIT)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                rc = cli.main(argv)
+        finally:
+            sys.setrecursionlimit(raised)
     assert rc in (0, 1, 2, 3), err.getvalue()
     assert "internal error" not in err.getvalue()
 

@@ -15,8 +15,8 @@ from spraydirac.dirac import (  # noqa: E402
     from_distribution, gauge_transform, involutivity_residual,
 )
 from spraydirac.expr import (  # noqa: E402
-    ZERO, Add, Context, Mul, SampleConfig, Var, clear_caches, compile_evaluate,
-    diff, parse, sample_points, simplify, sum_exprs,
+    ZERO, Add, Context, Mul, SampleConfig, Var, clear_caches, diff, evaluate_points,
+    parse, sample_points, simplify, sum_exprs,
 )
 from spraydirac.forms import (  # noqa: E402
     d_scalar, exterior_derivative_1, interior_product, lie_derivative,
@@ -65,7 +65,7 @@ def _old_lie_derivative(X, alpha):
 
 def _old_involutivity_residual(L, p, ctx, B):
     exprs = [c for i, j in L._pairs() for c in L.bracket(i, j).components()]
-    brackets = np.reshape(compile_evaluate(exprs, ctx)(p), (-1, 4 * L.n))
+    brackets = np.reshape(next(evaluate_points(exprs, [p], ctx)), (-1, 4 * L.n))
     worst = 0.0
     for u in brackets:
         sol, *_ = np.linalg.lstsq(B.T, u, rcond=None)
@@ -101,8 +101,7 @@ def test_residual_matches_the_one_over_every_bracket(demo):
     gauged = gauge_transform(L, cli._prepared_omega(pf, pf.semispray()))
     pts = sample_points(ctx, SampleConfig(seed=1), pf.singular_loci, count=20)
     for structure in (L, gauged):
-        for p in pts:
-            B = structure.generator_matrix(p, ctx)
-            assert (involutivity_residual(structure, p, ctx, B)
+        for p, B in zip(pts, structure.generator_matrices(pts, ctx)):
+            assert (involutivity_residual(structure, [p], ctx, [B])
                     == _old_involutivity_residual(structure, p, ctx, B))
     clear_caches()
