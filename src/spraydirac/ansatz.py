@@ -22,8 +22,8 @@ import numpy as np
 
 from .errors import ValidationError
 from .expr import (
-    DEFAULT_SEED, Const, Context, Expr, Mul, Point, SampleConfig, Var, ZERO,
-    evaluate_points, format_expr, sample_points, simplify, sum_exprs,
+    DEFAULT_SEED, Const, Context, Expr, Mul, Point, SampleConfig, ZERO,
+    coordinates, evaluate_points, format_expr, sample_points, simplify, sum_exprs,
 )
 from .forms import TwoForm, d_scalar, format_two_form, interior_product
 from .geometry import SemiSpray, VectorField
@@ -47,7 +47,7 @@ def monomial_dictionary(n: int, degree: int) -> list[Expr]:
     """All monomials in the 2n coordinates up to the given total degree."""
     if degree < 0:
         raise ValidationError("dictionary degree must be nonnegative")
-    coords = [Var("x", i + 1) for i in range(n)] + [Var("y", a + 1) for a in range(n)]
+    coords = coordinates(n)
     out: list[Expr] = []
     for total in range(degree + 1):
         for combo in itertools.combinations_with_replacement(range(2 * n), total):

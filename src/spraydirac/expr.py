@@ -36,7 +36,7 @@ from .errors import EvalDomainError, ParseError, UnboundParameterError, Validati
 
 __all__ = [
     "Expr", "Const", "Var", "Param", "Call", "FuncApp", "Neg", "Add", "Mul", "Div", "Pow",
-    "Tri", "Context", "Point", "SampleConfig",
+    "Tri", "Context", "Point", "SampleConfig", "coordinates",
     "parse", "simplify", "diff", "evaluate", "is_zero", "format_expr",
     "as_expr", "sum_exprs", "tri_all", "sample_points", "clear_caches",
     "compile_exprs", "compile_rk4_step", "evaluate_points",
@@ -85,7 +85,8 @@ def tri_all(verdicts: Iterable[Tri]) -> Tri:
 
 
 class Expr:
-    """Immutable expression node. Subclasses set _key in __init__.
+    """Expression node, immutable by convention: each slot is set once in
+    __init__, and subclasses set _key there.
 
     Equality and hashing are structural (on _key), and the memo of _nf,
     simplify and diff keys on them.  The normal-form dicts that _nf memoises
@@ -95,8 +96,8 @@ class Expr:
     __slots__ = ("_key", "_hash")
 
     def _set_key(self, key: tuple) -> None:
-        object.__setattr__(self, "_key", key)
-        object.__setattr__(self, "_hash", hash(key))
+        self._key = key
+        self._hash = hash(key)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Expr) and self._key == other._key
@@ -159,7 +160,7 @@ class Const(Expr):
             value = Fraction(value)
         if not isinstance(value, (Fraction, float)):
             raise TypeError(f"bad constant {value!r}")
-        object.__setattr__(self, "value", value)
+        self.value = value
         if isinstance(value, Fraction):
             num, den = value.numerator, value.denominator
             if num.bit_length() > MAX_EXACT_BITS or den.bit_length() > MAX_EXACT_BITS:
@@ -197,8 +198,8 @@ class Var(Expr):
     def __init__(self, axis: str, index: int):
         if axis not in ("x", "y") or index < 1:
             raise ValueError(f"bad coordinate {axis}{index}")
-        object.__setattr__(self, "axis", axis)
-        object.__setattr__(self, "index", index)
+        self.axis = axis
+        self.index = index
         self._set_key(("var", axis, index))
 
     @property
@@ -209,13 +210,19 @@ class Var(Expr):
         return (1, 0 if self.axis == "x" else 1, self.index)
 
 
+@functools.cache
+def coordinates(n: int) -> tuple[Var, ...]:
+    """x1..xn, then y1..yn: built once per dimension and shared."""
+    return tuple(Var(axis, i) for axis in "xy" for i in range(1, n + 1))
+
+
 class Param(Expr):
     """Declared scalar parameter, referenced by name."""
 
     __slots__ = ("name",)
 
     def __init__(self, name: str):
-        object.__setattr__(self, "name", name)
+        self.name = name
         self._set_key(("param", name))
 
     def sortkey(self) -> tuple:
@@ -230,8 +237,8 @@ class Call(Expr):
     def __init__(self, fname: str, arg: Expr):
         if fname not in BUILTIN_FUNCTIONS:
             raise ValueError(f"unsupported function {fname!r}")
-        object.__setattr__(self, "fname", fname)
-        object.__setattr__(self, "arg", arg)
+        self.fname = fname
+        self.arg = arg
         self._set_key(("call", fname, arg._key))
 
     def sortkey(self) -> tuple:
@@ -244,9 +251,9 @@ class FuncApp(Expr):
     __slots__ = ("fname", "order", "arg")
 
     def __init__(self, fname: str, order: int, arg: Expr):
-        object.__setattr__(self, "fname", fname)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "arg", arg)
+        self.fname = fname
+        self.order = order
+        self.arg = arg
         self._set_key(("funcapp", fname, order, arg._key))
 
     def sortkey(self) -> tuple:
@@ -263,8 +270,8 @@ class Pow(Expr):
             exponent = Fraction(exponent)
         if not isinstance(exponent, Fraction):
             raise TypeError("exponent must be an int or Fraction")
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "exponent", exponent)
+        self.base = base
+        self.exponent = exponent
         self._set_key(("pow", base._key, exponent.numerator, exponent.denominator))
 
     def sortkey(self) -> tuple:
@@ -275,7 +282,7 @@ class Neg(Expr):
     __slots__ = ("child",)
 
     def __init__(self, child: Expr):
-        object.__setattr__(self, "child", child)
+        self.child = child
         self._set_key(("neg", child._key))
 
     def sortkey(self) -> tuple:
@@ -291,8 +298,8 @@ class Add(Expr):
         children = tuple(children)
         if len(children) < 2:
             raise ValueError("Add needs at least two children")
-        object.__setattr__(self, "children", children)
-        self._set_key(("add",) + tuple(c._key for c in children))
+        self.children = children
+        self._set_key(("add", *[c._key for c in children]))
 
     def sortkey(self) -> tuple:
         return (7, tuple(c.sortkey() for c in self.children))
@@ -307,8 +314,8 @@ class Mul(Expr):
         children = tuple(children)
         if len(children) < 2:
             raise ValueError("Mul needs at least two children")
-        object.__setattr__(self, "children", children)
-        self._set_key(("mul",) + tuple(c._key for c in children))
+        self.children = children
+        self._set_key(("mul", *[c._key for c in children]))
 
     def sortkey(self) -> tuple:
         return (8, tuple(c.sortkey() for c in self.children))
@@ -318,8 +325,8 @@ class Div(Expr):
     __slots__ = ("num", "den")
 
     def __init__(self, num: Expr, den: Expr):
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        self.num = num
+        self.den = den
         self._set_key(("div", num._key, den._key))
 
     def sortkey(self) -> tuple:
@@ -393,7 +400,7 @@ class Context:
             return None
         e = decl.body
         for _ in range(order):
-            e = diff(e, Var("x", 1))
+            e = diff(e, coordinates(1)[0])
         return e
 
 
@@ -594,12 +601,11 @@ class _Parser:
         if m:
             if order:
                 raise ParseError(f"cannot take a prime of coordinate {name!r}", position=t.pos)
-            axis, idx = m.group(1), int(m.group(2))
-            if idx > self.ctx.dim:
-                raise ParseError(
-                    f"coordinate {name!r} out of range for dimension {self.ctx.dim}",
-                    position=t.pos)
-            return Var(axis, idx)
+            axis, idx, n = m.group(1), int(m.group(2)), self.ctx.dim
+            if idx > n:
+                raise ParseError(f"coordinate {name!r} out of range for dimension {n}",
+                                 position=t.pos)
+            return coordinates(n)[idx - 1 if axis == "x" else n + idx - 1]
         if name in BUILTIN_FUNCTIONS:
             if order:
                 raise ParseError(f"primes are not allowed on {name!r}", position=t.pos)
@@ -630,12 +636,14 @@ def parse(text: str, ctx: Context) -> Expr:
 # canonical simplification
 #
 # Normal form: dict mapping a monomial (sorted tuple of (base, exponent)
-# pairs) to a coefficient.  Coefficients are Fractions unless a float has
+# pairs) to a coefficient.  An exponent is an int when it is integral and a
+# Fraction otherwise: equal ints and Fractions compare and hash alike, and an
+# int hashes in C.  Coefficients are Fractions unless a float has
 # contaminated the term.  Bases are canonical Exprs: Var, Param, Call,
 # FuncApp, Const (for things like 2^(1/2)), or a canonical Add/Mul/Pow kept
 # atomic because expanding it is unsound or unhelpful.
 
-_Mono = tuple  # tuple[tuple[Expr, Fraction], ...]
+_Mono = tuple  # tuple[tuple[Expr, int | Fraction], ...]
 _NF = dict     # dict[_Mono, Fraction | float]
 
 _EXPAND_CAP = 16
@@ -734,6 +742,8 @@ def _normalize_pairs(pairs: dict, coeff):
     for base, exp in pairs.items():
         if exp == 0:
             continue
+        if type(exp) is not int and exp.denominator == 1:
+            exp = exp.numerator
         if isinstance(base, Const):
             v = base.value
             if isinstance(v, Fraction):
@@ -811,10 +821,10 @@ def _nf_invert(nf: _NF) -> _NF:
         return {m: cc}
     c, unit = _content_split(nf)
     base = _emit(unit)
-    return {((base, Fraction(-1)),): _cinv(c)}
+    return {((base, -1),): _cinv(c)}
 
 
-def _nf_pow(nf: _NF, r: Fraction) -> _NF:
+def _nf_pow(nf: _NF, r: int | Fraction) -> _NF:
     if r == 0:
         return {(): Fraction(1)}
     if not nf:
@@ -824,7 +834,7 @@ def _nf_pow(nf: _NF, r: Fraction) -> _NF:
     if r.denominator == 1:
         k = int(r)
         if k < 0:
-            return _nf_pow(_nf_invert(nf), Fraction(-k))
+            return _nf_pow(_nf_invert(nf), -k)
         if len(nf) == 1:
             (mono, c), = nf.items()
             pairs = {base: exp * k for base, exp in mono}
@@ -842,7 +852,7 @@ def _nf_pow(nf: _NF, r: Fraction) -> _NF:
             return out
         c, unit = _content_split(nf)
         base = _emit(unit)
-        return _term(((base, Fraction(k)),), _cpow(c, k))
+        return _term(((base, k),), _cpow(c, k))
     # fractional exponent
     if len(nf) == 1:
         (mono, c), = nf.items()
@@ -894,7 +904,7 @@ def _fold_call(fname: str, arg: Expr) -> Expr | None:
 
 
 def _atom(base: Expr) -> _NF:
-    return {((base, Fraction(1)),): Fraction(1)}
+    return {((base, 1),): Fraction(1)}
 
 
 # Per-command memo: _nf, simplify and diff are pure functions of their
@@ -921,7 +931,8 @@ _DRAW_MEMO: dict[tuple, list] = {}
 
 def clear_caches() -> None:
     """Forget every memoised normal form, simplification, derivative,
-    generated module and sampler stream."""
+    generated module and sampler stream.  The coordinates tuples stay: they
+    are constants."""
     _NF_MEMO.clear()
     _SIMPLIFY_MEMO.clear()
     _DIFF_MEMO.clear()
@@ -1576,7 +1587,9 @@ def _py_src(e: Expr, ctx: Context, depth: int) -> str:
                 f"opaque function {e.fname!r} needs a bound body to compile")
         # the body's value must be finite, as evaluate's is
         inner = _py_src(simplify(body), ctx, depth + 1)
-        return f"_fin((_a{depth + 1} := {_py_src(e.arg, ctx, depth)}, {inner})[1])"
+        f, a = f"_f{depth + 1}", f"_a{depth + 1}"
+        return (f"({f} if _isfinite({f} := ({a} := {_py_src(e.arg, ctx, depth)}, {inner})[1])"
+                " else _nonfinite())")
     raise TypeError(f"cannot compile {e!r}")
 
 
@@ -1610,9 +1623,13 @@ def _sqrt(v: float) -> float:
     return math.sqrt(v)
 
 
+def _nonfinite():
+    raise EvalDomainError("non-finite value in compiled evaluation")
+
+
 def _fin(v: float) -> float:
     if not math.isfinite(v):
-        raise EvalDomainError("non-finite value in compiled evaluation")
+        _nonfinite()
     return v
 
 
@@ -1621,7 +1638,8 @@ def _exec_def(lines: list[str], **names) -> dict:
     the non-finite constants that _py_src prints with repr."""
     ns = {"math": math, "inf": math.inf, "nan": math.nan,
           "_fpow": _fpow, "_sin": _sin, "_cos": _cos, "_ln": _ln, "_sqrt": _sqrt,
-          "_fin": _fin, "_reduce": functools.reduce, "_add": operator.add, **names}
+          "_isfinite": math.isfinite, "_nonfinite": _nonfinite,
+          "_reduce": functools.reduce, "_add": operator.add, **names}
     exec("\n".join(lines), ns)
     return ns
 
@@ -1754,7 +1772,7 @@ def _rk4_module(G: tuple, loci: tuple, ctx: Context, dt: float) -> tuple:
              + ["    except _fallback:", "        return None"]
              + _def_lines("_g", g_src, n) + _def_lines("_loci", l_src, n))
     ns = _exec_def(lines, _h=0.5 * dt, _dt=dt, _d6=dt / 6.0, _guard=LOCUS_GUARD,
-                   _isfinite=math.isfinite, _fallback=FLOAT_FALLBACK_ERRORS)
+                   _fallback=FLOAT_FALLBACK_ERRORS)
     g = _checked(ns["_g"])
 
     def field(z: np.ndarray, params: Mapping) -> np.ndarray:

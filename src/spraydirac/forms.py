@@ -17,7 +17,7 @@ from typing import Iterator, Mapping
 from .errors import ValidationError
 from .expr import (
     Add, Expr, Mul, Neg, Var, ZERO, ONE,
-    as_expr, diff, format_expr, simplify, sum_exprs,
+    as_expr, coordinates, diff, format_expr, simplify, sum_exprs,
 )
 from .geometry import OneForm, VectorField
 
@@ -35,7 +35,7 @@ BERWALD = "berwald"
 
 def flat_var(n: int, k: int) -> Var:
     """Coordinate for flat slot k: x_{k+1} below n, else y_{k-n+1}."""
-    return Var("x", k + 1) if k < n else Var("y", k - n + 1)
+    return coordinates(n)[k]
 
 
 def basis_label(n: int, basis: str, k: int) -> str:

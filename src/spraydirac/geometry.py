@@ -16,8 +16,8 @@ from typing import Sequence
 
 from .errors import ValidationError
 from .expr import (
-    Add, Const, Context, Expr, Mul, Neg, SampleConfig, Tri, Var, ZERO,
-    as_expr, diff, is_zero, simplify, sum_exprs, tri_all,
+    Add, Const, Context, Expr, Mul, Neg, SampleConfig, Tri, ZERO,
+    as_expr, coordinates, diff, is_zero, simplify, sum_exprs, tri_all,
 )
 
 __all__ = [
@@ -63,9 +63,8 @@ class VectorField:
 
     def __call__(self, f: Expr) -> Expr:
         """Directional derivative X(f); a zero component takes no derivative."""
-        coords = [Var(axis, i) for axis in "xy" for i in range(1, self.n + 1)]
         parts = [Mul((c, diff(f, v)))
-                 for c, v in zip(self.base + self.fiber, coords) if c != ZERO]
+                 for c, v in zip(self.base + self.fiber, coordinates(self.n)) if c != ZERO]
         return simplify(sum_exprs(parts))
 
     def __add__(self, other: "VectorField") -> "VectorField":
@@ -165,21 +164,20 @@ class SemiSpray:
         object.__setattr__(self, "singular_loci", tuple(self.singular_loci))
 
     def vector_field(self) -> VectorField:
-        ys = tuple(Var("y", a) for a in range(1, self.n + 1))
         fibers = tuple(simplify(Mul((Const(-2), g))) for g in self.G)
-        return VectorField(self.n, ys, fibers)
+        return VectorField(self.n, coordinates(self.n)[self.n:], fibers)
 
 
 def liouville_field(n: int) -> VectorField:
-    return VectorField(n, (ZERO,) * n, tuple(Var("y", a) for a in range(1, n + 1)))
+    return VectorField(n, (ZERO,) * n, coordinates(n)[n:])
 
 
 def is_semispray(X: VectorField, ctx: Context, cfg: SampleConfig | None = None,
                  loci: Sequence[Expr] = ()) -> Tri:
     """Does J(X) equal the Liouville field, i.e. are the base components y_a."""
     verdicts = [
-        is_zero(Add((X.base[a], Neg(Var("y", a + 1)))), ctx, cfg, loci)
-        for a in range(X.n)
+        is_zero(Add((b, Neg(y))), ctx, cfg, loci)
+        for b, y in zip(X.base, coordinates(X.n)[X.n:])
     ]
     return tri_all(verdicts)
 
@@ -188,7 +186,7 @@ def euler_residuals(S: SemiSpray) -> tuple[Expr, ...]:
     """sum_a y_a dG/dy_a - 2G, one expression per coefficient."""
     out = []
     for g in S.G:
-        parts = [Mul((Var("y", a), diff(g, Var("y", a)))) for a in range(1, S.n + 1)]
+        parts = [Mul((y, diff(g, y))) for y in coordinates(S.n)[S.n:]]
         parts.append(Mul((Const(-2), g)))
         out.append(simplify(Add(tuple(parts))))
     return tuple(out)
@@ -201,10 +199,8 @@ def is_spray(S: SemiSpray, ctx: Context, cfg: SampleConfig | None = None) -> Tri
 
 def connection_coefficients(S: SemiSpray) -> tuple[tuple[Expr, ...], ...]:
     """N[a][i] = d G^a / d y_i, both indices 0-based."""
-    return tuple(
-        tuple(diff(S.G[a], Var("y", i + 1)) for i in range(S.n))
-        for a in range(S.n)
-    )
+    ys = coordinates(S.n)[S.n:]
+    return tuple(tuple(diff(g, y) for y in ys) for g in S.G)
 
 
 def spray_from_connection(N: Sequence[Sequence[Expr]], n: int) -> SemiSpray:
@@ -216,8 +212,8 @@ def spray_from_connection(N: Sequence[Sequence[Expr]], n: int) -> SemiSpray:
     """
     G = []
     for a in range(n):
-        parts = [Mul((Const(Fraction(1, 2)), Var("y", i + 1), as_expr(N[a][i])))
-                 for i in range(n)]
+        parts = [Mul((Const(Fraction(1, 2)), y, as_expr(N[a][i])))
+                 for i, y in enumerate(coordinates(n)[n:])]
         G.append(simplify(sum_exprs(parts)))
     return SemiSpray(n, tuple(G))
 

@@ -12,10 +12,12 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
+from spraydirac import expr  # noqa: E402
 from spraydirac.errors import EvalDomainError, UnboundParameterError  # noqa: E402
 from spraydirac.expr import (  # noqa: E402
     Add, Call, Const, Context, Div, FuncApp, Mul, Neg, Param, Point, Pow, Var,
-    _fpow, _ln, _sqrt, compile_exprs, evaluate, parse, simplify,
+    _fpow, _ln, _sqrt, clear_caches, compile_exprs, compile_rk4_step, evaluate, parse,
+    simplify,
 )
 
 from ndarray_eval import on_ndarray  # noqa: E402
@@ -269,6 +271,29 @@ def test_chained_bodies_compile_as_evaluate_applies_them():
         fn(np.array([1e200, 0.5]))
     with pytest.raises(EvalDomainError, match="overflow"):
         fn((1e200, 0.5))
+
+
+def test_a_body_value_is_tested_finite_in_the_generated_code(monkeypatch):
+    # no call to _fin per body value: the generated code tests the value
+    # with math.isfinite, and a value that the quotient masks still fails
+    sources = []
+    exec_def = expr._exec_def
+    monkeypatch.setattr(expr, "_exec_def", lambda lines, **names:
+                        sources.append("\n".join(lines)) or exec_def(lines, **names))
+    ctx = Context(dim=1)
+    ctx.declare_function("f", parse("10^300*x1^2", Context(1)))
+    e = parse("y1^2/(1 + f(x1))", ctx)
+    clear_caches()
+    fn = compile_exprs((e,), ctx)
+    step, _, _ = compile_rk4_step((e,), (), ctx, 0.01)
+    clear_caches()
+    assert len(sources) == 2
+    assert all("_isfinite(" in src and "_fin(" not in src for src in sources)
+    assert fn((0.5, 2.0)) == (evaluate(e, Point((0.5,), (2.0,)), ctx),)
+    # f(1e5) is inf on floats, and y1^2/(1 + inf) is 0.0
+    with pytest.raises(EvalDomainError, match="non-finite value in compiled evaluation"):
+        fn((1e5, 1.0))
+    assert step((1e5, 1.0), {}, ()) is None
 
 
 def test_an_application_without_a_body_is_refused_when_compiling():

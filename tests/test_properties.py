@@ -186,15 +186,14 @@ EXTREME = st.recursive(
     _rational_nodes, max_leaves=8)
 
 
-def _consts(e):
-    """Every Const node in the tree e."""
-    if isinstance(e, Const):
-        yield e
+def _nodes(e):
+    """Every node in the tree e."""
+    yield e
     children = (e.children if isinstance(e, (Add, Mul)) else (e.child,) if isinstance(e, Neg)
                 else (e.base,) if isinstance(e, Pow) else (e.num, e.den) if isinstance(e, Div)
                 else (e.arg,) if isinstance(e, (Call, FuncApp)) else ())
     for child in children:
-        yield from _consts(child)
+        yield from _nodes(child)
 
 
 @PROPERTY
@@ -211,10 +210,23 @@ def test_no_coefficient_of_a_normal_form_is_zero(e):
     s = _canonical(e)
     assert all(c != 0 for c in expr._nf(e).values())
     if s != ZERO:
-        assert all(c.value != 0 for c in _consts(s)), format_expr(s)
+        assert all(c.value != 0 for c in _nodes(s) if isinstance(c, Const)), format_expr(s)
     # nor does a canonical form hold a term that cannot be normalised again
     clear_caches()
     simplify(s)
+
+
+@PROPERTY
+@given(st.one_of(POLYNOMIALS, RATIONALS, EXACT))
+# fractional exponents that add up, or multiply out, to whole ones
+@example(parse("(x1 + 1)^1/2*(x1 + 1)^1/2*y1", CTX2))
+@example(parse("(x1^2/3)^3/2*(x2*y1)^1/2*(x2*y1)^3/2", CTX2))
+@example(parse("1/(x1 + x2)*y1^-1/2", CTX2))
+def test_monomial_exponents_are_ints_where_integral_and_pows_keep_fractions(e):
+    s = _canonical(e)
+    exps = [r for mono in expr._nf(e) for _, r in mono]
+    assert all(type(r) is (int if r.denominator == 1 else Fraction) for r in exps), exps
+    assert all(type(p.exponent) is Fraction for p in _nodes(s) if isinstance(p, Pow))
 
 
 def _snap_by_fractions(v):
