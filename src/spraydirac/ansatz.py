@@ -290,7 +290,7 @@ def search(S: SemiSpray, D_gens: Sequence[VectorField] | None, a: Ansatz,
         H, omega = _decode(a, _snap_vector(v) or v.tolist())
         dH = d_scalar(H, a.n)
         dh_norm = 0.0
-        for values in evaluate_points([dH.component(k) for k in range(2 * a.n)], dh_pts, ctx):
+        for values in evaluate_points(dH.comps, dh_pts, ctx):
             dh_norm = max(dh_norm, float(np.linalg.norm(values)))
         if dh_norm < 1e-10:
             trivial += 1

@@ -55,16 +55,13 @@ def _fmt_tuple(exprs) -> str:
     return ", ".join(format_expr(simplify(e)) for e in exprs)
 
 
-def _fmt_field(V) -> str:
-    return f"({_fmt_tuple(V.base)}; {_fmt_tuple(V.fiber)})"
-
-
-def _fmt_oneform(a) -> str:
-    return f"({_fmt_tuple(a.dx)}; {_fmt_tuple(a.dy)})"
+def _fmt_flat(v) -> str:
+    """A vector field or one-form as (x-direction components; y-direction ones)."""
+    return f"({_fmt_tuple(v.comps[:v.n])}; {_fmt_tuple(v.comps[v.n:])})"
 
 
 def _fmt_section(s) -> str:
-    return f"field {_fmt_field(s.X)} form {_fmt_oneform(s.alpha)}"
+    return f"field {_fmt_flat(s.X)} form {_fmt_flat(s.alpha)}"
 
 
 def _coframe_text(n: int, N) -> list[str]:
@@ -118,7 +115,7 @@ def cmd_analyze(path: str, pf: ProblemFile, seed_arg: int | None) -> dict:
         f"N[{a + 1}][{i + 1}]": frame.N[a][i]
         for a in range(pf.n) for i in range(pf.n)})
     rep["frame"] = {
-        "horizontal": [_fmt_field(h) for h in frame.horizontal],
+        "horizontal": [_fmt_flat(h) for h in frame.horizontal],
         "coframe": _coframe_text(pf.n, frame.N),
     }
     R = curvature(S, frame)
@@ -202,7 +199,7 @@ def cmd_verify(path: str, pf: ProblemFile, seed_arg: int | None) -> dict:
     rep = _base_report("verify", path, pf, seed)
     rep["H"] = format_expr(simplify(pf.H))
     rep["omega"] = format_two_form(omega)
-    rep["distribution"] = ([_fmt_field(X) for X in pf.dist]
+    rep["distribution"] = ([_fmt_flat(X) for X in pf.dist]
                           if pf.dist else "berwald-horizontal (default)")
     cert = hamiltonian_certificate(S, omega, pf.H, pf.dist, pf.ann, ctx, cfg)
     labels = ([f"X{j + 1}" for j in range(len(pf.dist))] if pf.dist

@@ -71,8 +71,7 @@ class Section:
         return Section(self.X.simplified(), self.alpha.simplified())
 
     def components(self) -> list[Expr]:
-        return ([self.X.component(k) for k in range(2 * self.n)]
-                + [self.alpha.component(k) for k in range(2 * self.n)])
+        return [*self.X.comps, *self.alpha.comps]
 
     def is_structurally_zero(self) -> bool:
         return all(c == ZERO for c in self.components())
@@ -113,10 +112,7 @@ def jacobi_anomaly(a1: Section, a2: Section, a3: Section, p: Point,
     t_terms = [pairing(courant_bracket(x, y), z) for x, y, z in cyc]
     T = simplify(Mul((Const(Fraction(1, 6)), sum_exprs(t_terms))))
     rhs_form = d_scalar(T, n)
-    all_exprs: list[Expr] = []
-    for s in lhs_sections:
-        all_exprs.extend(s.components())
-    all_exprs.extend(rhs_form.dx + rhs_form.dy)
+    all_exprs = [c for s in lhs_sections for c in s.components()] + list(rhs_form.comps)
     vals = np.array([evaluate(e, p, ctx) for e in all_exprs])
     lhs = np.zeros(4 * n)
     for row in vals[:12 * n].reshape(3, 4 * n):
@@ -160,10 +156,7 @@ class AlmostDirac:
         return self._memo[key]
 
     def all_exprs(self) -> list[Expr]:
-        out: list[Expr] = []
-        for g in self.generators:
-            out.extend(g.components())
-        return out
+        return [c for g in self.generators for c in g.components()]
 
     def _pairs(self):
         return itertools.combinations(range(len(self.generators)), 2)
@@ -262,8 +255,8 @@ def from_distribution(D_gens: Sequence[VectorField],
 
     k = len(D_gens)
     ann_rank = 0
-    d_comps = [X.component(i) for X in D_gens for i in range(2 * n)]
-    a_comps = [eta.component(i) for eta in etas for i in range(2 * n)]
+    d_comps = [c for X in D_gens for c in X.comps]
+    a_comps = [c for eta in etas for c in eta.comps]
     # two evaluations: a rank-deficient D raises before the etas are evaluated
     a_rows = evaluate_points(a_comps, pts, ctx)
     for d in evaluate_points(d_comps, pts, ctx):
@@ -302,7 +295,8 @@ def gauge_transform(L: AlmostDirac, omega: TwoForm) -> AlmostDirac:
 
 
 def is_isotropic_at(B: np.ndarray) -> bool:
-    """Whether the pairing vanishes on the rows of B, a generator_matrix."""
+    """Whether the pairing vanishes on the rows of B, one of the
+    generator_matrices."""
     n = B.shape[1] // 4
     V, W = B[:, : 2 * n], B[:, 2 * n:]
     gram = V @ W.T + W @ V.T
@@ -311,7 +305,8 @@ def is_isotropic_at(B: np.ndarray) -> bool:
 
 
 def is_maximal_at(B: np.ndarray) -> bool:
-    """Whether the rows of B, a generator_matrix, span 2n dimensions."""
+    """Whether the rows of B, one of the generator_matrices, span 2n
+    dimensions."""
     return _matrix_rank(B) == B.shape[1] // 2
 
 

@@ -1110,6 +1110,14 @@ def _check_finite(v: float, what: str) -> float:
     return v
 
 
+def _fsum(vals) -> float:
+    """math.fsum, with an intermediate overflow refused as a non-finite sum."""
+    try:
+        return math.fsum(vals)
+    except OverflowError:
+        raise EvalDomainError("sum produced a non-finite value") from None
+
+
 def formal_value(name: str, order: int, a: float) -> float:
     """The value of name's order-th derivative at a, for a function without
     a body.
@@ -1136,9 +1144,12 @@ def evaluate(e: Expr, p: Point, ctx: Context | None = None) -> float:
     """
     if isinstance(e, Const):
         try:
-            return float(e.value)
+            v = float(e.value)
         except OverflowError as exc:
             raise EvalDomainError("constant out of double range") from exc
+        if math.isfinite(v):
+            return v
+        raise EvalDomainError("non-finite constant")
     if isinstance(e, Var):
         seq = p.x if e.axis == "x" else p.y
         if e.index > len(seq):
@@ -1149,7 +1160,7 @@ def evaluate(e: Expr, p: Point, ctx: Context | None = None) -> float:
     if isinstance(e, Neg):
         return -evaluate(e.child, p, ctx)
     if isinstance(e, Add):
-        return _check_finite(math.fsum(evaluate(c, p, ctx) for c in e.children), "sum")
+        return _check_finite(_fsum(evaluate(c, p, ctx) for c in e.children), "sum")
     if isinstance(e, Mul):
         out = 1.0
         for c in e.children:
@@ -1215,7 +1226,7 @@ def evaluate_with_magnitude(e: Expr, p: Point,
     """Value plus a cancellation scale (sum of |term| over top-level terms)."""
     if isinstance(e, Add):
         vals = [evaluate(c, p, ctx) for c in e.children]
-        return math.fsum(vals), math.fsum(abs(v) for v in vals)
+        return _fsum(vals), _fsum(abs(v) for v in vals)
     v = evaluate(e, p, ctx)
     return v, abs(v)
 
@@ -1794,10 +1805,14 @@ class _Fallback(Exception):
 
 
 def _double(v) -> float:
+    # evaluate refuses a constant out of double range or non-finite at every point
     try:
-        return float(v)
-    except OverflowError:   # evaluate refuses the constant at every point
+        v = float(v)
+    except OverflowError:
         raise _Fallback from None
+    if not math.isfinite(v):
+        raise _Fallback
+    return v
 
 
 def _finite(col: list) -> list:

@@ -1,16 +1,19 @@
 """Differential forms on TR^n up to degree three.
 
-Flat indexing is used throughout: slots 0..n-1 are the base directions
-(dx_1..dx_n) and slots n..2n-1 the fiber directions (dy_1..dy_n).  A
-TwoForm stores only strictly upper-triangular components over that
-indexing, in either the coordinate coframe or the connection-adapted
-coframe where slot n+a means dy_a + N^a_i dx_i.  Adapted-basis forms can
-carry their connection matrix so that derivative and contraction
-operations may rewrite them over the coordinate coframe first.
+Every object here uses one flat 2n-slot layout, the one in which
+geometry's VectorField and OneForm store their comps: slots 0..n-1 are
+the base directions (dx_1..dx_n) and slots n..2n-1 the fiber directions
+(dy_1..dy_n).  Two- and three-forms store one component per strictly
+increasing index tuple over those slots.  A TwoForm's components may be
+over the coordinate coframe or the connection-adapted coframe, where slot
+n+a means dy_a + N^a_i dx_i.  Adapted-basis forms can carry their
+connection matrix so that derivative and contraction operations may
+rewrite them over the coordinate coframe first.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
@@ -44,48 +47,61 @@ def basis_label(n: int, basis: str, k: int) -> str:
     return ("dy" if basis == COORD else "del") + str(k - n + 1)
 
 
-def _accum(comps: dict, i: int, j: int, e: Expr) -> None:
-    if i == j:
+def _accum(comps: dict, idx: tuple[int, ...], e: Expr) -> None:
+    """Add e at the sorted index tuple, negated when sorting idx takes an odd
+    permutation; an index repeated in idx makes the term zero."""
+    key = tuple(sorted(idx))
+    if len(set(key)) < len(key):
         return
-    if i > j:
-        i, j = j, i
+    if sum(a > b for a, b in itertools.combinations(idx, 2)) % 2:
         e = Neg(e)
-    prev = comps.get((i, j))
-    comps[(i, j)] = e if prev is None else Add((prev, e))
-
-
-def _clean(comps: dict) -> dict:
-    out = {}
-    for key, e in sorted(comps.items()):
-        s = simplify(e)
-        if s != ZERO:
-            out[key] = s
-    return out
+    prev = comps.get(key)
+    comps[key] = e if prev is None else Add((prev, e))
 
 
 @dataclass(frozen=True, eq=False)
-class TwoForm:
-    """Antisymmetric bilinear form; strictly upper components over flat slots."""
+class _Form:
+    """Components over strictly increasing flat index tuples of one length,
+    simplified, in sorted order, without zeros."""
 
     n: int
-    comps: Mapping[tuple[int, int], Expr]
+    comps: Mapping[tuple[int, ...], Expr]
+    basis = COORD
+
+    def __post_init__(self):
+        m = 2 * self.n
+        staged = {}
+        for key, e in dict(self.comps).items():
+            increasing = all(a < b for a, b in zip(key, key[1:]))
+            if len(key) != self._DEGREE or not (increasing and 0 <= key[0] and key[-1] < m):
+                raise ValidationError(f"{self._INDEX_NAME} {key} out of range")
+            staged[key] = as_expr(e)
+        simplified = ((key, simplify(e)) for key, e in sorted(staged.items()))
+        object.__setattr__(self, "comps", {key: e for key, e in simplified if e != ZERO})
+
+    def __eq__(self, other):
+        return (type(other) is type(self) and self.n == other.n
+                and self.basis == other.basis and self.comps == other.comps)
+
+    def items(self) -> Iterator[tuple[tuple[int, ...], Expr]]:
+        return iter(sorted(self.comps.items()))
+
+    def is_structurally_zero(self) -> bool:
+        return not self.comps
+
+
+@dataclass(frozen=True, eq=False)
+class TwoForm(_Form):
+    """Antisymmetric bilinear form; strictly upper components over flat slots."""
+
     basis: str = COORD
     N: tuple[tuple[Expr, ...], ...] | None = None
+    _DEGREE, _INDEX_NAME = 2, "two-form index pair"
 
     def __post_init__(self):
         if self.basis not in (COORD, BERWALD):
             raise ValidationError(f"unknown coframe basis {self.basis!r}")
-        m = 2 * self.n
-        staged = {}
-        for (i, j), e in dict(self.comps).items():
-            if not (0 <= i < j < m):
-                raise ValidationError(f"two-form index pair {(i, j)} out of range")
-            staged[(i, j)] = as_expr(e)
-        object.__setattr__(self, "comps", _clean(staged))
-
-    def __eq__(self, other):
-        return (isinstance(other, TwoForm) and self.n == other.n
-                and self.basis == other.basis and self.comps == other.comps)
+        super().__post_init__()
 
     @classmethod
     def zero(cls, n: int, basis: str = COORD) -> "TwoForm":
@@ -95,7 +111,7 @@ class TwoForm:
     def single(cls, n: int, i: int, j: int, coeff, basis: str = COORD,
                N=None) -> "TwoForm":
         comps: dict = {}
-        _accum(comps, i, j, as_expr(coeff))
+        _accum(comps, (i, j), as_expr(coeff))
         return cls(n, comps, basis, N)
 
     def with_connection(self, N) -> "TwoForm":
@@ -108,20 +124,12 @@ class TwoForm:
             return self.comps.get((i, j), ZERO)
         return simplify(Neg(self.comps.get((j, i), ZERO)))
 
-    def items(self) -> Iterator[tuple[tuple[int, int], Expr]]:
-        return iter(sorted(self.comps.items()))
-
-    def is_structurally_zero(self) -> bool:
-        return not self.comps
-
     def __add__(self, other: "TwoForm") -> "TwoForm":
         if self.n != other.n or self.basis != other.basis:
             raise ValidationError("two-form addition needs matching size and basis")
         merged: dict = {}
-        for (i, j), e in self.comps.items():
-            _accum(merged, i, j, e)
-        for (i, j), e in other.comps.items():
-            _accum(merged, i, j, e)
+        for key, e in [*self.comps.items(), *other.comps.items()]:
+            _accum(merged, key, e)
         return TwoForm(self.n, merged, self.basis, self.N or other.N)
 
     def scaled(self, c) -> "TwoForm":
@@ -152,7 +160,7 @@ class TwoForm:
         for (i, j), w in self.comps.items():
             for k1, c1 in expand(i):
                 for k2, c2 in expand(j):
-                    _accum(comps, k1, k2, Mul((w, c1, c2)))
+                    _accum(comps, (k1, k2), Mul((w, c1, c2)))
         return TwoForm(n, comps, COORD)
 
     def __call__(self, X: VectorField, Y: VectorField) -> Expr:
@@ -160,99 +168,52 @@ class TwoForm:
             return self.to_coordinates()(X, Y)
         parts = []
         for (i, j), w in self.comps.items():
-            xi, xj = X.component(i), X.component(j)
-            yi, yj = Y.component(i), Y.component(j)
+            xi, xj = X.comps[i], X.comps[j]
+            yi, yj = Y.comps[i], Y.comps[j]
             parts.append(Mul((w, Add((Mul((xi, yj)), Neg(Mul((xj, yi))))))))
         return simplify(sum_exprs(parts))
 
 
 @dataclass(frozen=True, eq=False)
-class ThreeForm:
+class ThreeForm(_Form):
     """Degree-three form, coordinate basis, strictly increasing index triples."""
 
-    n: int
-    comps: Mapping[tuple[int, int, int], Expr]
-
-    def __post_init__(self):
-        m = 2 * self.n
-        staged = {}
-        for (i, j, k), e in dict(self.comps).items():
-            if not (0 <= i < j < k < m):
-                raise ValidationError(f"three-form index triple {(i, j, k)} out of range")
-            staged[(i, j, k)] = as_expr(e)
-        object.__setattr__(self, "comps", _clean(staged))
-
-    def __eq__(self, other):
-        return (isinstance(other, ThreeForm) and self.n == other.n
-                and self.comps == other.comps)
-
-    def items(self):
-        return iter(sorted(self.comps.items()))
+    _DEGREE, _INDEX_NAME = 3, "three-form index triple"
 
     def components(self) -> list[Expr]:
         return [e for _, e in self.items()]
 
-    def is_structurally_zero(self) -> bool:
-        return not self.comps
-
-
-def _accum3(comps: dict, idx: tuple[int, int, int], e: Expr) -> None:
-    i, j, k = idx
-    if i == j or j == k or i == k:
-        return
-    # sort the triple, tracking permutation sign
-    sign = 1
-    seq = [i, j, k]
-    for a in range(2):
-        for b in range(2 - a):
-            if seq[b] > seq[b + 1]:
-                seq[b], seq[b + 1] = seq[b + 1], seq[b]
-                sign = -sign
-    if sign < 0:
-        e = Neg(e)
-    key = (seq[0], seq[1], seq[2])
-    prev = comps.get(key)
-    comps[key] = e if prev is None else Add((prev, e))
-
 
 def d_scalar(f: Expr, n: int) -> OneForm:
     """Exterior derivative of a function, as a one-form."""
-    comps = [diff(f, flat_var(n, k)) for k in range(2 * n)]
-    return OneForm(n, tuple(comps[:n]), tuple(comps[n:]))
+    return OneForm.from_comps(n, [diff(f, v) for v in coordinates(n)])
 
 
 def wedge(alpha: OneForm, beta: OneForm) -> TwoForm:
     if alpha.n != beta.n:
         raise ValidationError("wedge of forms on different dimensions")
-    n = alpha.n
     comps: dict = {}
-    for i in range(2 * n):
-        ai = alpha.component(i)
+    for i, ai in enumerate(alpha.comps):
         if ai == ZERO:
             continue
-        for j in range(2 * n):
-            if i == j:
-                continue
-            bj = beta.component(j)
-            if bj == ZERO:
-                continue
-            _accum(comps, i, j, Mul((ai, bj)))
-    return TwoForm(n, comps)
+        for j, bj in enumerate(beta.comps):
+            if i != j and bj != ZERO:
+                _accum(comps, (i, j), Mul((ai, bj)))
+    return TwoForm(alpha.n, comps)
 
 
 def exterior_derivative_1(alpha: OneForm) -> TwoForm:
     n = alpha.n
     comps: dict = {}
-    for j in range(2 * n):
-        aj = alpha.component(j)
+    for j, aj in enumerate(alpha.comps):
         if aj == ZERO:
             continue
-        for i in range(2 * n):
+        for i, v in enumerate(coordinates(n)):
             if i == j:
                 continue
-            partial = diff(aj, flat_var(n, i))
+            partial = diff(aj, v)
             if partial != ZERO:
-                _accum(comps, i, j, partial)
+                _accum(comps, (i, j), partial)
     return TwoForm(n, comps)
 
 
@@ -264,7 +225,7 @@ def exterior_derivative_2(omega: TwoForm) -> ThreeForm:
         for k in range(2 * n):
             partial = diff(w, flat_var(n, k))
             if partial != ZERO:
-                _accum3(comps, (k, i, j), partial)
+                _accum(comps, (k, i, j), partial)
     return ThreeForm(n, comps)
 
 
@@ -276,19 +237,17 @@ def interior_product(X: VectorField, omega: TwoForm) -> OneForm:
     n = form.n
     out = [ZERO] * (2 * n)
     for (i, j), w in form.comps.items():
-        xi, xj = X.component(i), X.component(j)
+        xi, xj = X.comps[i], X.comps[j]
         if xi != ZERO:
             out[j] = Add((out[j], Mul((xi, w))))
         if xj != ZERO:
             out[i] = Add((out[i], Neg(Mul((xj, w)))))
-    comps = [simplify(e) for e in out]
-    return OneForm(n, tuple(comps[:n]), tuple(comps[n:]))
+    return OneForm.from_comps(n, [simplify(e) for e in out])
 
 
 def lie_derivative(X: VectorField, alpha: OneForm) -> OneForm:
     """Cartan formula: contract into d(alpha), then add d of the pairing."""
-    if (all(c == ZERO for c in X.base + X.fiber)
-            or all(c == ZERO for c in alpha.dx + alpha.dy)):
+    if all(c == ZERO for c in X.comps) or all(c == ZERO for c in alpha.comps):
         return OneForm.zero(alpha.n)
     first = interior_product(X, exterior_derivative_1(alpha))
     second = d_scalar(alpha(X), alpha.n)

@@ -35,115 +35,92 @@ def _as_tuple(comps: Sequence, n: int, what: str) -> tuple[Expr, ...]:
     return out
 
 
-@dataclass(frozen=True)
-class VectorField:
-    """Vector field on TR^n with base components (d/dx) and fiber (d/dy)."""
+@dataclass(frozen=True, init=False)
+class _Flat:
+    """n and the 2n components over the flat slots: slot k < n is the x_{k+1}
+    direction and slot n + a the y_{a+1} direction, for a field's d/dx, d/dy
+    and a one-form's dx, dy alike.  The two halves are views of comps."""
 
     n: int
-    base: tuple[Expr, ...]
-    fiber: tuple[Expr, ...]
+    comps: tuple[Expr, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "base", _as_tuple(self.base, self.n, "base"))
-        object.__setattr__(self, "fiber", _as_tuple(self.fiber, self.n, "fiber"))
-
-    @classmethod
-    def zero(cls, n: int) -> "VectorField":
-        return cls(n, (ZERO,) * n, (ZERO,) * n)
+    def __init__(self, n: int, low: Sequence, high: Sequence):
+        low_name, high_name = self._HALVES
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "comps", _as_tuple(low, n, low_name)
+                           + _as_tuple(high, n, high_name))
 
     @classmethod
-    def coordinate(cls, n: int, axis: str, index: int) -> "VectorField":
-        base = [ZERO] * n
-        fiber = [ZERO] * n
-        (base if axis == "x" else fiber)[index - 1] = Const(1)
-        return cls(n, tuple(base), tuple(fiber))
+    def from_comps(cls, n: int, comps: Sequence[Expr]):
+        """The element with these 2n flat components, which are Exprs already."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "n", n)
+        object.__setattr__(out, "comps", tuple(comps))
+        return out
+
+    @classmethod
+    def zero(cls, n: int):
+        return cls.from_comps(n, (ZERO,) * (2 * n))
+
+    @classmethod
+    def coordinate(cls, n: int, axis: str, index: int):
+        comps = [ZERO] * (2 * n)
+        comps[index - 1 if axis == "x" else n + index - 1] = Const(1)
+        return cls.from_comps(n, comps)
 
     def component(self, flat: int) -> Expr:
-        return self.base[flat] if flat < self.n else self.fiber[flat - self.n]
+        return self.comps[flat]
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        if other.n != self.n:
+            raise ValidationError("sum of elements on different dimensions")
+        return self.from_comps(self.n, [simplify(Add((a, b)))
+                                        for a, b in zip(self.comps, other.comps)])
+
+    def scaled(self, c):
+        c = as_expr(c)
+        return self.from_comps(self.n, [simplify(Mul((c, v))) for v in self.comps])
+
+    def simplified(self):
+        return self.from_comps(self.n, [simplify(c) for c in self.comps])
+
+
+_LOW = property(lambda self: self.comps[:self.n])
+_HIGH = property(lambda self: self.comps[self.n:])
+
+
+class VectorField(_Flat):
+    """Vector field on TR^n with base components (d/dx) and fiber (d/dy)."""
+
+    _HALVES = ("base", "fiber")
+    base, fiber = _LOW, _HIGH
 
     def __call__(self, f: Expr) -> Expr:
         """Directional derivative X(f); a zero component takes no derivative."""
         parts = [Mul((c, diff(f, v)))
-                 for c, v in zip(self.base + self.fiber, coordinates(self.n)) if c != ZERO]
+                 for c, v in zip(self.comps, coordinates(self.n)) if c != ZERO]
         return simplify(sum_exprs(parts))
 
-    def __add__(self, other: "VectorField") -> "VectorField":
-        return VectorField(
-            self.n,
-            tuple(Add((a, b)) for a, b in zip(self.base, other.base)),
-            tuple(Add((a, b)) for a, b in zip(self.fiber, other.fiber)),
-        ).simplified()
 
-    def scaled(self, c) -> "VectorField":
-        c = as_expr(c)
-        return VectorField(
-            self.n,
-            tuple(Mul((c, v)) for v in self.base),
-            tuple(Mul((c, v)) for v in self.fiber),
-        ).simplified()
-
-    def simplified(self) -> "VectorField":
-        return VectorField(self.n, tuple(simplify(c) for c in self.base),
-                           tuple(simplify(c) for c in self.fiber))
-
-
-@dataclass(frozen=True)
-class OneForm:
+class OneForm(_Flat):
     """Differential one-form with dx components and dy components."""
 
-    n: int
-    dx: tuple[Expr, ...]
-    dy: tuple[Expr, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "dx", _as_tuple(self.dx, self.n, "dx"))
-        object.__setattr__(self, "dy", _as_tuple(self.dy, self.n, "dy"))
-
-    @classmethod
-    def zero(cls, n: int) -> "OneForm":
-        return cls(n, (ZERO,) * n, (ZERO,) * n)
-
-    @classmethod
-    def coordinate(cls, n: int, axis: str, index: int) -> "OneForm":
-        dx = [ZERO] * n
-        dy = [ZERO] * n
-        (dx if axis == "x" else dy)[index - 1] = Const(1)
-        return cls(n, tuple(dx), tuple(dy))
-
-    def component(self, flat: int) -> Expr:
-        return self.dx[flat] if flat < self.n else self.dy[flat - self.n]
+    _HALVES = ("dx", "dy")
+    dx, dy = _LOW, _HIGH
 
     def __call__(self, X: VectorField) -> Expr:
-        parts = [Mul((a, b)) for a, b in zip(self.dx + self.dy, X.base + X.fiber)]
+        parts = [Mul((a, b)) for a, b in zip(self.comps, X.comps)]
         return simplify(Add(tuple(parts)))
-
-    def __add__(self, other: "OneForm") -> "OneForm":
-        return OneForm(
-            self.n,
-            tuple(Add((a, b)) for a, b in zip(self.dx, other.dx)),
-            tuple(Add((a, b)) for a, b in zip(self.dy, other.dy)),
-        ).simplified()
-
-    def scaled(self, c) -> "OneForm":
-        c = as_expr(c)
-        return OneForm(self.n, tuple(Mul((c, v)) for v in self.dx),
-                       tuple(Mul((c, v)) for v in self.dy)).simplified()
-
-    def simplified(self) -> "OneForm":
-        return OneForm(self.n, tuple(simplify(c) for c in self.dx),
-                       tuple(simplify(c) for c in self.dy))
 
 
 def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
     """[X, Y] componentwise: X(Y^k) - Y(X^k)."""
     if X.n != Y.n:
         raise ValidationError("bracket of fields on different dimensions")
-    base = []
-    fiber = []
-    for k in range(2 * X.n):
-        comp = simplify(Add((X(Y.component(k)), Neg(Y(X.component(k))))))
-        (base if k < X.n else fiber).append(comp)
-    return VectorField(X.n, tuple(base), tuple(fiber))
+    return VectorField.from_comps(X.n, [simplify(Add((X(y), Neg(Y(x)))))
+                                        for x, y in zip(X.comps, Y.comps)])
 
 
 @dataclass(frozen=True)
@@ -315,8 +292,8 @@ def span_membership(gens: Sequence[VectorField], target: VectorField,
     pivot or residual could not be classified either way.
     """
     m = 2 * target.n
-    cols = [[simplify(g.component(k)) for k in range(m)] for g in gens]
-    rhs = [simplify(target.component(k)) for k in range(m)]
+    cols = [[simplify(c) for c in g.comps] for g in gens]
+    rhs = [simplify(c) for c in target.comps]
     used_rows: set[int] = set()
     pivoted: set[int] = set()
     progress = True

@@ -88,6 +88,11 @@ def is_constant_of_motion(S: SemiSpray, H: Expr, ctx: Context,
     return is_zero(S.vector_field()(H), ctx, cfg, S.singular_loci)
 
 
+def _near_locus(vals) -> bool:
+    """Whether some locus value lies within LOCUS_GUARD of zero."""
+    return min(map(abs, vals), default=math.inf) <= LOCUS_GUARD
+
+
 def _rk4_array_step(f, z: np.ndarray, params: dict, dt: float) -> np.ndarray:
     k1 = f(z, params)
     k2 = f(z + 0.5 * dt * k1, params)
@@ -129,7 +134,7 @@ def integrate_sode(S: SemiSpray, p0: Point, dt: float, steps: int,
     if not np.isfinite(z0).all():
         raise ValidationError("initial state must be finite")
     vals = loci(z0, params)
-    if min(map(abs, vals), default=np.inf) <= LOCUS_GUARD:
+    if _near_locus(vals):
         raise SingularLocusError("initial state lies on or near a singular locus")
 
     if method == "rk45":
@@ -152,8 +157,8 @@ def integrate_sode(S: SemiSpray, p0: Point, dt: float, steps: int,
                     z_arr = _rk4_array_step(f, np.array(z), params, dt)
                     if np.all(np.isfinite(z_arr)):
                         vals = loci(z_arr, params)
-                        entered = vals and (min(map(abs, vals)) <= LOCUS_GUARD
-                                            or tuple(v < 0 for v in vals) != below)
+                        entered = (_near_locus(vals)
+                                   or tuple(v < 0 for v in vals) != below)
                         z_next = () if entered else tuple(z_arr.tolist())
                 except EvalDomainError as exc:
                     aborted, reason = True, f"evaluation failed: {exc}"
@@ -195,7 +200,7 @@ def _integrate_rk45(S, f, loci, z0, params, dt, steps) -> Trajectory:
         aborted, reason = True, f"integrator failure: {sol.message}"
     finite = np.isfinite(states).all(axis=1).tolist()
     bad = [i for i, (ok, row) in enumerate(zip(finite, states))
-           if not ok or min(map(abs, loci(row, params)), default=np.inf) <= LOCUS_GUARD]
+           if not ok or _near_locus(loci(row, params))]
     if bad:
         cut = bad[0]
         times, states = times[:cut], states[:cut]
@@ -238,11 +243,9 @@ def _flow_distribution(S: SemiSpray, D_gens: Sequence[VectorField] | None,
     D_gens = list(D_gens)
     pts = sample_points(ctx, cfg, S.singular_loci, count=max(8, cfg.points // 4))
     m = 2 * S.n
-    d_comps = [X.component(i) for X in D_gens for i in range(m)]
-    Svec = S.vector_field()
-    s_comps = [Svec.component(i) for i in range(m)]
+    d_comps = [c for X in D_gens for c in X.comps]
     for vals, s_vals in zip(evaluate_points(d_comps, pts, ctx),
-                            evaluate_points(s_comps, pts, ctx)):
+                            evaluate_points(S.vector_field().comps, pts, ctx)):
         rows = np.array([vals[j:j + m] for j in range(0, len(vals), m)])
         target = np.array(s_vals)
         sol, *_ = np.linalg.lstsq(rows.T, target, rcond=None)
@@ -270,8 +273,8 @@ def _residual(S: SemiSpray, omega: TwoForm, H: Expr, D_gens: list[VectorField],
     """residual on generators that _flow_distribution has returned."""
     loci = S.singular_loci
     omega = omega.to_coordinates()
-    rho_form = (d_scalar(H, S.n)
-                + interior_product(S.vector_field(), omega).scaled(-1))
+    dH = d_scalar(H, S.n)
+    rho_form = dH + interior_product(S.vector_field(), omega).scaled(-1)
     comps = tuple(simplify(rho_form(X)) for X in D_gens)
     verdicts = tuple(is_zero(c, ctx, cfg, loci) for c in comps)
 
@@ -282,8 +285,7 @@ def _residual(S: SemiSpray, omega: TwoForm, H: Expr, D_gens: list[VectorField],
         for val, mag in values:
             worst = max(worst, abs(val) / max(1.0, mag))
 
-    dH = d_scalar(H, S.n)
-    trivial = all(dH.component(k) == ZERO for k in range(2 * S.n))
+    trivial = all(c == ZERO for c in dH.comps)
     return MotionReport(
         residual_components=comps,
         residual_verdicts=verdicts,

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from spraydirac import forms
 from spraydirac.expr import (
-    ONE, ZERO, Const, Context, Point, evaluate, parse, simplify,
+    ONE, ZERO, Add, Const, Context, Neg, Point, evaluate, parse, simplify,
 )
 from spraydirac.forms import (
     BERWALD, TwoForm, d_scalar, exterior_derivative_1, exterior_derivative_2,
@@ -141,3 +143,39 @@ def test_two_form_printing():
     assert format_two_form(mixed) == "(-1)*dx1^dy1 + (x1 + y1)*dx2^dy2"
     adapted = TwoForm.single(2, 0, 3, parse("3*x1", CTX2), basis=BERWALD)
     assert format_two_form(adapted) == "3*x1*dx1^del2"
+
+
+def _odd(idx) -> bool:
+    """Whether sorting idx (distinct entries) is an odd permutation, from its
+    cycles: a k-cycle is k - 1 transpositions."""
+    order = sorted(range(len(idx)), key=idx.__getitem__)
+    cycles, seen = 0, set()
+    for start in range(len(idx)):
+        if start not in seen:
+            cycles += 1
+            k = start
+            while k not in seen:
+                seen.add(k)
+                k = order[k]
+    return (len(idx) - cycles) % 2 == 1
+
+
+# index tuples of length 2 and 3 over the 2n flat slots, repeats allowed
+INDEX_TUPLES = st.integers(1, 3).flatmap(lambda n: st.lists(
+    st.integers(0, 2 * n - 1), min_size=2, max_size=3).map(tuple))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(INDEX_TUPLES)
+def test_the_accumulator_stores_at_the_sorted_tuple_with_the_permutation_sign(idx):
+    e = parse("x1*y1 + 2", CTX3)
+    comps: dict = {}
+    forms._accum(comps, idx, e)
+    if len(set(idx)) < len(idx):
+        assert comps == {}
+        return
+    signed = Neg(e) if _odd(idx) else e
+    assert comps == {tuple(sorted(idx)): signed}
+    # a second term at the same tuple is added to the first
+    forms._accum(comps, idx, e)
+    assert comps == {tuple(sorted(idx)): Add((signed, signed))}

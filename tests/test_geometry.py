@@ -2,13 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from spraydirac.errors import ValidationError
 from spraydirac.expr import (
-    ONE, ZERO, Context, Point, SampleConfig, Tri, Var, evaluate, is_zero,
-    parse, simplify,
+    ONE, ZERO, Add, Context, Mul, Point, SampleConfig, Tri, Var, as_expr, evaluate,
+    is_zero, parse, simplify,
 )
 from spraydirac.geometry import (
-    SemiSpray, VectorField, berwald_frame, connection_coefficients,
+    OneForm, SemiSpray, VectorField, berwald_frame, connection_coefficients,
     curvature, decompose, euler_residuals, is_flat, is_semispray, is_spray,
     lie_bracket, liouville_field, span_membership, spray_from_connection,
 )
@@ -228,3 +230,31 @@ def test_span_membership_verdicts():
     target = VectorField(2, (parse("x1", CTX2), parse("y2^2", CTX2)),
                          (parse("1", CTX2), parse("x2*y1", CTX2)))
     assert span_membership(everything, target, CTX2, cfg, loci) is Tri.PROVEN_ZERO
+
+
+# a component is an expression, or a number the constructors turn into one
+COMPONENT = st.one_of(
+    st.sampled_from(["0", "x1", "-2*y1", "y1^2 - x1", "sin(x1)*y1", "3/2"]).map(
+        lambda t: parse(t, CTX3)),
+    st.sampled_from([0, 1, -2, 0.5]))
+FLAT = st.integers(1, 3).flatmap(lambda n: st.tuples(
+    st.just(n), *[st.lists(COMPONENT, min_size=n, max_size=n) for _ in range(4)],
+    COMPONENT))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(FLAT)
+def test_fields_and_one_forms_keep_one_flat_tuple(case):
+    n, low, high, low2, high2, c = case
+    for cls, halves in ((VectorField, ("base", "fiber")), (OneForm, ("dx", "dy"))):
+        X, Y = cls(n, low, high), cls(n, low2, high2)
+        first, second = (getattr(X, h) for h in halves)
+        assert X.comps == first + second == tuple(map(as_expr, [*low, *high]))
+        assert all(X.component(k) == X.comps[k] for k in range(2 * n))
+        assert X == cls(n, low, high) and hash(X) == hash(cls(n, low, high))
+        assert (X + Y).comps == tuple(simplify(Add((a, b))) for a, b in zip(X.comps, Y.comps))
+        assert X.scaled(c).comps == tuple(simplify(Mul((as_expr(c), v))) for v in X.comps)
+        assert X.simplified().comps == tuple(map(simplify, X.comps))
+        with pytest.raises(ValidationError, match=f"^{halves[1]} needs {n} components"):
+            cls(n, low, high[1:])
+    assert VectorField(n, low, high) != OneForm(n, low, high)

@@ -462,6 +462,10 @@ def _edited(demo: str, lines) -> str:
 @example("free.sdp", "t=0.01 dt=0.01", "rk4", "1", ["spray G1 = " + WIDE_SUM], "integrate",
          None)
 @example("free.sdp", "t=0.01 dt=0.01", "rk4", "1", [MANY_LOCI], "integrate", None)
+# finite terms whose fsum overflows, and a product that folds to the constant inf
+@example("ex4.sdp", "t=0.01 dt=0.01", "rk4", "1", ["H = 1e308*x1 + 1e308*x2"], "verify", "1")
+@example("ex4.sdp", "t=0.01 dt=0.01", "rk4", "1", ["omega dx1^dy1 = 1e308*10"], "dirac-check",
+         None)
 def test_no_problem_file_exits_4(demo, steps, method, seed, edits, command, seed_arg):
     text = _edited(demo, [f"integrate {steps} method={method} seed={seed} samples=1", *edits])
     with tempfile.TemporaryDirectory() as tmp:
