@@ -8,6 +8,7 @@ exception, always a bug).
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 import time
@@ -326,7 +327,9 @@ _COMMANDS = {
 }
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call of main."""
     ap = argparse.ArgumentParser(
         prog="spraydirac",
         description="Analyze second-order systems and conserved-quantity "
@@ -336,7 +339,11 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--out", metavar="PATH", default=None)
     ap.add_argument("--seed", type=int, default=None)
     ap.add_argument("--json", action="store_true")
-    args = ap.parse_args(argv)
+    return ap
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
 
     t0 = time.perf_counter()
     try:
@@ -368,8 +375,7 @@ def main(argv: list[str] | None = None) -> int:
         clear_caches()
 
     rep["timing_ms"] = round((time.perf_counter() - t0) * 1e3, 1)
-    rep = rpt.normalize(rep)
-    body = rpt.to_json(rep) if args.json else rpt.to_text(rep)
+    body = rpt.to_json(rep) if args.json else rpt.to_text(rpt.normalize(rep))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(body)

@@ -20,6 +20,7 @@ to the numeric sampler behind the tri-state ``is_zero``.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import math
@@ -39,7 +40,7 @@ __all__ = [
     "Tri", "Context", "Point", "SampleConfig", "coordinates",
     "parse", "simplify", "diff", "evaluate", "is_zero", "format_expr",
     "as_expr", "sum_exprs", "tri_all", "sample_points", "clear_caches",
-    "compile_exprs", "compile_rk4_step", "evaluate_points",
+    "compile_exprs", "compile_rk4_step", "compile_field", "evaluate_points",
     "evaluate_points_with_magnitude", "formal_value", "opaque_assignments",
 ]
 
@@ -54,6 +55,10 @@ MAX_EXACT_BITS = 14_000
 # what a problem needs; at this depth simplify, diff and both compilers stay
 # inside Python's recursion and parenthesis limits.
 MAX_NESTING = 50
+# Most term pairs one product of normal forms may form: a product of sums
+# expands term by term, at about 10 microseconds a pair.  Above the 495 x 495
+# pairs of the largest squaring in (x1 + x2 + y1 + y2 + 1)^16.
+MAX_TERMS = 300_000
 
 _COORD_RE = re.compile(r"^([xy])([1-9][0-9]*)$")
 
@@ -787,6 +792,10 @@ def _nf_add(a: _NF, b: _NF) -> _NF:
 
 
 def _nf_mul(a: _NF, b: _NF) -> _NF:
+    if len(a) * len(b) > MAX_TERMS:
+        raise ValidationError(
+            f"a product of {len(a)} by {len(b)} terms exceeds the bound "
+            f"MAX_TERMS = {MAX_TERMS} term pairs")
     out: _NF = {}
     for m1, c1 in a.items():
         for m2, c2 in b.items():
@@ -1655,12 +1664,26 @@ def _exec_def(lines: list[str], **names) -> dict:
     return ns
 
 
+def _state_names(n: int) -> list[str]:
+    return [f"_v_x{i}" for i in range(1, n + 1)] + [f"_v_y{a}" for a in range(1, n + 1)]
+
+
 def _def_lines(name: str, srcs: Sequence[str], n: int) -> list[str]:
     """def name(_z, _p) giving the tuple of srcs at a state of dimension n."""
     return ([f"def {name}(_z, _p):"]
-            + [f"    _v_x{i} = _z[{i - 1}]" for i in range(1, n + 1)]
-            + [f"    _v_y{a} = _z[{n + a - 1}]" for a in range(1, n + 1)]
+            + [f"    {v} = _z[{j}]" for j, v in enumerate(_state_names(n))]
             + [f"    return ({''.join(s + ', ' for s in srcs)})"])
+
+
+def _rows_lines(srcs: Sequence[str], n: int) -> list[str]:
+    """def _rows(_flat, _p) giving the list of the tuples of srcs at each
+    state of a flat list of them, one comprehension over all, and
+    def _compiled(_z, _p) giving the tuple at the one state _z."""
+    state = _state_names(n)
+    return ["def _compiled(_z, _p):", "    return _rows(_z, _p)[0]",
+            "def _rows(_flat, _p):", "    _it = iter(_flat)",
+            f"    return [({''.join(s + ', ' for s in srcs)}) for {', '.join(state)}, "
+            f"in zip({', '.join(['_it'] * len(state))})]"]
 
 
 # What a plain-float run raises where its exact path decides the outcome:
@@ -1708,14 +1731,19 @@ def _checked(raw: Callable) -> Callable[[np.ndarray, Mapping[str, float] | None]
 def compile_exprs(exprs: Sequence[Expr], ctx: Context) -> Callable[[np.ndarray, Mapping[str, float]], tuple]:
     """Compile expressions into one fast callable (state_array, params) -> tuple.
     Raised float errors become EvalDomainError and a non-finite value is
-    refused; .raw is the function without those checks.  Bound function
-    bodies are inlined; applying a function without one raises
-    UnboundParameterError here.  Memoised until clear_caches()."""
+    refused; .raw is the function without those checks, and .rows(flat,
+    params) gives what .raw gives at each state of a flat list of them, as a
+    list of tuples, with no checks either.  Bound function bodies are
+    inlined; applying a function without one raises UnboundParameterError
+    here.  Memoised until clear_caches()."""
     exprs = tuple(exprs)
 
     def build():
         srcs = [_py_src(simplify(e), ctx, 0) for e in exprs]
-        return _checked(_exec_def(_def_lines("_compiled", srcs, ctx.dim))["_compiled"])
+        ns = _exec_def(_rows_lines(srcs, ctx.dim))
+        fn = _checked(ns["_compiled"])
+        fn.rows = ns["_rows"]
+        return fn
 
     return _memo_compile(("exprs", exprs), ctx, build)
 
@@ -1723,8 +1751,8 @@ def compile_exprs(exprs: Sequence[Expr], ctx: Context) -> Callable[[np.ndarray, 
 def compile_rk4_step(G: Sequence[Expr], loci: Sequence[Expr], ctx: Context,
                      dt: float) -> tuple[Callable, Callable, Callable]:
     """One classic RK4 step of z' = (y, -2G(z)) on a tuple of floats, with
-    the singular-locus test, and the array field and locus values of the
-    array step and rk45, as one generated module: (step, field, locus_values).
+    the singular-locus test, as one generated module, and the array field of
+    the array step and the locus values: (step, field, locus_values).
 
     step(z, params, below) returns z_next, or () when z_next entered a
     singular locus: some locus value l has abs(l) <= LOCUS_GUARD, or its sign
@@ -1740,10 +1768,10 @@ def compile_rk4_step(G: Sequence[Expr], loci: Sequence[Expr], ctx: Context,
     redo the step on arrays to get the array step's outcome.  Every stage value enters z_next with a positive
     weight, so a non-finite G at any stage leaves z_next non-finite; that
     one check, and one on the locus values, stand in for the per-stage
-    checks of field and also return None.  field(z, params), the array z',
-    and locus_values(z, params) are compiled as compile_exprs compiles, so
-    they too run on floats first and on the ndarray where floats cannot
-    finish.  Memoised until clear_caches().
+    checks of field and also return None.  field is compile_field's, built
+    on its first call; locus_values(z, params) is compiled as compile_exprs
+    compiles, so it too runs on floats first and on the ndarray where floats
+    cannot finish.  Memoised until clear_caches().
     """
     G, loci = tuple(G), tuple(loci)
     return _memo_compile(("rk4", G, loci, dt), ctx,
@@ -1754,8 +1782,7 @@ def _rk4_module(G: tuple, loci: tuple, ctx: Context, dt: float) -> tuple:
     n = ctx.dim
     g_src = [_py_src(simplify(e), ctx, 0) for e in G]
     l_src = [_py_src(simplify(e), ctx, 0) for e in loci]
-    state = ([f"_v_x{i}" for i in range(1, n + 1)]
-             + [f"_v_y{a}" for a in range(1, n + 1)])
+    state = _state_names(n)
     base = [f"_s{j}" for j in range(2 * n)]
     body = [f"{', '.join(base)}, = _z", f"{', '.join(state)}, = _z"]
     for s in range(1, 5):
@@ -1781,18 +1808,59 @@ def _rk4_module(G: tuple, loci: tuple, ctx: Context, dt: float) -> tuple:
     lines = (["def _step(_z, _p, _below):", "    try:"]
              + [f"        {line}" for line in body]
              + ["    except _fallback:", "        return None"]
-             + _def_lines("_g", g_src, n) + _def_lines("_loci", l_src, n))
+             + _def_lines("_loci", l_src, n))
     ns = _exec_def(lines, _h=0.5 * dt, _dt=dt, _d6=dt / 6.0, _guard=LOCUS_GUARD,
                    _fallback=FLOAT_FALLBACK_ERRORS)
-    g = _checked(ns["_g"])
 
     def field(z: np.ndarray, params: Mapping) -> np.ndarray:
+        # floats finish nearly every step, so the array field is built late
+        return compile_field(G, loci, ctx)[0](z, params)
+
+    return ns["_step"], field, _checked(ns["_loci"])
+
+
+def compile_field(G: Sequence[Expr], loci: Sequence[Expr],
+                  ctx: Context) -> tuple[Callable, Callable]:
+    """The array field z' = (y, -2G(z)) of rk45 and of the array RK4 step,
+    and the locus values, as one generated module: (field, locus_values).
+
+    field(z, params) runs one generated function giving all 2n components
+    on z.tolist() and returns them as an array when every one is finite.
+    Otherwise G is compiled as compile_exprs compiles and decides: its
+    values (on floats, or on the ndarray where floats cannot finish), its
+    EvalDomainError and message; a -2.0*G that overflows is inf, and y is
+    copied as it is.  locus_values is compile_rk4_step's.  Memoised until
+    clear_caches().
+    """
+    G, loci = tuple(G), tuple(loci)
+    return _memo_compile(("field", G, loci), ctx, lambda: _field_module(G, loci, ctx))
+
+
+def _field_module(G: tuple, loci: tuple, ctx: Context) -> tuple:
+    n = ctx.dim
+    g_src = [_py_src(simplify(e), ctx, 0) for e in G]
+    l_src = [_py_src(simplify(e), ctx, 0) for e in loci]
+    gs = [f"_g{a}" for a in range(n)]
+    lines = (_def_lines("_g", g_src, n)
+             + ["def _field(_z, _p):", f"    {''.join(g + ', ' for g in gs)}= _g(_z, _p)",
+                f"    return ({''.join(f'_z[{n + a}], ' for a in range(n))}"
+                f"{''.join(f'-2.0*{g}, ' for g in gs)})"]
+             + _def_lines("_loci", l_src, n))
+    ns = _exec_def(lines)
+    raw, g = ns["_field"], _checked(ns["_g"])
+
+    def field(z: np.ndarray, params: Mapping) -> np.ndarray:
+        with contextlib.suppress(*FLOAT_FALLBACK_ERRORS):
+            out = raw(z.tolist(), params)
+            # a non-finite value makes the sum non-finite
+            if math.isfinite(sum(out)):
+                return np.array(out)
         out = np.empty(2 * n)
         out[:n] = z[n:]
         out[n:] = [-2.0 * gi for gi in g(z, params)]
         return out
 
-    return ns["_step"], field, _checked(ns["_loci"])
+    return field, _checked(ns["_loci"])
 
 
 # ---------------------------------------------------------------------------

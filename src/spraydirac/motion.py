@@ -25,8 +25,8 @@ from .errors import (
 )
 from .expr import (
     FLOAT_FALLBACK_ERRORS, LOCUS_GUARD, Context, Expr, Point, SampleConfig, Tri, ZERO,
-    compile_exprs, compile_rk4_step, evaluate_points, evaluate_points_with_magnitude,
-    is_zero, sample_points, simplify, tri_all,
+    compile_exprs, compile_field, compile_rk4_step, evaluate_points,
+    evaluate_points_with_magnitude, is_zero, sample_points, simplify, tri_all,
 )
 from .forms import TwoForm, d_scalar, exterior_derivative_2, interior_product
 from .geometry import (
@@ -112,11 +112,12 @@ def integrate_sode(S: SemiSpray, p0: Point, dt: float, steps: int,
     returns the partial trajectory with the abort flag set.  A non-finite
     start or a negative step count is a ValidationError.
 
-    Both methods run on one generated module (compile_rk4_step).  rk4 runs
-    its step and locus test on plain floats, with parameters kept exact.  A
-    step that floats cannot finish (they raise where numpy gives inf or nan)
-    is redone on arrays with the field rk45 uses (floats first there too),
-    so trajectories and abort reasons are the array step's.
+    Each method runs on one generated module.  rk4 runs compile_rk4_step's
+    step and locus test on plain floats, with parameters kept exact, and
+    keeps its accepted states in one flat list of floats.  A step that
+    floats cannot finish (they raise where numpy gives inf or nan) is redone
+    on arrays with the field rk45 uses (compile_field's, floats first there
+    too), so trajectories and abort reasons are the array step's.
     A locus value that fails to evaluate there (say, one that overflows)
     aborts only this trajectory, with an "evaluation failed" reason.
     """
@@ -127,7 +128,10 @@ def integrate_sode(S: SemiSpray, p0: Point, dt: float, steps: int,
     if method not in ("rk4", "rk45"):
         raise ValidationError(f"unknown integration method {method!r}")
     ctx = ctx or Context(dim=S.n)
-    step, f, loci = compile_rk4_step(S.G, S.singular_loci, ctx, dt)
+    if method == "rk45":
+        f, loci = compile_field(S.G, S.singular_loci, ctx)
+    else:
+        step, f, loci = compile_rk4_step(S.G, S.singular_loci, ctx, dt)
     params = dict(ctx.params)
     params.update(p0.params)
     z0 = np.concatenate([np.asarray(p0.x, float), np.asarray(p0.y, float)])
@@ -141,14 +145,13 @@ def integrate_sode(S: SemiSpray, p0: Point, dt: float, steps: int,
         return _integrate_rk45(S, f, loci, z0, params, dt, steps)
 
     z = tuple(z0.tolist())
-    times = [0.0]
-    states = [z]
+    flat = list(z)
     # the initial values clear the guard, so none is zero, and no accepted
     # step changes a sign: comparing with the start is the sign-change test
     below = tuple(v < 0 for v in vals)
     aborted = False
     reason = None
-    for k in range(steps):
+    for _ in range(steps):
         z_next = step(z, params, below)
         if z_next is None:
             # numpy warns where floats raised; the abort reason says it
@@ -170,9 +173,11 @@ def integrate_sode(S: SemiSpray, p0: Point, dt: float, steps: int,
             aborted, reason = True, "state entered a singular locus"
             break
         z = z_next
-        times.append((k + 1) * dt)
-        states.append(z)
-    return Trajectory(S.n, np.array(times), np.array(states), "rk4", dt,
+        flat += z
+    # a start of dimension 0 has one empty row
+    states = np.array(flat).reshape(-1, len(z)) if z else np.empty((1, 0))
+    # the k-th accepted state lies at k*dt, as the float product k*dt
+    return Trajectory(S.n, np.arange(len(states)) * dt, states, "rk4", dt,
                       params, aborted, reason)
 
 
@@ -216,10 +221,12 @@ def conservation_drift(traj: Trajectory, H: Expr, ctx: Context) -> float:
     plain floats, or on numpy rows where floats raise or give a non-finite H."""
     hfun = compile_exprs((H,), ctx)
     with contextlib.suppress(*FLOAT_FALLBACK_ERRORS):
-        vals = [hfun.raw(row, traj.params or {})[0] for row in traj.states.tolist()]
-        # a non-finite value makes the sum non-finite
-        if math.isfinite(sum(vals)):
-            return float(max(abs(v - vals[0]) for v in vals))
+        # rows of another width than the context's go to the numpy rows
+        if traj.states.shape[1] == 2 * ctx.dim:
+            vals = [v for v, in hfun.rows(traj.states.ravel().tolist(), traj.params or {})]
+            # a non-finite value makes the sum non-finite
+            if math.isfinite(sum(vals)):
+                return float(max(abs(v - vals[0]) for v in vals))
     # numpy scalars warn where floats raise; hfun's check reports it
     with np.errstate(all="ignore"):
         vals = np.array([hfun(row, traj.params)[0] for row in traj.states])

@@ -492,6 +492,17 @@ def test_running_out_of_memory_is_a_validation_error(tmp_path, capsys, monkeypat
     assert err.startswith("validation error: out of memory")
 
 
+@pytest.mark.parametrize("G", ["((x1 + x2 + 1)^16)^16*y1^2",
+                               "(x1 + x2 + y1 + y2 + 1)^12*(x1 - x2 + y1 - y2 + 3)^12"])
+def test_a_product_past_the_term_bound_exits_2(tmp_path, capsys, G):
+    from spraydirac.expr import MAX_TERMS
+    f = tmp_path / "p.sdp"
+    f.write_text(f"dim = 2\nspray G1 = {G}\n")
+    rc, _, err = _run(capsys, ["analyze", str(f)])
+    assert rc == 2
+    assert f"exceeds the bound MAX_TERMS = {MAX_TERMS} term pairs" in err
+
+
 def test_the_largest_dim_is_analyzed_and_a_larger_one_refused(tmp_path, capsys):
     from spraydirac.problemfile import MAX_DIM
     f = tmp_path / "p.sdp"

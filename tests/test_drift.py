@@ -89,7 +89,7 @@ def _checked_calls(monkeypatch) -> list:
             calls.append(1)
             return hfun(*args)
 
-        checked.raw = hfun.raw
+        checked.raw, checked.rows = hfun.raw, hfun.rows
         return checked
 
     monkeypatch.setattr(motion, "compile_exprs", counted_compile)

@@ -466,6 +466,13 @@ def _edited(demo: str, lines) -> str:
 @example("ex4.sdp", "t=0.01 dt=0.01", "rk4", "1", ["H = 1e308*x1 + 1e308*x2"], "verify", "1")
 @example("ex4.sdp", "t=0.01 dt=0.01", "rk4", "1", ["omega dx1^dy1 = 1e308*10"], "dirac-check",
          None)
+# a power and a product of sums past expr.MAX_TERMS, each of which ran for
+# minutes before the bound
+@example("free.sdp", "t=0.01 dt=0.01", "rk4", "1",
+         ["dim = 2", "spray G1 = ((x1 + x2 + 1)^16)^16*y1^2"], "analyze", None)
+@example("free.sdp", "t=0.01 dt=0.01", "rk4", "1",
+         ["dim = 2", "spray G1 = (x1 + x2 + y1 + y2 + 1)^12*(x1 - x2 + y1 - y2 + 3)^12"],
+         "analyze", None)
 def test_no_problem_file_exits_4(demo, steps, method, seed, edits, command, seed_arg):
     text = _edited(demo, [f"integrate {steps} method={method} seed={seed} samples=1", *edits])
     with tempfile.TemporaryDirectory() as tmp:
