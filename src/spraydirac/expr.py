@@ -1567,14 +1567,19 @@ def _plus(terms: Sequence[str]) -> str:
 
 
 def _py_src(e: Expr, ctx: Context, depth: int) -> str:
-    """Source of e on floats or numpy scalars, parameters as given.  A bound
+    """Source of e on plain floats, parameters as given.  A bound
     function body is inlined as evaluate applies it, at depth + 1: its x1 is
     the argument's value, computed once into _a{depth + 1}, and its y1 is 0.0."""
     if isinstance(e, Const):
         v = e.value
-        if isinstance(v, Fraction):
-            return f"({v.numerator}/{v.denominator})" if v.denominator != 1 else f"({v.numerator})"
-        return f"({v!r})"
+        # evaluate refuses a constant that is non-finite or out of double range
+        with contextlib.suppress(OverflowError):
+            if math.isfinite(v):
+                if isinstance(v, Fraction):
+                    return (f"({v.numerator}/{v.denominator})" if v.denominator != 1
+                            else f"({v.numerator})")
+                return f"({v!r})"
+        return "_nonfinite()"
     if isinstance(e, Var):
         if not depth:
             return f"_v_{e.axis}{e.index}"
@@ -1654,11 +1659,9 @@ def _fin(v: float) -> float:
 
 
 def _exec_def(lines: list[str], **names) -> dict:
-    """The namespace of the generated definitions, once run; inf and nan name
-    the non-finite constants that _py_src prints with repr."""
-    ns = {"math": math, "inf": math.inf, "nan": math.nan,
-          "_fpow": _fpow, "_sin": _sin, "_cos": _cos, "_ln": _ln, "_sqrt": _sqrt,
-          "_isfinite": math.isfinite, "_nonfinite": _nonfinite,
+    """The namespace of the generated definitions, once run."""
+    ns = {"math": math, "_fpow": _fpow, "_sin": _sin, "_cos": _cos, "_ln": _ln,
+          "_sqrt": _sqrt, "_isfinite": math.isfinite, "_nonfinite": _nonfinite,
           "_reduce": functools.reduce, "_add": operator.add, **names}
     exec("\n".join(lines), ns)
     return ns
@@ -1686,54 +1689,49 @@ def _rows_lines(srcs: Sequence[str], n: int) -> list[str]:
             f"in zip({', '.join(['_it'] * len(state))})]"]
 
 
-# What a plain-float run raises where its exact path decides the outcome:
-# the ndarray run where numpy scalars give inf or nan (or fail their own
-# way), evaluate where one of its guards raises.
+# What a plain-float run raises where evaluate decides the outcome instead:
+# a division by zero, an overflow, a math domain error, a missing or
+# unset parameter, or one of the guards of the generated code.
 FLOAT_FALLBACK_ERRORS = (ArithmeticError, ValueError, LookupError, TypeError, EvalDomainError)
 
 
-def _checked(raw: Callable) -> Callable[[np.ndarray, Mapping[str, float] | None], tuple]:
-    """raw(z, params), its float errors raised as EvalDomainError and its
-    values checked finite; the result keeps raw as its .raw.
+def _evaluated(exprs: Sequence[Expr], zl: list, params: Mapping, ctx: Context) -> tuple:
+    """evaluate's value of each of exprs, simplified as the generated code
+    is, at the flat state zl (its first 2 * ctx.dim entries), checked finite."""
+    n = ctx.dim
+    p = Point(zl[:n], zl[n:2 * n], params)
+    return tuple(_fin(evaluate(simplify(e), p, ctx)) for e in exprs)
 
-    An ndarray z runs on plain floats (z.tolist()) first, which give numpy's
-    finite values bit for bit; where floats raise or give a non-finite value,
-    the ndarray itself is the exact fallback (its values, errors, messages)."""
+
+def _checked(raw: Callable, exprs: Sequence[Expr],
+             ctx: Context) -> Callable[[np.ndarray, Mapping[str, float] | None], tuple]:
+    """raw(z, params) on plain floats where it gives finite values, and
+    otherwise _evaluated's values of exprs, from which raw was generated,
+    with evaluate's errors and messages; the result keeps raw as its .raw."""
 
     def call(z: np.ndarray, params: Mapping[str, float] | None = None) -> tuple:
         params = params or {}
-        if isinstance(z, np.ndarray):
-            try:
-                out = raw(z.tolist(), params)
-                # a non-finite value makes the sum non-finite
-                if math.isfinite(sum(out)):
-                    return out
-            except FLOAT_FALLBACK_ERRORS:
-                pass   # the ndarray run below decides
+        zl = z.tolist() if isinstance(z, np.ndarray) else list(z)
         try:
-            out = raw(z, params)
-        except ZeroDivisionError as exc:
-            raise EvalDomainError("division by zero") from exc
-        except OverflowError as exc:
-            raise EvalDomainError("overflow") from exc
-        except ValueError as exc:
-            raise EvalDomainError(str(exc)) from exc
-        except KeyError as exc:
-            raise UnboundParameterError(f"parameter {exc.args[0]!r} has no bound value") from exc
-        for v in out:
-            _fin(v)
-        return out
+            out = raw(zl, params)
+            # a non-finite value makes the sum non-finite
+            if math.isfinite(sum(out)):
+                return out
+        except FLOAT_FALLBACK_ERRORS:
+            pass   # evaluate decides
+        return _evaluated(exprs, zl, params, ctx)
 
     call.raw = raw
     return call
 
 
 def compile_exprs(exprs: Sequence[Expr], ctx: Context) -> Callable[[np.ndarray, Mapping[str, float]], tuple]:
-    """Compile expressions into one fast callable (state_array, params) -> tuple.
-    Raised float errors become EvalDomainError and a non-finite value is
-    refused; .raw is the function without those checks, and .rows(flat,
-    params) gives what .raw gives at each state of a flat list of them, as a
-    list of tuples, with no checks either.  Bound function bodies are
+    """Compile expressions into one fast callable (state, params) -> tuple.
+    The state, an array or a sequence, runs on plain floats; where they raise
+    or give a non-finite value, evaluate decides each value, error and
+    message.  .raw is the generated function without that check, and
+    .rows(flat, params) gives what .raw gives at each state of a flat list
+    of them, as a list of tuples, unchecked too.  Bound function bodies are
     inlined; applying a function without one raises UnboundParameterError
     here.  Memoised until clear_caches()."""
     exprs = tuple(exprs)
@@ -1741,7 +1739,7 @@ def compile_exprs(exprs: Sequence[Expr], ctx: Context) -> Callable[[np.ndarray, 
     def build():
         srcs = [_py_src(simplify(e), ctx, 0) for e in exprs]
         ns = _exec_def(_rows_lines(srcs, ctx.dim))
-        fn = _checked(ns["_compiled"])
+        fn = _checked(ns["_compiled"], exprs, ctx)
         fn.rows = ns["_rows"]
         return fn
 
@@ -1749,29 +1747,24 @@ def compile_exprs(exprs: Sequence[Expr], ctx: Context) -> Callable[[np.ndarray, 
 
 
 def compile_rk4_step(G: Sequence[Expr], loci: Sequence[Expr], ctx: Context,
-                     dt: float) -> tuple[Callable, Callable, Callable]:
+                     dt: float) -> tuple[Callable, Callable]:
     """One classic RK4 step of z' = (y, -2G(z)) on a tuple of floats, with
-    the singular-locus test, as one generated module, and the array field of
-    the array step and the locus values: (step, field, locus_values).
+    the singular-locus test, and the locus values, as one generated module:
+    (step, locus_values).
 
     step(z, params, below) returns z_next, or () when z_next entered a
     singular locus: some locus value l has abs(l) <= LOCUS_GUARD, or its sign
     (l < 0) differs from below, the tuple of the start's signs.  The four
     stages k = (y, -2.0*G), the stage states z + (0.5*dt)*k and z + dt*k3 and
-    the update z + (dt/6.0)*(((k1 + 2.0*k2) + 2.0*k3) + k4) are done in the
-    order numpy does them elementwise, so z_next is bit for bit the array
-    step's.  Parameters enter exactly as given (Fractions stay exact).
+    the update z + (dt/6.0)*(((k1 + 2.0*k2) + 2.0*k3) + k4) are done in
+    that order.  Parameters enter exactly as given (Fractions stay exact).
 
-    It returns None when plain floats cannot finish the step: where numpy
-    scalars give inf or nan, floats raise (one of FLOAT_FALLBACK_ERRORS: a
-    division by zero, an overflow, a math domain error), and the caller must
-    redo the step on arrays to get the array step's outcome.  Every stage value enters z_next with a positive
-    weight, so a non-finite G at any stage leaves z_next non-finite; that
-    one check, and one on the locus values, stand in for the per-stage
-    checks of field and also return None.  field is compile_field's, built
-    on its first call; locus_values(z, params) is compiled as compile_exprs
-    compiles, so it too runs on floats first and on the ndarray where floats
-    cannot finish.  Memoised until clear_caches().
+    It returns None when plain floats cannot finish the step, for the caller
+    to redo it with evaluate: they raise one of FLOAT_FALLBACK_ERRORS, or
+    the sum of z_next or of the locus values is not finite (every stage
+    value enters z_next with a positive weight, so one test stands in for
+    one per stage).  locus_values(z, params) is compiled as compile_exprs
+    compiles.  Memoised until clear_caches().
     """
     G, loci = tuple(G), tuple(loci)
     return _memo_compile(("rk4", G, loci, dt), ctx,
@@ -1795,7 +1788,7 @@ def _rk4_module(G: tuple, loci: tuple, ctx: Context, dt: float) -> tuple:
     body += [f"{v} = {b} + _d6*(((_k1_{j} + 2.0*_k2_{j}) + 2.0*_k3_{j}) + _k4_{j})"
              for j, (v, b) in enumerate(zip(state, base))]
     # a non-finite term makes the sum non-finite; a sum that merely
-    # overflows only sends the step to the array path
+    # overflows only sends the step to evaluate
     body.append(f"if not _isfinite({_plus(state)}): return None")
     locs = [f"_l{j}" for j in range(len(loci))]
     body += [f"{v} = {src}" for v, src in zip(locs, l_src)]
@@ -1811,23 +1804,17 @@ def _rk4_module(G: tuple, loci: tuple, ctx: Context, dt: float) -> tuple:
              + _def_lines("_loci", l_src, n))
     ns = _exec_def(lines, _h=0.5 * dt, _dt=dt, _d6=dt / 6.0, _guard=LOCUS_GUARD,
                    _fallback=FLOAT_FALLBACK_ERRORS)
-
-    def field(z: np.ndarray, params: Mapping) -> np.ndarray:
-        # floats finish nearly every step, so the array field is built late
-        return compile_field(G, loci, ctx)[0](z, params)
-
-    return ns["_step"], field, _checked(ns["_loci"])
+    return ns["_step"], _checked(ns["_loci"], loci, ctx)
 
 
 def compile_field(G: Sequence[Expr], loci: Sequence[Expr],
                   ctx: Context) -> tuple[Callable, Callable]:
-    """The array field z' = (y, -2G(z)) of rk45 and of the array RK4 step,
-    and the locus values, as one generated module: (field, locus_values).
+    """The array field z' = (y, -2G(z)) of rk45 and the locus values, as one
+    generated module: (field, locus_values).
 
     field(z, params) runs one generated function giving all 2n components
     on z.tolist() and returns them as an array when every one is finite.
-    Otherwise G is compiled as compile_exprs compiles and decides: its
-    values (on floats, or on the ndarray where floats cannot finish), its
+    Otherwise evaluate decides G: its values, each checked finite, or its
     EvalDomainError and message; a -2.0*G that overflows is inf, and y is
     copied as it is.  locus_values is compile_rk4_step's.  Memoised until
     clear_caches().
@@ -1847,7 +1834,7 @@ def _field_module(G: tuple, loci: tuple, ctx: Context) -> tuple:
                 f"{''.join(f'-2.0*{g}, ' for g in gs)})"]
              + _def_lines("_loci", l_src, n))
     ns = _exec_def(lines)
-    raw, g = ns["_field"], _checked(ns["_g"])
+    raw = ns["_field"]
 
     def field(z: np.ndarray, params: Mapping) -> np.ndarray:
         with contextlib.suppress(*FLOAT_FALLBACK_ERRORS):
@@ -1857,10 +1844,10 @@ def _field_module(G: tuple, loci: tuple, ctx: Context) -> tuple:
                 return np.array(out)
         out = np.empty(2 * n)
         out[:n] = z[n:]
-        out[n:] = [-2.0 * gi for gi in g(z, params)]
+        out[n:] = [-2.0 * gi for gi in _evaluated(G, z.tolist(), params, ctx)]
         return out
 
-    return field, _checked(ns["_loci"])
+    return field, _checked(ns["_loci"], loci, ctx)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from .errors import (
 )
 from .expr import (
     FLOAT_FALLBACK_ERRORS, LOCUS_GUARD, Context, Expr, Point, SampleConfig, Tri, ZERO,
-    compile_exprs, compile_field, compile_rk4_step, evaluate_points,
+    compile_exprs, compile_field, compile_rk4_step, evaluate, evaluate_points,
     evaluate_points_with_magnitude, is_zero, sample_points, simplify, tri_all,
 )
 from .forms import TwoForm, d_scalar, exterior_derivative_2, interior_product
@@ -93,12 +93,31 @@ def _near_locus(vals) -> bool:
     return min(map(abs, vals), default=math.inf) <= LOCUS_GUARD
 
 
-def _rk4_array_step(f, z: np.ndarray, params: dict, dt: float) -> np.ndarray:
-    k1 = f(z, params)
-    k2 = f(z + 0.5 * dt * k1, params)
-    k3 = f(z + 0.5 * dt * k2, params)
-    k4 = f(z + dt * k3, params)
-    return z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _exact_step(S: SemiSpray, z: tuple, params: dict, dt: float, ctx: Context,
+                below: tuple) -> tuple | None:
+    """compile_rk4_step's step redone on a tuple of floats in the same float
+    operations, with the field (y, -2.0*G) and the locus values taken from
+    evaluate: z_next, () where it entered a singular locus, or None where a
+    component is not finite.  evaluate's errors propagate."""
+    n = S.n
+
+    def field(s: tuple) -> tuple:
+        p = Point(s[:n], s[n:], params)
+        return s[n:] + tuple(-2.0 * evaluate(simplify(g), p, ctx) for g in S.G)
+
+    ks = [field(z)]
+    for h in (0.5 * dt, 0.5 * dt, dt):
+        ks.append(field(tuple(b + h * k for b, k in zip(z, ks[-1]))))
+    d6 = dt / 6.0
+    z_next = tuple(b + d6 * (((k1 + 2.0 * k2) + 2.0 * k3) + k4)
+                   for b, k1, k2, k3, k4 in zip(z, *ks))
+    if not all(map(math.isfinite, z_next)):
+        return None
+    p = Point(z_next[:n], z_next[n:], params)
+    vals = [evaluate(simplify(e), p, ctx) for e in S.singular_loci]
+    if _near_locus(vals) or tuple(v < 0 for v in vals) != below:
+        return ()
+    return z_next
 
 
 def integrate_sode(S: SemiSpray, p0: Point, dt: float, steps: int,
@@ -115,11 +134,11 @@ def integrate_sode(S: SemiSpray, p0: Point, dt: float, steps: int,
     Each method runs on one generated module.  rk4 runs compile_rk4_step's
     step and locus test on plain floats, with parameters kept exact, and
     keeps its accepted states in one flat list of floats.  A step that
-    floats cannot finish (they raise where numpy gives inf or nan) is redone
-    on arrays with the field rk45 uses (compile_field's, floats first there
-    too), so trajectories and abort reasons are the array step's.
-    A locus value that fails to evaluate there (say, one that overflows)
-    aborts only this trajectory, with an "evaluation failed" reason.
+    floats cannot finish (they raise, or give a non-finite value) is redone
+    with evaluate's field and locus values, in the same float operations.
+    rk45 runs on compile_field's field, where evaluate decides likewise.
+    An error of evaluate (say, a division by zero) aborts only this
+    trajectory, with an "evaluation failed: <evaluate's message>" reason.
     """
     if dt <= 0:
         raise ValidationError("step size must be positive")
@@ -131,7 +150,7 @@ def integrate_sode(S: SemiSpray, p0: Point, dt: float, steps: int,
     if method == "rk45":
         f, loci = compile_field(S.G, S.singular_loci, ctx)
     else:
-        step, f, loci = compile_rk4_step(S.G, S.singular_loci, ctx, dt)
+        step, loci = compile_rk4_step(S.G, S.singular_loci, ctx, dt)
     params = dict(ctx.params)
     params.update(p0.params)
     z0 = np.concatenate([np.asarray(p0.x, float), np.asarray(p0.y, float)])
@@ -154,18 +173,11 @@ def integrate_sode(S: SemiSpray, p0: Point, dt: float, steps: int,
     for _ in range(steps):
         z_next = step(z, params, below)
         if z_next is None:
-            # numpy warns where floats raised; the abort reason says it
-            with np.errstate(all="ignore"):
-                try:
-                    z_arr = _rk4_array_step(f, np.array(z), params, dt)
-                    if np.all(np.isfinite(z_arr)):
-                        vals = loci(z_arr, params)
-                        entered = (_near_locus(vals)
-                                   or tuple(v < 0 for v in vals) != below)
-                        z_next = () if entered else tuple(z_arr.tolist())
-                except EvalDomainError as exc:
-                    aborted, reason = True, f"evaluation failed: {exc}"
-                    break
+            try:
+                z_next = _exact_step(S, z, params, dt, ctx, below)
+            except EvalDomainError as exc:
+                aborted, reason = True, f"evaluation failed: {exc}"
+                break
             if z_next is None:
                 aborted, reason = True, "state became non-finite"
                 break
@@ -218,19 +230,18 @@ def _integrate_rk45(S, f, loci, z0, params, dt, steps) -> Trajectory:
 
 def conservation_drift(traj: Trajectory, H: Expr, ctx: Context) -> float:
     """Max deviation of H along the trajectory from its initial value, on
-    plain floats, or on numpy rows where floats raise or give a non-finite H."""
+    plain floats over all rows at once, or row by row with compile_exprs's
+    check where floats raise or give a non-finite H (evaluate decides)."""
     hfun = compile_exprs((H,), ctx)
     with contextlib.suppress(*FLOAT_FALLBACK_ERRORS):
-        # rows of another width than the context's go to the numpy rows
+        # rows of another width than the context's go row by row
         if traj.states.shape[1] == 2 * ctx.dim:
             vals = [v for v, in hfun.rows(traj.states.ravel().tolist(), traj.params or {})]
             # a non-finite value makes the sum non-finite
             if math.isfinite(sum(vals)):
                 return float(max(abs(v - vals[0]) for v in vals))
-    # numpy scalars warn where floats raise; hfun's check reports it
-    with np.errstate(all="ignore"):
-        vals = np.array([hfun(row, traj.params)[0] for row in traj.states])
-        return float(np.max(np.abs(vals - vals[0])))
+    vals = [hfun(row, traj.params)[0] for row in traj.states.tolist()]
+    return float(max(abs(v - vals[0]) for v in vals))
 
 
 def _flow_distribution(S: SemiSpray, D_gens: Sequence[VectorField] | None,

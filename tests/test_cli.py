@@ -262,8 +262,8 @@ def test_a_term_that_underflows_in_a_sum_base_is_dropped(tmp_path, capsys):
 
 
 def test_blow_up_into_a_math_domain_error_aborts_the_trajectory(tmp_path, capsys):
-    # numpy turns y1^2 into inf on the array fallback, and sin(inf) raises;
-    # the abort reason reports it, so numpy's overflow warning stays quiet
+    # y1^3 overflows a double: floats raise, evaluate decides, and the abort
+    # reason reports it, with no numpy warning
     f = tmp_path / "sinblowup.sdp"
     f.write_text("dim = 1\nspray G1 = -y1^3 + sin(y1^2)\n"
                  "integrate t=2 dt=0.01 method=rk4 seed=1 samples=2\n")
@@ -274,7 +274,7 @@ def test_blow_up_into_a_math_domain_error_aborts_the_trajectory(tmp_path, capsys
     assert err == ""
     assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
     runs = json.loads(out)["trajectories"]
-    assert [r["abort_reason"] for r in runs] == ["evaluation failed: domain error in sin"] * 2
+    assert [r["abort_reason"] for r in runs] == ["evaluation failed: overflow in power"] * 2
 
 
 OVERFLOWING_LOCUS = ("dim = 1\nexclude x1^400 + 1\n"
@@ -284,7 +284,7 @@ OVERFLOWING_LOCUS = ("dim = 1\nexclude x1^400 + 1\n"
 @pytest.mark.parametrize("command, extra", [("integrate", ""), ("verify", "H = y1\n")],
                          ids=["integrate", "verify"])
 def test_an_overflowing_locus_aborts_only_its_trajectory(tmp_path, capsys, command, extra):
-    # |x1| grows past 5.9, where x1^400 overflows a double on the rk4 array step
+    # |x1| grows past 5.9, where x1^400 overflows a double: evaluate decides
     f = tmp_path / "overflow.sdp"
     f.write_text(OVERFLOWING_LOCUS.format("rk4") + extra)
     rc, out, err = _run(capsys, [command, str(f), "--json"])
@@ -292,8 +292,7 @@ def test_an_overflowing_locus_aborts_only_its_trajectory(tmp_path, capsys, comma
     assert err == ""
     rep = json.loads(out)
     runs = rep["trajectories"] if command == "integrate" else rep["drift"]["runs"]
-    assert [r["abort_reason"] for r in runs] == [
-        "evaluation failed: non-finite value in compiled evaluation"] * 2
+    assert [r["abort_reason"] for r in runs] == ["evaluation failed: overflow in power"] * 2
 
 
 def test_an_overflowing_locus_under_rk45_keeps_stderr_empty(tmp_path, capsys):
@@ -317,14 +316,13 @@ def test_numeric_domain_failures_exit_3(tmp_path, capsys):
     assert "numeric-domain error" in err
 
 
-# constants past the double range, which d(H) and S(H) reach from H; the
-# drift of the last one overflows numpy scalars
+# constants past the double range, which d(H) and S(H) reach from H; in the
+# drift of the last one, 10^308*y1 overflows a double, which evaluate refuses
 HUGE_CONSTANTS = {
     "dim1": ("dim = 1\nspray G1 = y1^2\nH = 10^308*y1\n", "constant out of double range"),
     "dim2": ("dim = 2\nspray G1 = y1^2\nspray G2 = y2^2\nH = 10^308*y1 + 10^308*y2\n",
              "constant out of double range"),
-    "drift": ("dim = 2\nH = 10^308*y1 + 10^308*y2\n",
-              "non-finite value in compiled evaluation"),
+    "drift": ("dim = 2\nH = 10^308*y1 + 10^308*y2\n", "product produced a non-finite value"),
 }
 
 

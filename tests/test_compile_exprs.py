@@ -1,6 +1,6 @@
 """compile_exprs inlines bound function bodies: it gives what compiling each
-body on its own gave, bit for bit or error for error, and chained bodies
-compile."""
+body on its own gives, bit for bit, where plain floats finish, and
+evaluate's outcome where they cannot; chained bodies compile."""
 
 import math
 import struct
@@ -20,7 +20,7 @@ from spraydirac.expr import (  # noqa: E402
     simplify,
 )
 
-from ndarray_eval import on_ndarray  # noqa: E402
+from evaluate_ref import evaluated, floats_then_evaluate  # noqa: E402
 
 
 # -- the body-table compile: every body compiled on its own ------------------
@@ -28,6 +28,12 @@ from ndarray_eval import on_ndarray  # noqa: E402
 def _table_src(e, ctx):
     if isinstance(e, Const):
         v = e.value
+        try:
+            finite = math.isfinite(v)
+        except OverflowError:
+            finite = False
+        if not finite:    # evaluate decides
+            return "_refuse()"
         if isinstance(v, Fraction):
             return f"({v.numerator}/{v.denominator})" if v.denominator != 1 else f"({v.numerator})"
         return f"({v!r})"
@@ -100,29 +106,11 @@ def _table_compile(exprs, ctx):
     lines += [f"    _v_x{i} = _z[{i - 1}]" for i in range(1, n + 1)]
     lines += [f"    _v_y{a} = _z[{n + a - 1}]" for a in range(1, n + 1)]
     lines.append(f"    return ({', '.join(_table_src(simplify(e), ctx) for e in exprs)},)")
-    # inf and nan name a folded non-finite constant, printed with repr
-    ns = {"math": math, "inf": math.inf, "nan": math.nan,
-          "_fpow": _fpow, "_ln": _ln, "_sqrt": _sqrt}
+    ns = {"math": math, "_fpow": _fpow, "_ln": _ln, "_sqrt": _sqrt,
+          "_refuse": lambda: 1 / 0}
     exec("\n".join(lines), ns)
     raw = ns["_compiled"]
-
-    def call(z, params=None):
-        try:
-            out = raw(z, params or {}, fn_table)
-        except ZeroDivisionError as exc:
-            raise EvalDomainError("division by zero") from exc
-        except OverflowError as exc:
-            raise EvalDomainError("overflow") from exc
-        except ValueError as exc:
-            raise EvalDomainError(str(exc)) from exc
-        except KeyError as exc:
-            raise UnboundParameterError(f"parameter {exc.args[0]!r} has no bound value") from exc
-        for v in out:
-            if not math.isfinite(v):
-                raise EvalDomainError("non-finite value in compiled evaluation")
-        return out
-
-    return call
+    return floats_then_evaluate(lambda z, p: raw(z, p, fn_table), exprs, ctx)
 
 
 # -- generated bodies and expressions -----------------------------------------
@@ -193,13 +181,11 @@ def test_inlined_bodies_match_the_body_table(f_body, g_body, trees, z, with_b):
         assert new == old
         return
     old, new = _table_compile(trees, ctx), compile_exprs(trees, ctx)
-    # numpy scalars warn where floats raise; the values are compared
-    with np.errstate(all="ignore"):
-        for state in (z, np.array(z)):
-            assert _outcome(new, state, params) == _outcome(old, state, params)
+    for state in (z, np.array(z)):
+        assert _outcome(new, state, params) == _outcome(old, state, params)
 
 
-# -- floats first, the ndarray where floats cannot finish ---------------------
+# -- floats first, evaluate where floats cannot finish ------------------------
 
 # zeros to divide by, powers that overflow a double, subnormals
 EDGE_COORDS = st.one_of(st.floats(-3.0, 3.0, allow_nan=False),
@@ -213,7 +199,12 @@ EDGE_COORDS = st.one_of(st.floats(-3.0, 3.0, allow_nan=False),
 @example(X1, X1, [Call("ln", X1), Y1], (-1.0, 1.0, 1.0, 1.0), True, True)   # out of the domain
 @example(X1, X1, [Add((PARAMS[2], X1))], (1.0, 1.0, 1.0, 1.0), True, True)   # C is unbound
 @example(X1, X1, [Mul((Const(3), PARAMS[0], X1))], (0.1, 1.0, 1.0, 1.0), True, False)
+# numpy scalars gave y1^2/(2 + inf) = 0.0 here, where evaluate refuses 0^-1
+@example(X1, X1, [Div(Pow(Y1, Fraction(2)), Add((Const(2), Pow(X1, Fraction(-1)))))],
+         (0.0, 1.0, 1.0, 1.0), True, True)
 def test_floats_first_give_the_ndarray_outcome(f_body, g_body, trees, z, exact_a, with_b):
+    # an ndarray state runs on plain floats, and where they cannot finish
+    # evaluate decides, as for a tuple
     ctx = Context(dim=2, params={"A": Fraction(3, 7), "B": None, "C": None})
     ctx.declare_function("f", f_body)
     ctx.declare_function("g", g_body)
@@ -221,18 +212,19 @@ def test_floats_first_give_the_ndarray_outcome(f_body, g_body, trees, z, exact_a
         return
     fn = compile_exprs(trees, ctx)
     params = {"A": Fraction(3, 7) if exact_a else 3 / 7, **({"B": 0.75} if with_b else {})}
-    # numpy scalars warn where floats raise; the outcomes are compared
-    with np.errstate(all="ignore"):
-        assert _outcome(fn, np.array(z), params) == _outcome(on_ndarray(fn), np.array(z), params)
+    new = _outcome(fn, np.array(z), params)
+    assert new == _outcome(floats_then_evaluate(fn.raw, trees, ctx), np.array(z), params)
+    assert new == _outcome(fn, z, params)
+    if new[0] == "value":
+        assert not any(isinstance(v, np.generic) for v in fn(np.array(z), params))
 
 
 def test_an_ndarray_state_gives_python_floats():
     ctx = Context(dim=2)
     fn = compile_exprs((parse("x1*y2 + sin(x2)", ctx), parse("y1^2/x1", ctx)), ctx)
     assert [type(v) for v in fn(np.array([0.5, 1.5, -2.0, 3.0]))] == [float, float]
-    # at x1 = 0 floats raise and numpy scalars give inf: the ndarray decides
-    with np.errstate(all="ignore"), pytest.raises(
-            EvalDomainError, match="non-finite value in compiled evaluation"):
+    # at x1 = 0 floats raise: evaluate decides on the simplified y1^2*x1^-1
+    with pytest.raises(EvalDomainError, match="^zero raised to a negative power$"):
         fn(np.array([0.0, 1.5, -2.0, 3.0]))
 
 
@@ -249,10 +241,9 @@ def test_hand_picked_bodies_match_the_body_table(body, text, at_1e5):
     ctx.declare_function("f", parse(body, Context(1)))
     e = parse(text, ctx)
     old, new = _table_compile((e,), ctx), compile_exprs((e,), ctx)
-    with np.errstate(all="ignore"):
-        for x in [*np.linspace(-2.0, 2.0, 41), 1e5, 1e200]:
-            for state in ((x, 0.3, 0.7, -1.1), np.array([x, 0.3, 0.7, -1.1])):
-                assert _outcome(new, state) == _outcome(old, state)
+    for x in [*np.linspace(-2.0, 2.0, 41), 1e5, 1e200]:
+        for state in ((x, 0.3, 0.7, -1.1), np.array([x, 0.3, 0.7, -1.1])):
+            assert _outcome(new, state) == _outcome(old, state)
     assert _outcome(new, (1e5, 0.0, 1.0, 0.0))[0] == at_1e5
 
 
@@ -265,12 +256,10 @@ def test_chained_bodies_compile_as_evaluate_applies_them():
     fn = compile_exprs((e,), ctx)
     for x in (0.0, 0.7, -3.25, 1e100):
         assert fn((x, 0.5)) == (evaluate(e, Point((x,), (0.5,)), ctx),)
-    # numpy overflows f's x1^2 to inf where a float raises
-    with np.errstate(all="ignore"), pytest.raises(
-            EvalDomainError, match="non-finite value in compiled evaluation"):
-        fn(np.array([1e200, 0.5]))
-    with pytest.raises(EvalDomainError, match="overflow"):
-        fn((1e200, 0.5))
+    # f's x1^2 overflows a double: evaluate decides, for either state
+    for state in (np.array([1e200, 0.5]), (1e200, 0.5)):
+        with pytest.raises(EvalDomainError, match="^overflow in power$"):
+            fn(state)
 
 
 def test_a_body_value_is_tested_finite_in_the_generated_code(monkeypatch):
@@ -285,13 +274,14 @@ def test_a_body_value_is_tested_finite_in_the_generated_code(monkeypatch):
     e = parse("y1^2/(1 + f(x1))", ctx)
     clear_caches()
     fn = compile_exprs((e,), ctx)
-    step, _, _ = compile_rk4_step((e,), (), ctx, 0.01)
+    step, _ = compile_rk4_step((e,), (), ctx, 0.01)
     clear_caches()
     assert len(sources) == 2
     assert all("_isfinite(" in src and "_fin(" not in src for src in sources)
     assert fn((0.5, 2.0)) == (evaluate(e, Point((0.5,), (2.0,)), ctx),)
-    # f(1e5) is inf on floats, and y1^2/(1 + inf) is 0.0
-    with pytest.raises(EvalDomainError, match="non-finite value in compiled evaluation"):
+    # f(1e5) is inf on floats, and y1^2/(1 + inf) is 0.0; evaluate refuses
+    # the product 10^300*x1^2
+    with pytest.raises(EvalDomainError, match="^product produced a non-finite value$"):
         fn((1e5, 1.0))
     assert step((1e5, 1.0), {}, ()) is None
 
@@ -303,3 +293,34 @@ def test_an_application_without_a_body_is_refused_when_compiling():
         compile_exprs((parse("y1 + f(x1)", ctx),), ctx)
     # simplify cancels this one, so there is nothing to refuse
     assert compile_exprs((parse("y1 + f(x1) - f(x1)", ctx),), ctx)((0.0, 2.0)) == (2.0,)
+
+
+# constants that simplify keeps and evaluate refuses; plain floats read
+# exp(-inf*x1^2) and 1/(inf + x1) as 0.0, and 10^400*x1^2 raises OverflowError
+REFUSED_CONSTANTS = [
+    (Call("exp", Neg(Mul((Const(math.inf), X1, X1)))), "non-finite constant"),
+    (Add((X1, Div(Const(1), Add((Const(math.inf), X1))))), "non-finite constant"),
+    (Call("exp", Neg(Mul((Const(10 ** 400), X1, X1)))), "constant out of double range"),
+]
+
+
+@pytest.mark.parametrize("e, message", REFUSED_CONSTANTS)
+def test_the_generated_code_refuses_what_evaluate_refuses_in_a_constant(e, message):
+    ctx = Context(dim=1)
+    with pytest.raises(EvalDomainError, match=f"^{message}$"):
+        evaluate(simplify(e), Point((0.5,), (1.0,)), ctx)
+    for z in ((0.5, 1.0), np.array([0.5, 1.0])):
+        with pytest.raises(EvalDomainError, match=f"^{message}$"):
+            compile_exprs((e,), ctx)(z)
+    step, _ = compile_rk4_step((e,), (), ctx, 0.01)
+    assert step((0.5, 1.0), {}, ()) is None
+
+
+def test_a_constant_that_simplify_folds_away_is_not_compiled():
+    # simplify folds 1/inf to 0 before any source is generated, so floats
+    # and evaluate both read x1 here
+    ctx = Context(dim=1)
+    e = Add((X1, Pow(Const(math.inf), Fraction(-1))))
+    assert simplify(e) == X1
+    assert compile_exprs((e,), ctx)((0.5, 1.0)) == (0.5,)
+    assert compile_rk4_step((e,), (), ctx, 0.01)[0]((0.5, 1.0), {}, ()) is not None

@@ -1,5 +1,7 @@
-"""conservation_drift runs H on plain floats and falls back to numpy rows: it
-gives what evaluating H on numpy rows gives, bit for bit or error for error."""
+"""conservation_drift runs H on plain floats over all rows and falls back to
+the checked H row by row: it gives what H gives on each row, on plain floats
+or, where they cannot finish, as evaluate decides, bit for bit or error for
+error."""
 
 import struct
 from fractions import Fraction
@@ -17,13 +19,15 @@ from spraydirac.expr import (  # noqa: E402
 )
 from spraydirac.motion import Trajectory, conservation_drift  # noqa: E402
 
+from evaluate_ref import floats_then_evaluate  # noqa: E402
+
 
 def _numpy_rows_drift(traj, H, ctx):
-    """The drift as H on each numpy row of the trajectory."""
-    hfun = compile_exprs((H,), ctx)
-    with np.errstate(all="ignore"):
-        vals = np.array([hfun(row, traj.params)[0] for row in traj.states])
-        return float(np.max(np.abs(vals - vals[0])))
+    """The drift as H on each row of the trajectory, on plain floats where
+    they finish and evaluate's value otherwise."""
+    hfun = floats_then_evaluate(compile_exprs((H,), ctx).raw, (H,), ctx)
+    vals = np.array([hfun(row, traj.params)[0] for row in traj.states], dtype=float)
+    return float(np.max(np.abs(vals - vals[0])))
 
 
 def _outcome(fn, *args):
@@ -79,7 +83,7 @@ def test_float_drift_matches_numpy_rows(H, states):
 
 
 def _checked_calls(monkeypatch) -> list:
-    """Each call of the checked function of H, the numpy-row path."""
+    """Each call of the checked function of H, the row-by-row path."""
     calls = []
 
     def counted_compile(exprs, ctx):
@@ -102,7 +106,15 @@ def test_numpy_rows_run_only_where_floats_fail(monkeypatch):
     traj = Trajectory(1, [0.0, 0.1, 0.2], [[1.0, 2.0], [0.5, 2.5], [0.0, 3.0]], "rk4", 0.1, {})
     assert conservation_drift(traj, parse("x1*y1^2", ctx), ctx) == 4.0
     assert calls == []
-    # numpy divides by zero to inf, which the check refuses
-    with pytest.raises(EvalDomainError, match="non-finite value"):
+    # floats divide by zero on the last row: evaluate decides, row by row
+    with pytest.raises(EvalDomainError, match="^zero raised to a negative power$"):
         conservation_drift(traj, parse("y1/x1", ctx), ctx)
     assert len(calls) == 3
+
+
+def test_an_infinity_that_floats_would_mask_fails_the_drift():
+    # numpy scalars read y1/(1 + inf) as 0.0 at x1 = 0, a drift of 0.5
+    ctx = Context(dim=1)
+    traj = Trajectory(1, [0.0, 0.1], [[1.0, 1.0], [0.0, 1.0]], "rk4", 0.1, {})
+    with pytest.raises(EvalDomainError, match="^zero raised to a negative power$"):
+        conservation_drift(traj, parse("y1/(1 + x1^-1)", ctx), ctx)

@@ -1,7 +1,8 @@
 """The flow pipeline's float paths give what the bodies they replaced gave:
 the rk4 march kept in one flat list gives the list-of-tuples arrays, the
 generated rk45 field gives the checked-G field, and the drift rows give the
-per-row values, bit for bit or error for error."""
+per-row values, bit for bit or error for error.  Where floats cannot finish,
+each reference takes evaluate's values."""
 
 import contextlib
 import math
@@ -21,17 +22,20 @@ from spraydirac.expr import (  # noqa: E402
 )
 from spraydirac.geometry import SemiSpray  # noqa: E402
 from spraydirac.motion import (  # noqa: E402
-    Trajectory, _near_locus, _rk4_array_step, conservation_drift, integrate_sode,
+    Trajectory, _near_locus, conservation_drift, integrate_sode,
 )
 from spraydirac.problemfile import parse_problem_file  # noqa: E402
+
+from evaluate_ref import evaluate_values, floats_then_evaluate, rk4_array_step  # noqa: E402
 
 
 # -- the bodies that built what the next stage converted back -----------------
 
 def _old_field(G, ctx):
-    """The array field on the checked G: y copied, -2.0*G multiplied after."""
+    """The array field on the checked G: y copied, -2.0*G multiplied after;
+    G on plain floats, or evaluate's where they cannot finish."""
     n = ctx.dim
-    g = compile_exprs(G, ctx)
+    g = floats_then_evaluate(compile_exprs(G, ctx).raw, G, ctx)
 
     def field(z, params):
         out = np.empty(2 * n)
@@ -43,9 +47,9 @@ def _old_field(G, ctx):
 
 
 def _old_rk4(S, p0, dt, steps, ctx):
-    """integrate_sode's rk4 march keeping a list of state tuples."""
-    step, _, loci = compile_rk4_step(S.G, S.singular_loci, ctx, dt)
-    f = _old_field(S.G, ctx)
+    """integrate_sode's rk4 march keeping a list of state tuples, with the
+    steps that floats cannot finish done on arrays with evaluate's values."""
+    step, loci = compile_rk4_step(S.G, S.singular_loci, ctx, dt)
     params = dict(ctx.params)
     params.update(p0.params)
     z0 = np.concatenate([np.asarray(p0.x, float), np.asarray(p0.y, float)])
@@ -61,9 +65,9 @@ def _old_rk4(S, p0, dt, steps, ctx):
         if z_next is None:
             with np.errstate(all="ignore"):
                 try:
-                    z_arr = _rk4_array_step(f, np.array(z), params, dt)
+                    z_arr = rk4_array_step(evaluate_values(S.G, params, ctx), np.array(z), dt)
                     if np.all(np.isfinite(z_arr)):
-                        vals = loci(z_arr, params)
+                        vals = evaluate_values(S.singular_loci, params, ctx)(z_arr)
                         entered = (_near_locus(vals)
                                    or tuple(v < 0 for v in vals) != below)
                         z_next = () if entered else tuple(z_arr.tolist())
@@ -84,15 +88,17 @@ def _old_rk4(S, p0, dt, steps, ctx):
 
 
 def _old_drift(traj, H, ctx):
-    """conservation_drift calling H once per row of states.tolist()."""
+    """conservation_drift calling H once per row of states.tolist(); where
+    floats cannot finish every row, each row runs on floats first and on
+    evaluate where they cannot finish it."""
     hfun = compile_exprs((H,), ctx)
     with contextlib.suppress(*FLOAT_FALLBACK_ERRORS):
         vals = [hfun.raw(row, traj.params or {})[0] for row in traj.states.tolist()]
         if math.isfinite(sum(vals)):
             return float(max(abs(v - vals[0]) for v in vals))
-    with np.errstate(all="ignore"):
-        vals = np.array([hfun(row, traj.params)[0] for row in traj.states])
-        return float(np.max(np.abs(vals - vals[0])))
+    checked = floats_then_evaluate(hfun.raw, (H,), ctx)
+    vals = np.array([checked(row, traj.params)[0] for row in traj.states], dtype=float)
+    return float(np.max(np.abs(vals - vals[0])))
 
 
 # -- outcomes -----------------------------------------------------------------
@@ -201,7 +207,7 @@ def test_the_rk4_cases_abort():
     assert reasons == {
         "free": None, "decay": None, "body": None,
         "locus": "state entered a singular locus",
-        "blow-up": "evaluation failed: non-finite value in compiled evaluation",
+        "blow-up": "evaluation failed: overflow in power",
         "domain": "evaluation failed: ln of a nonpositive value",
         "division": None,
     }

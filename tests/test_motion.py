@@ -12,8 +12,8 @@ from spraydirac.errors import (
     ValidationError,
 )
 from spraydirac.expr import (
-    ONE, ZERO, Const, Context, Point, SampleConfig, Tri, compile_exprs, parse,
-    sample_points, simplify,
+    FLOAT_FALLBACK_ERRORS, ONE, ZERO, Const, Context, Point, SampleConfig, Tri,
+    compile_exprs, evaluate, parse, sample_points, simplify,
 )
 from spraydirac.forms import TwoForm
 from spraydirac import expr, motion
@@ -24,7 +24,7 @@ from spraydirac.motion import (
 )
 from spraydirac.problemfile import load_problem_file, parse_problem_file
 
-from ndarray_eval import on_ndarray
+from evaluate_ref import evaluate_values, floats_then_evaluate, rk4_array_step
 
 
 CTX2 = Context(dim=2)
@@ -275,41 +275,39 @@ def test_certificate_with_constant_energy_is_trivial_but_green():
     assert rep.overall == "yes"
 
 
-# -- the generated float step against the array RK4 loop it replaced --------
+# -- the generated float step against an array RK4 loop ---------------------
 
 def _array_rk4(S, p0, dt, steps, ctx):
-    """The numpy RK4 loop integrate_sode ran before its generated float step,
-    its field and locus values on numpy scalars."""
-    gfun = on_ndarray(compile_exprs(S.G, ctx))
-    loci_fun = on_ndarray(compile_exprs(S.singular_loci, ctx)) if S.singular_loci else None
-    n = S.n
-
-    def f(z, params):
-        out = np.empty(2 * n)
-        out[:n] = z[n:]
-        out[n:] = [-2.0 * gi for gi in gfun(z, params)]
-        return out
-
-    def loci(z, params):
-        return loci_fun(z, params) if loci_fun is not None else ()
-
+    """RK4 on numpy arrays.  Each step runs on the values that compile_exprs's
+    generated functions (.raw) give for G and the loci on plain floats;
+    where those raise, or z_next or the locus values have a non-finite sum,
+    the step is redone with evaluate's values."""
+    graw = compile_exprs(S.G, ctx).raw
+    lraw = compile_exprs(S.singular_loci, ctx).raw
     params = dict(ctx.params)
     params.update(p0.params)
+    g_evaluated = evaluate_values(S.G, params, ctx)
+    loci_evaluated = evaluate_values(S.singular_loci, params, ctx)
     z = np.concatenate([np.asarray(p0.x, float), np.asarray(p0.y, float)])
     times, states = [0.0], [z.copy()]
-    locus_signs = np.sign(loci(z, params))
+    locus_signs = np.sign(floats_then_evaluate(lraw, S.singular_loci, ctx)(z, params))
     for k in range(steps):
-        try:
-            k1 = f(z, params)
-            k2 = f(z + 0.5 * dt * k1, params)
-            k3 = f(z + 0.5 * dt * k2, params)
-            k4 = f(z + dt * k3, params)
-        except EvalDomainError as exc:
-            return times, states, True, f"evaluation failed: {exc}"
-        z_next = z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(z_next)):
-            return times, states, True, "state became non-finite"
-        vals = loci(z_next, params)
+        with np.errstate(all="ignore"):
+            try:
+                z_next = rk4_array_step(lambda s: graw(s.tolist(), params), z, dt)
+                if not math.isfinite(sum(z_next.tolist())):
+                    raise ArithmeticError
+                vals = lraw(z_next.tolist(), params)
+                if not math.isfinite(sum(vals)):
+                    raise ArithmeticError
+            except FLOAT_FALLBACK_ERRORS:
+                try:
+                    z_next = rk4_array_step(g_evaluated, z, dt)
+                    if not np.all(np.isfinite(z_next)):
+                        return times, states, True, "state became non-finite"
+                    vals = loci_evaluated(z_next)
+                except EvalDomainError as exc:
+                    return times, states, True, f"evaluation failed: {exc}"
         signs = np.sign(vals)
         if (min((abs(v) for v in vals), default=np.inf) <= LOCUS_GUARD
                 or np.any(signs * locus_signs < 0)):
@@ -389,44 +387,58 @@ def test_float_step_matches_array_loop_at_locus_crossing():
     assert traj.abort_reason == "state entered a singular locus"
 
 
-@pytest.mark.filterwarnings("ignore:overflow")
 def test_float_step_matches_array_loop_on_blowup():
     traj = _assert_matches_array_loop(_spray2(), Point((0.0, 0.0), (1.0, -1.0)),
                                       0.01, 200, CTX2)
     assert traj.aborted
 
 
-@pytest.mark.filterwarnings("ignore:divide by zero")
 def test_float_step_falls_back_on_zero_denominator_mid_stage(monkeypatch):
-    array_steps = []
-    array_step = motion._rk4_array_step
-    monkeypatch.setattr(motion, "_rk4_array_step",
-                        lambda *a: array_steps.append(1) or array_step(*a))
-    # the second stage lands on y1 = 1 exactly: floats raise, numpy gives inf
+    exact_steps = []
+    exact_step = motion._exact_step
+    monkeypatch.setattr(motion, "_exact_step",
+                        lambda *a: exact_steps.append(1) or exact_step(*a))
+    # the second stage lands on y1 = 1 exactly: floats raise, evaluate decides
     ctx = Context(dim=1)
     S = SemiSpray(1, (parse("1/(y1 - 1)", ctx),))
     traj = _assert_matches_array_loop(S, Point((0.0,), (0.5,)), 0.25, 40, ctx)
-    assert traj.abort_reason == "evaluation failed: non-finite value in compiled evaluation"
-    assert len(array_steps) == 1
-    # here numpy's inf turns into exp(-inf) = 0: the array step finishes and
-    # the run goes on with the float step
-    array_steps.clear()
+    assert traj.abort_reason == "evaluation failed: zero raised to a negative power"
+    assert len(exact_steps) == 1
+    # numpy scalars turned the inf of 1/0 into exp(-inf) = 0 here and the
+    # run went on; evaluate refuses the 1/0
+    exact_steps.clear()
     S = SemiSpray(1, (parse("exp(-1/(x1 - 1)^2)", ctx),))
     traj = _assert_matches_array_loop(S, Point((0.5,), (4.0,)), 0.25, 40, ctx)
-    assert not traj.aborted
-    assert len(array_steps) == 1
+    assert traj.abort_reason == "evaluation failed: zero raised to a negative power"
+    assert len(exact_steps) == 1
 
 
 # -- one generated module per integration -------------------------------------
 
 def test_an_overflowing_body_aborts_both_methods():
-    # f(1e5) is inf: read unchecked, y1^2/(1 + f) would be 0 and the run go on
+    # f(1e5) is inf: read unchecked, y1^2/(1 + f) would be 0 and the run go on;
+    # evaluate refuses the product 10^300*x1^2
     pf = parse_problem_file("dim = 1\nparam f = fn(10^300*x1^2)\n"
                             "spray G1 = y1^2/(1 + f(x1))\n")
     for method in ("rk4", "rk45"):
         traj = integrate_sode(pf.semispray(), Point((1e5,), (1.0,)), 0.01, 20, method,
                               pf.context)
-        assert traj.abort_reason == "evaluation failed: non-finite value in compiled evaluation"
+        assert traj.abort_reason == "evaluation failed: product produced a non-finite value"
+
+
+@pytest.mark.parametrize("method", ["rk4", "rk45"])
+def test_an_infinity_that_floats_would_mask_aborts_the_run(method):
+    # at x1 = 0 floats raise for x1^-1; numpy scalars read y1^2/(2 + inf) as
+    # 0.0 and ran on, where evaluate refuses 0^-1
+    ctx = Context(dim=1)
+    G = parse("y1^2/(2 + x1^-1)", ctx)
+    p0 = Point((0.0,), (1.0,))
+    with pytest.raises(EvalDomainError) as exc:
+        evaluate(simplify(G), p0, ctx)
+    traj = integrate_sode(SemiSpray(1, (G,)), p0, 0.01, 20, method, ctx)
+    assert traj.aborted
+    assert traj.abort_reason == f"evaluation failed: {exc.value}"
+    assert len(traj.times) == 1
 
 
 @pytest.mark.parametrize("method", ["rk4", "rk45"])
