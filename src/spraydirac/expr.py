@@ -1697,8 +1697,10 @@ FLOAT_FALLBACK_ERRORS = (ArithmeticError, ValueError, LookupError, TypeError, Ev
 
 def _evaluated(exprs: Sequence[Expr], zl: list, params: Mapping, ctx: Context) -> tuple:
     """evaluate's value of each of exprs, simplified as the generated code
-    is, at the flat state zl (its first 2 * ctx.dim entries), checked finite."""
+    is, at the flat state zl (its first 2 * ctx.dim entries); both checked finite."""
     n = ctx.dim
+    if not all(map(math.isfinite, zl[:2 * n])):
+        _nonfinite()
     p = Point(zl[:n], zl[n:2 * n], params)
     return tuple(_fin(evaluate(simplify(e), p, ctx)) for e in exprs)
 
@@ -1814,7 +1816,7 @@ def compile_field(G: Sequence[Expr], loci: Sequence[Expr],
 
     field(z, params) runs one generated function giving all 2n components
     on z.tolist() and returns them as an array when every one is finite.
-    Otherwise evaluate decides G: its values, each checked finite, or its
+    Otherwise G is checked as compile_exprs checks it, with evaluate's
     EvalDomainError and message; a -2.0*G that overflows is inf, and y is
     copied as it is.  locus_values is compile_rk4_step's.  Memoised until
     clear_caches().
@@ -1834,7 +1836,7 @@ def _field_module(G: tuple, loci: tuple, ctx: Context) -> tuple:
                 f"{''.join(f'-2.0*{g}, ' for g in gs)})"]
              + _def_lines("_loci", l_src, n))
     ns = _exec_def(lines)
-    raw = ns["_field"]
+    raw, g = ns["_field"], _checked(ns["_g"], G, ctx)
 
     def field(z: np.ndarray, params: Mapping) -> np.ndarray:
         with contextlib.suppress(*FLOAT_FALLBACK_ERRORS):
@@ -1842,10 +1844,7 @@ def _field_module(G: tuple, loci: tuple, ctx: Context) -> tuple:
             # a non-finite value makes the sum non-finite
             if math.isfinite(sum(out)):
                 return np.array(out)
-        out = np.empty(2 * n)
-        out[:n] = z[n:]
-        out[n:] = [-2.0 * gi for gi in _evaluated(G, z.tolist(), params, ctx)]
-        return out
+        return np.array(z[n:].tolist() + [-2.0 * gi for gi in g(z, params)])
 
     return field, _checked(ns["_loci"], loci, ctx)
 

@@ -25,7 +25,7 @@ from .errors import (
 )
 from .expr import (
     FLOAT_FALLBACK_ERRORS, LOCUS_GUARD, Context, Expr, Point, SampleConfig, Tri, ZERO,
-    compile_exprs, compile_field, compile_rk4_step, evaluate, evaluate_points,
+    _evaluated, compile_exprs, compile_field, compile_rk4_step, evaluate_points,
     evaluate_points_with_magnitude, is_zero, sample_points, simplify, tri_all,
 )
 from .forms import TwoForm, d_scalar, exterior_derivative_2, interior_product
@@ -98,23 +98,24 @@ def _exact_step(S: SemiSpray, z: tuple, params: dict, dt: float, ctx: Context,
     """compile_rk4_step's step redone on a tuple of floats in the same float
     operations, with the field (y, -2.0*G) and the locus values taken from
     evaluate: z_next, () where it entered a singular locus, or None where a
-    component is not finite.  evaluate's errors propagate."""
+    stage state or z_next is not finite.  evaluate's errors propagate."""
     n = S.n
 
     def field(s: tuple) -> tuple:
-        p = Point(s[:n], s[n:], params)
-        return s[n:] + tuple(-2.0 * evaluate(simplify(g), p, ctx) for g in S.G)
+        return s[n:] + tuple(-2.0 * g for g in _evaluated(S.G, s, params, ctx))
 
     ks = [field(z)]
     for h in (0.5 * dt, 0.5 * dt, dt):
-        ks.append(field(tuple(b + h * k for b, k in zip(z, ks[-1]))))
+        s = tuple(b + h * k for b, k in zip(z, ks[-1]))
+        if not all(map(math.isfinite, s)):
+            return None   # evaluate is not asked at it
+        ks.append(field(s))
     d6 = dt / 6.0
     z_next = tuple(b + d6 * (((k1 + 2.0 * k2) + 2.0 * k3) + k4)
                    for b, k1, k2, k3, k4 in zip(z, *ks))
     if not all(map(math.isfinite, z_next)):
         return None
-    p = Point(z_next[:n], z_next[n:], params)
-    vals = [evaluate(simplify(e), p, ctx) for e in S.singular_loci]
+    vals = _evaluated(S.singular_loci, z_next, params, ctx)
     if _near_locus(vals) or tuple(v < 0 for v in vals) != below:
         return ()
     return z_next

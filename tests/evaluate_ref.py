@@ -2,7 +2,8 @@
 plain floats cannot finish: a compiled callable (floats first, then
 evaluate's value of each simplified tree at the state, x and y read from
 its first 2n entries, each checked finite, or evaluate's error), and an RK4
-step on numpy arrays with a given G."""
+step on numpy arrays with a given G.  evaluate is never asked at a
+non-finite state."""
 
 import math
 
@@ -14,8 +15,10 @@ from spraydirac.expr import FLOAT_FALLBACK_ERRORS, Point, evaluate, simplify
 
 def evaluated(exprs, z, params, ctx):
     """evaluate's values of exprs at the flat state z, in order, each
-    checked finite."""
+    checked finite; a non-finite state is refused."""
     z, n = list(z), ctx.dim
+    if not all(math.isfinite(v) for v in z[:2 * n]):
+        raise EvalDomainError("non-finite value in compiled evaluation")
     p = Point(z[:n], z[n:2 * n], params or {})
     out = []
     for e in exprs:
@@ -44,10 +47,14 @@ def floats_then_evaluate(raw, exprs, ctx):
 
 
 def evaluate_values(exprs, params, ctx):
-    """s -> evaluate's values of exprs at the flat state s, unchecked."""
+    """s -> evaluate's values of exprs at the flat state s, unchecked, or
+    nans where s is not finite: a stage state that is not finite makes the
+    step non-finite."""
     n = ctx.dim
 
     def values(s):
+        if not np.all(np.isfinite(s)):
+            return [math.nan] * len(exprs)
         p = Point(s[:n], s[n:2 * n], params)
         return [evaluate(simplify(e), p, ctx) for e in exprs]
 

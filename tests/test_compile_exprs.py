@@ -228,6 +228,16 @@ def test_an_ndarray_state_gives_python_floats():
         fn(np.array([0.0, 1.5, -2.0, 3.0]))
 
 
+def test_a_non_finite_state_is_refused_before_evaluate():
+    # evaluate would read the state as it is, and its fsum of +inf and -inf
+    # raise ValueError
+    ctx = Context(dim=1)
+    fn = compile_exprs((parse("x1 + y1", ctx),), ctx)
+    for z in ((math.inf, -math.inf), np.array([math.inf, -math.inf]), (math.nan, 1.0)):
+        with pytest.raises(EvalDomainError, match="^non-finite value in compiled evaluation$"):
+            fn(z)
+
+
 # bodies a random draw seldom makes: one whose value overflows where the
 # expression around it would hide that, and one with a sum at a negative
 # power (the outcome at x1 = 1e5)

@@ -217,6 +217,8 @@ def test_the_rk4_cases_abort():
 @given(TREES, COORDS, COORDS, st.sampled_from([0.01, 0.5]), st.integers(0, 6))
 @example(Mul((Const(1e300), Y1, Y1)), 0.5, 1e5, 0.5, 3)
 @example(Pow(X1, Fraction(400)), 0.5, 1.0, 0.5, 6)
+# -2.0*G overflows at the start: no infinite stage state reaches evaluate
+@example(Add((X1, Y1)), 0.0, 1e308, 0.01, 1)
 def test_rk4_on_random_coefficients_equals_the_list_of_tuples(G, x, y, dt, steps):
     ctx = _ctx()
     S = SemiSpray(1, (G,))

@@ -424,6 +424,17 @@ def test_an_overflowing_body_aborts_both_methods():
         traj = integrate_sode(pf.semispray(), Point((1e5,), (1.0,)), 0.01, 20, method,
                               pf.context)
         assert traj.abort_reason == "evaluation failed: product produced a non-finite value"
+    # G is finite at the start and -2.0*G overflows: no infinite stage state
+    # of rk4 or trial state of rk45 reaches evaluate, whose fsum of +inf and
+    # -inf would raise ValueError
+    pf = parse_problem_file("dim = 2\nspray G1 = 10^308*x1 + y1 + y2\n"
+                            "spray G2 = -10^308*x1 + y1 + y2\n")
+    for method, reason in (("rk4", "state became non-finite"),
+                           ("rk45", "evaluation failed: non-finite value in compiled evaluation")):
+        traj = integrate_sode(pf.semispray(), Point((1.0, 0.3), (0.2, 0.1)), 0.01, 20, method,
+                              pf.context)
+        assert traj.abort_reason == reason
+        assert len(traj.times) == 1
 
 
 @pytest.mark.parametrize("method", ["rk4", "rk45"])

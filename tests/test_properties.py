@@ -373,6 +373,9 @@ CONSTANTS = ["1", "-343", "3^9100", "2^100000", "3^10000000", "(10^400)^1/2",
              "*".join(["7" * 301] * 15), "sin(1e300*1e300)", "(1e300)^2"]
 WIDE_SUM = "(" + " + ".join(f"x1^{k}" for k in range(1, 10001)) + ")"
 MANY_LOCI = "\n".join(f"exclude x1 - {k}" for k in range(10, 10010))
+# a finite G past about 9e307, whose -2.0*G overflows into the next stage state
+OVERFLOWING_FIELD = ["dim = 2", "spray G1 = 10^308*x1 + y1 + y2",
+                     "spray G2 = -10^308*x1 + y1 + y2"]
 EDITS = st.one_of(
     st.builds("spray G1 = {}*y1^2".format, st.sampled_from(CONSTANTS)),
     st.builds("spray G1 = {}*y1".format, st.sampled_from(CONSTANTS)),
@@ -473,6 +476,10 @@ def _edited(demo: str, lines) -> str:
 @example("free.sdp", "t=0.01 dt=0.01", "rk4", "1",
          ["dim = 2", "spray G1 = (x1 + x2 + y1 + y2 + 1)^12*(x1 - x2 + y1 - y2 + 3)^12"],
          "analyze", None)
+# infinite stage states of rk4, and infinite trial states of rk45, once
+# reached evaluate, whose fsum of +inf and -inf raised ValueError
+@example("free.sdp", "t=0.01 dt=0.01", "rk4", "1", OVERFLOWING_FIELD, "integrate", "3")
+@example("free.sdp", "t=0.01 dt=0.01", "rk45", "1", OVERFLOWING_FIELD, "integrate", "6")
 def test_no_problem_file_exits_4(demo, steps, method, seed, edits, command, seed_arg):
     text = _edited(demo, [f"integrate {steps} method={method} seed={seed} samples=1", *edits])
     with tempfile.TemporaryDirectory() as tmp:
