@@ -18,7 +18,7 @@ import numpy as np
 from . import report as rpt
 from .dirac import (
     from_distribution, gauge_transform, involutivity_residual,
-    is_isotropic_at, is_maximal_at, kernel_at,
+    is_isotropic_at, is_maximal_at, kernel_at, stacked,
 )
 from .errors import (
     EvalDomainError, ParseError, SprayDiracError, ValidationError,
@@ -304,8 +304,8 @@ def cmd_dirac_check(path: str, pf: ProblemFile, seed_arg: int | None) -> dict:
     }
     pts = sample_points(ctx, SampleConfig(seed=seed), pf.singular_loci, count=20)
     Bs = list(L.generator_matrices(pts, ctx))
-    iso = sum(1 for B in Bs if is_isotropic_at(B))
-    maxl = sum(1 for B in Bs if is_maximal_at(B))
+    iso = sum(stacked(is_isotropic_at, Bs))
+    maxl = sum(stacked(is_maximal_at, Bs))
     resid = involutivity_residual(L, pts, ctx, Bs)
     kdim = len(kernel_at(Bs[0]))
     rep["pointwise"] = {

@@ -35,7 +35,7 @@ from .geometry import OneForm, VectorField, lie_bracket
 __all__ = [
     "Section", "AlmostDirac", "pairing", "courant_bracket", "jacobi_anomaly",
     "from_distribution", "gauge_transform", "is_isotropic_at", "is_maximal_at",
-    "involutivity_residual", "kernel_at", "leaf_two_form_at",
+    "involutivity_residual", "kernel_at", "leaf_two_form_at", "stacked",
 ]
 
 HALF = Const(Fraction(1, 2))
@@ -172,41 +172,61 @@ class AlmostDirac:
 
     def generator_matrices(self, points: Sequence[Point], ctx: Context) -> Iterator[np.ndarray]:
         """The structure evaluated at each point in turn, one row per
-        generator plus any auto-annihilator rows; raises SingularLocusError
-        at the first point on a declared locus."""
+        generator plus any auto-annihilator rows; an error at a point (say
+        SingularLocusError on a declared locus) comes after those before it."""
+        w, rows, failed = 2 * self.n, [], None
         values = evaluate_points(self.all_exprs(), points, ctx)
-        for p in points:
-            for locus in self.singular_loci:
-                if abs(evaluate(locus, p, ctx)) <= 1e-9:
+        try:
+            for p in points:
+                if any(abs(evaluate(locus, p, ctx)) <= 1e-9 for locus in self.singular_loci):
                     raise SingularLocusError("point lies on a declared singular locus")
-            rows = list(np.reshape(next(values), (len(self.generators), 4 * self.n)))
-            if self.auto_annihilator:
-                vec_rows = np.array([r[: 2 * self.n] for r in rows
-                                     if np.linalg.norm(r[2 * self.n:]) <= 1e-12])
-                if vec_rows.size:
-                    null = _null_space(vec_rows)
-                    for q in range(null.shape[1]):
-                        rows.append(np.concatenate([np.zeros(2 * self.n), null[:, q]]))
-            yield np.array(rows).reshape(-1, 4 * self.n)
+                rows.append(next(values))
+        except Exception as exc:  # noqa: BLE001 -- raised after the matrices before it
+            failed = exc
+        stack = np.reshape(rows, (len(rows), len(self.generators), 2 * w))
+        mats = list(stack)
+        if self.auto_annihilator:
+            # rows whose form part has norm <= 1e-12: all that are 0, none
+            # with an entry of 2e-12 or more; norm decides the rest
+            amax = np.max(np.abs(stack[..., w:]), axis=-1, initial=0.0)
+            zero = amax == 0
+            for i, j in zip(*np.nonzero((amax > 0) & (amax < 2e-12))):
+                zero[i, j] = np.linalg.norm(stack[i, j, w:]) <= 1e-12
+            has = [i for i, z in enumerate(zero) if z.any()]
+            for i, null in zip(has, stacked(_null_space, [stack[i, zero[i], :w] for i in has])):
+                pad = np.concatenate([np.zeros((null.shape[1], w)), null.T], axis=1)
+                mats[i] = np.concatenate([mats[i], pad])
+        yield from mats
+        if failed is not None:
+            raise failed
 
 
-def _matrix_rank(M: np.ndarray) -> int:
-    if M.size == 0:
-        return 0
-    scale = max(1.0, float(np.max(np.abs(M))))
+def stacked(fn, mats: Sequence[np.ndarray]) -> list:
+    """fn of each of mats, from one call of fn per stack of equal shapes."""
+    out: dict[int, object] = {}
+    for shape in dict.fromkeys(M.shape for M in mats):
+        idx = [i for i, M in enumerate(mats) if M.shape == shape]
+        out.update(zip(idx, fn(np.stack([mats[i] for i in idx]))))
+    return [out[i] for i in range(len(mats))]
+
+
+def _matrix_rank(M: np.ndarray):
+    """The rank of M, or the array of the ranks of a stack (..., r, c)."""
+    scale = np.maximum(1.0, np.max(np.abs(M), axis=(-2, -1), initial=0.0))
     s = np.linalg.svd(np.asarray_chkfinite(M), compute_uv=False)
-    return int(np.sum(s > POINTWISE_TOL * scale))
+    ranks = np.sum(s > POINTWISE_TOL * scale[..., None], axis=-1)
+    return int(ranks) if M.ndim == 2 else ranks
 
 
-def _null_space(A: np.ndarray) -> np.ndarray:
+def _null_space(A: np.ndarray):
     """Orthonormal basis of the null space of A, as columns: what
-    scipy.linalg.null_space gives, on numpy's gesdd."""
+    scipy.linalg.null_space gives, on numpy's gesdd; a list for a stack."""
     u, s, vh = np.linalg.svd(np.asarray_chkfinite(A), full_matrices=True)
-    M, N = u.shape[0], vh.shape[1]
+    M, N = u.shape[-2], vh.shape[-1]
     rcond = np.finfo(s.dtype).eps * max(M, N)
-    tol = np.amax(s, initial=0.) * rcond
-    num = np.sum(s > tol, dtype=int)
-    return vh[num:, :].T
+    tol = np.amax(s, axis=-1, initial=0., keepdims=True) * rcond
+    num = np.sum(s > tol, axis=-1, dtype=int)
+    return vh[num:, :].T if A.ndim == 2 else [v[q:, :].T for v, q in zip(vh, num)]
 
 
 def from_distribution(D_gens: Sequence[VectorField],
@@ -254,19 +274,22 @@ def from_distribution(D_gens: Sequence[VectorField],
                     "point was found inside the sample box")
 
     k = len(D_gens)
-    ann_rank = 0
-    d_comps = [c for X in D_gens for c in X.comps]
-    a_comps = [c for eta in etas for c in eta.comps]
-    # two evaluations: a rank-deficient D raises before the etas are evaluated
-    a_rows = evaluate_points(a_comps, pts, ctx)
-    for d in evaluate_points(d_comps, pts, ctx):
-        if _matrix_rank(np.reshape(d, (k, 2 * n))) < k:
-            raise RankDeficientError(
-                f"distribution generators dependent at a sampled point "
-                f"(rank < {k})")
-        if etas:
-            A_mat = np.reshape(next(a_rows), (len(etas), 2 * n))
-            ann_rank = max(ann_rank, _matrix_rank(A_mat))
+    a_rows = evaluate_points([c for eta in etas for c in eta.comps], pts, ctx)
+    # D(i), then A(i), per point; a rank-deficient D before a later error
+    Ds, As, failed = [], [], None
+    try:
+        for d in evaluate_points([c for X in D_gens for c in X.comps], pts, ctx):
+            Ds.append(d)
+            As.append(next(a_rows))
+    except Exception as exc:  # noqa: BLE001 -- raised after the ranks before it
+        failed = exc
+    if np.any(_matrix_rank(np.reshape(Ds, (len(Ds), k, 2 * n))) < k):
+        raise RankDeficientError(
+            f"distribution generators dependent at a sampled point "
+            f"(rank < {k})")
+    if failed is not None:
+        raise failed
+    ann_rank = int(np.max(_matrix_rank(np.reshape(As, (len(As), len(etas), 2 * n)))))
 
     deficit = 0 if auto else (2 * n - k) - ann_rank
     if deficit < 0:
@@ -294,20 +317,20 @@ def gauge_transform(L: AlmostDirac, omega: TwoForm) -> AlmostDirac:
         gauge_of=L, gauge_form=omega)
 
 
-def is_isotropic_at(B: np.ndarray) -> bool:
+def is_isotropic_at(B: np.ndarray):
     """Whether the pairing vanishes on the rows of B, one of the
-    generator_matrices."""
-    n = B.shape[1] // 4
-    V, W = B[:, : 2 * n], B[:, 2 * n:]
-    gram = V @ W.T + W @ V.T
-    scale = max(1.0, float(np.max(np.sum(B * B, axis=1))))
-    return bool(np.max(np.abs(gram)) <= POINTWISE_TOL * scale)
+    generator_matrices, or the bool array of it for a stack (..., r, 4n)."""
+    V, W = np.split(B, 2, axis=-1)
+    gram = V @ W.swapaxes(-1, -2) + W @ V.swapaxes(-1, -2)
+    scale = np.maximum(1.0, np.max(np.sum(B * B, axis=-1), axis=-1))
+    iso = np.max(np.abs(gram), axis=(-2, -1)) <= POINTWISE_TOL * scale
+    return bool(iso) if B.ndim == 2 else iso
 
 
-def is_maximal_at(B: np.ndarray) -> bool:
+def is_maximal_at(B: np.ndarray):
     """Whether the rows of B, one of the generator_matrices, span 2n
-    dimensions."""
-    return _matrix_rank(B) == B.shape[1] // 2
+    dimensions, or the bool array of it for a stack (..., r, 4n)."""
+    return _matrix_rank(B) == B.shape[-1] // 2
 
 
 def involutivity_residual(L: AlmostDirac, points: Sequence[Point], ctx: Context,

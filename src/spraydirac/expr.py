@@ -1286,9 +1286,11 @@ def _clear_draws(ctx: Context, cfg: SampleConfig, loci: Sequence[Expr],
     n, params, loci = ctx.dim, tuple(ctx.params.items()), tuple(loci)
     key = (context_key(ctx), params, cfg.seed, tuple(cfg.box),
            tuple((k, tuple(b)) for k, b in sorted(cfg.coord_boxes.items())), loci)
-    if key not in _DRAW_MEMO:
-        _DRAW_MEMO[key] = [ctx, np.random.default_rng(cfg.seed), [], []]
-    _, rng, rows, tested = _DRAW_MEMO[key]
+    # one lookup: hashing the key hashes the Fractions of ctx.params
+    entry = _DRAW_MEMO.get(key)
+    if entry is None:
+        entry = _DRAW_MEMO[key] = [ctx, np.random.default_rng(cfg.seed), [], []]
+    _, rng, rows, tested = entry
     got = 0
     for i in range(limit):
         if i == len(tested):
@@ -1581,11 +1583,14 @@ def _py_src(e: Expr, ctx: Context, depth: int) -> str:
                 return f"({v!r})"
         return "_nonfinite()"
     if isinstance(e, Var):
+        # evaluate refuses a coordinate past the point's dimension
+        dim = 1 if depth else ctx.dim
+        if e.index > dim:
+            raise EvalDomainError(
+                f"coordinate {e.name} out of range for point of dimension {dim}")
         if not depth:
             return f"_v_{e.axis}{e.index}"
-        if e.index == 1:
-            return f"_a{depth}" if e.axis == "x" else "0.0"
-        raise EvalDomainError(f"coordinate {e.name} out of range for point of dimension 1")
+        return f"_a{depth}" if e.axis == "x" else "0.0"
     if isinstance(e, Param):
         return f"_p[{e.name!r}]"
     if isinstance(e, Neg):

@@ -28,6 +28,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .errors import ValidationError
+
 __all__ = ["IvpResult", "solve_ivp", "brentq"]
 
 # Relative and absolute error tolerances of a step.
@@ -41,6 +43,8 @@ MAX_FACTOR = 10  # Maximum allowed increase in a step size.
 ERROR_EXPONENT = -1 / (4 + 1)  # the error estimator is of order 4
 BRENT_MAXITER = 100
 BRENT_TOL = 4 * sys.float_info.epsilon   # brentq's xtol and rtol
+# steps of one run, accepted and rejected, far above any real problem
+MAX_STEPS = 20_000
 
 C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
 A = np.array([
@@ -163,7 +167,8 @@ def solve_ivp(fun: Callable, tf: float, y0: np.ndarray, max_step: float,
     y0 is a finite float array and max_step is positive.  events(y), when
     given, returns the values of the event functions; each is terminal, and
     a sign change of any of them ends the run at its first root (found on
-    the step's interpolant).
+    the step's interpolant).  A run that takes more than MAX_STEPS steps,
+    accepted and rejected, raises ValidationError.
     """
     t, y = 0.0, y0
     f_cur = fun(y)
@@ -174,6 +179,7 @@ def solve_ivp(fun: Callable, tf: float, y0: np.ndarray, max_step: float,
     g = None if events is None else events(y)
     status = None
     message = None
+    steps = 0
     while status is None:
         t_old, y_old = t, y
         if t == tf:
@@ -198,6 +204,10 @@ def solve_ivp(fun: Callable, tf: float, y0: np.ndarray, max_step: float,
                 h = t_new - t
                 h_abs = abs(h)
 
+                steps += 1
+                if steps > MAX_STEPS:
+                    raise ValidationError(f"the rk45 run needs more than "
+                                          f"MAX_STEPS = {MAX_STEPS} steps")
                 y_new, f_new = _rk_step(fun, y, f_cur, h, K)
                 scale = ATOL + np.maximum(np.abs(y), np.abs(y_new)) * RTOL
                 error_norm = _norm(np.dot(K.T, E) * h / scale)

@@ -41,6 +41,21 @@ def _run(capsys, argv):
     return rc, captured.out, captured.err
 
 
+# a field of +-10^308 * x1: rk45 once took ever smaller steps past a 40 s
+# timeout and 600 MB
+RUNAWAY_RK45 = ("dim = 2\nspray G1 = 10^308*x1 + y1 + y2\nspray G2 = -10^308*x1 + y1 + y2\n"
+                "integrate t=0.01 dt=0.01 method=rk45 seed=1 samples=1\n")
+
+
+def test_an_rk45_run_past_its_step_bound_exits_2(capsys, tmp_path):
+    from spraydirac import rk45
+    path = tmp_path / "runaway.sdp"
+    path.write_text(RUNAWAY_RK45)
+    rc, _, err = _run(capsys, ["integrate", str(path)])
+    assert rc == 2
+    assert f"validation error: the rk45 run needs more than MAX_STEPS = {rk45.MAX_STEPS}" in err
+
+
 def test_analyze_reports_connection_and_flatness(capsys):
     rc, out, _ = _run(capsys, ["analyze", EX1])
     assert rc == 0

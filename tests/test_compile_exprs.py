@@ -16,8 +16,8 @@ from spraydirac import expr  # noqa: E402
 from spraydirac.errors import EvalDomainError, UnboundParameterError  # noqa: E402
 from spraydirac.expr import (  # noqa: E402
     Add, Call, Const, Context, Div, FuncApp, Mul, Neg, Param, Point, Pow, Var,
-    _fpow, _ln, _sqrt, clear_caches, compile_exprs, compile_rk4_step, evaluate, parse,
-    simplify,
+    _fpow, _ln, _sqrt, clear_caches, compile_exprs, compile_field, compile_rk4_step,
+    evaluate, parse, simplify,
 )
 
 from evaluate_ref import evaluated, floats_then_evaluate  # noqa: E402
@@ -303,6 +303,25 @@ def test_an_application_without_a_body_is_refused_when_compiling():
         compile_exprs((parse("y1 + f(x1)", ctx),), ctx)
     # simplify cancels this one, so there is nothing to refuse
     assert compile_exprs((parse("y1 + f(x1) - f(x1)", ctx),), ctx)((0.0, 2.0)) == (2.0,)
+
+
+@pytest.mark.parametrize("coord", [Var("x", 3), Var("y", 2)], ids=["x3", "y2"])
+def test_a_coordinate_past_the_dimension_is_refused_when_compiling(coord):
+    # evaluate's error and message, not a NameError when the code runs
+    ctx = Context(dim=1)
+    message = f"^coordinate {coord.name} out of range for point of dimension 1$"
+    with pytest.raises(EvalDomainError, match=message):
+        evaluate(coord, Point((0.5,), (1.0,)), ctx)
+    e = Add((X1, coord))
+    for build in (lambda: compile_exprs((e,), ctx),
+                  lambda: compile_rk4_step((e,), (), ctx, 0.01),
+                  lambda: compile_rk4_step((X1,), (e,), ctx, 0.01),
+                  lambda: compile_field((e,), (), ctx)):
+        with pytest.raises(EvalDomainError, match=message):
+            build()
+    # the memo keeps no module for a refused tree
+    with pytest.raises(EvalDomainError, match=message):
+        compile_exprs((e,), ctx)
 
 
 # constants that simplify keeps and evaluate refuses; plain floats read

@@ -480,6 +480,11 @@ def _edited(demo: str, lines) -> str:
 # reached evaluate, whose fsum of +inf and -inf raised ValueError
 @example("free.sdp", "t=0.01 dt=0.01", "rk4", "1", OVERFLOWING_FIELD, "integrate", "3")
 @example("free.sdp", "t=0.01 dt=0.01", "rk45", "1", OVERFLOWING_FIELD, "integrate", "6")
+# a field of +-10^308 * x1, on which rk45 took ever smaller steps without
+# end until rk45.MAX_STEPS bounded its work
+@example("free.sdp", "t=0.01 dt=0.01", "rk45", "1",
+         ["dim = 2", "spray G1 = 10^308*x1 + y1 + y2", "spray G2 = -10^308*x1 + y1 + y2"],
+         "integrate", None)
 def test_no_problem_file_exits_4(demo, steps, method, seed, edits, command, seed_arg):
     text = _edited(demo, [f"integrate {steps} method={method} seed={seed} samples=1", *edits])
     with tempfile.TemporaryDirectory() as tmp:

@@ -19,6 +19,7 @@ from scipy.integrate import RK45 as ScipyRK45, solve_ivp as scipy_solve_ivp  # n
 from scipy.optimize import brentq as scipy_brentq  # noqa: E402
 
 from spraydirac import rk45  # noqa: E402
+from spraydirac.errors import ValidationError  # noqa: E402
 from spraydirac.dirac import POINTWISE_TOL, _matrix_rank, _null_space  # noqa: E402
 
 RECORDED = scipy.__version__ == "1.17.1"
@@ -111,6 +112,29 @@ def test_a_blow_up_fails_with_scipy_message(z0):
         theirs, ours = _solve_both(fun, 3.0, np.array([z0, 0.0]), 0.06, None)
     assert ours[2] == -1
     _assert_same_run(ours, theirs)
+
+
+def test_a_run_past_max_steps_raises_validation_error():
+    # an oscillator with max_step 0.05: the steps it takes, accepted and
+    # rejected, are the calls of the step function
+    def run():
+        return rk45.solve_ivp(lambda z: np.array([z[1], -z[0]]), 4.0,
+                              np.array([1.0, 0.0]), 0.05, None)
+
+    calls = []
+    step = rk45._rk_step
+    with mock.patch.object(rk45, "_rk_step", lambda *a: calls.append(1) or step(*a)):
+        whole = run()
+    # some are rejected, so a count of the accepted ones alone stays under
+    # the lowered bound below
+    assert len(calls) - 1 > len(whole.t) - 1 > 50
+    with mock.patch.object(rk45, "MAX_STEPS", len(calls)):
+        at_bound = run()
+    assert at_bound.t.tobytes() == whole.t.tobytes()
+    assert at_bound.y.tobytes() == whole.y.tobytes()
+    with mock.patch.object(rk45, "MAX_STEPS", len(calls) - 1):
+        with pytest.raises(ValidationError, match=f"MAX_STEPS = {len(calls) - 1} steps$"):
+            run()
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
