@@ -14,6 +14,7 @@ the evaluated span, whatever its rank.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -320,11 +321,22 @@ def gauge_transform(L: AlmostDirac, omega: TwoForm) -> AlmostDirac:
 def is_isotropic_at(B: np.ndarray):
     """Whether the pairing vanishes on the rows of B, one of the
     generator_matrices, or the bool array of it for a stack (..., r, 4n)."""
-    V, W = np.split(B, 2, axis=-1)
-    gram = V @ W.swapaxes(-1, -2) + W @ V.swapaxes(-1, -2)
-    scale = np.maximum(1.0, np.max(np.sum(B * B, axis=-1), axis=-1))
-    iso = np.max(np.abs(gram), axis=(-2, -1)) <= POINTWISE_TOL * scale
+    with np.errstate(all="ignore"):
+        iso, finite = _isotropy(B, 1.0)
+        if not finite.all():
+            # the pairing or a squared norm overflowed: test B/m against 1/m^2
+            m = np.max(np.abs(B), axis=(-2, -1))[..., None, None]
+            iso = np.where(finite, iso, _isotropy(B / m, (1.0 / m[..., 0, 0]) ** 2)[0])
     return bool(iso) if B.ndim == 2 else iso
+
+
+def _isotropy(B: np.ndarray, floor: float | np.ndarray) -> tuple:
+    """max |pairing| <= POINTWISE_TOL * max(floor, largest squared row norm)
+    for each matrix of B, and whether both sides were finite."""
+    V, W = np.split(B, 2, axis=-1)
+    gram = np.max(np.abs(V @ W.swapaxes(-1, -2) + W @ V.swapaxes(-1, -2)), axis=(-2, -1))
+    scale = np.maximum(floor, np.max(np.sum(B * B, axis=-1), axis=-1))
+    return gram <= POINTWISE_TOL * scale, np.isfinite(gram) & np.isfinite(scale)
 
 
 def is_maximal_at(B: np.ndarray):
@@ -343,10 +355,16 @@ def involutivity_residual(L: AlmostDirac, points: Sequence[Point], ctx: Context,
     whatever its rank, which only ever overestimates closure failure.
     """
     worst = 0.0
-    for B, values in zip(Bs, evaluate_points(L.bracket_exprs(), points, ctx)):
-        for u in np.reshape(values, (-1, 4 * L.n)):
-            sol, *_ = np.linalg.lstsq(B.T, u, rcond=None)
-            worst = max(worst, float(np.linalg.norm(u - B.T @ sol)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for B, values in zip(Bs, evaluate_points(L.bracket_exprs(), points, ctx)):
+            for u in np.reshape(values, (-1, 4 * L.n)):
+                sol, *_ = np.linalg.lstsq(B.T, u, rcond=None)
+                r = u - B.T @ sol
+                norm = float(np.linalg.norm(r))
+                if math.isinf(norm) and np.isfinite(r).all():   # the squares overflowed
+                    m = float(np.max(np.abs(r)))
+                    norm = m * float(np.linalg.norm(r / m))
+                worst = max(worst, norm)
     return worst
 
 
@@ -359,7 +377,8 @@ def kernel_at(B: np.ndarray) -> list[np.ndarray]:
         return []
     candidates = (V.T @ null).T
     scale = max(1.0, float(np.max(np.abs(B))))
-    keep = candidates[np.linalg.norm(candidates, axis=1) > POINTWISE_TOL * scale]
+    with np.errstate(over="ignore"):   # an overflowed norm, inf, passes as its value would
+        keep = candidates[np.linalg.norm(candidates, axis=1) > POINTWISE_TOL * scale]
     if keep.size == 0:
         return []
     _, s, vt = np.linalg.svd(keep, full_matrices=False)

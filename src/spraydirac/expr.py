@@ -40,7 +40,7 @@ __all__ = [
     "Tri", "Context", "Point", "SampleConfig", "coordinates",
     "parse", "simplify", "diff", "evaluate", "is_zero", "format_expr",
     "as_expr", "sum_exprs", "tri_all", "sample_points", "clear_caches",
-    "compile_exprs", "compile_rk4_step", "compile_field", "evaluate_points",
+    "compile_exprs", "compile_rk4_step", "evaluate_points",
     "evaluate_points_with_magnitude", "formal_value", "opaque_assignments",
 ]
 
@@ -1676,22 +1676,16 @@ def _state_names(n: int) -> list[str]:
     return [f"_v_x{i}" for i in range(1, n + 1)] + [f"_v_y{a}" for a in range(1, n + 1)]
 
 
-def _def_lines(name: str, srcs: Sequence[str], n: int) -> list[str]:
-    """def name(_z, _p) giving the tuple of srcs at a state of dimension n."""
-    return ([f"def {name}(_z, _p):"]
-            + [f"    {v} = _z[{j}]" for j, v in enumerate(_state_names(n))]
-            + [f"    return ({''.join(s + ', ' for s in srcs)})"])
-
-
 def _rows_lines(srcs: Sequence[str], n: int) -> list[str]:
-    """def _rows(_flat, _p) giving the list of the tuples of srcs at each
-    state of a flat list of them, one comprehension over all, and
-    def _compiled(_z, _p) giving the tuple at the one state _z."""
-    state = _state_names(n)
-    return ["def _compiled(_z, _p):", "    return _rows(_z, _p)[0]",
+    """def _compiled(_z, _p) giving the tuple of srcs at the state of the
+    first 2n entries of _z, and def _rows(_flat, _p) giving the list of
+    those tuples at each state of a flat list of them, one comprehension
+    over all."""
+    state = ''.join(v + ', ' for v in _state_names(n))
+    values = f"({''.join(s + ', ' for s in srcs)})"
+    return ["def _compiled(_z, _p):", f"    {state}= _z[:{2 * n}]", f"    return {values}",
             "def _rows(_flat, _p):", "    _it = iter(_flat)",
-            f"    return [({''.join(s + ', ' for s in srcs)}) for {', '.join(state)}, "
-            f"in zip({', '.join(['_it'] * len(state))})]"]
+            f"    return [{values} for {state}in zip({', '.join(['_it'] * 2 * n)})]"]
 
 
 # What a plain-float run raises where evaluate decides the outcome instead:
@@ -1700,7 +1694,7 @@ def _rows_lines(srcs: Sequence[str], n: int) -> list[str]:
 FLOAT_FALLBACK_ERRORS = (ArithmeticError, ValueError, LookupError, TypeError, EvalDomainError)
 
 
-def _evaluated(exprs: Sequence[Expr], zl: list, params: Mapping, ctx: Context) -> tuple:
+def _evaluated(exprs: Sequence[Expr], zl: Sequence, params: Mapping, ctx: Context) -> tuple:
     """evaluate's value of each of exprs, simplified as the generated code
     is, at the flat state zl (its first 2 * ctx.dim entries); both checked finite."""
     n = ctx.dim
@@ -1710,54 +1704,58 @@ def _evaluated(exprs: Sequence[Expr], zl: list, params: Mapping, ctx: Context) -
     return tuple(_fin(evaluate(simplify(e), p, ctx)) for e in exprs)
 
 
-def _checked(raw: Callable, exprs: Sequence[Expr],
-             ctx: Context) -> Callable[[np.ndarray, Mapping[str, float] | None], tuple]:
-    """raw(z, params) on plain floats where it gives finite values, and
-    otherwise _evaluated's values of exprs, from which raw was generated,
-    with evaluate's errors and messages; the result keeps raw as its .raw."""
-
-    def call(z: np.ndarray, params: Mapping[str, float] | None = None) -> tuple:
-        params = params or {}
-        zl = z.tolist() if isinstance(z, np.ndarray) else list(z)
-        try:
-            out = raw(zl, params)
-            # a non-finite value makes the sum non-finite
-            if math.isfinite(sum(out)):
-                return out
-        except FLOAT_FALLBACK_ERRORS:
-            pass   # evaluate decides
-        return _evaluated(exprs, zl, params, ctx)
-
-    call.raw = raw
-    return call
-
-
 def compile_exprs(exprs: Sequence[Expr], ctx: Context) -> Callable[[np.ndarray, Mapping[str, float]], tuple]:
     """Compile expressions into one fast callable (state, params) -> tuple.
     The state, an array or a sequence, runs on plain floats; where they raise
-    or give a non-finite value, evaluate decides each value, error and
-    message.  .raw is the generated function without that check, and
-    .rows(flat, params) gives what .raw gives at each state of a flat list
-    of them, as a list of tuples, unchecked too.  Bound function bodies are
-    inlined; applying a function without one raises UnboundParameterError
-    here.  Memoised until clear_caches()."""
+    or give values whose sum is not finite, evaluate decides each value,
+    error and message.  .raw is the generated function without that check.
+    .rows(states, params) is the list of the callable's tuples at the rows of
+    the 2-D array states, from one float pass over all rows where each row's
+    sum is finite, else row by row.  Bound function bodies are inlined; an
+    application without one raises UnboundParameterError here.  Memoised
+    until clear_caches()."""
     exprs = tuple(exprs)
 
     def build():
         srcs = [_py_src(simplify(e), ctx, 0) for e in exprs]
         ns = _exec_def(_rows_lines(srcs, ctx.dim))
-        fn = _checked(ns["_compiled"], exprs, ctx)
-        fn.rows = ns["_rows"]
-        return fn
+        raw, raw_rows = ns["_compiled"], ns["_rows"]
+        # each row's sum, which call tests (a row of one value is its sum)
+        row_sums = functools.partial(map, operator.itemgetter(0) if len(exprs) == 1 else sum)
+
+        def call(z: np.ndarray | Sequence[float], params: Mapping[str, float] | None = None) -> tuple:
+            params = params or {}
+            zl = z.tolist() if isinstance(z, np.ndarray) else z
+            try:
+                out = raw(zl, params)
+                # a non-finite value makes the sum non-finite
+                if math.isfinite(sum(out)):
+                    return out
+            except FLOAT_FALLBACK_ERRORS:
+                pass   # evaluate decides
+            return _evaluated(exprs, zl, params, ctx)
+
+        def rows(states: np.ndarray, params: Mapping[str, float] | None) -> list[tuple]:
+            if states.shape[1] == 2 * ctx.dim:
+                try:
+                    out = raw_rows(states.ravel().tolist(), params)
+                    # a non-finite row sum makes the sum of all non-finite
+                    if math.isfinite(sum(row_sums(out))):
+                        return out
+                except FLOAT_FALLBACK_ERRORS:
+                    pass
+            return [call(row, params) for row in states.tolist()]
+
+        call.raw, call.rows = raw, rows
+        return call
 
     return _memo_compile(("exprs", exprs), ctx, build)
 
 
 def compile_rk4_step(G: Sequence[Expr], loci: Sequence[Expr], ctx: Context,
-                     dt: float) -> tuple[Callable, Callable]:
+                     dt: float) -> Callable:
     """One classic RK4 step of z' = (y, -2G(z)) on a tuple of floats, with
-    the singular-locus test, and the locus values, as one generated module:
-    (step, locus_values).
+    the singular-locus test, as one generated function.
 
     step(z, params, below) returns z_next, or () when z_next entered a
     singular locus: some locus value l has abs(l) <= LOCUS_GUARD, or its sign
@@ -1770,29 +1768,33 @@ def compile_rk4_step(G: Sequence[Expr], loci: Sequence[Expr], ctx: Context,
     to redo it with evaluate: they raise one of FLOAT_FALLBACK_ERRORS, or
     the sum of z_next or of the locus values is not finite (every stage
     value enters z_next with a positive weight, so one test stands in for
-    one per stage).  locus_values(z, params) is compiled as compile_exprs
-    compiles.  Memoised until clear_caches().
+    one per stage).  Memoised until clear_caches().
     """
     G, loci = tuple(G), tuple(loci)
     return _memo_compile(("rk4", G, loci, dt), ctx,
                          lambda: _rk4_module(G, loci, ctx, dt))
 
 
-def _rk4_module(G: tuple, loci: tuple, ctx: Context, dt: float) -> tuple:
+def _rk4_module(G: tuple, loci: tuple, ctx: Context, dt: float) -> Callable:
     n = ctx.dim
     g_src = [_py_src(simplify(e), ctx, 0) for e in G]
     l_src = [_py_src(simplify(e), ctx, 0) for e in loci]
     state = _state_names(n)
     base = [f"_s{j}" for j in range(2 * n)]
     body = [f"{', '.join(base)}, = _z", f"{', '.join(state)}, = _z"]
+
+    def k(s: int, j: int) -> str:
+        # a stage's x-part is the y of its stage state: stage 1's is z's
+        return f"_s{n + j}" if s == 1 and j < n else f"_k{s}_{j}"
+
     for s in range(1, 5):
         if s > 1:
             h = "_dt" if s == 4 else "_h"
-            body += [f"{v} = {b} + {h}*_k{s - 1}_{j}"
+            body += [f"{v} = {b} + {h}*{k(s - 1, j)}"
+                     if j < n else f"_k{s}_{j - n} = {v} = {b} + {h}*{k(s - 1, j)}"
                      for j, (v, b) in enumerate(zip(state, base))]
-        body += [f"_k{s}_{j} = {state[n + j]}" for j in range(n)]
         body += [f"_k{s}_{n + a} = -2.0*{src}" for a, src in enumerate(g_src)]
-    body += [f"{v} = {b} + _d6*(((_k1_{j} + 2.0*_k2_{j}) + 2.0*_k3_{j}) + _k4_{j})"
+    body += [f"{v} = {b} + _d6*((({k(1, j)} + 2.0*{k(2, j)}) + 2.0*{k(3, j)}) + {k(4, j)})"
              for j, (v, b) in enumerate(zip(state, base))]
     # a non-finite term makes the sum non-finite; a sum that merely
     # overflows only sends the step to evaluate
@@ -1807,51 +1809,10 @@ def _rk4_module(G: tuple, loci: tuple, ctx: Context, dt: float) -> tuple:
     body.append(f"return ({', '.join(state)},)")
     lines = (["def _step(_z, _p, _below):", "    try:"]
              + [f"        {line}" for line in body]
-             + ["    except _fallback:", "        return None"]
-             + _def_lines("_loci", l_src, n))
+             + ["    except _fallback:", "        return None"])
     ns = _exec_def(lines, _h=0.5 * dt, _dt=dt, _d6=dt / 6.0, _guard=LOCUS_GUARD,
                    _fallback=FLOAT_FALLBACK_ERRORS)
-    return ns["_step"], _checked(ns["_loci"], loci, ctx)
-
-
-def compile_field(G: Sequence[Expr], loci: Sequence[Expr],
-                  ctx: Context) -> tuple[Callable, Callable]:
-    """The array field z' = (y, -2G(z)) of rk45 and the locus values, as one
-    generated module: (field, locus_values).
-
-    field(z, params) runs one generated function giving all 2n components
-    on z.tolist() and returns them as an array when every one is finite.
-    Otherwise G is checked as compile_exprs checks it, with evaluate's
-    EvalDomainError and message; a -2.0*G that overflows is inf, and y is
-    copied as it is.  locus_values is compile_rk4_step's.  Memoised until
-    clear_caches().
-    """
-    G, loci = tuple(G), tuple(loci)
-    return _memo_compile(("field", G, loci), ctx, lambda: _field_module(G, loci, ctx))
-
-
-def _field_module(G: tuple, loci: tuple, ctx: Context) -> tuple:
-    n = ctx.dim
-    g_src = [_py_src(simplify(e), ctx, 0) for e in G]
-    l_src = [_py_src(simplify(e), ctx, 0) for e in loci]
-    gs = [f"_g{a}" for a in range(n)]
-    lines = (_def_lines("_g", g_src, n)
-             + ["def _field(_z, _p):", f"    {''.join(g + ', ' for g in gs)}= _g(_z, _p)",
-                f"    return ({''.join(f'_z[{n + a}], ' for a in range(n))}"
-                f"{''.join(f'-2.0*{g}, ' for g in gs)})"]
-             + _def_lines("_loci", l_src, n))
-    ns = _exec_def(lines)
-    raw, g = ns["_field"], _checked(ns["_g"], G, ctx)
-
-    def field(z: np.ndarray, params: Mapping) -> np.ndarray:
-        with contextlib.suppress(*FLOAT_FALLBACK_ERRORS):
-            out = raw(z.tolist(), params)
-            # a non-finite value makes the sum non-finite
-            if math.isfinite(sum(out)):
-                return np.array(out)
-        return np.array(z[n:].tolist() + [-2.0 * gi for gi in g(z, params)])
-
-    return field, _checked(ns["_loci"], loci, ctx)
+    return ns["_step"]
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import contextlib
 import functools
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -24,8 +24,8 @@ from .errors import (
     ValidationError,
 )
 from .expr import (
-    FLOAT_FALLBACK_ERRORS, LOCUS_GUARD, Context, Expr, Point, SampleConfig, Tri, ZERO,
-    _evaluated, compile_exprs, compile_field, compile_rk4_step, evaluate_points,
+    LOCUS_GUARD, Context, Expr, Point, SampleConfig, Tri, ZERO,
+    _evaluated, compile_exprs, compile_rk4_step, evaluate_points,
     evaluate_points_with_magnitude, is_zero, sample_points, simplify, tri_all,
 )
 from .forms import TwoForm, d_scalar, exterior_derivative_2, interior_product
@@ -132,14 +132,15 @@ def integrate_sode(S: SemiSpray, p0: Point, dt: float, steps: int,
     returns the partial trajectory with the abort flag set.  A non-finite
     start or a negative step count is a ValidationError.
 
-    Each method runs on one generated module.  rk4 runs compile_rk4_step's
-    step and locus test on plain floats, with parameters kept exact, and
-    keeps its accepted states in one flat list of floats.  A step that
-    floats cannot finish (they raise, or give a non-finite value) is redone
-    with evaluate's field and locus values, in the same float operations.
-    rk45 runs on compile_field's field, where evaluate decides likewise.
-    An error of evaluate (say, a division by zero) aborts only this
-    trajectory, with an "evaluation failed: <evaluate's message>" reason.
+    The start is tested against the loci with evaluate's values.  rk4 runs
+    compile_rk4_step's step and locus test on plain floats, one generated
+    module, with parameters kept exact, and keeps its accepted states in one
+    flat list of floats.  A step that floats cannot finish (they raise, or
+    give a non-finite value) is redone with evaluate's field and locus
+    values, in the same float operations.  rk45 runs on compile_exprs of G
+    and of the loci, where evaluate decides likewise.  An error of evaluate
+    (say, a division by zero) aborts only this trajectory, with an
+    "evaluation failed: <evaluate's message>" reason.
     """
     if dt <= 0:
         raise ValidationError("step size must be positive")
@@ -149,20 +150,20 @@ def integrate_sode(S: SemiSpray, p0: Point, dt: float, steps: int,
         raise ValidationError(f"unknown integration method {method!r}")
     ctx = ctx or Context(dim=S.n)
     if method == "rk45":
-        f, loci = compile_field(S.G, S.singular_loci, ctx)
+        g, loci = compile_exprs(S.G, ctx), compile_exprs(S.singular_loci, ctx)
     else:
-        step, loci = compile_rk4_step(S.G, S.singular_loci, ctx, dt)
+        step = compile_rk4_step(S.G, S.singular_loci, ctx, dt)
     params = dict(ctx.params)
     params.update(p0.params)
     z0 = np.concatenate([np.asarray(p0.x, float), np.asarray(p0.y, float)])
     if not np.isfinite(z0).all():
         raise ValidationError("initial state must be finite")
-    vals = loci(z0, params)
+    vals = _evaluated(S.singular_loci, z0.tolist(), params, ctx)
     if _near_locus(vals):
         raise SingularLocusError("initial state lies on or near a singular locus")
 
     if method == "rk45":
-        return _integrate_rk45(S, f, loci, z0, params, dt, steps)
+        return _integrate_rk45(S, _rk45_field(g, S.n, params), loci, z0, params, dt, steps)
 
     z = tuple(z0.tolist())
     flat = list(z)
@@ -194,6 +195,17 @@ def integrate_sode(S: SemiSpray, p0: Point, dt: float, steps: int,
                       params, aborted, reason)
 
 
+def _rk45_field(g: Callable, n: int, params: dict) -> Callable[[np.ndarray], np.ndarray]:
+    """rk45's field z' = (y, -2.0*G(z)) on an array state: y copied as it is,
+    then -2.0 times each of g(z, params), compile_exprs's checked G."""
+
+    def field(z: np.ndarray) -> np.ndarray:
+        zl = z.tolist()
+        return np.array(zl[n:] + [-2.0 * v for v in g(zl, params)])
+
+    return field
+
+
 def _integrate_rk45(S, f, loci, z0, params, dt, steps) -> Trajectory:
     T = dt * steps
     aborted = False
@@ -205,8 +217,7 @@ def _integrate_rk45(S, f, loci, z0, params, dt, steps) -> Trajectory:
     try:
         # numpy warns where the field overflows; the abort reason says it
         with np.errstate(all="ignore"):
-            sol = rk45.solve_ivp(functools.partial(f, params=params), T, z0,
-                                 max(dt, T / 50.0), events)
+            sol = rk45.solve_ivp(f, T, z0, max(dt, T / 50.0), events)
     except EvalDomainError as exc:
         return Trajectory(S.n, np.array([0.0]), np.array([z0]), "rk45", dt,
                           params, True, f"evaluation failed: {exc}")
@@ -230,18 +241,10 @@ def _integrate_rk45(S, f, loci, z0, params, dt, steps) -> Trajectory:
 
 
 def conservation_drift(traj: Trajectory, H: Expr, ctx: Context) -> float:
-    """Max deviation of H along the trajectory from its initial value, on
-    plain floats over all rows at once, or row by row with compile_exprs's
-    check where floats raise or give a non-finite H (evaluate decides)."""
-    hfun = compile_exprs((H,), ctx)
-    with contextlib.suppress(*FLOAT_FALLBACK_ERRORS):
-        # rows of another width than the context's go row by row
-        if traj.states.shape[1] == 2 * ctx.dim:
-            vals = [v for v, in hfun.rows(traj.states.ravel().tolist(), traj.params or {})]
-            # a non-finite value makes the sum non-finite
-            if math.isfinite(sum(vals)):
-                return float(max(abs(v - vals[0]) for v in vals))
-    vals = [hfun(row, traj.params)[0] for row in traj.states.tolist()]
+    """Max deviation of H along the trajectory from its initial value, from
+    compile_exprs's checked rows: plain floats over all rows at once, or row
+    by row where they cannot finish (evaluate decides)."""
+    vals = [v for v, in compile_exprs((H,), ctx).rows(traj.states, traj.params)]
     return float(max(abs(v - vals[0]) for v in vals))
 
 
@@ -266,14 +269,29 @@ def _flow_distribution(S: SemiSpray, D_gens: Sequence[VectorField] | None,
     for vals, s_vals in zip(evaluate_points(d_comps, pts, ctx),
                             evaluate_points(S.vector_field().comps, pts, ctx)):
         rows = np.array([vals[j:j + m] for j in range(0, len(vals), m)])
-        target = np.array(s_vals)
-        sol, *_ = np.linalg.lstsq(rows.T, target, rcond=None)
-        gap = np.linalg.norm(rows.T @ sol - target)
-        if gap > POINTWISE_TOL * max(1.0, np.linalg.norm(target)):
+        gap = _span_gap(rows.T, np.array(s_vals))
+        if gap is not None:
             raise DistributionMembershipError(
                 f"flow field leaves the span of the distribution "
                 f"(gap {gap:.3e} at a sampled point)")
     return D_gens
+
+
+def _span_gap(A: np.ndarray, b: np.ndarray) -> float | None:
+    """The norm of the least-squares residual of A x = b where it exceeds
+    POINTWISE_TOL * max(1, |b|), else None.  Where a norm leaves the double
+    range, the test is made on A and b divided by their largest entry."""
+    scale = 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        sol, *_ = np.linalg.lstsq(A, b, rcond=None)
+        gap, size = np.linalg.norm(A @ sol - b), np.linalg.norm(b)
+        if not (math.isfinite(gap) and math.isfinite(size)):
+            scale = float(max(np.max(np.abs(A)), np.max(np.abs(b))))
+            A, b = A / scale, b / scale
+            sol, *_ = np.linalg.lstsq(A, b, rcond=None)
+            gap, size = np.linalg.norm(A @ sol - b), np.linalg.norm(b)
+    # the residual and |b| scale alike
+    return float(gap) * scale if gap > POINTWISE_TOL * max(1.0 / scale, size) else None
 
 
 def residual(S: SemiSpray, omega: TwoForm, H: Expr,

@@ -655,3 +655,28 @@ def test_no_command_loads_scipy(tmp_path):
     out = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT, json.dumps(runs)], env=env,
                          capture_output=True, text=True, check=True).stdout
     assert json.loads(out) == [[0] * len(runs), []]
+
+
+def test_a_flow_field_past_the_double_range_leaves_the_span(tmp_path, capsys):
+    # the gap and target norms of the span test overflowed to inf, and
+    # inf > 1e-9*inf passed the field: verify printed certificate yes
+    text = Path(EX1).read_text().replace(
+        "integrate t=0.2 dt=0.0005 method=rk4 seed=11 samples=6",
+        "integrate t=0.01 dt=0.01 method=rk4 seed=0 samples=1")
+    f = tmp_path / "p.sdp"
+    f.write_text(text + "spray G1 = (10^400)^1/2*y1^2\n")
+    rc, out, err = _run(capsys, ["verify", str(f)])
+    assert rc == 2 and out == ""
+    assert err.strip() == ("validation error: flow field leaves the span of the "
+                           "distribution (gap 2.865e+200 at a sampled point)")
+
+
+def test_a_bracket_residual_past_the_double_range_stays_finite(tmp_path, capsys):
+    # the residual of [X1, X2] = 10^300*x1 d/dy1 is rounding noise near
+    # 1e284, whose square overflowed: numpy warned and the report read inf
+    f = tmp_path / "p.sdp"
+    f.write_text("dim = 1\ndist X1 = (10^150*x1; 0)\ndist X2 = (0; 10^150*x1)\n")
+    rc, out, err = _run(capsys, ["dirac-check", str(f)])
+    assert rc == 0 and err == ""
+    resid = float(out.split("max_involutivity_residual: ")[1].split()[0])
+    assert math.isfinite(resid)

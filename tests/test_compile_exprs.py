@@ -16,7 +16,7 @@ from spraydirac import expr  # noqa: E402
 from spraydirac.errors import EvalDomainError, UnboundParameterError  # noqa: E402
 from spraydirac.expr import (  # noqa: E402
     Add, Call, Const, Context, Div, FuncApp, Mul, Neg, Param, Point, Pow, Var,
-    _fpow, _ln, _sqrt, clear_caches, compile_exprs, compile_field, compile_rk4_step,
+    _fpow, _ln, _sqrt, clear_caches, compile_exprs, compile_rk4_step,
     evaluate, parse, simplify,
 )
 
@@ -284,7 +284,7 @@ def test_a_body_value_is_tested_finite_in_the_generated_code(monkeypatch):
     e = parse("y1^2/(1 + f(x1))", ctx)
     clear_caches()
     fn = compile_exprs((e,), ctx)
-    step, _ = compile_rk4_step((e,), (), ctx, 0.01)
+    step = compile_rk4_step((e,), (), ctx, 0.01)
     clear_caches()
     assert len(sources) == 2
     assert all("_isfinite(" in src and "_fin(" not in src for src in sources)
@@ -315,8 +315,7 @@ def test_a_coordinate_past_the_dimension_is_refused_when_compiling(coord):
     e = Add((X1, coord))
     for build in (lambda: compile_exprs((e,), ctx),
                   lambda: compile_rk4_step((e,), (), ctx, 0.01),
-                  lambda: compile_rk4_step((X1,), (e,), ctx, 0.01),
-                  lambda: compile_field((e,), (), ctx)):
+                  lambda: compile_rk4_step((X1,), (e,), ctx, 0.01)):
         with pytest.raises(EvalDomainError, match=message):
             build()
     # the memo keeps no module for a refused tree
@@ -341,7 +340,7 @@ def test_the_generated_code_refuses_what_evaluate_refuses_in_a_constant(e, messa
     for z in ((0.5, 1.0), np.array([0.5, 1.0])):
         with pytest.raises(EvalDomainError, match=f"^{message}$"):
             compile_exprs((e,), ctx)(z)
-    step, _ = compile_rk4_step((e,), (), ctx, 0.01)
+    step = compile_rk4_step((e,), (), ctx, 0.01)
     assert step((0.5, 1.0), {}, ()) is None
 
 
@@ -352,4 +351,4 @@ def test_a_constant_that_simplify_folds_away_is_not_compiled():
     e = Add((X1, Pow(Const(math.inf), Fraction(-1))))
     assert simplify(e) == X1
     assert compile_exprs((e,), ctx)((0.5, 1.0)) == (0.5,)
-    assert compile_rk4_step((e,), (), ctx, 0.01)[0]((0.5, 1.0), {}, ()) is not None
+    assert compile_rk4_step((e,), (), ctx, 0.01)((0.5, 1.0), {}, ()) is not None

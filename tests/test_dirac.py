@@ -304,3 +304,18 @@ def test_gauge_by_closed_form_keeps_closure():
 def _sample(ctx, cfg, loci, count):
     from spraydirac.expr import sample_points
     return sample_points(ctx, cfg, loci, count=count)
+
+
+def test_isotropy_and_kernel_survive_norms_past_the_double_range():
+    # v.w = 1.5e304 is finite and |v|^2 = 2.25e308 is not: the pairing
+    # exceeds POINTWISE_TOL * |v|^2, so the row is not isotropic; an
+    # infinite scale used to pass it
+    huge = np.array([[1.5e154, 0.0, 1e150, 0.0]])
+    small_iso = np.array([[1.0, 0.0, 0.0, 1.0]])
+    small_not = np.array([[1.0, 0.0, 1.0, 0.0]])
+    assert is_isotropic_at(huge) is False
+    stack = np.stack([huge, small_iso, small_not])
+    assert is_isotropic_at(stack).tolist() == [False, True, False]
+    # a generator (10^200; 0): the row norm 10^200 overflows when squared
+    assert is_isotropic_at(np.array([[1e200, 0.0, 0.0, 0.0]])) is True
+    assert len(kernel_at(np.array([[1e200, 0.0, 0.0, 0.0]]))) == 1

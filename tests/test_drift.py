@@ -12,7 +12,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from spraydirac import motion  # noqa: E402
+from spraydirac import expr  # noqa: E402
 from spraydirac.errors import EvalDomainError  # noqa: E402
 from spraydirac.expr import (  # noqa: E402
     Add, Call, Const, Context, Div, Mul, Neg, Param, Pow, Var, compile_exprs, parse,
@@ -82,34 +82,26 @@ def test_float_drift_matches_numpy_rows(H, states):
                                                                   traj, H, ctx)
 
 
-def _checked_calls(monkeypatch) -> list:
-    """Each call of the checked function of H, the row-by-row path."""
-    calls = []
-
-    def counted_compile(exprs, ctx):
-        hfun = compile_exprs(exprs, ctx)
-
-        def checked(*args):
-            calls.append(1)
-            return hfun(*args)
-
-        checked.raw, checked.rows = hfun.raw, hfun.rows
-        return checked
-
-    monkeypatch.setattr(motion, "compile_exprs", counted_compile)
-    return calls
+def _evaluated_rows(monkeypatch) -> list:
+    """Each state at which evaluate decides the values of H."""
+    rows = []
+    evaluated = expr._evaluated
+    monkeypatch.setattr(expr, "_evaluated",
+                        lambda exprs, zl, *args: rows.append(list(zl)) or evaluated(exprs, zl, *args))
+    return rows
 
 
 def test_numpy_rows_run_only_where_floats_fail(monkeypatch):
-    calls = _checked_calls(monkeypatch)
+    rows = _evaluated_rows(monkeypatch)
     ctx = Context(dim=1)
     traj = Trajectory(1, [0.0, 0.1, 0.2], [[1.0, 2.0], [0.5, 2.5], [0.0, 3.0]], "rk4", 0.1, {})
     assert conservation_drift(traj, parse("x1*y1^2", ctx), ctx) == 4.0
-    assert calls == []
-    # floats divide by zero on the last row: evaluate decides, row by row
+    assert rows == []
+    # floats divide by zero on the last row: the rows go one by one, and
+    # evaluate decides on the last
     with pytest.raises(EvalDomainError, match="^zero raised to a negative power$"):
         conservation_drift(traj, parse("y1/x1", ctx), ctx)
-    assert len(calls) == 3
+    assert rows == [[0.0, 3.0]]
 
 
 def test_an_infinity_that_floats_would_mask_fails_the_drift():

@@ -1,8 +1,8 @@
 """The flow pipeline's float paths give what the bodies they replaced gave:
 the rk4 march kept in one flat list gives the list-of-tuples arrays, the
-generated rk45 field gives the checked-G field, and the drift rows give the
-per-row values, bit for bit or error for error.  Where floats cannot finish,
-each reference takes evaluate's values."""
+rk45 field on compile_exprs's G gives the checked-G field, and the checked
+rows give the checked callable on each row, bit for bit or error for error.
+Where floats cannot finish, each reference takes evaluate's values."""
 
 import contextlib
 import math
@@ -18,15 +18,17 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from spraydirac.errors import EvalDomainError  # noqa: E402
 from spraydirac.expr import (  # noqa: E402
     FLOAT_FALLBACK_ERRORS, Add, Call, Const, Context, Div, Mul, Neg, Param, Point, Pow,
-    Var, compile_exprs, compile_field, compile_rk4_step, parse,
+    Var, compile_exprs, compile_rk4_step, parse,
 )
 from spraydirac.geometry import SemiSpray  # noqa: E402
 from spraydirac.motion import (  # noqa: E402
-    Trajectory, _near_locus, conservation_drift, integrate_sode,
+    Trajectory, _near_locus, _rk45_field, conservation_drift, integrate_sode,
 )
 from spraydirac.problemfile import parse_problem_file  # noqa: E402
 
-from evaluate_ref import evaluate_values, floats_then_evaluate, rk4_array_step  # noqa: E402
+from evaluate_ref import (  # noqa: E402
+    evaluate_values, evaluated, floats_then_evaluate, rk4_array_step,
+)
 
 
 # -- the bodies that built what the next stage converted back -----------------
@@ -49,11 +51,11 @@ def _old_field(G, ctx):
 def _old_rk4(S, p0, dt, steps, ctx):
     """integrate_sode's rk4 march keeping a list of state tuples, with the
     steps that floats cannot finish done on arrays with evaluate's values."""
-    step, loci = compile_rk4_step(S.G, S.singular_loci, ctx, dt)
+    step = compile_rk4_step(S.G, S.singular_loci, ctx, dt)
     params = dict(ctx.params)
     params.update(p0.params)
     z0 = np.concatenate([np.asarray(p0.x, float), np.asarray(p0.y, float)])
-    vals = loci(z0, params)
+    vals = evaluated(S.singular_loci, z0, params, ctx)
     z = tuple(z0.tolist())
     times = [0.0]
     states = [z]
@@ -250,16 +252,16 @@ def test_rk4_on_random_coefficients_equals_the_list_of_tuples(G, x, y, dt, steps
 def test_the_generated_field_equals_the_checked_g_field(G, x, y):
     ctx = _ctx()
     z = np.array([x, y])
-    assert (_outcome(lambda: compile_field((G,), (), ctx)[0](z, dict(PARAMS)))
+    assert (_outcome(lambda: _rk45_field(compile_exprs((G,), ctx), 1, dict(PARAMS))(z))
             == _outcome(lambda: _old_field((G,), ctx)(z, dict(PARAMS))))
 
 
 def test_the_generated_field_keeps_the_component_order():
     ctx = Context(dim=2)
     G = (parse("x1*y2", ctx), parse("y1 - x2", ctx))
-    field, _ = compile_field(G, (), ctx)
+    field = _rk45_field(compile_exprs(G, ctx), 2, {})
     z = np.array([0.5, 1.5, -2.0, 3.0])
-    assert field(z, {}).tolist() == [-2.0, 3.0, -2.0 * 1.5, -2.0 * (-2.0 - 1.5)]
+    assert field(z).tolist() == [-2.0, 3.0, -2.0 * 1.5, -2.0 * (-2.0 - 1.5)]
 
 
 # -- the drift rows ----------------------------------------------------------
@@ -274,9 +276,8 @@ def test_drift_rows_equal_the_per_row_values(H, states):
     ctx = _ctx()
     traj = Trajectory(1, 0.1 * np.arange(len(states)), np.array(states), "rk4", 0.1,
                       dict(PARAMS))
-    flat = traj.states.ravel().tolist()
-    assert (_outcome(lambda: compile_exprs((H,), ctx).rows(flat, dict(PARAMS)))
-            == _outcome(lambda: [compile_exprs((H,), ctx).raw(row, dict(PARAMS))
+    assert (_outcome(lambda: compile_exprs((H,), ctx).rows(traj.states, dict(PARAMS)))
+            == _outcome(lambda: [compile_exprs((H,), ctx)(row, dict(PARAMS))
                                  for row in traj.states.tolist()]))
     assert _outcome(conservation_drift, traj, H, ctx) == _outcome(_old_drift, traj, H, ctx)
 
@@ -287,3 +288,34 @@ def test_drift_over_rows_wider_than_the_context_reads_the_first_columns():
                       0.1, {})
     H = parse("x1*y1", ctx)
     assert conservation_drift(traj, H, ctx) == _old_drift(traj, H, ctx) == 0.75
+
+
+# -- the checked rows ----------------------------------------------------------
+
+# rows may hold infinities and nans, and may be wider than 2 * ctx.dim
+ROW_COORDS = st.one_of(COORDS, st.sampled_from([math.inf, -math.inf, math.nan]))
+ROWS = st.integers(2, 4).flatmap(lambda width: st.lists(
+    st.lists(ROW_COORDS, min_size=width, max_size=width), min_size=1, max_size=6))
+# the second row's sum overflows, so the call on it goes to evaluate, which
+# refuses the product x1*y1 that floats read as inf under 1/(... + 1); the
+# sum over every value of both rows stays finite
+OFFSET_SUMS = [X1, X1, Div(Const(1), Add((Mul((X1, Y1)), Const(1))))]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(TREES, min_size=1, max_size=3), ROWS)
+@example(OFFSET_SUMS, [[-5e307, 10.0], [1e308, 10.0]])
+@example([X1, Y1], [[0.5, 1.0, 9.0], [0.5, math.nan, 9.0]])
+@example([Y1], [[0.5, 1.0], [0.5, math.inf]])
+@example([Div(Y1, X1)], [[1.0, 1.0], [0.0, 1.0]])
+@example([Call("ln", X1)], [[1.0, 1.0], [-1.0, 1.0]])
+@example([Mul((Param("A"), X1)), Param("A")], [[0.5, 1.0]])
+@example([Param("C")], [[0.5, 1.0]])
+@example([Param("D")], [[0.5, 1.0, 2.0]])
+@example([F_OF_X1], [[0.5, 1.0], [1e200, 1.0]])
+def test_checked_rows_equal_the_call_on_each_row(exprs, states):
+    ctx = _ctx()
+    states = np.array(states, dtype=float)
+    assert (_outcome(lambda: compile_exprs(exprs, ctx).rows(states, dict(PARAMS)))
+            == _outcome(lambda: [compile_exprs(exprs, ctx)(row, dict(PARAMS))
+                                 for row in states.tolist()]))

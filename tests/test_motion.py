@@ -454,6 +454,8 @@ def test_an_infinity_that_floats_would_mask_aborts_the_run(method):
 
 @pytest.mark.parametrize("method", ["rk4", "rk45"])
 def test_an_integration_runs_one_generated_module(method, monkeypatch):
+    # rk4 runs one module, its step; rk45 one per compile_exprs, of G and
+    # of the loci
     execs = []
     exec_def = expr._exec_def
     monkeypatch.setattr(expr, "_exec_def", lambda *a, **k: execs.append(1) or exec_def(*a, **k))
@@ -462,7 +464,20 @@ def test_an_integration_runs_one_generated_module(method, monkeypatch):
     traj = integrate_sode(pf.semispray(), Point((0.5,), (1.0,)), 0.01, 50, method,
                           pf.context)
     assert not traj.aborted
-    assert len(execs) == 1
+    assert len(execs) == {"rk4": 1, "rk45": 2}[method]
+
+
+@pytest.mark.parametrize("method", ["rk4", "rk45"])
+def test_the_start_is_tested_against_the_loci_with_evaluate(method):
+    # floats read x1^2*x2^2 as inf at x1 = x2 = 1e100, and the locus as 0.0,
+    # on the locus; evaluate refuses the product
+    ctx = Context(dim=2)
+    locus = parse("1/(x1^2*x2^2 + 1)", ctx)
+    p0 = Point((1e100, 1e100), (0.0, 0.0))
+    assert compile_exprs((locus,), ctx).raw((1e100, 1e100, 0.0, 0.0), {}) == (0.0,)
+    S = SemiSpray(2, (ZERO, ZERO), (locus,))
+    with pytest.raises(EvalDomainError, match="^product produced a non-finite value$"):
+        integrate_sode(S, p0, 0.01, 3, method, ctx)
 
 
 def test_a_redeclared_body_is_compiled_afresh(monkeypatch):

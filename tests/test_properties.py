@@ -417,7 +417,7 @@ def _edited(demo: str, lines) -> str:
 @settings(max_examples=30, deadline=timedelta(seconds=10), derandomize=True)
 @given(st.sampled_from(DEMOS), st.sampled_from(STEPS), st.sampled_from(["rk4", "rk45"]),
        st.sampled_from(SEEDS), st.lists(EDITS, max_size=2),
-       st.sampled_from(["analyze", "verify", "integrate", "search"]),
+       st.sampled_from(["analyze", "verify", "integrate", "search", "dirac-check"]),
        st.sampled_from([None, "-1", "3"]))
 @example("ex3.sdp", "t=0.01 dt=0.01", "rk4", "1", [], "verify", "-1")
 @example("ex4.sdp", "t=0.01 dt=0.01", "rk4", "1", [], "search", "-1")
@@ -485,6 +485,13 @@ def _edited(demo: str, lines) -> str:
 @example("free.sdp", "t=0.01 dt=0.01", "rk45", "1",
          ["dim = 2", "spray G1 = 10^308*x1 + y1 + y2", "spray G2 = -10^308*x1 + y1 + y2"],
          "integrate", None)
+# a flow field of 10^200*y1^2, whose norms overflow in the span-membership
+# test, and a generator entry of 10^200, which overflowed in the pointwise
+# isotropy and kernel tests
+@example("ex1.sdp", "t=0.01 dt=0.01", "rk4", "0", ["spray G1 = (10^400)^1/2*y1^2"], "verify",
+         None)
+@example("free.sdp", "t=0.01 dt=0.01", "rk4", "1", ["dist X1 = (10^200; 0)"], "dirac-check",
+         None)
 def test_no_problem_file_exits_4(demo, steps, method, seed, edits, command, seed_arg):
     text = _edited(demo, [f"integrate {steps} method={method} seed={seed} samples=1", *edits])
     with tempfile.TemporaryDirectory() as tmp:
