@@ -70,9 +70,9 @@ def _coframe_text(n: int, N) -> list[str]:
     for a in range(n):
         s = f"dy{a + 1}"
         for i in range(n):
-            c = simplify(N[a][i])
-            if format_expr(c) != "0":
-                s += f" + {format_coefficient(c)}*dx{i + 1}"
+            t = format_coefficient(N[a][i])
+            if t != "0":
+                s += f" + {t}*dx{i + 1}"
         out.append(s)
     return out
 

@@ -26,6 +26,7 @@ import hashlib
 import math
 import operator
 import re
+import string
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -436,35 +437,29 @@ class Point:
 # ---------------------------------------------------------------------------
 # parsing
 
-_TOKEN_RE = re.compile(
-    r"(?P<num>[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)"
-    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*'*)"
-    r"|(?P<op>[-+*/^()])"
-)
+# One scan per text: whitespace, a number, an identifier, an operator, or any
+# other single character, which the scan refuses.  Every character falls in
+# one match, so the offsets add up the lengths.
+_SCAN_RE = re.compile(r"\s+|[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?"
+                      r"|[A-Za-z_][A-Za-z0-9_]*'*|[-+*/^()]|.", re.S)
+# A token's kind, told by its first character.
+_KIND = {**dict.fromkeys(string.digits, "num"), **dict.fromkeys("+-*/^()", "op"),
+         **dict.fromkeys(string.ascii_letters + "_", "ident")}
 
 
-@dataclass
-class _Token:
-    kind: str   # num | ident | op | end
-    text: str
-    pos: int
-
-
-def _tokenize(text: str) -> list[_Token]:
-    out: list[_Token] = []
-    i = 0
-    while i < len(text):
-        if text[i].isspace():
-            i += 1
-            continue
-        m = _TOKEN_RE.match(text, i)
-        if not m:
-            raise ParseError(f"unexpected character {text[i]!r}", position=i)
-        kind = m.lastgroup
-        out.append(_Token(kind, m.group(), i))
-        i = m.end()
-    out.append(_Token("end", "", len(text)))
-    return out
+def _scan(text: str) -> list[tuple[str, str, int]]:
+    """The (kind, text, offset) tokens of text, kind num, ident or op, then an
+    ("end", "", len(text)) sentinel."""
+    toks, pos = [], 0
+    for s in _SCAN_RE.findall(text):
+        kind = _KIND.get(s[0])
+        if kind is not None:
+            toks.append((kind, s, pos))
+        elif not s.isspace():
+            raise ParseError(f"unexpected character {s!r}", position=pos)
+        pos += len(s)
+    toks.append(("end", "", pos))
+    return toks
 
 
 def _nesting(e: Expr, ctx: Context) -> int:
@@ -495,41 +490,40 @@ class _Parser:
     "^" binds tighter than unary minus.  The exponent is lexed with maximal
     munch, so y1^1/2 is y1^(1/2); divide by a parenthesized 2 to get the
     other reading.
+
+    It reads _scan's tokens by index.  An operator is told by its text alone,
+    which no other token shares.  A token read past is never the end
+    sentinel unless a ParseError follows at once, so the index stays inside
+    the list wherever it is read.
     """
 
     def __init__(self, text: str, ctx: Context):
-        self.text = text
         self.ctx = ctx
-        self.toks = _tokenize(text)
+        self.toks = _scan(text)
         self.i = 0
         self.depth = 0
 
-    def peek(self, ahead: int = 0) -> _Token:
-        j = min(self.i + ahead, len(self.toks) - 1)
-        return self.toks[j]
-
-    def next(self) -> _Token:
+    def next(self) -> tuple[str, str, int]:
         t = self.toks[self.i]
-        if t.kind != "end":
-            self.i += 1
+        self.i += 1
         return t
 
     def expect_op(self, op: str) -> None:
-        t = self.next()
-        if t.kind != "op" or t.text != op:
-            raise ParseError(f"expected {op!r}, found {t.text!r}", position=t.pos)
+        _, text, pos = self.next()
+        if text != op:
+            raise ParseError(f"expected {op!r}, found {text!r}", position=pos)
 
     def parse(self) -> Expr:
         e = self.expr()
-        t = self.peek()
-        if t.kind != "end":
-            raise ParseError(f"unexpected trailing input {t.text!r}", position=t.pos)
+        kind, text, pos = self.toks[self.i]
+        if kind != "end":
+            raise ParseError(f"unexpected trailing input {text!r}", position=pos)
         return e
 
     def expr(self) -> Expr:
         terms = [self.term()]
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.next().text
+        while (op := self.toks[self.i][1]) in ("+", "-"):
+            self.i += 1
             t = self.term()
             terms.append(t if op == "+" else Neg(t))
         return terms[0] if len(terms) == 1 else Add(tuple(terms))
@@ -537,8 +531,8 @@ class _Parser:
     def term(self) -> Expr:
         e = self.factor()
         depth = self.depth
-        while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.next().text
+        while (op := self.toks[self.i][1]) in ("*", "/"):
+            self.i += 1
             self.depth += 1   # the chain nests to the left
             rhs = self.factor()
             e = Mul((e, rhs)) if op == "*" else Div(e, rhs)
@@ -548,72 +542,72 @@ class _Parser:
     def check_depth(self, depth: int) -> None:
         if depth > MAX_NESTING:
             raise ParseError(f"expression nested deeper than {MAX_NESTING} levels",
-                             position=self.peek().pos)
+                             position=self.toks[self.i][2])
 
     def factor(self) -> Expr:
         self.depth += 1
         self.check_depth(self.depth)
         e = self.base()
-        if self.peek().kind == "op" and self.peek().text == "^":
-            self.next()
+        if self.toks[self.i][1] == "^":
+            self.i += 1
             e = Pow(e, self.signed_rational())
         self.depth -= 1
         return e
 
     def signed_rational(self) -> Fraction:
         sign = 1
-        t = self.peek()
-        if t.kind == "op" and t.text == "-":
-            self.next()
+        if self.toks[self.i][1] == "-":
+            self.i += 1
             sign = -1
-        t = self.next()
-        if t.kind != "num" or not t.text.isdigit():
-            raise ParseError("exponent must be an integer or rational", position=t.pos)
-        num, den = t.text, "1"
-        if (self.peek().kind == "op" and self.peek().text == "/"
-                and self.peek(1).kind == "num" and self.peek(1).text.isdigit()):
-            self.next()
-            den = self.next().text
+        kind, num, pos = self.next()
+        if kind != "num" or not num.isdigit():
+            raise ParseError("exponent must be an integer or rational", position=pos)
+        den = "1"
+        if self.toks[self.i][1] == "/":
+            kind, text, _ = self.toks[self.i + 1]
+            if kind == "num" and text.isdigit():
+                self.i += 2
+                den = text
         try:
             return Fraction(sign * int(num), int(den))
         except ZeroDivisionError:
-            raise ParseError("zero denominator in exponent", position=t.pos) from None
+            raise ParseError("zero denominator in exponent", position=pos) from None
         except ValueError:   # past Python's int conversion limit
-            raise ParseError("exponent has too many digits", position=t.pos) from None
+            raise ParseError("exponent has too many digits", position=pos) from None
 
     def base(self) -> Expr:
-        t = self.next()
-        if t.kind == "num":
-            value = float(t.text)
+        kind, text, pos = self.next()
+        if kind == "num":
+            value = float(text)
             if not math.isfinite(value):
-                raise ParseError(f"numeric literal {t.text!r} does not fit in a double",
-                                 position=t.pos)
-            return Const(Fraction(int(t.text)) if t.text.isdigit() else value)
-        if t.kind == "op" and t.text == "-":
+                raise ParseError(f"numeric literal {text!r} does not fit in a double",
+                                 position=pos)
+            return Const(Fraction(int(text)) if text.isdigit() else value)
+        if kind == "ident":
+            return self.ident(text, pos)
+        if text == "-":
             return Neg(self.factor())
-        if t.kind == "op" and t.text == "(":
+        if text == "(":
             e = self.expr()
             self.expect_op(")")
             return e
-        if t.kind == "ident":
-            return self.ident(t)
-        raise ParseError(f"unexpected token {t.text!r}", position=t.pos)
+        raise ParseError(f"unexpected token {text!r}", position=pos)
 
-    def ident(self, t: _Token) -> Expr:
-        name = t.text.rstrip("'")
-        order = len(t.text) - len(name)
+    def ident(self, text: str, pos: int) -> Expr:
+        name = text.rstrip("'")
+        order = len(text) - len(name)
         m = _COORD_RE.match(name)
         if m:
             if order:
-                raise ParseError(f"cannot take a prime of coordinate {name!r}", position=t.pos)
+                raise ParseError(f"cannot take a prime of coordinate {name!r}", position=pos)
             axis, idx, n = m.group(1), int(m.group(2)), self.ctx.dim
             if idx > n:
                 raise ParseError(f"coordinate {name!r} out of range for dimension {n}",
-                                 position=t.pos)
+                                 position=pos)
             return coordinates(n)[idx - 1 if axis == "x" else n + idx - 1]
         if name in BUILTIN_FUNCTIONS:
             if order:
-                raise ParseError(f"primes are not allowed on {name!r}", position=t.pos)
+                raise ParseError(f"primes are not allowed on {name!r}", position=pos)
             self.expect_op("(")
             arg = self.expr()
             self.expect_op(")")
@@ -627,13 +621,14 @@ class _Parser:
             return FuncApp(name, order, arg)
         if name in self.ctx.params:
             if order:
-                raise ParseError(f"cannot take a prime of scalar parameter {name!r}", position=t.pos)
+                raise ParseError(f"cannot take a prime of scalar parameter {name!r}", position=pos)
             return Param(name)
-        raise ParseError(f"unknown identifier {name!r}", position=t.pos)
+        raise ParseError(f"unknown identifier {name!r}", position=pos)
 
 
 def parse(text: str, ctx: Context) -> Expr:
-    """Parse DSL text into a raw expression tree (not yet canonical)."""
+    """Parse DSL text into a raw expression tree (not yet canonical): one
+    scan of the text into tokens, then one descent over them."""
     return _Parser(text, ctx).parse()
 
 
@@ -1466,50 +1461,40 @@ def _fmt_powered(base: Expr, exp: Fraction) -> str:
 
 
 def _term_parts(e: Expr):
-    """Split a product-like node into (sign, numerator parts, denominator parts)."""
-    sign = 1
-    num: list[str] = []
-    den: list[str] = []
-
-    def feed_const(v):
-        nonlocal sign
-        if isinstance(v, Fraction):
+    """Split a product-like node into (sign, numerator parts, denominator parts),
+    its factors taken from a stack in printing order; the text of a divisor
+    waits there until its numerator is done."""
+    sign, num, den = 1, [], []
+    todo = [e]
+    while todo:
+        f = todo.pop()
+        if isinstance(f, str):
+            den.append(f)
+        elif isinstance(f, Const):
+            v = f.value
             if v < 0:
-                sign = -sign
-                v = -v
-            if v.numerator != 1:
-                num.insert(0, str(v.numerator))
-            if v.denominator != 1:
-                den.append(str(v.denominator))
-        else:
-            if v < 0:
-                sign = -sign
-                v = -v
-            num.insert(0, repr(v))
-
-    def feed(f: Expr):
-        nonlocal sign
-        if isinstance(f, Const):
-            feed_const(f.value)
+                sign, v = -sign, -v
+            if isinstance(v, Fraction):
+                if v.numerator != 1:
+                    num.insert(0, str(v.numerator))
+                if v.denominator != 1:
+                    den.append(str(v.denominator))
+            else:
+                num.insert(0, repr(v))
         elif isinstance(f, Neg):
             sign = -sign
-            feed(f.child)
+            todo.append(f.child)
         elif isinstance(f, Pow) and f.exponent < 0:
             den.append(_fmt_powered(f.base, -f.exponent))
         elif isinstance(f, Div):
-            feed(f.num)
-            s = format_expr(f.den)
-            den.append(f"({s})" if _needs_parens_as_base(f.den) else s)
+            todo += (_fmt_base(f.den), f.num)
         elif isinstance(f, Mul):
-            for c in f.children:
-                feed(c)
+            todo += reversed(f.children)
         elif isinstance(f, Pow):
             num.append(_fmt_powered(f.base, f.exponent))
         else:
             src = format_expr(f)
             num.append(f"({src})" if isinstance(f, Add) else src)
-
-    feed(e)
     return sign, num, den
 
 
@@ -1528,6 +1513,8 @@ def format_expr(e: Expr) -> str:
     x1^2/2, which parse reads as x1^(2/2) (the strict xfail
     test_printed_canonical_form_parses_back).
     """
+    if isinstance(e, Const):   # the text _fmt_term would build, sign included
+        return str(e.value) if isinstance(e.value, Fraction) else repr(e.value)
     if isinstance(e, Add):
         sign, head = _fmt_term(e.children[0])
         out = ("-" if sign < 0 else "") + head
@@ -1535,7 +1522,7 @@ def format_expr(e: Expr) -> str:
             sign, part = _fmt_term(c)
             out += (" - " if sign < 0 else " + ") + part
         return out
-    if isinstance(e, (Mul, Div, Neg, Const)) or (isinstance(e, Pow) and e.exponent < 0):
+    if isinstance(e, (Mul, Div, Neg)) or (isinstance(e, Pow) and e.exponent < 0):
         sign, head = _fmt_term(e)
         return ("-" if sign < 0 else "") + head
     if isinstance(e, Pow):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ParseError, ValidationError
-from .expr import Context, Expr, parse
+from .expr import ZERO, Context, Expr, parse
 from .forms import BERWALD, COORD, TwoForm
 from .geometry import OneForm, SemiSpray, VectorField
 
@@ -103,11 +103,17 @@ def _integer(text: str, what: str, ln: int) -> int:
                          line=ln) from None
 
 
-def _expr(text: str, ctx: Context, ln: int) -> Expr:
-    try:
-        return parse(text, ctx)
-    except ParseError as e:
-        raise ParseError(f"in expression {text!r}: {e.args[0]}", line=ln) from None
+def _expr(text: str, ctx: Context, ln: int, parsed: dict[str, Expr]) -> Expr:
+    """The tree of text under ctx, parsed once: parsed holds the trees of
+    the texts already read under ctx, and a tree is immutable, so it is
+    shared."""
+    e = parsed.get(text)
+    if e is None:
+        try:
+            e = parsed[text] = parse(text, ctx)
+        except ParseError as err:
+            raise ParseError(f"in expression {text!r}: {err.args[0]}", line=ln) from None
+    return e
 
 
 def _split_eq(body: str, ln: int, what: str) -> tuple[str, str]:
@@ -123,7 +129,7 @@ def _indexed(label: str, prefix: str, ln: int) -> int:
     return int(label[len(prefix):])
 
 
-def _component_lists(rhs: str, ctx: Context, n: int, ln: int
+def _component_lists(rhs: str, ctx: Context, n: int, ln: int, parsed: dict[str, Expr]
                      ) -> tuple[list[Expr], list[Expr]]:
     if not (rhs.startswith("(") and rhs.endswith(")")):
         raise ParseError("component list must be parenthesized", line=ln)
@@ -133,7 +139,7 @@ def _component_lists(rhs: str, ctx: Context, n: int, ln: int
     first, second = inner.split(";")
     out = []
     for half in (first, second):
-        comps = [_expr(c.strip(), ctx, ln) for c in half.split(",")]
+        comps = [_expr(c.strip(), ctx, ln, parsed) for c in half.split(",")]
         if len(comps) != n:
             raise ParseError(f"expected {n} components, got {len(comps)}", line=ln)
         out.append(comps)
@@ -170,16 +176,16 @@ def _kv_pairs(body: str, required: dict[str, str], what: str, ln: int) -> dict:
 
 def parse_problem_file(text: str) -> ProblemFile:
     lines = [(i + 1, _strip(raw)) for i, raw in enumerate(text.splitlines())]
-    lines = [(ln, s) for ln, s in lines if s]
+    # a directive and its body split once, at the first space or tab
+    lines = [(ln, *(s.split(None, 1) + [""])[:2]) for ln, s in lines if s]
 
     # pass 1: dimension and parameter declarations
     dim: int | None = None
     params: dict[str, object] = {}
     fn_bodies: list[tuple[int, str, str]] = []
-    for ln, s in lines:
-        head = s.split(None, 1)[0]
+    for ln, head, body in lines:
         if head == "dim":
-            lhs, rhs = _split_eq(s[3:], ln, "dim")
+            lhs, rhs = _split_eq(body, ln, "dim")
             if lhs:
                 raise ParseError(f"unexpected text {lhs!r} before '='", line=ln)
             if dim is not None:
@@ -190,7 +196,6 @@ def parse_problem_file(text: str) -> ProblemFile:
             if dim > MAX_DIM:
                 raise ParseError(f"dim {dim} exceeds the bound MAX_DIM = {MAX_DIM}", line=ln)
         elif head == "param":
-            body = s[len("param"):].strip()
             name, rhs = _split_eq(body, ln, "param")
             if not _NAME_RE.match(name):
                 raise ParseError(f"bad parameter name {name!r}", line=ln)
@@ -209,8 +214,7 @@ def parse_problem_file(text: str) -> ProblemFile:
         raise ParseError(str(e), line=1) from None
     for ln, name, body in fn_bodies:
         body_ctx = Context(1, params=dict(ctx.params), funcs=dict(ctx.funcs))
-        parsed = _expr(body, body_ctx, ln)
-        ctx.declare_function(name, parsed)
+        ctx.declare_function(name, _expr(body, body_ctx, ln, {}))
 
     # pass 2: everything else
     n = dim
@@ -226,9 +230,8 @@ def parse_problem_file(text: str) -> ProblemFile:
     integrate: IntegrateSettings | None = None
     ansatz: AnsatzSettings | None = None
 
-    for ln, s in lines:
-        head, _, body = s.partition(" ")
-        body = body.strip()
+    parsed: dict[str, Expr] = {}
+    for ln, head, body in lines:
         if head in ("dim", "param"):
             continue
         elif head == "spray":
@@ -238,16 +241,16 @@ def parse_problem_file(text: str) -> ProblemFile:
                 raise ParseError(f"spray index {a} out of range 1..{n}", line=ln)
             if a in G:
                 raise ParseError(f"duplicate spray G{a}", line=ln)
-            G[a] = _expr(rhs, ctx, ln)
+            G[a] = _expr(rhs, ctx, ln, parsed)
         elif head == "exclude":
-            loci.append(_expr(body, ctx, ln))
+            loci.append(_expr(body, ctx, ln, parsed))
         elif head == "dist":
             label, rhs = _split_eq(body, ln, "dist")
             j = _indexed(label, "X", ln)
             if j != len(dist) + 1:
                 raise ParseError(f"distribution generators must be X1, X2, ...; "
                                  f"got X{j} in position {len(dist) + 1}", line=ln)
-            base, fiber = _component_lists(rhs, ctx, n, ln)
+            base, fiber = _component_lists(rhs, ctx, n, ln, parsed)
             dist.append(VectorField(n, tuple(base), tuple(fiber)))
         elif head == "ann":
             label, rhs = _split_eq(body, ln, "ann")
@@ -255,7 +258,7 @@ def parse_problem_file(text: str) -> ProblemFile:
             if j != len(ann) + 1:
                 raise ParseError(f"annihilator generators must be A1, A2, ...; "
                                  f"got A{j} in position {len(ann) + 1}", line=ln)
-            dx, dy = _component_lists(rhs, ctx, n, ln)
+            dx, dy = _component_lists(rhs, ctx, n, ln, parsed)
             ann.append(OneForm(n, tuple(dx), tuple(dy)))
         elif head == "omega":
             label, rhs = _split_eq(body, ln, "omega")
@@ -283,16 +286,16 @@ def parse_problem_file(text: str) -> ProblemFile:
             s2 = i2 - 1 if b2 == "dx" else n + i2 - 1
             if s1 == s2:
                 raise ParseError(f"degenerate pair {label}", line=ln)
-            coeff = _expr(rhs, ctx, ln)
+            coeff = _expr(rhs, ctx, ln, parsed)
             omega_terms.append((label, coeff))
             omega_slots[(s1, s2)] = coeff
         elif head == "H":
-            lhs, rhs = _split_eq(s[1:], ln, "H")
+            lhs, rhs = _split_eq(body, ln, "H")
             if lhs:
                 raise ParseError(f"unexpected text {lhs!r} before '='", line=ln)
             if H is not None:
                 raise ParseError("duplicate H", line=ln)
-            H = _expr(rhs, ctx, ln)
+            H = _expr(rhs, ctx, ln, parsed)
         elif head == "integrate":
             if integrate is not None:
                 raise ParseError("duplicate integrate settings", line=ln)
@@ -320,7 +323,7 @@ def parse_problem_file(text: str) -> ProblemFile:
         else:
             raise ParseError(f"unknown directive {head!r}", line=ln)
 
-    G_full = tuple(G.get(a, parse("0", ctx)) for a in range(1, n + 1))
+    G_full = tuple(G.get(a, ZERO) for a in range(1, n + 1))
     omega = None
     if omega_terms:
         omega = TwoForm(n, {}, basis=basis_kind or COORD)
