@@ -8,7 +8,8 @@ exact correction term.  Structures are handled through finite generating
 families, checked pointwise on the generator matrix at each point (each
 matrix entry evaluated over all the points in one pass): isotropy, rank,
 kernel and leaf two-form, and bracket closure as a numeric residual against
-the evaluated span, whatever its rank.
+the evaluated span, whatever its rank.  Leaf arguments, bracket rows and
+the flow field go through one span test, span_gaps, with one overflow rule.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .geometry import OneForm, VectorField, lie_bracket
 __all__ = [
     "Section", "AlmostDirac", "pairing", "courant_bracket", "jacobi_anomaly",
     "from_distribution", "gauge_transform", "is_isotropic_at", "is_maximal_at",
-    "involutivity_residual", "kernel_at", "leaf_two_form_at", "stacked",
+    "involutivity_residual", "kernel_at", "leaf_two_form_at", "span_gaps", "stacked",
 ]
 
 HALF = Const(Fraction(1, 2))
@@ -230,6 +231,28 @@ def _null_space(A: np.ndarray):
     return vh[num:, :].T if A.ndim == 2 else [v[q:, :].T for v, q in zip(vh, num)]
 
 
+def span_gaps(A: np.ndarray, rhs: Sequence[np.ndarray]) -> list[tuple[np.ndarray, float, bool]]:
+    """For each row b of rhs: the least-squares x of A x = b, the norm of
+    b - A x, and whether that norm exceeds POINTWISE_TOL * max(1, |b|).
+    Where a norm leaves the double range, the test is made on A and b
+    divided by their largest entry, and the norm scaled back."""
+    out = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for b in rhs:
+            scale = 1.0
+            x, *_ = np.linalg.lstsq(A, b, rcond=None)
+            gap, size = np.linalg.norm(A @ x - b), np.linalg.norm(b)
+            if not (math.isfinite(gap) and math.isfinite(size)):
+                scale = float(max(np.max(np.abs(A)), np.max(np.abs(b))))
+                As, bs = A / scale, b / scale
+                x, *_ = np.linalg.lstsq(As, bs, rcond=None)
+                gap, size = np.linalg.norm(As @ x - bs), np.linalg.norm(bs)
+            # the residual and |b| scale alike
+            outside = bool(gap > POINTWISE_TOL * max(1.0 / scale, size))
+            out.append((x, float(gap) * scale, outside))
+    return out
+
+
 def from_distribution(D_gens: Sequence[VectorField],
                       ann_gens: Sequence[OneForm] | None,
                       ctx: Context,
@@ -355,16 +378,9 @@ def involutivity_residual(L: AlmostDirac, points: Sequence[Point], ctx: Context,
     whatever its rank, which only ever overestimates closure failure.
     """
     worst = 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for B, values in zip(Bs, evaluate_points(L.bracket_exprs(), points, ctx)):
-            for u in np.reshape(values, (-1, 4 * L.n)):
-                sol, *_ = np.linalg.lstsq(B.T, u, rcond=None)
-                r = u - B.T @ sol
-                norm = float(np.linalg.norm(r))
-                if math.isinf(norm) and np.isfinite(r).all():   # the squares overflowed
-                    m = float(np.max(np.abs(r)))
-                    norm = m * float(np.linalg.norm(r / m))
-                worst = max(worst, norm)
+    for B, values in zip(Bs, evaluate_points(L.bracket_exprs(), points, ctx)):
+        rows = np.reshape(values, (-1, 4 * L.n))
+        worst = max([worst, *(gap for _, gap, _ in span_gaps(B.T, rows))])
     return worst
 
 
@@ -390,18 +406,18 @@ def leaf_two_form_at(B: np.ndarray, Xv: np.ndarray, Yv: np.ndarray) -> float:
 
     Well-definedness across the solution set is checked by recomputing
     with a second solution whenever one exists; a value that depends on the
-    choice raises NotIsotropicError.
+    choice raises NotIsotropicError; a non-finite argument, ValidationError.
     """
+    B, Xv, Yv = (np.asarray(a, dtype=float) for a in (B, Xv, Yv))
+    if not all(np.isfinite(a).all() for a in (B, Xv, Yv)):
+        raise ValidationError("leaf two-form needs finite B, Xv and Yv")
     n = B.shape[1] // 4
     V, W = B[:, : 2 * n], B[:, 2 * n:]
-    Xv = np.asarray(Xv, dtype=float)
-    Yv = np.asarray(Yv, dtype=float)
-    for v, name in ((Xv, "first"), (Yv, "second")):
-        sol, *_ = np.linalg.lstsq(V.T, v, rcond=None)
-        if np.linalg.norm(V.T @ sol - v) > POINTWISE_TOL * max(1.0, np.linalg.norm(v)):
+    (c, _, x_out), (_, _, y_out) = span_gaps(V.T, (Xv, Yv))
+    for out, name in ((x_out, "first"), (y_out, "second")):
+        if out:
             raise DistributionMembershipError(
                 f"{name} argument is outside the characteristic distribution")
-    c, *_ = np.linalg.lstsq(V.T, Xv, rcond=None)
     alpha = W.T @ c
     value = float(alpha @ Yv)
     null = _null_space(V.T)

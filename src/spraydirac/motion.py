@@ -33,7 +33,7 @@ from .geometry import (
     OneForm, SemiSpray, VectorField, berwald_frame, curvature, is_flat, is_spray,
     lie_bracket, span_membership,
 )
-from .dirac import POINTWISE_TOL, AlmostDirac, from_distribution, gauge_transform
+from .dirac import AlmostDirac, from_distribution, gauge_transform, span_gaps
 
 __all__ = [
     "MotionReport", "Trajectory", "residual", "is_constant_of_motion",
@@ -264,34 +264,16 @@ def _flow_distribution(S: SemiSpray, D_gens: Sequence[VectorField] | None,
         D_gens = berwald_frame(S).horizontal
     D_gens = list(D_gens)
     pts = sample_points(ctx, cfg, S.singular_loci, count=max(8, cfg.points // 4))
-    m = 2 * S.n
     d_comps = [c for X in D_gens for c in X.comps]
     for vals, s_vals in zip(evaluate_points(d_comps, pts, ctx),
                             evaluate_points(S.vector_field().comps, pts, ctx)):
-        rows = np.array([vals[j:j + m] for j in range(0, len(vals), m)])
-        gap = _span_gap(rows.T, np.array(s_vals))
-        if gap is not None:
+        rows = np.reshape(vals, (len(D_gens), 2 * S.n))
+        (_, gap, outside), = span_gaps(rows.T, [np.array(s_vals)])
+        if outside:
             raise DistributionMembershipError(
                 f"flow field leaves the span of the distribution "
                 f"(gap {gap:.3e} at a sampled point)")
     return D_gens
-
-
-def _span_gap(A: np.ndarray, b: np.ndarray) -> float | None:
-    """The norm of the least-squares residual of A x = b where it exceeds
-    POINTWISE_TOL * max(1, |b|), else None.  Where a norm leaves the double
-    range, the test is made on A and b divided by their largest entry."""
-    scale = 1.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        sol, *_ = np.linalg.lstsq(A, b, rcond=None)
-        gap, size = np.linalg.norm(A @ sol - b), np.linalg.norm(b)
-        if not (math.isfinite(gap) and math.isfinite(size)):
-            scale = float(max(np.max(np.abs(A)), np.max(np.abs(b))))
-            A, b = A / scale, b / scale
-            sol, *_ = np.linalg.lstsq(A, b, rcond=None)
-            gap, size = np.linalg.norm(A @ sol - b), np.linalg.norm(b)
-    # the residual and |b| scale alike
-    return float(gap) * scale if gap > POINTWISE_TOL * max(1.0 / scale, size) else None
 
 
 def residual(S: SemiSpray, omega: TwoForm, H: Expr,

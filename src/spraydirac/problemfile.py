@@ -24,6 +24,7 @@ __all__ = [
 ]
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+_HEAD_RE = re.compile(r"(.[^\s=]*)\s*(.*)")
 # Largest dim a file may declare: the symbolic work grows with a high power
 # of dim (analyze of a bare dim = 16 takes about half a second, dim = 32
 # about five); every benchmark problem has dim <= 4.
@@ -176,8 +177,8 @@ def _kv_pairs(body: str, required: dict[str, str], what: str, ln: int) -> dict:
 
 def parse_problem_file(text: str) -> ProblemFile:
     lines = [(i + 1, _strip(raw)) for i, raw in enumerate(text.splitlines())]
-    # a directive and its body split once, at the first space or tab
-    lines = [(ln, *(s.split(None, 1) + [""])[:2]) for ln, s in lines if s]
+    # a directive's name ends at the first whitespace or '=' after its first character
+    lines = [(ln, *_HEAD_RE.fullmatch(s).groups()) for ln, s in lines if s]
 
     # pass 1: dimension and parameter declarations
     dim: int | None = None

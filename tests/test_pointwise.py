@@ -3,8 +3,9 @@ for bit with evaluating the structure once per test."""
 
 import numpy as np
 import pytest
-import scipy.linalg
 
+scipy = pytest.importorskip("scipy")
+import scipy.linalg  # noqa: E402
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 

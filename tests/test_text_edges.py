@@ -211,16 +211,34 @@ ansatz degree=1 points=10 box=2 seed=3
 """
 
 
-def test_a_tab_may_separate_a_directive_from_its_body():
-    tabbed = "\n".join(line.replace(" ", "\t", 1) for line in SPACED.splitlines())
-    assert "dim\t= 2" in tabbed and "integrate\tt=1" in tabbed
-    want, got = parse_problem_file(SPACED), parse_problem_file(tabbed)
+def _same_problem(got, want):
     for name in ("n", "G", "singular_loci", "omega_terms", "H", "integrate", "ansatz"):
         assert getattr(got, name) == getattr(want, name), name
     assert [v.comps for v in got.dist] == [v.comps for v in want.dist]
     assert [w.comps for w in got.ann] == [w.comps for w in want.ann]
     assert got.context.params == want.context.params
     assert got.context.funcs["f"].body == want.context.funcs["f"].body
+
+
+def test_a_tab_may_separate_a_directive_from_its_body():
+    tabbed = "\n".join(line.replace(" ", "\t", 1) for line in SPACED.splitlines())
+    assert "dim\t= 2" in tabbed and "integrate\tt=1" in tabbed
+    _same_problem(parse_problem_file(tabbed), parse_problem_file(SPACED))
+
+
+@pytest.mark.parametrize("dim,H", [("dim=", "H="), ("dim =", "H= "), ("dim=", "H= "),
+                                   ("dim =", "H=")])
+def test_an_equals_sign_may_follow_a_directive_name(dim, H):
+    glued = SPACED.replace("dim = ", dim).replace("H = ", H)
+    assert glued.startswith(f"{dim}2\n") and f"\n{H}y1^2" in glued
+    _same_problem(parse_problem_file(glued), parse_problem_file(SPACED))
+
+
+def test_an_equals_sign_after_param_is_still_a_parse_error(tmp_path, capsys):
+    f = tmp_path / "p.sdp"
+    f.write_text("dim = 1\nparam=A = 1\nH = A*y1^2\n")
+    assert cli.main(["analyze", str(f)]) == 1
+    assert capsys.readouterr().err.strip() == "parse error: bad parameter name '' (line 2)"
 
 
 def test_a_repeated_text_is_parsed_once_per_file(monkeypatch):
