@@ -23,8 +23,8 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import (
-    AnnihilatorMismatchError, DistributionMembershipError, NotIsotropicError,
-    RankDeficientError, SingularLocusError, ValidationError,
+    AnnihilatorMismatchError, DistributionMembershipError, EvalDomainError,
+    NotIsotropicError, RankDeficientError, SingularLocusError, ValidationError,
 )
 from .expr import (
     Add, Const, Context, Expr, Mul, Neg, Point, SampleConfig, Tri, ZERO,
@@ -406,7 +406,8 @@ def leaf_two_form_at(B: np.ndarray, Xv: np.ndarray, Yv: np.ndarray) -> float:
 
     Well-definedness across the solution set is checked by recomputing
     with a second solution whenever one exists; a value that depends on the
-    choice raises NotIsotropicError; a non-finite argument, ValidationError.
+    choice raises NotIsotropicError; a non-finite argument, ValidationError;
+    a value past the double range, EvalDomainError.
     """
     B, Xv, Yv = (np.asarray(a, dtype=float) for a in (B, Xv, Yv))
     if not all(np.isfinite(a).all() for a in (B, Xv, Yv)):
@@ -418,14 +419,14 @@ def leaf_two_form_at(B: np.ndarray, Xv: np.ndarray, Yv: np.ndarray) -> float:
         if out:
             raise DistributionMembershipError(
                 f"{name} argument is outside the characteristic distribution")
-    alpha = W.T @ c
-    value = float(alpha @ Yv)
     null = _null_space(V.T)
-    if null.shape[1]:
-        alpha2 = W.T @ (c + null[:, 0])
-        value2 = float(alpha2 @ Yv)
-        if abs(value2 - value) > POINTWISE_TOL * max(1.0, abs(value)):
-            raise NotIsotropicError(
-                "leaf two-form value depends on the solution choice; "
-                "the structure is not isotropic over these arguments")
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = float(W.T @ c @ Yv)
+        value2 = float(W.T @ (c + null[:, 0]) @ Yv) if null.shape[1] else value
+    if not (math.isfinite(value) and math.isfinite(value2)):
+        raise EvalDomainError("leaf two-form value leaves the double range")
+    if abs(value2 - value) > POINTWISE_TOL * max(1.0, abs(value)):
+        raise NotIsotropicError(
+            "leaf two-form value depends on the solution choice; "
+            "the structure is not isotropic over these arguments")
     return value

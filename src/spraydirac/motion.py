@@ -93,6 +93,14 @@ def _near_locus(vals) -> bool:
     return min(map(abs, vals), default=math.inf) <= LOCUS_GUARD
 
 
+def _entered(vals, below: tuple) -> bool:
+    """Whether a state with locus values vals entered a singular locus: some
+    value lies within LOCUS_GUARD of zero, or its sign (v < 0) differs from
+    below, the tuple of the start's signs.  The start clears the guard, so
+    none of its values is zero; a state kept by this test changes no sign."""
+    return _near_locus(vals) or tuple(v < 0 for v in vals) != below
+
+
 def _exact_step(S: SemiSpray, z: tuple, params: dict, dt: float, ctx: Context,
                 below: tuple) -> tuple | None:
     """compile_rk4_step's step redone on a tuple of floats in the same float
@@ -115,8 +123,7 @@ def _exact_step(S: SemiSpray, z: tuple, params: dict, dt: float, ctx: Context,
                    for b, k1, k2, k3, k4 in zip(z, *ks))
     if not all(map(math.isfinite, z_next)):
         return None
-    vals = _evaluated(S.singular_loci, z_next, params, ctx)
-    if _near_locus(vals) or tuple(v < 0 for v in vals) != below:
+    if _entered(_evaluated(S.singular_loci, z_next, params, ctx), below):
         return ()
     return z_next
 
@@ -127,10 +134,12 @@ def integrate_sode(S: SemiSpray, p0: Point, dt: float, steps: int,
 
     The fixed-step method is the classic fourth-order scheme; the adaptive
     one is the Dormand-Prince 5(4) pair of rk45, a bit-for-bit port of
-    scipy's solve_ivp(method="RK45") with its event roots.  Hitting a declared
-    singular locus or producing a non-finite state stops the run early and
-    returns the partial trajectory with the abort flag set.  A non-finite
-    start or a negative step count is a ValidationError.
+    scipy's solve_ivp(method="RK45").  Both end on one locus rule, _entered:
+    a state with a locus value within LOCUS_GUARD of zero, or of another sign
+    than at the start, is not kept.  Entering a declared singular locus or
+    producing a non-finite state stops the run early and returns the partial
+    trajectory with the abort flag set.  A non-finite start or a negative
+    step count is a ValidationError.
 
     The start is tested against the loci with evaluate's values.  rk4 runs
     compile_rk4_step's step and locus test on plain floats, one generated
@@ -161,15 +170,14 @@ def integrate_sode(S: SemiSpray, p0: Point, dt: float, steps: int,
     vals = _evaluated(S.singular_loci, z0.tolist(), params, ctx)
     if _near_locus(vals):
         raise SingularLocusError("initial state lies on or near a singular locus")
+    below = tuple(v < 0 for v in vals)
 
     if method == "rk45":
-        return _integrate_rk45(S, _rk45_field(g, S.n, params), loci, z0, params, dt, steps)
+        return _integrate_rk45(S, _rk45_field(g, S.n, params), loci, below, z0, params,
+                               dt, steps)
 
     z = tuple(z0.tolist())
     flat = list(z)
-    # the initial values clear the guard, so none is zero, and no accepted
-    # step changes a sign: comparing with the start is the sign-change test
-    below = tuple(v < 0 for v in vals)
     aborted = False
     reason = None
     for _ in range(steps):
@@ -206,37 +214,28 @@ def _rk45_field(g: Callable, n: int, params: dict) -> Callable[[np.ndarray], np.
     return field
 
 
-def _integrate_rk45(S, f, loci, z0, params, dt, steps) -> Trajectory:
+def _integrate_rk45(S, f, loci, below, z0, params, dt, steps) -> Trajectory:
     T = dt * steps
     aborted = False
     reason = None
-    # A terminal event on each locus's signed value: a sign change is
-    # root-findable, unlike the |value| - guard dip, which a coarse step
-    # can hop over entirely.
-    events = functools.partial(loci, params=params) if S.singular_loci else None
+    stop = None
+    if S.singular_loci:
+        def stop(z: np.ndarray) -> bool:
+            return _entered(loci(z, params), below)
     try:
         # numpy warns where the field overflows; the abort reason says it
         with np.errstate(all="ignore"):
-            sol = rk45.solve_ivp(f, T, z0, max(dt, T / 50.0), events)
+            sol = rk45.solve_ivp(f, T, z0, max(dt, T / 50.0), stop)
     except EvalDomainError as exc:
         return Trajectory(S.n, np.array([0.0]), np.array([z0]), "rk45", dt,
                           params, True, f"evaluation failed: {exc}")
-    times = sol.t
-    states = sol.y.T
     if sol.status == 1:
         aborted, reason = True, "state entered a singular locus"
     elif sol.status < 0:
         aborted, reason = True, f"integrator failure: {sol.message}"
-    finite = np.isfinite(states).all(axis=1).tolist()
-    bad = [i for i, (ok, row) in enumerate(zip(finite, states))
-           if not ok or _near_locus(loci(row, params))]
-    if bad:
-        cut = bad[0]
-        times, states = times[:cut], states[:cut]
-        aborted, reason = True, "state entered a singular locus"
-    # row 0 is z0, which is finite and clear of the loci, so no cut drops it
-    keep = np.concatenate([[True], np.diff(times) > 0])
-    return Trajectory(S.n, times[keep], states[keep], "rk45", dt, params,
+    # a run of horizon 0 ends as scipy's does, on a second copy of its start
+    keep = np.concatenate([[True], np.diff(sol.t) > 0])
+    return Trajectory(S.n, sol.t[keep], sol.y.T[keep], "rk45", dt, params,
                       aborted, reason)
 
 

@@ -322,6 +322,18 @@ def test_an_overflowing_locus_under_rk45_keeps_stderr_empty(tmp_path, capsys):
     assert all(r["aborted"] for r in json.loads(out)["trajectories"])
 
 
+def test_an_rk45_run_across_a_flat_locus_exits_0(tmp_path, capsys):
+    # x1^3 is flat at its root: a Brent search for the crossing on the
+    # step's interpolant ran out of iterations, and integrate exited 4
+    f = tmp_path / "cubic.sdp"
+    f.write_text("dim = 1\nspray G1 = 0\nexclude x1^3\n"
+                 "integrate t=20 dt=0.05 method=rk45 seed=3 samples=8\n")
+    rc, out, err = _run(capsys, ["integrate", str(f), "--json"])
+    assert (rc, err) == (0, "")
+    reasons = [r["abort_reason"] for r in json.loads(out)["trajectories"]]
+    assert "state entered a singular locus" in reasons
+
+
 def test_numeric_domain_failures_exit_3(tmp_path, capsys):
     f = tmp_path / "logenergy.sdp"
     f.write_text("dim = 1\nH = ln(y1)\n"
@@ -643,8 +655,8 @@ def test_an_overflowing_trajectory_row_prints_the_float(tmp_path, capsys):
 
 
 def test_no_command_loads_scipy(tmp_path):
-    # ex1 integrated by rk45 runs the integrator with a terminal event per
-    # locus; ex4 has no ann lines, so dirac-check completes its annihilator
+    # ex1 integrated by rk45 runs the integrator with the locus rule on its
+    # two loci; ex4 has no ann lines, so dirac-check completes its annihilator
     # with null spaces
     rk45 = tmp_path / "ex1_rk45.sdp"
     rk45.write_text(Path(EX1).read_text().replace("method=rk4", "method=rk45"))

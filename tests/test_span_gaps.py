@@ -15,7 +15,9 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from spraydirac import dirac  # noqa: E402
 from spraydirac.dirac import leaf_two_form_at, span_gaps  # noqa: E402
-from spraydirac.errors import DistributionMembershipError, ValidationError  # noqa: E402
+from spraydirac.errors import (  # noqa: E402
+    DistributionMembershipError, EvalDomainError, ValidationError,
+)
 
 import span_ref as ref  # noqa: E402
 
@@ -111,6 +113,17 @@ def test_the_leaf_two_form_refuses_an_argument_outside_the_span_past_the_double_
     B = np.array([[1e200, 0.0, 0.0, 1.0]])
     with pytest.raises(DistributionMembershipError, match="^second argument"):
         leaf_two_form_at(B, np.array([1e200, 0.0]), np.array([0.0, 1e200]))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_leaf_two_form_value_past_the_double_range_is_refused():
+    # alpha = (1e200, 0) paired with Yv = (1e200, 0) overflowed: numpy
+    # warned and the value read inf
+    B = np.array([[1e200, 0.0, 1e200, 0.0]])
+    v = np.array([1e200, 0.0])
+    with pytest.raises(EvalDomainError, match="leaves the double range"):
+        leaf_two_form_at(B, v, v)
+    assert leaf_two_form_at(B, v, v / 1e200) == 1e200
 
 
 @pytest.mark.parametrize("size", [1.0, 1e200])
