@@ -128,40 +128,47 @@ def _exact_step(S: SemiSpray, z: tuple, params: dict, dt: float, ctx: Context,
     return z_next
 
 
+class _NonFinite(Exception):
+    """A march reached a state that is not finite."""
+
+
 def integrate_sode(S: SemiSpray, p0: Point, dt: float, steps: int,
                    method: str = "rk4", ctx: Context | None = None) -> Trajectory:
     """March the first-order system from p0.
 
-    The fixed-step method is the classic fourth-order scheme; the adaptive
-    one is the Dormand-Prince 5(4) pair of rk45, a bit-for-bit port of
-    scipy's solve_ivp(method="RK45").  Both end on one locus rule, _entered:
-    a state with a locus value within LOCUS_GUARD of zero, or of another sign
-    than at the start, is not kept.  Entering a declared singular locus or
-    producing a non-finite state stops the run early and returns the partial
-    trajectory with the abort flag set.  A non-finite start or a negative
-    step count is a ValidationError.
+    The fixed-step method is the classic fourth-order scheme (_rk4_march);
+    the adaptive one is the Dormand-Prince 5(4) pair of rk45.accepted, a
+    bit-for-bit port of scipy's solve_ivp(method="RK45") (_rk45_march).
+    Each march yields its accepted states in order, and one loop keeps them
+    until the march ends: at the horizon, or early, with the abort flag set
+    and one of these reasons, every state accepted before the end kept:
+    - "state entered a singular locus": the locus rule, _entered, refuses
+      the next state (a locus value within LOCUS_GUARD of zero, or of
+      another sign than at the start);
+    - "state became non-finite": a state is not finite;
+    - "evaluation failed: <evaluate's message>": evaluate refuses a value
+      (say, a division by zero);
+    - "integrator failure: <scipy's message>": rk45's step size fell below
+      the spacing of the doubles.
+    A non-finite start, a step size that is not positive and finite or a
+    negative step count is a ValidationError, and a start on or near a
+    locus a SingularLocusError.
 
     The start is tested against the loci with evaluate's values.  rk4 runs
     compile_rk4_step's step and locus test on plain floats, one generated
-    module, with parameters kept exact, and keeps its accepted states in one
-    flat list of floats.  A step that floats cannot finish (they raise, or
-    give a non-finite value) is redone with evaluate's field and locus
-    values, in the same float operations.  rk45 runs on compile_exprs of G
-    and of the loci, where evaluate decides likewise.  An error of evaluate
-    (say, a division by zero) aborts only this trajectory, with an
-    "evaluation failed: <evaluate's message>" reason.
+    module, with parameters kept exact; a step that floats cannot finish
+    (they raise, or give a non-finite value) is redone with evaluate's field
+    and locus values, in the same float operations.  rk45 runs on
+    compile_exprs of G and of the loci, where evaluate decides likewise.
     """
-    if dt <= 0:
-        raise ValidationError("step size must be positive")
+    if not 0 < dt < math.inf:
+        raise ValidationError("step size must be positive and finite")
     if steps < 0:
         raise ValidationError("step count must be nonnegative")
     if method not in ("rk4", "rk45"):
         raise ValidationError(f"unknown integration method {method!r}")
     ctx = ctx or Context(dim=S.n)
-    if method == "rk45":
-        g, loci = compile_exprs(S.G, ctx), compile_exprs(S.singular_loci, ctx)
-    else:
-        step = compile_rk4_step(S.G, S.singular_loci, ctx, dt)
+    march = (_rk45_march if method == "rk45" else _rk4_march)(S, dt, ctx)
     params = dict(ctx.params)
     params.update(p0.params)
     z0 = np.concatenate([np.asarray(p0.x, float), np.asarray(p0.y, float)])
@@ -172,71 +179,78 @@ def integrate_sode(S: SemiSpray, p0: Point, dt: float, steps: int,
         raise SingularLocusError("initial state lies on or near a singular locus")
     below = tuple(v < 0 for v in vals)
 
-    if method == "rk45":
-        return _integrate_rk45(S, _rk45_field(g, S.n, params), loci, below, z0, params,
-                               dt, steps)
+    times, flat, reason = [0.0], z0.tolist(), None
+    # numpy warns where rk45's field overflows; the abort reason says it.
+    # The block holds the loop, not a march: one held open across a yield
+    # would leak into the caller.
+    with np.errstate(all="ignore"):
+        try:
+            for t, z in march(z0, params, below, steps):
+                if not z:
+                    reason = "state entered a singular locus"
+                    break
+                times.append(t)
+                flat += z
+        except _NonFinite:
+            reason = "state became non-finite"
+        except EvalDomainError as exc:
+            reason = f"evaluation failed: {exc}"
+        except rk45.StepSizeError as exc:
+            reason = f"integrator failure: {exc}"
+    states = np.array(flat).reshape(len(times), -1)
+    return Trajectory(S.n, times, states, method, dt, params, reason is not None, reason)
 
-    z = tuple(z0.tolist())
-    flat = list(z)
-    aborted = False
-    reason = None
-    for _ in range(steps):
-        z_next = step(z, params, below)
-        if z_next is None:
-            try:
-                z_next = _exact_step(S, z, params, dt, ctx, below)
-            except EvalDomainError as exc:
-                aborted, reason = True, f"evaluation failed: {exc}"
-                break
+
+def _rk4_march(S: SemiSpray, dt: float, ctx: Context) -> Callable:
+    """march(z0, params, below, steps), yielding (k*dt, z_k) for k = 1 to
+    steps with z_k a tuple of floats, or () where z_k entered a locus:
+    compile_rk4_step's step, or _exact_step where floats cannot finish."""
+    step = compile_rk4_step(S.G, S.singular_loci, ctx, dt)
+
+    def march(z0: np.ndarray, params: dict, below: tuple, steps: int):
+        z = tuple(z0.tolist())
+        for k in range(1, steps + 1):
+            z_next = step(z, params, below)
             if z_next is None:
-                aborted, reason = True, "state became non-finite"
-                break
-        if not z_next:
-            aborted, reason = True, "state entered a singular locus"
-            break
-        z = z_next
-        flat += z
-    # a start of dimension 0 has one empty row
-    states = np.array(flat).reshape(-1, len(z)) if z else np.empty((1, 0))
-    # the k-th accepted state lies at k*dt, as the float product k*dt
-    return Trajectory(S.n, np.arange(len(states)) * dt, states, "rk4", dt,
-                      params, aborted, reason)
+                z_next = _exact_step(S, z, params, dt, ctx, below)
+                if z_next is None:
+                    raise _NonFinite
+            z = z_next
+            yield k * dt, z
+
+    return march
+
+
+def _rk45_march(S: SemiSpray, dt: float, ctx: Context) -> Callable:
+    """march(z0, params, below, steps), yielding rk45.accepted's (t, z) up
+    to the horizon dt*steps with z a list of floats, or () where z entered
+    a locus: the field _rk45_field and the locus values on compile_exprs."""
+    g, loci = compile_exprs(S.G, ctx), compile_exprs(S.singular_loci, ctx)
+
+    def march(z0: np.ndarray, params: dict, below: tuple, steps: int):
+        T = dt * steps
+        for t, z in rk45.accepted(_rk45_field(g, S.n, params), T, z0, max(dt, T / 50.0)):
+            zl = z.tolist()
+            yield t, (() if S.singular_loci and _entered(loci(zl, params), below) else zl)
+
+    return march
 
 
 def _rk45_field(g: Callable, n: int, params: dict) -> Callable[[np.ndarray], np.ndarray]:
     """rk45's field z' = (y, -2.0*G(z)) on an array state: y copied as it is,
-    then -2.0 times each of g(z, params), compile_exprs's checked G."""
+    then -2.0 times each of g(z, params), compile_exprs's checked G.  Where
+    the state is not finite and g refuses it, it raises _NonFinite."""
 
     def field(z: np.ndarray) -> np.ndarray:
         zl = z.tolist()
-        return np.array(zl[n:] + [-2.0 * v for v in g(zl, params)])
+        try:
+            return np.array(zl[n:] + [-2.0 * v for v in g(zl, params)])
+        except EvalDomainError:
+            if all(map(math.isfinite, zl)):
+                raise
+            raise _NonFinite from None
 
     return field
-
-
-def _integrate_rk45(S, f, loci, below, z0, params, dt, steps) -> Trajectory:
-    T = dt * steps
-    aborted = False
-    reason = None
-    stop = None
-    if S.singular_loci:
-        def stop(z: np.ndarray) -> bool:
-            return _entered(loci(z, params), below)
-    try:
-        # numpy warns where the field overflows; the abort reason says it
-        with np.errstate(all="ignore"):
-            sol = rk45.solve_ivp(f, T, z0, max(dt, T / 50.0), stop)
-    except EvalDomainError as exc:
-        return Trajectory(S.n, np.array([0.0]), np.array([z0]), "rk45", dt,
-                          params, True, f"evaluation failed: {exc}")
-    if sol.status == 1:
-        aborted, reason = True, "state entered a singular locus"
-    elif sol.status < 0:
-        aborted, reason = True, f"integrator failure: {sol.message}"
-    # a run of horizon 0 ends as scipy's does, on a second copy of its start
-    keep = np.concatenate([[True], np.diff(sol.t) > 0])
-    return Trajectory(S.n, sol.t[keep], sol.y.T[keep], "rk45", dt, params,
-                      aborted, reason)
 
 
 def conservation_drift(traj: Trajectory, H: Expr, ctx: Context) -> float:

@@ -1,22 +1,22 @@
-"""The Dormand-Prince 5(4) pair, as scipy runs it, with a stop test.
+"""The Dormand-Prince 5(4) pair, as scipy runs it, one accepted state at a
+time.
 
 A port of scipy 1.17.1's ``solve_ivp(method="RK45")`` limited to what
-``motion._integrate_rk45`` asks of it: an autonomous system run forward
+``motion.integrate_sode`` asks of it: an autonomous system run forward
 from t = 0 with the fixed tolerances RTOL and ATOL and a ``max_step``, no
-``t_eval`` and no dense output.  It checks none of its inputs: motion
-passes a finite start, a horizon tf >= 0 and a positive max_step.  The
-tableau, the step (``rk_step``), the initial step and the step-size control
-are written with the same BLAS reductions and IEEE operations in the same
-order (scalars as Python floats, the same doubles), so a run without a stop
-test has scipy's accepted times and states, status and message bit for bit.
+``t_eval``, no events and no dense output.  It checks none of its inputs:
+motion passes a finite start, a horizon tf >= 0 and a positive max_step.
+The tableau, the step (``rk_step``), the initial step and the step-size
+control are written with the same BLAS reductions and IEEE operations in
+the same order (scalars as Python floats, the same doubles), so
+``accepted`` yields scipy's accepted times and states after the start bit
+for bit, and raises StepSizeError with scipy's message where scipy ends
+with status -1.
 
-In place of scipy's events, a stop test is asked at each accepted state
-before it is kept.  It ends the run without that state, with the status
-and message of scipy's terminal event; where scipy ends on the root of a
-sign change, a stop test on that sign change keeps scipy's rows but the
-root row.  It sees only the accepted states, as step-based event location
-does (Hairer, Norsett and Wanner, Solving Ordinary Differential Equations
-I, II.6), and looks for no root inside a step.
+The caller decides at each yielded state whether to keep it and go on:
+motion stops before a state that enters a singular locus, as step-based
+event location does (Hairer, Norsett and Wanner, Solving Ordinary
+Differential Equations I, II.6), and looks for no root inside a step.
 
 Dormand and Prince, "A family of embedded Runge-Kutta formulae", J. Comput.
 Appl. Math. 6 (1980).
@@ -25,13 +25,13 @@ Appl. Math. 6 (1980).
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator
 
 import numpy as np
 
 from .errors import ValidationError
 
-__all__ = ["IvpResult", "solve_ivp"]
+__all__ = ["StepSizeError", "accepted"]
 
 # Relative and absolute error tolerances of a step.
 RTOL = 1e-9
@@ -59,19 +59,11 @@ E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525,
               1/40])
 
 TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
-MESSAGES = {0: "The solver successfully reached the end of the integration interval.",
-            1: "A termination event occurred."}
 
 
-class IvpResult(NamedTuple):
-    """t of shape (k,) and y of shape (n, k), as solve_ivp returns them;
-    status 0 (end reached), 1 (the stop test ended the run) or -1 (step
-    too small), with scipy's message for it."""
-
-    t: np.ndarray
-    y: np.ndarray
-    status: int
-    message: str
+class StepSizeError(Exception):
+    """The step size fell below the spacing of the doubles, where scipy ends
+    a run with status -1; the message is scipy's."""
 
 
 # each stage s after the first: s and its row of A
@@ -126,79 +118,59 @@ def _select_initial_step(fun, y0, interval_length, max_step, f0):
     return min(100 * h0, h1, interval_length, max_step)
 
 
-def solve_ivp(fun: Callable, tf: float, y0: np.ndarray, max_step: float,
-              stop: Callable[[np.ndarray], bool] | None) -> IvpResult:
-    """Integrate y' = fun(y) from y0 at t = 0 to tf >= 0 with the RK45 pair.
+def accepted(fun: Callable, tf: float, y0: np.ndarray,
+             max_step: float) -> Iterator[tuple[float, np.ndarray]]:
+    """Integrate y' = fun(y) from y0 at t = 0 to tf >= 0 with the RK45 pair,
+    yielding each accepted (t, y) in order, without the start.
 
-    y0 is a finite float array and max_step is positive.  stop(y), when
-    given, is asked at each accepted state before it is kept; True ends the
-    run without it, with status 1.  A run that takes more than MAX_STEPS
-    steps, accepted and rejected, raises ValidationError.
+    y0 is a finite float array and max_step is positive.  A step size below
+    the spacing of the doubles at t raises StepSizeError with scipy's
+    message; a run that takes more than MAX_STEPS steps, accepted and
+    rejected, raises ValidationError.
     """
     t, y = 0.0, y0
     f_cur = fun(y)
     h_abs = float(_select_initial_step(fun, y, tf, max_step, f_cur))
     K = np.empty((7, y.size))
 
-    ts, ys = [t], [y]
-    status = None
-    message = None
     steps = 0
-    while status is None:
-        if t == tf:
-            status = 0
-        else:
-            min_step = 10 * abs(math.nextafter(t, math.inf) - t)
-            if h_abs > max_step:
-                h_abs = max_step
-            elif h_abs < min_step:
-                h_abs = min_step
+    while t < tf:
+        min_step = 10 * abs(math.nextafter(t, math.inf) - t)
+        if h_abs > max_step:
+            h_abs = max_step
+        elif h_abs < min_step:
+            h_abs = min_step
 
-            step_accepted = False
-            step_rejected = False
-            while not step_accepted:
-                if h_abs < min_step:
-                    message = TOO_SMALL_STEP
-                    break
+        step_rejected = False
+        while True:
+            if h_abs < min_step:
+                raise StepSizeError(TOO_SMALL_STEP)
 
-                t_new = t + h_abs
-                if t_new > tf:
-                    t_new = tf
-                h = t_new - t
-                h_abs = abs(h)
+            t_new = t + h_abs
+            if t_new > tf:
+                t_new = tf
+            h = t_new - t
+            h_abs = abs(h)
 
-                steps += 1
-                if steps > MAX_STEPS:
-                    raise ValidationError(f"the rk45 run needs more than "
-                                          f"MAX_STEPS = {MAX_STEPS} steps")
-                y_new, f_new = _rk_step(fun, y, f_cur, h, K)
-                scale = ATOL + np.maximum(np.abs(y), np.abs(y_new)) * RTOL
-                error_norm = _norm(np.dot(K.T, E) * h / scale)
+            steps += 1
+            if steps > MAX_STEPS:
+                raise ValidationError(f"the rk45 run needs more than "
+                                      f"MAX_STEPS = {MAX_STEPS} steps")
+            y_new, f_new = _rk_step(fun, y, f_cur, h, K)
+            scale = ATOL + np.maximum(np.abs(y), np.abs(y_new)) * RTOL
+            error_norm = _norm(np.dot(K.T, E) * h / scale)
 
-                if error_norm < 1:
-                    if error_norm == 0:
-                        factor = MAX_FACTOR
-                    else:
-                        factor = min(MAX_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT)
-                    if step_rejected:
-                        factor = min(1, factor)
-                    h_abs *= factor
-                    step_accepted = True
+            if error_norm < 1:
+                if error_norm == 0:
+                    factor = MAX_FACTOR
                 else:
-                    h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT)
-                    step_rejected = True
-            if not step_accepted:
-                status = -1
+                    factor = min(MAX_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT)
+                if step_rejected:
+                    factor = min(1, factor)
+                h_abs *= factor
                 break
-            if stop is not None and stop(y_new):
-                status = 1
-                break
-            t, y, f_cur = t_new, y_new, f_new
-            if t >= tf:
-                status = 0
+            h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT)
+            step_rejected = True
 
-        ts.append(t)
-        ys.append(y)
-
-    return IvpResult(np.array(ts), np.vstack(ys).T, status,
-                     MESSAGES.get(status, message))
+        t, y, f_cur = t_new, y_new, f_new
+        yield t, y

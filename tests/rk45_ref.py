@@ -16,16 +16,30 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from spraydirac.errors import EvalDomainError, ValidationError
 from spraydirac.motion import Trajectory, _near_locus
 from spraydirac.rk45 import (
-    ATOL, E, ERROR_EXPONENT, MAX_FACTOR, MAX_STEPS, MESSAGES, MIN_FACTOR, RTOL, SAFETY,
-    TOO_SMALL_STEP, IvpResult, _norm, _rk_step, _select_initial_step,
+    ATOL, E, ERROR_EXPONENT, MAX_FACTOR, MAX_STEPS, MIN_FACTOR, RTOL, SAFETY,
+    TOO_SMALL_STEP, _norm, _rk_step, _select_initial_step,
 )
+
+MESSAGES = {0: "The solver successfully reached the end of the integration interval.",
+            1: "A termination event occurred."}
+
+
+class IvpResult(NamedTuple):
+    """t of shape (k,) and y of shape (n, k), as solve_ivp returns them;
+    status 0 (end reached), 1 (an event ended the run) or -1 (step too
+    small), with scipy's message for it."""
+
+    t: np.ndarray
+    y: np.ndarray
+    status: int
+    message: str
 
 BRENT_MAXITER = 100
 BRENT_TOL = 4 * sys.float_info.epsilon   # brentq's xtol and rtol

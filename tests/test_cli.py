@@ -334,6 +334,20 @@ def test_an_rk45_run_across_a_flat_locus_exits_0(tmp_path, capsys):
     assert "state entered a singular locus" in reasons
 
 
+def test_an_rk45_run_that_fails_evaluation_keeps_its_accepted_steps(tmp_path, capsys):
+    # (x1 - 1/20)^1/2 is refused below x1 = 1/20: starts below it fail at
+    # once, and the start at x1 = 0.94 heading down fails near t = 0.47,
+    # after the steps accepted before it
+    f = tmp_path / "root.sdp"
+    f.write_text("dim = 1\nspray G1 = (x1 - 1/20)^1/2\n"
+                 "integrate t=1 dt=0.01 method=rk45 seed=3 samples=8\n")
+    rc, out, err = _run(capsys, ["integrate", str(f), "--json"])
+    assert (rc, err) == (0, "")
+    failed = [(r["accepted_steps"], r["t_final"]) for r in json.loads(out)["trajectories"]
+              if r["abort_reason"] == "evaluation failed: fractional power of a negative base"]
+    assert sorted(failed) == [(0, 0.0)] * 5 + [(32, 0.466046463575)]
+
+
 def test_numeric_domain_failures_exit_3(tmp_path, capsys):
     f = tmp_path / "logenergy.sdp"
     f.write_text("dim = 1\nH = ln(y1)\n"

@@ -22,7 +22,7 @@ from spraydirac.expr import (  # noqa: E402
 )
 from spraydirac.geometry import SemiSpray  # noqa: E402
 from spraydirac.motion import (  # noqa: E402
-    Trajectory, _near_locus, _rk45_field, conservation_drift, integrate_sode,
+    Trajectory, _NonFinite, _near_locus, _rk45_field, conservation_drift, integrate_sode,
 )
 from spraydirac.problemfile import parse_problem_file  # noqa: E402
 
@@ -252,8 +252,18 @@ def test_rk4_on_random_coefficients_equals_the_list_of_tuples(G, x, y, dt, steps
 def test_the_generated_field_equals_the_checked_g_field(G, x, y):
     ctx = _ctx()
     z = np.array([x, y])
-    assert (_outcome(lambda: _rk45_field(compile_exprs((G,), ctx), 1, dict(PARAMS))(z))
-            == _outcome(lambda: _old_field((G,), ctx)(z, dict(PARAMS))))
+    want = _outcome(lambda: _old_field((G,), ctx)(z, dict(PARAMS)))
+    try:
+        g = compile_exprs((G,), ctx)
+    except EvalDomainError as exc:
+        # simplify refuses G before any state
+        assert (type(exc), str(exc)) == want
+        return
+    # where the state is not finite and the checked G refuses it, the field
+    # raises the march's non-finite signal
+    if not np.isfinite(z).all() and want[0] is EvalDomainError:
+        want = _NonFinite, ""
+    assert _outcome(lambda: _rk45_field(g, 1, dict(PARAMS))(z)) == want
 
 
 def test_the_generated_field_keeps_the_component_order():

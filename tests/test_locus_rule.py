@@ -1,9 +1,9 @@
 """One locus rule for both integrators: motion._entered, a locus value
 within LOCUS_GUARD of zero or of another sign than at the start.
 
-rk45 asks it at each accepted state through solve_ivp's stop test, where it
-once ran scipy's terminal events, a Brent root search on the step's
-interpolant and a post-filter (rk45_ref.py).  Where that reference does not
+integrate_sode asks it at each state rk45.accepted yields, where rk45 once
+ran scipy's terminal events, a Brent root search on the step's interpolant
+and a post-filter (rk45_ref.py).  Where that reference does not
 end at a locus, the runs are equal bit for bit; where it does, the rule
 keeps its accepted states (its rows but an event's root row) up to the
 first one the rule refuses."""

@@ -208,6 +208,15 @@ def test_a_negative_step_count_is_refused(method):
         integrate_sode(_spray2(), Point((0.0, 0.0), (1.0, 1.0)), 0.01, -1, method, CTX2)
 
 
+@pytest.mark.parametrize("method", ["rk4", "rk45"])
+@pytest.mark.parametrize("dt", [0.0, -0.01, math.inf, math.nan])
+def test_a_step_size_not_positive_and_finite_is_refused(method, dt):
+    # a nan dt passed dt <= 0: rk4 stamped its start at 0*nan and rk45 ran
+    # to MAX_STEPS on a horizon of nan
+    with pytest.raises(ValidationError, match="^step size must be positive and finite$"):
+        integrate_sode(_spray2(), Point((0.0, 0.0), (1.0, 1.0)), dt, 10, method, CTX2)
+
+
 @pytest.mark.filterwarnings("ignore:overflow")
 def test_blowup_aborts_before_nonfinite_states():
     S = _spray2()
@@ -426,15 +435,46 @@ def test_an_overflowing_body_aborts_both_methods():
         assert traj.abort_reason == "evaluation failed: product produced a non-finite value"
     # G is finite at the start and -2.0*G overflows: no infinite stage state
     # of rk4 or trial state of rk45 reaches evaluate, whose fsum of +inf and
-    # -inf would raise ValueError
+    # -inf would raise ValueError, and both end on the one non-finite reason
     pf = parse_problem_file("dim = 2\nspray G1 = 10^308*x1 + y1 + y2\n"
                             "spray G2 = -10^308*x1 + y1 + y2\n")
-    for method, reason in (("rk4", "state became non-finite"),
-                           ("rk45", "evaluation failed: non-finite value in compiled evaluation")):
+    for method in ("rk4", "rk45"):
         traj = integrate_sode(pf.semispray(), Point((1.0, 0.3), (0.2, 0.1)), 0.01, 20, method,
                               pf.context)
-        assert traj.abort_reason == reason
+        assert traj.abort_reason == "state became non-finite"
         assert len(traj.times) == 1
+
+
+def _root_ahead():
+    # (x1 - 1/20)^1/2 is refused below x1 = 1/20, which the run from x1 = 0.5
+    # heading down at speed 1 reaches near t = 0.4
+    ctx = Context(dim=1)
+    return SemiSpray(1, (parse("(x1 - 1/20)^1/2", ctx),)), ctx, Point((0.5,), (-1.0,))
+
+
+@pytest.mark.parametrize("method, rows, t_final", [("rk4", 38, 0.37),
+                                                   ("rk45", 28, 0.3731816923123509)])
+def test_a_failed_evaluation_keeps_the_states_before_it(method, rows, t_final):
+    S, ctx, p0 = _root_ahead()
+    traj = integrate_sode(S, p0, 0.01, 100, method, ctx)
+    assert traj.abort_reason == "evaluation failed: fractional power of a negative base"
+    assert len(traj.times) == rows and traj.times[-1] == t_final
+    assert np.all(traj.states[:, 0] > 0.05)
+
+
+@pytest.mark.parametrize("method, rows, t_final, reason", [
+    ("rk4", 53, 0.52, "evaluation failed: overflow in power"),
+    ("rk45", 767, 0.49999999996507366,
+     "integrator failure: Required step size is less than spacing between numbers.")])
+def test_a_blow_up_ends_each_method_on_its_reason(method, rows, t_final, reason):
+    # x1'' = 2 y1^2 blows up at t = 1/2; rk45's steps shrink below the
+    # spacing of the doubles before its states overflow
+    ctx = Context(dim=1)
+    traj = integrate_sode(SemiSpray(1, (parse("-y1^2", ctx),)), Point((1.0,), (1.0,)),
+                          0.01, 200, method, ctx)
+    assert (traj.aborted, traj.abort_reason) == (True, reason)
+    assert len(traj.times) == rows and traj.times[-1] == t_final
+    assert np.all(np.isfinite(traj.states))
 
 
 @pytest.mark.parametrize("method", ["rk4", "rk45"])

@@ -1,6 +1,8 @@
 """The in-package RK45 integrator and null space against the scipy functions
-they replace.  Where scipy's terminal events end a run on the root of a sign
-change, a stop test on the same sign change ends ours on the state before.
+they replace.  rk45.accepted yields scipy's accepted states after the start;
+where scipy's terminal events end a run on the root of a sign change, a stop
+test on the same sign change, asked at each yielded state, ends on the
+state before.
 
 bench/expected.json was recorded with scipy 1.17.1 and numpy 2.4.6; with
 those versions the ports must agree bit for bit.  With any other scipy the
@@ -66,10 +68,28 @@ def _sign_change_stop(events, z0):
     return stop
 
 
+def _taken(fun, T, z0, max_step, stop=None):
+    """(t, y, end): the states rk45.accepted yields, as scipy's arrays of
+    shape (k,) and (n, k), up to the first where stop holds; end is "end"
+    at the horizon, "stop" there, or the type and text of the error."""
+    ts, ys, end = [], [], "end"
+    try:
+        for t, y in rk45.accepted(fun, T, z0, max_step):
+            if stop is not None and stop(y):
+                end = "stop"
+                break
+            ts.append(t)
+            ys.append(y)
+    except rk45.StepSizeError as exc:
+        end = type(exc), str(exc)
+    return np.array(ts), np.array(ys).reshape(len(ts), z0.size).T, end
+
+
 def _solve_both(fun, T, z0, dt, events):
-    """(t, y, status, message) or the exception, from scipy with a terminal
-    event for each of events(z) and from the port with their sign-change
-    stop test, for the autonomous fun(z)."""
+    """(t, y, end) from scipy with a terminal event for each of events(z),
+    and from the port with their sign-change stop test, for the autonomous
+    fun(z).  scipy's are its rows after the start, but the root row of an
+    event; its status 1 is "stop" and -1 the port's StepSizeError."""
     scipy_events = []
     for i in range(len(events(z0)) if events else 0):
         def ev(t, z, i=i):
@@ -77,36 +97,29 @@ def _solve_both(fun, T, z0, dt, events):
         ev.terminal = True
         ev.direction = 0
         scipy_events.append(ev)
+    sol = scipy_solve_ivp(lambda t, z: fun(z), (0.0, T), z0, method="RK45",
+                          rtol=rk45.RTOL, atol=rk45.ATOL, events=scipy_events,
+                          max_step=max(dt, T / 50.0))
+    t, y = sol.t[1:], sol.y[:, 1:]
+    if T == 0:
+        # scipy ends a run of horizon 0 on a second copy of its start
+        assert t.tolist() == [0.0] and sol.status == 0
+        t, y = t[:0], y[:, :0]
+    if sol.status == 1:
+        t, y = t[:-1], y[:, :-1]
+    end = {0: "end", 1: "stop"}.get(sol.status, (rk45.StepSizeError, sol.message))
     stop = _sign_change_stop(events, z0) if events else None
-    out = []
-    for solve in (
-            lambda: scipy_solve_ivp(lambda t, z: fun(z), (0.0, T), z0, method="RK45",
-                                    rtol=rk45.RTOL, atol=rk45.ATOL, events=scipy_events,
-                                    max_step=max(dt, T / 50.0)),
-            lambda: rk45.solve_ivp(fun, T, z0, max(dt, T / 50.0), stop)):
-        try:
-            sol = solve()
-            out.append((sol.t, sol.y, sol.status, sol.message))
-        except (ValueError, RuntimeError) as exc:
-            out.append((type(exc), str(exc)))
-    return out
+    return (t, y, end), _taken(fun, T, z0, max(dt, T / 50.0), stop)
 
 
 def _assert_same_run(ours, theirs):
-    if len(theirs) == 2:
-        assert ours == theirs
-        return
-    t, y, status, message = ours
-    their_t, their_y = theirs[:2]
-    if theirs[2] == 1:
-        # scipy appends the event's root; the stop test keeps the states
-        # before the one that crossed
-        their_t, their_y = their_t[:-1], their_y[:, :-1]
-    assert (status, message) == theirs[2:]
+    t, y, end = ours
+    their_t, their_y, their_end = theirs
+    assert end == their_end
     if RECORDED:
         assert t.tobytes() == their_t.tobytes()
         assert y.shape == their_y.shape and y.tobytes() == their_y.tobytes()
-    else:
+    elif len(their_t):
         assert t[-1] == pytest.approx(their_t[-1], rel=1e-6, abs=1e-9)
         np.testing.assert_allclose(y[:, -1], their_y[:, -1], rtol=1e-5, atol=1e-8)
 
@@ -129,13 +142,15 @@ def test_rk45_port_runs_as_solve_ivp(system):
 @pytest.mark.parametrize("z0", [0.5, 1.0, 2.0])
 def test_a_blow_up_fails_with_scipy_message(z0):
     # x'' = 3 x^2 blows up before t = 3: the step falls below the spacing of
-    # the floats near the pole, and both end with status -1
+    # the floats near the pole; scipy ends with status -1, and the port
+    # raises StepSizeError after the same accepted states
     def fun(z):
         return np.array([z[1], 3.0 * z[0] ** 2])
 
     with np.errstate(all="ignore"):
         theirs, ours = _solve_both(fun, 3.0, np.array([z0, 0.0]), 0.06, None)
-    assert ours[2] == -1
+    assert ours[2] == (rk45.StepSizeError, rk45.TOO_SMALL_STEP)
+    assert len(ours[0]) > 10
     _assert_same_run(ours, theirs)
 
 
@@ -143,8 +158,8 @@ def test_a_run_past_max_steps_raises_validation_error():
     # an oscillator with max_step 0.05: the steps it takes, accepted and
     # rejected, are the calls of the step function
     def run():
-        return rk45.solve_ivp(lambda z: np.array([z[1], -z[0]]), 4.0,
-                              np.array([1.0, 0.0]), 0.05, None)
+        return list(rk45.accepted(lambda z: np.array([z[1], -z[0]]), 4.0,
+                                  np.array([1.0, 0.0]), 0.05))
 
     calls = []
     step = rk45._rk_step
@@ -152,11 +167,11 @@ def test_a_run_past_max_steps_raises_validation_error():
         whole = run()
     # some are rejected, so a count of the accepted ones alone stays under
     # the lowered bound below
-    assert len(calls) - 1 > len(whole.t) - 1 > 50
+    assert len(calls) - 1 > len(whole) > 50
     with mock.patch.object(rk45, "MAX_STEPS", len(calls)):
         at_bound = run()
-    assert at_bound.t.tobytes() == whole.t.tobytes()
-    assert at_bound.y.tobytes() == whole.y.tobytes()
+    assert [t for t, _ in at_bound] == [t for t, _ in whole]
+    assert all(a.tobytes() == b.tobytes() for (_, a), (_, b) in zip(at_bound, whole))
     with mock.patch.object(rk45, "MAX_STEPS", len(calls) - 1):
         with pytest.raises(ValidationError, match=f"MAX_STEPS = {len(calls) - 1} steps$"):
             run()
@@ -171,10 +186,9 @@ def test_a_terminal_event_ends_on_the_root_of_its_sign_change():
         return (z[0] - 0.4999, z[0] - 0.5, z[1] + 2.0)
 
     theirs, ours = _solve_both(fun, 5.0, np.array([1.0, 0.0]), 0.01, events)
-    assert ours[2:] == (1, "A termination event occurred.")
-    # x = cos t crosses 1/2 at t = pi/3: scipy ends on that root, the port
-    # on the last state before it
-    assert theirs[0][-1] == pytest.approx(math.pi / 3, rel=1e-9)
+    assert ours[2] == "stop"
+    # x = cos t crosses 1/2 at t = pi/3: scipy ends on that root, the stop
+    # test on the last state before it
     assert ours[0][-1] < math.pi / 3
     _assert_same_run(ours, theirs)
 
