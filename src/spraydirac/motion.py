@@ -139,9 +139,10 @@ def integrate_sode(S: SemiSpray, p0: Point, dt: float, steps: int,
     The fixed-step method is the classic fourth-order scheme (_rk4_march);
     the adaptive one is the Dormand-Prince 5(4) pair of rk45.accepted, a
     bit-for-bit port of scipy's solve_ivp(method="RK45") (_rk45_march).
-    Each march yields its accepted states in order, and one loop keeps them
-    until the march ends: at the horizon, or early, with the abort flag set
-    and one of these reasons, every state accepted before the end kept:
+    Each march yields its accepted states in order and gives the times of
+    the rows kept; one loop keeps the states until the march ends: at the
+    horizon, or early, with the abort flag set and one of these reasons,
+    every state accepted before the end kept:
     - "state entered a singular locus": the locus rule, _entered, refuses
       the next state (a locus value within LOCUS_GUARD of zero, or of
       another sign than at the start);
@@ -179,17 +180,17 @@ def integrate_sode(S: SemiSpray, p0: Point, dt: float, steps: int,
         raise SingularLocusError("initial state lies on or near a singular locus")
     below = tuple(v < 0 for v in vals)
 
-    times, flat, reason = [0.0], z0.tolist(), None
+    states, times_of = march(z0, params, below, steps)
+    flat, reason = z0.tolist(), None
     # numpy warns where rk45's field overflows; the abort reason says it.
     # The block holds the loop, not a march: one held open across a yield
     # would leak into the caller.
     with np.errstate(all="ignore"):
         try:
-            for t, z in march(z0, params, below, steps):
+            for z in states:
                 if not z:
                     reason = "state entered a singular locus"
                     break
-                times.append(t)
                 flat += z
         except _NonFinite:
             reason = "state became non-finite"
@@ -197,41 +198,53 @@ def integrate_sode(S: SemiSpray, p0: Point, dt: float, steps: int,
             reason = f"evaluation failed: {exc}"
         except rk45.StepSizeError as exc:
             reason = f"integrator failure: {exc}"
-    states = np.array(flat).reshape(len(times), -1)
-    return Trajectory(S.n, times, states, method, dt, params, reason is not None, reason)
+    # a start of dimension 0 has one empty row
+    rows = np.array(flat).reshape(-1, z0.size) if z0.size else np.empty((1, 0))
+    return Trajectory(S.n, times_of(len(rows)), rows, method, dt, params,
+                      reason is not None, reason)
 
 
 def _rk4_march(S: SemiSpray, dt: float, ctx: Context) -> Callable:
-    """march(z0, params, below, steps), yielding (k*dt, z_k) for k = 1 to
-    steps with z_k a tuple of floats, or () where z_k entered a locus:
-    compile_rk4_step's step, or _exact_step where floats cannot finish."""
+    """march(z0, params, below, steps) -> (states, times_of): states yields
+    z_k for k = 1 to steps, a tuple of floats, or () where z_k entered a
+    locus (compile_rk4_step's step, or _exact_step where floats cannot
+    finish); times_of(k) is the times of the first k rows, k*dt."""
     step = compile_rk4_step(S.G, S.singular_loci, ctx, dt)
 
     def march(z0: np.ndarray, params: dict, below: tuple, steps: int):
-        z = tuple(z0.tolist())
-        for k in range(1, steps + 1):
-            z_next = step(z, params, below)
-            if z_next is None:
-                z_next = _exact_step(S, z, params, dt, ctx, below)
+        def states(z: tuple):
+            for _ in range(steps):
+                z_next = step(z, params, below)
                 if z_next is None:
-                    raise _NonFinite
-            z = z_next
-            yield k * dt, z
+                    z_next = _exact_step(S, z, params, dt, ctx, below)
+                    if z_next is None:
+                        raise _NonFinite
+                z = z_next
+                yield z
+
+        return states(tuple(z0.tolist())), lambda k: np.arange(k) * dt
 
     return march
 
 
 def _rk45_march(S: SemiSpray, dt: float, ctx: Context) -> Callable:
-    """march(z0, params, below, steps), yielding rk45.accepted's (t, z) up
-    to the horizon dt*steps with z a list of floats, or () where z entered
-    a locus: the field _rk45_field and the locus values on compile_exprs."""
+    """march(z0, params, below, steps) -> (states, times_of): states yields
+    each state rk45.accepted accepts up to the horizon dt*steps, a list of
+    floats, or () where it entered a locus (the field _rk45_field and the
+    locus values on compile_exprs); times_of(k) is the times of the first k
+    rows, the start's 0.0 and those accepted."""
     g, loci = compile_exprs(S.G, ctx), compile_exprs(S.singular_loci, ctx)
 
     def march(z0: np.ndarray, params: dict, below: tuple, steps: int):
-        T = dt * steps
-        for t, z in rk45.accepted(_rk45_field(g, S.n, params), T, z0, max(dt, T / 50.0)):
-            zl = z.tolist()
-            yield t, (() if S.singular_loci and _entered(loci(zl, params), below) else zl)
+        T, times = dt * steps, [0.0]
+
+        def states():
+            for t, z in rk45.accepted(_rk45_field(g, S.n, params), T, z0, max(dt, T / 50.0)):
+                times.append(t)
+                zl = z.tolist()
+                yield () if S.singular_loci and _entered(loci(zl, params), below) else zl
+
+        return states(), lambda k: times[:k]
 
     return march
 

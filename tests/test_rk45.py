@@ -86,10 +86,11 @@ def _taken(fun, T, z0, max_step, stop=None):
 
 
 def _solve_both(fun, T, z0, dt, events):
-    """(t, y, end) from scipy with a terminal event for each of events(z),
-    and from the port with their sign-change stop test, for the autonomous
-    fun(z).  scipy's are its rows after the start, but the root row of an
-    event; its status 1 is "stop" and -1 the port's StepSizeError."""
+    """(t, y, end, t_last) from scipy with a terminal event for each of
+    events(z), and (t, y, end) from the port with their sign-change stop
+    test, for the autonomous fun(z).  scipy's are its rows after the start,
+    but the root row of an event, and the last time of its untrimmed run;
+    its status 1 is "stop" and -1 the port's StepSizeError."""
     scipy_events = []
     for i in range(len(events(z0)) if events else 0):
         def ev(t, z, i=i):
@@ -109,12 +110,12 @@ def _solve_both(fun, T, z0, dt, events):
         t, y = t[:-1], y[:, :-1]
     end = {0: "end", 1: "stop"}.get(sol.status, (rk45.StepSizeError, sol.message))
     stop = _sign_change_stop(events, z0) if events else None
-    return (t, y, end), _taken(fun, T, z0, max(dt, T / 50.0), stop)
+    return (t, y, end, sol.t[-1]), _taken(fun, T, z0, max(dt, T / 50.0), stop)
 
 
 def _assert_same_run(ours, theirs):
     t, y, end = ours
-    their_t, their_y, their_end = theirs
+    their_t, their_y, their_end = theirs[:3]
     assert end == their_end
     if RECORDED:
         assert t.tobytes() == their_t.tobytes()
@@ -189,6 +190,7 @@ def test_a_terminal_event_ends_on_the_root_of_its_sign_change():
     assert ours[2] == "stop"
     # x = cos t crosses 1/2 at t = pi/3: scipy ends on that root, the stop
     # test on the last state before it
+    assert theirs[3] == pytest.approx(math.pi / 3, rel=1e-9)
     assert ours[0][-1] < math.pi / 3
     _assert_same_run(ours, theirs)
 
