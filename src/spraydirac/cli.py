@@ -40,11 +40,9 @@ from .problemfile import ProblemFile, load_problem_file
 MAX_TOTAL_STEPS = 1_000_000
 
 
-def _verdict_seed(seed_arg: int | None) -> int:
-    return seed_arg if seed_arg is not None else DEFAULT_SEED
-
-
-def _batch_seed(seed_arg: int | None, section_seed: int | None) -> int:
+def _seed(seed_arg: int | None, section_seed: int | None) -> int:
+    """The --seed flag, else the file section's seed (None for a verdict
+    seed), else DEFAULT_SEED."""
     if seed_arg is not None:
         return seed_arg
     if section_seed is not None:
@@ -106,7 +104,7 @@ def _base_report(command: str, path: str, pf: ProblemFile, seed: int) -> dict:
 def cmd_analyze(path: str, pf: ProblemFile, seed_arg: int | None) -> dict:
     S = pf.semispray()
     ctx = pf.context
-    seed = _verdict_seed(seed_arg)
+    seed = _seed(seed_arg, None)
     cfg = SampleConfig(seed=seed)
     rep = _base_report("analyze", path, pf, seed)
     rep["semispray"] = is_semispray(S.vector_field(), ctx, cfg, S.singular_loci).value
@@ -181,7 +179,7 @@ def _drift_batch(pf: ProblemFile, S, ctx, seed_arg: int | None) -> dict:
     dt = st.dt if st else 1e-3
     method = st.method if st else "rk4"
     samples = st.samples if st else 10
-    batch_seed = _batch_seed(seed_arg, st.seed if st else None)
+    batch_seed = _seed(seed_arg, st.seed if st else None)
     runs, worst = _sampled_runs(pf, S, ctx, T, dt, method, samples, batch_seed)
     return {
         "method": method, "t": T, "dt": dt, "samples": samples,
@@ -194,7 +192,7 @@ def cmd_verify(path: str, pf: ProblemFile, seed_arg: int | None) -> dict:
         raise ValidationError("verify needs an 'H = <expr>' line")
     S = pf.semispray()
     ctx = pf.context
-    seed = _verdict_seed(seed_arg)
+    seed = _seed(seed_arg, None)
     cfg = SampleConfig(seed=seed)
     omega = _prepared_omega(pf, S)
     rep = _base_report("verify", path, pf, seed)
@@ -215,8 +213,7 @@ def cmd_verify(path: str, pf: ProblemFile, seed_arg: int | None) -> dict:
     }
     rep["s_of_h"] = cert.s_of_h.value
     rep["certificate"] = {
-        "residual_zero": all(v.value == "proven_zero"
-                             for v in cert.residual_verdicts),
+        "residual_zero": cert.residual_all_zero,
         "d_integrable": cert.d_integrable.value,
         "omega_closed": cert.omega_closed.value,
         "overall": cert.overall,
@@ -237,14 +234,14 @@ def cmd_search(path: str, pf: ProblemFile, seed_arg: int | None) -> dict:
     S = pf.semispray()
     ctx = pf.context
     st = pf.ansatz
-    a_seed = _batch_seed(seed_arg, st.seed if st else None)
+    a_seed = _seed(seed_arg, st.seed if st else None)
     a = Ansatz(n=pf.n,
                degree=st.degree if st else 2,
                points=st.points if st else 0,
                box=st.box if st else 2.0,
                seed=a_seed)
     res = search(S, pf.dist, a, ctx)
-    rep = _base_report("search", path, pf, _verdict_seed(seed_arg))
+    rep = _base_report("search", path, pf, _seed(seed_arg, None))
     rep["ansatz"] = {
         "degree": a.degree, "unknowns": a.unknowns,
         "collocation_points": a.points, "box": a.box, "seed": a_seed,
@@ -272,8 +269,8 @@ def cmd_integrate(path: str, pf: ProblemFile, seed_arg: int | None) -> dict:
     S = pf.semispray()
     ctx = pf.context
     st = pf.integrate
-    batch_seed = _batch_seed(seed_arg, st.seed)
-    rep = _base_report("integrate", path, pf, _verdict_seed(seed_arg))
+    batch_seed = _seed(seed_arg, st.seed)
+    rep = _base_report("integrate", path, pf, _seed(seed_arg, None))
     if pf.H is not None:
         rep["H"] = format_expr(simplify(pf.H))
     dumps, worst = _sampled_runs(pf, S, ctx, st.t, st.dt, st.method,
@@ -291,7 +288,7 @@ def cmd_dirac_check(path: str, pf: ProblemFile, seed_arg: int | None) -> dict:
         raise ValidationError("dirac-check needs 'dist X<j> = ...' lines")
     S = pf.semispray()
     ctx = pf.context
-    seed = _verdict_seed(seed_arg)
+    seed = _seed(seed_arg, None)
     cfg = SampleConfig(seed=seed)
     L = from_distribution(pf.dist, pf.ann, ctx, cfg, pf.singular_loci)
     if pf.omega is not None:

@@ -45,7 +45,13 @@ __all__ = [
     "evaluate_points_with_magnitude", "formal_value", "opaque_assignments",
 ]
 
-BUILTIN_FUNCTIONS = ("sin", "cos", "exp", "ln", "sqrt")
+# The one table of the builtin functions, by name.  evaluate, the constant
+# folder, the generated code and the columnar pass all call these; evaluate
+# alone adds guards and messages (ln at or below 0, sqrt below 0, a finite
+# exp).  Where math raises instead (ValueError, OverflowError), the fast
+# paths leave the value to evaluate.
+_MATH = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "ln": math.log, "sqrt": math.sqrt}
+BUILTIN_FUNCTIONS = tuple(_MATH)
 
 # Most bits in the numerator or denominator of an exact constant: below the
 # 4300 decimal digits past which Python refuses to print an int.
@@ -901,9 +907,8 @@ def _fold_call(fname: str, arg: Expr) -> Expr | None:
         }
         return table.get((fname, v))
     try:
-        fn = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "ln": math.log}[fname]
-        return Const(fn(float(v)))
-    except (ValueError, OverflowError, KeyError):
+        return Const(_MATH[fname](float(v)))
+    except (ValueError, OverflowError):
         return None
 
 
@@ -1196,26 +1201,20 @@ def evaluate(e: Expr, p: Point, ctx: Context | None = None) -> float:
             raise EvalDomainError("domain error in power") from exc
     if isinstance(e, Call):
         a = evaluate(e.arg, p, ctx)
+        fn = _MATH.get(e.fname)
+        if fn is None:
+            raise ValidationError(f"cannot evaluate {e.fname!r}")
+        if e.fname == "ln" and a <= 0.0:
+            raise EvalDomainError("ln of a nonpositive value")
+        if e.fname == "sqrt" and a < 0.0:
+            raise EvalDomainError("sqrt of a negative value")
         try:
-            if e.fname == "sin":
-                return math.sin(a)
-            if e.fname == "cos":
-                return math.cos(a)
-            if e.fname == "exp":
-                return _check_finite(math.exp(a), "exp")
-            if e.fname == "ln":
-                if a <= 0.0:
-                    raise EvalDomainError("ln of a nonpositive value")
-                return math.log(a)
-            if e.fname == "sqrt":
-                if a < 0.0:
-                    raise EvalDomainError("sqrt of a negative value")
-                return math.sqrt(a)
+            v = fn(a)
         except OverflowError as exc:
             raise EvalDomainError(f"overflow in {e.fname}") from exc
         except ValueError as exc:   # sin or cos of an infinity
             raise EvalDomainError(f"domain error in {e.fname}") from exc
-        raise ValidationError(f"cannot evaluate {e.fname!r}")
+        return _check_finite(v, "exp") if e.fname == "exp" else v
     if isinstance(e, FuncApp):
         a = evaluate(e.arg, p, ctx)
         body = ctx.func_derivative(e.fname, e.order) if ctx is not None else None
@@ -1593,10 +1592,8 @@ def _py_src(e: Expr, ctx: Context, depth: int) -> str:
         if r.denominator == 1:
             return f"({_py_src(e.base, ctx, depth)}**({int(r)}))"
         return f"_fpow({_py_src(e.base, ctx, depth)}, {float(r)!r})"
-    if isinstance(e, Call):
-        fn = {"sin": "_sin", "cos": "_cos", "exp": "math.exp",
-              "ln": "_ln", "sqrt": "_sqrt"}[e.fname]
-        return f"{fn}({_py_src(e.arg, ctx, depth)})"
+    if isinstance(e, Call):   # _MATH's function, bound under its name
+        return f"{e.fname}({_py_src(e.arg, ctx, depth)})"
     if isinstance(e, FuncApp):
         body = ctx.func_derivative(e.fname, e.order)
         if body is None:
@@ -1611,33 +1608,11 @@ def _py_src(e: Expr, ctx: Context, depth: int) -> str:
 
 
 def _fpow(b: float, r: float) -> float:
+    # the one guard math lacks: math.pow(-inf, -0.5) is 0.0, where evaluate
+    # refuses a negative base
     if b < 0.0:
         raise EvalDomainError("fractional power of a negative base")
     return math.pow(b, r)
-
-
-def _sin(v: float) -> float:
-    if math.isinf(v):
-        raise EvalDomainError("domain error in sin")
-    return math.sin(v)
-
-
-def _cos(v: float) -> float:
-    if math.isinf(v):
-        raise EvalDomainError("domain error in cos")
-    return math.cos(v)
-
-
-def _ln(v: float) -> float:
-    if v <= 0.0:
-        raise EvalDomainError("ln of a nonpositive value")
-    return math.log(v)
-
-
-def _sqrt(v: float) -> float:
-    if v < 0.0:
-        raise EvalDomainError("sqrt of a negative value")
-    return math.sqrt(v)
 
 
 def _nonfinite():
@@ -1652,8 +1627,7 @@ def _fin(v: float) -> float:
 
 def _exec_def(lines: list[str], **names) -> dict:
     """The namespace of the generated definitions, once run."""
-    ns = {"math": math, "_fpow": _fpow, "_sin": _sin, "_cos": _cos, "_ln": _ln,
-          "_sqrt": _sqrt, "_isfinite": math.isfinite, "_nonfinite": _nonfinite,
+    ns = {**_MATH, "_fpow": _fpow, "_isfinite": math.isfinite, "_nonfinite": _nonfinite,
           "_reduce": functools.reduce, "_add": operator.add, **names}
     exec("\n".join(lines), ns)
     return ns
@@ -1676,8 +1650,10 @@ def _rows_lines(srcs: Sequence[str], n: int) -> list[str]:
 
 
 # What a plain-float run raises where evaluate decides the outcome instead:
-# a division by zero, an overflow, a math domain error, a missing or
-# unset parameter, or one of the guards of the generated code.
+# a division by zero, an overflow, a math domain error (a builtin of _MATH
+# out of its domain), a missing or unset parameter, _fpow's guard, or
+# _nonfinite().  Both fast paths, the generated code and the columnar pass,
+# say "floats cannot finish" with these alone.
 FLOAT_FALLBACK_ERRORS = (ArithmeticError, ValueError, LookupError, TypeError, EvalDomainError)
 
 
@@ -1807,29 +1783,11 @@ def _rk4_module(G: tuple, loci: tuple, ctx: Context, dt: float) -> Callable:
 # every failure
 
 
-class _Fallback(Exception):
-    """The columnar pass cannot finish: evaluate decides at every point."""
-
-
-def _double(v) -> float:
-    # evaluate refuses a constant out of double range or non-finite at every point
-    try:
-        v = float(v)
-    except OverflowError:
-        raise _Fallback from None
-    if not math.isfinite(v):
-        raise _Fallback
-    return v
-
-
 def _finite(col: list) -> list:
     # a non-finite value makes the sum non-finite
     if not math.isfinite(sum(col)):
-        raise _Fallback
+        _nonfinite()
     return col
-
-
-_MATH = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "ln": math.log, "sqrt": math.sqrt}
 
 
 class _Columns:
@@ -1840,9 +1798,10 @@ class _Columns:
     Each node is computed once, over every point, with evaluate's own float
     operation, which raises one of FLOAT_FALLBACK_ERRORS where evaluate's
     guards raise; every value evaluate checks finite is tested once per
-    column, and a node evaluate refuses at every point raises _Fallback.  A
-    bound function body is computed in a frame where x1 is the argument's
-    column and y1 is 0.0; a frame is the key of its argument's column.
+    column, and a node evaluate refuses at every point raises through
+    _nonfinite(), as the generated code does.  A bound function body is
+    computed in a frame where x1 is the argument's column and y1 is 0.0; a
+    frame is the key of its argument's column.
     """
 
     def __init__(self, points: Sequence[Point], ctx: Context | None):
@@ -1863,12 +1822,14 @@ class _Columns:
     def _node(self, e: Expr, frame: tuple | None) -> list:
         n = len(self.points)
         if isinstance(e, Const):
-            return [_double(e.value)] * n
+            # evaluate refuses a constant out of double range (float raises
+            # OverflowError) or non-finite at every point
+            return [_fin(float(e.value))] * n
         if isinstance(e, Var):
             if frame is None:   # an IndexError past a point's dimension
                 return [(p.x if e.axis == "x" else p.y)[e.index - 1] for p in self.points]
             if e.index != 1:    # out of range for the body's point
-                raise _Fallback
+                _nonfinite()
             return self.seen[frame] if e.axis == "x" else [0.0] * n
         if isinstance(e, Param):
             return [_resolve_param(e.name, p, self.ctx) for p in self.points]
@@ -1890,8 +1851,7 @@ class _Columns:
             if r.denominator == 1:
                 k = int(r)
                 return _finite([v ** k for v in b])
-            # math.pow(-inf, -0.5) is 0.0, where evaluate raises
-            rf = _double(r)
+            rf = float(r)
             return _finite([_fpow(v, rf) for v in b])
         if isinstance(e, Call):   # a KeyError for a name that is no builtin
             col = list(map(_MATH[e.fname], self.column(e.arg, frame)))
@@ -1901,11 +1861,11 @@ class _Columns:
             try:
                 body = self.ctx and self.ctx.func_derivative(e.fname, e.order)
             except Exception:  # noqa: BLE001 -- evaluate raises it again
-                raise _Fallback from None
+                _nonfinite()
             if body is not None:
                 return self.column(body, a)
             return [formal_value(e.fname, e.order, v) for v in self.seen[a]]
-        raise _Fallback
+        _nonfinite()
 
     def rows(self, exprs: tuple, magnitude: bool) -> list[tuple]:
         """One tuple per point: evaluate's value of each e, or
@@ -1930,7 +1890,7 @@ def _evaluations(exprs: Sequence[Expr], points: Sequence[Point], ctx: Context | 
     exprs, points = tuple(exprs), list(points)
     try:
         rows = _Columns(points, ctx).rows(exprs, magnitude)
-    except (_Fallback, *FLOAT_FALLBACK_ERRORS):
+    except FLOAT_FALLBACK_ERRORS:
         one = evaluate_with_magnitude if magnitude else evaluate
         rows = (tuple(one(e, p, ctx) for e in exprs) for p in points)
     yield from rows

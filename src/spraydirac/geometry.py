@@ -137,6 +137,8 @@ class SemiSpray:
     singular_loci: tuple[Expr, ...] = ()
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ValidationError(f"dimension must be positive, got {self.n}")
         object.__setattr__(self, "G", _as_tuple(self.G, self.n, "spray coefficients"))
         object.__setattr__(self, "singular_loci", tuple(self.singular_loci))
 

@@ -151,9 +151,9 @@ def integrate_sode(S: SemiSpray, p0: Point, dt: float, steps: int,
       (say, a division by zero);
     - "integrator failure: <scipy's message>": rk45's step size fell below
       the spacing of the doubles.
-    A non-finite start, a step size that is not positive and finite or a
-    negative step count is a ValidationError, and a start on or near a
-    locus a SingularLocusError.
+    A non-finite start, a start or a context whose dimension is not S.n,
+    a step size that is not positive and finite or a negative step count is
+    a ValidationError, and a start on or near a locus a SingularLocusError.
 
     The start is tested against the loci with evaluate's values.  rk4 runs
     compile_rk4_step's step and locus test on plain floats, one generated
@@ -169,6 +169,10 @@ def integrate_sode(S: SemiSpray, p0: Point, dt: float, steps: int,
     if method not in ("rk4", "rk45"):
         raise ValidationError(f"unknown integration method {method!r}")
     ctx = ctx or Context(dim=S.n)
+    for what, dim in (("start", p0.n), ("context", ctx.dim)):
+        if dim != S.n:
+            raise ValidationError(
+                f"{what} of dimension {dim} does not match the spray's dimension {S.n}")
     march = (_rk45_march if method == "rk45" else _rk4_march)(S, dt, ctx)
     params = dict(ctx.params)
     params.update(p0.params)
@@ -198,8 +202,7 @@ def integrate_sode(S: SemiSpray, p0: Point, dt: float, steps: int,
             reason = f"evaluation failed: {exc}"
         except rk45.StepSizeError as exc:
             reason = f"integrator failure: {exc}"
-    # a start of dimension 0 has one empty row
-    rows = np.array(flat).reshape(-1, z0.size) if z0.size else np.empty((1, 0))
+    rows = np.array(flat).reshape(-1, z0.size)
     return Trajectory(S.n, times_of(len(rows)), rows, method, dt, params,
                       reason is not None, reason)
 
@@ -403,13 +406,10 @@ def _certifier(S: SemiSpray, D_gens: Sequence[VectorField] | None,
         report.omega_closed = tri_all(
             is_zero(c, ctx, cfg, S.singular_loci) for c in closed_comps)
 
-        all_green = (report.residual_all_zero
-                     and report.d_integrable is Tri.PROVEN_ZERO
-                     and report.omega_closed is Tri.PROVEN_ZERO)
-        any_red = (any(v is Tri.PROVEN_NONZERO for v in report.residual_verdicts)
-                   or report.d_integrable is Tri.PROVEN_NONZERO
-                   or report.omega_closed is Tri.PROVEN_NONZERO)
-        report.overall = "yes" if all_green else ("no" if any_red else "unknown")
+        overall = tri_all((*report.residual_verdicts, report.d_integrable,
+                           report.omega_closed))
+        report.overall = {Tri.PROVEN_ZERO: "yes", Tri.PROVEN_NONZERO: "no",
+                          Tri.UNKNOWN: "unknown"}[overall]
         return report
 
     return certify

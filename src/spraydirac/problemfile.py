@@ -245,22 +245,15 @@ def parse_problem_file(text: str) -> ProblemFile:
             G[a] = _expr(rhs, ctx, ln, parsed)
         elif head == "exclude":
             loci.append(_expr(body, ctx, ln, parsed))
-        elif head == "dist":
-            label, rhs = _split_eq(body, ln, "dist")
-            j = _indexed(label, "X", ln)
-            if j != len(dist) + 1:
-                raise ParseError(f"distribution generators must be X1, X2, ...; "
-                                 f"got X{j} in position {len(dist) + 1}", line=ln)
-            base, fiber = _component_lists(rhs, ctx, n, ln, parsed)
-            dist.append(VectorField(n, tuple(base), tuple(fiber)))
-        elif head == "ann":
-            label, rhs = _split_eq(body, ln, "ann")
-            j = _indexed(label, "A", ln)
-            if j != len(ann) + 1:
-                raise ParseError(f"annihilator generators must be A1, A2, ...; "
-                                 f"got A{j} in position {len(ann) + 1}", line=ln)
-            dx, dy = _component_lists(rhs, ctx, n, ln, parsed)
-            ann.append(OneForm(n, tuple(dx), tuple(dy)))
+        elif head in ("dist", "ann"):
+            prefix, word, cls, gens = (("X", "distribution", VectorField, dist) if head == "dist"
+                                       else ("A", "annihilator", OneForm, ann))
+            label, rhs = _split_eq(body, ln, head)
+            j = _indexed(label, prefix, ln)
+            if j != len(gens) + 1:
+                raise ParseError(f"{word} generators must be {prefix}1, {prefix}2, ...; "
+                                 f"got {prefix}{j} in position {len(gens) + 1}", line=ln)
+            gens.append(cls(n, *map(tuple, _component_lists(rhs, ctx, n, ln, parsed))))
         elif head == "omega":
             label, rhs = _split_eq(body, ln, "omega")
             m = _PAIR_RE.match(label)

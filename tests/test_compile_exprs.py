@@ -16,7 +16,7 @@ from spraydirac import expr  # noqa: E402
 from spraydirac.errors import EvalDomainError, UnboundParameterError  # noqa: E402
 from spraydirac.expr import (  # noqa: E402
     Add, Call, Const, Context, Div, FuncApp, Mul, Neg, Param, Point, Pow, Var,
-    _fpow, _ln, _sqrt, clear_caches, compile_exprs, compile_rk4_step,
+    _fpow, clear_caches, compile_exprs, compile_rk4_step,
     evaluate, parse, simplify,
 )
 
@@ -24,6 +24,18 @@ from evaluate_ref import evaluated, floats_then_evaluate  # noqa: E402
 
 
 # -- the body-table compile: every body compiled on its own ------------------
+
+def _ln(v):
+    if v <= 0.0:
+        raise EvalDomainError("ln of a nonpositive value")
+    return math.log(v)
+
+
+def _sqrt(v):
+    if v < 0.0:
+        raise EvalDomainError("sqrt of a negative value")
+    return math.sqrt(v)
+
 
 def _table_src(e, ctx):
     if isinstance(e, Const):
@@ -169,6 +181,11 @@ def _outcome(fn, *args):
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(BODIES, BODIES, EXPRS, STATES, st.booleans())
+# bodies at the builtins' edges: ln at 0.0, sqrt at -0.0 and below 0
+@example(Call("ln", X1), Call("sqrt", X1), [FuncApp("f", 0, X2), FuncApp("g", 0, Y1)],
+         (0.5, 0.0, -0.0, 1.0), True)
+@example(Call("ln", X1), Call("sqrt", X1), [FuncApp("f", 0, X1), FuncApp("g", 0, Y2)],
+         (-0.0, 1.0, 1.0, -1.0), True)
 def test_inlined_bodies_match_the_body_table(f_body, g_body, trees, z, with_b):
     ctx = Context(dim=2, params={"A": Fraction(3, 7), "B": None, "C": None})
     ctx.declare_function("f", f_body)
@@ -202,6 +219,16 @@ EDGE_COORDS = st.one_of(st.floats(-3.0, 3.0, allow_nan=False),
 # numpy scalars gave y1^2/(2 + inf) = 0.0 here, where evaluate refuses 0^-1
 @example(X1, X1, [Div(Pow(Y1, Fraction(2)), Add((Const(2), Pow(X1, Fraction(-1)))))],
          (0.0, 1.0, 1.0, 1.0), True, True)
+# the builtins' edges: ln at 0.0, -0.0 and a subnormal, sqrt at -0.0 and
+# below 0, exp on either side of its overflow, sin of a product that
+# overflows to inf, ln of an exact parameter and cos of a huge constant
+@example(X1, X1, [Call("ln", X1), Call("ln", Y1)], (0.0, 1.0, -0.0, 1.0), True, True)
+@example(X1, X1, [Call("ln", X1)], (5e-324, 1.0, 1.0, 1.0), True, True)
+@example(X1, X1, [Call("sqrt", X1), Call("sqrt", Y1)], (-0.0, 1.0, -1.0, 1.0), True, True)
+@example(X1, X1, [Call("exp", X1), Call("exp", Y1)], (709.78, 1.0, 710.0, 1.0), True, True)
+@example(X1, X1, [Call("sin", Mul((Const(1e300), X1)))], (1e10, 1.0, 1.0, 1.0), True, True)
+@example(X1, X1, [Call("ln", PARAMS[0]), Call("cos", Const(Fraction(10 ** 400, 3)))],
+         (0.5, 1.0, 1.0, 1.0), True, True)
 def test_floats_first_give_the_ndarray_outcome(f_body, g_body, trees, z, exact_a, with_b):
     # an ndarray state runs on plain floats, and where they cannot finish
     # evaluate decides, as for a tuple

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from spraydirac import expr  # noqa: E402
 from spraydirac.errors import EvalDomainError  # noqa: E402
@@ -103,6 +103,15 @@ def _check(exprs, points):
 
 @PROPERTY
 @given(st.lists(TREES, min_size=1, max_size=3), st.lists(POINTS, max_size=6))
+# the builtins' edges: ln at 0.0, -0.0 and a subnormal, sqrt at -0.0 and
+# below 0, exp on either side of its overflow, sin of a product that
+# overflows to inf, and ln of an exact and of a huge parameter
+@example([Call("ln", X1), Call("sqrt", X2), Call("exp", Var("y", 1))],
+         [Point((0.0, -0.0), (709.78, 0.0)), Point((-0.0, -1.0), (710.0, 0.0)),
+          Point((5e-324, -5e-324), (-746.0, 0.0))])
+@example([Call("sin", Mul((X1, Const(1e300)))), Call("ln", Param("B"))],
+         [Point((1.0, 0.0), (0.0, 0.0), {"B": Fraction(3, 7)}),
+          Point((1e10, 0.0), (0.0, 0.0), {"B": Fraction(10 ** 400)})])
 def test_point_lists_match_evaluate_point_by_point(trees, points):
     # coordinates of 0.0 divide by zero and leave domains at some points,
     # B is bound at some points only, and x2 is out of range at a point of

@@ -221,6 +221,17 @@ def test_the_rk4_cases_abort():
 @example(Pow(X1, Fraction(400)), 0.5, 1.0, 0.5, 6)
 # -2.0*G overflows at the start: no infinite stage state reaches evaluate
 @example(Add((X1, Y1)), 0.0, 1e308, 0.01, 1)
+# the builtins' edges: ln at 0.0, -0.0 and a subnormal, sqrt at -0.0, exp on
+# either side of its overflow, sin of a product that overflows to inf, and
+# ln of an exact parameter
+@example(Call("ln", X1), 0.0, 1.0, 0.01, 2)
+@example(Call("ln", X1), -0.0, 1.0, 0.01, 2)
+@example(Call("ln", X1), 5e-324, 1.0, 0.01, 1)
+@example(Call("sqrt", X1), -0.0, -1.0, 0.01, 2)
+@example(Call("exp", X1), 709.78, 1.0, 0.01, 3)
+@example(Call("exp", X1), 710.0, 1.0, 0.01, 1)
+@example(Call("sin", Mul((Const(1e300), X1))), 1e200, 1.0, 0.01, 1)
+@example(Call("ln", Param("A")), 0.5, 1.0, 0.01, 2)
 def test_rk4_on_random_coefficients_equals_the_list_of_tuples(G, x, y, dt, steps):
     ctx = _ctx()
     S = SemiSpray(1, (G,))
@@ -323,6 +334,10 @@ OFFSET_SUMS = [X1, X1, Div(Const(1), Add((Mul((X1, Y1)), Const(1))))]
 @example([Param("C")], [[0.5, 1.0]])
 @example([Param("D")], [[0.5, 1.0, 2.0]])
 @example([F_OF_X1], [[0.5, 1.0], [1e200, 1.0]])
+# the builtins' edges, as for rk4 above
+@example([Call("ln", X1), Call("sqrt", Y1)], [[0.0, -0.0], [-0.0, -1.0], [5e-324, 1.0]])
+@example([Call("exp", X1)], [[709.78, 1.0], [710.0, 1.0]])
+@example([Call("cos", Mul((Const(1e300), X1)))], [[1.0, 1.0], [1e200, 1.0]])
 def test_checked_rows_equal_the_call_on_each_row(exprs, states):
     ctx = _ctx()
     states = np.array(states, dtype=float)

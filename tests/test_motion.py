@@ -217,6 +217,27 @@ def test_a_step_size_not_positive_and_finite_is_refused(method, dt):
         integrate_sode(_spray2(), Point((0.0, 0.0), (1.0, 1.0)), dt, 10, method, CTX2)
 
 
+def test_a_spray_of_dimension_zero_is_refused():
+    # its empty state read as the locus marker (), so rk4 ended at once in a
+    # locus, and rk45 divided by zero in its first norm
+    with pytest.raises(ValidationError, match="^dimension must be positive, got 0$"):
+        SemiSpray(0, ())
+
+
+@pytest.mark.parametrize("method", ["rk4", "rk45"])
+@pytest.mark.parametrize("p0, ctx, what, dim", [
+    # a start of dimension 3 integrated silently, reading the wrong slots
+    (Point((0.5, 0.5, 0.5), (1.0, 1.0, 1.0)), None, "start", 3),
+    (Point((0.5,), (1.0,)), None, "start", 1),
+    (Point((0.5, 0.5), (1.0, 1.0)), Context(dim=3), "context", 3),
+], ids=["start-3", "start-1", "context-3"])
+def test_a_start_or_context_of_another_dimension_is_refused(method, p0, ctx, what, dim):
+    S = SemiSpray(2, (parse("y1^2", CTX2), parse("x1", CTX2)))
+    message = f"^{what} of dimension {dim} does not match the spray's dimension 2$"
+    with pytest.raises(ValidationError, match=message):
+        integrate_sode(S, p0, 0.01, 5, method, ctx)
+
+
 @pytest.mark.filterwarnings("ignore:overflow")
 def test_blowup_aborts_before_nonfinite_states():
     S = _spray2()
@@ -486,6 +507,7 @@ def test_an_infinity_that_floats_would_mask_aborts_the_run(method):
     p0 = Point((0.0,), (1.0,))
     with pytest.raises(EvalDomainError) as exc:
         evaluate(simplify(G), p0, ctx)
+    assert str(exc.value) == "zero raised to a negative power"
     traj = integrate_sode(SemiSpray(1, (G,)), p0, 0.01, 20, method, ctx)
     assert traj.aborted
     assert traj.abort_reason == f"evaluation failed: {exc.value}"
