@@ -33,11 +33,14 @@ from .geometry import (
 )
 from .motion import conservation_drift, hamiltonian_certificate, integrate_sode
 from .ansatz import Ansatz, search
-from .problemfile import ProblemFile, load_problem_file
+from .problemfile import IntegrateSettings, ProblemFile, load_problem_file
 
 
 # integrator steps per command (steps x samples), far above any real problem
 MAX_TOTAL_STEPS = 1_000_000
+# what verify's drift integrates where the file has no integrate line
+_DRIFT_DEFAULTS = IntegrateSettings(t=10.0, dt=1e-3, method="rk4", seed=DEFAULT_SEED,
+                                   samples=10)
 
 
 def _seed(seed_arg: int | None, section_seed: int | None) -> int:
@@ -142,23 +145,23 @@ def _trajectory_rows(traj) -> list:
         return np.where(np.isinf(M * 1e12) & np.isfinite(M), M, np.round(M, 12)).tolist()
 
 
-def _sampled_runs(pf: ProblemFile, S, ctx, T: float, dt: float, method: str,
-                  samples: int, batch_seed: int, dump: bool = False):
-    """Integrate from seeded starting points and measure the drift of H.
+def _sampled_runs(pf: ProblemFile, S, ctx, st: IntegrateSettings, batch_seed: int,
+                  dump: bool = False):
+    """Integrate from seeded starting points as st sets out; measure H's drift.
 
     Returns one report entry per start and the largest drift (0.0 without
     H).  `dump` adds the accepted step count and the strided trajectory.
     """
-    steps = int(round(T / dt))
-    if max(steps, 1) * samples > MAX_TOTAL_STEPS:
-        raise ValidationError(f"{steps} steps x {samples} samples exceeds the bound "
+    steps = int(round(st.t / st.dt))
+    if max(steps, 1) * st.samples > MAX_TOTAL_STEPS:
+        raise ValidationError(f"{steps} steps x {st.samples} samples exceeds the bound "
                               f"MAX_TOTAL_STEPS = {MAX_TOTAL_STEPS}")
     cfg = SampleConfig(box=(-2.0, 2.0), seed=batch_seed)
-    pts = sample_points(ctx, cfg, S.singular_loci, count=samples)
+    pts = sample_points(ctx, cfg, S.singular_loci, count=st.samples)
     runs = []
     worst = 0.0
     for p in pts:
-        traj = integrate_sode(S, p, dt, steps, method=method, ctx=ctx)
+        traj = integrate_sode(S, p, st.dt, steps, method=st.method, ctx=ctx)
         drift = conservation_drift(traj, pf.H, ctx) if pf.H is not None else None
         if drift is not None:
             worst = max(worst, drift)
@@ -174,15 +177,11 @@ def _sampled_runs(pf: ProblemFile, S, ctx, T: float, dt: float, method: str,
 
 
 def _drift_batch(pf: ProblemFile, S, ctx, seed_arg: int | None) -> dict:
-    st = pf.integrate
-    T = st.t if st else 10.0
-    dt = st.dt if st else 1e-3
-    method = st.method if st else "rk4"
-    samples = st.samples if st else 10
-    batch_seed = _seed(seed_arg, st.seed if st else None)
-    runs, worst = _sampled_runs(pf, S, ctx, T, dt, method, samples, batch_seed)
+    st = pf.integrate or _DRIFT_DEFAULTS
+    batch_seed = _seed(seed_arg, st.seed)
+    runs, worst = _sampled_runs(pf, S, ctx, st, batch_seed)
     return {
-        "method": method, "t": T, "dt": dt, "samples": samples,
+        "method": st.method, "t": st.t, "dt": st.dt, "samples": st.samples,
         "batch_seed": batch_seed, "runs": runs, "max_drift": worst,
     }
 
@@ -235,11 +234,8 @@ def cmd_search(path: str, pf: ProblemFile, seed_arg: int | None) -> dict:
     ctx = pf.context
     st = pf.ansatz
     a_seed = _seed(seed_arg, st.seed if st else None)
-    a = Ansatz(n=pf.n,
-               degree=st.degree if st else 2,
-               points=st.points if st else 0,
-               box=st.box if st else 2.0,
-               seed=a_seed)
+    a = (Ansatz(pf.n, degree=st.degree, points=st.points, box=st.box, seed=a_seed)
+         if st else Ansatz(pf.n, seed=a_seed))
     res = search(S, pf.dist, a, ctx)
     rep = _base_report("search", path, pf, _seed(seed_arg, None))
     rep["ansatz"] = {
@@ -273,8 +269,7 @@ def cmd_integrate(path: str, pf: ProblemFile, seed_arg: int | None) -> dict:
     rep = _base_report("integrate", path, pf, _seed(seed_arg, None))
     if pf.H is not None:
         rep["H"] = format_expr(simplify(pf.H))
-    dumps, worst = _sampled_runs(pf, S, ctx, st.t, st.dt, st.method,
-                                 st.samples, batch_seed, dump=True)
+    dumps, worst = _sampled_runs(pf, S, ctx, st, batch_seed, dump=True)
     rep["integration"] = {"method": st.method, "t": st.t, "dt": st.dt,
                           "samples": st.samples, "batch_seed": batch_seed}
     rep["trajectories"] = dumps

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
@@ -142,7 +142,6 @@ class AlmostDirac:
     dist_rank: int | None = None
     gauge_of: "AlmostDirac | None" = None
     gauge_form: TwoForm | None = None
-    _memo: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         self.generators = tuple(g.simplified() for g in self.generators)
@@ -151,11 +150,7 @@ class AlmostDirac:
                 raise ValidationError("generator dimension mismatch")
 
     def bracket(self, i: int, j: int) -> Section:
-        key = ("bracket", i, j)
-        if key not in self._memo:
-            self._memo[key] = courant_bracket(
-                self.generators[i], self.generators[j]).simplified()
-        return self._memo[key]
+        return courant_bracket(self.generators[i], self.generators[j]).simplified()
 
     def all_exprs(self) -> list[Expr]:
         return [c for g in self.generators for c in g.components()]
@@ -166,11 +161,8 @@ class AlmostDirac:
     def bracket_exprs(self) -> list[Expr]:
         """The components of the generator brackets that are not
         structurally zero (a zero bracket lies in every span)."""
-        if "brackets" not in self._memo:
-            self._memo["brackets"] = [
-                c for b in itertools.starmap(self.bracket, self._pairs())
+        return [c for b in itertools.starmap(self.bracket, self._pairs())
                 if not b.is_structurally_zero() for c in b.components()]
-        return self._memo["brackets"]
 
     def generator_matrices(self, points: Sequence[Point], ctx: Context) -> Iterator[np.ndarray]:
         """The structure evaluated at each point in turn, one row per

@@ -1554,10 +1554,32 @@ def _plus(terms: Sequence[str]) -> str:
     return "(" + "+".join(terms) + ")"
 
 
+# What a plain-float run raises where evaluate decides the outcome instead:
+# a division by zero, an overflow, a math domain error (a builtin of _MATH
+# out of its domain), a missing or unset parameter, _fpow's guard, or
+# _nonfinite().  Both fast paths, the generated code and the columnar pass,
+# say "floats cannot finish" with these alone.
+FLOAT_FALLBACK_ERRORS = (ArithmeticError, ValueError, LookupError, TypeError, EvalDomainError)
+
+# The finiteness rule of both fast paths.  Where evaluate refuses a value, a
+# float run raises or carries an inf or a nan up (0*inf is nan; fsum, **,
+# math.pow and exp raise OverflowError on finite operands; sin and cos raise
+# on an inf, ln and sqrt pass one on), except at four operands that can turn
+# one finite: a power's base where its exponent is <= 0 (inf**0 is 1.0), a
+# denominator, exp's argument and a function's argument (a formal value is
+# finite, a body may drop x1).  So a fast path tests each constant, output and
+# such operand that is _computed: not a coordinate, parameter or constant.
+def _computed(e: Expr) -> bool:
+    return not isinstance(e, (Const, Var, Param))
+
+
 def _py_src(e: Expr, ctx: Context, depth: int) -> str:
-    """Source of e on plain floats, parameters as given.  A bound
-    function body is inlined as evaluate applies it, at depth + 1: its x1 is
-    the argument's value, computed once into _a{depth + 1}, and its y1 is 0.0."""
+    """Source of e on plain floats, parameters as given, the rule's operands
+    through _fin.  A bound function body is inlined as evaluate applies it, at
+    depth + 1: its x1 is the argument's value, computed once into _a{depth + 1},
+    and its y1 is 0.0."""
+    def operand(c: Expr) -> str:
+        return f"_fin({_py_src(c, ctx, depth)})" if _computed(c) else _py_src(c, ctx, depth)
     if isinstance(e, Const):
         v = e.value
         # evaluate refuses a constant that is non-finite or out of double range
@@ -1586,24 +1608,23 @@ def _py_src(e: Expr, ctx: Context, depth: int) -> str:
     if isinstance(e, Mul):
         return "(" + "*".join(_py_src(c, ctx, depth) for c in e.children) + ")"
     if isinstance(e, Div):
-        return f"({_py_src(e.num, ctx, depth)}/{_py_src(e.den, ctx, depth)})"
+        return f"({_py_src(e.num, ctx, depth)}/{operand(e.den)})"
     if isinstance(e, Pow):
         r = e.exponent
+        base = operand(e.base) if r <= 0 else _py_src(e.base, ctx, depth)
         if r.denominator == 1:
-            return f"({_py_src(e.base, ctx, depth)}**({int(r)}))"
-        return f"_fpow({_py_src(e.base, ctx, depth)}, {float(r)!r})"
+            return f"({base}**({int(r)}))"
+        return f"_fpow({base}, {float(r)!r})"
     if isinstance(e, Call):   # _MATH's function, bound under its name
-        return f"{e.fname}({_py_src(e.arg, ctx, depth)})"
+        arg = operand(e.arg) if e.fname == "exp" else _py_src(e.arg, ctx, depth)
+        return f"{e.fname}({arg})"
     if isinstance(e, FuncApp):
         body = ctx.func_derivative(e.fname, e.order)
         if body is None:
             raise UnboundParameterError(
                 f"opaque function {e.fname!r} needs a bound body to compile")
-        # the body's value must be finite, as evaluate's is
         inner = _py_src(simplify(body), ctx, depth + 1)
-        f, a = f"_f{depth + 1}", f"_a{depth + 1}"
-        return (f"({f} if _isfinite({f} := ({a} := {_py_src(e.arg, ctx, depth)}, {inner})[1])"
-                " else _nonfinite())")
+        return f"(_a{depth + 1} := {operand(e.arg)}, {inner})[1]"
     raise TypeError(f"cannot compile {e!r}")
 
 
@@ -1619,6 +1640,10 @@ def _nonfinite():
     raise EvalDomainError("non-finite value in compiled evaluation")
 
 
+class _NonFinite(EvalDomainError):
+    """_evaluated's refusal of a state that is not finite."""
+
+
 def _fin(v: float) -> float:
     if not math.isfinite(v):
         _nonfinite()
@@ -1627,8 +1652,8 @@ def _fin(v: float) -> float:
 
 def _exec_def(lines: list[str], **names) -> dict:
     """The namespace of the generated definitions, once run."""
-    ns = {**_MATH, "_fpow": _fpow, "_isfinite": math.isfinite, "_nonfinite": _nonfinite,
-          "_reduce": functools.reduce, "_add": operator.add, **names}
+    ns = {**_MATH, "_fpow": _fpow, "_fin": _fin, "_isfinite": math.isfinite,
+          "_nonfinite": _nonfinite, "_reduce": functools.reduce, "_add": operator.add, **names}
     exec("\n".join(lines), ns)
     return ns
 
@@ -1649,20 +1674,12 @@ def _rows_lines(srcs: Sequence[str], n: int) -> list[str]:
             f"    return [{values} for {state}in zip({', '.join(['_it'] * 2 * n)})]"]
 
 
-# What a plain-float run raises where evaluate decides the outcome instead:
-# a division by zero, an overflow, a math domain error (a builtin of _MATH
-# out of its domain), a missing or unset parameter, _fpow's guard, or
-# _nonfinite().  Both fast paths, the generated code and the columnar pass,
-# say "floats cannot finish" with these alone.
-FLOAT_FALLBACK_ERRORS = (ArithmeticError, ValueError, LookupError, TypeError, EvalDomainError)
-
-
 def _evaluated(exprs: Sequence[Expr], zl: Sequence, params: Mapping, ctx: Context) -> tuple:
     """evaluate's value of each of exprs, simplified as the generated code
     is, at the flat state zl (its first 2 * ctx.dim entries); both checked finite."""
     n = ctx.dim
     if not all(map(math.isfinite, zl[:2 * n])):
-        _nonfinite()
+        raise _NonFinite("non-finite value in compiled evaluation")
     p = Point(zl[:n], zl[n:2 * n], params)
     return tuple(_fin(evaluate(simplify(e), p, ctx)) for e in exprs)
 
@@ -1680,7 +1697,9 @@ def compile_exprs(exprs: Sequence[Expr], ctx: Context) -> Callable[[np.ndarray, 
     exprs = tuple(exprs)
 
     def build():
-        srcs = [_py_src(simplify(e), ctx, 0) for e in exprs]
+        # a bare parameter or constant output is a float, as evaluate gives it
+        srcs = [f"float({_py_src(t, ctx, 0)})" if isinstance(t, (Param, Const))
+                else _py_src(t, ctx, 0) for t in map(simplify, exprs)]
         ns = _exec_def(_rows_lines(srcs, ctx.dim))
         raw, raw_rows = ns["_compiled"], ns["_rows"]
         # each row's sum, which call tests (a row of one value is its sum)
@@ -1797,11 +1816,11 @@ class _Columns:
 
     Each node is computed once, over every point, with evaluate's own float
     operation, which raises one of FLOAT_FALLBACK_ERRORS where evaluate's
-    guards raise; every value evaluate checks finite is tested once per
-    column, and a node evaluate refuses at every point raises through
-    _nonfinite(), as the generated code does.  A bound function body is
-    computed in a frame where x1 is the argument's column and y1 is 0.0; a
-    frame is the key of its argument's column.
+    guards raise; the finiteness rule's values are tested once per column,
+    and a node evaluate refuses at every point raises through _nonfinite(),
+    as the generated code does.  A bound function body is computed in a
+    frame where x1 is the argument's column and y1 is 0.0; a frame is the
+    key of its argument's column.
     """
 
     def __init__(self, points: Sequence[Point], ctx: Context | None):
@@ -1818,6 +1837,9 @@ class _Columns:
 
     def column(self, e: Expr, frame: tuple | None = None) -> list:
         return self.seen[self.key(e, frame)]
+
+    def operand(self, e: Expr, frame: tuple | None) -> list:   # tested where _computed
+        return _finite(self.column(e, frame)) if _computed(e) else self.column(e, frame)
 
     def _node(self, e: Expr, frame: tuple | None) -> list:
         n = len(self.points)
@@ -1836,35 +1858,35 @@ class _Columns:
         if isinstance(e, Neg):
             return list(map(operator.neg, self.column(e.child, frame)))
         if isinstance(e, Add):
-            terms = zip(*[self.column(c, frame) for c in e.children])
-            return _finite(list(map(math.fsum, terms)))
+            return list(map(math.fsum, zip(*[self.column(c, frame) for c in e.children])))
         if isinstance(e, Mul):
             out, *rest = [self.column(c, frame) for c in e.children]
             for col in rest:    # left to right, as evaluate multiplies
                 out = list(map(operator.mul, out, col))
-            return _finite(out)
+            return out
         if isinstance(e, Div):
-            return _finite(list(map(operator.truediv, self.column(e.num, frame),
-                                    self.column(e.den, frame))))
-        if isinstance(e, Pow):
-            b, r = self.column(e.base, frame), e.exponent
+            return list(map(operator.truediv, self.column(e.num, frame),
+                            self.operand(e.den, frame)))
+        if isinstance(e, Pow):   # raw trees reach this pass, and inf**0 is 1.0
+            r = e.exponent
+            b = (self.operand if r <= 0 else self.column)(e.base, frame)
             if r.denominator == 1:
                 k = int(r)
-                return _finite([v ** k for v in b])
+                return [v ** k for v in b]
             rf = float(r)
-            return _finite([_fpow(v, rf) for v in b])
+            return [_fpow(v, rf) for v in b]
         if isinstance(e, Call):   # a KeyError for a name that is no builtin
-            col = list(map(_MATH[e.fname], self.column(e.arg, frame)))
-            return _finite(col) if e.fname == "exp" else col
+            arg = (self.operand if e.fname == "exp" else self.column)(e.arg, frame)
+            return list(map(_MATH[e.fname], arg))
         if isinstance(e, FuncApp):
-            a = self.key(e.arg, frame)
+            arg = self.operand(e.arg, frame)
             try:
                 body = self.ctx and self.ctx.func_derivative(e.fname, e.order)
             except Exception:  # noqa: BLE001 -- evaluate raises it again
                 _nonfinite()
             if body is not None:
-                return self.column(body, a)
-            return [formal_value(e.fname, e.order, v) for v in self.seen[a]]
+                return self.column(body, self.key(e.arg, frame))
+            return [formal_value(e.fname, e.order, v) for v in arg]
         _nonfinite()
 
     def rows(self, exprs: tuple, magnitude: bool) -> list[tuple]:
@@ -1873,15 +1895,13 @@ class _Columns:
         outs = []
         for e in exprs:
             if magnitude and isinstance(e, Add):
-                # as evaluate_with_magnitude: no finiteness check on this sum
-                terms = list(zip(*(self.column(c) for c in e.children)))
+                # evaluate_with_magnitude checks each term, not their sum
+                terms = list(zip(*(_finite(self.column(c)) for c in e.children)))
                 outs.append(list(zip(map(math.fsum, terms),
                                      [math.fsum(map(abs, t)) for t in terms])))
-            elif magnitude:
-                col = self.column(e)
-                outs.append(list(zip(col, map(abs, col))))
             else:
-                outs.append(self.column(e))
+                col = _finite(self.column(e))
+                outs.append(list(zip(col, map(abs, col))) if magnitude else col)
         return list(zip(*outs)) if outs else [()] * len(self.points)
 
 

@@ -25,7 +25,7 @@ from .errors import (
 )
 from .expr import (
     LOCUS_GUARD, Context, Expr, Point, SampleConfig, Tri, ZERO,
-    _evaluated, compile_exprs, compile_rk4_step, evaluate_points,
+    _NonFinite, _evaluated, compile_exprs, compile_rk4_step, evaluate_points,
     evaluate_points_with_magnitude, is_zero, sample_points, simplify, tri_all,
 )
 from .forms import TwoForm, d_scalar, exterior_derivative_2, interior_product
@@ -102,11 +102,11 @@ def _entered(vals, below: tuple) -> bool:
 
 
 def _exact_step(S: SemiSpray, z: tuple, params: dict, dt: float, ctx: Context,
-                below: tuple) -> tuple | None:
+                below: tuple) -> tuple:
     """compile_rk4_step's step redone on a tuple of floats in the same float
     operations, with the field (y, -2.0*G) and the locus values taken from
-    evaluate: z_next, () where it entered a singular locus, or None where a
-    stage state or z_next is not finite.  evaluate's errors propagate."""
+    evaluate: z_next, or () where it entered a singular locus.  evaluate's
+    errors propagate, and _evaluated's _NonFinite where a state is not finite."""
     n = S.n
 
     def field(s: tuple) -> tuple:
@@ -114,22 +114,13 @@ def _exact_step(S: SemiSpray, z: tuple, params: dict, dt: float, ctx: Context,
 
     ks = [field(z)]
     for h in (0.5 * dt, 0.5 * dt, dt):
-        s = tuple(b + h * k for b, k in zip(z, ks[-1]))
-        if not all(map(math.isfinite, s)):
-            return None   # evaluate is not asked at it
-        ks.append(field(s))
+        ks.append(field(tuple(b + h * k for b, k in zip(z, ks[-1]))))
     d6 = dt / 6.0
     z_next = tuple(b + d6 * (((k1 + 2.0 * k2) + 2.0 * k3) + k4)
                    for b, k1, k2, k3, k4 in zip(z, *ks))
-    if not all(map(math.isfinite, z_next)):
-        return None
     if _entered(_evaluated(S.singular_loci, z_next, params, ctx), below):
         return ()
     return z_next
-
-
-class _NonFinite(Exception):
-    """A march reached a state that is not finite."""
 
 
 def integrate_sode(S: SemiSpray, p0: Point, dt: float, steps: int,
@@ -146,7 +137,7 @@ def integrate_sode(S: SemiSpray, p0: Point, dt: float, steps: int,
     - "state entered a singular locus": the locus rule, _entered, refuses
       the next state (a locus value within LOCUS_GUARD of zero, or of
       another sign than at the start);
-    - "state became non-finite": a state is not finite;
+    - "state became non-finite": a state is not finite (expr._NonFinite);
     - "evaluation failed: <evaluate's message>": evaluate refuses a value
       (say, a division by zero);
     - "integrator failure: <scipy's message>": rk45's step size fell below
@@ -218,11 +209,7 @@ def _rk4_march(S: SemiSpray, dt: float, ctx: Context) -> Callable:
         def states(z: tuple):
             for _ in range(steps):
                 z_next = step(z, params, below)
-                if z_next is None:
-                    z_next = _exact_step(S, z, params, dt, ctx, below)
-                    if z_next is None:
-                        raise _NonFinite
-                z = z_next
+                z = _exact_step(S, z, params, dt, ctx, below) if z_next is None else z_next
                 yield z
 
         return states(tuple(z0.tolist())), lambda k: np.arange(k) * dt
@@ -254,17 +241,12 @@ def _rk45_march(S: SemiSpray, dt: float, ctx: Context) -> Callable:
 
 def _rk45_field(g: Callable, n: int, params: dict) -> Callable[[np.ndarray], np.ndarray]:
     """rk45's field z' = (y, -2.0*G(z)) on an array state: y copied as it is,
-    then -2.0 times each of g(z, params), compile_exprs's checked G.  Where
-    the state is not finite and g refuses it, it raises _NonFinite."""
+    then -2.0 times each of g(z, params), compile_exprs's checked G (which
+    raises _NonFinite at a state that is not finite where floats fail)."""
 
     def field(z: np.ndarray) -> np.ndarray:
         zl = z.tolist()
-        try:
-            return np.array(zl[n:] + [-2.0 * v for v in g(zl, params)])
-        except EvalDomainError:
-            if all(map(math.isfinite, zl)):
-                raise
-            raise _NonFinite from None
+        return np.array(zl[n:] + [-2.0 * v for v in g(zl, params)])
 
     return field
 

@@ -176,6 +176,18 @@ def test_sampled_evaluations_generate_no_code(capsys, monkeypatch, argv):
     assert execs == []
 
 
+def test_search_builds_its_ansatz_from_the_file_or_the_ansatz_defaults(capsys, monkeypatch):
+    from spraydirac.ansatz import Ansatz
+    seen = []
+    search = cli.search
+    monkeypatch.setattr(cli, "search", lambda S, dist, a, ctx: seen.append(a) or search(
+        S, dist, a, ctx))
+    # free.sdp has no ansatz line; ex4.sdp has "ansatz degree=2 points=80 box=2 seed=9"
+    assert _run(capsys, ["search", FREE, "--seed", "5"])[0] == 0
+    assert _run(capsys, ["search", EX4])[0] == 0
+    assert seen == [Ansatz(1, seed=5), Ansatz(2, degree=2, points=80, box=2.0, seed=9)]
+
+
 def test_search_finds_quadratic_invariants(capsys):
     rc, out, _ = _run(capsys, ["search", EX4])
     assert rc == 0

@@ -106,18 +106,24 @@ def _body_table(exprs, ctx):
         if body is None:
             raise UnboundParameterError(
                 f"opaque function {app.fname!r} needs a bound body to compile")
-        inner = _table_compile([simplify(body)], Context(1, params=dict(ctx.params)))
+        inner = _table_compile([simplify(body)], Context(1, params=dict(ctx.params)), top=False)
         fn_table[key] = (lambda f: (lambda t, p: f((t, 0.0), p)[0]))(inner)
     return fn_table
 
 
-def _table_compile(exprs, ctx):
+def _table_compile(exprs, ctx, top=True):
     n = ctx.dim
     fn_table = _body_table(exprs, ctx)
     lines = ["def _compiled(_z, _p, _fn):"]
     lines += [f"    _v_x{i} = _z[{i - 1}]" for i in range(1, n + 1)]
     lines += [f"    _v_y{a} = _z[{n + a - 1}]" for a in range(1, n + 1)]
-    lines.append(f"    return ({', '.join(_table_src(simplify(e), ctx) for e in exprs)},)")
+    srcs = []
+    for e in map(simplify, exprs):
+        # an output that is a bare parameter or constant is a float, as
+        # evaluate gives it; a body's value is as it is
+        bare = top and isinstance(e, (Param, Const))
+        srcs.append(f"float({_table_src(e, ctx)})" if bare else _table_src(e, ctx))
+    lines.append(f"    return ({', '.join(srcs)},)")
     ns = {"math": math, "_fpow": _fpow, "_ln": _ln, "_sqrt": _sqrt,
           "_refuse": lambda: 1 / 0}
     exec("\n".join(lines), ns)
@@ -300,8 +306,9 @@ def test_chained_bodies_compile_as_evaluate_applies_them():
 
 
 def test_a_body_value_is_tested_finite_in_the_generated_code(monkeypatch):
-    # no call to _fin per body value: the generated code tests the value
-    # with math.isfinite, and a value that the quotient masks still fails
+    # the body's value is not tested on its own: it reaches the power's
+    # base, one of the finiteness rule's operands, which is read through
+    # _fin, and a value that the power masks still fails
     sources = []
     exec_def = expr._exec_def
     monkeypatch.setattr(expr, "_exec_def", lambda lines, **names:
@@ -314,13 +321,28 @@ def test_a_body_value_is_tested_finite_in_the_generated_code(monkeypatch):
     step = compile_rk4_step((e,), (), ctx, 0.01)
     clear_caches()
     assert len(sources) == 2
-    assert all("_isfinite(" in src and "_fin(" not in src for src in sources)
+    # the base is tested, and the argument, a coordinate, is not
+    assert all("_fin(((1)+(_a1 := _v_x1, " in src for src in sources)
+    assert "_isfinite(" not in sources[0]
     assert fn((0.5, 2.0)) == (evaluate(e, Point((0.5,), (2.0,)), ctx),)
     # f(1e5) is inf on floats, and y1^2/(1 + inf) is 0.0; evaluate refuses
     # the product 10^300*x1^2
     with pytest.raises(EvalDomainError, match="^product produced a non-finite value$"):
         fn((1e5, 1.0))
     assert step((1e5, 1.0), {}, ()) is None
+
+
+def test_a_bare_exact_parameter_or_constant_output_is_a_float():
+    # evaluate gives a float; the Fraction or int the generated code read
+    # the output as made each consumer's sum and -2.0*v run on Fractions,
+    # whose reflected operators compute float(a) op float(b): no bit moves
+    A = Fraction(1, 3)
+    ctx = Context(dim=1, params={"A": A})
+    fn = compile_exprs((Param("A"), Const(Fraction(2)), Var("x", 1)), ctx)
+    for out in (fn((0.5, 1.0), {"A": A}), *fn.rows(np.array([[0.5, 1.0]]), {"A": A})):
+        assert [type(v) for v in out] == [float, float, float]
+        assert _bits(out) == _bits((float(A), 2.0, 0.5))
+        assert _bits(tuple(-2.0 * v for v in out[:2])) == _bits((-2.0 * A, -2.0 * 2))
 
 
 def test_an_application_without_a_body_is_refused_when_compiling():

@@ -18,11 +18,11 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from spraydirac.errors import EvalDomainError  # noqa: E402
 from spraydirac.expr import (  # noqa: E402
     FLOAT_FALLBACK_ERRORS, Add, Call, Const, Context, Div, Mul, Neg, Param, Point, Pow,
-    Var, compile_exprs, compile_rk4_step, parse,
+    Var, _NonFinite, compile_exprs, compile_rk4_step, parse,
 )
 from spraydirac.geometry import SemiSpray  # noqa: E402
 from spraydirac.motion import (  # noqa: E402
-    Trajectory, _NonFinite, _near_locus, _rk45_field, conservation_drift, integrate_sode,
+    Trajectory, _near_locus, _rk45_field, conservation_drift, integrate_sode,
 )
 from spraydirac.problemfile import parse_problem_file  # noqa: E402
 
@@ -271,9 +271,9 @@ def test_the_generated_field_equals_the_checked_g_field(G, x, y):
         assert (type(exc), str(exc)) == want
         return
     # where the state is not finite and the checked G refuses it, the field
-    # raises the march's non-finite signal
+    # raises the non-finite state's signal, with evaluate's message
     if not np.isfinite(z).all() and want[0] is EvalDomainError:
-        want = _NonFinite, ""
+        want = _NonFinite, want[1]
     assert _outcome(lambda: _rk45_field(g, 1, dict(PARAMS))(z)) == want
 
 

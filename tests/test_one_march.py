@@ -15,12 +15,10 @@ from hypothesis import assume, example, given, settings, strategies as st  # noq
 from spraydirac import rk45  # noqa: E402
 from spraydirac.errors import EvalDomainError, SingularLocusError  # noqa: E402
 from spraydirac.expr import (  # noqa: E402
-    Context, Point, compile_exprs, compile_rk4_step, evaluate, parse,
+    Context, Point, _NonFinite, compile_exprs, compile_rk4_step, evaluate, parse,
 )
 from spraydirac.geometry import SemiSpray  # noqa: E402
-from spraydirac.motion import (  # noqa: E402
-    _NonFinite, _entered, _exact_step, _rk45_field, integrate_sode,
-)
+from spraydirac.motion import _entered, _exact_step, _rk45_field, integrate_sode  # noqa: E402
 
 LOCUS = "state entered a singular locus"
 NON_FINITE = "state became non-finite"
@@ -61,8 +59,6 @@ def _next_state(advance):
         return f"evaluation failed: {exc}"
     except rk45.StepSizeError as exc:
         return f"integrator failure: {exc}"
-    if z is None:
-        return NON_FINITE
     return LOCUS if z == () else tuple(z)
 
 
