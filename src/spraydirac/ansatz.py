@@ -6,8 +6,9 @@ condition (dH - i_S omega)(e_j) = 0 is linear in those coefficients, so
 collocating it at sampled points builds a matrix whose nullspace holds
 every candidate pair expressible in the dictionaries.  Candidates are then
 re-verified at fresh points: kept when the residual is proven zero
-symbolically, or else when its largest sampled value there is 1e-9 or less,
-which is numeric evidence, not a proof.
+symbolically, or else, when no residual component is proven nonzero, when
+its largest sampled value there is 1e-9 or less, which is numeric evidence,
+not a proof.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .expr import (
-    DEFAULT_SEED, Const, Context, Expr, Mul, Point, SampleConfig, ZERO,
+    DEFAULT_SEED, Const, Context, Expr, Mul, Point, SampleConfig, Tri, ZERO,
     coordinates, evaluate_points, format_expr, sample_points, simplify, sum_exprs,
 )
 from .forms import TwoForm, d_scalar, format_two_form, interior_product
@@ -133,8 +134,10 @@ class CandidateSolution:
 
     @property
     def verified(self) -> bool:
-        return (self.certificate.residual_all_zero
-                or self.certificate.numeric_max_residual <= 1e-9)
+        c = self.certificate
+        if Tri.PROVEN_NONZERO in c.residual_verdicts:
+            return False
+        return c.residual_all_zero or c.numeric_max_residual <= 1e-9
 
     def describe(self) -> str:
         return "H = " + format_expr(self.H) + " ; omega = " + format_two_form(self.omega)
@@ -268,7 +271,8 @@ def search(S: SemiSpray, D_gens: Sequence[VectorField] | None, a: Ansatz,
 
     Trivial directions (numerically constant H) are counted and dropped;
     every other direction gets one certificate, and those whose residual
-    check (symbolic, or numeric to 1e-9) fails are counted as rejected.
+    check (symbolic, or numeric to 1e-9 where no component is proven
+    nonzero) fails are counted as rejected.
     Verification happens at fresh sample points, never the collocation ones.
     The certificate parts that do not depend on the candidate are built
     once per search.

@@ -156,7 +156,7 @@ def _sampled_runs(pf: ProblemFile, S, ctx, st: IntegrateSettings, batch_seed: in
     if max(steps, 1) * st.samples > MAX_TOTAL_STEPS:
         raise ValidationError(f"{steps} steps x {st.samples} samples exceeds the bound "
                               f"MAX_TOTAL_STEPS = {MAX_TOTAL_STEPS}")
-    cfg = SampleConfig(box=(-2.0, 2.0), seed=batch_seed)
+    cfg = SampleConfig(seed=batch_seed)
     pts = sample_points(ctx, cfg, S.singular_loci, count=st.samples)
     runs = []
     worst = 0.0
@@ -294,7 +294,7 @@ def cmd_dirac_check(path: str, pf: ProblemFile, seed_arg: int | None) -> dict:
         "ann_rank_deficit": L.ann_rank_deficit,
         "generators": [_fmt_section(s) for s in L.generators],
     }
-    pts = sample_points(ctx, SampleConfig(seed=seed), pf.singular_loci, count=20)
+    pts = sample_points(ctx, cfg, pf.singular_loci, count=20)
     Bs = list(L.generator_matrices(pts, ctx))
     iso = sum(stacked(is_isotropic_at, Bs))
     maxl = sum(stacked(is_maximal_at, Bs))

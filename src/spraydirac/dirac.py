@@ -28,8 +28,7 @@ from .errors import (
 )
 from .expr import (
     Add, Const, Context, Expr, Mul, Neg, Point, SampleConfig, Tri, ZERO,
-    evaluate, evaluate_points, evaluate_points_with_magnitude, is_zero, sample_points,
-    simplify, sum_exprs,
+    _zero_test, evaluate, evaluate_points, sample_points, simplify, sum_exprs,
 )
 from .forms import TwoForm, d_scalar, interior_product, lie_derivative
 from .geometry import OneForm, VectorField, lie_bracket
@@ -41,8 +40,7 @@ __all__ = [
 ]
 
 HALF = Const(Fraction(1, 2))
-# Relative tolerance of the pointwise rank, isotropy, membership and
-# annihilation tests.
+# Relative tolerance of the pointwise rank, isotropy and membership tests.
 POINTWISE_TOL = 1e-9
 
 
@@ -252,11 +250,11 @@ def from_distribution(D_gens: Sequence[VectorField],
                       loci: Sequence[Expr] = ()) -> AlmostDirac:
     """Build the structure spanned by (X_i, 0) and (0, eta_j).
 
-    Annihilation eta_j(X_i) = 0 is checked symbolically first, falling back
-    to sampled evaluation; a provable violation is reported with a witness
-    point.  Generator independence and annihilator rank are measured at
-    sampled points; a short annihilator family is recorded as a deficit, and
-    one whose rank exceeds the complement dimension 2n - k is rejected.
+    Annihilation eta_j(X_i) = 0 is is_zero's test; a pairing it proves
+    nonzero is reported with its witness point and the value there.
+    Generator independence and annihilator rank are measured at sampled
+    points; a short annihilator family is recorded as a deficit, and one
+    whose rank exceeds the complement dimension 2n - k is rejected.
     """
     if not D_gens:
         raise ValidationError("need at least one distribution generator")
@@ -274,20 +272,11 @@ def from_distribution(D_gens: Sequence[VectorField],
 
     for eta in etas:
         for X in D_gens:
-            resid = simplify(eta(X))
-            verdict = is_zero(resid, ctx, cfg, loci)
-            if verdict is Tri.PROVEN_ZERO:
-                continue
-            for p, ((val, mag),) in zip(pts, evaluate_points_with_magnitude((resid,), pts, ctx)):
-                if abs(val) > POINTWISE_TOL * max(1.0, mag):
-                    raise AnnihilatorMismatchError(
-                        "annihilator does not vanish on the distribution: "
-                        f"value {val:.3e} at a sampled point", witness=p)
+            verdict, witness, val = _zero_test(simplify(eta(X)), ctx, cfg, loci)
             if verdict is Tri.PROVEN_NONZERO:
-                # sampling disagreed with the symbolic verdict; be loud
                 raise AnnihilatorMismatchError(
-                    "annihilator pairing is provably nonzero but no witness "
-                    "point was found inside the sample box")
+                    "annihilator does not vanish on the distribution: "
+                    f"value {val:.3e} at a sampled point", witness=witness)
 
     k = len(D_gens)
     a_rows = evaluate_points([c for eta in etas for c in eta.comps], pts, ctx)

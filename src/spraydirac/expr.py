@@ -1406,12 +1406,16 @@ def is_zero(e: Expr, ctx: Context, cfg: SampleConfig | None = None,
     where |value| exceeds the tolerance relative to the term magnitude.
     Anything else stays unknown.
     """
+    return _zero_test(e, ctx, cfg or SampleConfig(), loci)[0]
+
+
+def _zero_test(e: Expr, ctx: Context, cfg: SampleConfig,
+               loci: Sequence[Expr]) -> tuple[Tri, Point | None, float | None]:
+    """is_zero's verdict, with the witness point and the value there of a
+    proven-nonzero one (None and None otherwise)."""
     nf = _nf(e)
-    if not nf:
-        return Tri.PROVEN_ZERO
-    if not _cleared_denominators(nf):
-        return Tri.PROVEN_ZERO
-    cfg = cfg or SampleConfig()
+    if not nf or not _cleared_denominators(nf):
+        return Tri.PROVEN_ZERO, None, None
     s = _emit(nf)
     draws = _clear_draws(ctx, cfg, loci, max(SAMPLE_MAX_TRIES, 4 * cfg.points), cfg.points)
     good = 0
@@ -1425,8 +1429,8 @@ def is_zero(e: Expr, ctx: Context, cfg: SampleConfig | None = None,
             continue
         good += 1
         if abs(v) > ZERO_TOL * max(1.0, mag):
-            return Tri.PROVEN_NONZERO
-    return Tri.UNKNOWN
+            return Tri.PROVEN_NONZERO, p, v
+    return Tri.UNKNOWN, None, None
 
 
 # ---------------------------------------------------------------------------
@@ -1569,15 +1573,17 @@ FLOAT_FALLBACK_ERRORS = (ArithmeticError, ValueError, LookupError, TypeError, Ev
 # denominator, exp's argument and a function's argument (a formal value is
 # finite, a body may drop x1).  So a fast path tests each constant, output and
 # such operand that is _computed: not a coordinate, parameter or constant.
+# The generated code reads canonical trees, which hold no Neg and no Div: it
+# meets a denominator only as the base of a power with a negative exponent.
 def _computed(e: Expr) -> bool:
     return not isinstance(e, (Const, Var, Param))
 
 
 def _py_src(e: Expr, ctx: Context, depth: int) -> str:
-    """Source of e on plain floats, parameters as given, the rule's operands
-    through _fin.  A bound function body is inlined as evaluate applies it, at
-    depth + 1: its x1 is the argument's value, computed once into _a{depth + 1},
-    and its y1 is 0.0."""
+    """Source of the canonical tree e on plain floats, parameters as given,
+    the rule's operands through _fin.  A bound function body is inlined as
+    evaluate applies it, at depth + 1: its x1 is the argument's value,
+    computed once into _a{depth + 1}, and its y1 is 0.0."""
     def operand(c: Expr) -> str:
         return f"_fin({_py_src(c, ctx, depth)})" if _computed(c) else _py_src(c, ctx, depth)
     if isinstance(e, Const):
@@ -1601,14 +1607,10 @@ def _py_src(e: Expr, ctx: Context, depth: int) -> str:
         return f"_a{depth}" if e.axis == "x" else "0.0"
     if isinstance(e, Param):
         return f"_p[{e.name!r}]"
-    if isinstance(e, Neg):
-        return f"(-{_py_src(e.child, ctx, depth)})"
     if isinstance(e, Add):
         return _plus([_py_src(c, ctx, depth) for c in e.children])
     if isinstance(e, Mul):
         return "(" + "*".join(_py_src(c, ctx, depth) for c in e.children) + ")"
-    if isinstance(e, Div):
-        return f"({_py_src(e.num, ctx, depth)}/{operand(e.den)})"
     if isinstance(e, Pow):
         r = e.exponent
         base = operand(e.base) if r <= 0 else _py_src(e.base, ctx, depth)
@@ -1623,9 +1625,16 @@ def _py_src(e: Expr, ctx: Context, depth: int) -> str:
         if body is None:
             raise UnboundParameterError(
                 f"opaque function {e.fname!r} needs a bound body to compile")
-        inner = _py_src(simplify(body), ctx, depth + 1)
+        inner = _float_src(simplify(body), ctx, depth + 1)
         return f"(_a{depth + 1} := {operand(e.arg)}, {inner})[1]"
     raise TypeError(f"cannot compile {e!r}")
+
+
+def _float_src(e: Expr, ctx: Context, depth: int) -> str:
+    """_py_src of a canonical tree; a bare parameter or constant is made a
+    float, as evaluate gives it."""
+    src = _py_src(e, ctx, depth)
+    return f"float({src})" if isinstance(e, (Param, Const)) else src
 
 
 def _fpow(b: float, r: float) -> float:
@@ -1697,9 +1706,7 @@ def compile_exprs(exprs: Sequence[Expr], ctx: Context) -> Callable[[np.ndarray, 
     exprs = tuple(exprs)
 
     def build():
-        # a bare parameter or constant output is a float, as evaluate gives it
-        srcs = [f"float({_py_src(t, ctx, 0)})" if isinstance(t, (Param, Const))
-                else _py_src(t, ctx, 0) for t in map(simplify, exprs)]
+        srcs = [_float_src(t, ctx, 0) for t in map(simplify, exprs)]
         ns = _exec_def(_rows_lines(srcs, ctx.dim))
         raw, raw_rows = ns["_compiled"], ns["_rows"]
         # each row's sum, which call tests (a row of one value is its sum)

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .errors import ParseError, ValidationError
 from .expr import ZERO, Context, Expr, parse
-from .forms import BERWALD, COORD, TwoForm
+from .forms import BERWALD, COORD, TwoForm, _accum
 from .geometry import OneForm, SemiSpray, VectorField
 
 __all__ = [
@@ -62,7 +62,6 @@ class ProblemFile:
     dist: list[VectorField] | None = None
     ann: list[OneForm] | None = None
     omega: TwoForm | None = None
-    omega_terms: tuple[tuple[str, Expr], ...] = ()
     H: Expr | None = None
     integrate: IntegrateSettings | None = None
     ansatz: AnsatzSettings | None = None
@@ -223,8 +222,7 @@ def parse_problem_file(text: str) -> ProblemFile:
     loci: list[Expr] = []
     dist: list[VectorField] = []
     ann: list[OneForm] = []
-    omega_terms: list[tuple[str, Expr]] = []
-    omega_slots: dict[tuple[int, int], Expr] = {}
+    omega_comps: dict[tuple[int, int], Expr] = {}
     seen_pairs: set[str] = set()
     basis_kind: str | None = None
     H: Expr | None = None
@@ -280,9 +278,7 @@ def parse_problem_file(text: str) -> ProblemFile:
             s2 = i2 - 1 if b2 == "dx" else n + i2 - 1
             if s1 == s2:
                 raise ParseError(f"degenerate pair {label}", line=ln)
-            coeff = _expr(rhs, ctx, ln, parsed)
-            omega_terms.append((label, coeff))
-            omega_slots[(s1, s2)] = coeff
+            _accum(omega_comps, (s1, s2), _expr(rhs, ctx, ln, parsed))
         elif head == "H":
             lhs, rhs = _split_eq(body, ln, "H")
             if lhs:
@@ -318,16 +314,13 @@ def parse_problem_file(text: str) -> ProblemFile:
             raise ParseError(f"unknown directive {head!r}", line=ln)
 
     G_full = tuple(G.get(a, ZERO) for a in range(1, n + 1))
-    omega = None
-    if omega_terms:
-        omega = TwoForm(n, {}, basis=basis_kind or COORD)
-        for (s1, s2), coeff in omega_slots.items():
-            omega = omega + TwoForm.single(n, s1, s2, coeff,
-                                           basis=basis_kind or COORD)
+    # an omega line gives a form even where its terms cancel: dirac-check
+    # gauges by it
+    omega = TwoForm(n, omega_comps, basis_kind or COORD) if seen_pairs else None
     return ProblemFile(
         n=n, context=ctx, G=G_full, singular_loci=tuple(loci),
         dist=dist or None, ann=ann or None,
-        omega=omega, omega_terms=tuple(omega_terms), H=H,
+        omega=omega, H=H,
         integrate=integrate, ansatz=ansatz, source=text)
 
 

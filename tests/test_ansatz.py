@@ -8,9 +8,10 @@ from spraydirac.ansatz import (
     monomial_dictionary, search,
 )
 from spraydirac.errors import ValidationError
-from spraydirac.expr import ZERO, Context, parse, simplify
+from spraydirac.expr import ZERO, Context, Tri, parse, simplify
 from spraydirac.forms import TwoForm, format_two_form
 from spraydirac.geometry import SemiSpray, VectorField
+from spraydirac.motion import MotionReport
 
 
 CTX2 = Context(dim=2)
@@ -192,3 +193,17 @@ def test_describe_prints_omega_like_the_report():
     cand = CandidateSolution(parse("y1*y2", CTX2), omega, certificate=None)
     assert format_two_form(omega) == "(-2)*dx1^dy1 + (x1 + y1)*dx2^dy2"
     assert cand.describe() == "H = y1*y2 ; omega = " + format_two_form(omega)
+
+
+def test_a_residual_proven_nonzero_is_not_verified_by_a_small_sample():
+    # the numeric maximum comes from a second sample, which may miss the
+    # point where is_zero proved the residual nonzero
+    report = MotionReport(residual_components=(parse("x1", CTX2),),
+                          residual_verdicts=(Tri.PROVEN_NONZERO,),
+                          numeric_max_residual=0.0, s_of_h=Tri.PROVEN_NONZERO,
+                          trivial=False)
+    assert not CandidateSolution(parse("y1", CTX2), TwoForm.zero(2), report).verified
+    unknown = MotionReport(residual_components=(parse("x1", CTX2),),
+                           residual_verdicts=(Tri.UNKNOWN,),
+                           numeric_max_residual=0.0, s_of_h=Tri.UNKNOWN, trivial=False)
+    assert CandidateSolution(parse("y1", CTX2), TwoForm.zero(2), unknown).verified

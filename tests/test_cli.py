@@ -235,6 +235,49 @@ def test_missing_sections_exit_2(tmp_path, capsys):
     assert rc == 2
 
 
+def test_integrate_without_an_integrate_line_exits_2(tmp_path, capsys):
+    f = tmp_path / "nosteps.sdp"
+    f.write_text("dim = 1\nspray G1 = 0\n")
+    rc, _, err = _run(capsys, ["integrate", str(f)])
+    assert rc == 2
+    assert "validation error: integrate needs an 'integrate t=... dt=...' line" in err
+
+
+# eta(X) = x1^(1/2) is proven nonzero at a point with x1 > 0; seeds 2, 3 and
+# 8 draw an x1 < 0 among the structure's rank points before any such point
+SQRT_ANN = "dim = 1\nspray G1 = 0\ndist X1 = ({x}; 0)\nann A1 = (sqrt(x1); 0)\n"
+
+
+@pytest.mark.parametrize("seed", range(1, 9))
+def test_a_nonvanishing_annihilator_exits_2_for_every_seed(tmp_path, capsys, seed):
+    f = tmp_path / "ann.sdp"
+    f.write_text(SQRT_ANN.format(x="1"))
+    rc, _, err = _run(capsys, ["dirac-check", str(f), "--seed", str(seed)])
+    assert rc == 2
+    assert "validation error: annihilator does not vanish on the distribution: value " in err
+
+
+@pytest.mark.parametrize("seed", range(1, 9))
+def test_verify_emits_no_structure_for_a_nonvanishing_annihilator(tmp_path, capsys, seed):
+    f = tmp_path / "ver.sdp"
+    f.write_text(SQRT_ANN.format(x="y1") + "H = y1^2\n"
+                 "integrate t=1 dt=0.1 method=rk4 seed=1 samples=1\n")
+    rc, out, _ = _run(capsys, ["verify", str(f), "--seed", str(seed)])
+    assert rc == 0
+    assert "\nstructure: not-emitted\n" in out
+
+
+def test_verify_gauges_by_a_del_basis_omega(tmp_path, capsys):
+    f = tmp_path / "del.sdp"
+    f.write_text("dim = 1\nspray G1 = y1^2\nomega dx1^del1 = 1\nH = y1^2\n"
+                 "integrate t=0.1 dt=0.01 method=rk4 seed=1 samples=1\n")
+    rc, out, _ = _run(capsys, ["verify", str(f)])
+    assert rc == 0
+    assert "\nomega: dx1^del1\n" in out
+    assert ("generators: [field (1; -2*y1) form (2*y1; 1), "
+            "field (0; 0) form (2*y1; 1)]") in out
+
+
 _PARAM_1E400 = ("dim = 1\nparam A = 1e400\nspray G1 = A*y1^2\nH = y1\n"
                 "integrate t=0.1 dt=0.01 method=rk4 seed=1 samples=1\n")
 _T_1E400 = "dim = 1\nH = y1\nintegrate t=1e400 dt=0.01 method=rk4 seed=1 samples=1\n"

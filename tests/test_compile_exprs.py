@@ -17,7 +17,7 @@ from spraydirac.errors import EvalDomainError, UnboundParameterError  # noqa: E4
 from spraydirac.expr import (  # noqa: E402
     Add, Call, Const, Context, Div, FuncApp, Mul, Neg, Param, Point, Pow, Var,
     _fpow, clear_caches, compile_exprs, compile_rk4_step,
-    evaluate, parse, simplify,
+    evaluate, format_expr, parse, simplify,
 )
 
 from evaluate_ref import evaluated, floats_then_evaluate  # noqa: E402
@@ -106,12 +106,12 @@ def _body_table(exprs, ctx):
         if body is None:
             raise UnboundParameterError(
                 f"opaque function {app.fname!r} needs a bound body to compile")
-        inner = _table_compile([simplify(body)], Context(1, params=dict(ctx.params)), top=False)
+        inner = _table_compile([simplify(body)], Context(1, params=dict(ctx.params)))
         fn_table[key] = (lambda f: (lambda t, p: f((t, 0.0), p)[0]))(inner)
     return fn_table
 
 
-def _table_compile(exprs, ctx, top=True):
+def _table_compile(exprs, ctx):
     n = ctx.dim
     fn_table = _body_table(exprs, ctx)
     lines = ["def _compiled(_z, _p, _fn):"]
@@ -119,9 +119,9 @@ def _table_compile(exprs, ctx, top=True):
     lines += [f"    _v_y{a} = _z[{n + a - 1}]" for a in range(1, n + 1)]
     srcs = []
     for e in map(simplify, exprs):
-        # an output that is a bare parameter or constant is a float, as
-        # evaluate gives it; a body's value is as it is
-        bare = top and isinstance(e, (Param, Const))
+        # an output or body that is a bare parameter or constant is a float,
+        # as evaluate gives it
+        bare = isinstance(e, (Param, Const))
         srcs.append(f"float({_table_src(e, ctx)})" if bare else _table_src(e, ctx))
     lines.append(f"    return ({', '.join(srcs)},)")
     ns = {"math": math, "_fpow": _fpow, "_ln": _ln, "_sqrt": _sqrt,
@@ -343,6 +343,25 @@ def test_a_bare_exact_parameter_or_constant_output_is_a_float():
         assert [type(v) for v in out] == [float, float, float]
         assert _bits(out) == _bits((float(A), 2.0, 0.5))
         assert _bits(tuple(-2.0 * v for v in out[:2])) == _bits((-2.0 * A, -2.0 * 2))
+
+
+def test_a_bare_exact_parameter_or_constant_body_is_a_float():
+    # f's body A and g's derivative body 1 gave Fraction(1, 3) and 1 where
+    # evaluate gives floats
+    A = Fraction(1, 3)
+    ctx = Context(dim=1, params={"A": A})
+    ctx.declare_function("f", Param("A"))
+    ctx.declare_function("g", Var("x", 1))
+    trees = (parse("f(x1)", ctx), parse("g'(x1)", ctx))
+    assert [format_expr(simplify(t)) for t in trees] == ["f(x1)", "g'(x1)"]
+    p = Point((0.5,), (1.0,), {"A": A})
+    want = tuple(evaluate(simplify(t), p, ctx) for t in trees)
+    assert want == (0.3333333333333333, 1.0)
+    fn = compile_exprs(trees, ctx)
+    for out in (fn((0.5, 1.0), {"A": A}), fn.raw((0.5, 1.0), {"A": A}),
+                *fn.rows(np.array([[0.5, 1.0]]), {"A": A})):
+        assert [type(v) for v in out] == [float, float]
+        assert _bits(out) == _bits(want)
 
 
 def test_an_application_without_a_body_is_refused_when_compiling():

@@ -13,7 +13,7 @@ from spraydirac.errors import (
     RankDeficientError, ValidationError,
 )
 from spraydirac.expr import (
-    ONE, ZERO, Context, Point, SampleConfig, clear_caches, parse, simplify,
+    ONE, ZERO, Context, Point, SampleConfig, clear_caches, evaluate, parse, simplify,
 )
 from spraydirac.forms import TwoForm
 from spraydirac.geometry import (
@@ -229,6 +229,22 @@ def test_annihilator_mismatch_carries_a_witness():
         from_distribution((S.vector_field(),), (dy3,), CTX3, cfg,
                           loci=S.singular_loci)
     assert err.value.witness is not None
+
+
+def test_the_witness_point_gives_the_printed_value():
+    # eta(X) = x1^(1/2): is_zero's witness has x1 > 0, and the message
+    # prints the pairing's value there
+    ctx = Context(dim=1)
+    X = VectorField(1, (ONE,), (ZERO,))
+    eta = OneForm(1, (parse("sqrt(x1)", ctx),), (ZERO,))
+    for seed in range(1, 9):
+        with pytest.raises(AnnihilatorMismatchError) as err:
+            from_distribution((X,), (eta,), ctx, SampleConfig(seed=seed))
+        p = err.value.witness
+        assert isinstance(p, Point)
+        value = evaluate(simplify(eta(X)), p, ctx)
+        assert str(err.value) == ("annihilator does not vanish on the distribution: "
+                                  f"value {value:.3e} at a sampled point")
 
 
 def test_dependent_generators_rejected():

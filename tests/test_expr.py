@@ -185,6 +185,13 @@ def test_is_zero_structural_and_cleared_denominators():
     assert is_zero(parse("y1 + 1", CTX2), CTX2) is Tri.PROVEN_NONZERO
 
 
+def test_is_zero_proves_zero_by_clearing_denominators():
+    # not zero as it stands: x1 cancels only once (y1 + 1) is cleared too
+    e = parse("x1/(x1*y1 + x1) - 1/(y1 + 1)", CTX2)
+    assert expr._nf(e)
+    assert is_zero(e, CTX2) is Tri.PROVEN_ZERO
+
+
 def test_is_zero_sampling_respects_loci():
     # 1/y3 never evaluates on the excluded slab, verdict still lands
     e = parse("x1/y3 - x1/y3", CTX3)

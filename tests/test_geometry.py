@@ -232,6 +232,14 @@ def test_span_membership_verdicts():
     assert span_membership(everything, target, CTX2, cfg, loci) is Tri.PROVEN_ZERO
 
 
+def test_span_membership_without_a_pivot_is_unknown():
+    # the generator's entry is zero but not structurally so: it is no pivot,
+    # and the entry left in the target's row stays undecided
+    ctx = Context(dim=1)
+    X = VectorField(1, (parse("sin(x1)^2 + cos(x1)^2 - 1", ctx),), (ZERO,))
+    assert span_membership((X,), VectorField(1, (ZERO,), (ONE,)), ctx) is Tri.UNKNOWN
+
+
 # a component is an expression, or a number the constructors turn into one
 COMPONENT = st.one_of(
     st.sampled_from(["0", "x1", "-2*y1", "y1^2 - x1", "sin(x1)*y1", "3/2"]).map(

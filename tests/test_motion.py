@@ -443,6 +443,27 @@ def test_float_step_falls_back_on_zero_denominator_mid_stage(monkeypatch):
     assert len(exact_steps) == 1
 
 
+def test_rk4_redoes_a_step_whose_state_sum_alone_overflows(monkeypatch):
+    # every entry is finite, but x1 + y1 is not: the generated step leaves
+    # the step to _exact_step, which completes it in the same float operations
+    exact_steps = []
+    exact_step = motion._exact_step
+    monkeypatch.setattr(motion, "_exact_step",
+                        lambda *a: exact_steps.append(1) or exact_step(*a))
+    ctx = Context(dim=1)
+    traj = integrate_sode(SemiSpray(1, (ZERO,)), Point((1.79e308,), (1e307,)),
+                          0.01, 3, "rk4", ctx)
+    assert not traj.aborted
+    assert len(exact_steps) == 3
+    assert traj.states[1:, 0].tolist() == [
+        1.7909999999999999e308, 1.7919999999999998e308, 1.7929999999999997e308]
+    d6 = 0.01 / 6.0
+    x = 1.79e308
+    for got in traj.states[1:, 0]:
+        x = x + d6 * (((1e307 + 2.0 * 1e307) + 2.0 * 1e307) + 1e307)
+        assert got == x
+
+
 # -- one generated module per integration -------------------------------------
 
 def test_an_overflowing_body_aborts_both_methods():

@@ -58,7 +58,7 @@ def test_full_file():
     assert len(pf.singular_loci) == 1
     assert len(pf.dist) == 1 and len(pf.ann) == 1
     assert pf.omega.basis == COORD
-    assert [label for label, _ in pf.omega_terms] == ["dx1^dy1", "dx2^dy2"]
+    assert [key for key, _ in pf.omega.items()] == [(0, 2), (1, 3)]
     assert pf.integrate == IntegrateSettings(t=1.0, dt=0.001, method="rk45",
                                              seed=7, samples=3)
     assert pf.ansatz == AnsatzSettings(degree=1, points=40, box=2.5, seed=9)

@@ -212,7 +212,7 @@ ansatz degree=1 points=10 box=2 seed=3
 
 
 def _same_problem(got, want):
-    for name in ("n", "G", "singular_loci", "omega_terms", "H", "integrate", "ansatz"):
+    for name in ("n", "G", "singular_loci", "omega", "H", "integrate", "ansatz"):
         assert getattr(got, name) == getattr(want, name), name
     assert [v.comps for v in got.dist] == [v.comps for v in want.dist]
     assert [w.comps for w in got.ann] == [w.comps for w in want.ann]
