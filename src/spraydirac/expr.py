@@ -16,6 +16,10 @@ cancels), and sums appearing under a negative or fractional power are kept as
 atomic bases after content normalization.  Trigonometric and log identities
 are out of scope on purpose; what the canonical form cannot settle is handed
 to the numeric sampler behind the tri-state ``is_zero``.
+
+Every tree is built in one dialect, the one canonical trees use: ``Neg`` and
+``Div`` are builders, so the parser and ``Expr``'s operators read -a as
+(-1)*a and a/b as a*b^-1, and no node class stands for either.
 """
 
 from __future__ import annotations
@@ -58,7 +62,8 @@ BUILTIN_FUNCTIONS = tuple(_MATH)
 MAX_EXACT_BITS = 14_000
 # Deepest nesting of an expression: a parenthesis, a function argument, a
 # unary minus and each further operand of a product or quotient go one level
-# down, and an applied function body counts as deep as its tree.  Far above
+# down, and an applied function body counts as deep as its tree, where a
+# quotient's denominator is one level below the quotient.  Far above
 # what a problem needs; at this depth simplify, diff and both compilers stay
 # inside Python's recursion and parenthesis limits.
 MAX_NESTING = 50
@@ -200,6 +205,7 @@ def _exact_pow(c: Fraction, k: int) -> Fraction:
 
 ZERO = Const(0)
 ONE = Const(1)
+_MINUS_ONE = Const(-1)
 
 
 class Var(Expr):
@@ -290,17 +296,6 @@ class Pow(Expr):
         return (5, self.base.sortkey(), float(self.exponent))
 
 
-class Neg(Expr):
-    __slots__ = ("child",)
-
-    def __init__(self, child: Expr):
-        self.child = child
-        self._set_key(("neg", child._key))
-
-    def sortkey(self) -> tuple:
-        return (6, self.child.sortkey())
-
-
 class Add(Expr):
     """n-ary sum; canonical forms keep terms sorted and flattened."""
 
@@ -333,16 +328,14 @@ class Mul(Expr):
         return (8, tuple(c.sortkey() for c in self.children))
 
 
-class Div(Expr):
-    __slots__ = ("num", "den")
+def Neg(e: Expr) -> Expr:
+    """-e, built as (-1)*e: no tree holds a negation node."""
+    return Mul((_MINUS_ONE, e))
 
-    def __init__(self, num: Expr, den: Expr):
-        self.num = num
-        self.den = den
-        self._set_key(("div", num._key, den._key))
 
-    def sortkey(self) -> tuple:
-        return (9, self.num.sortkey(), self.den.sortkey())
+def Div(a: Expr, b: Expr) -> Expr:
+    """a/b, built as a*b^-1: no tree holds a quotient node."""
+    return Mul((a, Pow(b, -1)))
 
 
 def as_expr(v) -> Expr:
@@ -405,15 +398,15 @@ class Context:
         self.funcs[name] = decl
 
     def func_derivative(self, name: str, order: int) -> Expr | None:
-        """order-th derivative of a bound function body, or None if unbound;
-        diff's memo keeps each derivative."""
+        """order-th derivative of a bound function body as a canonical tree
+        (the body's simplify at order 0), or None if unbound; memoised."""
         decl = self.funcs.get(name)
         if decl is None or decl.body is None:
             return None
         e = decl.body
         for _ in range(order):
             e = diff(e, coordinates(1)[0])
-        return e
+        return e if order else simplify(e)
 
 
 def context_key(ctx: Context | None) -> tuple:
@@ -477,8 +470,7 @@ def _nesting(e: Expr, ctx: Context) -> int:
         deepest = max(deepest, d)
         if isinstance(node, FuncApp) and node.fname in ctx.funcs:
             deepest = max(deepest, d + ctx.funcs[node.fname].nesting)
-        kids = (node.children if isinstance(node, (Add, Mul)) else (node.num, node.den)
-                if isinstance(node, Div) else (node.child,) if isinstance(node, Neg)
+        kids = (node.children if isinstance(node, (Add, Mul))
                 else (node.base,) if isinstance(node, Pow)
                 else (node.arg,) if isinstance(node, (Call, FuncApp)) else ())
         todo += [(k, d + 1) for k in kids]
@@ -793,6 +785,11 @@ def _nf_add(a: _NF, b: _NF) -> _NF:
 
 
 def _nf_mul(a: _NF, b: _NF) -> _NF:
+    # a constant factor, as in (-1)*e, scales: the same dict as the loop's
+    if len(a) == 1 and () in a:
+        return _nf_scale(b, a[()])
+    if len(b) == 1 and () in b:
+        return _nf_scale(a, b[()])
     if len(a) * len(b) > MAX_TERMS:
         raise ValidationError(
             f"a product of {len(a)} by {len(b)} terms exceeds the bound "
@@ -822,8 +819,6 @@ def _content_split(nf: _NF):
 
 
 def _nf_invert(nf: _NF) -> _NF:
-    if not nf:
-        raise EvalDomainError("division by an expression that simplifies to zero")
     if len(nf) == 1:
         (mono, c), = nf.items()
         pairs = {base: -exp for base, exp in mono}
@@ -960,11 +955,11 @@ def _memo_compile(key: tuple, ctx: Context | None, build: Callable):
 def _nf(e: Expr) -> _NF:
     """Normal form of e, memoised: the dict is shared, so never mutate it.
     No pair is left that _distributes names; each pass makes such bases smaller.
-    Only products, quotients, powers and roots of normal forms can make one."""
+    Only products, powers and roots of normal forms can make one."""
     nf = _NF_MEMO.get(e)
     if nf is None:
         nf = _build_nf(e)
-        while (isinstance(e, (Mul, Div, Pow, Call))
+        while (isinstance(e, (Mul, Pow, Call))
                and any(_distributes(b, r) for mono in nf for b, r in mono)):
             nf = _nf_expand_sums(nf)
         _NF_MEMO[e] = nf
@@ -976,8 +971,6 @@ def _build_nf(e: Expr) -> _NF:
         return {} if e.value == 0 else {(): e.value}
     if isinstance(e, (Var, Param)):
         return _atom(e)
-    if isinstance(e, Neg):
-        return _nf_scale(_nf(e.child), Fraction(-1))
     if isinstance(e, Add):
         out: _NF = {}
         for c in e.children:
@@ -988,8 +981,6 @@ def _build_nf(e: Expr) -> _NF:
         for c in e.children:
             out = _nf_mul(out, _nf(c))
         return out
-    if isinstance(e, Div):
-        return _nf_mul(_nf(e.num), _nf_invert(_nf(e.den)))
     if isinstance(e, Pow):
         return _nf_pow(_nf(e.base), e.exponent)
     if isinstance(e, Call):
@@ -1064,8 +1055,6 @@ def _diff(e: Expr, v: Var) -> Expr:
         return ZERO
     if isinstance(e, Var):
         return ONE if e == v else ZERO
-    if isinstance(e, Neg):
-        return Neg(_diff(e.child, v))
     if isinstance(e, Add):
         return Add(tuple(_diff(c, v) for c in e.children))
     if isinstance(e, Mul):
@@ -1074,13 +1063,10 @@ def _diff(e: Expr, v: Var) -> Expr:
             rest = e.children[:i] + e.children[i + 1:]
             parts.append(Mul((_diff(c, v), *rest)) if rest else _diff(c, v))
         return Add(tuple(parts)) if len(parts) > 1 else parts[0]
-    if isinstance(e, Div):
-        u, w = e.num, e.den
-        return Div(Add((Mul((_diff(u, v), w)), Neg(Mul((u, _diff(w, v)))))), Pow(w, Fraction(2)))
     if isinstance(e, Pow):
         r = e.exponent
         return Mul((Const(r), Pow(e.base, r - 1), _diff(e.base, v)))
-    if isinstance(e, Call):
+    if isinstance(e, Call):   # sin, cos, exp or ln: diff reads canonical trees only
         u = e.arg
         du = _diff(u, v)
         if e.fname == "sin":
@@ -1089,11 +1075,7 @@ def _diff(e: Expr, v: Var) -> Expr:
             return Neg(Mul((Call("sin", u), du)))
         if e.fname == "exp":
             return Mul((Call("exp", u), du))
-        if e.fname == "ln":
-            return Div(du, u)
-        if e.fname == "sqrt":
-            return Mul((Const(Fraction(1, 2)), Pow(u, Fraction(-1, 2)), du))
-        raise ValidationError(f"cannot differentiate through {e.fname!r}")
+        return Div(du, u)
     if isinstance(e, FuncApp):
         return Mul((FuncApp(e.fname, e.order + 1, e.arg), _diff(e.arg, v)))
     raise TypeError(f"cannot differentiate {e!r}")
@@ -1166,8 +1148,6 @@ def evaluate(e: Expr, p: Point, ctx: Context | None = None) -> float:
         return seq[e.index - 1]
     if isinstance(e, Param):
         return _resolve_param(e.name, p, ctx)
-    if isinstance(e, Neg):
-        return -evaluate(e.child, p, ctx)
     if isinstance(e, Add):
         return _check_finite(_fsum(evaluate(c, p, ctx) for c in e.children), "sum")
     if isinstance(e, Mul):
@@ -1175,11 +1155,6 @@ def evaluate(e: Expr, p: Point, ctx: Context | None = None) -> float:
         for c in e.children:
             out *= evaluate(c, p, ctx)
         return _check_finite(out, "product")
-    if isinstance(e, Div):
-        den = evaluate(e.den, p, ctx)
-        if den == 0.0:
-            raise EvalDomainError("division by zero")
-        return _check_finite(evaluate(e.num, p, ctx) / den, "quotient")
     if isinstance(e, Pow):
         b = evaluate(e.base, p, ctx)
         r = e.exponent
@@ -1442,7 +1417,7 @@ def _rat_str(r: Fraction) -> str:
 
 
 def _needs_parens_as_base(e: Expr) -> bool:
-    if isinstance(e, (Add, Mul, Div, Neg, Pow)):
+    if isinstance(e, (Add, Mul, Pow)):
         return True
     if isinstance(e, Const):
         v = e.value
@@ -1465,15 +1440,12 @@ def _fmt_powered(base: Expr, exp: Fraction) -> str:
 
 def _term_parts(e: Expr):
     """Split a product-like node into (sign, numerator parts, denominator parts),
-    its factors taken from a stack in printing order; the text of a divisor
-    waits there until its numerator is done."""
+    its factors taken from a stack in printing order."""
     sign, num, den = 1, [], []
     todo = [e]
     while todo:
         f = todo.pop()
-        if isinstance(f, str):
-            den.append(f)
-        elif isinstance(f, Const):
+        if isinstance(f, Const):
             v = f.value
             if v < 0:
                 sign, v = -sign, -v
@@ -1484,13 +1456,8 @@ def _term_parts(e: Expr):
                     den.append(str(v.denominator))
             else:
                 num.insert(0, repr(v))
-        elif isinstance(f, Neg):
-            sign = -sign
-            todo.append(f.child)
         elif isinstance(f, Pow) and f.exponent < 0:
             den.append(_fmt_powered(f.base, -f.exponent))
-        elif isinstance(f, Div):
-            todo += (_fmt_base(f.den), f.num)
         elif isinstance(f, Mul):
             todo += reversed(f.children)
         elif isinstance(f, Pow):
@@ -1525,7 +1492,7 @@ def format_expr(e: Expr) -> str:
             sign, part = _fmt_term(c)
             out += (" - " if sign < 0 else " + ") + part
         return out
-    if isinstance(e, (Mul, Div, Neg)) or (isinstance(e, Pow) and e.exponent < 0):
+    if isinstance(e, Mul) or (isinstance(e, Pow) and e.exponent < 0):
         sign, head = _fmt_term(e)
         return ("-" if sign < 0 else "") + head
     if isinstance(e, Pow):
@@ -1568,13 +1535,12 @@ FLOAT_FALLBACK_ERRORS = (ArithmeticError, ValueError, LookupError, TypeError, Ev
 # The finiteness rule of both fast paths.  Where evaluate refuses a value, a
 # float run raises or carries an inf or a nan up (0*inf is nan; fsum, **,
 # math.pow and exp raise OverflowError on finite operands; sin and cos raise
-# on an inf, ln and sqrt pass one on), except at four operands that can turn
-# one finite: a power's base where its exponent is <= 0 (inf**0 is 1.0), a
-# denominator, exp's argument and a function's argument (a formal value is
-# finite, a body may drop x1).  So a fast path tests each constant, output and
-# such operand that is _computed: not a coordinate, parameter or constant.
-# The generated code reads canonical trees, which hold no Neg and no Div: it
-# meets a denominator only as the base of a power with a negative exponent.
+# on an inf, ln and sqrt pass one on), except at three operands that can turn
+# one finite: a power's base where its exponent is <= 0 (inf**0 is 1.0, and
+# inf**-1 is 0.0), exp's argument and a function's argument (a formal value
+# is finite, a body may drop x1).  So a fast path tests each constant, output
+# and such operand that is _computed: not a coordinate, parameter or constant.
+# No tree holds a quotient: a denominator is always such a power's base.
 def _computed(e: Expr) -> bool:
     return not isinstance(e, (Const, Var, Param))
 
@@ -1825,9 +1791,9 @@ class _Columns:
     operation, which raises one of FLOAT_FALLBACK_ERRORS where evaluate's
     guards raise; the finiteness rule's values are tested once per column,
     and a node evaluate refuses at every point raises through _nonfinite(),
-    as the generated code does.  A bound function body is computed in a
-    frame where x1 is the argument's column and y1 is 0.0; a frame is the
-    key of its argument's column.
+    as the generated code does.  A bound function body (func_derivative's
+    canonical tree) is computed in a frame where x1 is the argument's column
+    and y1 is 0.0; a frame is the key of its argument's column.
     """
 
     def __init__(self, points: Sequence[Point], ctx: Context | None):
@@ -1862,8 +1828,6 @@ class _Columns:
             return self.seen[frame] if e.axis == "x" else [0.0] * n
         if isinstance(e, Param):
             return [_resolve_param(e.name, p, self.ctx) for p in self.points]
-        if isinstance(e, Neg):
-            return list(map(operator.neg, self.column(e.child, frame)))
         if isinstance(e, Add):
             return list(map(math.fsum, zip(*[self.column(c, frame) for c in e.children])))
         if isinstance(e, Mul):
@@ -1871,9 +1835,6 @@ class _Columns:
             for col in rest:    # left to right, as evaluate multiplies
                 out = list(map(operator.mul, out, col))
             return out
-        if isinstance(e, Div):
-            return list(map(operator.truediv, self.column(e.num, frame),
-                            self.operand(e.den, frame)))
         if isinstance(e, Pow):   # raw trees reach this pass, and inf**0 is 1.0
             r = e.exponent
             b = (self.operand if r <= 0 else self.column)(e.base, frame)

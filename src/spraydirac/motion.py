@@ -139,7 +139,7 @@ def integrate_sode(S: SemiSpray, p0: Point, dt: float, steps: int,
       another sign than at the start);
     - "state became non-finite": a state is not finite (expr._NonFinite);
     - "evaluation failed: <evaluate's message>": evaluate refuses a value
-      (say, a division by zero);
+      (say, zero raised to a negative power);
     - "integrator failure: <scipy's message>": rk45's step size fell below
       the spacing of the doubles.
     A non-finite start, a start or a context whose dimension is not S.n,

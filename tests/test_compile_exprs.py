@@ -53,14 +53,10 @@ def _table_src(e, ctx):
         return f"_v_{e.axis}{e.index}"
     if isinstance(e, Param):
         return f"_p[{e.name!r}]"
-    if isinstance(e, Neg):
-        return f"(-{_table_src(e.child, ctx)})"
     if isinstance(e, Add):
         return "(" + "+".join(_table_src(c, ctx) for c in e.children) + ")"
     if isinstance(e, Mul):
         return "(" + "*".join(_table_src(c, ctx) for c in e.children) + ")"
-    if isinstance(e, Div):
-        return f"({_table_src(e.num, ctx)}/{_table_src(e.den, ctx)})"
     if isinstance(e, Pow):
         r = e.exponent
         if r.denominator == 1:
@@ -87,10 +83,6 @@ def _funcapps(exprs):
             todo.append(e.arg)
         elif isinstance(e, (Add, Mul)):
             todo.extend(e.children)
-        elif isinstance(e, Neg):
-            todo.append(e.child)
-        elif isinstance(e, Div):
-            todo += (e.num, e.den)
         elif isinstance(e, Pow):
             todo.append(e.base)
     return found

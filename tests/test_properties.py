@@ -189,8 +189,7 @@ EXTREME = st.recursive(
 def _nodes(e):
     """Every node in the tree e."""
     yield e
-    children = (e.children if isinstance(e, (Add, Mul)) else (e.child,) if isinstance(e, Neg)
-                else (e.base,) if isinstance(e, Pow) else (e.num, e.den) if isinstance(e, Div)
+    children = (e.children if isinstance(e, (Add, Mul)) else (e.base,) if isinstance(e, Pow)
                 else (e.arg,) if isinstance(e, (Call, FuncApp)) else ())
     for child in children:
         yield from _nodes(child)

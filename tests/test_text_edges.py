@@ -290,15 +290,8 @@ def _ref_term_parts(e):
         nonlocal sign
         if isinstance(f, Const):
             feed_const(f.value)
-        elif isinstance(f, Neg):
-            sign = -sign
-            feed(f.child)
         elif isinstance(f, Pow) and f.exponent < 0:
             den.append(_ref_fmt_powered(f.base, -f.exponent))
-        elif isinstance(f, Div):
-            feed(f.num)
-            s = _ref_format(f.den)
-            den.append(f"({s})" if _needs_parens_as_base(f.den) else s)
         elif isinstance(f, Mul):
             for c in f.children:
                 feed(c)
@@ -328,7 +321,7 @@ def _ref_format(e):
             sign, part = _ref_fmt_term(c)
             out += (" - " if sign < 0 else " + ") + part
         return out
-    if isinstance(e, (Mul, Div, Neg, Const)) or (isinstance(e, Pow) and e.exponent < 0):
+    if isinstance(e, (Mul, Const)) or (isinstance(e, Pow) and e.exponent < 0):
         sign, head = _ref_fmt_term(e)
         return ("-" if sign < 0 else "") + head
     if isinstance(e, Pow):

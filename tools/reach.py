@@ -1,11 +1,14 @@
 """List the statements of the package that no recorded benchmark job executes.
 
-    python3 tools/reach.py [symbolic flow certify]
+    python3 tools/reach.py [--tests] [symbolic flow certify]
 
 Runs every recorded job of each workload, as tools/check_digests.py does
 (one child process per workload, with the benchmark's environment), under a
-sys.settrace that records the executed lines of src/spraydirac only.  Then
-prints, per module and function, each statement that no job executed: one
+sys.settrace that records the executed lines of src/spraydirac only.  With
+--tests, one more traced child runs the tier-1 tests
+(`pytest -q -p no:cacheprovider tests`), whose outcomes are ignored: a test
+may fail under the tracer, and the run takes minutes.  Then prints, per
+module and function, each statement that no job (and no test) executed: one
 line `module.function: line N: <source>`.  Module top level, docstrings and
 `def`/`class` lines are left out; a compound statement counts as executed
 when any line of its header is.  bench/ is only read.
@@ -134,17 +137,40 @@ def _workload_lines(workload: str) -> dict[str, set[int]]:
             os.chdir(ROOT)
 
 
+def _test_lines() -> dict[str, set[int]]:
+    """Executed package lines over one tier-1 run, whatever its outcome; its
+    own output goes to stderr."""
+    import pytest
+
+    os.chdir(ROOT)
+    with contextlib.redirect_stdout(sys.stderr):
+        return executed_lines(lambda: pytest.main(["-q", "-p", "no:cacheprovider", "tests"]),
+                              PACKAGE)
+
+
+def children(argv: list[str], workloads: tuple[str, ...]) -> list[list[str]]:
+    """The arguments of each traced child: one --lines WORKLOAD per workload
+    named in argv (all of them when none is), and --test-lines for --tests."""
+    names = [a for a in argv if a != "--tests"]
+    unknown = [a for a in names if a not in workloads]
+    if unknown:
+        raise SystemExit(f"unknown workload {unknown[0]!r}; expected --tests or one of "
+                         f"{', '.join(workloads)}")
+    runs = [["--lines", w] for w in names or workloads]
+    return runs + [["--test-lines"]] * ("--tests" in argv)
+
+
 def main(argv: list[str]) -> int:
-    if argv[:1] == ["--lines"]:
-        got = _workload_lines(argv[1])
+    if argv[:1] in (["--lines"], ["--test-lines"]):
+        got = _workload_lines(argv[1]) if argv[0] == "--lines" else _test_lines()
         print(json.dumps({path: sorted(ls) for path, ls in got.items()}))
         return 0
     sys.path[:0] = [str(ROOT / "bench")]
     from run import WORKLOADS, child_env
 
     lines: dict[str, set[int]] = {}
-    for w in argv or WORKLOADS:
-        out = subprocess.run([sys.executable, __file__, "--lines", w], env=child_env(),
+    for args in children(argv, WORKLOADS):
+        out = subprocess.run([sys.executable, __file__, *args], env=child_env(),
                              capture_output=True, text=True, check=True).stdout
         for path, ls in json.loads(out).items():
             lines.setdefault(path, set()).update(ls)
