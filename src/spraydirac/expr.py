@@ -1637,18 +1637,6 @@ def _state_names(n: int) -> list[str]:
     return [f"_v_x{i}" for i in range(1, n + 1)] + [f"_v_y{a}" for a in range(1, n + 1)]
 
 
-def _rows_lines(srcs: Sequence[str], n: int) -> list[str]:
-    """def _compiled(_z, _p) giving the tuple of srcs at the state of the
-    first 2n entries of _z, and def _rows(_flat, _p) giving the list of
-    those tuples at each state of a flat list of them, one comprehension
-    over all."""
-    state = ''.join(v + ', ' for v in _state_names(n))
-    values = f"({''.join(s + ', ' for s in srcs)})"
-    return ["def _compiled(_z, _p):", f"    {state}= _z[:{2 * n}]", f"    return {values}",
-            "def _rows(_flat, _p):", "    _it = iter(_flat)",
-            f"    return [{values} for {state}in zip({', '.join(['_it'] * 2 * n)})]"]
-
-
 def _evaluated(exprs: Sequence[Expr], zl: Sequence, params: Mapping, ctx: Context) -> tuple:
     """evaluate's value of each of exprs, simplified as the generated code
     is, at the flat state zl (its first 2 * ctx.dim entries); both checked finite."""
@@ -1665,16 +1653,18 @@ def compile_exprs(exprs: Sequence[Expr], ctx: Context) -> Callable[[np.ndarray, 
     or give values whose sum is not finite, evaluate decides each value,
     error and message.  .raw is the generated function without that check.
     .rows(states, params) is the list of the callable's tuples at the rows of
-    the 2-D array states, from one float pass over all rows where each row's
-    sum is finite, else row by row.  Bound function bodies are inlined; an
-    application without one raises UnboundParameterError here.  Memoised
-    until clear_caches()."""
+    the 2-D array states: .raw mapped over all rows and tested once where
+    each row's sum is finite, else the callable row by row.  Bound function
+    bodies are inlined; an application without one raises
+    UnboundParameterError here.  Memoised until clear_caches()."""
     exprs = tuple(exprs)
 
     def build():
+        width = 2 * ctx.dim
         srcs = [_float_src(t, ctx, 0) for t in map(simplify, exprs)]
-        ns = _exec_def(_rows_lines(srcs, ctx.dim))
-        raw, raw_rows = ns["_compiled"], ns["_rows"]
+        raw = _exec_def(["def _compiled(_z, _p):",
+                         f"    {''.join(v + ', ' for v in _state_names(ctx.dim))}= _z[:{width}]",
+                         f"    return ({''.join(s + ', ' for s in srcs)})"])["_compiled"]
         # each row's sum, which call tests (a row of one value is its sum)
         row_sums = functools.partial(map, operator.itemgetter(0) if len(exprs) == 1 else sum)
 
@@ -1691,9 +1681,11 @@ def compile_exprs(exprs: Sequence[Expr], ctx: Context) -> Callable[[np.ndarray, 
             return _evaluated(exprs, zl, params, ctx)
 
         def rows(states: np.ndarray, params: Mapping[str, float] | None) -> list[tuple]:
-            if states.shape[1] == 2 * ctx.dim:
+            if states.shape[1] == width:
+                flat = iter(states.ravel().tolist())
                 try:
-                    out = raw_rows(states.ravel().tolist(), params)
+                    # each row a tuple, which _z[:width] does not copy
+                    out = [raw(z, params) for z in zip(*[flat] * width)]
                     # a non-finite row sum makes the sum of all non-finite
                     if math.isfinite(sum(row_sums(out))):
                         return out

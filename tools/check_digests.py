@@ -23,25 +23,26 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from typing import Iterator
 
 ROOT = Path(__file__).resolve().parents[1]
+DEMOS = ROOT / "demos" / "problems"
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 import gen  # noqa: E402
 from run import WORKLOADS, child_env  # noqa: E402
 from worker import report_digest  # noqa: E402
 
+from spraydirac.cli import main as cli_main  # noqa: E402
 
-def mismatches(workload: str) -> list[str]:
-    """Run every recorded job of one workload in this process."""
-    from spraydirac.cli import main
 
-    recorded = json.loads((ROOT / "bench" / "expected.json").read_text(encoding="utf-8"))
-    demos = gen.read_demos(ROOT / "demos" / "problems")
+def run_jobs(workload: str) -> Iterator[tuple[gen.Job, int, str]]:
+    """Run every recorded job of one workload that is not a known failure
+    through spraydirac.cli.main, in this process, in a temporary directory
+    holding the workload's pool; yield each job with its exit code and its
+    standard output."""
+    demos = gen.read_demos(DEMOS)
     files = gen.pool(workload, demos)
-    bad = []
-    if gen.pool_digest(files) != recorded["pools"][workload]:
-        bad.append(f"{workload}: generated problem files differ from the recorded pool")
     jobs = [j for j in gen.select_jobs(workload, demos, None) if not j.known_failure]
     with tempfile.TemporaryDirectory() as work:
         for name, text in files.items():
@@ -51,15 +52,26 @@ def mismatches(workload: str) -> list[str]:
             for job in jobs:
                 out = io.StringIO()
                 with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-                    rc = main([job.command, job.file, "--json"])
-                digest, _ = report_digest(out.getvalue())
-                want = recorded["jobs"][workload][job.key]
-                if (rc, digest) != (want["exit"], want["sha256"]):
-                    bad.append(f"{job.key}: exit {rc}, digest {digest[:12]}; recorded "
-                               f"exit {want['exit']}, digest {want['sha256'][:12]}")
+                    rc = cli_main([job.command, job.file, "--json"])
+                yield job, rc, out.getvalue()
         finally:
             os.chdir(ROOT)
-    print(f"{workload}: {len(jobs)} jobs, {len(bad)} mismatched", flush=True)
+
+
+def mismatches(workload: str) -> list[str]:
+    """Run every recorded job of one workload in this process."""
+    recorded = json.loads((ROOT / "bench" / "expected.json").read_text(encoding="utf-8"))
+    bad = []
+    if gen.pool_digest(gen.pool(workload, gen.read_demos(DEMOS))) != recorded["pools"][workload]:
+        bad.append(f"{workload}: generated problem files differ from the recorded pool")
+    count = 0
+    for count, (job, rc, out) in enumerate(run_jobs(workload), 1):
+        digest, _ = report_digest(out)
+        want = recorded["jobs"][workload][job.key]
+        if (rc, digest) != (want["exit"], want["sha256"]):
+            bad.append(f"{job.key}: exit {rc}, digest {digest[:12]}; recorded "
+                       f"exit {want['exit']}, digest {want['sha256'][:12]}")
+    print(f"{workload}: {count} jobs, {len(bad)} mismatched", flush=True)
     return bad
 
 

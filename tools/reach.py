@@ -2,10 +2,10 @@
 
     python3 tools/reach.py [--tests] [symbolic flow certify]
 
-Runs every recorded job of each workload, as tools/check_digests.py does
-(one child process per workload, with the benchmark's environment), under a
-sys.settrace that records the executed lines of src/spraydirac only.  With
---tests, one more traced child runs the tier-1 tests
+Runs every recorded job of each workload through tools/check_digests.py's
+run_jobs (one child process per workload, with the benchmark's environment),
+under a sys.settrace that records the executed lines of src/spraydirac
+only.  With --tests, one more traced child runs the tier-1 tests
 (`pytest -q -p no:cacheprovider tests`), whose outcomes are ignored: a test
 may fail under the tracer, and the run takes minutes.  Then prints, per
 module and function, each statement that no job (and no test) executed: one
@@ -17,13 +17,12 @@ when any line of its header is.  bench/ is only read.
 from __future__ import annotations
 
 import ast
+import collections
 import contextlib
-import io
 import json
 import os
 import subprocess
 import sys
-import tempfile
 from pathlib import Path
 from typing import Callable
 
@@ -113,28 +112,10 @@ def unreached(path: Path, lines: set[int]) -> list[tuple[str, int, str]]:
 
 def _workload_lines(workload: str) -> dict[str, set[int]]:
     """Executed package lines over every recorded job of one workload."""
-    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
-    import gen
-    from spraydirac.cli import main
+    sys.path[:0] = [str(ROOT / "tools")]
+    from check_digests import run_jobs
 
-    demos = gen.read_demos(ROOT / "demos" / "problems")
-    files = gen.pool(workload, demos)
-    jobs = [j for j in gen.select_jobs(workload, demos, None) if not j.known_failure]
-
-    def run():
-        for job in jobs:
-            with contextlib.redirect_stdout(io.StringIO()), \
-                    contextlib.redirect_stderr(io.StringIO()):
-                main([job.command, job.file, "--json"])
-
-    with tempfile.TemporaryDirectory() as work:
-        for name, text in files.items():
-            Path(work, name).write_text(text, encoding="utf-8")
-        os.chdir(work)
-        try:
-            return executed_lines(run, PACKAGE)
-        finally:
-            os.chdir(ROOT)
+    return executed_lines(lambda: collections.deque(run_jobs(workload), 0), PACKAGE)
 
 
 def _test_lines() -> dict[str, set[int]]:
