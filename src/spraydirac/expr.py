@@ -370,6 +370,13 @@ class FunctionDecl:
     nesting: int = field(init=False, default=0)
 
 
+def _check_name(name: str) -> None:
+    """Refuse a parameter or function name that the parser reads as a
+    coordinate or a builtin, where no tree could hold it."""
+    if _COORD_RE.match(name) or name in BUILTIN_FUNCTIONS:
+        raise ValidationError(f"parameter name {name!r} is reserved")
+
+
 @dataclass
 class Context:
     """Declared dimension, scalar parameters, opaque functions.
@@ -387,11 +394,11 @@ class Context:
     def __post_init__(self):
         if self.dim < 1:
             raise ValidationError(f"dimension must be positive, got {self.dim}")
-        for name in list(self.params) + list(self.funcs):
-            if _COORD_RE.match(name) or name in BUILTIN_FUNCTIONS:
-                raise ValidationError(f"parameter name {name!r} is reserved")
+        for name in [*self.params, *self.funcs]:
+            _check_name(name)
 
     def declare_function(self, name: str, body: Expr | None = None) -> None:
+        _check_name(name)
         decl = FunctionDecl(name, body)
         if body is not None:
             decl.nesting = _nesting(body, self)

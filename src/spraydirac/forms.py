@@ -8,7 +8,8 @@ increasing index tuple over those slots.  A TwoForm's components may be
 over the coordinate coframe or the connection-adapted coframe, where slot
 n+a means dy_a + N^a_i dx_i.  Adapted-basis forms can carry their
 connection matrix so that derivative and contraction operations may
-rewrite them over the coordinate coframe first.
+rewrite them over the coordinate coframe first.  One loop, _d, takes d of
+one- and two-forms, and a two-form's value omega(X, Y) is (i_X omega)(Y).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Iterator, Mapping
 from .errors import ValidationError
 from .expr import (
     Add, Expr, Mul, Neg, Var, ZERO, ONE,
-    as_expr, coordinates, diff, format_expr, simplify, sum_exprs,
+    as_expr, coordinates, diff, format_expr, simplify,
 )
 from .geometry import OneForm, VectorField
 
@@ -164,14 +165,7 @@ class TwoForm(_Form):
         return TwoForm(n, comps, COORD)
 
     def __call__(self, X: VectorField, Y: VectorField) -> Expr:
-        if self.basis != COORD:
-            return self.to_coordinates()(X, Y)
-        parts = []
-        for (i, j), w in self.comps.items():
-            xi, xj = X.comps[i], X.comps[j]
-            yi, yj = Y.comps[i], Y.comps[j]
-            parts.append(Mul((w, Add((Mul((xi, yj)), Neg(Mul((xj, yi))))))))
-        return simplify(sum_exprs(parts))
+        return interior_product(X, self)(Y)
 
 
 @dataclass(frozen=True, eq=False)
@@ -202,31 +196,27 @@ def wedge(alpha: OneForm, beta: OneForm) -> TwoForm:
     return TwoForm(alpha.n, comps)
 
 
-def exterior_derivative_1(alpha: OneForm) -> TwoForm:
-    n = alpha.n
+def _d(items, n: int) -> dict:
+    """d of the form with these (index tuple, w) items: each slot k outside
+    a tuple adds diff(w, x_k) at (k, *idx)."""
     comps: dict = {}
-    for j, aj in enumerate(alpha.comps):
-        if aj == ZERO:
-            continue
-        for i, v in enumerate(coordinates(n)):
-            if i == j:
-                continue
-            partial = diff(aj, v)
-            if partial != ZERO:
-                _accum(comps, (i, j), partial)
-    return TwoForm(n, comps)
+    for idx, w in items:
+        for k, v in enumerate(coordinates(n)):
+            if k not in idx:
+                partial = diff(w, v)
+                if partial != ZERO:
+                    _accum(comps, (k, *idx), partial)
+    return comps
+
+
+def exterior_derivative_1(alpha: OneForm) -> TwoForm:
+    items = (((j,), a) for j, a in enumerate(alpha.comps) if a != ZERO)
+    return TwoForm(alpha.n, _d(items, alpha.n))
 
 
 def exterior_derivative_2(omega: TwoForm) -> ThreeForm:
     form = omega.to_coordinates()
-    n = form.n
-    comps: dict = {}
-    for (i, j), w in form.comps.items():
-        for k in range(2 * n):
-            partial = diff(w, flat_var(n, k))
-            if partial != ZERO:
-                _accum(comps, (k, i, j), partial)
-    return ThreeForm(n, comps)
+    return ThreeForm(form.n, _d(form.comps.items(), form.n))
 
 
 def interior_product(X: VectorField, omega: TwoForm) -> OneForm:

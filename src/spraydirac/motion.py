@@ -165,7 +165,7 @@ def integrate_sode(S: SemiSpray, p0: Point, dt: float, steps: int,
             raise ValidationError(
                 f"{what} of dimension {dim} does not match the spray's dimension {S.n}")
     march = (_rk45_march if method == "rk45" else _rk4_march)(S, dt, ctx)
-    params = dict(ctx.params)
+    params = {k: v for k, v in ctx.params.items() if v is not None}
     params.update(p0.params)
     z0 = np.concatenate([np.asarray(p0.x, float), np.asarray(p0.y, float)])
     if not np.isfinite(z0).all():
@@ -302,7 +302,6 @@ def _residual(S: SemiSpray, omega: TwoForm, H: Expr, D_gens: list[VectorField],
               ctx: Context, cfg: SampleConfig) -> MotionReport:
     """residual on generators that _flow_distribution has returned."""
     loci = S.singular_loci
-    omega = omega.to_coordinates()
     dH = d_scalar(H, S.n)
     rho_form = dH + interior_product(S.vector_field(), omega).scaled(-1)
     comps = tuple(simplify(rho_form(X)) for X in D_gens)

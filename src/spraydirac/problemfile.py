@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ParseError, ValidationError
-from .expr import ZERO, Context, Expr, parse
+from .expr import ZERO, Context, Expr, _check_name, parse
 from .forms import BERWALD, COORD, TwoForm, _accum
 from .geometry import OneForm, SemiSpray, VectorField
 
@@ -201,6 +201,10 @@ def parse_problem_file(text: str) -> ProblemFile:
                 raise ParseError(f"bad parameter name {name!r}", line=ln)
             if name in params or any(name == f for _, f, _ in fn_bodies):
                 raise ParseError(f"duplicate param {name!r}", line=ln)
+            try:
+                _check_name(name)
+            except ValidationError as e:
+                raise ParseError(str(e), line=ln) from None
             if rhs.startswith("fn(") and rhs.endswith(")"):
                 fn_bodies.append((ln, name, rhs[3:-1]))
             else:
@@ -208,10 +212,7 @@ def parse_problem_file(text: str) -> ProblemFile:
     if dim is None:
         raise ParseError("missing 'dim = <int>' declaration", line=1)
 
-    try:
-        ctx = Context(dim, params=dict(params))
-    except ValidationError as e:
-        raise ParseError(str(e), line=1) from None
+    ctx = Context(dim, params=dict(params))
     for ln, name, body in fn_bodies:
         body_ctx = Context(1, params=dict(ctx.params), funcs=dict(ctx.funcs))
         ctx.declare_function(name, _expr(body, body_ctx, ln, {}))

@@ -52,7 +52,8 @@ def _old_rk4(S, p0, dt, steps, ctx):
     """integrate_sode's rk4 march keeping a list of state tuples, with the
     steps that floats cannot finish done on arrays with evaluate's values."""
     step = compile_rk4_step(S.G, S.singular_loci, ctx, dt)
-    params = dict(ctx.params)
+    # a parameter the context declares without a value stays unbound
+    params = {k: v for k, v in ctx.params.items() if v is not None}
     params.update(p0.params)
     z0 = np.concatenate([np.asarray(p0.x, float), np.asarray(p0.y, float)])
     vals = evaluated(S.singular_loci, z0, params, ctx)
