@@ -26,11 +26,8 @@ from .errors import (
 from .expr import (
     DEFAULT_SEED, SampleConfig, clear_caches, format_expr, sample_points, simplify,
 )
-from .forms import BERWALD, TwoForm, format_coefficient, format_two_form
-from .geometry import (
-    berwald_frame, connection_coefficients, curvature, is_flat, is_semispray,
-    is_spray,
-)
+from .forms import TwoForm, format_coefficient, format_two_form
+from .geometry import berwald_frame, curvature, is_flat, is_semispray, is_spray
 from .motion import conservation_drift, hamiltonian_certificate, integrate_sode
 from .ansatz import Ansatz, search
 from .problemfile import IntegrateSettings, ProblemFile, load_problem_file
@@ -62,8 +59,14 @@ def _fmt_flat(v) -> str:
     return f"({_fmt_tuple(v.comps[:v.n])}; {_fmt_tuple(v.comps[v.n:])})"
 
 
-def _fmt_section(s) -> str:
-    return f"field {_fmt_flat(s.X)} form {_fmt_flat(s.alpha)}"
+def _structure(L) -> dict:
+    """A structure's provenance, annihilator rank deficit and generators."""
+    return {
+        "provenance": L.provenance,
+        "ann_rank_deficit": L.ann_rank_deficit,
+        "generators": [f"field {_fmt_flat(s.X)} form {_fmt_flat(s.alpha)}"
+                       for s in L.generators],
+    }
 
 
 def _coframe_text(n: int, N) -> list[str]:
@@ -82,13 +85,6 @@ def _nonzero_texts(named: dict) -> dict:
     """The simplified text of each nonzero entry, or {"all": "0"}."""
     texts = {k: format_expr(simplify(e)) for k, e in named.items()}
     return {k: t for k, t in texts.items() if t != "0"} or {"all": "0"}
-
-
-def _prepared_omega(pf: ProblemFile, S) -> TwoForm:
-    w = pf.omega if pf.omega is not None else TwoForm.zero(pf.n)
-    if w.basis == BERWALD and w.N is None:
-        w = w.with_connection(connection_coefficients(S))
-    return w
 
 
 def _base_report(command: str, path: str, pf: ProblemFile, seed: int) -> dict:
@@ -193,7 +189,7 @@ def cmd_verify(path: str, pf: ProblemFile, seed_arg: int | None) -> dict:
     ctx = pf.context
     seed = _seed(seed_arg, None)
     cfg = SampleConfig(seed=seed)
-    omega = _prepared_omega(pf, S)
+    omega = pf.omega if pf.omega is not None else TwoForm.zero(pf.n)
     rep = _base_report("verify", path, pf, seed)
     rep["H"] = format_expr(simplify(pf.H))
     rep["omega"] = format_two_form(omega)
@@ -217,14 +213,8 @@ def cmd_verify(path: str, pf: ProblemFile, seed_arg: int | None) -> dict:
         "omega_closed": cert.omega_closed.value,
         "overall": cert.overall,
     }
-    if cert.structure is not None:
-        rep["structure"] = {
-            "provenance": cert.structure.provenance,
-            "ann_rank_deficit": cert.structure.ann_rank_deficit,
-            "generators": [_fmt_section(s) for s in cert.structure.generators],
-        }
-    else:
-        rep["structure"] = "not-emitted"
+    rep["structure"] = (_structure(cert.structure) if cert.structure is not None
+                        else "not-emitted")
     rep["drift"] = _drift_batch(pf, S, ctx, seed_arg)
     return rep
 
@@ -281,19 +271,14 @@ def cmd_integrate(path: str, pf: ProblemFile, seed_arg: int | None) -> dict:
 def cmd_dirac_check(path: str, pf: ProblemFile, seed_arg: int | None) -> dict:
     if not pf.dist:
         raise ValidationError("dirac-check needs 'dist X<j> = ...' lines")
-    S = pf.semispray()
     ctx = pf.context
     seed = _seed(seed_arg, None)
     cfg = SampleConfig(seed=seed)
     L = from_distribution(pf.dist, pf.ann, ctx, cfg, pf.singular_loci)
     if pf.omega is not None:
-        L = gauge_transform(L, _prepared_omega(pf, S))
+        L = gauge_transform(L, pf.omega)
     rep = _base_report("dirac-check", path, pf, seed)
-    rep["structure"] = {
-        "provenance": L.provenance,
-        "ann_rank_deficit": L.ann_rank_deficit,
-        "generators": [_fmt_section(s) for s in L.generators],
-    }
+    rep["structure"] = _structure(L)
     pts = sample_points(ctx, cfg, pf.singular_loci, count=20)
     Bs = list(L.generator_matrices(pts, ctx))
     iso = sum(stacked(is_isotropic_at, Bs))

@@ -6,9 +6,10 @@ the base directions (dx_1..dx_n) and slots n..2n-1 the fiber directions
 (dy_1..dy_n).  Two- and three-forms store one component per strictly
 increasing index tuple over those slots.  A TwoForm's components may be
 over the coordinate coframe or the connection-adapted coframe, where slot
-n+a means dy_a + N^a_i dx_i.  Adapted-basis forms can carry their
-connection matrix so that derivative and contraction operations may
-rewrite them over the coordinate coframe first.  One loop, _d, takes d of
+n+a means dy_a + N^a_i dx_i.  An adapted-basis form holds its connection
+matrix N from the moment it is built, and two forms are equal, or can be
+added, only with the same N; derivative and contraction operations
+rewrite it over the coordinate coframe first.  One loop, _d, takes d of
 one- and two-forms, and a two-form's value omega(X, Y) is (i_X omega)(Y).
 """
 
@@ -68,6 +69,7 @@ class _Form:
     n: int
     comps: Mapping[tuple[int, ...], Expr]
     basis = COORD
+    N = None
 
     def __post_init__(self):
         m = 2 * self.n
@@ -82,7 +84,8 @@ class _Form:
 
     def __eq__(self, other):
         return (type(other) is type(self) and self.n == other.n
-                and self.basis == other.basis and self.comps == other.comps)
+                and self.basis == other.basis and self.N == other.N
+                and self.comps == other.comps)
 
     def items(self) -> Iterator[tuple[tuple[int, ...], Expr]]:
         return iter(sorted(self.comps.items()))
@@ -102,11 +105,19 @@ class TwoForm(_Form):
     def __post_init__(self):
         if self.basis not in (COORD, BERWALD):
             raise ValidationError(f"unknown coframe basis {self.basis!r}")
+        if (self.N is None) != (self.basis == COORD):
+            raise ValidationError("an adapted-basis two-form needs its connection N, "
+                                  "and a coordinate one takes none")
+        if self.N is not None:
+            if len(self.N) != self.n or any(len(row) != self.n for row in self.N):
+                raise ValidationError(f"connection N must be {self.n} rows of "
+                                      f"{self.n} entries")
+            object.__setattr__(self, "N", tuple(tuple(map(as_expr, row)) for row in self.N))
         super().__post_init__()
 
     @classmethod
-    def zero(cls, n: int, basis: str = COORD) -> "TwoForm":
-        return cls(n, {}, basis)
+    def zero(cls, n: int) -> "TwoForm":
+        return cls(n, {})
 
     @classmethod
     def single(cls, n: int, i: int, j: int, coeff, basis: str = COORD,
@@ -115,23 +126,19 @@ class TwoForm(_Form):
         _accum(comps, (i, j), as_expr(coeff))
         return cls(n, comps, basis, N)
 
-    def with_connection(self, N) -> "TwoForm":
-        return TwoForm(self.n, dict(self.comps), self.basis, tuple(tuple(r) for r in N))
-
     def component(self, i: int, j: int) -> Expr:
-        if i == j:
-            return ZERO
-        if i < j:
+        if i <= j:
             return self.comps.get((i, j), ZERO)
         return simplify(Neg(self.comps.get((j, i), ZERO)))
 
     def __add__(self, other: "TwoForm") -> "TwoForm":
-        if self.n != other.n or self.basis != other.basis:
-            raise ValidationError("two-form addition needs matching size and basis")
+        if (self.n, self.basis, self.N) != (other.n, other.basis, other.N):
+            raise ValidationError("two-form addition needs matching size, basis "
+                                  "and connection")
         merged: dict = {}
         for key, e in [*self.comps.items(), *other.comps.items()]:
             _accum(merged, key, e)
-        return TwoForm(self.n, merged, self.basis, self.N or other.N)
+        return TwoForm(self.n, merged, self.basis, self.N)
 
     def scaled(self, c) -> "TwoForm":
         c = as_expr(c)
@@ -142,27 +149,19 @@ class TwoForm(_Form):
         """Rewrite over dx, dy by expanding each adapted fiber coframe slot."""
         if self.basis == COORD:
             return self
-        if self.N is None:
-            raise ValidationError("adapted-basis form has no connection to expand with")
         n = self.n
 
         def expand(k: int) -> list[tuple[int, Expr]]:
             if k < n:
                 return [(k, ONE)]
-            a = k - n
-            out: list[tuple[int, Expr]] = [(k, ONE)]
-            for i in range(n):
-                e = as_expr(self.N[a][i])
-                if e != ZERO:
-                    out.append((i, e))
-            return out
+            return [(k, ONE), *((i, e) for i, e in enumerate(self.N[k - n]) if e != ZERO)]
 
         comps: dict = {}
         for (i, j), w in self.comps.items():
             for k1, c1 in expand(i):
                 for k2, c2 in expand(j):
                     _accum(comps, (k1, k2), Mul((w, c1, c2)))
-        return TwoForm(n, comps, COORD)
+        return TwoForm(n, comps)
 
     def __call__(self, X: VectorField, Y: VectorField) -> Expr:
         return interior_product(X, self)(Y)

@@ -16,7 +16,7 @@ from fractions import Fraction
 from .errors import ParseError, ValidationError
 from .expr import ZERO, Context, Expr, _check_name, parse
 from .forms import BERWALD, COORD, TwoForm, _accum
-from .geometry import OneForm, SemiSpray, VectorField
+from .geometry import OneForm, SemiSpray, VectorField, connection_coefficients
 
 __all__ = [
     "ProblemFile", "IntegrateSettings", "AnsatzSettings",
@@ -316,8 +316,9 @@ def parse_problem_file(text: str) -> ProblemFile:
 
     G_full = tuple(G.get(a, ZERO) for a in range(1, n + 1))
     # an omega line gives a form even where its terms cancel: dirac-check
-    # gauges by it
-    omega = TwoForm(n, omega_comps, basis_kind or COORD) if seen_pairs else None
+    # gauges by it; a del term reads dy_a + N^a_i dx_i with this spray's N
+    N = connection_coefficients(SemiSpray(n, G_full)) if basis_kind == BERWALD else None
+    omega = TwoForm(n, omega_comps, basis_kind or COORD, N) if seen_pairs else None
     return ProblemFile(
         n=n, context=ctx, G=G_full, singular_loci=tuple(loci),
         dist=dist or None, ann=ann or None,

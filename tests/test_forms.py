@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spraydirac import forms
+from spraydirac.errors import ValidationError
 from spraydirac.expr import (
     ONE, ZERO, Add, Const, Context, Neg, Point, evaluate, parse, simplify,
 )
@@ -58,7 +59,7 @@ def test_d_of_adapted_fiber_coframe():
 def test_closed_vertical_pairing_form():
     S = _semispray3()
     N = connection_coefficients(S)
-    omega = TwoForm.single(3, 2, 5, 2, basis=BERWALD).with_connection(N)
+    omega = TwoForm.single(3, 2, 5, 2, basis=BERWALD, N=N)
     coord = omega.to_coordinates()
     # the fiber coframe slot for the constant coefficient carries no
     # connection term here, so the rewrite is the plain coordinate pair
@@ -126,6 +127,23 @@ def test_berwald_rewrite_uses_connection():
     assert dict(coord.items()) == {(1, 3): ONE}
 
 
+def test_adapted_forms_that_differ_only_in_their_connection():
+    # del1^del2 = (dy1 + y1*dx1)^dy2 under a, dy1^dy2 under b
+    y1 = parse("y1", CTX2)
+    a = TwoForm.single(2, 2, 3, 1, basis=BERWALD, N=((y1, 0), (0, 0)))
+    b = TwoForm.single(2, 2, 3, 1, basis=BERWALD, N=((0, 0), (0, 0)))
+    assert dict(a.to_coordinates().items()) == {(0, 3): y1, (2, 3): ONE}
+    assert dict(b.to_coordinates().items()) == {(2, 3): ONE}
+    assert a != b
+    assert a == TwoForm.single(2, 2, 3, 1, basis=BERWALD, N=((y1, 0), (0, 0)))
+    with pytest.raises(ValidationError, match="matching size, basis and connection"):
+        a + b
+    with pytest.raises(ValidationError, match="matching size, basis and connection"):
+        b + a
+    assert dict((a + a).to_coordinates().items()) == {
+        (0, 3): simplify(parse("2*y1", CTX2)), (2, 3): Const(2)}
+
+
 def test_exterior_derivative_of_function_coefficient():
     omega = TwoForm.single(2, 1, 2, parse("x1", CTX2))
     d = exterior_derivative_2(omega)
@@ -141,7 +159,8 @@ def test_two_form_printing():
     mixed = (TwoForm.single(2, 0, 2, -1)
              + TwoForm.single(2, 1, 3, parse("x1 + y1", CTX2)))
     assert format_two_form(mixed) == "(-1)*dx1^dy1 + (x1 + y1)*dx2^dy2"
-    adapted = TwoForm.single(2, 0, 3, parse("3*x1", CTX2), basis=BERWALD)
+    adapted = TwoForm.single(2, 0, 3, parse("3*x1", CTX2), basis=BERWALD,
+                             N=connection_coefficients(_spray2()))
     assert format_two_form(adapted) == "3*x1*dx1^del2"
 
 

@@ -1,17 +1,22 @@
 """Input checks: each malformed problem-file line and expression gives its
 own message at its own line, and exits 1 through the CLI; a reserved name
 cannot declare a parameter or a function; an integration that reaches a
-parameter without a bound value aborts with the reason; and a two-form's
-component on the diagonal and below it."""
+parameter without a bound value aborts with the reason; a two-form's
+component on the diagonal and below it; and each library constructor and
+operation refuses operands of another dimension, shape or kind."""
 
 import pytest
 
 from spraydirac import cli
+from spraydirac.ansatz import Ansatz, monomial_dictionary
+from spraydirac.dirac import (
+    AlmostDirac, Section, courant_bracket, from_distribution, gauge_transform, pairing,
+)
 from spraydirac.errors import ParseError, ValidationError
-from spraydirac.expr import ZERO, Context, Point, parse, simplify
-from spraydirac.forms import TwoForm
-from spraydirac.geometry import SemiSpray
-from spraydirac.motion import integrate_sode
+from spraydirac.expr import ONE, ZERO, Context, Point, parse, simplify
+from spraydirac.forms import BERWALD, COORD, TwoForm, interior_product, wedge
+from spraydirac.geometry import OneForm, SemiSpray, VectorField, lie_bracket
+from spraydirac.motion import Trajectory, integrate_sode
 from spraydirac.problemfile import parse_problem_file
 
 INTEGRATE = "integrate t=1 dt=0.1 method=rk4 seed=1 samples=1"
@@ -81,3 +86,68 @@ def test_a_two_form_component_on_and_below_the_diagonal():
     assert w.component(1, 1) == ZERO and w.component(0, 0) == ZERO
     assert w.component(2, 0) == simplify(parse("-x1*y2", ctx))
     assert w.component(0, 2) == simplify(parse("x1*y2", ctx))
+
+
+CTX1 = Context(1)
+X1, X2 = VectorField(1, (ONE,), (ZERO,)), VectorField(2, (ONE, ZERO), (ZERO, ZERO))
+ZERO_N2 = ((ZERO, ZERO), (ZERO, ZERO))
+
+# (operation, message) pairs: each operation raises ValidationError with it
+REFUSED = [
+    # dirac
+    (lambda: Section(X1, OneForm.zero(2)), "section halves live on different dimensions"),
+    (lambda: pairing(Section.of_field(X1), Section.of_field(X2)),
+     "pairing of sections on different dimensions"),
+    (lambda: courant_bracket(Section.of_field(X1), Section.of_field(X2)),
+     "bracket of sections on different dimensions"),
+    (lambda: AlmostDirac(2, (Section.of_field(X1),)), "generator dimension mismatch"),
+    (lambda: gauge_transform(AlmostDirac(1, (Section.of_field(X1),)), TwoForm.zero(2)),
+     "gauge form dimension mismatch"),
+    (lambda: from_distribution([], None, CTX1), "need at least one distribution generator"),
+    (lambda: from_distribution([X1, X2], None, CTX1),
+     "distribution generator dimension mismatch"),
+    (lambda: from_distribution([X1], [OneForm.zero(2)], CTX1),
+     "annihilator generator dimension mismatch"),
+    # forms
+    (lambda: TwoForm(1, {(0, 2): ONE}), "two-form index pair (0, 2) out of range"),
+    (lambda: TwoForm(1, {}, "polar"), "unknown coframe basis 'polar'"),
+    (lambda: wedge(OneForm.zero(1), OneForm.zero(2)), "wedge of forms on different dimensions"),
+    (lambda: interior_product(VectorField.zero(2), TwoForm.zero(1)),
+     "contraction needs matching dimensions"),
+    (lambda: TwoForm(2, {}, BERWALD), "an adapted-basis two-form needs its connection N"),
+    (lambda: TwoForm(2, {}, COORD, ZERO_N2), "a coordinate one takes none"),
+    (lambda: TwoForm(2, {}, BERWALD, ((ZERO,),)), "connection N must be 2 rows of 2 entries"),
+    (lambda: TwoForm(2, {}, BERWALD, ((ZERO,), (ZERO,))),
+     "connection N must be 2 rows of 2 entries"),
+    (lambda: TwoForm.zero(2) + TwoForm.single(2, 2, 3, 1, BERWALD, ZERO_N2),
+     "two-form addition needs matching size, basis and connection"),
+    # geometry
+    (lambda: VectorField.zero(1) + VectorField.zero(2), "sum of elements on different dimensions"),
+    (lambda: lie_bracket(VectorField.zero(1), VectorField.zero(2)),
+     "bracket of fields on different dimensions"),
+    # motion
+    (lambda: Trajectory(1, [0.0, 0.1], [[0.0, 0.0]], "rk4", 0.1, {}),
+     "trajectory time/state length mismatch"),
+    (lambda: Trajectory(1, [0.0, 0.0], [[0.0, 0.0]] * 2, "rk4", 0.1, {}),
+     "trajectory times must strictly increase"),
+    # expr
+    (lambda: Context(0), "dimension must be positive, got 0"),
+    (lambda: Point((0.0,), (0.0, 1.0)), "x and y must have the same length"),
+    # ansatz
+    (lambda: monomial_dictionary(1, -1), "dictionary degree must be nonnegative"),
+    (lambda: Ansatz(1, degree=-1), "dictionary degree must be nonnegative"),
+    (lambda: Ansatz(1, degree=1, omega_dictionary=[]).omega_index(0, 1),
+     "no single-entry form at slot pair (0,1)"),
+]
+
+
+@pytest.mark.parametrize("operation,message", REFUSED)
+def test_an_operation_refuses_mismatched_operands(operation, message):
+    with pytest.raises(ValidationError) as err:
+        operation()
+    assert message in str(err.value)
+
+
+def test_a_vector_field_and_a_one_form_do_not_add():
+    with pytest.raises(TypeError, match="unsupported operand"):
+        VectorField.zero(1) + OneForm.zero(1)

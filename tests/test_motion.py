@@ -314,7 +314,7 @@ def _array_rk4(S, p0, dt, steps, ctx):
     the step is redone with evaluate's values."""
     graw = compile_exprs(S.G, ctx).raw
     lraw = compile_exprs(S.singular_loci, ctx).raw
-    params = dict(ctx.params)
+    params = {k: v for k, v in ctx.params.items() if v is not None}
     params.update(p0.params)
     g_evaluated = evaluate_values(S.G, params, ctx)
     loci_evaluated = evaluate_values(S.singular_loci, params, ctx)
@@ -415,6 +415,16 @@ def test_float_step_matches_array_loop_at_locus_crossing():
     p0 = Point((0.0, 0.0, 0.0), (0.0, 0.0, 1.0), params={"A": 0.3})
     traj = _assert_matches_array_loop(S, p0, 0.01, 400, ctx)
     assert traj.abort_reason == "state entered a singular locus"
+
+
+def test_float_step_matches_array_loop_with_an_unbound_parameter():
+    # C has no value in the context and none at the start: both loops end
+    # on the start with evaluate's reason
+    ctx = Context(1, params={"C": None})
+    S = SemiSpray(1, (parse("x1 + C", ctx),))
+    traj = _assert_matches_array_loop(S, Point((0.1,), (0.2,)), 0.01, 10, ctx)
+    assert traj.abort_reason == "evaluation failed: parameter 'C' has no bound value"
+    assert len(traj.states) == 1
 
 
 def test_float_step_matches_array_loop_on_blowup():

@@ -10,7 +10,6 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from spraydirac import cli  # noqa: E402
 from spraydirac.dirac import (  # noqa: E402
     from_distribution, gauge_transform, involutivity_residual,
 )
@@ -19,7 +18,7 @@ from spraydirac.expr import (  # noqa: E402
     parse, sample_points, simplify, sum_exprs,
 )
 from spraydirac.forms import (  # noqa: E402
-    d_scalar, exterior_derivative_1, interior_product, lie_derivative,
+    TwoForm, d_scalar, exterior_derivative_1, interior_product, lie_derivative,
 )
 from spraydirac.geometry import OneForm, VectorField  # noqa: E402
 from spraydirac.problemfile import load_problem_file  # noqa: E402
@@ -98,7 +97,7 @@ def test_residual_matches_the_one_over_every_bracket(demo):
     pf = load_problem_file(str(DEMOS / f"{demo}.sdp"))
     ctx = pf.context
     L = from_distribution(pf.dist, pf.ann, ctx, SampleConfig(seed=1), pf.singular_loci)
-    gauged = gauge_transform(L, cli._prepared_omega(pf, pf.semispray()))
+    gauged = gauge_transform(L, pf.omega if pf.omega is not None else TwoForm.zero(pf.n))
     pts = sample_points(ctx, SampleConfig(seed=1), pf.singular_loci, count=20)
     for structure in (L, gauged):
         for p, B in zip(pts, structure.generator_matrices(pts, ctx)):
