@@ -641,36 +641,64 @@ def parse(text: str, ctx: Context) -> Expr:
 # canonical simplification
 #
 # Normal form: dict mapping a monomial (sorted tuple of (base, exponent)
-# pairs) to a coefficient.  An exponent is an int when it is integral and a
-# Fraction otherwise: equal ints and Fractions compare and hash alike, and an
-# int hashes in C.  Coefficients are Fractions unless a float has
-# contaminated the term.  Bases are canonical Exprs: Var, Param, Call,
+# pairs) to a coefficient.  Coefficients are exact unless a float has
+# contaminated the term; "exact" means "not a float" (a numpy float64 is a
+# float).  An exponent or exact coefficient is an int when it is integral and
+# a Fraction otherwise: equal ints and Fractions compare, hash and print
+# alike, and int arithmetic runs in C.  Bases are canonical Exprs: Var, Param, Call,
 # FuncApp, Const (for things like 2^(1/2)), or a canonical Add/Mul/Pow kept
 # atomic because expanding it is unsound or unhelpful.
 
 _Mono = tuple  # tuple[tuple[Expr, int | Fraction], ...]
-_NF = dict     # dict[_Mono, Fraction | float]
+_NF = dict     # dict[_Mono, int | Fraction | float]
 
 _EXPAND_CAP = 16
 
 
+def _exact(q):
+    """An exact value as an int where it is integral."""
+    return q if type(q) is int or q.denominator != 1 else q.numerator
+
+
+def _past_range(op, a, b) -> float:
+    """op(a, b), operator.add or mul, for a float and an exact value past the
+    double range.  A non-finite float takes it as it takes any finite value
+    of its sign; otherwise the two combine exactly and convert once, to
+    +-inf past the range, as in _cpow."""
+    f, q = (a, b) if isinstance(a, float) else (b, a)
+    if not math.isfinite(f):
+        return f if op is operator.add else f * (1.0 if q > 0 else -1.0)
+    exact = op(Fraction(f), q)
+    try:
+        return float(exact)
+    except OverflowError:
+        return math.inf if exact > 0 else -math.inf
+
+
 def _cmul(a, b):
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
-        return a * b
-    return float(a) * float(b)
+    if isinstance(a, float) or isinstance(b, float):
+        try:
+            return float(a) * float(b)
+        except OverflowError:   # an exact operand past the double range
+            return _past_range(operator.mul, a, b)
+    return _exact(a * b)
 
 
 def _cadd(a, b):
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
-        return a + b
-    return float(a) + float(b)
+    if isinstance(a, float) or isinstance(b, float):
+        try:
+            return float(a) + float(b)
+        except OverflowError:   # an exact operand past the double range
+            return _past_range(operator.add, a, b)
+    return _exact(a + b)
 
 
 def _cpow(c, k):
-    """c**k for a Fraction c and an int k, or a float c and an exponent k that
+    """c**k for an exact c and an int k, or a float c and an exponent k that
     is whole or has c > 0; a float overflows to +-inf, as a float product does."""
-    if isinstance(c, Fraction):
-        return _exact_pow(c, k)
+    if not isinstance(c, float):
+        # an int to a negative power would be a float
+        return _exact(_exact_pow(c if k >= 0 else Fraction(c), k))
     try:
         return float(c) ** float(k)
     except OverflowError:
@@ -678,9 +706,9 @@ def _cpow(c, k):
 
 
 def _cinv(a):
-    if isinstance(a, Fraction):
-        return Fraction(a.denominator, a.numerator)
-    return 1.0 / a
+    if isinstance(a, float):
+        return 1.0 / a
+    return _exact(Fraction(a.denominator, a.numerator))
 
 
 def _term(mono: _Mono, coeff) -> _NF:
@@ -821,7 +849,7 @@ def _content_split(nf: _NF):
     c = nf[lead]
     inv = _cinv(c)
     if isinstance(inv, float) and not 0.0 < abs(inv) < math.inf:
-        return Fraction(1), nf
+        return 1, nf
     return c, _nf_scale(nf, inv)
 
 
@@ -838,7 +866,7 @@ def _nf_invert(nf: _NF) -> _NF:
 
 def _nf_pow(nf: _NF, r: int | Fraction) -> _NF:
     if r == 0:
-        return {(): Fraction(1)}
+        return {(): 1}
     if not nf:
         if r < 0:
             raise EvalDomainError("zero raised to a negative power")
@@ -852,7 +880,7 @@ def _nf_pow(nf: _NF, r: int | Fraction) -> _NF:
             pairs = {base: exp * k for base, exp in mono}
             return _term(*_normalize_pairs(pairs, _cpow(c, k)))
         if k <= _EXPAND_CAP:
-            out = {(): Fraction(1)}
+            out = {(): 1}
             b = nf
             e = k
             while e:
@@ -869,11 +897,11 @@ def _nf_pow(nf: _NF, r: int | Fraction) -> _NF:
     if len(nf) == 1:
         (mono, c), = nf.items()
         if not mono:
-            return _term(*_normalize_pairs({Const(c): r}, Fraction(1)))
+            return _term(*_normalize_pairs({Const(c): r}, 1))
         if c < 0:
             # keep the sign inside an atomic base; splitting it is unsound
             base = _emit({mono: c})
-            return {((base, r),): Fraction(1)}
+            return {((base, r),): 1}
         # a positive constant factor splits off soundly; a lone base with
         # exponent 1 (or an already-fractional exponent, which forces the
         # base nonnegative) combines; anything else stays atomic because
@@ -882,20 +910,20 @@ def _nf_pow(nf: _NF, r: int | Fraction) -> _NF:
         if len(mono) == 1 and (mono[0][1] == 1 or mono[0][1].denominator > 1):
             _pairs_add(pairs, mono[0][0], mono[0][1] * r)
         else:
-            _pairs_add(pairs, _emit({mono: Fraction(1)}), r)
+            _pairs_add(pairs, _emit({mono: 1}), r)
         if c != 1:
             _pairs_add(pairs, Const(c), r)
-        return _term(*_normalize_pairs(pairs, Fraction(1)))
+        return _term(*_normalize_pairs(pairs, 1))
     c, unit = _content_split(nf)
     mag = abs(c)
     if mag != c:
-        unit = _nf_scale(unit, Fraction(-1) if isinstance(c, Fraction) else -1.0)
+        unit = _nf_scale(unit, -1.0 if isinstance(c, float) else -1)
     base = _emit(unit)
     pairs = {}
     _pairs_add(pairs, base, r)
     if mag != 1:
         _pairs_add(pairs, Const(mag), r)
-    return _term(*_normalize_pairs(pairs, Fraction(1)))
+    return _term(*_normalize_pairs(pairs, 1))
 
 
 def _fold_call(fname: str, arg: Expr) -> Expr | None:
@@ -915,15 +943,15 @@ def _fold_call(fname: str, arg: Expr) -> Expr | None:
 
 
 def _atom(base: Expr) -> _NF:
-    return {((base, 1),): Fraction(1)}
+    return {((base, 1),): 1}
 
 
 # Per-command memo: _nf, simplify and diff are pure functions of their
 # structurally hashed inputs, so each distinct input is computed once until
 # clear_caches() empties the tables; cli.main does so after every command,
-# which bounds the memo by one problem file.  simplify also seeds _NF_MEMO
-# with the normal form of its result s when every coefficient is a Fraction
-# and every base a Var or Param: then a cold _nf(s) builds the same dict,
+# which bounds the memo by one problem file.  simplify and diff also seed
+# _NF_MEMO with the normal form of their result s when every coefficient is
+# exact and every base a Var or Param: then a cold _nf(s) builds the same dict,
 # item for item in _emit's sorted order (the order _nf_mul adds float
 # partners in), so a sum of canonical results is not normalised again.
 # Other results are left to a cold build, which need not agree.
@@ -975,7 +1003,8 @@ def _nf(e: Expr) -> _NF:
 
 def _build_nf(e: Expr) -> _NF:
     if isinstance(e, Const):
-        return {} if e.value == 0 else {(): e.value}
+        v = e.value
+        return {} if v == 0 else {(): v if isinstance(v, float) else _exact(v)}
     if isinstance(e, (Var, Param)):
         return _atom(e)
     if isinstance(e, Add):
@@ -984,7 +1013,7 @@ def _build_nf(e: Expr) -> _NF:
             out = _nf_add(out, _nf(c))
         return out
     if isinstance(e, Mul):
-        out = {(): Fraction(1)}
+        out = {(): 1}
         for c in e.children:
             out = _nf_mul(out, _nf(c))
         return out
@@ -1036,12 +1065,17 @@ def simplify(e: Expr) -> Expr:
     """
     s = _SIMPLIFY_MEMO.get(e)
     if s is None:
-        items = _sorted_items(_nf(e))
-        s = _SIMPLIFY_MEMO[e] = _emit_sorted(items)
-        if s not in _NF_MEMO and all(
-                isinstance(c, Fraction) and all(isinstance(b, (Var, Param)) for b, _ in m)
-                for m, c in items):
-            _NF_MEMO[s] = dict(items)
+        s = _SIMPLIFY_MEMO[e] = _emit_seeded(_sorted_items(_nf(e)))
+    return s
+
+
+def _emit_seeded(items: list) -> Expr:
+    """_emit_sorted(items), with _NF_MEMO seeded as the memo comment says."""
+    s = _emit_sorted(items)
+    if s not in _NF_MEMO and all(
+            not isinstance(c, float) and all(isinstance(b, (Var, Param)) for b, _ in m)
+            for m, c in items):
+        _NF_MEMO[s] = dict(items)
     return s
 
 
@@ -1050,11 +1084,38 @@ def simplify(e: Expr) -> Expr:
 
 
 def diff(e: Expr, v: Var) -> Expr:
-    """Partial derivative with respect to a coordinate, canonicalized; memoised."""
+    """Partial derivative with respect to a coordinate, canonicalized; memoised.
+    A polynomial is differentiated on its terms, any other tree by _diff's
+    product rule and a new normal form."""
     d = _DIFF_MEMO.get((e, v))
     if d is None:
-        d = _DIFF_MEMO[e, v] = simplify(_diff(simplify(e), v))
+        s = simplify(e)
+        items = _term_derivative(s, v)
+        d = _DIFF_MEMO[e, v] = simplify(_diff(s, v)) if items is None else _emit_seeded(items)
     return d
+
+
+def _term_derivative(s: Expr, v: Var) -> list | None:
+    """The sorted normal-form items of ds/dv for a canonical tree s whose
+    every factor is a Var or a Param, or a power of one; None for any other
+    tree.  Each term c*v^k*m gives (c*k)*v^(k-1)*m, and these monomials are
+    distinct.  A term without v gives none, and neither does one whose
+    product underflows to 0.0, as _nf_scale drops it."""
+    out: _NF = {}
+    for term in s.children if isinstance(s, Add) else (s,):
+        factors = term.children if isinstance(term, Mul) else (term,)
+        lead = isinstance(factors[0], Const)
+        mono = [(f.base, _exact(f.exponent)) if isinstance(f, Pow) else (f, 1)
+                for f in factors[lead:]]
+        if not all(isinstance(base, (Var, Param)) for base, _ in mono):
+            return None
+        for i, (base, k) in enumerate(mono):
+            if base == v:
+                c = _cmul(factors[0].value if lead else 1, k)
+                if c != 0:
+                    out[tuple(mono[:i] + ([(v, k - 1)] if k != 1 else []) + mono[i + 1:])] = c
+                break
+    return _sorted_items(out)
 
 
 def _diff(e: Expr, v: Var) -> Expr:
@@ -1374,7 +1435,7 @@ def _cleared_denominators(nf: _NF) -> _NF:
                     min_exp[base] = exp
     if not min_exp:
         return nf
-    clear_mono, cc = _normalize_pairs({b: -e for b, e in min_exp.items()}, Fraction(1))
+    clear_mono, cc = _normalize_pairs({b: -e for b, e in min_exp.items()}, 1)
     return _nf_expand_sums(_nf_mul(nf, {clear_mono: cc}))
 
 

@@ -82,9 +82,11 @@ def _outcome(run):
 
 
 def _typed(items):
-    """Normal-form items with each exponent's and coefficient's type; a
-    float coefficient by its repr, so that a nan compares."""
-    return [(tuple((b, r, type(r)) for b, r in mono), repr(c), type(c)) for mono, c in items]
+    """Normal-form items with each exponent's type and whether the
+    coefficient is exact (an int or a Fraction) or a float; a float
+    coefficient by its repr, so that a nan compares."""
+    return [(tuple((b, r, type(r)) for b, r in mono),
+             repr(c) if isinstance(c, float) else c, isinstance(c, float)) for mono, c in items]
 
 
 def _value(e, p, evaluate):

@@ -134,7 +134,7 @@ def test_simplify_seeds_what_a_cold_rebuild_gives(e):
     before = set(expr._NF_MEMO)
     s = simplify(e)
     seeded = {k: v for k, v in expr._NF_MEMO.items() if k not in before}
-    exact = all(isinstance(c, Fraction) and all(isinstance(b, (Var, Param)) for b, _ in m)
+    exact = all(not isinstance(c, float) and all(isinstance(b, (Var, Param)) for b, _ in m)
                 for m, c in nf.items())
     assert list(seeded) == ([s] if exact and s not in before else [])
     clear_caches()
@@ -375,6 +375,12 @@ MANY_LOCI = "\n".join(f"exclude x1 - {k}" for k in range(10, 10010))
 # a finite G past about 9e307, whose -2.0*G overflows into the next stage state
 OVERFLOWING_FIELD = ["dim = 2", "spray G1 = 10^308*x1 + y1 + y2",
                      "spray G2 = -10^308*x1 + y1 + y2"]
+# sums of coordinates with exact, float and past-the-double-range
+# coefficients, powered (within and past expr._EXPAND_CAP, and to negative
+# and fractional powers) and multiplied
+SUMS = ["(x1 + y1 + 1)", "(x1 - 2*y1 + 1/3)", "(0.5*x1 + y1 - 2.5)", "(2^2000*x1 + 0.5*y1)",
+        "(1e300*x1 + 1e-300*y1)"]
+SUM_POWERS = ["2", "5", "17", "-1", "-2", "1/2", "-3/2"]
 EDITS = st.one_of(
     st.builds("spray G1 = {}*y1^2".format, st.sampled_from(CONSTANTS)),
     st.builds("spray G1 = {}*y1".format, st.sampled_from(CONSTANTS)),
@@ -387,6 +393,10 @@ EDITS = st.one_of(
     st.builds(lambda d: "spray G1 = " + "(" * d + "y1" + ")" * d + "^2",
               st.sampled_from([49, 50, 300])),
     st.builds("dim = {}".format, st.sampled_from(["16", "17", "60"])),
+    st.builds("spray G1 = {}^{}*y1^2".format, st.sampled_from(SUMS), st.sampled_from(SUM_POWERS)),
+    st.builds("spray G1 = {}*{}*y1".format, st.sampled_from(SUMS), st.sampled_from(SUMS)),
+    st.builds("H = {}^{}*{}".format, st.sampled_from(SUMS), st.sampled_from(SUM_POWERS),
+              st.sampled_from(SUMS)),
 )
 
 
@@ -491,6 +501,15 @@ def _edited(demo: str, lines) -> str:
          None)
 @example("free.sdp", "t=0.01 dt=0.01", "rk4", "1", ["dist X1 = (10^200; 0)"], "dirac-check",
          None)
+# an exact coefficient past the double range met by a float in a product, in
+# a sum, and in a product that comes back into range, each of which once
+# raised OverflowError
+@example("free.sdp", "t=0.01 dt=0.01", "rk4", "1", ["spray G1 = 2^2000*y1^2*0.5", "H = y1^2"],
+         "verify", None)
+@example("free.sdp", "t=0.01 dt=0.01", "rk4", "1",
+         ["spray G1 = (2^2000)*x1*y1 + 0.5*x1*y1", "H = y1^2"], "analyze", None)
+@example("free.sdp", "t=0.01 dt=0.01", "rk4", "1", ["spray G1 = 2^1030*x1*y1^2*1e-300", "H = y1^2"],
+         "search", None)
 def test_no_problem_file_exits_4(demo, steps, method, seed, edits, command, seed_arg):
     text = _edited(demo, [f"integrate {steps} method={method} seed={seed} samples=1", *edits])
     with tempfile.TemporaryDirectory() as tmp:
