@@ -28,7 +28,7 @@ from .expr import (
 )
 from .forms import TwoForm, format_coefficient, format_two_form
 from .geometry import berwald_frame, curvature, is_flat, is_semispray, is_spray
-from .motion import conservation_drift, hamiltonian_certificate, integrate_sode
+from .motion import _kept_drift, hamiltonian_certificate, integrate_sode
 from .ansatz import Ansatz, search
 from .problemfile import IntegrateSettings, ProblemFile, load_problem_file
 
@@ -146,7 +146,9 @@ def _sampled_runs(pf: ProblemFile, S, ctx, st: IntegrateSettings, batch_seed: in
     """Integrate from seeded starting points as st sets out; measure H's drift.
 
     Returns one report entry per start and the largest drift (0.0 without
-    H).  `dump` adds the accepted step count and the strided trajectory.
+    H).  Where H fails at a kept row after the start, the run's drift covers
+    the rows before it and its drift_error says why.  `dump` adds the
+    accepted step count and the strided trajectory.
     """
     steps = int(round(st.t / st.dt))
     if max(steps, 1) * st.samples > MAX_TOTAL_STEPS:
@@ -158,7 +160,7 @@ def _sampled_runs(pf: ProblemFile, S, ctx, st: IntegrateSettings, batch_seed: in
     worst = 0.0
     for p in pts:
         traj = integrate_sode(S, p, st.dt, steps, method=st.method, ctx=ctx)
-        drift = conservation_drift(traj, pf.H, ctx) if pf.H is not None else None
+        drift, drift_error = _kept_drift(traj, pf.H, ctx) if pf.H is not None else (None, None)
         if drift is not None:
             worst = max(worst, drift)
         run = {"initial": [_round12(v) for v in (*p.x, *p.y)]}
@@ -166,6 +168,8 @@ def _sampled_runs(pf: ProblemFile, S, ctx, st: IntegrateSettings, batch_seed: in
             run["accepted_steps"] = len(traj.times) - 1
         run.update(t_final=_round12(traj.times[-1]), aborted=traj.aborted,
                    abort_reason=traj.abort_reason, drift=drift)
+        if drift_error is not None:
+            run["drift_error"] = drift_error
         if dump:
             run["trajectory"] = _trajectory_rows(traj)
         runs.append(run)

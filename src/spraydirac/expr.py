@@ -1,19 +1,19 @@
 """Symbolic expression kernel.
 
 Everything downstream (frames, curvature, brackets, residuals) is built from
-the small expression language implemented here: exact rational and floating
-constants, tangent-bundle coordinates x1..xn / y1..yn, scalar parameters,
-opaque unary functions with formal derivatives (f, f', f''), the unary
-functions sin / cos / exp / ln / sqrt, and +, -, *, /, ^ with rational
-exponents.
+the small expression language implemented here: exact (int where integral,
+else Fraction) and floating constants, tangent-bundle coordinates x1..xn /
+y1..yn, scalar parameters, opaque unary functions with formal derivatives
+(f, f', f''), the unary functions sin / cos / exp / ln / sqrt, and +, -, *,
+/, ^ with rational exponents.
 
 The design is deliberately closer to a normal-form calculator than to a full
 CAS.  ``simplify`` rewrites any tree into a canonical sum of terms, where each
-term is a rational (or float) coefficient times a product of atomic bases
-raised to rational exponents.  Products and integer powers of sums are
-expanded, structurally equal bases have their exponents combined (so f/f
-cancels), and sums appearing under a negative or fractional power are kept as
-atomic bases after content normalization.  Trigonometric and log identities
+term is an exact (int where integral, else Fraction) or float coefficient
+times a product of atomic bases raised to exact exponents.  Products and
+integer powers of sums are expanded, structurally equal bases have their
+exponents combined (so f/f cancels), and sums appearing under a negative or
+fractional power are kept as atomic bases after content normalization.  Trigonometric and log identities
 are out of scope on purpose; what the canonical form cannot settle is handed
 to the numeric sampler behind the tri-state ``is_zero``.
 
@@ -160,34 +160,40 @@ class Expr:
         return Neg(self)
 
     def __pow__(self, r):
-        if isinstance(r, int):
-            r = Fraction(r)
-        if not isinstance(r, Fraction):
-            raise TypeError("exponent must be an int or Fraction")
         return Pow(self, r)
 
 
+# The exact number types.  A tree, like a normal form, holds an exact value
+# as an int where it is integral and a Fraction otherwise (_exact); every
+# exactness test reads "not a float".
+_EXACT_TYPES = (int, Fraction)
+
+
+def _exact(q):
+    """An exact value as an int where it is integral."""
+    return q if type(q) is int or q.denominator != 1 else q.numerator
+
+
 class Const(Expr):
-    """Exact rational (Fraction) or floating literal."""
+    """A literal: exact (int where integral, else Fraction) or a float."""
 
     __slots__ = ("value",)
 
     def __init__(self, value):
-        if isinstance(value, int):
-            value = Fraction(value)
-        if not isinstance(value, (Fraction, float)):
-            raise TypeError(f"bad constant {value!r}")
-        self.value = value
-        if isinstance(value, Fraction):
+        if isinstance(value, float):
+            self._set_key(("const", "f", repr(value)))
+        elif isinstance(value, _EXACT_TYPES):
+            value = _exact(value)
             num, den = value.numerator, value.denominator
             if num.bit_length() > MAX_EXACT_BITS or den.bit_length() > MAX_EXACT_BITS:
                 raise EvalDomainError("exact constant too large")
             self._set_key(("const", "q", num, den))
         else:
-            self._set_key(("const", "f", repr(value)))
+            raise TypeError(f"bad constant {value!r}")
+        self.value = value
 
     def sortkey(self) -> tuple:
-        tag = 0 if isinstance(self.value, Fraction) else 1
+        tag = 1 if isinstance(self.value, float) else 0
         try:
             v = float(self.value)
         except OverflowError:   # a rational past the double range sorts as +-inf
@@ -195,12 +201,14 @@ class Const(Expr):
         return (0, v, tag, str(self.value))
 
 
-def _exact_pow(c: Fraction, k: int) -> Fraction:
-    """c**k, refused before it is built when it must pass MAX_EXACT_BITS."""
+def _exact_pow(c, k: int):
+    """c**k for an exact c, exact, refused before it is built when it must
+    pass MAX_EXACT_BITS.  An int to a negative power goes through Fraction,
+    since 2 ** -1 is 0.5."""
     bits = max(c.numerator.bit_length(), c.denominator.bit_length())
     if (bits - 1) * abs(k) >= MAX_EXACT_BITS:
         raise EvalDomainError("exact constant too large")
-    return c ** k
+    return _exact(Fraction(c) ** k if k < 0 else c ** k)
 
 
 ZERO = Const(0)
@@ -279,17 +287,15 @@ class FuncApp(Expr):
 
 
 class Pow(Expr):
-    """base raised to an exact rational exponent."""
+    """base raised to an exact exponent (int where integral, else Fraction)."""
 
     __slots__ = ("base", "exponent")
 
     def __init__(self, base: Expr, exponent):
-        if isinstance(exponent, int):
-            exponent = Fraction(exponent)
-        if not isinstance(exponent, Fraction):
+        if not isinstance(exponent, _EXACT_TYPES):
             raise TypeError("exponent must be an int or Fraction")
         self.base = base
-        self.exponent = exponent
+        self.exponent = exponent = _exact(exponent)
         self._set_key(("pow", base._key, exponent.numerator, exponent.denominator))
 
     def sortkey(self) -> tuple:
@@ -339,11 +345,8 @@ def Div(a: Expr, b: Expr) -> Expr:
 
 
 def as_expr(v) -> Expr:
-    if isinstance(v, Expr):
-        return v
-    if isinstance(v, (int, Fraction, float)):
-        return Const(v)
-    raise TypeError(f"cannot coerce {v!r} to Expr")
+    """v itself if it is a tree, else the Const of the number v."""
+    return v if isinstance(v, Expr) else Const(v)
 
 
 def sum_exprs(parts) -> Expr:
@@ -587,7 +590,7 @@ class _Parser:
             if not math.isfinite(value):
                 raise ParseError(f"numeric literal {text!r} does not fit in a double",
                                  position=pos)
-            return Const(Fraction(int(text)) if text.isdigit() else value)
+            return Const(int(text) if text.isdigit() else value)
         if kind == "ident":
             return self.ident(text, pos)
         if text == "-":
@@ -643,21 +646,17 @@ def parse(text: str, ctx: Context) -> Expr:
 # Normal form: dict mapping a monomial (sorted tuple of (base, exponent)
 # pairs) to a coefficient.  Coefficients are exact unless a float has
 # contaminated the term; "exact" means "not a float" (a numpy float64 is a
-# float).  An exponent or exact coefficient is an int when it is integral and
-# a Fraction otherwise: equal ints and Fractions compare, hash and print
-# alike, and int arithmetic runs in C.  Bases are canonical Exprs: Var, Param, Call,
-# FuncApp, Const (for things like 2^(1/2)), or a canonical Add/Mul/Pow kept
-# atomic because expanding it is unsound or unhelpful.
+# float).  An exponent or exact coefficient is exact (int where integral,
+# else Fraction), as a Const's value and a Pow's exponent are: equal ints and
+# Fractions compare, hash and print alike, and int arithmetic runs in C.
+# Bases are canonical Exprs: Var, Param, Call, FuncApp, Const (for things
+# like 2^(1/2)), or a canonical Add/Mul/Pow kept atomic because expanding it
+# is unsound or unhelpful.
 
 _Mono = tuple  # tuple[tuple[Expr, int | Fraction], ...]
 _NF = dict     # dict[_Mono, int | Fraction | float]
 
 _EXPAND_CAP = 16
-
-
-def _exact(q):
-    """An exact value as an int where it is integral."""
-    return q if type(q) is int or q.denominator != 1 else q.numerator
 
 
 def _past_range(op, a, b) -> float:
@@ -697,8 +696,7 @@ def _cpow(c, k):
     """c**k for an exact c and an int k, or a float c and an exponent k that
     is whole or has c > 0; a float overflows to +-inf, as a float product does."""
     if not isinstance(c, float):
-        # an int to a negative power would be a float
-        return _exact(_exact_pow(c if k >= 0 else Fraction(c), k))
+        return _exact_pow(c, k)
     try:
         return float(c) ** float(k)
     except OverflowError:
@@ -749,8 +747,8 @@ def _iroot(v: int, q: int) -> int | None:
     return r if r ** q == v else None
 
 
-def _frac_pow_exact(c: Fraction, r: Fraction):
-    """c**r as an exact Fraction, or None when no exact value exists."""
+def _frac_pow_exact(c, r):
+    """c**r for exact c and r, exact, or None when no exact value exists."""
     if r.denominator == 1:
         if c == 0 and r < 0:
             raise EvalDomainError("zero raised to a negative power")
@@ -765,8 +763,7 @@ def _frac_pow_exact(c: Fraction, r: Fraction):
     rd = _iroot(den, r.denominator)
     if rn is None or rd is None:
         return None
-    root = Fraction(sign * rn, rd)
-    return _frac_pow_exact(root, Fraction(r.numerator))
+    return _frac_pow_exact(Fraction(sign * rn, rd), r.numerator)
 
 
 def _normalize_pairs(pairs: dict, coeff):
@@ -779,7 +776,7 @@ def _normalize_pairs(pairs: dict, coeff):
             exp = exp.numerator
         if isinstance(base, Const):
             v = base.value
-            if isinstance(v, Fraction):
+            if not isinstance(v, float):
                 folded = _frac_pow_exact(v, exp)
                 if folded is not None:
                     coeff = _cmul(coeff, folded)
@@ -930,11 +927,8 @@ def _fold_call(fname: str, arg: Expr) -> Expr | None:
     if not isinstance(arg, Const):
         return None
     v = arg.value
-    if isinstance(v, Fraction):
-        table = {
-            ("sin", Fraction(0)): ZERO, ("cos", Fraction(0)): ONE,
-            ("exp", Fraction(0)): ONE, ("ln", Fraction(1)): ZERO,
-        }
+    if not isinstance(v, float):
+        table = {("sin", 0): ZERO, ("cos", 0): ONE, ("exp", 0): ONE, ("ln", 1): ZERO}
         return table.get((fname, v))
     try:
         return Const(_MATH[fname](float(v)))
@@ -1004,7 +998,7 @@ def _nf(e: Expr) -> _NF:
 def _build_nf(e: Expr) -> _NF:
     if isinstance(e, Const):
         v = e.value
-        return {} if v == 0 else {(): v if isinstance(v, float) else _exact(v)}
+        return {} if v == 0 else {(): v}
     if isinstance(e, (Var, Param)):
         return _atom(e)
     if isinstance(e, Add):
@@ -1060,7 +1054,7 @@ def simplify(e: Expr) -> Expr:
     """Rewrite into the canonical form; deterministic, memoised per input.
 
     A projection on exact trees: simplify(simplify(e)) == simplify(e) when
-    every constant is a Fraction.  A float coefficient may still move on a
+    every constant is exact.  A float coefficient may still move on a
     second call, so no result is memoised as its own simplification.
     """
     s = _SIMPLIFY_MEMO.get(e)
@@ -1105,7 +1099,7 @@ def _term_derivative(s: Expr, v: Var) -> list | None:
     for term in s.children if isinstance(s, Add) else (s,):
         factors = term.children if isinstance(term, Mul) else (term,)
         lead = isinstance(factors[0], Const)
-        mono = [(f.base, _exact(f.exponent)) if isinstance(f, Pow) else (f, 1)
+        mono = [(f.base, f.exponent) if isinstance(f, Pow) else (f, 1)
                 for f in factors[lead:]]
         if not all(isinstance(base, (Var, Param)) for base, _ in mono):
             return None
@@ -1403,7 +1397,7 @@ def _distributes(base: Expr, exp: Fraction) -> bool:
         return True
     # _emit puts the leading term first, and its coefficient first in it
     lead = base.children[0].children[0] if isinstance(base.children[0], Mul) else base.children[0]
-    return isinstance(lead, Const) and isinstance(lead.value, Fraction) and lead.value != 1
+    return isinstance(lead, Const) and not isinstance(lead.value, float) and lead.value != 1
 
 
 def _nf_expand_sums(nf: _NF) -> _NF:
@@ -1489,9 +1483,7 @@ def _needs_parens_as_base(e: Expr) -> bool:
         return True
     if isinstance(e, Const):
         v = e.value
-        if isinstance(v, Fraction):
-            return v < 0 or v.denominator != 1
-        return v < 0
+        return v < 0 or (not isinstance(v, float) and v.denominator != 1)
     return False
 
 
@@ -1517,7 +1509,7 @@ def _term_parts(e: Expr):
             v = f.value
             if v < 0:
                 sign, v = -sign, -v
-            if isinstance(v, Fraction):
+            if not isinstance(v, float):
                 if v.numerator != 1:
                     num.insert(0, str(v.numerator))
                 if v.denominator != 1:
@@ -1552,7 +1544,7 @@ def format_expr(e: Expr) -> str:
     test_printed_canonical_form_parses_back).
     """
     if isinstance(e, Const):   # the text _fmt_term would build, sign included
-        return str(e.value) if isinstance(e.value, Fraction) else repr(e.value)
+        return repr(e.value) if isinstance(e.value, float) else str(e.value)
     if isinstance(e, Add):
         sign, head = _fmt_term(e.children[0])
         out = ("-" if sign < 0 else "") + head
@@ -1625,10 +1617,9 @@ def _py_src(e: Expr, ctx: Context, depth: int) -> str:
         # evaluate refuses a constant that is non-finite or out of double range
         with contextlib.suppress(OverflowError):
             if math.isfinite(v):
-                if isinstance(v, Fraction):
-                    return (f"({v.numerator}/{v.denominator})" if v.denominator != 1
-                            else f"({v.numerator})")
-                return f"({v!r})"
+                if isinstance(v, float):
+                    return f"({v!r})"
+                return f"({v.numerator}/{v.denominator})" if v.denominator != 1 else f"({v})"
         return "_nonfinite()"
     if isinstance(e, Var):
         # evaluate refuses a coordinate past the point's dimension

@@ -259,19 +259,42 @@ def conservation_drift(traj: Trajectory, H: Expr, ctx: Context) -> float:
     return float(max(abs(v - vals[0]) for v in vals))
 
 
+def _kept_drift(traj: Trajectory, H: Expr, ctx: Context) -> tuple[float, str | None]:
+    """conservation_drift with one failure scope, and why it stops short:
+    where H fails at a kept row k > 0, the drift over rows 0..k-1 and
+    "row <k>: <evaluate's message>"; else the drift and None.  A failure at
+    the start (row 0) raises, since no drift is defined there."""
+    try:
+        return conservation_drift(traj, H, ctx), None
+    except EvalDomainError:
+        h = compile_exprs((H,), ctx)
+        for k, z in enumerate(traj.states):
+            try:
+                h(z, traj.params)
+            except EvalDomainError as exc:
+                if k == 0:
+                    raise
+                kept = replace(traj, times=traj.times[:k], states=traj.states[:k])
+                return conservation_drift(kept, H, ctx), f"row {k}: {exc}"
+        raise
+
+
 def _flow_distribution(S: SemiSpray, D_gens: Sequence[VectorField] | None,
                        ctx: Context, cfg: SampleConfig) -> list[VectorField]:
     """The generators to test on, after checking that S lies in their span.
 
     With no distribution given the horizontal frame of S is used, which is
-    legitimate only when S is a spray; otherwise the caller must supply
-    generators whose span contains S.
+    legitimate only when S is proven a spray; otherwise (is_spray proven
+    nonzero or undecided) the caller must supply generators whose span
+    contains S.
     """
     if D_gens is None:
-        if is_spray(S, ctx, cfg) is not Tri.PROVEN_ZERO:
-            raise ValidationError(
-                "no distribution given and the coefficients are not "
-                "2-homogeneous; supply generators containing the flow field")
+        verdict = is_spray(S, ctx, cfg)
+        if verdict is not Tri.PROVEN_ZERO:
+            why = ("the coefficients are not 2-homogeneous" if verdict is Tri.PROVEN_NONZERO
+                   else "the 2-homogeneity of the coefficients is undecided (is_spray: unknown)")
+            raise ValidationError(f"no distribution given and {why}; "
+                                  "supply generators containing the flow field")
         D_gens = berwald_frame(S).horizontal
     D_gens = list(D_gens)
     pts = sample_points(ctx, cfg, S.singular_loci, count=max(8, cfg.points // 4))

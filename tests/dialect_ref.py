@@ -45,6 +45,11 @@ class Div(_Node):
         return (9, self.num.sortkey(), self.den.sortkey())
 
 
+def _value(c: Const):
+    """c's value, read as a Fraction where it is exact (not a float)."""
+    return c.value if isinstance(c.value, float) else Fraction(c.value)
+
+
 def to_dialect(e: Expr) -> Expr:
     """e with each Neg built by expr.Neg and each Div by expr.Div."""
     if isinstance(e, Neg):
@@ -113,7 +118,7 @@ def nf(e: Expr):
 
 def _build_nf(e: Expr):
     if isinstance(e, Const):
-        return {} if e.value == 0 else {(): e.value}
+        return {} if e.value == 0 else {(): _value(e)}
     if isinstance(e, (Var, Param)):
         return expr._atom(e)
     if isinstance(e, Neg):
@@ -195,7 +200,7 @@ def _needs_parens_as_base(e: Expr) -> bool:
     if isinstance(e, (Add, Mul, Div, Neg, Pow)):
         return True
     if isinstance(e, Const):
-        v = e.value
+        v = _value(e)
         if isinstance(v, Fraction):
             return v < 0 or v.denominator != 1
         return v < 0
@@ -223,7 +228,7 @@ def _term_parts(e: Expr):
         if isinstance(f, str):
             den.append(f)
         elif isinstance(f, Const):
-            v = f.value
+            v = _value(f)
             if v < 0:
                 sign, v = -sign, -v
             if isinstance(v, Fraction):
@@ -260,7 +265,8 @@ def _fmt_term(e: Expr) -> tuple[int, str]:
 
 def format_expr(e: Expr) -> str:
     if isinstance(e, Const):
-        return str(e.value) if isinstance(e.value, Fraction) else repr(e.value)
+        v = _value(e)
+        return str(v) if isinstance(v, Fraction) else repr(v)
     if isinstance(e, Add):
         sign, head = _fmt_term(e.children[0])
         out = ("-" if sign < 0 else "") + head

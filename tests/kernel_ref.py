@@ -12,13 +12,20 @@ from spraydirac.errors import EvalDomainError
 from spraydirac.expr import Add, Call, Const, FuncApp, Mul, Param, Pow, Var
 
 
+def _fraction(v):
+    """v, read as a Fraction where it is exact (not a float)."""
+    return v if isinstance(v, float) else Fraction(v)
+
+
 def _cmul(a, b):
+    a, b = _fraction(a), _fraction(b)
     if isinstance(a, Fraction) and isinstance(b, Fraction):
         return a * b
     return float(a) * float(b)
 
 
 def _cadd(a, b):
+    a, b = _fraction(a), _fraction(b)
     if isinstance(a, Fraction) and isinstance(b, Fraction):
         return a + b
     return float(a) + float(b)
@@ -26,7 +33,7 @@ def _cadd(a, b):
 
 def _cpow(c, k):
     if isinstance(c, Fraction):
-        return expr._exact_pow(c, k)
+        return _fraction(expr._exact_pow(c, k))
     try:
         return float(c) ** float(k)
     except OverflowError:
@@ -110,7 +117,7 @@ def _atom(base):
 
 def _build_nf(e):
     if isinstance(e, Const):
-        return {} if e.value == 0 else {(): e.value}
+        return {} if e.value == 0 else {(): _fraction(e.value)}
     if isinstance(e, (Var, Param)):
         return _atom(e)
     if isinstance(e, Add):

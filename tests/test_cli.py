@@ -436,6 +436,51 @@ def test_constants_out_of_double_range_exit_3(tmp_path, capsys, name):
     assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
+# H = y1^2 overflows only at the last kept row of two of the drift's runs,
+# which once threw the decided certificate away with exit 3
+Y1_SQUARED = "dim = 1\nspray G1 = y1^2\nH = y1^2\n"
+Y1_SQUARED_FAILURES = ["row 387: overflow in power", "row 1542: overflow in power"]
+
+
+def test_a_drift_that_fails_after_the_start_keeps_its_runs(tmp_path, capsys):
+    f = tmp_path / "y1_squared.sdp"
+    f.write_text(Y1_SQUARED)
+    rc, out, _ = _run(capsys, ["verify", str(f), "--json"])
+    assert rc == 0
+    drift = json.loads(out)["drift"]
+    failed = [r for r in drift["runs"] if "drift_error" in r]
+    assert [r["drift_error"] for r in failed] == Y1_SQUARED_FAILURES
+    assert all(list(r)[-2:] == ["drift", "drift_error"] for r in failed)
+    assert drift["max_drift"] == max(r["drift"] for r in drift["runs"])
+    # integrate, with verify's default drift settings, follows the same rule
+    f.write_text(Y1_SQUARED + "integrate t=10 dt=0.001 method=rk4 seed=20260823 samples=10\n")
+    rc, out, _ = _run(capsys, ["integrate", str(f), "--json"])
+    assert rc == 0
+    runs = json.loads(out)["trajectories"]
+    assert [r["drift"] for r in runs] == [r["drift"] for r in drift["runs"]]
+    assert [(r["accepted_steps"], r["drift_error"]) for r in runs if "drift_error" in r] == [
+        (387, Y1_SQUARED_FAILURES[0]), (1542, Y1_SQUARED_FAILURES[1])]
+
+
+# with no generators given, the flow field is tested on the horizontal frame
+# only where is_spray is proven_zero; an undecided verdict (G1 folds to
+# inf*y1^2) is not reported as a proven failure
+@pytest.mark.parametrize("spray, verdict, reason", [
+    ("2^2000*y1^2*0.5", "unknown",
+     "the 2-homogeneity of the coefficients is undecided (is_spray: unknown)"),
+    ("y1^3", "proven_nonzero", "the coefficients are not 2-homogeneous"),
+])
+def test_no_distribution_and_no_proven_spray_exits_2(tmp_path, capsys, spray, verdict, reason):
+    f = tmp_path / "spray.sdp"
+    f.write_text(f"dim = 1\nspray G1 = {spray}\nH = y1^2\n")
+    rc, out, _ = _run(capsys, ["analyze", str(f)])
+    assert rc == 0 and f"is_spray: {verdict}\n" in out
+    for command in ("verify", "search"):
+        rc, _, err = _run(capsys, [command, str(f)])
+        assert (rc, err) == (2, f"validation error: no distribution given and {reason}; "
+                                "supply generators containing the flow field\n")
+
+
 # folded non-finite constants (1e300*1e300 is inf) and exact constants past
 # the double range, each of which once exited 4
 FOLDED = "dim = 1\nspray G1 = {}\n{}integrate t=0.1 dt=0.01 method=rk4 seed=1 samples=2\n"

@@ -17,7 +17,7 @@ from spraydirac.errors import EvalDomainError  # noqa: E402
 from spraydirac.expr import (  # noqa: E402
     Add, Call, Const, Context, Div, Mul, Neg, Param, Pow, Var, compile_exprs, parse,
 )
-from spraydirac.motion import Trajectory, conservation_drift  # noqa: E402
+from spraydirac.motion import Trajectory, _kept_drift, conservation_drift  # noqa: E402
 
 from evaluate_ref import floats_then_evaluate  # noqa: E402
 
@@ -110,3 +110,16 @@ def test_an_infinity_that_floats_would_mask_fails_the_drift():
     traj = Trajectory(1, [0.0, 0.1], [[1.0, 1.0], [0.0, 1.0]], "rk4", 0.1, {})
     with pytest.raises(EvalDomainError, match="^zero raised to a negative power$"):
         conservation_drift(traj, parse("y1/(1 + x1^-1)", ctx), ctx)
+
+
+def test_a_failure_after_the_start_keeps_the_drift_of_the_rows_before_it():
+    ctx = Context(dim=1)
+    traj = Trajectory(1, [0.0, 0.1, 0.2, 0.3], [[1.0, 1.0], [1.0, 3.0], [0.0, 2.0], [1.0, 9.0]],
+                      "rk4", 0.1, {})
+    H = parse("y1/x1", ctx)
+    assert _kept_drift(traj, H, ctx) == (2.0, "row 2: zero raised to a negative power")
+    assert _kept_drift(traj, parse("x1*y1", ctx), ctx) == (8.0, None)
+    # at the start no drift is defined: the error stands
+    start = Trajectory(1, [0.0, 0.1], [[0.0, 1.0], [1.0, 1.0]], "rk4", 0.1, {})
+    with pytest.raises(EvalDomainError, match="^zero raised to a negative power$"):
+        _kept_drift(start, H, ctx)

@@ -134,6 +134,32 @@ def test_an_exact_power_is_an_int_where_it_is_integral():
         (Fraction(1, 8), Fraction), (8, int), (-27, int), (-4, int), (Fraction(1, 4), Fraction)]
 
 
+def _typed(v):
+    return v, type(v)
+
+
+# 2^-1, 8^(-2/3), 4^(1/2) and (1/8)^(-1/3): int bases, and a Fraction base
+# whose power is an int, all exact
+CONSTANT_BASES = [(2, -1, Fraction(1, 2)), (8, Fraction(-2, 3), Fraction(1, 4)),
+                  (4, Fraction(1, 2), 2), (Fraction(1, 8), Fraction(-1, 3), 2)]
+
+
+def test_an_int_to_a_negative_power_is_exact():
+    assert _typed(expr._exact_pow(2, -1)) == (Fraction(1, 2), Fraction)
+    assert _typed(expr._exact_pow(-2, -3)) == (Fraction(-1, 8), Fraction)
+    assert _typed(expr._exact_pow(Fraction(1, 2), -2)) == (4, int)
+    assert _typed(expr._exact_pow(3, 2)) == (9, int)
+
+
+@pytest.mark.parametrize("c, r, want", CONSTANT_BASES)
+def test_a_constant_base_folds_exactly(c, r, want):
+    assert _typed(expr._frac_pow_exact(c, r)) == _typed(want)
+    mono, coeff = expr._normalize_pairs({Const(c): r, X1: 1}, 3)
+    assert mono == ((X1, 1),) and _typed(coeff) == _typed(3 * want)
+    folded = expr.simplify(Pow(Const(c), r))
+    assert isinstance(folded, Const) and _typed(folded.value) == _typed(want)
+
+
 BIG = 2 ** 2000
 
 

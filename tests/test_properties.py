@@ -215,17 +215,32 @@ def test_no_coefficient_of_a_normal_form_is_zero(e):
     simplify(s)
 
 
+def _values(e):
+    """Every constant's value and every power's exponent in the tree e."""
+    return [n.value if isinstance(n, Const) else n.exponent
+            for n in _nodes(e) if isinstance(n, (Const, Pow))]
+
+
 @PROPERTY
 @given(st.one_of(POLYNOMIALS, RATIONALS, EXACT))
 # fractional exponents that add up, or multiply out, to whole ones
 @example(parse("(x1 + 1)^1/2*(x1 + 1)^1/2*y1", CTX2))
 @example(parse("(x1^2/3)^3/2*(x2*y1)^1/2*(x2*y1)^3/2", CTX2))
 @example(parse("1/(x1 + x2)*y1^-1/2", CTX2))
-def test_monomial_exponents_are_ints_where_integral_and_pows_keep_fractions(e):
+# int bases at negative and fractional powers, and whole Fractions
+@example(parse("2^-1*x1 + 8^-2/3*y1 + (1/8)^-1/3 + 3^1/2*x2", CTX2))
+@example(Mul((Const(Fraction(6, 3)), Pow(X1, Fraction(4, 2)))))
+# a float is built from one and stays one
+@example(Mul((X1, Add((X2, Const(0.5))))))
+def test_exact_values_are_ints_where_integral_and_fractions_otherwise(e):
     s = _canonical(e)
     exps = [r for mono in expr._nf(e) for _, r in mono]
     assert all(type(r) is (int if r.denominator == 1 else Fraction) for r in exps), exps
-    assert all(type(p.exponent) is Fraction for p in _nodes(s) if isinstance(p, Pow))
+    built_float = any(isinstance(v, float) for v in _values(e))
+    for tree in (e, parse(format_expr(e), CTX2), s, diff(e, X1)):
+        for v in _values(tree):
+            assert (type(v) is float and built_float
+                    or type(v) is (int if v.denominator == 1 else Fraction)), (v, format_expr(tree))
 
 
 def _snap_by_fractions(v):

@@ -289,7 +289,7 @@ def _ref_term_parts(e):
     def feed(f):
         nonlocal sign
         if isinstance(f, Const):
-            feed_const(f.value)
+            feed_const(f.value if isinstance(f.value, float) else Fraction(f.value))
         elif isinstance(f, Pow) and f.exponent < 0:
             den.append(_ref_fmt_powered(f.base, -f.exponent))
         elif isinstance(f, Mul):
