@@ -27,7 +27,7 @@ from .errors import (
     NotIsotropicError, RankDeficientError, SingularLocusError, ValidationError,
 )
 from .expr import (
-    Add, Const, Context, Expr, Mul, Neg, Point, SampleConfig, Tri, ZERO,
+    Add, Const, Context, Expr, Mul, Neg, Point, SampleConfig, Tri,
     _zero_test, evaluate, evaluate_points, sample_points, simplify, sum_exprs,
 )
 from .forms import TwoForm, d_scalar, interior_product, lie_derivative
@@ -74,7 +74,7 @@ class Section:
         return [*self.X.comps, *self.alpha.comps]
 
     def is_structurally_zero(self) -> bool:
-        return all(c == ZERO for c in self.components())
+        return self.X.is_zero() and self.alpha.is_zero()
 
 
 def pairing(a: Section, b: Section) -> Expr:
@@ -85,10 +85,13 @@ def pairing(a: Section, b: Section) -> Expr:
 
 
 def courant_bracket(a: Section, b: Section) -> Section:
-    """([X,Y], L_X beta - L_Y alpha + (1/2) d(alpha(Y) - beta(X)))."""
+    """([X,Y], L_X beta - L_Y alpha + (1/2) d(alpha(Y) - beta(X))); where both
+    form halves are structurally zero, only [X,Y] is computed."""
     if a.n != b.n:
         raise ValidationError("bracket of sections on different dimensions")
     vec = lie_bracket(a.X, b.X)
+    if a.alpha.is_zero() and b.alpha.is_zero():
+        return Section(vec, OneForm.zero(a.n))
     scalar = simplify(Add((a.alpha(b.X), Neg(b.alpha(a.X)))))
     correction = d_scalar(Mul((HALF, scalar)), a.n)
     form = lie_derivative(a.X, b.alpha) + lie_derivative(b.X, a.alpha).scaled(-1)
@@ -270,6 +273,8 @@ def from_distribution(D_gens: Sequence[VectorField],
     cfg = cfg or SampleConfig()
     pts = sample_points(ctx, cfg, loci, count=max(8, cfg.points // 2))
 
+    for g in (*etas, *D_gens) if etas else ():   # normalized before eta(X) skips a ZERO's partner
+        g.simplified()
     for eta in etas:
         for X in D_gens:
             verdict, witness, val = _zero_test(simplify(eta(X)), ctx, cfg, loci)

@@ -236,7 +236,7 @@ def interior_product(X: VectorField, omega: TwoForm) -> OneForm:
 
 def lie_derivative(X: VectorField, alpha: OneForm) -> OneForm:
     """Cartan formula: contract into d(alpha), then add d of the pairing."""
-    if all(c == ZERO for c in X.comps) or all(c == ZERO for c in alpha.comps):
+    if X.is_zero() or alpha.is_zero():
         return OneForm.zero(alpha.n)
     first = interior_product(X, exterior_derivative_1(alpha))
     second = d_scalar(alpha(X), alpha.n)

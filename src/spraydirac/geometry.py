@@ -71,17 +71,24 @@ class _Flat:
     def component(self, flat: int) -> Expr:
         return self.comps[flat]
 
+    def is_zero(self) -> bool:
+        """Structurally zero: every component is ZERO, decided without sampling."""
+        return all(c == ZERO for c in self.comps)
+
     def __add__(self, other):
         if type(other) is not type(self):
             return NotImplemented
         if other.n != self.n:
             raise ValidationError("sum of elements on different dimensions")
+        if self.is_zero() or other.is_zero():
+            return (other if self.is_zero() else self).simplified()
         return self.from_comps(self.n, [simplify(Add((a, b)))
                                         for a, b in zip(self.comps, other.comps)])
 
     def scaled(self, c):
         c = as_expr(c)
-        return self.from_comps(self.n, [simplify(Mul((c, v))) for v in self.comps])
+        return self if self.is_zero() else self.from_comps(
+            self.n, [simplify(Mul((c, v))) for v in self.comps])
 
     def simplified(self):
         return self.from_comps(self.n, [simplify(c) for c in self.comps])
@@ -98,9 +105,9 @@ class VectorField(_Flat):
     base, fiber = _LOW, _HIGH
 
     def __call__(self, f: Expr) -> Expr:
-        """Directional derivative X(f); a zero component takes no derivative."""
-        parts = [Mul((c, diff(f, v)))
-                 for c, v in zip(self.comps, coordinates(self.n)) if c != ZERO]
+        """Directional derivative X(f): no product where a component or its derivative is ZERO."""
+        parts = [Mul((c, d)) for c, v in zip(self.comps, coordinates(self.n))
+                 if c != ZERO and (d := diff(f, v)) != ZERO]
         return simplify(sum_exprs(parts))
 
 
@@ -111,15 +118,25 @@ class OneForm(_Flat):
     dx, dy = _LOW, _HIGH
 
     def __call__(self, X: VectorField) -> Expr:
-        parts = [Mul((a, b)) for a, b in zip(self.comps, X.comps)]
-        return simplify(Add(tuple(parts)))
+        """alpha(X): the sum of the products of matching components, less those with a ZERO."""
+        if X.n != self.n:
+            raise ValidationError("pairing of a form and a field on different dimensions")
+        parts = [Mul((a, b)) for a, b in zip(self.comps, X.comps) if a != ZERO and b != ZERO]
+        return simplify(sum_exprs(parts))
+
+
+def _difference(a: Expr, b: Expr) -> Expr:
+    """simplify(a - b); where one side is ZERO, simplify of the other side alone."""
+    return simplify(a if b == ZERO else Neg(b) if a == ZERO else Add((a, Neg(b))))
 
 
 def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
-    """[X, Y] componentwise: X(Y^k) - Y(X^k)."""
+    """[X, Y] componentwise: X(Y^k) - Y(X^k); the zero field where X or Y is zero."""
     if X.n != Y.n:
         raise ValidationError("bracket of fields on different dimensions")
-    return VectorField.from_comps(X.n, [simplify(Add((X(y), Neg(Y(x)))))
+    if X.is_zero() or Y.is_zero():
+        return VectorField.zero(X.n)
+    return VectorField.from_comps(X.n, [_difference(X(y), Y(x))
                                         for x, y in zip(X.comps, Y.comps)])
 
 
@@ -266,8 +283,8 @@ def curvature(S: SemiSpray, frame: BerwaldFrame | None = None) -> CurvatureTenso
     for i in range(n):
         for j in range(i + 1, n):
             for a in range(n):
-                R[a][i][j] = simplify(Add((fr.horizontal[j](fr.N[a][i]),
-                                           Neg(fr.horizontal[i](fr.N[a][j])))))
+                R[a][i][j] = _difference(fr.horizontal[j](fr.N[a][i]),
+                                         fr.horizontal[i](fr.N[a][j]))
                 R[a][j][i] = simplify(Neg(R[a][i][j]))
     return CurvatureTensor(n, tuple(tuple(tuple(row) for row in plane) for plane in R))
 

@@ -24,7 +24,7 @@ from .errors import (
     ValidationError,
 )
 from .expr import (
-    LOCUS_GUARD, Context, Expr, Point, SampleConfig, Tri, ZERO,
+    LOCUS_GUARD, Context, Expr, Point, SampleConfig, Tri,
     _NonFinite, _evaluated, compile_exprs, compile_rk4_step, evaluate_points,
     evaluate_points_with_magnitude, is_zero, sample_points, simplify, tri_all,
 )
@@ -288,6 +288,7 @@ def _flow_distribution(S: SemiSpray, D_gens: Sequence[VectorField] | None,
     nonzero or undecided) the caller must supply generators whose span
     contains S.
     """
+    raw = D_gens is not None
     if D_gens is None:
         verdict = is_spray(S, ctx, cfg)
         if verdict is not Tri.PROVEN_ZERO:
@@ -307,6 +308,8 @@ def _flow_distribution(S: SemiSpray, D_gens: Sequence[VectorField] | None,
             raise DistributionMembershipError(
                 f"flow field leaves the span of the distribution "
                 f"(gap {gap:.3e} at a sampled point)")
+    for c in d_comps if raw else ():   # normalized before a pairing or bracket skips one
+        simplify(c)
     return D_gens
 
 
@@ -337,7 +340,7 @@ def _residual(S: SemiSpray, omega: TwoForm, H: Expr, D_gens: list[VectorField],
         for val, mag in values:
             worst = max(worst, abs(val) / max(1.0, mag))
 
-    trivial = all(c == ZERO for c in dH.comps)
+    trivial = dH.is_zero()
     return MotionReport(
         residual_components=comps,
         residual_verdicts=verdicts,

@@ -266,3 +266,10 @@ def test_fields_and_one_forms_keep_one_flat_tuple(case):
         with pytest.raises(ValidationError, match=f"^{halves[1]} needs {n} components"):
             cls(n, low, high[1:])
     assert VectorField(n, low, high) != OneForm(n, low, high)
+
+
+def test_a_form_and_a_field_of_different_dimensions_do_not_pair():
+    # zip once cut the pairing to the shorter tuple and returned 5
+    with pytest.raises(ValidationError,
+                       match="^pairing of a form and a field on different dimensions$"):
+        OneForm(2, (1, 0), (0, 1))(VectorField(3, (1, 2, 3), (4, 5, 6)))
