@@ -8,8 +8,8 @@ exact correction term.  Structures are handled through finite generating
 families, checked pointwise on the generator matrix at each point (each
 matrix entry evaluated over all the points in one pass): isotropy, rank,
 kernel and leaf two-form, and bracket closure as a numeric residual against
-the evaluated span, whatever its rank.  Leaf arguments, bracket rows and
-the flow field go through one span test, span_gaps, with one overflow rule.
+the evaluated span, whatever its rank.  Leaf arguments, bracket rows and the
+flow field go through span_gaps: one overflow rule, one gelsd call per stack.
 """
 
 from __future__ import annotations
@@ -21,6 +21,9 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 import numpy as np
+# the gufunc and error hook of np.linalg.lstsq, which refuses a stack of
+# systems; one solve of many right-hand sides is not bit for bit
+from numpy.linalg import _linalg, _umath_linalg
 
 from .errors import (
     AnnihilatorMismatchError, DistributionMembershipError, EvalDomainError,
@@ -196,12 +199,12 @@ class AlmostDirac:
             raise failed
 
 
-def stacked(fn, mats: Sequence[np.ndarray]) -> list:
-    """fn of each of mats, from one call of fn per stack of equal shapes."""
+def stacked(fn, mats: Sequence[np.ndarray], *rest: Sequence[np.ndarray]) -> list:
+    """fn of each of mats (and of rest's items), one call per stack of equal shape and strides."""
     out: dict[int, object] = {}
-    for shape in dict.fromkeys(M.shape for M in mats):
-        idx = [i for i, M in enumerate(mats) if M.shape == shape]
-        out.update(zip(idx, fn(np.stack([mats[i] for i in idx]))))
+    for layout in dict.fromkeys((M.shape, M.strides) for M in mats):
+        idx = [i for i, M in enumerate(mats) if (M.shape, M.strides) == layout]
+        out.update(zip(idx, fn(*(np.stack([seq[i] for i in idx]) for seq in (mats, *rest)))))
     return [out[i] for i in range(len(mats))]
 
 
@@ -224,26 +227,33 @@ def _null_space(A: np.ndarray):
     return vh[num:, :].T if A.ndim == 2 else [v[q:, :].T for v, q in zip(vh, num)]
 
 
-def span_gaps(A: np.ndarray, rhs: Sequence[np.ndarray]) -> list[tuple[np.ndarray, float, bool]]:
-    """For each row b of rhs: the least-squares x of A x = b, the norm of
-    b - A x, and whether that norm exceeds POINTWISE_TOL * max(1, |b|).
-    Where a norm leaves the double range, the test is made on A and b
-    divided by their largest entry, and the norm scaled back."""
-    out = []
+def span_gaps(A: np.ndarray | Sequence[np.ndarray], rhs: Sequence[np.ndarray]) -> list:
+    """For each row b of rhs: the least-squares x of A x = b, |b - A x|, and
+    whether that exceeds POINTWISE_TOL * max(1, |b|).  A is one matrix, read
+    in place (other strides can round A @ x apart), or one per row, solved a
+    stack per call.  A row whose norm overflows is tested on A and b divided
+    by their largest entry, and its norm scaled back."""
+    if not isinstance(A, np.ndarray):
+        return stacked(span_gaps, A, rhs)
+    A, b = np.broadcast_to(A, (len(rhs), *A.shape[-2:])), np.reshape(rhs, (len(rhs), A.shape[-2]))
     with np.errstate(over="ignore", invalid="ignore"):
-        for b in rhs:
-            scale = 1.0
-            x, *_ = np.linalg.lstsq(A, b, rcond=None)
-            gap, size = np.linalg.norm(A @ x - b), np.linalg.norm(b)
-            if not (math.isfinite(gap) and math.isfinite(size)):
-                scale = float(max(np.max(np.abs(A)), np.max(np.abs(b))))
-                As, bs = A / scale, b / scale
-                x, *_ = np.linalg.lstsq(As, bs, rcond=None)
-                gap, size = np.linalg.norm(As @ x - bs), np.linalg.norm(bs)
-            # the residual and |b| scale alike
-            outside = bool(gap > POINTWISE_TOL * max(1.0 / scale, size))
-            out.append((x, float(gap) * scale, outside))
-    return out
+        x, gap, size = _lstsq(A, b)
+        scale = np.ones_like(gap)
+        for k in np.flatnonzero(~(np.isfinite(gap) & np.isfinite(size))):
+            scale[k] = max(np.max(np.abs(A[k])), np.max(np.abs(b[k])))
+            (x[k],), (gap[k],), (size[k],) = _lstsq(A[k:k + 1] / scale[k], b[k:k + 1] / scale[k])
+        # the residual and |b| scale alike
+        outside = gap > POINTWISE_TOL * np.fmax(1.0 / scale, size)
+        return list(zip(x, (gap * scale).tolist(), outside.tolist()))
+
+
+def _lstsq(A: np.ndarray, b: np.ndarray) -> tuple:
+    """Each x of a stack A x = b as np.linalg.lstsq gives it, |b - A x|, |b|."""
+    with np.errstate(call=_linalg._raise_linalgerror_lstsq, invalid="call"):
+        x = _umath_linalg.lstsq(A, b[..., None], np.finfo(float).eps * max(A.shape[-2:]),
+                                signature="ddd->ddid")[0]
+    r = np.matmul(A, x)[..., 0] - b
+    return x[..., 0], np.sqrt(np.vecdot(r, r)), np.sqrt(np.vecdot(b, b))
 
 
 def from_distribution(D_gens: Sequence[VectorField],
@@ -283,6 +293,10 @@ def from_distribution(D_gens: Sequence[VectorField],
                     "annihilator does not vanish on the distribution: "
                     f"value {val:.3e} at a sampled point", witness=witness)
 
+    def rank(rows, r):   # each nonzero row over its largest entry: scaling keeps the span
+        M = np.reshape(rows, (len(rows), r, 2 * n))
+        m = np.max(np.abs(M), axis=-1, keepdims=True)
+        return _matrix_rank(M / np.where(m > 0, m, 1.0))
     k = len(D_gens)
     a_rows = evaluate_points([c for eta in etas for c in eta.comps], pts, ctx)
     # D(i), then A(i), per point; a rank-deficient D before a later error
@@ -293,13 +307,13 @@ def from_distribution(D_gens: Sequence[VectorField],
             As.append(next(a_rows))
     except Exception as exc:  # noqa: BLE001 -- raised after the ranks before it
         failed = exc
-    if np.any(_matrix_rank(np.reshape(Ds, (len(Ds), k, 2 * n))) < k):
+    if np.any(rank(Ds, k) < k):
         raise RankDeficientError(
             f"distribution generators dependent at a sampled point "
             f"(rank < {k})")
     if failed is not None:
         raise failed
-    ann_rank = int(np.max(_matrix_rank(np.reshape(As, (len(As), len(etas), 2 * n)))))
+    ann_rank = int(np.max(rank(As, len(etas))))
 
     deficit = 0 if auto else (2 * n - k) - ann_rank
     if deficit < 0:
@@ -363,11 +377,11 @@ def involutivity_residual(L: AlmostDirac, points: Sequence[Point], ctx: Context,
     pointwise closure condition.  It is measured against the evaluated span
     whatever its rank, which only ever overestimates closure failure.
     """
-    worst = 0.0
+    mats, rows = [], []
     for B, values in zip(Bs, evaluate_points(L.bracket_exprs(), points, ctx)):
-        rows = np.reshape(values, (-1, 4 * L.n))
-        worst = max([worst, *(gap for _, gap, _ in span_gaps(B.T, rows))])
-    return worst
+        rows.extend(np.reshape(values, (-1, 4 * L.n)))
+        mats += [B.T] * (len(rows) - len(mats))
+    return max([0.0, *(gap for _, gap, _ in span_gaps(mats, rows))])
 
 
 def kernel_at(B: np.ndarray) -> list[np.ndarray]:

@@ -300,14 +300,20 @@ def _flow_distribution(S: SemiSpray, D_gens: Sequence[VectorField] | None,
     D_gens = list(D_gens)
     pts = sample_points(ctx, cfg, S.singular_loci, count=max(8, cfg.points // 4))
     d_comps = [c for X in D_gens for c in X.comps]
-    for vals, s_vals in zip(evaluate_points(d_comps, pts, ctx),
-                            evaluate_points(S.vector_field().comps, pts, ctx)):
-        rows = np.reshape(vals, (len(D_gens), 2 * S.n))
-        (_, gap, outside), = span_gaps(rows.T, [np.array(s_vals)])
+    k, rows, failed = len(d_comps), [], None
+    try:
+        for row in evaluate_points(d_comps + list(S.vector_field().comps), pts, ctx):
+            rows.append(row)
+    except Exception as exc:  # noqa: BLE001 -- raised after the spans before it
+        failed = exc
+    mats = [np.reshape(row[:k], (len(D_gens), 2 * S.n)).T for row in rows]
+    for _, gap, outside in span_gaps(mats, [row[k:] for row in rows]):
         if outside:
             raise DistributionMembershipError(
                 f"flow field leaves the span of the distribution "
                 f"(gap {gap:.3e} at a sampled point)")
+    if failed is not None:
+        raise failed
     for c in d_comps if raw else ():   # normalized before a pairing or bracket skips one
         simplify(c)
     return D_gens

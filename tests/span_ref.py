@@ -1,5 +1,6 @@
-"""The references of dirac.span_gaps: the three span tests it replaced, each
-as it stood with its own overflow rule (or none).
+"""The references of dirac.span_gaps: its body when it solved one row at a
+time (span_gaps_rows), and the three span tests that body replaced, each as
+it stood with its own overflow rule (or none).
 
 - span_gap: the flow-field membership test, which solved again on A and b
   divided by their largest entry where a norm left the double range;
@@ -54,3 +55,22 @@ def leaf_membership(V: np.ndarray, Xv: np.ndarray, Yv: np.ndarray):
             return name, None
     c, *_ = np.linalg.lstsq(V.T, Xv, rcond=None)
     return None, c
+
+
+def span_gaps_rows(A: np.ndarray, rhs) -> list[tuple[np.ndarray, float, bool]]:
+    """dirac.span_gaps with one np.linalg.lstsq per row b of rhs."""
+    out = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for b in rhs:
+            scale = 1.0
+            x, *_ = np.linalg.lstsq(A, b, rcond=None)
+            gap, size = np.linalg.norm(A @ x - b), np.linalg.norm(b)
+            if not (math.isfinite(gap) and math.isfinite(size)):
+                scale = float(max(np.max(np.abs(A)), np.max(np.abs(b))))
+                As, bs = A / scale, b / scale
+                x, *_ = np.linalg.lstsq(As, bs, rcond=None)
+                gap, size = np.linalg.norm(As @ x - bs), np.linalg.norm(bs)
+            # the residual and |b| scale alike
+            outside = bool(gap > POINTWISE_TOL * max(1.0 / scale, size))
+            out.append((x, float(gap) * scale, outside))
+    return out

@@ -820,3 +820,37 @@ def test_a_start_prints_alike_in_initial_and_in_the_trajectory():
     v = -1.4532504458175
     traj = Trajectory(1, [0.0], [[v, 1.0]], "rk4", 0.01, {})
     assert cli._trajectory_rows(traj)[0][1] == cli._round12(v)
+
+
+# a generator's scale does not change the span: from_distribution once read
+# X3 as dependent (exit 2, "rank < 3") because the rank tolerance grew with
+# its entry 10^12*x1, and it read the annihilator family with A2 as short
+SCALED_GENERATOR = ("dim = 2\ndist X1 = (1, 0; 0, 0)\ndist X2 = (0, 1; 0, 0)\n"
+                    "dist X3 = (0, 0; 1, {})\n")
+SCALED_ANNIHILATOR = ("dim = 2\ndist X1 = (1, 0; 0, 0)\ndist X2 = (0, 1; 0, 0)\n"
+                      "ann A1 = (0, 0; 1, 0)\nann A2 = (0, 0; 0, 10^12*x1)\n")
+
+
+def test_the_rank_tests_do_not_depend_on_a_generator_s_scale(capsys, tmp_path):
+    path = tmp_path / "scaled.sdp"
+    path.write_text(SCALED_GENERATOR.format("10^12*x1"), encoding="utf-8")
+    rc, out, _ = _run(capsys, ["dirac-check", str(path)])
+    assert rc == 0 and "provenance: from_distribution" in out
+    path.write_text(SCALED_ANNIHILATOR, encoding="utf-8")
+    rc, out, _ = _run(capsys, ["dirac-check", str(path)])
+    assert rc == 0 and "ann_rank_deficit: 0" in out
+    # unscaled, the report is what it was
+    path.write_text(SCALED_GENERATOR.format("x1"), encoding="utf-8")
+    rc, out, _ = _run(capsys, ["dirac-check", str(path)])
+    assert rc == 0
+    assert out.split("structure:\n")[1].split("timing_ms")[0] == (
+        "  provenance: from_distribution\n"
+        "  ann_rank_deficit: 0\n"
+        "  generators: [field (1, 0; 0, 0) form (0, 0; 0, 0), field (0, 1; 0, 0) "
+        "form (0, 0; 0, 0), field (0, 0; 1, x1) form (0, 0; 0, 0)]\n"
+        "pointwise:\n"
+        "  points: 20\n"
+        "  isotropic: 20/20\n"
+        "  maximal: 20/20\n"
+        "  max_involutivity_residual: 0.999818485947239\n"
+        "  kernel_dim_at_first_point: 3\n")
