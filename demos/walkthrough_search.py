@@ -13,7 +13,7 @@ import numpy as np
 
 from spraydirac.ansatz import Ansatz, search
 from spraydirac.expr import ZERO, Context, format_expr, parse
-from spraydirac.forms import format_two_form
+from spraydirac.forms import TwoForm, format_two_form
 from spraydirac.geometry import SemiSpray, VectorField
 
 ctx = Context(dim=2)
@@ -36,11 +36,14 @@ for c in result.candidates:
           f"{format_two_form(c.omega):22s} certificate: {c.certificate.overall}")
 
 # the total kinetic energy is a combination of the reported pairs; its
-# coefficient vector projects onto the nullspace with no residual
+# coefficient vector, over the H dictionary then the omega dictionary,
+# projects onto the nullspace with no residual
+columns = [*a.H_dictionary, *a.omega_dictionary]
 v = np.zeros(a.unknowns)
-v[a.h_index(parse("y1^2", ctx))] = 0.5
-v[a.h_index(parse("y2^2", ctx))] = 0.5
-v[a.omega_index(0, 2)] = 1.0
-v[a.omega_index(1, 3)] = 1.0
-_, rel = result.project(v)
+v[columns.index(parse("y1^2", ctx))] = 0.5
+v[columns.index(parse("y2^2", ctx))] = 0.5
+v[columns.index(TwoForm.single(2, 0, 2, 1))] = 1.0
+v[columns.index(TwoForm.single(2, 1, 3, 1))] = 1.0
+P = result.nullspace
+rel = float(np.linalg.norm(v - P @ (P.T @ v)) / np.linalg.norm(v))
 print(f"\nprojection gap for (y1^2 + y2^2)/2 with the diagonal form: {rel:.2e}")

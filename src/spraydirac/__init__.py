@@ -9,7 +9,7 @@ bracket, structures) < motion (residuals, certificates, integration)
 
 from .errors import (
     AnnihilatorMismatchError, DistributionMembershipError, EvalDomainError,
-    NotIsotropicError, ParseError, RankDeficientError, SingularLocusError,
+    ParseError, RankDeficientError, SingularLocusError,
     SprayDiracError, UnboundParameterError, ValidationError,
 )
 from .expr import (
@@ -20,7 +20,7 @@ from .geometry import (
     BerwaldFrame, CurvatureTensor, OneForm, SemiSpray, VectorField,
     berwald_frame, connection_coefficients, curvature, decompose,
     euler_residuals, is_flat, is_semispray, is_spray, lie_bracket,
-    liouville_field, span_membership, spray_from_connection,
+    span_membership,
 )
 from .forms import (
     BERWALD, COORD, ThreeForm, TwoForm, d_scalar, exterior_derivative_1,
@@ -29,7 +29,7 @@ from .forms import (
 from .dirac import (
     AlmostDirac, Section, courant_bracket, from_distribution,
     gauge_transform, involutivity_residual, is_isotropic_at, is_maximal_at,
-    jacobi_anomaly, kernel_at, leaf_two_form_at, pairing,
+    jacobi_anomaly, kernel_at, pairing,
 )
 from .motion import (
     MotionReport, Trajectory, conservation_drift, hamiltonian_certificate,

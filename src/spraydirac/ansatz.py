@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .expr import (
-    DEFAULT_SEED, Const, Context, Expr, Mul, Point, SampleConfig, Tri, ZERO,
+    DEFAULT_SEED, Const, Context, Expr, Mul, Point, SampleConfig, Tri,
     coordinates, evaluate_points, format_expr, sample_points, simplify, sum_exprs,
 )
 from .forms import TwoForm, d_scalar, format_two_form, interior_product
@@ -109,20 +109,6 @@ class Ansatz:
     def unknowns(self) -> int:
         return len(self.H_dictionary) + len(self.omega_dictionary)
 
-    def h_index(self, e: Expr) -> int:
-        target = simplify(e)
-        for k, phi in enumerate(self.H_dictionary):
-            if simplify(phi) == target:
-                return k
-        raise ValidationError(f"{format_expr(e)} is not in the H dictionary")
-
-    def omega_index(self, i: int, j: int) -> int:
-        for k, w in enumerate(self.omega_dictionary):
-            if w.component(i, j) != ZERO and len(dict(w.items())) == 1:
-                if (min(i, j), max(i, j)) in dict(w.items()):
-                    return len(self.H_dictionary) + k
-        raise ValidationError(f"no single-entry form at slot pair ({i},{j})")
-
 
 @dataclass
 class CandidateSolution:
@@ -151,16 +137,6 @@ class SearchResult:
     trivial_dropped: int
     rejected: int
     ansatz: Ansatz
-
-    def project(self, v: np.ndarray) -> tuple[np.ndarray, float]:
-        """Project a coefficient vector onto the nullspace; also return the
-        relative distance, which is ~0 exactly when the pair was found."""
-        P = self.nullspace
-        if P.shape[1] == 0:
-            return np.zeros_like(v), 1.0
-        proj = P @ (P.T @ v)
-        return proj, float(np.linalg.norm(v - proj)
-                           / max(np.linalg.norm(v), 1e-300))
 
 
 def assemble(S: SemiSpray, D_gens: Sequence[VectorField] | None, a: Ansatz,

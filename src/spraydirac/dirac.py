@@ -6,16 +6,17 @@ and cotangent bundles.  The symmetric pairing is beta(X) + alpha(Y), with
 no 1/2 factor; the antisymmetrized bracket keeps its usual 1/2 on the
 exact correction term.  Structures are handled through finite generating
 families, checked pointwise on the generator matrix at each point (each
-matrix entry evaluated over all the points in one pass): isotropy, rank,
-kernel and leaf two-form, and bracket closure as a numeric residual against
-the evaluated span, whatever its rank.  Leaf arguments, bracket rows and the
-flow field go through span_gaps: one overflow rule, one gelsd call per stack.
+matrix entry evaluated over all the points in one pass): isotropy, rank and
+kernel, and bracket closure as a numeric residual against the evaluated
+span, whatever its rank.  Every rank read from generator rows reads them
+divided by their largest entries, so a generator's scale is never lost rank.
+Bracket rows and the flow field go through span_gaps: one overflow rule, one
+gelsd call per stack.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -26,8 +27,7 @@ import numpy as np
 from numpy.linalg import _linalg, _umath_linalg
 
 from .errors import (
-    AnnihilatorMismatchError, DistributionMembershipError, EvalDomainError,
-    NotIsotropicError, RankDeficientError, SingularLocusError, ValidationError,
+    AnnihilatorMismatchError, RankDeficientError, SingularLocusError, ValidationError,
 )
 from .expr import (
     Add, Const, Context, Expr, Mul, Neg, Point, SampleConfig, Tri,
@@ -39,7 +39,7 @@ from .geometry import OneForm, VectorField, lie_bracket
 __all__ = [
     "Section", "AlmostDirac", "pairing", "courant_bracket", "jacobi_anomaly",
     "from_distribution", "gauge_transform", "is_isotropic_at", "is_maximal_at",
-    "involutivity_residual", "kernel_at", "leaf_two_form_at", "span_gaps", "stacked",
+    "involutivity_residual", "kernel_at", "span_gaps", "stacked",
 ]
 
 HALF = Const(Fraction(1, 2))
@@ -208,6 +208,14 @@ def stacked(fn, mats: Sequence[np.ndarray], *rest: Sequence[np.ndarray]) -> list
     return [out[i] for i in range(len(mats))]
 
 
+def _rows_scaled(M: np.ndarray) -> np.ndarray:
+    """M, or each matrix of a stack, with each nonzero row divided by its
+    largest entry: scaling a row keeps the span, so every rank read from
+    generator rows reads this."""
+    m = np.max(np.abs(M), axis=-1, keepdims=True)
+    return M / np.where(m > 0, m, 1.0)
+
+
 def _matrix_rank(M: np.ndarray):
     """The rank of M, or the array of the ranks of a stack (..., r, c)."""
     scale = np.maximum(1.0, np.max(np.abs(M), axis=(-2, -1), initial=0.0))
@@ -293,10 +301,8 @@ def from_distribution(D_gens: Sequence[VectorField],
                     "annihilator does not vanish on the distribution: "
                     f"value {val:.3e} at a sampled point", witness=witness)
 
-    def rank(rows, r):   # each nonzero row over its largest entry: scaling keeps the span
-        M = np.reshape(rows, (len(rows), r, 2 * n))
-        m = np.max(np.abs(M), axis=-1, keepdims=True)
-        return _matrix_rank(M / np.where(m > 0, m, 1.0))
+    def rank(rows, r):
+        return _matrix_rank(_rows_scaled(np.reshape(rows, (len(rows), r, 2 * n))))
     k = len(D_gens)
     a_rows = evaluate_points([c for eta in etas for c in eta.comps], pts, ctx)
     # D(i), then A(i), per point; a rank-deficient D before a later error
@@ -365,7 +371,7 @@ def _isotropy(B: np.ndarray, floor: float | np.ndarray) -> tuple:
 def is_maximal_at(B: np.ndarray):
     """Whether the rows of B, one of the generator_matrices, span 2n
     dimensions, or the bool array of it for a stack (..., r, 4n)."""
-    return _matrix_rank(B) == B.shape[-1] // 2
+    return _matrix_rank(_rows_scaled(B)) == B.shape[-1] // 2
 
 
 def involutivity_residual(L: AlmostDirac, points: Sequence[Point], ctx: Context,
@@ -387,46 +393,15 @@ def involutivity_residual(L: AlmostDirac, points: Sequence[Point], ctx: Context,
 def kernel_at(B: np.ndarray) -> list[np.ndarray]:
     """Orthonormal basis of the v with (v, 0) in the row span of B."""
     n = B.shape[1] // 4
+    B = _rows_scaled(B)
     V, W = B[:, : 2 * n], B[:, 2 * n:]
     null = _null_space(W.T)
     if null.shape[1] == 0:
         return []
     candidates = (V.T @ null).T
-    scale = max(1.0, float(np.max(np.abs(B))))
-    with np.errstate(over="ignore"):   # an overflowed norm, inf, passes as its value would
-        keep = candidates[np.linalg.norm(candidates, axis=1) > POINTWISE_TOL * scale]
+    keep = candidates[np.linalg.norm(candidates, axis=1) > POINTWISE_TOL]
     if keep.size == 0:
         return []
     _, s, vt = np.linalg.svd(keep, full_matrices=False)
-    return [vt[i] for i in range(len(s)) if s[i] > POINTWISE_TOL * scale]
+    return [vt[i] for i in range(len(s)) if s[i] > POINTWISE_TOL]
 
-
-def leaf_two_form_at(B: np.ndarray, Xv: np.ndarray, Yv: np.ndarray) -> float:
-    """omega(Xv, Yv) = alpha(Yv) for any (Xv, alpha) in the row span of B.
-
-    Well-definedness across the solution set is checked by recomputing
-    with a second solution whenever one exists; a value that depends on the
-    choice raises NotIsotropicError; a non-finite argument, ValidationError;
-    a value past the double range, EvalDomainError.
-    """
-    B, Xv, Yv = (np.asarray(a, dtype=float) for a in (B, Xv, Yv))
-    if not all(np.isfinite(a).all() for a in (B, Xv, Yv)):
-        raise ValidationError("leaf two-form needs finite B, Xv and Yv")
-    n = B.shape[1] // 4
-    V, W = B[:, : 2 * n], B[:, 2 * n:]
-    (c, _, x_out), (_, _, y_out) = span_gaps(V.T, (Xv, Yv))
-    for out, name in ((x_out, "first"), (y_out, "second")):
-        if out:
-            raise DistributionMembershipError(
-                f"{name} argument is outside the characteristic distribution")
-    null = _null_space(V.T)
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = float(W.T @ c @ Yv)
-        value2 = float(W.T @ (c + null[:, 0]) @ Yv) if null.shape[1] else value
-    if not (math.isfinite(value) and math.isfinite(value2)):
-        raise EvalDomainError("leaf two-form value leaves the double range")
-    if abs(value2 - value) > POINTWISE_TOL * max(1.0, abs(value)):
-        raise NotIsotropicError(
-            "leaf two-form value depends on the solution choice; "
-            "the structure is not isotropic over these arguments")
-    return value

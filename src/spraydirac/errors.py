@@ -44,10 +44,6 @@ class RankDeficientError(ValidationError):
     """A pointwise rank requirement is not met."""
 
 
-class NotIsotropicError(ValidationError):
-    """A structure is not isotropic where a computation needs it to be."""
-
-
 class EvalDomainError(SprayDiracError):
     """Numeric evaluation left the domain (division by zero, log of a
     nonpositive number, fractional power of a negative base, overflow)."""

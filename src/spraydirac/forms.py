@@ -10,7 +10,8 @@ n+a means dy_a + N^a_i dx_i.  An adapted-basis form holds its connection
 matrix N from the moment it is built, and two forms are equal, or can be
 added, only with the same N; derivative and contraction operations
 rewrite it over the coordinate coframe first.  One loop, _d, takes d of
-one- and two-forms, and a two-form's value omega(X, Y) is (i_X omega)(Y).
+one- and two-forms, and a two-form's value omega(X, Y) is
+interior_product(X, omega)(Y).
 """
 
 from __future__ import annotations
@@ -21,14 +22,14 @@ from typing import Iterator, Mapping
 
 from .errors import ValidationError
 from .expr import (
-    Add, Expr, Mul, Neg, Var, ZERO, ONE,
+    Add, Expr, Mul, Neg, ZERO, ONE,
     as_expr, coordinates, diff, format_expr, simplify,
 )
 from .geometry import OneForm, VectorField
 
 __all__ = [
     "TwoForm", "ThreeForm", "COORD", "BERWALD",
-    "flat_var", "basis_label", "d_scalar", "wedge",
+    "basis_label", "d_scalar", "wedge",
     "exterior_derivative_1", "exterior_derivative_2",
     "interior_product", "lie_derivative", "format_coefficient",
     "format_two_form",
@@ -36,11 +37,6 @@ __all__ = [
 
 COORD = "coord"
 BERWALD = "berwald"
-
-
-def flat_var(n: int, k: int) -> Var:
-    """Coordinate for flat slot k: x_{k+1} below n, else y_{k-n+1}."""
-    return coordinates(n)[k]
 
 
 def basis_label(n: int, basis: str, k: int) -> str:
@@ -162,9 +158,6 @@ class TwoForm(_Form):
                 for k2, c2 in expand(j):
                     _accum(comps, (k1, k2), Mul((w, c1, c2)))
         return TwoForm(n, comps)
-
-    def __call__(self, X: VectorField, Y: VectorField) -> Expr:
-        return interior_product(X, self)(Y)
 
 
 @dataclass(frozen=True, eq=False)

@@ -11,7 +11,6 @@ the obstruction to the horizontal fields closing under the Lie bracket.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .errors import ValidationError
@@ -22,8 +21,8 @@ from .expr import (
 
 __all__ = [
     "VectorField", "OneForm", "SemiSpray", "BerwaldFrame", "CurvatureTensor",
-    "lie_bracket", "liouville_field", "is_semispray", "is_spray",
-    "euler_residuals", "connection_coefficients", "spray_from_connection",
+    "lie_bracket", "is_semispray", "is_spray",
+    "euler_residuals", "connection_coefficients",
     "berwald_frame", "decompose", "curvature", "is_flat", "span_membership",
 ]
 
@@ -164,10 +163,6 @@ class SemiSpray:
         return VectorField(self.n, coordinates(self.n)[self.n:], fibers)
 
 
-def liouville_field(n: int) -> VectorField:
-    return VectorField(n, (ZERO,) * n, coordinates(n)[n:])
-
-
 def is_semispray(X: VectorField, ctx: Context, cfg: SampleConfig | None = None,
                  loci: Sequence[Expr] = ()) -> Tri:
     """Does J(X) equal the Liouville field, i.e. are the base components y_a."""
@@ -197,21 +192,6 @@ def connection_coefficients(S: SemiSpray) -> tuple[tuple[Expr, ...], ...]:
     """N[a][i] = d G^a / d y_i, both indices 0-based."""
     ys = coordinates(S.n)[S.n:]
     return tuple(tuple(diff(g, y) for y in ys) for g in S.G)
-
-
-def spray_from_connection(N: Sequence[Sequence[Expr]], n: int) -> SemiSpray:
-    """Rebuild coefficients as half the fiber contraction of the connection.
-
-    For connections that came from a spray this inverts
-    connection_coefficients; for a merely homogeneous connection it yields
-    the associated spray, which need not reproduce a non-homogeneous source.
-    """
-    G = []
-    for a in range(n):
-        parts = [Mul((Const(Fraction(1, 2)), y, as_expr(N[a][i])))
-                 for i, y in enumerate(coordinates(n)[n:])]
-        G.append(simplify(sum_exprs(parts)))
-    return SemiSpray(n, tuple(G))
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@ two loops that took d of one- and two-forms, and the loop with which a
 two-form took its value on two fields, beside forms.interior_product."""
 
 from spraydirac.expr import Add, Expr, Mul, Neg, ZERO, coordinates, diff, simplify, sum_exprs
-from spraydirac.forms import COORD, ThreeForm, TwoForm, _accum, flat_var
+from spraydirac.forms import COORD, ThreeForm, TwoForm, _accum
 from spraydirac.geometry import OneForm, VectorField
 
 
@@ -28,14 +28,14 @@ def exterior_derivative_2(omega: TwoForm) -> ThreeForm:
     comps: dict = {}
     for (i, j), w in form.comps.items():
         for k in range(2 * n):
-            partial = diff(w, flat_var(n, k))
+            partial = diff(w, coordinates(n)[k])
             if partial != ZERO:
                 _accum(comps, (k, i, j), partial)
     return ThreeForm(n, comps)
 
 
 def two_form_value(omega: TwoForm, X: VectorField, Y: VectorField) -> Expr:
-    """omega(X, Y), as TwoForm.__call__ computed it."""
+    """omega(X, Y), as the two-form's own value loop computed it."""
     if omega.basis != COORD:
         return two_form_value(omega.to_coordinates(), X, Y)
     parts = []

@@ -1,7 +1,8 @@
 """The references of the stacked pointwise tests: the rank, null space,
-isotropy and maximality of one matrix at a time, each with its own numpy
-call, and a structure's generator matrices built point by point, each
-annihilator null space on its own."""
+isotropy and maximality (the rank of the rows scaled to largest entry 1) of
+one matrix at a time, each with its own numpy call, and a structure's
+generator matrices built point by point, each annihilator null space on its
+own."""
 
 import numpy as np
 
@@ -36,8 +37,13 @@ def is_isotropic_at(B):
     return bool(np.max(np.abs(gram)) <= POINTWISE_TOL * scale)
 
 
+def rows_scaled(B):
+    """B with each nonzero row divided by its largest entry, a row at a time."""
+    return np.array([r / np.max(np.abs(r)) if r.any() else r for r in B]).reshape(B.shape)
+
+
 def is_maximal_at(B):
-    return matrix_rank(B) == B.shape[1] // 2
+    return matrix_rank(rows_scaled(B)) == B.shape[1] // 2
 
 
 def generator_matrices(L, points, ctx):

@@ -6,8 +6,9 @@ it stood with its own overflow rule (or none).
   divided by their largest entry where a norm left the double range;
 - bracket_residual: involutivity_residual's body for one bracket row u
   against the generator matrix B (A = B.T), which rescaled only the norm;
-- leaf_membership: leaf_two_form_at's membership loop over its two
-  arguments and the solution c for the first, with no overflow rule.
+- leaf_membership: the membership loop of the leaf two-form (a pointwise
+  helper since removed) over its two arguments and the solution c for the
+  first, with no overflow rule.
 """
 
 import math

@@ -8,8 +8,8 @@ import pytest
 from spraydirac.ansatz import Ansatz, search
 from spraydirac.dirac import (
     AlmostDirac, Section, courant_bracket, from_distribution, gauge_transform,
-    involutivity_residual, is_isotropic_at, jacobi_anomaly, kernel_at,
-    leaf_two_form_at, pairing,
+    involutivity_residual, is_isotropic_at, jacobi_anomaly, kernel_at, pairing,
+    span_gaps,
 )
 from spraydirac.expr import (
     ONE, ZERO, Context, Point, SampleConfig, Tri, parse, simplify,
@@ -151,12 +151,15 @@ def test_criterion_4_search_recovers_kinetic_energy():
         a = Ansatz(2, degree=2)
         result = search(S, D, a, ctx)
 
+        # the unknowns are the H dictionary's coefficients, then omega's
+        columns = [*a.H_dictionary, *a.omega_dictionary]
         v = np.zeros(a.unknowns)
-        v[a.h_index(parse("y1^2", ctx))] = 0.5
-        v[a.h_index(parse("y2^2", ctx))] = 0.5
-        v[a.omega_index(0, 2)] = 1.0
-        v[a.omega_index(1, 3)] = 1.0
-        _, rel = result.project(v)
+        v[columns.index(parse("y1^2", ctx))] = 0.5
+        v[columns.index(parse("y2^2", ctx))] = 0.5
+        v[columns.index(TwoForm.single(2, 0, 2, 1))] = 1.0
+        v[columns.index(TwoForm.single(2, 1, 3, 1))] = 1.0
+        P = result.nullspace
+        rel = float(np.linalg.norm(v - P @ (P.T @ v)) / np.linalg.norm(v))
         assert rel <= 1e-8
 
         omega = TwoForm.single(2, 0, 2, 1) + TwoForm.single(2, 1, 3, 1)
@@ -260,9 +263,12 @@ def test_criterion_6_degenerate_leaf_form():
         )
         L = AlmostDirac(n=2, generators=gens)
         p_high = Point((0.3, -1.1), (2.0, 0.7))
-        value = leaf_two_form_at(next(L.generator_matrices([p_high], CTX2)),
-                                 np.array([1.0, 0, 0, 0]),
-                                 np.array([0, 1.0, 0, 0]))
+        # omega(X, Y) = alpha(Y) for (X, alpha) in the span: solve for X
+        B = next(L.generator_matrices([p_high], CTX2))
+        V, W = np.split(B, 2, axis=1)
+        (c, _, outside), = span_gaps(V.T, [np.array([1.0, 0, 0, 0])])
+        assert not outside
+        value = float(W.T @ c @ np.array([0, 1.0, 0, 0]))
         assert value == pytest.approx(2.0, abs=1e-12)
         p_fold = Point((0.3, -1.1), (0.0, 0.7))
         assert len(kernel_at(next(L.generator_matrices([p_fold], CTX2)))) >= 2

@@ -854,3 +854,20 @@ def test_the_rank_tests_do_not_depend_on_a_generator_s_scale(capsys, tmp_path):
         "  maximal: 20/20\n"
         "  max_involutivity_residual: 0.999818485947239\n"
         "  kernel_dim_at_first_point: 3\n")
+
+
+# is_maximal_at and kernel_at read the rows scaled to largest entry 1, as
+# from_distribution's rank does: they read the 10^12 as lost rank, and
+# printed maximal: 0/20 with kernel dimensions 1 and 0
+@pytest.mark.parametrize("text,kernel_dim", [
+    (SCALED_GENERATOR.format("10^12*x1"), 3),
+    (SCALED_ANNIHILATOR, 2),
+], ids=["generator", "annihilator"])
+def test_the_pointwise_rank_tests_do_not_read_a_scale_as_lost_rank(capsys, tmp_path,
+                                                                    text, kernel_dim):
+    path = tmp_path / "scaled.sdp"
+    path.write_text(text, encoding="utf-8")
+    rc, out, _ = _run(capsys, ["dirac-check", str(path)])
+    assert rc == 0
+    assert "  maximal: 20/20\n" in out
+    assert f"  kernel_dim_at_first_point: {kernel_dim}\n" in out

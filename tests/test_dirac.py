@@ -6,12 +6,9 @@ import pytest
 from spraydirac.dirac import (
     AlmostDirac, Section, courant_bracket, from_distribution,
     gauge_transform, is_isotropic_at, is_maximal_at, involutivity_residual,
-    jacobi_anomaly, kernel_at, leaf_two_form_at, pairing,
+    jacobi_anomaly, kernel_at, pairing,
 )
-from spraydirac.errors import (
-    AnnihilatorMismatchError, DistributionMembershipError, NotIsotropicError,
-    RankDeficientError, ValidationError,
-)
+from spraydirac.errors import AnnihilatorMismatchError, RankDeficientError
 from spraydirac.expr import (
     ONE, ZERO, Context, Point, SampleConfig, clear_caches, evaluate, parse, simplify,
 )
@@ -269,44 +266,16 @@ def _folded_structure():
     return AlmostDirac(n=2, generators=gens)
 
 
-def test_leaf_two_form_away_from_the_fold():
-    L = _folded_structure()
-    p = Point((0.3, -1.1), (2.0, 0.7))
-    ex1 = np.array([1.0, 0, 0, 0])
-    ex2 = np.array([0, 1.0, 0, 0])
-    assert (leaf_two_form_at(next(L.generator_matrices([p], CTX2)), ex1, ex2)
-            == pytest.approx(2.0, abs=1e-12))
-    assert (leaf_two_form_at(next(L.generator_matrices([p], CTX2)), ex2, ex1)
-            == pytest.approx(-2.0, abs=1e-12))
-    assert kernel_at(next(L.generator_matrices([p], CTX2))) == []
-
-
 def test_kernel_jumps_on_the_fold():
     L = _folded_structure()
+    away = Point((0.3, -1.1), (2.0, 0.7))
+    assert kernel_at(next(L.generator_matrices([away], CTX2))) == []
     p = Point((0.3, -1.1), (0.0, 0.7))
     basis = kernel_at(next(L.generator_matrices([p], CTX2)))
     assert len(basis) == 2
     for v in basis:
         # kernel directions stay inside the base block
         assert np.linalg.norm(v[2:]) <= 1e-12
-
-
-def test_leaf_arguments_must_lie_in_the_distribution():
-    L = _folded_structure()
-    p = Point((0.3, -1.1), (2.0, 0.7))
-    vertical = np.array([0, 0, 1.0, 0])
-    with pytest.raises(DistributionMembershipError):
-        leaf_two_form_at(next(L.generator_matrices([p], CTX2)), vertical,
-                         np.array([1.0, 0, 0, 0]))
-
-
-def test_a_leaf_value_that_depends_on_the_solution_is_an_input_error():
-    # (d/dx1, 0) and (d/dx1, dy1) both carry d/dx1 but pair to 1: the value
-    # at (d/dx1, d/dy1) depends on which of them is used
-    B = np.array([[1.0, 0, 0, 0], [0, 1.0, 0, 0], [1.0, 0, 0, 1.0]])
-    with pytest.raises(NotIsotropicError, match="not isotropic") as info:
-        leaf_two_form_at(B, np.array([1.0, 0]), np.array([0, 1.0]))
-    assert isinstance(info.value, ValidationError)
 
 
 def test_gauge_by_closed_form_keeps_closure():

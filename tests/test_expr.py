@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from spraydirac.errors import EvalDomainError, ParseError
-from spraydirac import expr, forms
+from spraydirac import expr
 from spraydirac.expr import (
     MAX_NESTING, Const, Context, Point, SampleConfig, Tri, Var, _clear_draws, _iroot,
     clear_caches, compile_exprs, compile_rk4_step, diff, evaluate,
@@ -63,8 +63,8 @@ def test_coordinates_are_built_once_per_dimension():
     coords = expr.coordinates(3)
     assert coords == tuple(Var(axis, i) for axis in "xy" for i in (1, 2, 3))
     assert expr.coordinates(3) is coords
-    assert parse("y2", CTX3) is forms.flat_var(3, 4) is coords[4]
-    assert parse("x3", CTX3) is forms.flat_var(3, 2) is coords[2]
+    assert parse("y2", CTX3) is coords[4]
+    assert parse("x3", CTX3) is coords[2]
 
 
 def test_parse_errors_carry_position():

@@ -93,7 +93,6 @@ def test_interior_product_of_second_order_field():
         Y = VectorField(3, tuple(Const(v) for v in yv[:3]),
                         tuple(Const(v) for v in yv[3:]))
         expected = pytest.approx(float(xv @ M @ yv), abs=1e-12)
-        assert evaluate(omega(X, Y), p, CTX3) == expected
         assert evaluate(interior_product(X, omega)(Y), p, CTX3) == expected
 
 

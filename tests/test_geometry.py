@@ -12,7 +12,7 @@ from spraydirac.expr import (
 from spraydirac.geometry import (
     OneForm, SemiSpray, VectorField, berwald_frame, connection_coefficients,
     curvature, decompose, euler_residuals, is_flat, is_semispray, is_spray,
-    lie_bracket, liouville_field, span_membership, spray_from_connection,
+    lie_bracket, span_membership,
 )
 
 
@@ -44,9 +44,6 @@ def test_vector_field_shape():
     assert X.base == (Var("y", 1), Var("y", 2))
     assert simplify(X.fiber[0]) == ZERO
     assert simplify(X.fiber[1]) == simplify(parse("-2*y2^2", CTX2))
-    L = liouville_field(2)
-    assert L.base == (ZERO, ZERO)
-    assert L.fiber == (Var("y", 1), Var("y", 2))
 
 
 def test_semispray_detection():
@@ -154,17 +151,18 @@ def test_connection_roundtrip_recovers_sprays():
             parse(f"{c[0]}*y1^2 + {c[1]}*x1*y1*y2", CTX2),
             parse(f"{c[2]}*y2^2 + {c[3]}*y1^2", CTX2),
         )))
+    # half the fiber contraction y_i N^a_i of the connection is G^a exactly
+    # where the Euler residual y_i dG^a/dy_i - 2 G^a vanishes
     for S in sprays:
-        back = spray_from_connection(connection_coefficients(S), S.n)
-        for a in range(S.n):
-            assert simplify(back.G[a] - S.G[a]) == ZERO
+        assert all(r == ZERO for r in euler_residuals(S))
 
 
 def test_connection_roundtrip_drops_inhomogeneous_part():
-    # coefficients of fiber degree 0 and 1 leave no trace in the contraction
+    # coefficients of fiber degree 0 leave no trace in the contraction: the
+    # Euler residual is -2 G^a alone
     S = _semispray3()
-    back = spray_from_connection(connection_coefficients(S), 3)
-    assert all(g == ZERO for g in back.G)
+    for r, g in zip(euler_residuals(S), S.G):
+        assert simplify(r - Mul((as_expr(-2), g))) == ZERO
     assert is_zero(S.G[2], CTX3) is Tri.PROVEN_NONZERO
 
 

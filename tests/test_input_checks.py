@@ -136,8 +136,6 @@ REFUSED = [
     # ansatz
     (lambda: monomial_dictionary(1, -1), "dictionary degree must be nonnegative"),
     (lambda: Ansatz(1, degree=-1), "dictionary degree must be nonnegative"),
-    (lambda: Ansatz(1, degree=1, omega_dictionary=[]).omega_index(0, 1),
-     "no single-entry form at slot pair (0,1)"),
 ]
 
 

